@@ -8,7 +8,7 @@ COVER_FLOOR_core   = 88.0
 COVER_FLOOR_faults = 83.0
 COVER_FLOOR_dnn    = 87.0
 
-.PHONY: build test test-e2e bench bench-smoke bench-json benchdiff check cover-gate race fmt lint fuzz-smoke profile-smoke trace-smoke
+.PHONY: build test test-e2e bench bench-smoke bench-json benchdiff check cover-gate race fmt lint fuzz-smoke smoke
 
 # benchdiff compares BENCH_report.json (from bench-json) against the
 # committed baseline. `make check` and CI run it strict
@@ -65,26 +65,21 @@ benchdiff: BENCH_report.json
 BENCH_report.json:
 	@$(MAKE) --no-print-directory bench-json
 
-# profile-smoke exercises the cost-attribution pipeline end to end: a
-# real-compute zoo run under -profile, then schema + invariant
-# validation of the resulting PROF_report.json (kept as a CI artifact
-# next to BENCH_report.json).
-profile-smoke:
+# smoke exercises both report pipelines end to end through the one
+# runner command: a real-compute zoo run under -profile and a
+# blob-budgeted traced run exporting the canonical causal timeline, each
+# followed by -check (schema + invariants, plus critical-path coverage
+# for the timeline). PROF_report.json and TRACE_timeline.json are kept
+# as CI artifacts next to BENCH_report.json.
+smoke:
 	$(GO) run ./cmd/ucudnn-time -net alexnet -batch 8 -iters 1 -mode wr -ws 64 -profile PROF_report.json
-	$(GO) run ./cmd/ucudnn-profile -check PROF_report.json
+	$(GO) run ./cmd/ucudnn-time -check PROF_report.json
+	$(GO) run ./cmd/ucudnn-time -net alexnet -batch 16 -iters 1 -mode wd -total 256 -blob-budget 48 \
+		-ws 64 -timeline TRACE_timeline.json -critical-path -stalls
+	$(GO) run ./cmd/ucudnn-time -check TRACE_timeline.json
 
-# trace-smoke exercises the causal-timeline pipeline end to end: a
-# blob-budgeted zoo run exporting the canonical timeline, then schema +
-# invariant + coverage validation of the resulting TRACE_timeline.json
-# (kept as a CI artifact next to PROF_report.json).
-trace-smoke:
-	$(GO) run ./cmd/ucudnn-trace -net alexnet -batch 16 -iters 1 -mode wd -total 256 -blob-budget 48 \
-		-ws 64 -o TRACE_timeline.json -critical-path -stalls
-	$(GO) run ./cmd/ucudnn-trace -check TRACE_timeline.json
-
-# lint runs the ucudnn-lint analyzer suite (detlint, hotpath, wsfloor,
-# metricname, faultpoint, phasename — see DESIGN.md "Static analysis")
-# over the whole module.
+# lint runs the ucudnn-lint analyzer suite (the analyzer table in
+# DESIGN.md "Static analysis") over the whole module.
 lint:
 	$(GO) run ./cmd/ucudnn-lint ./...
 
@@ -117,7 +112,7 @@ cover-gate:
 # networks) to keep the pass affordable.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/trace/... \
-		./internal/conv/... ./internal/blas/... ./internal/parallel/... ./internal/faults/... \
+		./internal/conv/... ./internal/blas/... ./internal/faults/... \
 		./internal/flight/... ./internal/debugserver/... ./internal/prof/... ./internal/dnn/...
 	$(GO) test -race -short -count=1 -timeout 1200s ./internal/testkit/
 
@@ -127,7 +122,8 @@ fmt:
 
 # check is the pre-commit gate: tier-1 build+test plus vet, formatting,
 # the analyzer suite, the coverage gate, the race pass, the kernel
-# benchmark smoke run, and the fuzz smoke run.
+# benchmark smoke run, the fuzz smoke run, the report-pipeline smoke run
+# and the strict kernel benchdiff.
 check: build
 	$(GO) vet ./...
 	@$(MAKE) --no-print-directory fmt
@@ -137,7 +133,6 @@ check: build
 	@$(MAKE) --no-print-directory race
 	@$(MAKE) --no-print-directory bench-smoke
 	@$(MAKE) --no-print-directory fuzz-smoke
-	@$(MAKE) --no-print-directory profile-smoke
-	@$(MAKE) --no-print-directory trace-smoke
+	@$(MAKE) --no-print-directory smoke
 	@$(MAKE) --no-print-directory bench-json
 	@$(MAKE) --no-print-directory benchdiff UCUDNN_BENCHDIFF_STRICT=1

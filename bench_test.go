@@ -190,8 +190,5 @@ func BenchmarkDesirableSet(b *testing.B) {
 // (Pareto-pruning reduction, WD kernel dedup, cache reuse).
 func BenchmarkAblation(b *testing.B) { runExperiment(b, "ablation", 64) }
 
-// BenchmarkScaling regenerates the data-parallel extension experiment.
-func BenchmarkScaling(b *testing.B) { runExperiment(b, "scaling", 32) }
-
 // BenchmarkConcurrency regenerates the Inception multi-stream extension.
 func BenchmarkConcurrency(b *testing.B) { runExperiment(b, "concurrency", 32) }

@@ -8,7 +8,7 @@
 //	ucudnn-bench -exp fig10 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Experiments: fig1 fig8 fig9 fig10 fig11 fig12 fig13 fig14 table1
-// opttime summary.
+// opttime summary ablation concurrency.
 package main
 
 import (
@@ -20,145 +20,95 @@ import (
 	"strings"
 
 	"ucudnn/internal/bench"
-	"ucudnn/internal/core"
-	"ucudnn/internal/debugserver"
 	"ucudnn/internal/device"
-	"ucudnn/internal/faults"
-	"ucudnn/internal/flight"
 	"ucudnn/internal/obs"
-	"ucudnn/internal/prof"
+	"ucudnn/internal/session"
 	"ucudnn/internal/trace"
 )
 
-func main() {
-	exp := flag.String("exp", "summary", "experiment name or 'all' ("+strings.Join(bench.Names(), ", ")+")")
-	dev := flag.String("device", "p100", "device: k80, p100, v100")
-	batch := flag.Int("batch", 0, "override mini-batch size (0 = experiment default)")
-	iters := flag.Int("iters", 3, "timed iterations")
-	csvPath := flag.String("csv", "", "also write CSV rows to this file")
-	metricsPath := flag.String("metrics", "", "write cumulative µ-cuDNN metrics at exit (\"-\" for stdout, .prom for Prometheus)")
-	tracePath := flag.String("trace", "", "write a Chrome trace of every timed run")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run for go tool pprof")
-	memProfile := flag.String("memprofile", "", "write a heap profile at exit for go tool pprof")
-	faultSpec := flag.String("faults", "", "arm a fault-injection schedule, e.g. \"ucudnn_fp_convolve=nth:3;ucudnn_fp_arena_grow=every:2,shrink=4\"")
-	profilePath := flag.String("profile", "", "write a per-phase cost-attribution report at exit (\"-\" for a table on stdout, else JSON)")
-	debugAddr := flag.String("debug-addr", os.Getenv("UCUDNN_DEBUG_ADDR"),
-		"serve /debug/ucudnn/ endpoints on this address, e.g. localhost:6060 (default $UCUDNN_DEBUG_ADDR)")
-	flag.Parse()
-	flight.DumpOnSignal() // SIGQUIT dumps a flight-recorder snapshot to stderr
+// opts mirrors the command's own flags.
+type opts struct {
+	exp, dev                                   string
+	batch, iters                               int
+	csvPath, tracePath, cpuProfile, memProfile string
+}
 
-	d, err := device.ByName(*dev)
-	if err != nil {
+func main() {
+	var o opts
+	flag.StringVar(&o.exp, "exp", "summary", "experiment name or 'all' ("+strings.Join(bench.Names(), ", ")+")")
+	flag.StringVar(&o.dev, "device", "p100", "device: k80, p100, v100")
+	flag.IntVar(&o.batch, "batch", 0, "override mini-batch size (0 = experiment default)")
+	flag.IntVar(&o.iters, "iters", 3, "timed iterations")
+	flag.StringVar(&o.csvPath, "csv", "", "also write CSV rows to this file")
+	flag.StringVar(&o.tracePath, "trace", "", "write a Chrome trace of every timed run")
+	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run for go tool pprof")
+	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile at exit for go tool pprof")
+	var of session.ObsFlags
+	of.Register(flag.CommandLine)
+	flag.Parse()
+
+	if err := of.Run(func(reg *obs.Registry) error { return run(o, reg) }); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	reportFaults := func() {}
-	if *faultSpec != "" {
-		freg, err := faults.Parse(*faultSpec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		faults.Install(freg)
-		// Disarm and print the fired shots, so any failure under injection
-		// is reproducible from the output alone; called on both the error
-		// exit and the normal one (os.Exit skips defers).
-		reportFaults = func() {
-			faults.Install(nil)
-			fmt.Fprintf(os.Stderr, "faults: schedule %q fired [%s]\n", freg.String(), freg.ShotLog())
-		}
+}
+
+func run(o opts, reg *obs.Registry) error {
+	d, err := device.ByName(o.dev)
+	if err != nil {
+		return err
 	}
-	defer reportFaults()
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	if o.cpuProfile != "" {
+		f, err := os.Create(o.cpuProfile)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			runtime.GC() // materialize the steady-state live set
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}()
-	}
-	cfg := bench.Config{Device: d, Batch: *batch, Iters: *iters, Out: os.Stdout}
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
+	cfg := bench.Config{Device: d, Batch: o.batch, Iters: o.iters, Out: os.Stdout, Metrics: reg}
+	if o.csvPath != "" {
+		f, err := os.Create(o.csvPath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		defer f.Close()
 		cfg.CSV = f
 	}
-	if *metricsPath != "" || *debugAddr != "" {
-		cfg.Metrics = obs.NewRegistry()
-	}
-	if *profilePath != "" {
-		prof.Enable()
-		prof.SetMetrics(cfg.Metrics)
-		defer prof.Disable()
-	}
-	if *tracePath != "" {
+	if o.tracePath != "" {
 		cfg.Trace = trace.New()
 	}
-	if *debugAddr != "" {
-		srv, err := debugserver.Start(*debugAddr, cfg.Metrics)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/ucudnn/\n", srv.Addr())
-	}
 
-	names := []string{*exp}
-	if *exp == "all" {
+	names := []string{o.exp}
+	if o.exp == "all" {
 		names = bench.Names()
 	}
 	for _, name := range names {
 		if err := bench.Run(name, cfg); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			reportFaults()
-			os.Exit(1)
+			return fmt.Errorf("%s: %w", name, err)
 		}
 	}
-	if err := core.WriteProfileFile(*profilePath); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if cfg.Metrics != nil && *metricsPath != "" {
-		if err := cfg.Metrics.WriteFile(*metricsPath); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+	if o.memProfile != "" {
+		f, err := os.Create(o.memProfile)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		runtime.GC() // materialize the steady-state live set
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			return err
 		}
 	}
 	if cfg.Trace != nil {
-		f, err := os.Create(*tracePath)
+		f, err := os.Create(o.tracePath)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		defer f.Close()
-		if err := cfg.Trace.WriteChrome(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		return cfg.Trace.WriteChrome(f)
 	}
+	return nil
 }

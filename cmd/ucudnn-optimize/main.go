@@ -25,13 +25,9 @@ import (
 	"ucudnn/internal/conv"
 	"ucudnn/internal/core"
 	"ucudnn/internal/cudnn"
-	"ucudnn/internal/debugserver"
 	"ucudnn/internal/device"
-	"ucudnn/internal/dnn"
-	"ucudnn/internal/faults"
-	"ucudnn/internal/flight"
 	"ucudnn/internal/obs"
-	"ucudnn/internal/prof"
+	"ucudnn/internal/session"
 	"ucudnn/internal/tensor"
 	"ucudnn/internal/trace"
 	"ucudnn/internal/zoo"
@@ -54,15 +50,9 @@ type runOpts struct {
 	Batch     int
 	TotalMiB  int64
 	BlobMiB   int64
-	Metrics   string
 	Trace     string
-	Faults    string
-	Profile   string
 
-	// DebugAddr serves the debugserver endpoints; Registry is the shared
-	// metrics registry backing /debug/ucudnn/metrics when it is set.
-	DebugAddr string
-	Registry  *obs.Registry
+	session.ObsFlags
 }
 
 func main() {
@@ -78,67 +68,19 @@ func main() {
 	flag.StringVar(&o.DB, "db", "", "benchmark database file to populate")
 	flag.IntVar(&o.Workers, "workers", 1, "parallel benchmark workers")
 	flag.BoolVar(&o.ShowFront, "front", true, "print the desirable-configuration Pareto front")
-	flag.StringVar(&o.Net, "net", "", "optimize a whole network under WD instead of one kernel (alexnet, resnet18, ...)")
+	flag.StringVar(&o.Net, "net", "", "optimize a whole network under WD instead of one kernel: "+strings.Join(zoo.Names(), ", "))
 	flag.IntVar(&o.Batch, "batch", 256, "mini-batch size for -net mode")
 	flag.Int64Var(&o.TotalMiB, "total", 0, "WD total workspace (MiB; required for -net)")
 	flag.Int64Var(&o.BlobMiB, "blob-budget", 0,
 		"out-of-core blob budget (MiB) for -net mode: reserve the planned activation working set out of the WD pool (0 = off)")
-	flag.StringVar(&o.Metrics, "metrics", "", "write optimizer metrics at exit (\"-\" for stdout, .prom for Prometheus)")
 	flag.StringVar(&o.Trace, "trace", "", "write the chosen plans as a Chrome-trace micro-batch timeline (Fig. 3)")
-	flag.StringVar(&o.Faults, "faults", "", "arm a fault-injection schedule, e.g. \"ucudnn_fp_find=every:5;ucudnn_fp_cache_load=nth:1\"")
-	flag.StringVar(&o.Profile, "profile", "", "write a per-phase cost-attribution report at exit (\"-\" for a table on stdout, else JSON)")
-	flag.StringVar(&o.DebugAddr, "debug-addr", os.Getenv("UCUDNN_DEBUG_ADDR"),
-		"serve /debug/ucudnn/ endpoints on this address, e.g. localhost:6060 (default $UCUDNN_DEBUG_ADDR)")
+	o.ObsFlags.Register(flag.CommandLine)
 	flag.Parse()
-	flight.DumpOnSignal() // SIGQUIT dumps a flight-recorder snapshot to stderr
 
-	report, err := armFaults(o.Faults)
-	if err != nil {
+	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if o.DebugAddr != "" {
-		o.Registry = obs.NewRegistry()
-		srv, err := debugserver.Start(o.DebugAddr, o.Registry)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/ucudnn/\n", srv.Addr())
-	}
-	if o.Profile != "" {
-		prof.Enable()
-		prof.SetMetrics(o.Registry)
-		defer prof.Disable()
-	}
-	err = run(o)
-	report()
-	if err == nil {
-		err = core.WriteProfileFile(o.Profile)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-}
-
-// armFaults installs the fault schedule (if any) and returns a closure
-// that disarms it and prints the fired shots, so any failure under
-// injection is reproducible from the output alone.
-func armFaults(spec string) (func(), error) {
-	if spec == "" {
-		return func() {}, nil
-	}
-	freg, err := faults.Parse(spec)
-	if err != nil {
-		return nil, err
-	}
-	faults.Install(freg)
-	return func() {
-		faults.Install(nil)
-		fmt.Fprintf(os.Stderr, "faults: schedule %q fired [%s]\n", freg.String(), freg.ShotLog())
-	}, nil
 }
 
 func parseDims(s string, n int) ([]int, error) {
@@ -158,15 +100,17 @@ func parseDims(s string, n int) ([]int, error) {
 }
 
 func run(o runOpts) error {
-	if o.Net != "" {
-		return runNet(o)
-	}
-	return runKernel(o)
+	return o.ObsFlags.Run(func(reg *obs.Registry) error {
+		if o.Net != "" {
+			return runNet(o, reg)
+		}
+		return runKernel(o, reg)
+	})
 }
 
 // runKernel is the original single-kernel mode: benchmark, WR sweep,
 // Pareto front.
-func runKernel(o runOpts) error {
+func runKernel(o runOpts, reg *obs.Registry) error {
 	in, err := parseDims(o.Shape, 4)
 	if err != nil {
 		return err
@@ -209,13 +153,7 @@ func runKernel(o runOpts) error {
 	}
 	defer cache.Close()
 	b := core.NewBencher(h, cache, o.Workers)
-	reg := o.Registry
-	if reg == nil && o.Metrics != "" {
-		reg = obs.NewRegistry()
-	}
-	if reg != nil {
-		b.SetMetrics(reg)
-	}
+	b.SetMetrics(reg)
 	k := core.Kernel{Op: op, Shape: cs}
 
 	fmt.Printf("kernel: %v on %s\n\n", k, d.Name)
@@ -261,15 +199,12 @@ func runKernel(o runOpts) error {
 			return err
 		}
 	}
-	return reg.WriteFile(o.Metrics)
+	return nil
 }
 
 // runNet optimizes all convolution kernels of a zoo network jointly under
 // the WD total-workspace budget, printing the paper's §IV-B cost metrics.
-func runNet(o runOpts) error {
-	if o.TotalMiB <= 0 {
-		return fmt.Errorf("-net requires -total")
-	}
+func runNet(o runOpts, reg *obs.Registry) error {
 	d, err := device.ByName(o.Device)
 	if err != nil {
 		return err
@@ -278,57 +213,20 @@ func runNet(o runOpts) error {
 	if err != nil {
 		return err
 	}
-	inner := cudnn.NewHandle(d, cudnn.ModelOnlyBackend)
-	inner.Mem().Cap = 0
-
-	// With a blob budget, plan out-of-core streaming against a probe
-	// instance first: the planned working set is then reserved out of the
+	// With a blob budget the planned working set is reserved out of the
 	// WD pool, making activations and workspace one joint budget.
-	var oocModel *dnn.OOCModel
-	var oocPlan dnn.OOCPlan
-	if o.BlobMiB > 0 {
-		probeInner := cudnn.NewHandle(d, cudnn.ModelOnlyBackend)
-		probeInner.Mem().Cap = 0
-		probeCtx := dnn.NewContext(probeInner, probeInner, core.DefaultWorkspaceLimit)
-		probeCtx.SkipCompute = true
-		probeNet, err := buildZooNet(probeCtx, o.Net, o.Batch)
-		if err != nil {
-			return err
-		}
-		if err := probeNet.Setup(); err != nil {
-			return fmt.Errorf("probing %s for the blob budget: %w", o.Net, err)
-		}
-		if oocModel, err = dnn.FootprintModel(probeNet); err != nil {
-			return err
-		}
-		if oocPlan, err = dnn.PlanOOC(oocModel, o.BlobMiB<<20); err != nil {
-			return err
-		}
-	}
-
-	opts := []core.Option{core.WithPolicy(pol), core.WithCachePath(o.DB),
-		core.WithWorkers(o.Workers), core.WithMetricsPath(o.Metrics), core.WithMetrics(o.Registry)}
-	total := o.TotalMiB << 20
-	if oocModel != nil {
-		total += oocPlan.PeakBytes
-		opts = append(opts, core.WithBlobReserve(oocPlan.PeakBytes))
-	}
-	uc, err := core.New(inner, append(opts, core.WithWD(total))...)
+	s, err := session.New(session.Config{
+		Net: o.Net, Batch: o.Batch, Device: d, Mode: "wd", Policy: pol,
+		WS: core.DefaultWorkspaceLimit, Total: o.TotalMiB << 20, BlobBudget: o.BlobMiB << 20,
+		Backend: cudnn.ModelOnlyBackend, CachePath: o.DB, Workers: o.Workers, Metrics: reg,
+	})
 	if err != nil {
 		return err
 	}
-	ctx := dnn.NewContext(uc, inner, core.DefaultWorkspaceLimit)
-	ctx.SkipCompute = true
-	if oocModel != nil {
-		ctx.OOC = dnn.NewOOCState(oocModel, oocPlan)
-	}
-	net, err := buildZooNet(ctx, o.Net, o.Batch)
-	if err != nil {
-		return err
-	}
+	uc := s.UC
 	// Setup registers every convolution kernel through the virtual-algorithm
 	// Get* calls; finalization then runs the desirable-set DPs and the ILP.
-	if err := net.Setup(); err != nil {
+	if err := s.Net.Setup(); err != nil {
 		return err
 	}
 	start := time.Now()
@@ -336,25 +234,25 @@ func runNet(o runOpts) error {
 		return err
 	}
 	wall := time.Since(start)
-	s := uc.WDStats()
-	if s == nil {
+	st := uc.WDStats()
+	if st == nil {
 		return fmt.Errorf("WD produced no result for %q", o.Net)
 	}
 	fmt.Printf("%s on %s, N=%d, WD total %d MiB, %s policy\n\n", o.Net, d.Name, o.Batch, o.TotalMiB, pol)
 	fmt.Printf("optimization wall-clock:  %v\n", wall)
-	fmt.Printf("ILP variables:            %d\n", s.ILPVars)
-	fmt.Printf("branch-and-bound nodes:   %d\n", s.ILPNodes)
-	fmt.Printf("simplex iterations:       %d\n", s.SimplexIters)
-	fmt.Printf("ILP solve time:           %v\n", s.SolveTime)
-	fmt.Printf("assigned workspace:       %.1f MiB\n", float64(s.TotalWorkspace)/(1<<20))
-	fmt.Printf("predicted iteration conv: %v\n", s.TotalTime)
-	if s.BlobReserve > 0 {
+	fmt.Printf("ILP variables:            %d\n", st.ILPVars)
+	fmt.Printf("branch-and-bound nodes:   %d\n", st.ILPNodes)
+	fmt.Printf("simplex iterations:       %d\n", st.SimplexIters)
+	fmt.Printf("ILP solve time:           %v\n", st.SolveTime)
+	fmt.Printf("assigned workspace:       %.1f MiB\n", float64(st.TotalWorkspace)/(1<<20))
+	fmt.Printf("predicted iteration conv: %v\n", st.TotalTime)
+	if st.BlobReserve > 0 {
 		fmt.Printf("joint pool:               %.1f MiB total, %.1f MiB reserved for blobs, %.1f MiB workspace-effective\n",
-			float64(o.TotalMiB<<20+s.BlobReserve)/(1<<20), float64(s.BlobReserve)/(1<<20), float64(s.EffectiveBudget)/(1<<20))
+			float64(o.TotalMiB<<20+st.BlobReserve)/(1<<20), float64(st.BlobReserve)/(1<<20), float64(st.EffectiveBudget)/(1<<20))
 	}
-	if oocModel != nil {
+	if p := s.OOCPlan; p != nil {
 		fmt.Printf("OOC plan:                 chunk %d (%d windows), peak %.1f MiB, floor=%v\n",
-			oocPlan.Chunk, oocPlan.Windows, float64(oocPlan.PeakBytes)/(1<<20), oocPlan.Floor)
+			p.Chunk, p.Windows, float64(p.PeakBytes)/(1<<20), p.Floor)
 	}
 
 	plans := uc.Plans()
@@ -365,37 +263,12 @@ func runNet(o runOpts) error {
 	}
 
 	if o.Trace != "" {
-		b := core.NewBencher(inner, uc.Cache(), 1)
+		b := core.NewBencher(s.Inner, uc.Cache(), 1)
 		if err := writePlanTrace(o.Trace, b, plans); err != nil {
 			return err
 		}
 	}
-	return uc.Flush()
-}
-
-// buildZooNet constructs the named zoo network over ctx (loss head
-// discarded: optimization only needs the kernel registrations).
-func buildZooNet(ctx *dnn.Context, name string, batch int) (*dnn.Net, error) {
-	switch name {
-	case "alexnet":
-		net, _ := zoo.AlexNet(ctx, batch, 1000)
-		return net, nil
-	case "caffe-alexnet":
-		net, _ := zoo.CaffeAlexNet(ctx, batch, 1000)
-		return net, nil
-	case "resnet18":
-		net, _ := zoo.ResNet18(ctx, batch, 1000)
-		return net, nil
-	case "resnet50":
-		net, _ := zoo.ResNet50(ctx, batch, 1000)
-		return net, nil
-	case "densenet40":
-		net, _ := zoo.DenseNet40(ctx, batch, 40, 10)
-		return net, nil
-	case "inception":
-		return zoo.InceptionModule(ctx, batch), nil
-	}
-	return nil, fmt.Errorf("unknown network %q", name)
+	return nil
 }
 
 // writePlanTrace synthesizes the paper's Fig. 3 view of the chosen plans:

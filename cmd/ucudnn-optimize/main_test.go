@@ -45,7 +45,8 @@ func TestRunNetWD(t *testing.T) {
 	metrics := filepath.Join(dir, "metrics.txt")
 	tracePath := filepath.Join(dir, "plan.json")
 	o := runOpts{Net: "alexnet", Batch: 64, TotalMiB: 128, Device: "p100",
-		Policy: "powerOfTwo", Workers: 1, Metrics: metrics, Trace: tracePath}
+		Policy: "powerOfTwo", Workers: 1, Trace: tracePath}
+	o.Metrics = metrics
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}

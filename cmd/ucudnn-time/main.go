@@ -1,34 +1,44 @@
 // Command ucudnn-time is the `caffe time` equivalent: it builds one of
 // the zoo networks over the simulated device, runs timed forward-backward
 // iterations, and prints the per-layer breakdown — under plain cuDNN or
-// µ-cuDNN (WR or WD).
+// µ-cuDNN (WR or WD). With -timeline, -trace, -critical-path or -stalls
+// it also runs -iters causally traced iterations and exports or analyzes
+// the unified timeline (critical path, modeled-vs-measured out-of-core
+// stalls); -check validates a timeline or profile-report file.
 //
 // Usage:
 //
 //	ucudnn-time -net alexnet -batch 256 -device p100 -mode wr -policy powerOfTwo -ws 64
 //	ucudnn-time -net resnet50 -batch 32 -mode wd -total 2544
-//	ucudnn-time -net alexnet -mode wr -trace out.json -metrics -
-//	ucudnn-time -net alexnet -mode wr -profile prof.json
+//	ucudnn-time -net alexnet -mode wr -profile prof.json     # forces real compute
+//	ucudnn-time -net alexnet -mode wr -timeline timeline.json -trace chrome.json
+//	ucudnn-time -net densenet40 -batch 64 -mode wd -total 512 -blob-budget 96 -critical-path -stalls
+//	ucudnn-time -check timeline.json                         # or a -profile report
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
+	"ucudnn/internal/causal"
+	"ucudnn/internal/conv"
 	"ucudnn/internal/core"
 	"ucudnn/internal/cudnn"
-	"ucudnn/internal/debugserver"
 	"ucudnn/internal/device"
-	"ucudnn/internal/dnn"
-	"ucudnn/internal/faults"
-	"ucudnn/internal/flight"
 	"ucudnn/internal/obs"
 	"ucudnn/internal/prof"
-	"ucudnn/internal/tensor"
-	"ucudnn/internal/trace"
+	"ucudnn/internal/session"
 	"ucudnn/internal/zoo"
 )
+
+// minCoverage is the -check floor for per-iteration critical-path
+// coverage (the acceptance bar: the chain must explain >= 95% of wall).
+const minCoverage = 0.95
 
 // runOpts mirrors the command-line flags.
 type runOpts struct {
@@ -42,81 +52,115 @@ type runOpts struct {
 	Iters    int
 	BlobMiB  int64
 	DB       string
-	Trace    string
-	Metrics  string
-	Faults   string
-	Profile  string
+	Workers  int
 
-	// DebugAddr serves the debugserver endpoints; Registry is the shared
-	// metrics registry backing /debug/ucudnn/metrics when it is set.
-	DebugAddr string
-	Registry  *obs.Registry
+	Timeline string
+	Trace    string
+	Critical bool
+	Stalls   bool
+	Check    string
+
+	session.ObsFlags
 }
 
 func main() {
 	var o runOpts
-	flag.StringVar(&o.Net, "net", "alexnet", "network: alexnet, resnet18, resnet50, densenet40, inception")
+	flag.StringVar(&o.Net, "net", "alexnet", "network: "+strings.Join(zoo.Names(), ", "))
 	flag.IntVar(&o.Batch, "batch", 256, "mini-batch size")
 	flag.StringVar(&o.Device, "device", "p100", "device: k80, p100, v100")
 	flag.StringVar(&o.Mode, "mode", "wr", "mode: cudnn, wr, wd")
 	flag.StringVar(&o.Policy, "policy", "powerOfTwo", "batch-size policy: undivided, powerOfTwo, all")
 	flag.Int64Var(&o.WSMiB, "ws", 64, "per-kernel workspace limit (MiB)")
 	flag.Int64Var(&o.TotalMiB, "total", 0, "WD total workspace (MiB; required for -mode wd)")
-	flag.IntVar(&o.Iters, "iters", 3, "timed iterations")
+	flag.IntVar(&o.Iters, "iters", 3, "timed (and, with the timeline flags, traced) iterations")
 	flag.Int64Var(&o.BlobMiB, "blob-budget", 0,
 		"out-of-core blob budget (MiB): stream activations in micro-batch windows under this working-set bound (0 = off)")
 	flag.StringVar(&o.DB, "db", "", "benchmark database file (optional)")
-	flag.StringVar(&o.Trace, "trace", "", "write a Chrome trace (chrome://tracing) of the final iteration")
-	flag.StringVar(&o.Metrics, "metrics", "", "write µ-cuDNN metrics at exit (\"-\" for stdout, .prom for Prometheus; wr/wd modes)")
-	flag.StringVar(&o.Faults, "faults", "", "arm a fault-injection schedule, e.g. \"ucudnn_fp_convolve=nth:3;ucudnn_fp_arena_grow=every:2,shrink=4\"")
-	flag.StringVar(&o.Profile, "profile", "", "write a per-phase cost-attribution report (\"-\" for a table on stdout, else JSON; forces real compute)")
-	flag.StringVar(&o.DebugAddr, "debug-addr", os.Getenv("UCUDNN_DEBUG_ADDR"),
-		"serve /debug/ucudnn/ endpoints on this address, e.g. localhost:6060 (default $UCUDNN_DEBUG_ADDR)")
+	flag.IntVar(&o.Workers, "workers", 0, "kernel worker cap (0 = leave default); the exported timeline is byte-identical across worker counts")
+	flag.StringVar(&o.Timeline, "timeline", "", "write the canonical causal timeline JSON here")
+	flag.StringVar(&o.Trace, "trace", "", "write the causal timeline as Chrome trace-event JSON (flow arrows, named tracks) here")
+	flag.BoolVar(&o.Critical, "critical-path", false, "print the per-iteration critical-path report")
+	flag.BoolVar(&o.Stalls, "stalls", false, "print the per-layer modeled-vs-measured stall table")
+	flag.StringVar(&o.Check, "check", "", "validate a causal-timeline or profile-report JSON file (dispatching on its schema field) and exit")
+	o.ObsFlags.Register(flag.CommandLine)
 	flag.Parse()
-	flight.DumpOnSignal() // SIGQUIT dumps a flight-recorder snapshot to stderr
 
-	report, err := armFaults(o.Faults)
+	var err error
+	if o.Check != "" {
+		err = check(o.Check, os.Stdout)
+	} else {
+		err = run(o, os.Stdout)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	if o.DebugAddr != "" {
-		o.Registry = obs.NewRegistry()
-		srv, err := debugserver.Start(o.DebugAddr, o.Registry)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+}
+
+// check validates a file written by -timeline or -profile, picking the
+// validator from the document's schema field.
+func check(path string, w io.Writer) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var doc struct {
+		Schema string `json:"schema"`
+	}
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	switch doc.Schema {
+	case causal.Schema:
+		return checkTimeline(path, data, w)
+	case core.ProfileSchema:
+		if err := core.ValidateProfile(data); err != nil {
+			return fmt.Errorf("%s: %w", path, err)
 		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/ucudnn/\n", srv.Addr())
+		var rep core.ProfileReport
+		if err := json.Unmarshal(data, &rep); err != nil {
+			return fmt.Errorf("%s: %w", path, err)
+		}
+		fmt.Fprintf(w, "%s: valid %s (%d kernels, %d handles, %d phases)\n",
+			path, rep.Schema, len(rep.Kernels), len(rep.Handles), len(rep.TopPhases))
+		return nil
 	}
-	err = run(o)
-	report()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	return fmt.Errorf("%s: unknown schema %q (want %s or %s)", path, doc.Schema, causal.Schema, core.ProfileSchema)
 }
 
-// armFaults installs the fault schedule (if any) and returns a closure
-// that disarms it and prints the fired shots, so any failure under
-// injection is reproducible from the output alone.
-func armFaults(spec string) (func(), error) {
-	if spec == "" {
-		return func() {}, nil
-	}
-	freg, err := faults.Parse(spec)
+// checkTimeline applies the schema/ID/flow/overlap invariants plus the
+// analysis-level acceptance bars (critical-path coverage, single-cause
+// stall attribution).
+func checkTimeline(path string, data []byte, w io.Writer) error {
+	t, err := causal.ReadTimeline(bytes.NewReader(data))
 	if err != nil {
-		return nil, err
+		return err
 	}
-	faults.Install(freg)
-	return func() {
-		faults.Install(nil)
-		fmt.Fprintf(os.Stderr, "faults: schedule %q fired [%s]\n", freg.String(), freg.ShotLog())
-	}, nil
+	if err := t.Validate(); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	a := causal.Analyze(t, nil)
+	for _, it := range a.Iterations {
+		if it.WallNS > 0 && it.Coverage < minCoverage {
+			return fmt.Errorf("%s: iteration %d critical path covers %.1f%% of wall, want >= %.0f%%",
+				path, it.Span, it.Coverage*100, minCoverage*100)
+		}
+	}
+	for _, l := range a.Layers {
+		if l.StallNS > 0 && l.Cause == "" {
+			return fmt.Errorf("%s: layer %s has %dns stall with no attributed cause", path, l.Layer, l.StallNS)
+		}
+	}
+	fmt.Fprintf(w, "%s: ok (%d scopes, %d events, %d iterations, %d layers)\n",
+		path, len(t.Scopes), len(t.Events), len(a.Iterations), len(a.Layers))
+	return nil
 }
 
-func run(o runOpts) error {
+func run(o runOpts, w io.Writer) error {
+	return o.ObsFlags.Run(func(reg *obs.Registry) error { return runNet(o, reg, w) })
+}
+
+func runNet(o runOpts, reg *obs.Registry, w io.Writer) error {
 	d, err := device.ByName(o.Device)
 	if err != nil {
 		return err
@@ -125,178 +169,116 @@ func run(o runOpts) error {
 	if err != nil {
 		return err
 	}
+	if o.Workers > 0 {
+		prev := conv.SetMaxWorkers(o.Workers)
+		defer conv.SetMaxWorkers(prev)
+	}
 	// Phase profiling needs the kernels to actually run, so -profile
-	// trades the model-only fast path for real compute.
+	// trades the model-only fast path for real compute; the simulated
+	// clock (and so every table and the timeline) stays deterministic.
 	backend := cudnn.ModelOnlyBackend
 	if o.Profile != "" {
 		backend = cudnn.ModelBackend
-		prof.Enable()
-		prof.SetMetrics(o.Registry)
-		defer prof.Disable()
 	}
-	// Out-of-core streaming plans against a probe instance of the network
-	// (shapes only, no compute): footprint model in, window plan out.
-	var oocModel *dnn.OOCModel
-	var oocPlan dnn.OOCPlan
-	if o.BlobMiB > 0 {
-		probeInner := cudnn.NewHandle(d, cudnn.ModelOnlyBackend)
-		probeInner.Mem().Cap = 0
-		probeCtx := dnn.NewContext(probeInner, probeInner, o.WSMiB<<20)
-		probeCtx.SkipCompute = true
-		probeNet, _, err := buildNet(probeCtx, o.Net, o.Batch)
-		if err != nil {
-			return err
-		}
-		if err := probeNet.Setup(); err != nil {
-			return fmt.Errorf("probing %s for the blob budget: %w", o.Net, err)
-		}
-		if oocModel, err = dnn.FootprintModel(probeNet); err != nil {
-			return err
-		}
-		if oocPlan, err = dnn.PlanOOC(oocModel, o.BlobMiB<<20); err != nil {
-			return err
-		}
-	}
-
-	inner := cudnn.NewHandle(d, backend)
-	inner.Mem().Cap = 0
-	var convH dnn.ConvHandle = inner
-	var uc *core.Handle
-	switch o.Mode {
-	case "cudnn":
-	case "wr":
-		uc, err = core.New(inner, core.WithPolicy(pol), core.WithWorkspaceLimit(o.WSMiB<<20),
-			core.WithCachePath(o.DB), core.WithMetricsPath(o.Metrics), core.WithMetrics(o.Registry))
-		if err != nil {
-			return err
-		}
-		convH = uc
-	case "wd":
-		if o.TotalMiB <= 0 {
-			return fmt.Errorf("-mode wd requires -total")
-		}
-		opts := []core.Option{core.WithPolicy(pol), core.WithCachePath(o.DB),
-			core.WithMetricsPath(o.Metrics), core.WithMetrics(o.Registry)}
-		total := o.TotalMiB << 20
-		if oocModel != nil {
-			// One joint pool: the planned blob working set is reserved out
-			// of the WD budget, so workspace and activations trade off
-			// against each other instead of competing unaccounted.
-			total += oocPlan.PeakBytes
-			opts = append(opts, core.WithBlobReserve(oocPlan.PeakBytes))
-		}
-		uc, err = core.New(inner, append(opts, core.WithWD(total))...)
-		if err != nil {
-			return err
-		}
-		convH = uc
-	default:
-		return fmt.Errorf("unknown mode %q", o.Mode)
-	}
-	if o.Metrics != "" && uc == nil {
-		fmt.Fprintln(os.Stderr, "ucudnn-time: -metrics needs -mode wr or wd; ignoring")
-	}
-
-	ctx := dnn.NewContext(convH, inner, o.WSMiB<<20)
-	ctx.SkipCompute = o.Profile == ""
-	if oocModel != nil {
-		ctx.OOC = dnn.NewOOCState(oocModel, oocPlan)
-	}
-	net, loss, err := buildNet(ctx, o.Net, o.Batch)
+	s, err := session.New(session.Config{
+		Net: o.Net, Batch: o.Batch, Device: d, Mode: o.Mode, Policy: pol,
+		WS: o.WSMiB << 20, Total: o.TotalMiB << 20, BlobBudget: o.BlobMiB << 20,
+		Backend: backend, CachePath: o.DB, Metrics: reg,
+	})
 	if err != nil {
 		return err
 	}
-	if !ctx.SkipCompute && loss != nil {
-		// Real compute runs the loss layer too; give it a label per sample.
-		loss.Labels = make([]int, o.Batch)
-		for i := range loss.Labels {
-			loss.Labels[i] = i % 10
-		}
-	}
 
-	rep, err := net.Time(o.Iters)
-	if err != nil {
-		return err
-	}
-	if o.Trace != "" {
-		// Record one clean traced iteration after the timed ones (plans are
-		// already decided, so no warm-up runs): kernel spans on track 0
-		// (cudnn handle), layer spans on track 1 (Net).
-		rec := trace.New()
-		inner.SetTrace(rec)
-		ctx.Trace = rec
-		if err := net.Forward(); err != nil {
-			return err
-		}
-		if err := net.Backward(); err != nil {
-			return err
-		}
-		inner.SetTrace(nil)
-		ctx.Trace = nil
-		f, err := os.Create(o.Trace)
+	// The traced iterations run first, straight after set-up and one
+	// warm-up, so the timeline's clock does not depend on -iters' timed
+	// pass below.
+	var analysis *causal.Analysis
+	if o.Timeline != "" || o.Trace != "" || o.Critical || o.Stalls {
+		t, err := s.Trace(o.Iters)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := rec.WriteChrome(f); err != nil {
-			return err
+		analysis = causal.Analyze(t, busyByLayer(o.Profile != ""))
+		analysis.Metrics(reg)
+		if o.Timeline != "" {
+			if err := writeFile(o.Timeline, t.WriteJSON); err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "wrote causal timeline (%d scopes, %d events) to %s\n", len(t.Scopes), len(t.Events), o.Timeline)
 		}
-		fmt.Printf("wrote %d trace events to %s (open in chrome://tracing)\n", rec.Len(), o.Trace)
+		if o.Trace != "" {
+			if err := writeFile(o.Trace, t.WriteChrome); err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "wrote Chrome trace to %s (open in chrome://tracing or Perfetto)\n", o.Trace)
+		}
 	}
-	fmt.Printf("%s on %s, N=%d, mode=%s policy=%s (%d iterations)\n\n",
+
+	rep, err := s.Net.Time(o.Iters)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "%s on %s, N=%d, mode=%s policy=%s (%d iterations)\n\n",
 		o.Net, d.Name, o.Batch, o.Mode, pol, o.Iters)
-	rep.Print(os.Stdout)
-	fmt.Printf("\nconvolutions: %v (%.1f%% of iteration)\n",
+	rep.Print(w)
+	fmt.Fprintf(w, "\nconvolutions: %v (%.1f%% of iteration)\n",
 		rep.SumMatching(zoo.IsConvLayer),
 		100*float64(rep.SumMatching(zoo.IsConvLayer))/float64(rep.Total()))
-	if uc != nil {
-		fmt.Printf("µ-cuDNN optimization time: %v\n", uc.OptimizationTime())
-		if s := uc.WDStats(); s != nil {
-			fmt.Printf("WD: %d ILP vars, %d nodes, solved in %v, %s MiB assigned\n",
-				s.ILPVars, s.ILPNodes, s.SolveTime, fmtMiB(s.TotalWorkspace))
-		}
-		if err := uc.Flush(); err != nil {
-			return err
+	if uc := s.UC; uc != nil {
+		fmt.Fprintf(w, "µ-cuDNN optimization time: %v\n", uc.OptimizationTime())
+		if st := uc.WDStats(); st != nil {
+			fmt.Fprintf(w, "WD: %d ILP vars, %d nodes, solved in %v, %s MiB assigned\n",
+				st.ILPVars, st.ILPNodes, st.SolveTime, fmtMiB(st.TotalWorkspace))
 		}
 	}
-	if ooc := ctx.OOC; ooc != nil {
+	if ooc := s.Ctx.OOC; ooc != nil {
 		r := ooc.Report()
-		fmt.Printf("OOC: budget %s MiB, chunk %d (%d windows), peak %s MiB, floor=%v, degraded=%d\n",
-			fmtMiB(oocPlan.Budget), r.Chunk, r.Windows, fmtMiB(oocPlan.PeakBytes), r.Floor, r.Degraded)
-		if err := ooc.Metrics().WriteSummary(os.Stdout); err != nil {
+		fmt.Fprintf(w, "OOC: budget %s MiB, chunk %d (%d windows), peak %s MiB, floor=%v, degraded=%d\n",
+			fmtMiB(s.OOCPlan.Budget), r.Chunk, r.Windows, fmtMiB(s.OOCPlan.PeakBytes), r.Floor, r.Degraded)
+		if err := ooc.Metrics().WriteSummary(w); err != nil {
 			return err
 		}
 	}
-	if err := core.WriteProfileFile(o.Profile); err != nil {
-		return err
+	if o.Critical || o.Stalls {
+		fmt.Fprintln(w)
+		analysis.WriteTable(w)
 	}
-	_ = tensor.Shape{}
 	return nil
 }
 
-// buildNet constructs the named zoo network (with its loss head where the
-// zoo defines one) over ctx.
-func buildNet(ctx *dnn.Context, name string, batch int) (*dnn.Net, *dnn.SoftmaxLoss, error) {
-	switch name {
-	case "alexnet":
-		net, loss := zoo.AlexNet(ctx, batch, 1000)
-		return net, loss, nil
-	case "caffe-alexnet":
-		net, loss := zoo.CaffeAlexNet(ctx, batch, 1000)
-		return net, loss, nil
-	case "resnet18":
-		net, loss := zoo.ResNet18(ctx, batch, 1000)
-		return net, loss, nil
-	case "resnet50":
-		net, loss := zoo.ResNet50(ctx, batch, 1000)
-		return net, loss, nil
-	case "densenet40":
-		net, loss := zoo.DenseNet40(ctx, batch, 40, 10)
-		return net, loss, nil
-	case "inception":
-		return zoo.InceptionModule(ctx, batch), nil, nil
+// writeFile creates path and streams one export into it.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
 	}
-	return nil, nil, fmt.Errorf("unknown network %q", name)
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+// busyByLayer folds the profiler's launch accounting into a layer ->
+// mean worker busy ratio map for worker-imbalance attribution. The
+// profiler keys backward rows as "layer/bwd"; the timeline's layer
+// scopes use the base name, so both directions fold onto it (keeping
+// the minimum: the worst imbalance attributes the layer).
+func busyByLayer(enabled bool) map[string]float64 {
+	if !enabled {
+		return nil
+	}
+	busy := map[string]float64{}
+	for _, r := range prof.Snapshot() {
+		if r.Layer == "" || r.Launches+r.NestedLaunches == 0 || r.MeanBusyRatio <= 0 {
+			continue
+		}
+		name := strings.TrimSuffix(r.Layer, "/bwd")
+		if b, ok := busy[name]; !ok || r.MeanBusyRatio < b {
+			busy[name] = r.MeanBusyRatio
+		}
+	}
+	return busy
 }
 
 func fmtMiB(b int64) string { return fmt.Sprintf("%.1f", float64(b)/(1<<20)) }

@@ -1,63 +1,62 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"ucudnn/internal/causal"
 )
 
-func opts(net string, batch int, dev, mode, policy string, ws, total int64, iters int, db, tracePath string) runOpts {
+func opts(net string, batch int, dev, mode, policy string, ws, total int64, iters int, db string) runOpts {
 	return runOpts{Net: net, Batch: batch, Device: dev, Mode: mode, Policy: policy,
-		WSMiB: ws, TotalMiB: total, Iters: iters, DB: db, Trace: tracePath}
+		WSMiB: ws, TotalMiB: total, Iters: iters, DB: db}
 }
 
 func TestRunModes(t *testing.T) {
 	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "trace.json")
 	cases := []struct {
 		name string
-		call func() error
+		o    runOpts
 	}{
-		{"cudnn", func() error { return run(opts("inception", 16, "p100", "cudnn", "powerOfTwo", 8, 0, 1, "", "")) }},
-		{"wr", func() error { return run(opts("inception", 16, "p100", "wr", "powerOfTwo", 8, 0, 1, "", "")) }},
-		{"wd", func() error { return run(opts("inception", 16, "p100", "wd", "powerOfTwo", 8, 64, 1, "", "")) }},
-		{"trace", func() error { return run(opts("inception", 16, "k80", "wr", "undivided", 8, 0, 1, "", tracePath)) }},
-		{"db", func() error {
-			return run(opts("inception", 16, "v100", "wr", "all", 8, 0, 1, filepath.Join(dir, "db.jsonl"), ""))
-		}},
+		{"cudnn", opts("inception", 16, "p100", "cudnn", "powerOfTwo", 8, 0, 1, "")},
+		{"wr", opts("inception", 16, "p100", "wr", "powerOfTwo", 8, 0, 1, "")},
+		{"wd", opts("inception", 16, "p100", "wd", "powerOfTwo", 8, 64, 1, "")},
+		{"undivided", opts("inception", 16, "k80", "wr", "undivided", 8, 0, 1, "")},
+		{"db", opts("inception", 16, "v100", "wr", "all", 8, 0, 1, filepath.Join(dir, "db.jsonl"))},
 	}
 	for _, c := range cases {
-		if err := c.call(); err != nil {
+		var buf bytes.Buffer
+		if err := run(c.o, &buf); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
-	}
-	data, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "\"ph\":\"X\"") {
-		t.Fatal("trace file has no spans")
+		if !strings.Contains(buf.String(), "TOTAL") || !strings.Contains(buf.String(), "convolutions:") {
+			t.Fatalf("%s: no per-layer table:\n%s", c.name, buf.String())
+		}
 	}
 }
 
-// TestRunTraceHasLayerSpans checks the acceptance criterion for
-// `ucudnn-time -trace`: the Chrome trace holds exactly one span per
-// layer per direction (the layer rows of the paper's Fig. 3) alongside
-// the kernel spans.
+// TestRunTraceHasLayerSpans checks that `ucudnn-time -trace` holds
+// exactly one span per layer per direction per traced iteration (the
+// layer rows of the paper's Fig. 3) alongside the kernel spans.
 func TestRunTraceHasLayerSpans(t *testing.T) {
-	tracePath := filepath.Join(t.TempDir(), "trace.json")
-	if err := run(opts("inception", 16, "p100", "wr", "powerOfTwo", 8, 0, 1, "", tracePath)); err != nil {
+	o := opts("inception", 16, "p100", "wr", "powerOfTwo", 8, 0, 1, "")
+	o.Trace = filepath.Join(t.TempDir(), "trace.json")
+	if err := run(o, io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(tracePath)
+	data, err := os.ReadFile(o.Trace)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var events []struct {
 		Name string `json:"name"`
 		Cat  string `json:"cat"`
+		Ph   string `json:"ph"`
 	}
 	if err := json.Unmarshal(data, &events); err != nil {
 		t.Fatal(err)
@@ -65,10 +64,11 @@ func TestRunTraceHasLayerSpans(t *testing.T) {
 	spans := map[[2]string]int{}
 	kernels := 0
 	for _, e := range events {
-		switch e.Cat {
-		case "forward", "backward":
+		switch {
+		case e.Ph != "X":
+		case e.Cat == "forward" || e.Cat == "backward":
 			spans[[2]string{e.Cat, e.Name}]++
-		default:
+		case e.Cat != "iteration":
 			kernels++
 		}
 	}
@@ -85,9 +85,9 @@ func TestRunTraceHasLayerSpans(t *testing.T) {
 func TestRunMetrics(t *testing.T) {
 	dir := t.TempDir()
 	for _, path := range []string{filepath.Join(dir, "m.txt"), filepath.Join(dir, "m.prom")} {
-		o := opts("inception", 16, "p100", "wr", "powerOfTwo", 8, 0, 1, "", "")
+		o := opts("inception", 16, "p100", "wr", "powerOfTwo", 8, 0, 1, "")
 		o.Metrics = path
-		if err := run(o); err != nil {
+		if err := run(o, io.Discard); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(path)
@@ -100,28 +100,221 @@ func TestRunMetrics(t *testing.T) {
 	}
 }
 
+// A -profile run must export the profiler's series through -metrics
+// without -debug-addr: the registry is shared whenever either flag asks
+// for one.
+func TestRunProfileMetrics(t *testing.T) {
+	dir := t.TempDir()
+	o := opts("inception", 4, "p100", "wr", "powerOfTwo", 8, 0, 1, "")
+	o.Profile = filepath.Join(dir, "p.json")
+	o.Metrics = filepath.Join(dir, "m.prom")
+	if err := run(o, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(o.Metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"ucudnn_kernel_phase_seconds_bucket{", "ucudnn_worker_imbalance_ratio"} {
+		if !strings.Contains(string(data), want) {
+			t.Fatalf("-metrics of a -profile run lacks %s", want)
+		}
+	}
+	var buf bytes.Buffer
+	if err := check(o.Profile, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), ": valid ucudnn-profile-report/v1 (") {
+		t.Fatalf("check output: %q", buf.String())
+	}
+}
+
 func TestRunErrors(t *testing.T) {
-	if err := run(opts("bogus", 8, "p100", "wr", "powerOfTwo", 8, 0, 1, "", "")); err == nil {
+	if err := run(opts("bogus", 8, "p100", "wr", "powerOfTwo", 8, 0, 1, ""), io.Discard); err == nil {
 		t.Fatal("bogus net must error")
 	}
-	if err := run(opts("inception", 8, "bogus", "wr", "powerOfTwo", 8, 0, 1, "", "")); err == nil {
+	if err := run(opts("inception", 8, "bogus", "wr", "powerOfTwo", 8, 0, 1, ""), io.Discard); err == nil {
 		t.Fatal("bogus device must error")
 	}
-	if err := run(opts("inception", 8, "p100", "bogus", "powerOfTwo", 8, 0, 1, "", "")); err == nil {
+	if err := run(opts("inception", 8, "p100", "bogus", "powerOfTwo", 8, 0, 1, ""), io.Discard); err == nil {
 		t.Fatal("bogus mode must error")
 	}
-	if err := run(opts("inception", 8, "p100", "wr", "bogus", 8, 0, 1, "", "")); err == nil {
+	if err := run(opts("inception", 8, "p100", "wr", "bogus", 8, 0, 1, ""), io.Discard); err == nil {
 		t.Fatal("bogus policy must error")
 	}
-	if err := run(opts("inception", 8, "p100", "wd", "powerOfTwo", 8, 0, 1, "", "")); err == nil {
+	if err := run(opts("inception", 8, "p100", "wd", "powerOfTwo", 8, 0, 1, ""), io.Discard); err == nil {
 		t.Fatal("wd without total must error")
+	}
+	o := opts("inception", 8, "p100", "wr", "powerOfTwo", 8, 0, 1, "")
+	o.Faults = "not a schedule"
+	if err := run(o, io.Discard); err == nil {
+		t.Fatal("malformed fault schedule must error")
 	}
 }
 
 func TestAllNetworksBuild(t *testing.T) {
 	for _, n := range []string{"alexnet", "caffe-alexnet", "resnet18", "densenet40"} {
-		if err := run(opts(n, 4, "p100", "cudnn", "powerOfTwo", 8, 0, 1, "", "")); err != nil {
+		if err := run(opts(n, 4, "p100", "cudnn", "powerOfTwo", 8, 0, 1, ""), io.Discard); err != nil {
 			t.Fatalf("%s: %v", n, err)
 		}
+	}
+}
+
+func traceOpts(mode string, blobMiB int64) runOpts {
+	o := runOpts{Net: "alexnet", Batch: 32, Device: "p100", Mode: mode, Policy: "powerOfTwo",
+		WSMiB: 64, Iters: 2, BlobMiB: blobMiB}
+	if mode == "wd" {
+		o.TotalMiB = 256
+	}
+	return o
+}
+
+// The run → export → check round trip: the emitted timeline passes the
+// validator and the analysis acceptance bars.
+func TestRunAndCheck(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "timeline.json")
+	o := traceOpts("wr", 0)
+	o.Timeline = out
+	o.Critical = true
+	o.Stalls = true
+	var buf bytes.Buffer
+	if err := run(o, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "critical path:") {
+		t.Fatalf("report missing critical path:\n%s", buf.String())
+	}
+	var checkOut bytes.Buffer
+	if err := check(out, &checkOut); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(checkOut.String(), ": ok (") {
+		t.Fatalf("check output: %q", checkOut.String())
+	}
+}
+
+// Under a blob budget the stall table must attribute every positive
+// stall to exactly one cause, and the per-iteration critical path must
+// cover >= 95% of wall time (the ISSUE's acceptance criterion; check
+// enforces both).
+func TestRunOOCStallAttribution(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "timeline.json")
+	o := traceOpts("wd", 16)
+	o.Net = "densenet40"
+	o.Batch = 8
+	o.Iters = 1
+	o.Timeline = out
+	var buf bytes.Buffer
+	if err := run(o, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if err := check(out, &buf); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tl, err := causal.ReadTimeline(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := causal.Analyze(tl, nil)
+	attributed := 0
+	for _, l := range a.Layers {
+		if l.StallNS > 0 {
+			if l.Cause == "" {
+				t.Fatalf("layer %s: stall without cause", l.Layer)
+			}
+			attributed++
+		}
+	}
+	if attributed == 0 {
+		t.Fatal("blob-budgeted run produced no attributable stalls")
+	}
+	if len(a.StallNS) == 0 {
+		t.Fatal("no stall totals")
+	}
+}
+
+// The determinism acceptance criterion, end to end through the CLI:
+// identical bytes across worker counts.
+func TestRunDeterministicAcrossWorkers(t *testing.T) {
+	dir := t.TempDir()
+	read := func(workers int) string {
+		out := filepath.Join(dir, "tl.json")
+		o := traceOpts("wr", 0)
+		o.Workers = workers
+		o.Timeline = out
+		var buf bytes.Buffer
+		if err := run(o, &buf); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	if a, b := read(1), read(4); a != b {
+		t.Fatal("timeline bytes differ between 1 and 4 workers")
+	}
+}
+
+// Chrome export writes flow-arrow-enriched trace-event JSON.
+func TestRunChromeExport(t *testing.T) {
+	chrome := filepath.Join(t.TempDir(), "chrome.json")
+	o := traceOpts("wr", 0)
+	o.Trace = chrome
+	var buf bytes.Buffer
+	if err := run(o, &buf); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(chrome)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"ph":"M"`, `"ph":"X"`, `"span":`} {
+		if !strings.Contains(string(data), want) {
+			t.Fatalf("chrome trace missing %s", want)
+		}
+	}
+}
+
+// check must reject a tampered timeline, a document of a schema it does
+// not know, and a profile report that breaks its invariants.
+func TestCheckRejectsCorrupt(t *testing.T) {
+	dir := t.TempDir()
+	good := filepath.Join(dir, "good.json")
+	o := traceOpts("wr", 0)
+	o.Timeline = good
+	var buf bytes.Buffer
+	if err := run(o, &buf); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := filepath.Join(dir, "bad.json")
+	if err := os.WriteFile(bad,
+		bytes.Replace(data, []byte(`"schema": "ucudnn-causal-timeline/v1"`), []byte(`"schema": "bogus"`), 1),
+		0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := check(bad, &buf); err == nil || !strings.Contains(err.Error(), "schema") {
+		t.Fatalf("check accepted corrupt timeline: %v", err)
+	}
+	if err := check(filepath.Join(dir, "missing.json"), &buf); err == nil {
+		t.Fatal("check accepted a missing file")
+	}
+	if err := os.WriteFile(bad, []byte(`{"schema": "ucudnn-profile-report/v1", "kernels": "nope"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := check(bad, &buf); err == nil {
+		t.Fatal("check accepted a malformed profile report")
 	}
 }

@@ -22,12 +22,9 @@ import (
 //   - a series name is registered with one stable label set and one
 //     metric kind throughout a package.
 //
-// It applies the same contract to the flight recorder: every
-// flight.Name handed to the flight package (Register, Lookup, or any
-// other call taking a Name) must be a compile-time constant matching
-// ucudnn_ev_* snake_case, mirroring the faultpoint analyzer, so the
-// event universe is enumerable statically. The flight package itself is
-// exempt: it plumbs Name values through its registry by design.
+// It also reports the flight recorder's row of the constant-name
+// contract (flight.Name values are compile-time ucudnn_ev_* constants;
+// see constname.go) under its own name.
 var MetricName = &Analyzer{
 	Name: "metricname",
 	Doc:  "obs registrations must use constant ucudnn_* snake_case names with stable label sets; flight event names must be constant ucudnn_ev_* identifiers",
@@ -37,7 +34,6 @@ var MetricName = &Analyzer{
 var (
 	metricNameRe = regexp.MustCompile(`^ucudnn(_[a-z0-9]+)+$`)
 	labelNameRe  = regexp.MustCompile(`^[a-z][a-z0-9_]*$`)
-	eventNameRe  = regexp.MustCompile(`^ucudnn_ev(_[a-z0-9]+)+$`)
 )
 
 // metricReg records one registration site for stability checks.
@@ -48,20 +44,15 @@ type metricReg struct {
 }
 
 func runMetricName(pass *Pass) error {
+	if err := runConstNames(pass); err != nil {
+		return err
+	}
 	seen := map[string]metricReg{}
-	flightExempt := pass.Pkg != nil && pass.Pkg.Name() == "flight"
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
-			}
-			if !flightExempt {
-				for _, arg := range call.Args {
-					if isFlightNameType(pass, arg) {
-						checkEventName(pass, arg)
-					}
-				}
 			}
 			kind, ok := registryCall(pass, call)
 			if !ok {
@@ -72,36 +63,6 @@ func runMetricName(pass *Pass) error {
 		})
 	}
 	return nil
-}
-
-// isFlightNameType reports whether the expression's static type is the
-// flight package's Name type.
-func isFlightNameType(pass *Pass, expr ast.Expr) bool {
-	tv := pass.TypesInfo.Types[expr]
-	if tv.Type == nil {
-		return false
-	}
-	named, ok := tv.Type.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Name() == "Name" && obj.Pkg() != nil && obj.Pkg().Name() == "flight"
-}
-
-// checkEventName requires expr to be a compile-time string constant
-// matching the ucudnn_ev_* scheme.
-func checkEventName(pass *Pass, expr ast.Expr) {
-	tv := pass.TypesInfo.Types[expr]
-	if tv.Value == nil || tv.Value.Kind() != constant.String {
-		pass.Reportf(expr.Pos(),
-			"flight event name must be a compile-time flight.Name constant so the event universe is enumerable statically")
-		return
-	}
-	if name := constant.StringVal(tv.Value); !eventNameRe.MatchString(name) {
-		pass.Reportf(expr.Pos(),
-			"flight event name %q does not match the ucudnn_ev_* snake_case scheme", name)
-	}
 }
 
 // registryCall reports whether call is obs.Registry.Counter /
@@ -125,15 +86,7 @@ func registryCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 	if p, ok := recv.(*types.Pointer); ok {
 		recv = p.Elem()
 	}
-	named, ok := recv.(*types.Named)
-	if !ok {
-		return "", false
-	}
-	obj := named.Obj()
-	if obj.Name() != "Registry" || obj.Pkg() == nil || obj.Pkg().Name() != "obs" {
-		return "", false
-	}
-	return kind, true
+	return kind, isNamed(recv, "obs", "Registry")
 }
 
 func checkRegistration(pass *Pass, call *ast.CallExpr, kind string, seen map[string]metricReg) {

@@ -48,25 +48,14 @@ func Ablation(cfg Config) error {
 
 	// Kernel deduplication: the WD ILP over ResNet-50's kernels with and
 	// without grouping identical (op, shape) pairs.
-	probe, uc, err := netRun(cfg, "resnet50", "wr", core.PolicyUndivided, 8*MiB, 32)
+	_, run, err := netRun(cfg, "resnet50", "wr", core.PolicyUndivided, 8*MiB, 32)
 	if err != nil {
 		return err
 	}
-	_ = probe
-	unique := len(uc.Plans())
-	// Count total kernels by re-walking the network's conv layers: every
-	// layer contributes Forward+BackwardFilter (+BackwardData unless it is
-	// the stem).
-	inner := newModelHandle(cfg)
-	inner.Mem().Cap = 0
-	net, err := buildNetwork("resnet50", inner, inner, 8*MiB, 32, nil)
-	if err != nil {
-		return err
-	}
-	if err := net.Setup(); err != nil {
-		return err
-	}
-	totalKernels := 3*len(net.ConvLayers()) - 1
+	unique := len(run.UC.Plans())
+	// Every conv layer contributes Forward+BackwardFilter (+BackwardData
+	// unless it is the stem).
+	totalKernels := 3*len(run.Net.ConvLayers()) - 1
 	t2 := newTable(cfg, "Ablation: WD kernel deduplication (ResNet-50, N=32)",
 		"total_kernels", "unique_kernels", "dedup_factor")
 	t2.row(fmt.Sprintf("%d", totalKernels), fmt.Sprintf("%d", unique),

@@ -162,11 +162,11 @@ func TestNetRunModes(t *testing.T) {
 	if _, _, err := netRun(cfg, "bogus", "wr", core.PolicyAll, MiB, 8); err == nil {
 		t.Fatal("bogus network must error")
 	}
-	rep, uc, err := netRun(cfg, "inception", "wd", core.PolicyPowerOfTwo, 64*MiB, 16)
+	rep, run, err := netRun(cfg, "inception", "wd", core.PolicyPowerOfTwo, 64*MiB, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Total() <= 0 || uc == nil || uc.WDStats() == nil {
+	if rep.Total() <= 0 || run.UC == nil || run.UC.WDStats() == nil {
 		t.Fatal("wd netRun incomplete")
 	}
 }
@@ -266,18 +266,6 @@ func TestAblationRuns(t *testing.T) {
 	// Pruning reduction must be astronomically large even at tiny batches.
 	if !strings.Contains(s, "e+") {
 		t.Fatal("no exponential reduction reported")
-	}
-}
-
-func TestScalingRuns(t *testing.T) {
-	cfg, out, _ := smallCfg()
-	cfg.Batch = 32
-	if err := Scaling(cfg); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	if !strings.Contains(s, "images_per_s") || !strings.Contains(s, "µ-cuDNN") {
-		t.Fatalf("scaling incomplete:\n%s", s)
 	}
 }
 

@@ -24,24 +24,12 @@ func (m layerMem) total() int64 { return m.params + m.activation + m.workspace }
 // from the optimized plans rather than the (zero) sizes reported through
 // the cuDNN interface.
 func collectLayerMem(cfg Config, network string, mode string, limit int64, batch int) ([]layerMem, error) {
-	inner := newModelHandle(cfg)
-	var convH dnn.ConvHandle = inner
-	var uc *core.Handle
-	var err error
-	if mode == "ucudnn" {
-		uc, err = core.New(inner, core.WithPolicy(core.PolicyPowerOfTwo), core.WithWorkspaceLimit(limit))
-		if err != nil {
-			return nil, err
-		}
-		convH = uc
-	}
-	net, err := buildNetwork(network, convH, inner, limit, batch, nil)
+	cfg.Iters = 1
+	_, run, err := netRun(cfg, network, mode, core.PolicyPowerOfTwo, limit, batch)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := net.Time(1); err != nil {
-		return nil, err
-	}
+	uc, net := run.UC, run.Net
 	planWS := map[string]int64{}
 	if uc != nil {
 		for _, p := range uc.Plans() {
@@ -107,7 +95,7 @@ func Fig12(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		opt, err := collectLayerMem(cfg, n.name, "ucudnn", 64*MiB, batch)
+		opt, err := collectLayerMem(cfg, n.name, "wr", 64*MiB, batch)
 		if err != nil {
 			return err
 		}

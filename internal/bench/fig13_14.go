@@ -29,12 +29,11 @@ func Fig13(cfg Config) error {
 			batch = cfg.Batch
 		}
 		// Count kernels from a WR probe run.
-		probeRep, probeUC, err := netRun(cfg, n.name, "wr", core.PolicyUndivided, 512*MiB, batch)
+		_, probe, err := netRun(cfg, n.name, "wr", core.PolicyUndivided, 512*MiB, batch)
 		if err != nil {
 			return err
 		}
-		_ = probeRep
-		kernels := int64(len(probeUC.Plans()))
+		kernels := int64(len(probe.UC.Plans()))
 
 		t := newTable(cfg, fmt.Sprintf("Fig 13: %s (N=%d, %d kernels): WR vs WD at equal total workspace",
 			n.name, batch, kernels),
@@ -42,24 +41,24 @@ func Fig13(cfg Config) error {
 		for _, perKernel := range []int64{8, 64} {
 			total := perKernel * kernels
 			for _, pol := range core.Policies {
-				rep, uc, err := netRun(cfg, n.name, "wr", pol, perKernel*MiB, batch)
+				rep, run, err := netRun(cfg, n.name, "wr", pol, perKernel*MiB, batch)
 				if err != nil {
 					return err
 				}
 				var used int64
-				for _, p := range uc.Plans() {
+				for _, p := range run.UC.Plans() {
 					used += p.Workspace
 				}
 				t.row("WR", pol.String(), fmt.Sprintf("%d", perKernel), fmt.Sprintf("%d", total),
 					ms(rep.Total()), ms(convOnly(rep)), mib(used))
 			}
 			for _, pol := range []core.Policy{core.PolicyPowerOfTwo, core.PolicyAll} {
-				rep, uc, err := netRun(cfg, n.name, "wd", pol, total*MiB, batch)
+				rep, run, err := netRun(cfg, n.name, "wd", pol, total*MiB, batch)
 				if err != nil {
 					return err
 				}
 				used := int64(0)
-				if s := uc.WDStats(); s != nil {
+				if s := run.UC.WDStats(); s != nil {
 					used = s.TotalWorkspace
 				}
 				t.row("WD", pol.String(), "-", fmt.Sprintf("%d", total),
@@ -81,11 +80,11 @@ func Fig14(cfg Config) error {
 	if batch <= 0 {
 		batch = 256
 	}
-	_, uc, err := netRun(cfg, "alexnet", "wd", core.PolicyAll, 120*MiB, batch)
+	_, run, err := netRun(cfg, "alexnet", "wd", core.PolicyAll, 120*MiB, batch)
 	if err != nil {
 		return err
 	}
-	stats := uc.WDStats()
+	stats := run.UC.WDStats()
 	if stats == nil {
 		return fmt.Errorf("bench: WD did not run")
 	}

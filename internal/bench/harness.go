@@ -20,6 +20,7 @@ import (
 	"ucudnn/internal/device"
 	"ucudnn/internal/dnn"
 	"ucudnn/internal/obs"
+	"ucudnn/internal/session"
 	"ucudnn/internal/tensor"
 	"ucudnn/internal/trace"
 	"ucudnn/internal/zoo"
@@ -101,78 +102,31 @@ func newModelHandle(cfg Config) *cudnn.Handle {
 	return cudnn.NewHandle(cfg.Device, cudnn.ModelOnlyBackend)
 }
 
-// buildNetwork constructs a zoo network over the given conv handle in
-// timing-only mode.
-func buildNetwork(name string, convH dnn.ConvHandle, inner *cudnn.Handle, wsLimit int64, batch int, rec *trace.Recorder) (*dnn.Net, error) {
-	ctx := dnn.NewContext(convH, inner, wsLimit)
-	ctx.SkipCompute = true
-	ctx.Trace = rec
-	switch name {
-	case "alexnet":
-		n, _ := zoo.AlexNet(ctx, batch, 1000)
-		return n, nil
-	case "caffe-alexnet":
-		n, _ := zoo.CaffeAlexNet(ctx, batch, 1000)
-		return n, nil
-	case "resnet18":
-		n, _ := zoo.ResNet18(ctx, batch, 1000)
-		return n, nil
-	case "resnet50":
-		n, _ := zoo.ResNet50(ctx, batch, 1000)
-		return n, nil
-	case "densenet40":
-		n, _ := zoo.DenseNet40(ctx, batch, 40, 10)
-		return n, nil
-	case "inception":
-		return zoo.InceptionModule(ctx, batch), nil
-	}
-	return nil, fmt.Errorf("bench: unknown network %q", name)
-}
-
-// netRun times network `name` under the given policy/limits and returns
-// the report plus the µ-cuDNN handle (nil when policy is "cudnn").
+// netRun builds network `name` through the shared session constructor
+// (timing-only, cfg's metrics and trace sinks attached), times it, and
+// returns the report plus the session (its UC is nil when mode is
+// "cudnn").
 //
-// mode: "cudnn" (plain), "wr" (per-kernel limit), "wd" (total limit).
-func netRun(cfg Config, name string, mode string, policy core.Policy, limit int64, batch int) (*dnn.TimingReport, *core.Handle, error) {
-	inner := newModelHandle(cfg)
-	// Timing sweeps measure kernel time, not capacity: lift the device-
-	// memory cap so large-batch/large-workspace corners still produce a
-	// timing row (the memory experiments keep exact accounting).
-	inner.Mem().Cap = 0
+// mode: "cudnn" (plain), "wr" (limit is per-kernel), "wd" (limit is the
+// total; layers then ask for Caffe2's default per-kernel limit).
+func netRun(cfg Config, name string, mode string, policy core.Policy, limit int64, batch int) (*dnn.TimingReport, *session.Session, error) {
+	sc := session.Config{Net: name, Batch: batch, Device: cfg.Device, Mode: mode, Policy: policy,
+		WS: limit, Backend: cudnn.ModelOnlyBackend, Metrics: cfg.Metrics}
+	if mode == "wd" {
+		sc.WS, sc.Total = core.DefaultWorkspaceLimit, limit
+	}
+	s, err := session.New(sc)
+	if err != nil {
+		return nil, nil, err
+	}
 	if cfg.Trace != nil {
-		inner.SetTrace(cfg.Trace)
+		s.Attach(cfg.Trace)
 	}
-	var convH dnn.ConvHandle = inner
-	var uc *core.Handle
-	var err error
-	wsLimit := limit
-	switch mode {
-	case "cudnn":
-	case "wr":
-		uc, err = core.New(inner, core.WithPolicy(policy), core.WithWorkspaceLimit(limit), core.WithMetrics(cfg.Metrics))
-		if err != nil {
-			return nil, nil, err
-		}
-		convH = uc
-	case "wd":
-		uc, err = core.New(inner, core.WithPolicy(policy), core.WithWD(limit), core.WithMetrics(cfg.Metrics))
-		if err != nil {
-			return nil, nil, err
-		}
-		convH = uc
-		wsLimit = core.DefaultWorkspaceLimit
-	default:
-		return nil, nil, fmt.Errorf("bench: unknown mode %q", mode)
-	}
-	net, err := buildNetwork(name, convH, inner, wsLimit, batch, cfg.Trace)
+	rep, err := s.Net.Time(cfg.Iters)
 	if err != nil {
 		return nil, nil, err
 	}
-	rep, err := net.Time(cfg.Iters)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rep, uc, nil
+	return rep, s, nil
 }
 
 // table is a small helper accumulating aligned text plus CSV rows.
@@ -219,7 +173,6 @@ var Experiments = map[string]func(Config) error{
 	"opttime":     OptTime,
 	"summary":     Summary,
 	"ablation":    Ablation,
-	"scaling":     Scaling,
 	"concurrency": Concurrency,
 }
 

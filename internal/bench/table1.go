@@ -56,11 +56,11 @@ func OptTime(cfg Config) error {
 	t.flush()
 
 	// WD ILP statistics on ResNet-50.
-	_, uc, err := netRun(cfg, "resnet50", "wd", core.PolicyPowerOfTwo, 159*16*MiB, 32)
+	_, run, err := netRun(cfg, "resnet50", "wd", core.PolicyPowerOfTwo, 159*16*MiB, 32)
 	if err != nil {
 		return err
 	}
-	s := uc.WDStats()
+	s := run.UC.WDStats()
 	t2 := newTable(cfg, "WD ILP statistics: ResNet-50 (N=32)",
 		"binary_vars", "bnb_nodes", "solve_time")
 	t2.row(fmt.Sprintf("%d", s.ILPVars), fmt.Sprintf("%d", s.ILPNodes), s.SolveTime.String())

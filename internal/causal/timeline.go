@@ -10,7 +10,7 @@ import (
 	"ucudnn/internal/trace"
 )
 
-// Schema identifies the timeline JSON layout; ucudnn-trace -check
+// Schema identifies the timeline JSON layout; ucudnn-time -check
 // refuses anything else.
 const Schema = "ucudnn-causal-timeline/v1"
 
@@ -151,7 +151,7 @@ func ReadTimeline(r io.Reader) (*Timeline, error) {
 	return &t, nil
 }
 
-// Validate checks the timeline invariants ucudnn-trace -check enforces:
+// Validate checks the timeline invariants ucudnn-time -check enforces:
 // the schema tag; scope IDs dense 1..S with parents preceding children;
 // event IDs dense S+1.. in canonical (start, track, name) order; parents
 // referencing scopes; flow edges referencing events that completed

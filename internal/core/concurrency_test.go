@@ -9,7 +9,9 @@ import (
 	"ucudnn/internal/conv"
 	"ucudnn/internal/cudnn"
 	"ucudnn/internal/device"
+	"ucudnn/internal/faults"
 	"ucudnn/internal/tensor"
+	"ucudnn/internal/trace"
 )
 
 // The µ-cuDNN handle must survive concurrent planning from multiple
@@ -204,5 +206,52 @@ func TestBencherParallelWorkersRace(t *testing.T) {
 		if len(out[n]) == 0 {
 			t.Fatalf("size %d empty", n)
 		}
+	}
+}
+
+// The attach path (SetTraceRecorder) may run while kernels execute: the
+// degradation ladder's fault span and Flush must read the recorder
+// through the handle lock. Run under -race: a fault schedule drives
+// every other call into the ladder while another goroutine toggles the
+// recorder.
+func TestSetTraceRecorderDuringDegradeRace(t *testing.T) {
+	xd, wd, cd, yd, cs := smallConv(8)
+	h := newTestHandle(t, cudnn.ModelOnlyBackend, WithWorkspaceLimit(1<<20))
+	faults.Install(faults.New(faults.Rule{Point: faults.PointConvolve, Trigger: faults.EveryK(2)}))
+	defer faults.Install(nil)
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			h.SetTraceRecorder(trace.New())
+			if err := h.Flush(); err != nil {
+				t.Error(err)
+			}
+			h.SetTraceRecorder(nil)
+		}
+	}()
+	x := tensor.NewShaped(cs.In)
+	w := tensor.NewFilter(cs.Filt.K, cs.Filt.C, cs.Filt.R, cs.Filt.S)
+	y := tensor.NewShaped(cs.OutShape())
+	for i := 0; i < 200; i++ {
+		if err := h.ConvolutionForward(1, xd, x, wd, w, cd, VirtualAlgo, nil, 0, yd, y); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	h.mu.Lock()
+	degraded := h.degraded
+	h.mu.Unlock()
+	if degraded == 0 {
+		t.Fatal("fault schedule never drove execute into the ladder")
 	}
 }

@@ -216,8 +216,8 @@ func (h *Handle) adopt(k Kernel, plan Plan, stage string, clockStart time.Durati
 	h.m.fallback(stage)
 	h.m.degradedPlans.Set(float64(deg))
 	flight.Rec(evFallback, h.id, stageCode(stage), int64(k.Op), 1)
-	if h.tracer != nil {
-		h.tracer.Add(trace.Event{
+	if rec := h.TraceRecorder(); rec != nil {
+		rec.Add(trace.Event{
 			Name:   "degrade " + k.String() + " -> " + stage,
 			Cat:    "fault",
 			Start:  clockStart,

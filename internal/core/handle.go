@@ -116,6 +116,18 @@ func WithBlobReserve(bytes int64) Option {
 	return func(o *Options) { o.BlobReserve = bytes }
 }
 
+// WDJointPool enables Workspace Division over one joint pool: the
+// planned blob working set (the out-of-core plan's peak; zero without a
+// blob budget) is added to the workspace budget and reserved back out of
+// it, so workspace and activations trade off inside one total instead
+// of competing unaccounted.
+func WDJointPool(wsBytes, blobPeak int64) Option {
+	return func(o *Options) {
+		WithWD(wsBytes + blobPeak)(o)
+		WithBlobReserve(blobPeak)(o)
+	}
+}
+
 // WithWorkers sets the parallel benchmark width.
 func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
 
@@ -326,8 +338,8 @@ func (h *Handle) TraceRecorder() *trace.Recorder {
 // SetTraceRecorder attaches (or, with nil, detaches) a timeline
 // recorder at runtime: the inner handle records every kernel charge to
 // it, and the debug server's timeline endpoint picks it up through
-// TraceRecorder. ucudnn-trace uses this to scope recording to the
-// measured iterations while keeping the live endpoint populated.
+// TraceRecorder. session.Trace uses this to scope recording to the
+// traced iterations while keeping the live endpoint populated.
 func (h *Handle) SetTraceRecorder(r *trace.Recorder) {
 	h.mu.Lock()
 	h.tracer = r
@@ -344,13 +356,13 @@ func (h *Handle) Flush() error {
 	if err := h.opts.Metrics.WriteFile(h.opts.MetricsPath); err != nil {
 		return err
 	}
-	if h.tracer != nil && h.opts.TracePath != "" {
+	if rec := h.TraceRecorder(); rec != nil && h.opts.TracePath != "" {
 		f, err := os.Create(h.opts.TracePath)
 		if err != nil {
 			return fmt.Errorf("core: writing trace: %w", err)
 		}
 		defer f.Close()
-		if err := h.tracer.WriteChrome(f); err != nil {
+		if err := rec.WriteChrome(f); err != nil {
 			return fmt.Errorf("core: writing trace: %w", err)
 		}
 	}

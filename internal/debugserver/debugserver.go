@@ -232,7 +232,7 @@ func serveWorkspace(w http.ResponseWriter, _ *http.Request) {
 
 // serveTimeline builds the live causal timeline from every handle's
 // trace recorder plus the causal scope log. Canonical JSON by default
-// (the same bytes ucudnn-trace -o emits); ?format=chrome renders
+// (the same bytes ucudnn-time -timeline emits); ?format=chrome renders
 // Chrome trace-event JSON with flow arrows, ?format=table the
 // critical-path/stall report, ?format=analysis the analysis as JSON.
 func serveTimeline(w http.ResponseWriter, r *http.Request) {

@@ -1,0 +1,178 @@
+// Package session is the one place that decides how a zoo network run
+// is built, budgeted and observed: the out-of-core probe and plan, the
+// cuDNN / WR / WD handle switch with its joint-pool rule, the dnn
+// context, and the attach/detach sequence of a causally traced run. The
+// CLIs and the experiment harness all stand a network up through New;
+// obs.go holds the observability flag block they share.
+package session
+
+import (
+	"fmt"
+
+	"ucudnn/internal/causal"
+	"ucudnn/internal/core"
+	"ucudnn/internal/cudnn"
+	"ucudnn/internal/device"
+	"ucudnn/internal/dnn"
+	"ucudnn/internal/obs"
+	"ucudnn/internal/trace"
+	"ucudnn/internal/zoo"
+)
+
+// Config describes one network run.
+type Config struct {
+	// Net is a name from zoo.Names().
+	Net   string
+	Batch int
+	// Device is the simulated GPU.
+	Device device.Spec
+	// Mode is "cudnn" (the plain handle), "wr" or "wd".
+	Mode   string
+	Policy core.Policy
+	// WS is the per-kernel workspace limit in bytes: what the layers ask
+	// their handle for, and WR's limit.
+	WS int64
+	// Total is the WD workspace budget in bytes (mode "wd").
+	Total int64
+	// BlobBudget, when positive, streams activations out of core under
+	// this many bytes; under WD the planned peak joins Total as one pool.
+	BlobBudget int64
+	// Backend selects the timing backend; ModelOnlyBackend builds a
+	// timing-only run (no arithmetic, no buffers).
+	Backend cudnn.Backend
+	// CachePath, Workers and Metrics pass through to the µ-cuDNN handle.
+	CachePath string
+	Workers   int
+	Metrics   *obs.Registry
+}
+
+// Session is a built network run.
+type Session struct {
+	Net   *dnn.Net
+	Ctx   *dnn.Context
+	Inner *cudnn.Handle
+	// UC is the µ-cuDNN handle; nil in "cudnn" mode.
+	UC *core.Handle
+	// OOCPlan is the out-of-core window plan; nil without a blob budget.
+	OOCPlan *dnn.OOCPlan
+}
+
+// New builds the run cfg describes. Nothing executes: plans are decided
+// by the first iteration (or FinalizeRegistration), as in a framework.
+func New(cfg Config) (*Session, error) {
+	s := &Session{}
+	// Out-of-core streaming plans against a probe instance of the network
+	// (shapes only, no compute): footprint model in, window plan out.
+	var oocModel *dnn.OOCModel
+	var blobPeak int64
+	if cfg.BlobBudget > 0 {
+		probe := newHandle(cfg.Device, cudnn.ModelOnlyBackend)
+		probeCtx := dnn.NewContext(probe, probe, cfg.WS)
+		probeCtx.SkipCompute = true
+		probeNet, _, err := zoo.Build(probeCtx, cfg.Net, cfg.Batch)
+		if err != nil {
+			return nil, err
+		}
+		if err := probeNet.Setup(); err != nil {
+			return nil, fmt.Errorf("probing %s for the blob budget: %w", cfg.Net, err)
+		}
+		if oocModel, err = dnn.FootprintModel(probeNet); err != nil {
+			return nil, err
+		}
+		plan, err := dnn.PlanOOC(oocModel, cfg.BlobBudget)
+		if err != nil {
+			return nil, err
+		}
+		s.OOCPlan = &plan
+		blobPeak = plan.PeakBytes
+	}
+
+	s.Inner = newHandle(cfg.Device, cfg.Backend)
+	var convH dnn.ConvHandle = s.Inner
+	if cfg.Mode != "cudnn" {
+		opts := []core.Option{core.WithPolicy(cfg.Policy), core.WithCachePath(cfg.CachePath),
+			core.WithWorkers(cfg.Workers), core.WithMetrics(cfg.Metrics)}
+		switch cfg.Mode {
+		case "wr":
+			opts = append(opts, core.WithWorkspaceLimit(cfg.WS))
+		case "wd":
+			if cfg.Total <= 0 {
+				return nil, fmt.Errorf("mode wd requires a positive total workspace budget (-total)")
+			}
+			opts = append(opts, core.WDJointPool(cfg.Total, blobPeak))
+		default:
+			return nil, fmt.Errorf("unknown mode %q", cfg.Mode)
+		}
+		uc, err := core.New(s.Inner, opts...)
+		if err != nil {
+			return nil, err
+		}
+		s.UC, convH = uc, uc
+	}
+
+	s.Ctx = dnn.NewContext(convH, s.Inner, cfg.WS)
+	s.Ctx.SkipCompute = cfg.Backend == cudnn.ModelOnlyBackend
+	if oocModel != nil {
+		s.Ctx.OOC = dnn.NewOOCState(oocModel, *s.OOCPlan)
+	}
+	net, loss, err := zoo.Build(s.Ctx, cfg.Net, cfg.Batch)
+	if err != nil {
+		return nil, err
+	}
+	if !s.Ctx.SkipCompute && loss != nil {
+		// Real compute runs the loss layer too; give it a label per sample.
+		loss.Labels = make([]int, cfg.Batch)
+		for i := range loss.Labels {
+			loss.Labels[i] = i % 10
+		}
+	}
+	s.Net = net
+	return s, nil
+}
+
+// newHandle builds a cuDNN handle with the device-memory cap lifted:
+// these runs measure kernel time, not capacity, so large-batch and
+// large-workspace corners still produce a timing row.
+func newHandle(d device.Spec, backend cudnn.Backend) *cudnn.Handle {
+	h := cudnn.NewHandle(d, backend)
+	h.Mem().Cap = 0
+	return h
+}
+
+// Attach points the handle's kernel spans and the net's layer spans at
+// rec; nil detaches. It goes through the µ-cuDNN handle when there is
+// one, so the debug server's /debug/ucudnn/timeline sees the recorder.
+func (s *Session) Attach(rec *trace.Recorder) {
+	if s.UC != nil {
+		s.UC.SetTraceRecorder(rec)
+	} else {
+		s.Inner.SetTrace(rec)
+	}
+	s.Ctx.Trace = rec
+}
+
+// Trace runs one warm-up iteration (plans get decided and arenas
+// settle, so the traced iterations see steady state), then iters
+// iterations under causal recording, and returns the validated
+// canonical timeline.
+func (s *Session) Trace(iters int) (*causal.Timeline, error) {
+	if err := s.Net.RunIteration(); err != nil {
+		return nil, err
+	}
+	causal.Reset()
+	causal.Enable()
+	defer causal.Disable()
+	rec := trace.New()
+	s.Attach(rec)
+	defer s.Attach(nil)
+	for i := 0; i < iters; i++ {
+		if err := s.Net.RunIteration(); err != nil {
+			return nil, err
+		}
+	}
+	t := causal.Build(rec.Events(), causal.Scopes())
+	if err := t.Validate(); err != nil {
+		return nil, fmt.Errorf("internal: exported timeline fails validation: %w", err)
+	}
+	return t, nil
+}

@@ -114,7 +114,7 @@ type RunSpec struct {
 	// network's activation/gradient working set is planned against this
 	// many bytes (dnn.PlanOOC) and convolutions execute in streamed
 	// micro-batch windows. Under WD the planned peak joins the workspace
-	// budget as one pool (core.WithBlobReserve); under WR the per-kernel
+	// budget as one pool (core.WDJointPool); under WR the per-kernel
 	// workspace limit applies unchanged. Ignored in Undivided mode.
 	BlobBudget int64
 	// DeviceCap, when positive, overrides the simulated device's memory
@@ -172,11 +172,11 @@ func Fingerprint(data []float32) uint64 {
 }
 
 // Networks lists the zoo models the harness can run.
-func Networks() []string {
-	return []string{"alexnet", "caffe-alexnet", "resnet18", "resnet50", "densenet40", "inception"}
-}
+func Networks() []string { return zoo.Names() }
 
-// build constructs the named network (with a loss head) over ctx.
+// build constructs the harness's reduced-size variant of the named
+// network (Classes-wide classifier, DenseNet growth 12, a loss head on
+// inception) over ctx.
 func build(ctx *dnn.Context, name string, batch int) (*dnn.Net, *dnn.SoftmaxLoss, error) {
 	switch name {
 	case "alexnet":
@@ -338,15 +338,8 @@ func Run(mode Mode, spec RunSpec) (*Result, error) {
 	if mode != Undivided {
 		opts := []core.Option{core.WithAlgoFilter(GemmOnly), core.WithPolicy(policy)}
 		if spec.WD {
-			wdLimit := limit
-			if oocModel != nil {
-				// One joint pool: the blob working set is carved out of the
-				// WD budget, so workspace and activations trade off inside
-				// wdLimit instead of competing unaccounted.
-				wdLimit += oocPlan.PeakBytes
-				opts = append(opts, core.WithBlobReserve(oocPlan.PeakBytes))
-			}
-			opts = append(opts, core.WithWD(wdLimit))
+			// oocPlan is zero without a blob budget: plain WD over limit.
+			opts = append(opts, core.WDJointPool(limit, oocPlan.PeakBytes))
 		} else {
 			opts = append(opts, core.WithWorkspaceLimit(limit))
 			ctxLimit = limit

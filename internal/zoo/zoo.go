@@ -246,3 +246,35 @@ func InceptionModule(ctx *dnn.Context, batch int) *dnn.Net {
 	net.Add(dnn.NewConcat("inc.concat"), "out", "b1", "b2", "b3", "b4")
 	return net
 }
+
+// Names lists the networks Build knows, in the order the CLIs document
+// them.
+func Names() []string {
+	return []string{"alexnet", "caffe-alexnet", "resnet18", "resnet50", "densenet40", "inception"}
+}
+
+// Build constructs the named network at its paper-evaluation size
+// (1000 ImageNet classes; DenseNet-40 with k=40 over 10 classes) over
+// ctx. The loss head is nil where the zoo defines none (inception).
+func Build(ctx *dnn.Context, name string, batch int) (*dnn.Net, *dnn.SoftmaxLoss, error) {
+	switch name {
+	case "alexnet":
+		net, loss := AlexNet(ctx, batch, 1000)
+		return net, loss, nil
+	case "caffe-alexnet":
+		net, loss := CaffeAlexNet(ctx, batch, 1000)
+		return net, loss, nil
+	case "resnet18":
+		net, loss := ResNet18(ctx, batch, 1000)
+		return net, loss, nil
+	case "resnet50":
+		net, loss := ResNet50(ctx, batch, 1000)
+		return net, loss, nil
+	case "densenet40":
+		net, loss := DenseNet40(ctx, batch, 40, 10)
+		return net, loss, nil
+	case "inception":
+		return InceptionModule(ctx, batch), nil, nil
+	}
+	return nil, nil, fmt.Errorf("zoo: unknown network %q (have %s)", name, strings.Join(Names(), ", "))
+}
