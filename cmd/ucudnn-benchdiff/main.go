@@ -136,7 +136,9 @@ func runEmit(stdin io.Reader, stdout, stderr io.Writer) int {
 //	BenchmarkName-8  100  123456 ns/op  32 B/op  4 allocs/op
 //
 // keyed by the name with the "Benchmark" prefix and "-GOMAXPROCS"
-// suffix stripped (matching the BENCH_kernels.json keys).
+// suffix stripped (matching the BENCH_kernels.json keys). A name that
+// repeats (go test -count N) keeps its fastest ns/op — the run least
+// disturbed by the host — and its largest B/op and allocs/op.
 func parseBenchOutput(r io.Reader) (map[string]Metrics, error) {
 	out := map[string]Metrics{}
 	sc := bufio.NewScanner(r)
@@ -170,9 +172,15 @@ func parseBenchOutput(r io.Reader) (map[string]Metrics, error) {
 				m.AllocsPerOp, _ = strconv.ParseInt(v, 10, 64)
 			}
 		}
-		if seen {
-			out[name] = m
+		if !seen {
+			continue
 		}
+		if prev, ok := out[name]; ok {
+			m.NsPerOp = min(m.NsPerOp, prev.NsPerOp)
+			m.BytesPerOp = max(m.BytesPerOp, prev.BytesPerOp)
+			m.AllocsPerOp = max(m.AllocsPerOp, prev.AllocsPerOp)
+		}
+		out[name] = m
 	}
 	if err := sc.Err(); err != nil {
 		return nil, err

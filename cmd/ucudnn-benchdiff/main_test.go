@@ -39,6 +39,12 @@ func TestParseBenchOutput(t *testing.T) {
 	if r := m["Rec"]; r.NsPerOp != 131.5 {
 		t.Fatalf("Rec = %+v", r)
 	}
+	// Repeats (-count N): fastest ns/op, worst allocation counts.
+	rep, err := parseBenchOutput(strings.NewReader("BenchmarkX 3 300 ns/op 0 B/op 0 allocs/op\n" +
+		"BenchmarkX 3 200 ns/op 16 B/op 1 allocs/op\nBenchmarkX 3 250 ns/op 0 B/op 0 allocs/op\n"))
+	if x := rep["X"]; err != nil || x.NsPerOp != 200 || x.BytesPerOp != 16 || x.AllocsPerOp != 1 {
+		t.Fatalf("repeated X = %+v, %v", x, err)
+	}
 	if _, err := parseBenchOutput(strings.NewReader("no benchmarks here\n")); err == nil {
 		t.Fatal("empty input did not error")
 	}

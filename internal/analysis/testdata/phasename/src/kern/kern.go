@@ -25,6 +25,11 @@ func compliantOOC() {
 	_ = prof.Register("ucudnn_ph_ooc_recompute")
 }
 
+// So do the implicit-GEMM packers, which sit beside blas's kernel phase.
+const phaseImplicitPack prof.Phase = "ucudnn_ph_implicit_pack"
+
+var phImplicitPack = prof.Register(phaseImplicitPack)
+
 func dynamicPhases(p prof.Phase, s string) {
 	_ = prof.Register(p)             // want `compile-time prof.Phase constant`
 	_ = prof.Register(prof.Phase(s)) // want `compile-time prof.Phase constant`

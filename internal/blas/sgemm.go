@@ -22,9 +22,11 @@ const (
 	PhSgemmKernel prof.Phase = "ucudnn_ph_sgemm_kernel"
 )
 
+// KindSgemmKernel is exported for callers that drive KernelBlock with
+// their own packers (conv's implicit GEMM) and time it as the same phase.
 var (
-	phSgemmPack   = prof.Register(PhSgemmPack)
-	phSgemmKernel = prof.Register(PhSgemmKernel)
+	phSgemmPack     = prof.Register(PhSgemmPack)
+	KindSgemmKernel = prof.Register(PhSgemmKernel)
 )
 
 // Register blocking of the micro-kernel: each tile computes an mr x nr
@@ -54,6 +56,17 @@ const (
 	mc = 64
 	kc = 192
 	nc = 160
+)
+
+// The blocking constants as seen by callers that run the sgemmRows loop
+// nest themselves over KernelBlock: a packed A block is MC x KC in MR-row
+// panels, a packed B block KC x NC in NR-column panels.
+const (
+	MR = mr
+	NR = nr
+	MC = mc
+	KC = kc
+	NC = nc
 )
 
 // parallelThreshold is the minimum number of multiply-adds below which
@@ -119,10 +132,6 @@ func sgemmWorkers(rec bool, workers int, transA, transB bool, m, n, k int, alpha
 		sgemmRows(rec, transA, transB, 0, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 		return
 	}
-	// This launch is "nested" to the profiler: it only happens under a
-	// serial outer loop whose phase window already covers this region as
-	// wall time, so only its load imbalance is recorded, not its busy
-	// time (see prof's accounting model).
 	ls := prof.LaunchStart()
 	var wg sync.WaitGroup
 	chunk := (m + workers - 1) / workers
@@ -147,7 +156,16 @@ func sgemmWorkers(rec bool, workers int, transA, transB bool, m, n, k int, alpha
 		}(w, lo, hi)
 	}
 	wg.Wait()
-	prof.LaunchEndNested(launched, ls)
+	// With rec the workers' own pack/kernel windows are the attribution of
+	// this region, so their busy time is its measured time: a top-level
+	// launch. A Quiet caller's enclosing phase window already covers the
+	// region as wall time, so only the load imbalance is recorded (see
+	// prof's accounting model).
+	if rec {
+		prof.LaunchEnd(launched, ls)
+	} else {
+		prof.LaunchEndNested(launched, ls)
+	}
 }
 
 // PackAFloats returns the float32 length of the packed form of an
@@ -186,7 +204,7 @@ func PackA(dst []float32, transA bool, m, k int, alpha float32, a []float32, lda
 	pm := ((m + mr - 1) / mr) * mr
 	for k0 := 0; k0 < k; k0 += kc {
 		kb := min(kc, k-k0)
-		packAPanels(dst[pm*k0:], transA, a, lda, 0, m, k0, kb, alpha)
+		PackAPanels(dst[pm*k0:], transA, a, lda, 0, m, k0, kb, alpha)
 	}
 	prof.Exit(phSgemmPack, t)
 }
@@ -252,7 +270,9 @@ func SgemmPackedA(workers int, pa []float32, transB bool, m, n, k int, b []float
 		}(w, lo, hi)
 	}
 	wg.Wait()
-	prof.LaunchEndNested(launched, ls)
+	// The workers self-report their phases: a top-level launch (see
+	// sgemmWorkers).
+	prof.LaunchEnd(launched, ls)
 }
 
 //ucudnn:hotpath
@@ -308,15 +328,16 @@ func scaleC(m, n int, beta float32, c []float32, ldc int) {
 //
 //ucudnn:hotpath
 func sgemmRows(rec bool, transA, transB bool, mLo, mHi, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
-	var packA [mc * kc]float32
-	var packB [kc * nc]float32
 	// One continuous Enter/Next chain: every phase window ends exactly
 	// where the next begins, so the whole walk is attributed with no
-	// internal gaps (loop bookkeeping lands in the adjacent phase).
+	// internal gaps (loop bookkeeping lands in the adjacent phase). It
+	// opens before the pack blocks so that clearing them counts as packing.
 	var t int64
 	if rec {
 		t = prof.Enter()
 	}
+	var packA [mc * kc]float32
+	var packB [kc * nc]float32
 	for j0 := 0; j0 < n; j0 += nc {
 		jb := min(nc, n-j0)
 		for k0 := 0; k0 < k; k0 += kc {
@@ -328,13 +349,13 @@ func sgemmRows(rec bool, transA, transB bool, mLo, mHi, n, k int, alpha float32,
 			first := k0 == 0
 			for i0 := mLo; i0 < mHi; i0 += mc {
 				ib := min(mc, mHi-i0)
-				packAPanels(packA[:], transA, a, lda, i0, ib, k0, kb, alpha)
+				PackAPanels(packA[:], transA, a, lda, i0, ib, k0, kb, alpha)
 				if rec {
 					t = prof.Next(phSgemmPack, t)
 				}
-				kernelBlock(packA[:], packB[:], ib, jb, kb, first, beta, c, i0*ldc+j0, ldc)
+				KernelBlock(packA[:], packB[:], ib, jb, kb, first, beta, c, i0*ldc+j0, ldc)
 				if rec {
-					t = prof.Next(phSgemmKernel, t)
+					t = prof.Next(KindSgemmKernel, t)
 				}
 			}
 		}
@@ -348,11 +369,11 @@ func sgemmRows(rec bool, transA, transB bool, mLo, mHi, n, k int, alpha float32,
 //ucudnn:hotpath
 func sgemmPackedRows(rec bool, pa []float32, mLo, mHi, m, n, k int, transB bool, b []float32, ldb int, beta float32, c []float32, ldc int) {
 	pm := ((m + mr - 1) / mr) * mr
-	var packB [kc * nc]float32
 	var t int64
 	if rec {
 		t = prof.Enter()
 	}
+	var packB [kc * nc]float32
 	for j0 := 0; j0 < n; j0 += nc {
 		jb := min(nc, n-j0)
 		for k0 := 0; k0 < k; k0 += kc {
@@ -364,9 +385,9 @@ func sgemmPackedRows(rec bool, pa []float32, mLo, mHi, m, n, k int, transB bool,
 			first := k0 == 0
 			for i0 := mLo; i0 < mHi; i0 += mc {
 				ib := min(mc, mHi-i0)
-				kernelBlock(pa[pm*k0+(i0/mr)*(kb*mr):], packB[:], ib, jb, kb, first, beta, c, i0*ldc+j0, ldc)
+				KernelBlock(pa[pm*k0+(i0/mr)*(kb*mr):], packB[:], ib, jb, kb, first, beta, c, i0*ldc+j0, ldc)
 				if rec {
-					t = prof.Next(phSgemmKernel, t)
+					t = prof.Next(KindSgemmKernel, t)
 				}
 			}
 		}
@@ -420,13 +441,13 @@ func packBPanels(pack []float32, transB bool, b []float32, ldb int, k0, kb, j0, 
 	}
 }
 
-// packAPanels packs alpha * op(A)[i0:i0+ib, k0:k0+kb] into row panels of
+// PackAPanels packs alpha * op(A)[i0:i0+ib, k0:k0+kb] into row panels of
 // mr: panel ip holds rows [ip*mr, ip*mr+mr) stored [kb][mr], zero-padded
 // past ib. The padded lanes make the micro-kernel's FMA body width-
 // independent; alpha is fused here so the kernel never multiplies by it.
 //
 //ucudnn:hotpath
-func packAPanels(pack []float32, transA bool, a []float32, lda int, i0, ib, k0, kb int, alpha float32) {
+func PackAPanels(pack []float32, transA bool, a []float32, lda int, i0, ib, k0, kb int, alpha float32) {
 	for it := 0; it < ib; it += mr {
 		dst := pack[(it/mr)*(kb*mr):]
 		iw := min(mr, ib-it)
@@ -457,7 +478,7 @@ func packAPanels(pack []float32, transA bool, a []float32, lda int, i0, ib, k0, 
 	}
 }
 
-// kernelBlock walks the mr x nr register-tile grid of one (ib x jb) C
+// KernelBlock walks the mr x nr register-tile grid of one (ib x jb) C
 // block, multiplying packed A panels (base pa, panel stride kb*mr)
 // against packed B panels. Each tile is accumulated from zero over the
 // whole kb extent (AVX kernel when available, generic quarters
@@ -467,7 +488,7 @@ func packAPanels(pack []float32, transA bool, a []float32, lda int, i0, ib, k0, 
 // depend on how rows are chunked across workers.
 //
 //ucudnn:hotpath
-func kernelBlock(pa, pb []float32, ib, jb, kb int, first bool, beta float32, c []float32, off, ldc int) {
+func KernelBlock(pa, pb []float32, ib, jb, kb int, first bool, beta float32, c []float32, off, ldc int) {
 	var acc [mr * nr]float32
 	for jt := 0; jt < jb; jt += nr {
 		bp := pb[(jt/nr)*(kb*nr):]

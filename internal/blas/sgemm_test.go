@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"ucudnn/internal/prof"
 )
 
 // naive reference GEMM: C = alpha*op(A)*op(B) + beta*C.
@@ -420,4 +422,46 @@ func TestSdotLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	Sdot([]float32{1}, []float32{1, 2})
+}
+
+// A forked SGEMM whose workers record their own pack/kernel windows is a
+// top-level launch: its busy time is the measured time those windows are
+// held against, so attributed never exceeds measured. Only the Quiet
+// variant, which records nothing, is nested in its caller's window.
+func TestForkedSgemmLaunchAccounting(t *testing.T) {
+	const m, n, k = 64, 96, 64
+	rng := rand.New(rand.NewSource(11))
+	a, b, c := randSlice(rng, m*k), randSlice(rng, k*n), make([]float32, m*n)
+	pa := make([]float32, PackAFloats(m, k))
+	PackA(pa, false, m, k, 1, a, k)
+	prof.Reset()
+	prof.Enable()
+	t.Cleanup(func() {
+		prof.Disable()
+		prof.Reset()
+	})
+	for name, run := range map[string]func(){
+		"recorded": func() { SgemmWorkers(4, false, false, m, n, k, 1, a, k, b, n, 0, c, n) },
+		"packedA":  func() { SgemmPackedA(4, pa, false, m, n, k, b, n, 0, c, n) },
+		"quiet":    func() { SgemmWorkersQuiet(4, false, false, m, n, k, 1, a, k, b, n, 0, c, n) },
+	} {
+		tok := prof.Begin(name)
+		run()
+		prof.End(tok)
+	}
+	for _, r := range prof.Snapshot() {
+		wantTop, wantNested := int64(1), int64(0)
+		if r.Kernel == "quiet" {
+			wantTop, wantNested = 0, 1
+		}
+		if r.Launches != wantTop || r.NestedLaunches != wantNested {
+			t.Errorf("%s: launches = %d top-level / %d nested, want %d / %d", r.Kernel, r.Launches, r.NestedLaunches, wantTop, wantNested)
+		}
+		if r.AttributedNS > r.MeasuredNS {
+			t.Errorf("%s: attributed %d exceeds measured %d", r.Kernel, r.AttributedNS, r.MeasuredNS)
+		}
+		if (r.Kernel == "quiet") != (r.AttributedNS == 0) {
+			t.Errorf("%s: attributed %d", r.Kernel, r.AttributedNS)
+		}
+	}
 }

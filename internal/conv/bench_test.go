@@ -8,8 +8,8 @@ package conv_test
 //
 // The shapes are batch >= 8 so the batch-striped execution engine has
 // samples to distribute; allocs/op is the steady-state allocation count
-// the engine is required to keep at zero for the GEMM and Winograd
-// forward paths.
+// the engine is required to keep at zero for the GEMM, implicit-GEMM and
+// Winograd paths.
 
 import (
 	"fmt"
@@ -54,6 +54,22 @@ func benchProblem(b *testing.B, op conv.Op, algo conv.Algo, cs tensor.ConvShape)
 	return x, w, y, make([]float32, (wsBytes+3)/4)
 }
 
+// benchRun times steady-state conv.Run calls of one (op, algo) on cs.
+func benchRun(b *testing.B, op conv.Op, algo conv.Algo, cs tensor.ConvShape) {
+	x, w, y, ws := benchProblem(b, op, algo, cs)
+	// Warm up once: transform caches etc. are one-time costs.
+	if err := conv.Run(op, algo, cs, x, w, y, 1, 0, ws); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := conv.Run(op, algo, cs, x, w, y, 1, 0, ws); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkConvKernels measures the forward kernels at batch 8 — the
 // micro-benchmark the ISSUE's >=2x GEMM speedup criterion refers to.
 func BenchmarkConvKernels(b *testing.B) {
@@ -62,20 +78,7 @@ func BenchmarkConvKernels(b *testing.B) {
 		conv.AlgoGemm, conv.AlgoWinograd, conv.AlgoWinogradNonfused,
 		conv.AlgoImplicitGemm, conv.AlgoFFTTiling, conv.AlgoDirect,
 	} {
-		b.Run(algo.String(), func(b *testing.B) {
-			x, w, y, ws := benchProblem(b, conv.Forward, algo, cs)
-			// Warm up once: transform caches etc. are one-time costs.
-			if err := conv.Run(conv.Forward, algo, cs, x, w, y, 1, 0, ws); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := conv.Run(conv.Forward, algo, cs, x, w, y, 1, 0, ws); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		b.Run(algo.String(), func(b *testing.B) { benchRun(b, conv.Forward, algo, cs) })
 	}
 }
 
@@ -83,21 +86,18 @@ func BenchmarkConvKernels(b *testing.B) {
 // deterministic batch-order accumulation the micro-batch tests rely on.
 func BenchmarkConvBackwardFilter(b *testing.B) {
 	cs := benchShape(8)
-	for _, algo := range []conv.Algo{conv.AlgoGemm, conv.AlgoWinogradNonfused} {
-		b.Run(algo.String(), func(b *testing.B) {
-			x, w, y, ws := benchProblem(b, conv.BackwardFilter, algo, cs)
-			if err := conv.Run(conv.BackwardFilter, algo, cs, x, w, y, 1, 0, ws); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := conv.Run(conv.BackwardFilter, algo, cs, x, w, y, 1, 0, ws); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	for _, algo := range []conv.Algo{conv.AlgoGemm, conv.AlgoWinogradNonfused, conv.AlgoImplicitGemm} {
+		b.Run(algo.String(), func(b *testing.B) { benchRun(b, conv.BackwardFilter, algo, cs) })
 	}
+}
+
+// BenchmarkConvImplicit measures the two lazily packed kernels the other
+// benchmarks leave out: the gather-form BackwardData and the table-driven
+// IMPLICIT_PRECOMP_GEMM Forward.
+func BenchmarkConvImplicit(b *testing.B) {
+	cs := benchShape(8)
+	b.Run("BackwardData/IMPLICIT_GEMM", func(b *testing.B) { benchRun(b, conv.BackwardData, conv.AlgoImplicitGemm, cs) })
+	b.Run("Forward/IMPLICIT_PRECOMP_GEMM", func(b *testing.B) { benchRun(b, conv.Forward, conv.AlgoImplicitPrecompGemm, cs) })
 }
 
 // BenchmarkConvKernelsBatch sweeps the GEMM forward kernel over batch
@@ -105,18 +105,6 @@ func BenchmarkConvBackwardFilter(b *testing.B) {
 func BenchmarkConvKernelsBatch(b *testing.B) {
 	for _, n := range []int{1, 8, 32} {
 		cs := benchShape(n)
-		b.Run(fmt.Sprintf("GEMM/b%d", n), func(b *testing.B) {
-			x, w, y, ws := benchProblem(b, conv.Forward, conv.AlgoGemm, cs)
-			if err := conv.Run(conv.Forward, conv.AlgoGemm, cs, x, w, y, 1, 0, ws); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := conv.Run(conv.Forward, conv.AlgoGemm, cs, x, w, y, 1, 0, ws); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		b.Run(fmt.Sprintf("GEMM/b%d", n), func(b *testing.B) { benchRun(b, conv.Forward, conv.AlgoGemm, cs) })
 	}
 }

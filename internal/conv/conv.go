@@ -131,8 +131,9 @@ func AlgosFor(op Op) []Algo {
 	return nil
 }
 
-// maxSampleElems bounds per-sample tensor sizes so float32-encoded gather
-// indices remain exact (see implicit.go).
+// maxSampleElems bounds the per-sample tensor size IMPLICIT_PRECOMP_GEMM
+// accepts. Its int32 table entries (see implicit.go) could index more; the
+// value is fixed because it is part of the plan-visible support matrix.
 const maxSampleElems = 1 << 24
 
 // Supported reports whether algo can execute op on the given shape.
@@ -257,9 +258,9 @@ func Run(op Op, algo Algo, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.Filt
 	case AlgoDirect:
 		runDirect(op, cs, x, w, y, alpha, beta)
 	case AlgoImplicitGemm:
-		runImplicitGemm(op, cs, x, w, y, alpha, beta)
+		runImplicit(op, cs, x, w, y, alpha, beta, nil)
 	case AlgoImplicitPrecompGemm:
-		runImplicitPrecomp(op, cs, x, w, y, alpha, beta, ws)
+		runImplicit(op, cs, x, w, y, alpha, beta, ws)
 	case AlgoGemm:
 		runGemm(op, cs, x, w, y, alpha, beta, ws)
 	case AlgoFFT:

@@ -246,8 +246,9 @@ func TestBackwardFilterMicroBatchAtWorkerCounts(t *testing.T) {
 	}
 }
 
-// Steady-state Forward must not allocate for the GEMM and Winograd paths:
-// all scratch comes from the caller's workspace. Pinned to the serial
+// Steady-state Forward must not allocate for the GEMM, implicit-GEMM and
+// Winograd paths: all scratch comes from the caller's workspace or, for
+// the implicit kernels' pack blocks, the stack. Pinned to the serial
 // path — fork-join goroutine spawns are the one allocation parallel
 // execution inherently makes.
 func TestForwardZeroAllocSteadyState(t *testing.T) {
@@ -260,7 +261,7 @@ func TestForwardZeroAllocSteadyState(t *testing.T) {
 		Filt:   tensor.Filter{K: 8, C: 4, R: 3, S: 3},
 		Params: tensor.ConvParams{PadH: 1, PadW: 1, StrideH: 1, StrideW: 1},
 	}
-	for _, algo := range []Algo{AlgoGemm, AlgoWinograd, AlgoWinogradNonfused} {
+	for _, algo := range []Algo{AlgoGemm, AlgoImplicitGemm, AlgoImplicitPrecompGemm, AlgoWinograd, AlgoWinogradNonfused} {
 		x, w, y := randomProblem(cs, 67)
 		ws := wsFor(t, Forward, algo, cs)
 		run := func() {

@@ -30,10 +30,14 @@ const (
 	PhRFFTPointwise prof.Phase = "ucudnn_ph_rfft_pointwise"
 	PhRFFTInverse   prof.Phase = "ucudnn_ph_rfft_inverse"
 
-	// Direct and implicit-GEMM algorithms: one main loop each, plus the
-	// implicit-precomp variant's index-table build.
-	PhDirectMain      prof.Phase = "ucudnn_ph_direct_main"
-	PhImplicitMain    prof.Phase = "ucudnn_ph_implicit_main"
+	// Direct algorithm: one main loop.
+	PhDirectMain prof.Phase = "ucudnn_ph_direct_main"
+
+	// Implicit-GEMM algorithms: the gathering A/B panel packers (the
+	// micro-kernel walk between them reports ucudnn_ph_sgemm_kernel from
+	// internal/blas), plus the implicit-precomp variant's index-table
+	// build.
+	PhImplicitPack    prof.Phase = "ucudnn_ph_implicit_pack"
 	PhImplicitPrecomp prof.Phase = "ucudnn_ph_implicit_precomp"
 )
 
@@ -50,6 +54,6 @@ var (
 	phRFFTInverse   = prof.Register(PhRFFTInverse)
 
 	phDirectMain      = prof.Register(PhDirectMain)
-	phImplicitMain    = prof.Register(PhImplicitMain)
+	phImplicitPack    = prof.Register(PhImplicitPack)
 	phImplicitPrecomp = prof.Register(PhImplicitPrecomp)
 )

@@ -198,6 +198,9 @@ type Net struct {
 	blobs  map[string]*Blob
 	order  []string // blob creation order, for deterministic iteration
 	ready  bool
+	// bwdScratch[j] backs the j-th bottom gradient a layer's Backward
+	// writes; layers run one at a time, so every layer reuses it.
+	bwdScratch [][]float32
 
 	inputName  string
 	inputShape tensor.Shape
@@ -475,10 +478,21 @@ func (n *Net) backwardLayer(i int) error {
 	}
 	// Layers overwrite dBottoms; since a blob may feed several layers,
 	// accumulate via a scratch buffer. Single-consumer blobs dominate, so
-	// the extra add is cheap relative to the layer work.
+	// the extra add is cheap relative to the layer work. The buffers are
+	// the net's, zeroed per use: a fresh tensor per layer per iteration was
+	// garbage piling up at the iteration rate until the next GC cycle.
 	scratch := make([]*tensor.Tensor, len(dbot))
+	for len(n.bwdScratch) < len(dbot) {
+		n.bwdScratch = append(n.bwdScratch, nil)
+	}
 	for j := range dbot {
-		scratch[j] = tensor.NewShaped(dbot[j].Shape)
+		elems := dbot[j].Shape.Elems()
+		if cap(n.bwdScratch[j]) < elems {
+			n.bwdScratch[j] = make([]float32, elems)
+		}
+		buf := n.bwdScratch[j][:elems]
+		clear(buf)
+		scratch[j] = &tensor.Tensor{Shape: dbot[j].Shape, Data: buf}
 	}
 	if err := li.layer.Backward(n.ctx, bot, top.Data, top.Grad, scratch); err != nil {
 		return fmt.Errorf("dnn: backward %s: %w", li.layer.Name(), err)

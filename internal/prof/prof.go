@@ -29,10 +29,12 @@
 // time, a phase timed on the serial path contributes wall time. The
 // matching denominator — "measured" kernel time — is therefore the
 // per-worker busy time of the kernel's top-level parallel launches plus
-// the serial remainder of the kernel wall. Nested launches (the SGEMM
-// inner parallelism under a serial outer loop) report their imbalance
-// but keep their busy time out of the measured total, because the phase
-// window around them already recorded that region as wall time.
+// the serial remainder of the kernel wall. Nested launches (a quiet
+// SGEMM's inner parallelism inside its caller's phase window) report
+// their imbalance but keep their busy time out of the measured total,
+// because the phase window around them already recorded that region as
+// wall time. A launch whose workers record their own phase windows has
+// no such window around it and is top-level.
 package prof
 
 import (
@@ -368,10 +370,10 @@ func LaunchEnd(workers int, start int64) {
 	launchEnd(workers, start, false)
 }
 
-// LaunchEndNested closes a nested parallel launch (the SGEMM inner
-// parallelism under a serial outer loop): imbalance is recorded, but
-// busy time stays out of the measured total — the enclosing phase
-// window already covers this region as wall time.
+// LaunchEndNested closes a nested parallel launch (a quiet SGEMM's inner
+// parallelism, whose workers record no phases): imbalance is recorded,
+// but busy time stays out of the measured total — the caller's enclosing
+// phase window already covers this region as wall time.
 //
 //ucudnn:hotpath
 func LaunchEndNested(workers int, start int64) {
