@@ -40,7 +40,7 @@ test-e2e:
 bench:
 	$(GO) test -bench=. -benchmem -run=NONE
 
-# bench-smoke is a short pass over the convolution kernel
+# bench-smoke is a short pass over the convolution kernel and WD ILP
 # micro-benchmarks (the BENCH_kernels.json baseline): enough iterations
 # to catch a kernel that stopped running or started allocating, fast
 # enough for the pre-commit gate. Like bench-json it runs at -cpu 1: the
@@ -49,6 +49,7 @@ bench:
 bench-smoke:
 	$(GO) test -run=NONE -bench='BenchmarkConvKernels$$|BenchmarkConvBackwardFilter|BenchmarkConvImplicit|BenchmarkSgemm' \
 		-benchtime=3x -benchmem -cpu 1 ./internal/conv/ ./internal/blas/
+	$(GO) test -run=NONE -bench='BenchmarkILP' -benchtime=20x -benchmem -cpu 1 .
 
 # bench-json runs the kernel micro-benchmarks that back
 # BENCH_kernels.json and emits a schema'd report for benchdiff. The raw
@@ -56,10 +57,14 @@ bench-smoke:
 # not masked by the emitter's exit status. Each benchmark runs three
 # times and the emitter keeps the fastest: single 3x runs of the
 # sub-millisecond kernels jump 40-60% on a busy host, past any slack.
+# The WD ILP solves (the optimizer's entry in the ledger; root package)
+# take 0.1-1 ms, so they run 200x: at 3x the first, cache-cold solve is
+# a third of the sample and allocs/op rounds unevenly.
 bench-json:
 	@tmp=$$(mktemp); \
 	$(GO) test -run=NONE -bench='BenchmarkConvKernels$$|BenchmarkConvKernelsBatch|BenchmarkConvBackwardFilter|BenchmarkConvImplicit|BenchmarkSgemm' \
 		-benchtime=3x -count 3 -benchmem -cpu 1 ./internal/conv/ ./internal/blas/ > $$tmp || { cat $$tmp; rm -f $$tmp; exit 1; }; \
+	$(GO) test -run=NONE -bench='BenchmarkILP' -benchtime=200x -count 3 -benchmem -cpu 1 . >> $$tmp || { cat $$tmp; rm -f $$tmp; exit 1; }; \
 	$(GO) run ./cmd/ucudnn-benchdiff -emit < $$tmp > BENCH_report.json; rm -f $$tmp
 	@echo "wrote BENCH_report.json"
 

@@ -18,7 +18,6 @@ import (
 	"ucudnn/internal/cudnn"
 	"ucudnn/internal/device"
 	"ucudnn/internal/ilp"
-	"ucudnn/internal/lp"
 	"ucudnn/internal/tensor"
 )
 
@@ -125,42 +124,68 @@ func BenchmarkKernel(b *testing.B) {
 // multiple-choice knapsack (the paper reports 562 variables in 5.46 ms
 // with GLPK).
 func BenchmarkILPResNet50Scale(b *testing.B) {
-	// 48 groups x ~10 Pareto options each.
-	var c, wsRow []float64
-	var groups [][]int
-	idx := 0
+	// 48 groups x 10 Pareto options each: 10 µs down to 3.6 µs for 0 to
+	// 108 MiB, under 900 MiB.
+	prob := &ilp.Problem{Budget: 900 << 20}
 	for g := 0; g < 48; g++ {
-		var ids []int
+		var items []ilp.Item
 		for o := 0; o < 10; o++ {
-			c = append(c, 10.0/(1+0.2*float64(o)))
-			wsRow = append(wsRow, float64(o*12))
-			ids = append(ids, idx)
-			idx++
+			items = append(items, ilp.Item{Cost: int64(10000 / (1 + 0.2*float64(o))), Weight: int64(o*12) << 20})
 		}
-		groups = append(groups, ids)
+		prob.Classes = append(prob.Classes, items)
 	}
-	n := len(c)
-	prob := &ilp.Problem{
-		LP: lp.Problem{
-			C:   c,
-			A:   [][]float64{wsRow},
-			B:   []float64{900},
-			Rel: []lp.Relation{lp.LE},
-		},
-		Binary: make([]bool, n),
-	}
-	for i := range prob.Binary {
-		prob.Binary[i] = true
-	}
-	for _, ids := range groups {
-		row := make([]float64, n)
-		for _, id := range ids {
-			row[id] = 1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ilp.Solve(prob); err != nil {
+			b.Fatal(err)
 		}
-		prob.LP.A = append(prob.LP.A, row)
-		prob.LP.B = append(prob.LP.B, 1)
-		prob.LP.Rel = append(prob.LP.Rel, lp.EQ)
 	}
+}
+
+// BenchmarkILPDenseNetPlan measures the solve alone on the instance the
+// end-to-end benchmark's densenet_plan workload cycles (bench.DenseNetPlan):
+// 117 classes / 296 items under a budget that binds, rebuilt here from
+// prebuilt desirable sets the way core.OptimizeWD assembles it.
+func BenchmarkILPDenseNetPlan(b *testing.B) {
+	// Striped workspace sizes, and so the instance, scale with the engine's
+	// worker cap; pin the cap the 296-item instance was recorded at.
+	defer conv.SetMaxWorkers(conv.SetMaxWorkers(2))
+	uc, err := bench.DenseNetPlan(device.P100)
+	if err != nil {
+		b.Fatal(err)
+	}
+	want := uc.WDStats()
+	bc := core.NewBencher(uc.Inner(), nil, 1)
+	prob := &ilp.Problem{Budget: want.EffectiveBudget}
+	var kernels []core.Kernel
+	count := map[string]int64{}
+	for _, p := range want.Plans { // one per registered kernel, in registration order
+		key := p.Kernel.String()
+		if count[key]++; count[key] == 1 {
+			kernels = append(kernels, p.Kernel)
+		}
+	}
+	for _, k := range kernels {
+		front, err := core.DesirableSet(bc, k, prob.Budget, core.PolicyPowerOfTwo)
+		if err != nil {
+			b.Fatal(err)
+		}
+		items := make([]ilp.Item, len(front))
+		for i, sc := range front {
+			items[i] = ilp.Item{Cost: count[k.String()] * int64(sc.Time), Weight: sc.Workspace}
+		}
+		prob.Classes = append(prob.Classes, items)
+	}
+	res, err := ilp.Solve(prob)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(prob.Classes) != 117 || want.ILPVars != 296 || res.Cost != int64(want.TotalTime) || res.Nodes != want.ILPNodes {
+		b.Fatalf("not the densenet_plan instance: %d classes, %d items, cost %d vs %d, %d nodes vs %d",
+			len(prob.Classes), want.ILPVars, res.Cost, int64(want.TotalTime), res.Nodes, want.ILPNodes)
+	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ilp.Solve(prob); err != nil {

@@ -242,7 +242,7 @@ func runNet(o runOpts, reg *obs.Registry) error {
 	fmt.Printf("optimization wall-clock:  %v\n", wall)
 	fmt.Printf("ILP variables:            %d\n", st.ILPVars)
 	fmt.Printf("branch-and-bound nodes:   %d\n", st.ILPNodes)
-	fmt.Printf("simplex iterations:       %d\n", st.SimplexIters)
+	fmt.Printf("LP relaxation steps:      %d\n", st.SimplexIters)
 	fmt.Printf("ILP solve time:           %v\n", st.SolveTime)
 	fmt.Printf("assigned workspace:       %.1f MiB\n", float64(st.TotalWorkspace)/(1<<20))
 	fmt.Printf("predicted iteration conv: %v\n", st.TotalTime)

@@ -6,7 +6,7 @@ import (
 )
 
 // Detlint enforces the determinism contract of the optimizer and kernel
-// packages (internal/conv, internal/core, internal/ilp, internal/lp):
+// packages (internal/conv, internal/core, internal/ilp):
 // the WR/WD optimizers and the kernels they schedule must produce
 // bit-identical results run to run, so code in those packages must not
 // let map iteration order, the wall clock, or a random source influence
@@ -24,7 +24,6 @@ var detlintScope = map[string]bool{
 	"conv": true,
 	"core": true,
 	"ilp":  true,
-	"lp":   true,
 }
 
 func runDetlint(pass *Pass) error {

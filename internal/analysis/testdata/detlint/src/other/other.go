@@ -1,5 +1,5 @@
 // Package other is outside the detlint scope (its path leaf is not one
-// of conv/core/ilp/lp): nothing here is flagged.
+// of conv/core/ilp): nothing here is flagged.
 package other
 
 import "time"

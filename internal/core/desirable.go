@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 )
@@ -77,6 +79,17 @@ func DesirableSet(b *Bencher, k Kernel, wsLimit int64, policy Policy) ([]ScoredC
 
 	// Coin-change style enumeration: processing candidate sizes in a fixed
 	// outer order generates each multiset of micro-batches exactly once.
+	// Candidates are generated lazily on cost and only survivors are
+	// materialized; lazy records where a new candidate came from. The
+	// scratch slices are shared by every (m, i) state.
+	type lazy struct {
+		prevIdx, optIdx int
+	}
+	var (
+		cands   []ScoredConfig // fronts[i] as it stands, then the new candidates
+		backing []lazy         // provenance of cands[len(fronts[i]):]
+		idx     []int          // permutation of cands, sorted by cost
+	)
 	states := int64(0)
 	fronts := make([][]ScoredConfig, n+1)
 	fronts[0] = []ScoredConfig{{Config: Config{}, Time: 0, Workspace: 0}}
@@ -90,41 +103,28 @@ func DesirableSet(b *Bencher, k Kernel, wsLimit int64, policy Policy) ([]ScoredC
 			if len(prev) == 0 {
 				continue
 			}
-			// Generate candidates lazily on cost, materialize survivors.
-			type lazy struct {
-				prevIdx, optIdx int
-			}
-			cands := make([]ScoredConfig, len(fronts[i]), len(fronts[i])+len(prev)*len(opts))
-			copy(cands, fronts[i])
-			backing := make([]lazy, len(fronts[i]), cap(cands))
+			old := len(fronts[i])
+			cands = append(cands[:0], fronts[i]...)
+			backing = backing[:0]
 			states += int64(len(prev)) * int64(len(opts))
 			for pi := range prev {
 				for oi := range opts {
 					// Workspace is shared across the kernel's sequential
 					// micro-batches: the slot is the maximum requirement.
-					ws := prev[pi].Workspace
-					if opts[oi].Workspace > ws {
-						ws = opts[oi].Workspace
-					}
 					cands = append(cands, ScoredConfig{
 						Time:      prev[pi].Time + opts[oi].Time,
-						Workspace: ws,
+						Workspace: max(prev[pi].Workspace, opts[oi].Workspace),
 					})
-					backing = append(backing, lazy{prevIdx: pi + 1, optIdx: oi})
+					backing = append(backing, lazy{prevIdx: pi, optIdx: oi})
 				}
 			}
-			// Prune on cost only; indices track provenance for
-			// materialization.
-			idx := make([]int, len(cands))
-			for j := range idx {
-				idx[j] = j
+			// Prune on cost only, through an index permutation.
+			idx = idx[:0]
+			for j := range cands {
+				idx = append(idx, j)
 			}
-			sort.Slice(idx, func(a, b int) bool {
-				ca, cb := cands[idx[a]], cands[idx[b]]
-				if ca.Time != cb.Time {
-					return ca.Time < cb.Time
-				}
-				return ca.Workspace < cb.Workspace
+			slices.SortFunc(idx, func(a, b int) int {
+				return cmp.Or(cmp.Compare(cands[a].Time, cands[b].Time), cmp.Compare(cands[a].Workspace, cands[b].Workspace))
 			})
 			var next []ScoredConfig
 			bestWS := int64(-1)
@@ -134,14 +134,11 @@ func DesirableSet(b *Bencher, k Kernel, wsLimit int64, policy Policy) ([]ScoredC
 				}
 				bestWS = cands[j].Workspace
 				sc := cands[j]
-				if j < len(fronts[i]) || backing[j].prevIdx == 0 {
-					// Pre-existing, already materialized.
-					sc.Config = cands[j].Config
-				} else {
-					p := prev[backing[j].prevIdx-1]
+				if j >= old { // a new candidate: materialize its configuration
+					p := prev[backing[j-old].prevIdx]
 					cfg := make(Config, len(p.Config)+1)
 					copy(cfg, p.Config)
-					cfg[len(p.Config)] = opts[backing[j].optIdx].Config[0]
+					cfg[len(p.Config)] = opts[backing[j-old].optIdx].Config[0]
 					sc.Config = cfg
 				}
 				next = append(next, sc)

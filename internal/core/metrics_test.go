@@ -16,7 +16,8 @@ import (
 
 // TestWDPopulatesOptimizerMetrics runs a ucudnn-optimize-equivalent WD
 // pass and checks the §IV-B cost metrics land in the registry: optimizer
-// wall-clock, DP state counts, ILP variable/node counts, simplex pivots.
+// wall-clock, DP state counts, ILP variable/node counts, LP hull steps
+// (the solver's equivalent of simplex pivots, under the counter's old name).
 func TestWDPopulatesOptimizerMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	b := modelBencher()
@@ -46,7 +47,7 @@ func TestWDPopulatesOptimizerMetrics(t *testing.T) {
 		t.Fatalf("ILP nodes counter = %d, want %d", got, res.ILPNodes)
 	}
 	if got := reg.Counter(MetricSimplexIters).Value(); got != int64(res.SimplexIters) || got <= 0 {
-		t.Fatalf("simplex iterations counter = %d, want %d > 0", got, res.SimplexIters)
+		t.Fatalf("LP hull steps counter = %d, want %d > 0", got, res.SimplexIters)
 	}
 	if reg.Histogram(MetricWDSolveSeconds, obs.DurationBuckets).Count() != 1 {
 		t.Fatal("ILP solve time not observed")

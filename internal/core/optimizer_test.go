@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -574,6 +576,121 @@ func TestOptimizeWDErrors(t *testing.T) {
 	if _, err := OptimizeWD(b, []Kernel{k}, -5, PolicyPowerOfTwo); err == nil {
 		t.Fatal("impossible budget must error")
 	}
+	for _, reserve := range []int64{-1, 1 << 20, 2 << 20} {
+		_, err := OptimizeWDReserved(b, []Kernel{k}, 1<<20, reserve, PolicyPowerOfTwo)
+		if err == nil || !strings.Contains(err.Error(), "blob reserve") {
+			t.Fatalf("reserve %d of a 1 MiB pool: err = %v, want a blob-reserve error", reserve, err)
+		}
+	}
+}
+
+// Every kernel fits the pool on its own but not together: the ILP is
+// infeasible, which OptimizeWDReserved reports in terms of the pool.
+func TestOptimizeWDInfeasiblePool(t *testing.T) {
+	h := cudnn.NewHandle(device.P100, cudnn.ModelOnlyBackend)
+	h.SetAlgoFilter(func(op conv.Op, a conv.Algo) bool { return a == conv.AlgoGemm }) // no zero-workspace fallback
+	b := NewBencher(h, nil, 1)
+	kernels := []Kernel{{Op: conv.Forward, Shape: conv2Shape(8)}, {Op: conv.BackwardData, Shape: conv2Shape(8)}}
+	var need, least int64
+	for _, k := range kernels {
+		front, err := DesirableSet(b, k, 1<<30, PolicyPowerOfTwo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws := front[len(front)-1].Workspace // fronts end on the smallest workspace
+		if ws == 0 {
+			t.Fatalf("%v has a zero-workspace configuration; the instance cannot be made infeasible", k)
+		}
+		need, least = need+ws, max(least, ws)
+	}
+	const reserve = 1 << 20
+	if _, err := OptimizeWDReserved(b, kernels, need+reserve, reserve, PolicyPowerOfTwo); err != nil {
+		t.Fatalf("pool of exactly the minimum need: %v", err)
+	}
+	for _, total := range []int64{need - 1, least} {
+		_, err := OptimizeWDReserved(b, kernels, total+reserve, reserve, PolicyPowerOfTwo)
+		want := fmt.Sprintf("no configuration assignment fits %d bytes (joint pool %d, blob reserve %d)", total, total+reserve, int64(reserve))
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("pool of %d bytes for kernels needing %d: err = %v, want %q", total, need, err, want)
+		}
+	}
+}
+
+// The paper's Fig. 1 "-1 byte" cliff at the WD level: one byte either
+// side of every total workspace some assignment reaches, the result must
+// fit the pool less the reserve in exact integer bytes and match a brute
+// force over the desirable sets to the nanosecond.
+func TestOptimizeWDExactAtBreakpoints(t *testing.T) {
+	b := modelBencher()
+	k1 := Kernel{Op: conv.Forward, Shape: conv2Shape(8)}
+	k2 := Kernel{Op: conv.BackwardFilter, Shape: conv2Shape(8)}
+	k3 := Kernel{Op: conv.Forward, Shape: tensor.ConvShape{
+		In: tensor.Shape{N: 8, C: 192, H: 13, W: 13}, Filt: tensor.Filter{K: 384, C: 192, R: 3, S: 3},
+		Params: tensor.ConvParams{PadH: 1, PadW: 1, StrideH: 1, StrideW: 1}}}
+	kernels := []Kernel{k1, k2, k3, k1} // k1 twice: its time counts double, its segment once
+	unique, count := []Kernel{k1, k2, k3}, []time.Duration{2, 1, 1}
+
+	sums := map[int64]bool{0: true}
+	for _, k := range unique {
+		front, err := DesirableSet(b, k, 1<<30, PolicyPowerOfTwo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		next := map[int64]bool{}
+		for s := range sums {
+			for _, sc := range front {
+				next[s+sc.Workspace] = true
+			}
+		}
+		sums = next
+	}
+	if len(sums) < 20 {
+		t.Fatalf("only %d breakpoints; the instance is too small to mean anything", len(sums))
+	}
+	const reserve = 3<<20 + 1
+	for sum := range sums {
+		for _, effective := range []int64{sum - 1, sum, sum + 1} {
+			if effective < 1 {
+				continue // a reserve that leaves the pool empty is a caller error
+			}
+			res, err := OptimizeWDReserved(b, kernels, effective+reserve, reserve, PolicyPowerOfTwo)
+			if err != nil {
+				t.Fatalf("effective budget %d: %v", effective, err)
+			}
+			if res.TotalWorkspace > effective || res.EffectiveBudget != effective || res.BlobReserve != reserve {
+				t.Fatalf("effective budget %d: workspace %d, reported budget %d, reserve %d", effective, res.TotalWorkspace, res.EffectiveBudget, res.BlobReserve)
+			}
+			var fronts [3][]ScoredConfig
+			for i, k := range unique {
+				if fronts[i], err = DesirableSet(b, k, effective, PolicyPowerOfTwo); err != nil {
+					t.Fatal(err)
+				}
+			}
+			best := time.Duration(math.MaxInt64)
+			for _, a := range fronts[0] {
+				for _, bb := range fronts[1] {
+					for _, c := range fronts[2] {
+						if tm := count[0]*a.Time + count[1]*bb.Time + count[2]*c.Time; a.Workspace+bb.Workspace+c.Workspace <= effective && tm < best {
+							best = tm
+						}
+					}
+				}
+			}
+			if res.TotalTime != best {
+				t.Fatalf("effective budget %d: WD time %v, brute force %v", effective, res.TotalTime, best)
+			}
+			var ws int64
+			var tm time.Duration
+			for i, p := range res.Plans[:3] {
+				ws += p.Workspace
+				tm += count[i] * p.Time
+			}
+			if ws != res.TotalWorkspace || tm != res.TotalTime || res.Plans[3].Config.String() != res.Plans[0].Config.String() {
+				t.Fatalf("effective budget %d: plans add up to (%v, %d), result says (%v, %d)", effective, tm, ws, res.TotalTime, res.TotalWorkspace)
+			}
+		}
+	}
+	t.Logf("%d breakpoints", len(sums))
 }
 
 func TestCacheRoundTrip(t *testing.T) {

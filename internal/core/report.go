@@ -13,10 +13,13 @@ import (
 // instead of a finished benchmark log.
 
 // handleRingSize bounds how many handles the registry retains. A ring
-// (rather than an unbounded list) keeps long test runs from pinning
-// every handle's multi-MiB workspace arena in memory; a live process
-// inspecting itself cares about the handles it is currently executing.
-const handleRingSize = 16
+// (rather than an unbounded list) keeps long runs from pinning every
+// handle's multi-MiB workspace arena and snapshot buffer in memory, and
+// a small one because a process that builds a handle per planning cycle
+// fills any ring: retained handles are then ring-size × MiBs of resident
+// memory nobody looks at. A live process inspecting itself cares about
+// the handles it is currently executing.
+const handleRingSize = 4
 
 var (
 	handleRegMu sync.Mutex

@@ -2,11 +2,9 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"ucudnn/internal/ilp"
-	"ucudnn/internal/lp"
 )
 
 // WDResult is the outcome of the Workspace Division optimizer.
@@ -23,8 +21,11 @@ type WDResult struct {
 	ILPVars int
 	// ILPNodes is the number of branch-and-bound nodes explored.
 	ILPNodes int
-	// SimplexIters is the number of simplex pivots spent across the
-	// search's LP relaxations.
+	// SimplexIters is the number of hull steps walked by the search's
+	// LP relaxations. The solver is a multiple-choice-knapsack branch &
+	// bound with a greedy relaxation, not a simplex; a hull step (one
+	// kernel's configuration swapped for its hull successor) is precisely
+	// the pivot a simplex would make on this LP, so the name stays.
 	SimplexIters int
 	// SolveTime is the wall time spent in the ILP solver alone.
 	SolveTime time.Duration
@@ -54,9 +55,9 @@ func OptimizeWD(b *Bencher, kernels []Kernel, totalLimit int64, policy Policy) (
 // OptimizeWDReserved is OptimizeWD over a joint memory pool: totalLimit
 // bytes are shared between per-kernel workspaces and a blob-memory
 // reservation of reserve bytes (the out-of-core scheduler's peak
-// activation working set). The reservation is carved out of the
-// already-assembled ILP budget row via ilp.TightenBudget, so kernel
-// configurations compete only for what activations left behind.
+// activation working set). The reservation comes off the ILP's budget,
+// so kernel configurations compete only for what activations left
+// behind.
 func OptimizeWDReserved(b *Bencher, kernels []Kernel, totalLimit, reserve int64, policy Policy) (*WDResult, error) {
 	if len(kernels) == 0 {
 		return nil, fmt.Errorf("core: no kernels to optimize")
@@ -71,6 +72,7 @@ func OptimizeWDReserved(b *Bencher, kernels []Kernel, totalLimit, reserve int64,
 		kernel Kernel
 		count  int
 		front  []ScoredConfig
+		chosen ScoredConfig
 	}
 	var groups []*group
 	byKey := map[string]*group{}
@@ -95,53 +97,19 @@ func OptimizeWDReserved(b *Bencher, kernels []Kernel, totalLimit, reserve int64,
 		g.front = front
 	}
 
-	// Assemble the ILP (Eq. 1-4). Workspace is scaled to MiB and time to
-	// microseconds to keep the simplex well-conditioned.
-	const wsScale = 1.0 / (1 << 20)
-	var c []float64
-	var wsRow []float64
-	type varRef struct {
-		g   *group
-		cfg int
-	}
-	var refs []varRef
-	starts := make(map[*group][2]int)
-	for _, g := range groups {
-		lo := len(c)
+	// Assemble the ILP (Eq. 1-4) in exact integers: one class per group,
+	// cost in ns for all of the group's kernels, weight in bytes. The blob
+	// reservation is already out of the budget, so the solver sees one
+	// joint pool.
+	prob := &ilp.Problem{Classes: make([][]ilp.Item, len(groups)), Budget: effective}
+	n := 0
+	for gi, g := range groups {
+		items := make([]ilp.Item, len(g.front))
 		for ci, sc := range g.front {
-			c = append(c, float64(g.count)*float64(sc.Time)/float64(time.Microsecond))
-			wsRow = append(wsRow, float64(sc.Workspace)*wsScale)
-			refs = append(refs, varRef{g: g, cfg: ci})
+			items[ci] = ilp.Item{Cost: int64(g.count) * int64(sc.Time), Weight: sc.Workspace}
 		}
-		starts[g] = [2]int{lo, len(c)}
-	}
-	n := len(c)
-	prob := &ilp.Problem{
-		LP: lp.Problem{
-			C:   c,
-			A:   [][]float64{wsRow},
-			B:   []float64{float64(totalLimit) * wsScale},
-			Rel: []lp.Relation{lp.LE},
-		},
-		Binary: make([]bool, n),
-	}
-	for i := range prob.Binary {
-		prob.Binary[i] = true
-	}
-	// The blob reservation tightens the budget row in place (row 0 is the
-	// workspace LE row assembled above), so the solver sees one joint pool.
-	if err := prob.TightenBudget(0, float64(reserve)*wsScale); err != nil {
-		return nil, fmt.Errorf("core: WD joint pool: %w", err)
-	}
-	for _, g := range groups {
-		row := make([]float64, n)
-		s := starts[g]
-		for j := s[0]; j < s[1]; j++ {
-			row[j] = 1
-		}
-		prob.LP.A = append(prob.LP.A, row)
-		prob.LP.B = append(prob.LP.B, 1)
-		prob.LP.Rel = append(prob.LP.Rel, lp.EQ)
+		prob.Classes[gi] = items
+		n += len(items)
 	}
 
 	solveStart := time.Now() //ucudnn:allow detlint -- solve-time telemetry only; the ILP result is independent of it
@@ -154,33 +122,23 @@ func OptimizeWDReserved(b *Bencher, kernels []Kernel, totalLimit, reserve int64,
 	if err != nil {
 		return nil, fmt.Errorf("core: WD ILP: %w", err)
 	}
-	if res.Status != lp.Optimal {
-		return nil, fmt.Errorf("core: WD ILP %v: no configuration assignment fits %d bytes (joint pool %d, blob reserve %d)", res.Status, effective, totalLimit, reserve)
+	if !res.Feasible {
+		return nil, fmt.Errorf("core: WD ILP infeasible: no configuration assignment fits %d bytes (joint pool %d, blob reserve %d)", effective, totalLimit, reserve)
 	}
 
-	chosen := map[*group]ScoredConfig{}
-	for j, v := range res.X {
-		if math.Round(v) == 1 {
-			r := refs[j]
-			chosen[r.g] = r.g.front[r.cfg]
-		}
-	}
 	out := &WDResult{
 		ILPVars: n, ILPNodes: res.Nodes, SimplexIters: res.SimplexIters, SolveTime: solveTime,
 		BlobReserve: reserve, EffectiveBudget: effective,
 	}
-	for _, g := range groups {
-		sc, ok := chosen[g]
-		if !ok {
-			return nil, fmt.Errorf("core: WD ILP left kernel %v unassigned", g.kernel)
-		}
-		out.TotalTime += time.Duration(g.count) * sc.Time
-		out.TotalWorkspace += sc.Workspace
+	for gi, g := range groups {
+		g.chosen = g.front[res.Choice[gi]]
+		out.TotalTime += time.Duration(g.count) * g.chosen.Time
+		out.TotalWorkspace += g.chosen.Workspace
 	}
 	b.m.wdWorkspace.Set(float64(out.TotalWorkspace))
 	b.m.wdPredicted.Set(out.TotalTime.Seconds())
 	for i := range kernels {
-		sc := chosen[groupOf[i]]
+		sc := groupOf[i].chosen
 		out.Plans = append(out.Plans, Plan{
 			Kernel:    kernels[i],
 			Config:    sc.Config,

@@ -1,99 +1,54 @@
 package ilp
 
-import (
-	"math"
-	"testing"
+import "testing"
 
-	"ucudnn/internal/lp"
-)
-
-// FuzzILP decodes small 0-1 problems from fuzz input, validates them and
-// runs the branch-and-bound solver: accepted instances must solve
-// without panicking, binary variables must come back integral, solutions
-// must be feasible, and on all-binary instances the objective must agree
-// with exhaustive enumeration.
+// FuzzILP decodes small multiple-choice knapsacks from fuzz input and
+// runs the branch-and-bound solver against exhaustive enumeration:
+// feasibility and cost must agree, and the selection must be one
+// in-range item per class whose weight fits the budget.
 func FuzzILP(f *testing.F) {
-	// A WD-shaped seed: pick one configuration per group under a shared
-	// budget row, plus an infeasible and an unbounded-ish variant.
-	f.Add([]byte{3, 2, 10, 20, 30, 1, 1, 1, 0, 1, 2, 3, 2, 1, 7})
-	f.Add([]byte{2, 1, 5, 250, 1, 1, 0, 0})
-	f.Add([]byte{4, 3, 1, 2, 3, 4, 9, 9, 9, 9, 200, 100, 50, 25, 12})
+	// A WD-shaped seed (three Pareto-front classes under a binding
+	// budget), an infeasible one, and one at 2^40-byte / 2^42-ns
+	// magnitudes with an LP-dominated item and a budget one byte short.
+	f.Add([]byte{2, 20, 0, 0, 0, 0, 2, 30, 0, 12, 8, 5, 16, 1, 25, 0, 9, 6, 2, 40, 0, 33, 3, 21, 10})
+	f.Add([]byte{1, 3, 0, 0, 0, 0, 0, 5, 4, 1, 9, 2, 7, 3})
+	f.Add([]byte{1, 14, 0, 32, 34, 1, 2, 200, 0, 104, 5, 0, 10, 1, 150, 0, 0, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, ok := decodeProblem(data)
-		if !ok || p.Validate() != nil {
+		if !ok {
 			return
 		}
-		res, err := Solve(p)
-		if err != nil {
-			return // node-limit or relaxation failure, reported cleanly
-		}
-		if res.Status != lp.Optimal {
-			return
-		}
-		if len(res.X) != len(p.LP.C) {
-			t.Fatalf("solution has %d variables, want %d", len(res.X), len(p.LP.C))
-		}
-		for j, isBin := range p.Binary {
-			if !isBin {
-				continue
-			}
-			if r := math.Abs(res.X[j] - math.Round(res.X[j])); r > 1e-6 {
-				t.Fatalf("binary variable x[%d] = %g is fractional", j, res.X[j])
-			}
-			if res.X[j] < -1e-6 || res.X[j] > 1+1e-6 {
-				t.Fatalf("binary variable x[%d] = %g outside {0,1}", j, res.X[j])
-			}
-		}
-		if !feasiblePoint(&p.LP, res.X) {
-			t.Fatalf("optimal point %v violates the constraints", res.X)
-		}
-		allBinary := true
-		for _, b := range p.Binary {
-			allBinary = allBinary && b
-		}
-		if allBinary {
-			exh, err := SolveExhaustive(p)
-			if err == nil && exh.Status == lp.Optimal &&
-				math.Abs(exh.Obj-res.Obj) > 1e-5*(1+math.Abs(exh.Obj)) {
-				t.Fatalf("branch-and-bound objective %g disagrees with exhaustive %g", res.Obj, exh.Obj)
-			}
-		}
+		checkAgainstOracle(t, p)
 	})
 }
 
-// decodeProblem builds a bounded ILP (at most 4 variables and 4 rows,
-// single-digit magnitudes) from raw fuzz bytes.
+// decodeProblem builds a bounded instance from raw fuzz bytes: a header
+// of class count, 16-bit budget, weight and cost shifts (magnitudes up to
+// 255<<32 bytes and 255<<34 ns) and a one-byte-under flag, then per class
+// an item count and (cost, weight) byte pairs. At most 6 classes of 5.
 func decodeProblem(data []byte) (*Problem, bool) {
-	if len(data) < 2 {
+	if len(data) < 6 {
 		return nil, false
 	}
-	nvars := 1 + int(data[0])%4
-	nrows := int(data[1]) % 4
-	need := 2 + nvars + nrows*(nvars+2)
-	if len(data) < need {
-		return nil, false
-	}
-	pos := 2
-	next := func() byte { b := data[pos]; pos++; return b }
-
-	p := &Problem{}
-	p.LP.C = make([]float64, nvars)
-	p.Binary = make([]bool, nvars)
-	for j := 0; j < nvars; j++ {
-		b := next()
-		p.LP.C[j] = float64(int(b%31) - 15)
-		p.Binary[j] = b%2 == 0
-	}
-	// At least one binary variable, or the instance is a plain LP.
-	p.Binary[0] = true
-	for i := 0; i < nrows; i++ {
-		row := make([]float64, nvars)
-		for j := range row {
-			row[j] = float64(int(next()%19) - 9)
+	classes := 1 + int(data[0])%6
+	shiftW, shiftC := uint(data[3])%33, uint(data[4])%35
+	p := &Problem{Budget: (int64(data[1])|int64(data[2])<<8)<<shiftW - int64(data[5]%2)}
+	pos := 6
+	for c := 0; c < classes; c++ {
+		if pos >= len(data) {
+			return nil, false
 		}
-		p.LP.A = append(p.LP.A, row)
-		p.LP.B = append(p.LP.B, float64(int(next()%21)-5))
-		p.LP.Rel = append(p.LP.Rel, []lp.Relation{lp.LE, lp.GE, lp.EQ}[next()%3])
+		n := 1 + int(data[pos])%5
+		pos++
+		if pos+2*n > len(data) {
+			return nil, false
+		}
+		items := make([]Item, n)
+		for i := range items {
+			items[i] = Item{Cost: int64(data[pos]) << shiftC, Weight: int64(data[pos+1]) << shiftW}
+			pos += 2
+		}
+		p.Classes = append(p.Classes, items)
 	}
 	return p, true
 }

@@ -1,353 +1,348 @@
-// Package ilp implements an exact 0-1 integer linear program solver via
-// best-first branch & bound over LP relaxations (internal/lp). It stands
-// in for GLPK in the paper's Workspace Division optimizer, whose problem
-// (Eq. 1-4) is a multiple-choice knapsack: pick exactly one configuration
-// per kernel, minimize total time, subject to a total workspace budget.
+// Package ilp solves the paper's Workspace Division ILP (Eq. 1-4) as what
+// it is, a multiple-choice knapsack: pick exactly one item per class,
+// minimize the summed cost, keep the summed weight within a budget. It
+// stands in for GLPK. The search is an exact best-first branch & bound
+// over integers. Its bound, the LP relaxation, needs no simplex: start
+// every class at its lightest item and walk the classes' lower convex
+// hulls in order of cost saved per unit of weight until the budget runs
+// out, which leaves at most one class between two adjacent hull vertices
+// (Dyer-Zemel, Sinha-Zoltners).
 package ilp
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
 	"math"
-
-	"ucudnn/internal/lp"
+	"math/bits"
+	"slices"
 )
 
-// Problem is a linear program in which the variables marked Binary must
-// take values in {0, 1}; the rest are continuous and nonnegative.
+// Item is one choice of a class. For WD: a kernel configuration's time
+// (times the kernel's multiplicity) in ns and its workspace in bytes.
+type Item struct{ Cost, Weight int64 }
+
+// Problem is a multiple-choice knapsack: one item of every class, total
+// weight at most Budget, minimum total cost.
 type Problem struct {
-	LP     lp.Problem
-	Binary []bool
+	Classes [][]Item
+	Budget  int64
 }
 
-// Result reports the ILP outcome.
+// Result reports the outcome of a solve.
 type Result struct {
-	Status lp.Status
-	X      []float64
-	Obj    float64
-	// Nodes is the number of branch-and-bound nodes explored.
+	// Feasible is false when the lightest items together overrun the
+	// budget; only the counters are set then.
+	Feasible bool
+	// Choice[c] indexes the item chosen from Classes[c].
+	Choice []int
+	// Cost and Weight are the exact totals of Choice.
+	Cost, Weight int64
+	// Nodes is the number of branch-and-bound relaxations evaluated.
 	Nodes int
-	// SimplexIters is the total number of simplex pivots spent across all
-	// LP relaxations solved during the search.
+	// SimplexIters counts the hull steps walked by those relaxations. A
+	// hull step swaps one class's item for its hull successor, which is
+	// exactly the pivot a simplex method makes on this LP.
 	SimplexIters int
 }
 
-const intTol = 1e-6
-
-// maxNodes bounds the search; the paper's instances need only hundreds.
+// maxNodes bounds the search; the paper's instances need a few thousand.
 const maxNodes = 500000
 
-type node struct {
-	bound float64
-	// fixed maps variable index -> 0/1 for decisions made on the path.
-	fixed map[int]float64
-}
-
-type nodeQueue []*node
-
-func (q nodeQueue) Len() int            { return len(q) }
-func (q nodeQueue) Less(i, j int) bool  { return q[i].bound < q[j].bound }
-func (q nodeQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *nodeQueue) Push(x interface{}) { *q = append(*q, x.(*node)) }
-func (q *nodeQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
-}
-
-// TightenBudget subtracts delta from the right-hand side of the LE
-// constraint at row, carving a reservation out of an already-assembled
-// budget row (the Workspace Division optimizer uses it to reserve blob
-// memory from the joint workspace+activation pool). delta must be
-// nonnegative and must not drive the budget negative: a reservation that
-// consumes the whole pool is a caller error, not an infeasible ILP.
-func (p *Problem) TightenBudget(row int, delta float64) error {
-	if row < 0 || row >= len(p.LP.B) {
-		return fmt.Errorf("ilp: TightenBudget row %d out of range [0,%d)", row, len(p.LP.B))
-	}
-	if p.LP.Rel[row] != lp.LE {
-		return fmt.Errorf("ilp: TightenBudget row %d is not a <= budget row", row)
-	}
-	if delta < 0 {
-		return fmt.Errorf("ilp: TightenBudget delta %g is negative", delta)
-	}
-	if p.LP.B[row]-delta < 0 {
-		return fmt.Errorf("ilp: reservation %g exceeds budget %g at row %d", delta, p.LP.B[row], row)
-	}
-	p.LP.B[row] -= delta
-	return nil
-}
-
-// Validate checks structural consistency.
+// Validate checks that every class has an item, that no cost or weight
+// is negative and that no selection's totals can overflow int64.
 func (p *Problem) Validate() error {
-	if err := p.LP.Validate(); err != nil {
-		return err
-	}
-	if len(p.Binary) != len(p.LP.C) {
-		return fmt.Errorf("ilp: Binary has %d entries, want %d", len(p.Binary), len(p.LP.C))
+	var cost, weight int64
+	for c, items := range p.Classes {
+		if len(items) == 0 {
+			return fmt.Errorf("ilp: class %d has no items", c)
+		}
+		var maxCost, maxWeight int64
+		for i, it := range items {
+			if it.Cost < 0 || it.Weight < 0 {
+				return fmt.Errorf("ilp: class %d item %d has negative cost %d or weight %d", c, i, it.Cost, it.Weight)
+			}
+			maxCost, maxWeight = max(maxCost, it.Cost), max(maxWeight, it.Weight)
+		}
+		if maxCost > math.MaxInt64-cost || maxWeight > math.MaxInt64-weight {
+			return fmt.Errorf("ilp: total cost or weight overflows int64 at class %d", c)
+		}
+		cost, weight = cost+maxCost, weight+maxWeight
 	}
 	return nil
 }
 
-// impliedBounded reports, per variable, whether some constraint row
-// already implies x_j <= 1: an EQ or LE row with b <= 1, all coefficients
-// nonnegative, and coefficient >= 1 on x_j (e.g. a multiple-choice group
-// row sum(x) = 1). Such variables need no explicit upper-bound row in the
-// relaxation, which keeps the WD instances small.
-func (p *Problem) impliedBounded() []bool {
-	n := len(p.LP.C)
-	bounded := make([]bool, n)
-	for i, row := range p.LP.A {
-		if p.LP.B[i] > 1+intTol || p.LP.Rel[i] == lp.GE {
-			continue
-		}
-		ok := true
-		for _, v := range row {
-			if v < 0 {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		for j, v := range row {
-			if v >= 1-intTol {
-				bounded[j] = true
-			}
-		}
-	}
-	return bounded
+// step moves one class from a hull vertex to the next heavier one.
+type step struct {
+	class, from, to int32  // from, to: item positions, adjacent vertices of the class's hull
+	dw, dc          uint64 // weight added and cost saved, both positive
 }
 
-// relax builds the LP relaxation of p under the node's fixings. Fixed
-// variables are substituted out (shrinking the LP), and explicit x <= 1
-// rows are added only for binary variables whose bound is not already
-// implied by a constraint. freeIdx maps relaxation variables back to
-// original indices.
-func (p *Problem) relax(fixed map[int]float64, bounded []bool) (q *lp.Problem, freeIdx []int) {
-	n := len(p.LP.C)
-	for j := 0; j < n; j++ {
-		if _, ok := fixed[j]; !ok {
-			freeIdx = append(freeIdx, j)
-		}
-	}
-	nf := len(freeIdx)
-	q = &lp.Problem{C: make([]float64, nf)}
-	for fj, j := range freeIdx {
-		q.C[fj] = p.LP.C[j]
-	}
-	for i, row := range p.LP.A {
-		b := p.LP.B[i]
-		newRow := make([]float64, nf)
-		for fj, j := range freeIdx {
-			newRow[fj] = row[j]
-		}
-		// Index order, not map order: b accumulates floats, and the DP
-		// above demands bit-identical objectives run to run.
-		for j := 0; j < n; j++ {
-			if v, ok := fixed[j]; ok {
-				b -= row[j] * v
-			}
-		}
-		q.A = append(q.A, newRow)
-		q.B = append(q.B, b)
-		q.Rel = append(q.Rel, p.LP.Rel[i])
-	}
-	for fj, j := range freeIdx {
-		if !p.Binary[j] || bounded[j] {
-			continue
-		}
-		row := make([]float64, nf)
-		row[fj] = 1
-		q.A = append(q.A, row)
-		q.B = append(q.B, 1)
-		q.Rel = append(q.Rel, lp.LE)
-	}
-	return q, freeIdx
+// node is a subproblem: its parent's, with one class narrowed to the
+// item positions [lo, hi]. Both ends are vertices of the class's root
+// hull unless lo == hi, so the hull of the narrowed class is a run of the
+// root's steps and the root's sort order serves every node.
+type node struct {
+	parent, class, lo, hi int32
+	frac                  int32 // the step the node's relaxation left fractional
+	bound                 int64
 }
 
-// Solve finds an optimal 0-1 assignment (binary variables) by best-first
-// branch & bound. Continuous variables are optimized by the relaxations.
+// search is the state of one Solve. Items are stored flat, class after
+// class, each class sorted by ascending weight with dominated items
+// dropped (so cost strictly descends); a position indexes these slices.
+type search struct {
+	budget       int64
+	cost, weight []int64
+	orig         []int   // position -> index into Problem.Classes[c]
+	steps        []step  // every class's hull steps, most cost saved per weight first
+	rootLo       []int32 // per class: the lightest position
+	rootHi       []int32 // and the cheapest
+	lo, hi, pos  []int32 // per class scratch: the node under evaluation
+	nodes        []node
+	open         []int32 // binary heap of node indices on (bound, index)
+	found        bool
+	best         int64
+	bestPos      []int32
+	evals, iters int
+}
+
+// ratioCmp compares n1/d1 with n2/d2 exactly, for positive denominators:
+// the cross products are compared in 128 bits.
+func ratioCmp(n1, d1, n2, d2 uint64) int {
+	h1, l1 := bits.Mul64(n1, d2)
+	h2, l2 := bits.Mul64(n2, d1)
+	return cmp.Or(cmp.Compare(h1, h2), cmp.Compare(l1, l2))
+}
+
+func newSearch(p *Problem) *search {
+	n, total := len(p.Classes), 0
+	for _, items := range p.Classes {
+		total += len(items)
+	}
+	s := &search{
+		budget: p.Budget,
+		cost:   make([]int64, 0, total), weight: make([]int64, 0, total), orig: make([]int, 0, total),
+		steps:  make([]step, 0, total),
+		rootLo: make([]int32, n), rootHi: make([]int32, n),
+		lo: make([]int32, n), hi: make([]int32, n), pos: make([]int32, n), bestPos: make([]int32, n),
+	}
+	var order []int
+	for c, items := range p.Classes {
+		order = order[:0]
+		for i := range items {
+			order = append(order, i)
+		}
+		slices.SortStableFunc(order, func(a, b int) int {
+			return cmp.Or(cmp.Compare(items[a].Weight, items[b].Weight), cmp.Compare(items[a].Cost, items[b].Cost))
+		})
+		first := len(s.cost)
+		for _, i := range order {
+			if last := len(s.cost) - 1; last >= first && items[i].Cost >= s.cost[last] {
+				continue // dominated: no lighter, no cheaper than a kept item
+			}
+			s.cost, s.weight, s.orig = append(s.cost, items[i].Cost), append(s.weight, items[i].Weight), append(s.orig, i)
+		}
+		s.rootLo[c], s.rootHi[c] = int32(first), int32(len(s.cost)-1)
+
+		// Lower convex hull by monotone chain, the class's steps so far as
+		// the stack: a vertex survives only while the step into it saves
+		// strictly more per unit of weight than the step out of it.
+		base := len(s.steps)
+		for q := first + 1; q < len(s.cost); q++ {
+			from := int32(first)
+			for len(s.steps) > base {
+				in := s.steps[len(s.steps)-1]
+				if ratioCmp(uint64(s.cost[in.to]-s.cost[q]), uint64(s.weight[q]-s.weight[in.to]), in.dc, in.dw) < 0 {
+					from = in.to
+					break
+				}
+				s.steps = s.steps[:len(s.steps)-1]
+			}
+			s.steps = append(s.steps, step{class: int32(c), from: from, to: int32(q),
+				dw: uint64(s.weight[q] - s.weight[from]), dc: uint64(s.cost[from] - s.cost[q])})
+		}
+	}
+	// Within a class the ratios strictly descend along the hull, so this
+	// order also takes each class's steps in hull order; the stable sort
+	// leaves ties across classes in class order.
+	slices.SortStableFunc(s.steps, func(a, b step) int { return ratioCmp(b.dc, b.dw, a.dc, a.dw) })
+	return s
+}
+
+// relax solves the LP relaxation of the subproblem in s.lo/s.hi. It
+// returns the relaxation's optimum rounded up to an integer — a lower
+// bound on every selection of the subproblem, since costs are integers —
+// and the step left fractional (-1 when the relaxation is integral). ok
+// is false when the subproblem's lightest items overrun the budget. The
+// integral part of the relaxation is a selection in its own right and
+// replaces the incumbent when cheaper.
+func (s *search) relax() (bound int64, frac int32, ok bool) {
+	s.evals++
+	var cost, weight int64
+	for c, p := range s.lo {
+		s.pos[c] = p
+		cost += s.cost[p]
+		weight += s.weight[p]
+	}
+	if weight > s.budget {
+		return 0, -1, false
+	}
+	room := s.budget - weight
+	bound, frac = 0, -1
+	for i := range s.steps {
+		st := &s.steps[i]
+		if st.from < s.lo[st.class] || st.to > s.hi[st.class] {
+			continue
+		}
+		s.iters++
+		if st.dw > uint64(room) {
+			// floor(dc*room/dw) off the integral part is the LP optimum
+			// rounded up; room < dw keeps the quotient below dc.
+			h, l := bits.Mul64(st.dc, uint64(room))
+			q, _ := bits.Div64(h, l, st.dw)
+			bound, frac = -int64(q), int32(i)
+			break
+		}
+		room -= int64(st.dw)
+		cost -= int64(st.dc)
+		s.pos[st.class] = st.to
+	}
+	bound += cost
+	if !s.found || cost < s.best {
+		s.found, s.best = true, cost
+		copy(s.bestPos, s.pos)
+	}
+	return bound, frac, true
+}
+
+// branch evaluates parent's subproblem with class narrowed to [lo, hi]
+// (s.lo/s.hi hold the parent's intervals) and queues it if it can still
+// beat the incumbent.
+func (s *search) branch(parent, class, lo, hi int32) {
+	oldLo, oldHi := s.lo[class], s.hi[class]
+	s.lo[class], s.hi[class] = lo, hi
+	bound, frac, ok := s.relax()
+	s.lo[class], s.hi[class] = oldLo, oldHi
+	if !ok || frac < 0 || bound >= s.best {
+		return
+	}
+	s.nodes = append(s.nodes, node{parent: parent, class: class, lo: lo, hi: hi, frac: frac, bound: bound})
+	s.open = append(s.open, int32(len(s.nodes)-1))
+	for i := len(s.open) - 1; i > 0; {
+		up := (i - 1) / 2
+		if !s.before(s.open[i], s.open[up]) {
+			break
+		}
+		s.open[i], s.open[up] = s.open[up], s.open[i]
+		i = up
+	}
+}
+
+// before orders the open heap: lowest bound first, then creation order.
+func (s *search) before(a, b int32) bool {
+	ba, bb := s.nodes[a].bound, s.nodes[b].bound
+	return ba < bb || ba == bb && a < b
+}
+
+// pop removes the open node of lowest bound.
+func (s *search) pop() int32 {
+	top, last := s.open[0], len(s.open)-1
+	s.open[0] = s.open[last]
+	s.open = s.open[:last]
+	for i := 0; ; {
+		k := 2*i + 1 // the lesser child
+		if k+1 < last && s.before(s.open[k+1], s.open[k]) {
+			k++
+		}
+		if k >= last || !s.before(s.open[k], s.open[i]) {
+			return top
+		}
+		s.open[i], s.open[k] = s.open[k], s.open[i]
+		i = k
+	}
+}
+
+// Solve finds a minimum-cost selection by best-first branch & bound. A
+// node whose relaxation leaves a class fractional between hull vertices
+// a and b branches on that class: items no heavier than a, items no
+// lighter than b, and each item strictly between them on its own. All
+// arithmetic is exact, and the result is a function of the problem alone.
 func Solve(p *Problem) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
-	bounded := p.impliedBounded()
-	n := len(p.LP.C)
-	best := Result{Status: lp.Infeasible, Obj: math.Inf(1)}
-	q := &nodeQueue{}
-	heap.Init(q)
-	heap.Push(q, &node{bound: math.Inf(-1), fixed: map[int]float64{}})
-	nodes, simplexIters := 0, 0
-	for q.Len() > 0 {
-		nodes++
-		if nodes > maxNodes {
+	s := newSearch(p)
+	copy(s.lo, s.rootLo)
+	copy(s.hi, s.rootHi)
+	if len(p.Classes) > 0 {
+		s.branch(-1, 0, s.rootLo[0], s.rootHi[0])
+	} else {
+		s.relax()
+	}
+	for len(s.open) > 0 {
+		id := s.pop()
+		if s.nodes[id].bound >= s.best {
+			break // best-first: no open node can beat the incumbent
+		}
+		if s.evals > maxNodes {
 			return Result{}, fmt.Errorf("ilp: node limit exceeded (%d)", maxNodes)
 		}
-		nd := heap.Pop(q).(*node)
-		if nd.bound >= best.Obj-intTol {
-			continue // cannot improve the incumbent
+		copy(s.lo, s.rootLo)
+		copy(s.hi, s.rootHi)
+		for n := id; n >= 0; n = s.nodes[n].parent {
+			r := &s.nodes[n]
+			s.lo[r.class], s.hi[r.class] = max(s.lo[r.class], r.lo), min(s.hi[r.class], r.hi)
 		}
-		relProb, freeIdx := p.relax(nd.fixed, bounded)
-		if len(freeIdx) == 0 {
-			// Fully fixed: evaluate the assignment directly.
-			x := make([]float64, n)
-			obj := 0.0
-			for j := 0; j < n; j++ {
-				if v, ok := nd.fixed[j]; ok {
-					x[j] = v
-					obj += p.LP.C[j] * v
-				}
-			}
-			if feasiblePoint(&p.LP, x) && obj < best.Obj {
-				best = Result{Status: lp.Optimal, X: x, Obj: obj}
-			}
-			continue
+		st := s.steps[s.nodes[id].frac]
+		lo, hi := s.lo[st.class], s.hi[st.class]
+		s.branch(id, st.class, st.to, hi)
+		for m := st.from + 1; m < st.to; m++ {
+			s.branch(id, st.class, m, m)
 		}
-		rel, err := lp.Solve(relProb)
-		simplexIters += rel.Iters
-		if err != nil {
-			return Result{}, err
-		}
-		switch rel.Status {
-		case lp.Infeasible:
-			continue
-		case lp.Unbounded:
-			return Result{Status: lp.Unbounded, Nodes: nodes, SimplexIters: simplexIters}, nil
-		}
-		// Lift the relaxation solution back to original indices, summing
-		// the fixed cost in index order for reproducible objectives.
-		fullX := make([]float64, n)
-		fixedCost := 0.0
-		for j := 0; j < n; j++ {
-			if v, ok := nd.fixed[j]; ok {
-				fullX[j] = v
-				fixedCost += p.LP.C[j] * v
-			}
-		}
-		objFull := rel.Obj + fixedCost
-		for fj, j := range freeIdx {
-			fullX[j] = rel.X[fj]
-		}
-		if objFull >= best.Obj-intTol {
-			continue
-		}
-		// Find the most fractional binary variable.
-		branch := -1
-		worst := intTol
-		for j, isBin := range p.Binary {
-			if !isBin {
-				continue
-			}
-			f := math.Abs(fullX[j] - math.Round(fullX[j]))
-			if f > worst {
-				worst = f
-				branch = j
-			}
-		}
-		if branch < 0 {
-			// Integral: new incumbent.
-			x := append([]float64{}, fullX...)
-			for j, isBin := range p.Binary {
-				if isBin {
-					x[j] = math.Round(x[j])
-				}
-			}
-			best = Result{Status: lp.Optimal, X: x, Obj: objFull}
-			continue
-		}
-		for _, v := range []float64{1, 0} {
-			child := &node{bound: objFull, fixed: make(map[int]float64, len(nd.fixed)+1)}
-			for k := 0; k < n; k++ {
-				if fv, ok := nd.fixed[k]; ok {
-					child.fixed[k] = fv
-				}
-			}
-			child.fixed[branch] = v
-			heap.Push(q, child)
+		s.branch(id, st.class, lo, st.from)
+	}
+	res := Result{Feasible: s.found, Nodes: s.evals, SimplexIters: s.iters}
+	if s.found {
+		res.Cost = s.best
+		res.Choice = make([]int, len(p.Classes))
+		for c, q := range s.bestPos {
+			res.Choice[c] = s.orig[q]
+			res.Weight += s.weight[q]
 		}
 	}
-	best.Nodes = nodes
-	best.SimplexIters = simplexIters
-	return best, nil
+	return res, nil
 }
 
-// feasiblePoint reports whether x satisfies every constraint of q.
-func feasiblePoint(q *lp.Problem, x []float64) bool {
-	for i, row := range q.A {
-		dot := 0.0
-		for j := range row {
-			dot += row[j] * x[j]
-		}
-		switch q.Rel[i] {
-		case lp.LE:
-			if dot > q.B[i]+intTol {
-				return false
-			}
-		case lp.GE:
-			if dot < q.B[i]-intTol {
-				return false
-			}
-		case lp.EQ:
-			if math.Abs(dot-q.B[i]) > intTol {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// SolveExhaustive enumerates every 0-1 assignment of the binary variables
-// (others must not exist) and returns the best feasible one. It is the
-// test oracle for Solve; exponential, so only for small instances.
+// SolveExhaustive enumerates every selection and returns the cheapest
+// one that fits (the first in index order among equals). It is the test
+// oracle for Solve; exponential, so only for small instances.
 func SolveExhaustive(p *Problem) (Result, error) {
 	if err := p.Validate(); err != nil {
 		return Result{}, err
 	}
-	n := len(p.LP.C)
-	for j := 0; j < n; j++ {
-		if !p.Binary[j] {
-			return Result{}, fmt.Errorf("ilp: exhaustive solver requires all-binary problems")
+	const limit = 1 << 22
+	total := 1
+	for _, items := range p.Classes {
+		if total *= len(items); total > limit {
+			return Result{}, fmt.Errorf("ilp: exhaustive solver limited to %d selections", limit)
 		}
 	}
-	if n > 24 {
-		return Result{}, fmt.Errorf("ilp: exhaustive solver limited to 24 variables, got %d", n)
-	}
-	best := Result{Status: lp.Infeasible, Obj: math.Inf(1)}
-	x := make([]float64, n)
-	for mask := 0; mask < 1<<n; mask++ {
-		obj := 0.0
-		for j := 0; j < n; j++ {
-			if mask&(1<<j) != 0 {
-				x[j] = 1
-				obj += p.LP.C[j]
-			} else {
-				x[j] = 0
-			}
+	var best Result
+	choice := make([]int, len(p.Classes))
+	for n := 0; n < total; n++ {
+		var cost, weight int64
+		for c, i := range choice {
+			cost += p.Classes[c][i].Cost
+			weight += p.Classes[c][i].Weight
 		}
-		feasible := true
-		for i, row := range p.LP.A {
-			dot := 0.0
-			for j := range row {
-				dot += row[j] * x[j]
-			}
-			switch p.LP.Rel[i] {
-			case lp.LE:
-				feasible = dot <= p.LP.B[i]+intTol
-			case lp.GE:
-				feasible = dot >= p.LP.B[i]-intTol
-			case lp.EQ:
-				feasible = math.Abs(dot-p.LP.B[i]) <= intTol
-			}
-			if !feasible {
+		if weight <= p.Budget && (!best.Feasible || cost < best.Cost) {
+			best = Result{Feasible: true, Choice: append([]int(nil), choice...), Cost: cost, Weight: weight}
+		}
+		for c := len(choice) - 1; c >= 0; c-- {
+			if choice[c]++; choice[c] < len(p.Classes[c]) {
 				break
 			}
-		}
-		if feasible && obj < best.Obj {
-			best = Result{Status: lp.Optimal, X: append([]float64{}, x...), Obj: obj}
+			choice[c] = 0
 		}
 	}
 	return best, nil

@@ -1,226 +1,283 @@
 package ilp
 
 import (
-	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
-	"testing/quick"
-
-	"ucudnn/internal/lp"
 )
 
-// knapsack builds a 0-1 knapsack as maximize value -> minimize -value.
-func knapsack(values, weights []float64, cap float64) *Problem {
-	n := len(values)
-	c := make([]float64, n)
-	for i, v := range values {
-		c[i] = -v
-	}
-	bin := make([]bool, n)
-	for i := range bin {
-		bin[i] = true
-	}
-	return &Problem{
-		LP: lp.Problem{
-			C:   c,
-			A:   [][]float64{weights},
-			B:   []float64{cap},
-			Rel: []lp.Relation{lp.LE},
-		},
-		Binary: bin,
-	}
-}
-
-func TestKnapsackKnown(t *testing.T) {
-	// Classic: values 60,100,120 weights 10,20,30 cap 50 -> 220 (items 2,3).
-	p := knapsack([]float64{60, 100, 120}, []float64{10, 20, 30}, 50)
-	r, err := Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Status != lp.Optimal || math.Abs(r.Obj-(-220)) > 1e-6 {
-		t.Fatalf("status %v obj %v", r.Status, r.Obj)
-	}
-	if r.X[0] != 0 || r.X[1] != 1 || r.X[2] != 1 {
-		t.Fatalf("x = %v", r.X)
-	}
-}
-
-// mckp builds a multiple-choice knapsack (the WD structure): groups of
-// configurations, pick exactly one per group, minimize time, total
-// workspace <= budget.
-func mckp(times, ws [][]float64, budget float64) *Problem {
-	var c []float64
-	var wrow []float64
-	var groups [][]int
-	idx := 0
-	for g := range times {
-		var ids []int
-		for j := range times[g] {
-			c = append(c, times[g][j])
-			wrow = append(wrow, ws[g][j])
-			ids = append(ids, idx)
-			idx++
+// mckp builds a problem from parallel per-class cost and weight tables.
+func mckp(costs, weights [][]int64, budget int64) *Problem {
+	p := &Problem{Budget: budget}
+	for c := range costs {
+		var items []Item
+		for i := range costs[c] {
+			items = append(items, Item{Cost: costs[c][i], Weight: weights[c][i]})
 		}
-		groups = append(groups, ids)
-	}
-	n := len(c)
-	p := &Problem{
-		LP: lp.Problem{
-			C:   c,
-			A:   [][]float64{wrow},
-			B:   []float64{budget},
-			Rel: []lp.Relation{lp.LE},
-		},
-		Binary: make([]bool, n),
-	}
-	for i := range p.Binary {
-		p.Binary[i] = true
-	}
-	for _, ids := range groups {
-		row := make([]float64, n)
-		for _, id := range ids {
-			row[id] = 1
-		}
-		p.LP.A = append(p.LP.A, row)
-		p.LP.B = append(p.LP.B, 1)
-		p.LP.Rel = append(p.LP.Rel, lp.EQ)
+		p.Classes = append(p.Classes, items)
 	}
 	return p
 }
 
-func TestMCKPKnown(t *testing.T) {
-	// Two kernels; budget forces the slow config on one of them. Optimal:
-	// give the budget to the kernel that benefits more.
-	times := [][]float64{{10, 4}, {8, 5}}
-	ws := [][]float64{{0, 6}, {0, 6}}
-	p := mckp(times, ws, 6)
-	r, err := Solve(p)
+// checkAgainstOracle solves p both ways and requires equal feasibility
+// and cost, and a selection that is one in-range item per class, adds up
+// to the reported totals and fits the budget.
+func checkAgainstOracle(t *testing.T, p *Problem) Result {
+	t.Helper()
+	got, err := Solve(p)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Solve(%+v): %v", p, err)
 	}
-	// Option A: kernel0 fast (4) + kernel1 slow (8) = 12.
-	// Option B: kernel0 slow (10) + kernel1 fast (5) = 15. A wins.
-	if r.Status != lp.Optimal || math.Abs(r.Obj-12) > 1e-6 {
-		t.Fatalf("obj = %v, want 12 (x=%v)", r.Obj, r.X)
+	want, err := SolveExhaustive(p)
+	if err != nil {
+		t.Fatalf("SolveExhaustive(%+v): %v", p, err)
+	}
+	if got.Feasible != want.Feasible {
+		t.Fatalf("feasible = %v, oracle says %v on %+v", got.Feasible, want.Feasible, p)
+	}
+	if !got.Feasible {
+		if got.Choice != nil || got.Cost != 0 || got.Weight != 0 {
+			t.Fatalf("infeasible result carries a selection: %+v", got)
+		}
+		return got
+	}
+	if got.Cost != want.Cost {
+		t.Fatalf("cost = %d, oracle %d (choice %v vs %v) on %+v", got.Cost, want.Cost, got.Choice, want.Choice, p)
+	}
+	if len(got.Choice) != len(p.Classes) {
+		t.Fatalf("choice %v has %d entries for %d classes", got.Choice, len(got.Choice), len(p.Classes))
+	}
+	var cost, weight int64
+	for c, i := range got.Choice {
+		if i < 0 || i >= len(p.Classes[c]) {
+			t.Fatalf("choice[%d] = %d outside class of %d items", c, i, len(p.Classes[c]))
+		}
+		cost += p.Classes[c][i].Cost
+		weight += p.Classes[c][i].Weight
+	}
+	if cost != got.Cost || weight != got.Weight {
+		t.Fatalf("choice %v totals (%d, %d), result reports (%d, %d)", got.Choice, cost, weight, got.Cost, got.Weight)
+	}
+	if weight > p.Budget {
+		t.Fatalf("choice %v weighs %d, budget %d", got.Choice, weight, p.Budget)
+	}
+	return got
+}
+
+// A 0-1 knapsack is the multiple-choice knapsack whose classes are
+// {leave, take}: values 60,100,120, weights 10,20,30, capacity 50 -> 220
+// (items 2 and 3), i.e. a forgone value of 60.
+func TestKnapsackKnown(t *testing.T) {
+	p := mckp([][]int64{{60, 0}, {100, 0}, {120, 0}}, [][]int64{{0, 10}, {0, 20}, {0, 30}}, 50)
+	r := checkAgainstOracle(t, p)
+	if r.Cost != 60 || !reflect.DeepEqual(r.Choice, []int{0, 1, 1}) {
+		t.Fatalf("cost %d choice %v, want 60 [0 1 1]", r.Cost, r.Choice)
 	}
 }
 
-func TestInfeasibleILP(t *testing.T) {
-	// One group whose only option exceeds the budget.
-	p := mckp([][]float64{{5}}, [][]float64{{10}}, 3)
-	r, err := Solve(p)
-	if err != nil {
-		t.Fatal(err)
+func TestMCKPKnown(t *testing.T) {
+	// Two kernels; the budget forces the slow configuration on one of
+	// them. Kernel 0 fast + kernel 1 slow = 12 beats the reverse (15).
+	p := mckp([][]int64{{10, 4}, {8, 5}}, [][]int64{{0, 6}, {0, 6}}, 6)
+	r := checkAgainstOracle(t, p)
+	if r.Cost != 12 || r.Weight != 6 || !reflect.DeepEqual(r.Choice, []int{1, 0}) {
+		t.Fatalf("got %+v, want cost 12 weight 6 choice [1 0]", r)
 	}
-	if r.Status != lp.Infeasible {
-		t.Fatalf("status %v, want infeasible", r.Status)
+}
+
+// Infeasible — the lightest items together overrun the budget — is a
+// result, not an error.
+func TestInfeasibleILP(t *testing.T) {
+	for _, p := range []*Problem{
+		mckp([][]int64{{5}}, [][]int64{{10}}, 3),
+		mckp([][]int64{{5, 1}, {7, 2}}, [][]int64{{4, 9}, {4, 9}}, 7),
+		mckp([][]int64{{5}}, [][]int64{{0}}, -1),
+		mckp([][]int64{{5}}, [][]int64{{0}}, -1<<63),
+	} {
+		r := checkAgainstOracle(t, p)
+		if r.Feasible {
+			t.Fatalf("%+v: feasible", p)
+		}
+		if r.Nodes != 1 {
+			t.Fatalf("%+v: %d nodes to find the root infeasible", p, r.Nodes)
+		}
 	}
 }
 
 func TestValidation(t *testing.T) {
-	p := knapsack([]float64{1}, []float64{1}, 1)
-	p.Binary = nil
-	if _, err := Solve(p); err == nil {
-		t.Fatal("binary length mismatch must error")
+	const big = int64(1) << 62
+	for name, p := range map[string]*Problem{
+		"empty class":     {Classes: [][]Item{{{1, 1}}, {}}, Budget: 1},
+		"negative cost":   {Classes: [][]Item{{{-1, 1}}}, Budget: 1},
+		"negative weight": {Classes: [][]Item{{{1, -1}}}, Budget: 1},
+		"cost overflow":   {Classes: [][]Item{{{big, 0}}, {{big, 0}}}, Budget: 1},
+		"weight overflow": {Classes: [][]Item{{{0, big}}, {{0, 1}, {0, big}}}, Budget: 1},
+	} {
+		if _, err := Solve(p); err == nil {
+			t.Errorf("%s: Solve accepted it", name)
+		}
+		if _, err := SolveExhaustive(p); err == nil {
+			t.Errorf("%s: SolveExhaustive accepted it", name)
+		}
+	}
+	// No classes at all is the empty selection.
+	r := checkAgainstOracle(t, &Problem{})
+	if !r.Feasible || r.Cost != 0 || len(r.Choice) != 0 {
+		t.Fatalf("empty problem: %+v", r)
 	}
 }
 
 func TestExhaustiveRejects(t *testing.T) {
-	p := knapsack(make([]float64, 25), make([]float64, 25), 1)
+	p := &Problem{Budget: 1}
+	for c := 0; c < 23; c++ {
+		p.Classes = append(p.Classes, []Item{{1, 0}, {0, 1}})
+	}
 	if _, err := SolveExhaustive(p); err == nil {
-		t.Fatal("exhaustive must reject >24 vars")
+		t.Fatal("exhaustive must reject 2^23 selections")
 	}
-	q := knapsack([]float64{1, 2}, []float64{1, 1}, 2)
-	q.Binary[1] = false
-	if _, err := SolveExhaustive(q); err == nil {
-		t.Fatal("exhaustive must reject continuous vars")
+	if _, err := Solve(p); err != nil {
+		t.Fatalf("Solve on the same instance: %v", err)
 	}
 }
 
-// Property: branch & bound matches exhaustive enumeration on random
-// multiple-choice knapsacks.
+// randomMCKP draws 1-7 classes of 1-6 items with the shapes that trip a
+// hull-based bound: dominated and LP-dominated items, duplicate points,
+// zero-weight items, single-item classes. scale stretches the magnitudes.
+func randomMCKP(rng *rand.Rand, costScale, weightScale int64) *Problem {
+	p := &Problem{}
+	for c, n := 0, 1+rng.Intn(7); c < n; c++ {
+		var items []Item
+		for i, m := 0, 1+rng.Intn(6); i < m; i++ {
+			it := Item{Cost: rng.Int63n(40) * costScale, Weight: rng.Int63n(12) * weightScale}
+			switch k := rng.Intn(8); {
+			case k == 0 && len(items) > 0:
+				it = items[rng.Intn(len(items))] // duplicate point
+			case k == 1:
+				it.Weight = 0
+			case k == 2 && len(items) > 0:
+				// Dominated: heavier and costlier than an existing item.
+				d := items[rng.Intn(len(items))]
+				it = Item{Cost: d.Cost + rng.Int63n(3)*costScale, Weight: d.Weight + rng.Int63n(3)*weightScale}
+			}
+			items = append(items, it)
+		}
+		p.Classes = append(p.Classes, items)
+	}
+	return p
+}
+
+// achievableWeights lists every total weight some selection reaches.
+func achievableWeights(p *Problem) []int64 {
+	sums := map[int64]bool{0: true}
+	for _, items := range p.Classes {
+		next := map[int64]bool{}
+		for s := range sums {
+			for _, it := range items {
+				next[s+it.Weight] = true
+			}
+		}
+		sums = next
+	}
+	out := make([]int64, 0, len(sums))
+	for s := range sums {
+		out = append(out, s)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// Property: branch & bound matches exhaustive enumeration on seeded
+// random instances, each solved at budgets exactly on and one byte under
+// achievable total weights (every one of them for a slice of the seeds,
+// a random pair plus the extremes for the rest).
 func TestBnBMatchesExhaustiveMCKP(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		groups := 2 + rng.Intn(3)
-		times := make([][]float64, groups)
-		ws := make([][]float64, groups)
-		for g := range times {
-			opts := 2 + rng.Intn(3)
-			for o := 0; o < opts; o++ {
-				times[g] = append(times[g], 1+rng.Float64()*9)
-				ws[g] = append(ws[g], float64(rng.Intn(8)))
+	instances, solves := 2400, 0
+	if testing.Short() {
+		instances = 300
+	}
+	for seed := 0; seed < instances; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		p := randomMCKP(rng, 1, 1)
+		weights := achievableWeights(p)
+		if seed%8 != 0 && len(weights) > 4 {
+			i, j := rng.Intn(len(weights)), rng.Intn(len(weights))
+			weights = []int64{weights[0], weights[i], weights[j], weights[len(weights)-1]}
+		}
+		for _, w := range weights {
+			for _, b := range []int64{w, w - 1} {
+				p.Budget = b
+				checkAgainstOracle(t, p)
+				solves++
 			}
 		}
-		budget := float64(rng.Intn(12))
-		p := mckp(times, ws, budget)
-		if len(p.LP.C) > 24 {
-			return true
-		}
-		got, err := Solve(p)
-		if err != nil {
-			return false
-		}
-		want, err := SolveExhaustive(p)
-		if err != nil {
-			return false
-		}
-		if got.Status != want.Status {
-			return false
-		}
-		if got.Status == lp.Optimal && math.Abs(got.Obj-want.Obj) > 1e-6 {
-			return false
-		}
-		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
+	t.Logf("%d instances, %d solves", instances, solves)
+}
+
+// Weights to 2^40 bytes and costs to 2^42 ns: the products the hull and
+// the bound compare overflow int64, and must still order exactly.
+func TestBnBMatchesExhaustiveLargeMagnitudes(t *testing.T) {
+	for seed := 0; seed < 400; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		costScale := int64(1)<<42/40 - rng.Int63n(1000)
+		weightScale := int64(1)<<40/12 - rng.Int63n(1000)
+		p := randomMCKP(rng, costScale, weightScale)
+		for c := range p.Classes { // perturb off the lattice the scales put every point on
+			for i := range p.Classes[c] {
+				p.Classes[c][i].Cost += rng.Int63n(3)
+				p.Classes[c][i].Weight += rng.Int63n(3)
+			}
+		}
+		weights := achievableWeights(p)
+		for _, w := range []int64{weights[0], weights[rng.Intn(len(weights))], weights[len(weights)-1]} {
+			for _, b := range []int64{w, w - 1} {
+				p.Budget = b
+				checkAgainstOracle(t, p)
+			}
+		}
 	}
 }
 
-// Property: branch & bound matches exhaustive enumeration on random
-// knapsacks with GE and LE rows mixed.
-func TestBnBMatchesExhaustiveGeneral(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 3 + rng.Intn(5)
-		m := 1 + rng.Intn(3)
-		p := &Problem{LP: lp.Problem{C: make([]float64, n)}, Binary: make([]bool, n)}
-		for j := range p.LP.C {
-			p.LP.C[j] = rng.Float64()*10 - 5
-			p.Binary[j] = true
-		}
-		for i := 0; i < m; i++ {
-			row := make([]float64, n)
-			for j := range row {
-				row[j] = float64(rng.Intn(5))
-			}
-			rel := lp.LE
-			b := float64(rng.Intn(10))
-			if rng.Intn(3) == 0 {
-				rel = lp.GE
-				b = float64(rng.Intn(4))
-			}
-			p.LP.A = append(p.LP.A, row)
-			p.LP.B = append(p.LP.B, b)
-			p.LP.Rel = append(p.LP.Rel, rel)
-		}
-		got, err := Solve(p)
-		if err != nil {
-			return false
-		}
-		want, err := SolveExhaustive(p)
-		if err != nil {
-			return false
-		}
-		if got.Status != want.Status {
-			return false
-		}
-		return got.Status != lp.Optimal || math.Abs(got.Obj-want.Obj) < 1e-6
+// Same problem, same answer: repeated solves return one Choice, and so
+// does a problem rebuilt by shuffling each class and sorting it back into
+// the order the fronts arrive in (ascending cost, then weight).
+func TestSolveDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	byCost := func(items []Item) {
+		sort.SliceStable(items, func(i, j int) bool {
+			return items[i].Cost < items[j].Cost || items[i].Cost == items[j].Cost && items[i].Weight < items[j].Weight
+		})
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
+	for inst := 0; inst < 20; inst++ {
+		p := randomMCKP(rng, 1, 1)
+		for _, items := range p.Classes {
+			byCost(items)
+		}
+		weights := achievableWeights(p)
+		p.Budget = weights[len(weights)/2]
+		first, err := Solve(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for rep := 0; rep < 50; rep++ {
+			q := &Problem{Budget: p.Budget}
+			for _, items := range p.Classes {
+				cp := append([]Item(nil), items...)
+				rng.Shuffle(len(cp), func(i, j int) { cp[i], cp[j] = cp[j], cp[i] })
+				byCost(cp)
+				q.Classes = append(q.Classes, cp)
+			}
+			for _, prob := range []*Problem{p, q} {
+				again, err := Solve(prob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(again, first) {
+					t.Fatalf("instance %d repeat %d: %+v, first solve %+v", inst, rep, again, first)
+				}
+			}
+		}
 	}
 }
 
@@ -228,130 +285,52 @@ func TestBnBMatchesExhaustiveGeneral(t *testing.T) {
 // respect its constraints: the paper reports 562 variables in 5.46 ms.
 func TestWDScaleInstance(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	kernels := 48 // ~ResNet-50's unique kernel count
-	var times, ws [][]float64
-	for k := 0; k < kernels; k++ {
-		opts := 8 + rng.Intn(5) // ~560 vars total
-		var ts, wss []float64
-		base := 1 + rng.Float64()*10
-		for o := 0; o < opts; o++ {
+	p := &Problem{Budget: 800 << 20}
+	vars := 0
+	for k := 0; k < 48; k++ { // ~ResNet-50's unique kernel count
+		base := 1e6 * (1 + rng.Float64()*10)
+		var items []Item
+		for o, opts := 0, 8+rng.Intn(5); o < opts; o++ {
 			// Pareto-like: more workspace, less time.
-			w := float64(o) * (1 + rng.Float64()) * 10
-			ts = append(ts, base/(1+0.2*float64(o)))
-			wss = append(wss, w)
+			items = append(items, Item{
+				Cost:   int64(base / (1 + 0.2*float64(o))),
+				Weight: int64(float64(o) * (1 + rng.Float64()) * 10 * (1 << 20)),
+			})
 		}
-		times = append(times, ts)
-		ws = append(ws, wss)
+		p.Classes = append(p.Classes, items)
+		vars += len(items)
 	}
-	p := mckp(times, ws, 800)
 	r, err := Solve(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Status != lp.Optimal {
-		t.Fatalf("status %v", r.Status)
+	if !r.Feasible || len(r.Choice) != len(p.Classes) {
+		t.Fatalf("result %+v", r)
 	}
-	// Verify: one per group, budget respected.
-	total := 0.0
-	for j, v := range r.X {
-		if v != 0 && v != 1 {
-			t.Fatalf("x[%d] = %v not integral", j, v)
-		}
-		total += p.LP.A[0][j] * v
+	var cost, weight int64
+	for c, i := range r.Choice {
+		cost += p.Classes[c][i].Cost
+		weight += p.Classes[c][i].Weight
 	}
-	if total > 800+1e-6 {
-		t.Fatalf("budget violated: %v", total)
+	if weight > p.Budget || weight != r.Weight || cost != r.Cost {
+		t.Fatalf("choice totals (%d, %d), result (%d, %d), budget %d", cost, weight, r.Cost, r.Weight, p.Budget)
 	}
-	for g := 1; g < len(p.LP.A); g++ {
-		sum := 0.0
-		for j, coef := range p.LP.A[g] {
-			sum += coef * r.X[j]
-		}
-		if math.Abs(sum-1) > 1e-6 {
-			t.Fatalf("group %d sum %v != 1", g, sum)
-		}
+	if r.Nodes < 1 || r.SimplexIters < 1 {
+		t.Fatalf("counters not populated: %d nodes, %d steps", r.Nodes, r.SimplexIters)
 	}
-	t.Logf("WD-scale: %d vars, %d nodes", len(p.LP.C), r.Nodes)
+	t.Logf("WD-scale: %d vars, %d nodes, %d hull steps", vars, r.Nodes, r.SimplexIters)
 }
 
-func TestFeasiblePointDirect(t *testing.T) {
-	q := &lp.Problem{
-		C:   []float64{1, 1},
-		A:   [][]float64{{1, 1}, {1, 0}, {0, 1}},
-		B:   []float64{2, 1, 1},
-		Rel: []lp.Relation{lp.LE, lp.GE, lp.EQ},
-	}
-	if !feasiblePoint(q, []float64{1, 1}) {
-		t.Fatal("feasible point rejected")
-	}
-	if feasiblePoint(q, []float64{2, 1}) {
-		t.Fatal("LE violation accepted")
-	}
-	if feasiblePoint(q, []float64{0.5, 1}) {
-		t.Fatal("GE violation accepted")
-	}
-	if feasiblePoint(q, []float64{1, 0.5}) {
-		t.Fatal("EQ violation accepted")
-	}
-}
-
-// A problem where branching fixes every variable exercises the fully-
-// fixed node path.
+// Branching narrows a class down to a single item, hull vertex or not:
+// here the optimum needs the LP-dominated middle item of class 0, which
+// no relaxation ever proposes.
 func TestFullyFixedNodePath(t *testing.T) {
-	// Maximize x+y with x+y <= 1 and binary vars: optimum picks one.
-	p := &Problem{
-		LP: lp.Problem{
-			C:   []float64{-1, -1},
-			A:   [][]float64{{1, 1}},
-			B:   []float64{1},
-			Rel: []lp.Relation{lp.LE},
-		},
-		Binary: []bool{true, true},
+	p := mckp([][]int64{{100, 52, 0}, {10, 0}}, [][]int64{{0, 5, 10}, {0, 4}}, 9)
+	r := checkAgainstOracle(t, p)
+	if r.Cost != 52 || !reflect.DeepEqual(r.Choice, []int{1, 1}) {
+		t.Fatalf("cost %d choice %v, want 52 [1 1]", r.Cost, r.Choice)
 	}
-	r, err := Solve(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Status != lp.Optimal || r.Obj != -1 {
-		t.Fatalf("status %v obj %v", r.Status, r.Obj)
-	}
-}
-
-// TightenBudget carves a reservation out of a <= budget row in place —
-// the WD joint-pool hook — and rejects every malformed call.
-func TestTightenBudget(t *testing.T) {
-	mk := func() *Problem {
-		return &Problem{
-			LP: lp.Problem{
-				C:   []float64{-1, -1},
-				A:   [][]float64{{1, 1}, {1, 0}},
-				B:   []float64{10, 1},
-				Rel: []lp.Relation{lp.LE, lp.EQ},
-			},
-			Binary: []bool{true, true},
-		}
-	}
-	p := mk()
-	if err := p.TightenBudget(0, 4); err != nil {
-		t.Fatal(err)
-	}
-	if p.LP.B[0] != 6 {
-		t.Fatalf("budget after tighten = %v, want 6", p.LP.B[0])
-	}
-	for _, bad := range []struct {
-		name  string
-		row   int
-		delta float64
-	}{
-		{"row out of range", 5, 1},
-		{"negative row", -1, 1},
-		{"non-LE row", 1, 0.5},
-		{"negative delta", 0, -1},
-		{"reservation exceeds budget", 0, 11},
-	} {
-		q := mk()
-		if err := q.TightenBudget(bad.row, bad.delta); err == nil {
-			t.Errorf("%s: want error, got nil", bad.name)
-		}
+	if r.Nodes < 2 {
+		t.Fatalf("solved in %d nodes; the root relaxation cannot be integral here", r.Nodes)
 	}
 }
