@@ -115,14 +115,14 @@ cover-gate:
 	done
 
 # race runs the concurrency-sensitive packages (metrics registry, core
-# handle, trace recorder, fault registry, flight recorder, debug server,
-# plus the striped kernel engine and its BLAS and worker-pool layers)
-# under the race detector; the e2e harness runs in -short mode (two
-# networks) to keep the pass affordable.
+# handle, trace recorder, fault registry, profiler, plus the striped
+# kernel engine and its BLAS and worker-pool layers) under the race
+# detector; the e2e harness runs in -short mode (two networks) to keep
+# the pass affordable.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/trace/... \
 		./internal/conv/... ./internal/blas/... ./internal/faults/... \
-		./internal/flight/... ./internal/debugserver/... ./internal/prof/... ./internal/dnn/...
+		./internal/prof/... ./internal/dnn/...
 	$(GO) test -race -short -count=1 -timeout 1200s ./internal/testkit/
 
 fmt:

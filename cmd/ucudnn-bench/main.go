@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"ucudnn/internal/bench"
+	"ucudnn/internal/core"
 	"ucudnn/internal/device"
 	"ucudnn/internal/obs"
 	"ucudnn/internal/session"
@@ -47,13 +48,20 @@ func main() {
 	of.Register(flag.CommandLine)
 	flag.Parse()
 
-	if err := of.Run(func(reg *obs.Registry) error { return run(o, reg) }); err != nil {
+	err := of.Run(func(reg *obs.Registry) ([]core.HandleReport, error) {
+		var handles []core.HandleReport
+		err := run(o, reg, &handles)
+		return handles, err
+	})
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 }
 
-func run(o opts, reg *obs.Registry) error {
+// run executes the selected experiments; handles collects the plan
+// table of every µ-cuDNN handle they build.
+func run(o opts, reg *obs.Registry, handles *[]core.HandleReport) error {
 	d, err := device.ByName(o.dev)
 	if err != nil {
 		return err
@@ -69,7 +77,7 @@ func run(o opts, reg *obs.Registry) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	cfg := bench.Config{Device: d, Batch: o.batch, Iters: o.iters, Out: os.Stdout, Metrics: reg}
+	cfg := bench.Config{Device: d, Batch: o.batch, Iters: o.iters, Out: os.Stdout, Metrics: reg, Handles: handles}
 	if o.csvPath != "" {
 		f, err := os.Create(o.csvPath)
 		if err != nil {

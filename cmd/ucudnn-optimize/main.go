@@ -100,11 +100,11 @@ func parseDims(s string, n int) ([]int, error) {
 }
 
 func run(o runOpts) error {
-	return o.ObsFlags.Run(func(reg *obs.Registry) error {
+	return o.ObsFlags.Run(func(reg *obs.Registry) ([]core.HandleReport, error) {
 		if o.Net != "" {
 			return runNet(o, reg)
 		}
-		return runKernel(o, reg)
+		return nil, runKernel(o, reg)
 	})
 }
 
@@ -204,14 +204,14 @@ func runKernel(o runOpts, reg *obs.Registry) error {
 
 // runNet optimizes all convolution kernels of a zoo network jointly under
 // the WD total-workspace budget, printing the paper's §IV-B cost metrics.
-func runNet(o runOpts, reg *obs.Registry) error {
+func runNet(o runOpts, reg *obs.Registry) ([]core.HandleReport, error) {
 	d, err := device.ByName(o.Device)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	pol, err := core.ParsePolicy(o.Policy)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// With a blob budget the planned working set is reserved out of the
 	// WD pool, making activations and workspace one joint budget.
@@ -221,22 +221,22 @@ func runNet(o runOpts, reg *obs.Registry) error {
 		Backend: cudnn.ModelOnlyBackend, CachePath: o.DB, Workers: o.Workers, Metrics: reg,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 	uc := s.UC
 	// Setup registers every convolution kernel through the virtual-algorithm
 	// Get* calls; finalization then runs the desirable-set DPs and the ILP.
 	if err := s.Net.Setup(); err != nil {
-		return err
+		return nil, err
 	}
 	start := time.Now()
 	if err := uc.FinalizeRegistration(); err != nil {
-		return err
+		return nil, err
 	}
 	wall := time.Since(start)
 	st := uc.WDStats()
 	if st == nil {
-		return fmt.Errorf("WD produced no result for %q", o.Net)
+		return nil, fmt.Errorf("WD produced no result for %q", o.Net)
 	}
 	fmt.Printf("%s on %s, N=%d, WD total %d MiB, %s policy\n\n", o.Net, d.Name, o.Batch, o.TotalMiB, pol)
 	fmt.Printf("optimization wall-clock:  %v\n", wall)
@@ -265,10 +265,10 @@ func runNet(o runOpts, reg *obs.Registry) error {
 	if o.Trace != "" {
 		b := core.NewBencher(s.Inner, uc.Cache(), 1)
 		if err := writePlanTrace(o.Trace, b, plans); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return s.HandleReports(), nil
 }
 
 // writePlanTrace synthesizes the paper's Fig. 3 view of the chosen plans:

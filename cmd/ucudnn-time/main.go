@@ -157,17 +157,17 @@ func checkTimeline(path string, data []byte, w io.Writer) error {
 }
 
 func run(o runOpts, w io.Writer) error {
-	return o.ObsFlags.Run(func(reg *obs.Registry) error { return runNet(o, reg, w) })
+	return o.ObsFlags.Run(func(reg *obs.Registry) ([]core.HandleReport, error) { return runNet(o, reg, w) })
 }
 
-func runNet(o runOpts, reg *obs.Registry, w io.Writer) error {
+func runNet(o runOpts, reg *obs.Registry, w io.Writer) ([]core.HandleReport, error) {
 	d, err := device.ByName(o.Device)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	pol, err := core.ParsePolicy(o.Policy)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if o.Workers > 0 {
 		prev := conv.SetMaxWorkers(o.Workers)
@@ -186,7 +186,7 @@ func runNet(o runOpts, reg *obs.Registry, w io.Writer) error {
 		Backend: backend, CachePath: o.DB, Metrics: reg,
 	})
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	// The traced iterations run first, straight after set-up and one
@@ -196,19 +196,19 @@ func runNet(o runOpts, reg *obs.Registry, w io.Writer) error {
 	if o.Timeline != "" || o.Trace != "" || o.Critical || o.Stalls {
 		t, err := s.Trace(o.Iters)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		analysis = causal.Analyze(t, busyByLayer(o.Profile != ""))
 		analysis.Metrics(reg)
 		if o.Timeline != "" {
 			if err := writeFile(o.Timeline, t.WriteJSON); err != nil {
-				return err
+				return nil, err
 			}
 			fmt.Fprintf(w, "wrote causal timeline (%d scopes, %d events) to %s\n", len(t.Scopes), len(t.Events), o.Timeline)
 		}
 		if o.Trace != "" {
 			if err := writeFile(o.Trace, t.WriteChrome); err != nil {
-				return err
+				return nil, err
 			}
 			fmt.Fprintf(w, "wrote Chrome trace to %s (open in chrome://tracing or Perfetto)\n", o.Trace)
 		}
@@ -216,7 +216,7 @@ func runNet(o runOpts, reg *obs.Registry, w io.Writer) error {
 
 	rep, err := s.Net.Time(o.Iters)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	fmt.Fprintf(w, "%s on %s, N=%d, mode=%s policy=%s (%d iterations)\n\n",
 		o.Net, d.Name, o.Batch, o.Mode, pol, o.Iters)
@@ -236,14 +236,14 @@ func runNet(o runOpts, reg *obs.Registry, w io.Writer) error {
 		fmt.Fprintf(w, "OOC: budget %s MiB, chunk %d (%d windows), peak %s MiB, floor=%v, degraded=%d\n",
 			fmtMiB(s.OOCPlan.Budget), r.Chunk, r.Windows, fmtMiB(s.OOCPlan.PeakBytes), r.Floor, r.Degraded)
 		if err := ooc.Metrics().WriteSummary(w); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if o.Critical || o.Stalls {
 		fmt.Fprintln(w)
 		analysis.WriteTable(w)
 	}
-	return nil
+	return s.HandleReports(), nil
 }
 
 // writeFile creates path and streams one export into it.

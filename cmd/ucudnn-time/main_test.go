@@ -100,9 +100,9 @@ func TestRunMetrics(t *testing.T) {
 	}
 }
 
-// A -profile run must export the profiler's series through -metrics
-// without -debug-addr: the registry is shared whenever either flag asks
-// for one.
+// A -profile run must export the profiler's series through -metrics:
+// the profiler observes into the same registry the -metrics file is
+// written from.
 func TestRunProfileMetrics(t *testing.T) {
 	dir := t.TempDir()
 	o := opts("inception", 4, "p100", "wr", "powerOfTwo", 8, 0, 1, "")

@@ -10,8 +10,6 @@ func TestDetlintOutOfScope(t *testing.T)   { RunFixture(t, Detlint, "other") }
 func TestHotpath(t *testing.T)             { RunFixture(t, Hotpath, "hot") }
 func TestWSFloor(t *testing.T)             { RunFixture(t, WSFloor, "ws") }
 func TestMetricName(t *testing.T)          { RunFixture(t, MetricName, "metrics") }
-func TestMetricNameEvents(t *testing.T)    { RunFixture(t, MetricName, "events") }
-func TestMetricNameExemptPkg(t *testing.T) { RunFixture(t, MetricName, "flight") }
 func TestFaultPoint(t *testing.T)          { RunFixture(t, FaultPoint, "probe") }
 func TestFaultPointExemptPkg(t *testing.T) { RunFixture(t, FaultPoint, "faults") }
 func TestPhaseName(t *testing.T)           { RunFixture(t, PhaseName, "kern") }

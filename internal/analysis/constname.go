@@ -8,15 +8,14 @@ import (
 )
 
 // A constNameRule is one row of the constant-name contract shared by
-// the profiler, the fault registry and the flight recorder: every value
-// of the named type pkg.typ handed to a call (or set in a pkg.lit
-// composite literal) must be a compile-time string constant matching
-// ^prefix(_[a-z0-9]+)+$. Constant names keep each name universe
-// enumerable statically — a cost model trained on one build's profile
-// keys, or a fault schedule written for it, keeps working on the next —
-// and greppable from a report row or a printed schedule straight to the
-// site. The declaring package is exempt: it plumbs values of the type
-// through its registry by design.
+// the profiler and the fault registry: every value of the named type
+// pkg.typ handed to a call (or set in a pkg.lit composite literal) must
+// be a compile-time string constant matching ^prefix(_[a-z0-9]+)+$.
+// Constant names keep each name universe enumerable statically — a cost
+// model trained on one build's profile keys, or a fault schedule written
+// for it, keeps working on the next — and greppable from a report row or
+// a printed schedule straight to the site. The declaring package is
+// exempt: it plumbs values of the type through its registry by design.
 type constNameRule struct {
 	// analyzer is the name findings are reported (and allowed) under.
 	analyzer string
@@ -32,7 +31,6 @@ type constNameRule struct {
 var constNameRules = []constNameRule{
 	{analyzer: "phasename", pkg: "prof", typ: "Phase", prefix: "ucudnn_ph", what: "profiler phase", universe: "phase"},
 	{analyzer: "faultpoint", pkg: "faults", typ: "Point", lit: "Rule", prefix: "ucudnn_fp", what: "fault point", universe: "injection-point"},
-	{analyzer: "metricname", pkg: "flight", typ: "Name", prefix: "ucudnn_ev", what: "flight event name", universe: "event"},
 }
 
 // PhaseName enforces the profiler naming contract documented in

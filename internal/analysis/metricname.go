@@ -21,13 +21,9 @@ import (
 //   - labels are built inline with obs.L and constant snake_case names;
 //   - a series name is registered with one stable label set and one
 //     metric kind throughout a package.
-//
-// It also reports the flight recorder's row of the constant-name
-// contract (flight.Name values are compile-time ucudnn_ev_* constants;
-// see constname.go) under its own name.
 var MetricName = &Analyzer{
 	Name: "metricname",
-	Doc:  "obs registrations must use constant ucudnn_* snake_case names with stable label sets; flight event names must be constant ucudnn_ev_* identifiers",
+	Doc:  "obs registrations must use constant ucudnn_* snake_case names with stable label sets",
 	Run:  runMetricName,
 }
 
@@ -44,9 +40,6 @@ type metricReg struct {
 }
 
 func runMetricName(pass *Pass) error {
-	if err := runConstNames(pass); err != nil {
-		return err
-	}
 	seen := map[string]metricReg{}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {

@@ -34,6 +34,7 @@ func Concurrency(cfg Config) error {
 		inner := newModelHandle(cfg)
 		inner.Mem().Cap = 0
 		var convH dnn.ConvHandle = inner
+		var uc *core.Handle
 		ctxLimit := limit
 		if mode != "cudnn" {
 			var opts []core.Option
@@ -46,8 +47,8 @@ func Concurrency(cfg Config) error {
 			} else {
 				opts = append(opts, core.WithWorkspaceLimit(limit))
 			}
-			uc, err := core.New(inner, opts...)
-			if err != nil {
+			var err error
+			if uc, err = core.New(inner, opts...); err != nil {
 				return err
 			}
 			convH = uc
@@ -59,6 +60,7 @@ func Concurrency(cfg Config) error {
 		if err != nil {
 			return err
 		}
+		cfg.noteHandle(uc)
 		runs = append(runs, run{name: name, net: net, rep: rep})
 		return nil
 	}

@@ -44,6 +44,18 @@ type Config struct {
 	// Trace, when non-nil, receives kernel spans (track 0) and layer spans
 	// (track 1) from every timed network run.
 	Trace *trace.Recorder
+	// Handles, when non-nil, receives the plan table of every µ-cuDNN
+	// handle the experiments build, in creation order (the -profile
+	// report joins its kernel rows against them).
+	Handles *[]core.HandleReport
+}
+
+// noteHandle hands uc's plan table to c.Handles once its run is done;
+// uc is nil for plain-cuDNN runs.
+func (c Config) noteHandle(uc *core.Handle) {
+	if c.Handles != nil && uc != nil {
+		*c.Handles = append(*c.Handles, uc.Report())
+	}
 }
 
 func (c Config) withDefaults() Config {
@@ -103,9 +115,9 @@ func newModelHandle(cfg Config) *cudnn.Handle {
 }
 
 // netRun builds network `name` through the shared session constructor
-// (timing-only, cfg's metrics and trace sinks attached), times it, and
-// returns the report plus the session (its UC is nil when mode is
-// "cudnn").
+// (timing-only, cfg's metrics, trace and plan-table sinks attached),
+// times it, and returns the report plus the session (its UC is nil when
+// mode is "cudnn").
 //
 // mode: "cudnn" (plain), "wr" (limit is per-kernel), "wd" (limit is the
 // total; layers then ask for Caffe2's default per-kernel limit).
@@ -126,6 +138,7 @@ func netRun(cfg Config, name string, mode string, policy core.Policy, limit int6
 	if err != nil {
 		return nil, nil, err
 	}
+	cfg.noteHandle(s.UC)
 	return rep, s, nil
 }
 

@@ -68,6 +68,7 @@ func OptTime(cfg Config) error {
 	if err != nil {
 		return err
 	}
+	cfg.noteHandle(dense)
 	t2 := newTable(cfg, "WD ILP statistics",
 		"instance", "binary_vars", "bnb_nodes", "lp_steps", "solve_time")
 	for _, r := range []struct {

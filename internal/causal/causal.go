@@ -1,18 +1,17 @@
 // Package causal is the µ-cuDNN trace-correlation layer: it assigns
-// span/parent identifiers to every recorded unit of work so the four
-// telemetry surfaces — trace spans, profiler launch windows, flight
-// events and the out-of-core schedule model — stop being disconnected
-// silos and become one causal timeline (iteration → layer → convolution
-// call → micro-batch kernel → worker launch).
+// span/parent identifiers to every recorded unit of work so the
+// telemetry surfaces — trace spans and the out-of-core schedule model —
+// stop being disconnected silos and become one causal timeline
+// (iteration → layer → convolution call → micro-batch kernel).
 //
 // The correlation state is a process-global scope stack, mirroring how
 // prof.SetLayer threads the layer name: the framework's layer walk and
 // the kernel library's execute path are serialized (Net execution is
 // single-threaded; core.Handle.execute holds execMu), so one stack
 // suffices. Begin/End are warm-path (a mutex once per layer or kernel
-// call); Current and NewLeaf are hot-path (one atomic word), so the
-// flight recorder can stamp every event with the enclosing span without
-// taking a lock.
+// call); Current and NewLeaf are hot-path (one atomic word), so every
+// recorded span is stamped with its enclosing scope without taking a
+// lock.
 //
 // Identifiers are allocation-ordered and therefore execution-ordered,
 // but exported timelines never depend on the raw values: Build

@@ -64,7 +64,7 @@ func (e TEvent) Leaf() bool { return !bracketCats[e.Cat] }
 // Build assembles the canonical timeline from recorded trace events and
 // the scope log. Raw span IDs are allocation-ordered and vary with
 // recording interleaving; Build renumbers them positionally — scopes
-// 1..S in recording order, events S+1.. in sorted (Start, Track, Name)
+// 1..S in recording order, events S+1.. in canonical (trace.Less)
 // order — which is what makes the export deterministic.
 func Build(events []trace.Event, scopes []Scope) *Timeline {
 	t := &Timeline{Schema: Schema, Scopes: []Scope{}, Events: []TEvent{}}
@@ -75,18 +75,7 @@ func Build(events []trace.Event, scopes []Scope) *Timeline {
 		t.Scopes = append(t.Scopes, Scope{ID: id, Parent: scopeMap[s.Parent], Kind: s.Kind, Name: s.Name})
 	}
 	evs := append([]trace.Event{}, events...)
-	sort.SliceStable(evs, func(i, j int) bool {
-		if evs[i].Start != evs[j].Start {
-			return evs[i].Start < evs[j].Start
-		}
-		if evs[i].Track != evs[j].Track {
-			return evs[i].Track < evs[j].Track
-		}
-		if evs[i].Name != evs[j].Name {
-			return evs[i].Name < evs[j].Name
-		}
-		return evs[i].Span < evs[j].Span
-	})
+	sort.SliceStable(evs, func(i, j int) bool { return trace.Less(evs[i], evs[j]) })
 	eventMap := make(map[uint64]uint64, len(evs))
 	next := uint64(len(scopes))
 	for _, e := range evs {
@@ -113,16 +102,21 @@ func Build(events []trace.Event, scopes []Scope) *Timeline {
 	return t
 }
 
+// traceEvent converts e back to a trace event.
+func (e TEvent) traceEvent() trace.Event {
+	return trace.Event{
+		Name: e.Name, Cat: e.Cat, Track: e.Track,
+		Start: time.Duration(e.StartNS), Dur: time.Duration(e.DurNS),
+		Span: e.Span, Parent: e.Parent, Flow: e.Flow,
+	}
+}
+
 // TraceEvents converts the timeline back to trace events (for the
 // Chrome renderer).
 func (t *Timeline) TraceEvents() []trace.Event {
 	out := make([]trace.Event, len(t.Events))
 	for i, e := range t.Events {
-		out[i] = trace.Event{
-			Name: e.Name, Cat: e.Cat, Track: e.Track,
-			Start: time.Duration(e.StartNS), Dur: time.Duration(e.DurNS),
-			Span: e.Span, Parent: e.Parent, Flow: e.Flow,
-		}
+		out[i] = e.traceEvent()
 	}
 	return out
 }
@@ -153,7 +147,7 @@ func ReadTimeline(r io.Reader) (*Timeline, error) {
 
 // Validate checks the timeline invariants ucudnn-time -check enforces:
 // the schema tag; scope IDs dense 1..S with parents preceding children;
-// event IDs dense S+1.. in canonical (start, track, name) order; parents
+// event IDs dense S+1.. in canonical (trace.Less) order; parents
 // referencing scopes; flow edges referencing events that completed
 // before the dependent started; and leaf spans on one track never
 // overlapping (bracket/annotation tracks are exempt — brackets cover
@@ -172,7 +166,7 @@ func (t *Timeline) Validate() error {
 	}
 	nScopes := uint64(len(t.Scopes))
 	byID := make(map[uint64]TEvent, len(t.Events))
-	prev := TEvent{StartNS: -1 << 62}
+	var prev trace.Event
 	for i, e := range t.Events {
 		if e.Span != nScopes+uint64(i)+1 {
 			return fmt.Errorf("causal: event %d has span %d, want dense numbering after %d scopes", i, e.Span, nScopes)
@@ -183,15 +177,12 @@ func (t *Timeline) Validate() error {
 		if e.Parent != 0 && e.Parent > nScopes {
 			return fmt.Errorf("causal: event %d parent %d is not a scope", e.Span, e.Parent)
 		}
-		if i > 0 {
-			if e.StartNS < prev.StartNS ||
-				(e.StartNS == prev.StartNS && (e.Track < prev.Track ||
-					(e.Track == prev.Track && e.Name < prev.Name))) {
-				return fmt.Errorf("causal: events not in canonical order at %d (%s)", e.Span, e.Name)
-			}
+		cur := e.traceEvent()
+		if i > 0 && trace.Less(cur, prev) {
+			return fmt.Errorf("causal: events not in canonical order at %d (%s)", e.Span, e.Name)
 		}
 		byID[e.Span] = e
-		prev = e
+		prev = cur
 	}
 	tracks := map[int][]TEvent{}
 	for _, e := range t.Events {

@@ -2,7 +2,6 @@ package conv
 
 import (
 	"ucudnn/internal/blas"
-	"ucudnn/internal/flight"
 	"ucudnn/internal/prof"
 	"ucudnn/internal/tensor"
 )
@@ -255,7 +254,6 @@ func runGemm(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTenso
 		blas.PackA(g.packW, true, g.crs, g.k, 1, w.Data, g.crs)
 	}
 	workers := fitStripes(batchStripes(in.N), len(g.ws), g.strip)
-	flight.Rec(evStripe, int64(op), int64(workers), int64(g.strip), int64(len(ws)))
 
 	switch op {
 	case Forward:

@@ -6,7 +6,7 @@ import "ucudnn/internal/prof"
 // measured time into these windows, so the cost-attribution report can
 // answer "is GEMM time im2col-pack or SGEMM?" per layer. Names are
 // compile-time ucudnn_ph_* constants (enforced by the phasename
-// analyzer, like flight's ucudnn_ev_* events).
+// analyzer).
 const (
 	// GEMM algorithm: im2col/col2im patch packing (including the
 	// zero/scale passes fused into it) and the deterministic partial-dW

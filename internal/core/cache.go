@@ -11,7 +11,6 @@ import (
 	"ucudnn/internal/conv"
 	"ucudnn/internal/cudnn"
 	"ucudnn/internal/faults"
-	"ucudnn/internal/flight"
 	"ucudnn/internal/tensor"
 )
 
@@ -186,11 +185,9 @@ func (c *Cache) Get(key string) ([]cudnn.AlgoPerf, bool) {
 	if ok {
 		c.stats.Hits++
 		c.m.cacheHits.Inc()
-		flight.Rec(evCacheHit, int64(len(c.mem)), 0, 0, 0)
 	} else {
 		c.stats.Misses++
 		c.m.cacheMisses.Inc()
-		flight.Rec(evCacheMiss, int64(len(c.mem)), 0, 0, 0)
 	}
 	return p, ok
 }

@@ -6,7 +6,6 @@ import (
 
 	"ucudnn/internal/causal"
 	"ucudnn/internal/conv"
-	"ucudnn/internal/flight"
 	"ucudnn/internal/tensor"
 	"ucudnn/internal/trace"
 )
@@ -45,7 +44,6 @@ import (
 func (h *Handle) degrade(k Kernel, cause error, restore func(), x *tensor.Tensor, w *tensor.FilterTensor, y *tensor.Tensor, alpha, beta float32) error {
 	op, cs := k.Op, k.Shape
 	clockStart := h.inner.Elapsed()
-	flight.Rec(evFallback, h.id, 0, int64(op), 0) // stage 0 = ladder entered
 
 	h.mu.Lock()
 	key := k.String()
@@ -215,7 +213,6 @@ func (h *Handle) adopt(k Kernel, plan Plan, stage string, clockStart time.Durati
 	h.mu.Unlock()
 	h.m.fallback(stage)
 	h.m.degradedPlans.Set(float64(deg))
-	flight.Rec(evFallback, h.id, stageCode(stage), int64(k.Op), 1)
 	if rec := h.TraceRecorder(); rec != nil {
 		rec.Add(trace.Event{
 			Name:   "degrade " + k.String() + " -> " + stage,

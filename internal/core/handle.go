@@ -11,7 +11,6 @@ import (
 	"ucudnn/internal/conv"
 	"ucudnn/internal/cudnn"
 	"ucudnn/internal/faults"
-	"ucudnn/internal/flight"
 	"ucudnn/internal/obs"
 	"ucudnn/internal/prof"
 	"ucudnn/internal/tensor"
@@ -210,8 +209,8 @@ type execPlan struct {
 // through Inner(), the Go analogue of the paper's cast operator.
 type Handle struct {
 	inner *cudnn.Handle
-	// id is the process-wide creation index assigned by registerHandle;
-	// flight events carry it so a dump with several handles stays legible.
+	// id is the process-wide creation index (1-based), reported as
+	// handles[].id of the profile report.
 	id      int64
 	opts    Options
 	cache   *Cache
@@ -254,12 +253,8 @@ type Handle struct {
 func (h *Handle) growArena(bytes int64) {
 	granted := faults.Grant(faults.PointArenaGrow, bytes)
 	n := int((granted + 3) / 4)
-	grew := len(h.wsArena) < n
-	if grew {
+	if len(h.wsArena) < n {
 		h.wsArena = make([]float32, n)
-	}
-	if grew || granted != bytes {
-		flight.Rec(evArenaGrow, h.id, bytes, granted, int64(len(h.wsArena))*4)
 	}
 }
 
@@ -294,6 +289,7 @@ func New(inner *cudnn.Handle, opts ...Option) (*Handle, error) {
 	bencher.SetMetrics(o.Metrics)
 	h := &Handle{
 		inner:   inner,
+		id:      handleSeq.Add(1),
 		opts:    o,
 		cache:   cache,
 		bencher: bencher,
@@ -309,7 +305,6 @@ func New(inner *cudnn.Handle, opts ...Option) (*Handle, error) {
 	if o.AlgoFilter != nil {
 		inner.SetAlgoFilter(o.AlgoFilter)
 	}
-	registerHandle(h)
 	return h, nil
 }
 
@@ -337,9 +332,8 @@ func (h *Handle) TraceRecorder() *trace.Recorder {
 
 // SetTraceRecorder attaches (or, with nil, detaches) a timeline
 // recorder at runtime: the inner handle records every kernel charge to
-// it, and the debug server's timeline endpoint picks it up through
-// TraceRecorder. session.Trace uses this to scope recording to the
-// traced iterations while keeping the live endpoint populated.
+// it and the degradation ladder its fault spans. session.Trace uses
+// this to scope recording to the traced iterations.
 func (h *Handle) SetTraceRecorder(r *trace.Recorder) {
 	h.mu.Lock()
 	h.tracer = r
@@ -352,7 +346,6 @@ func (h *Handle) SetTraceRecorder(r *trace.Recorder) {
 // integrations call it once at process exit (the examples do); paths
 // that are unset are skipped, so Flush is always safe to call.
 func (h *Handle) Flush() error {
-	flight.SyncMetrics(h.opts.Metrics)
 	if err := h.opts.Metrics.WriteFile(h.opts.MetricsPath); err != nil {
 		return err
 	}
@@ -517,30 +510,16 @@ func (h *Handle) execute(op conv.Op, cs tensor.ConvShape, x *tensor.Tensor, w *t
 		pstart = prof.Begin(k.String())
 	}
 	defer prof.End(pstart)
-	var divisions, planWS int64
-	if err == nil {
-		divisions = int64(len(ep.plan.Config))
-		planWS = ep.plan.Workspace
-	}
-	flight.Rec(evKernelLaunch, h.id, int64(op), divisions, planWS)
-	simStart := h.inner.Elapsed()
 	restore := h.snapshotOutput(op, x, w, y, beta)
 	if err == nil {
 		//ucudnn:allow lockorder -- arena-grant fault points fire under the handle lock by design: the grant decision must be serialized with the arena it mutates, and the deterministic trigger sequence depends on that serialization
 		err = h.runConfig(ep.plan.Config, ep.plan.Workspace, op, cs, x, w, y, alpha, beta)
 		if err == nil {
-			flight.Rec(evKernelFinish, h.id, int64(op), 1, int64(h.inner.Elapsed()-simStart))
 			return nil
 		}
 	}
 	//ucudnn:allow lockorder -- arena-grant fault points fire under the handle lock by design: the grant decision must be serialized with the arena it mutates, and the deterministic trigger sequence depends on that serialization
-	err = h.degrade(k, err, restore, x, w, y, alpha, beta)
-	ok := int64(1)
-	if err != nil {
-		ok = 0
-	}
-	flight.Rec(evKernelFinish, h.id, int64(op), ok, int64(h.inner.Elapsed()-simStart))
-	return err
+	return h.degrade(k, err, restore, x, w, y, alpha, beta)
 }
 
 // snapshotOutput copies the output buffer a beta != 0 call blends into,
@@ -595,7 +574,6 @@ func (h *Handle) runConfig(cfg Config, wsBytes int64, op conv.Op, cs tensor.Conv
 	off := 0
 	for i, mc := range cfg {
 		h.m.algoSelected(op, mc.Algo)
-		flight.Rec(evMicroKernel, h.id, int64(mc.Algo), int64(mc.BatchSize), int64(off))
 		mcs := cs.WithN(mc.BatchSize)
 		mx, my := x, y
 		if x != nil {

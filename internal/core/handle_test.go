@@ -1,13 +1,16 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ucudnn/internal/conv"
 	"ucudnn/internal/cudnn"
 	"ucudnn/internal/device"
 	"ucudnn/internal/tensor"
+	"ucudnn/internal/trace"
 )
 
 // smallConv is a shape small enough for real arithmetic in tests but large
@@ -321,3 +324,55 @@ func TestHandleWDRealCompute(t *testing.T) {
 
 // core_TestPolicy lets the WD real-compute test pick a dividing policy.
 func core_TestPolicy() Policy { return PolicyPowerOfTwo }
+
+// TestExecuteKernelSpans drives a real plan with a recorder attached and
+// checks the execution path's span stream: one track-0 kernel span per
+// Config entry, in Config order (so in ascending sample offset), laid
+// end to end over exactly the simulated time the call consumed.
+func TestExecuteKernelSpans(t *testing.T) {
+	// Pin the universe to GEMM under a limit that fits two samples'
+	// lowering strips but not seven, so the plan must divide.
+	h := newTestHandle(t, cudnn.ModelBackend, WithWorkspaceLimit(128<<10),
+		WithAlgoFilter(func(op conv.Op, a conv.Algo) bool { return a == conv.AlgoGemm }))
+	xd, wd, cd, yd, cs := smallConv(7)
+	rng := rand.New(rand.NewSource(6))
+	x := tensor.NewShaped(cs.In)
+	x.Randomize(rng, 1)
+	w := tensor.NewFilter(12, 8, 3, 3)
+	w.Randomize(rng, 0.5)
+	y := tensor.NewShaped(cs.OutShape())
+	algo, _ := h.GetConvolutionForwardAlgorithm(xd, wd, cd, yd, cudnn.SpecifyWorkspaceLimit, 128<<10)
+	rec := trace.New()
+	h.SetTraceRecorder(rec)
+	simStart := h.Inner().Elapsed()
+	if err := h.ConvolutionForward(1, xd, x, wd, w, cd, algo, nil, 0, yd, y); err != nil {
+		t.Fatal(err)
+	}
+	plans := h.Plans()
+	if len(plans) != 1 || len(plans[0].Config) < 2 {
+		t.Fatalf("plans = %v, want one divided plan", plans)
+	}
+	cfg := plans[0].Config
+	evs := rec.Events()
+	if len(evs) != len(cfg) {
+		t.Fatalf("%d kernel spans for %d micro-batches: %+v", len(evs), len(cfg), evs)
+	}
+	at, covered := simStart, 0
+	for i, e := range evs {
+		want := fmt.Sprintf("Forward %v ", cfg[i])
+		if e.Track != trace.TrackKernel || !strings.HasPrefix(e.Name, want) {
+			t.Fatalf("span %d = %q on track %d, want a kernel span %q…", i, e.Name, e.Track, want)
+		}
+		if e.Start != at || e.Dur <= 0 {
+			t.Fatalf("span %d covers [%v,+%v), want it to start at %v", i, e.Start, e.Dur, at)
+		}
+		at += e.Dur
+		covered += cfg[i].BatchSize
+	}
+	if at != h.Inner().Elapsed() {
+		t.Fatalf("kernel spans end at %v, the call at %v", at, h.Inner().Elapsed())
+	}
+	if covered != cs.In.N {
+		t.Fatalf("micro-batches cover %d samples, want %d", covered, cs.In.N)
+	}
+}

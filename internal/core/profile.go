@@ -14,7 +14,7 @@ import (
 )
 
 // This file is the cost-attribution report: the profiler's per-phase
-// rows joined with the handle registry's plan table, so one document
+// rows joined with the plan tables of the run's handles, so one document
 // answers layer → kernel → algorithm/division → phase, with workspace
 // grants and worker utilization alongside. Its JSON rows are shaped as
 // the feature/label pairs a learned cost model can train on: the plan
@@ -66,8 +66,9 @@ type ProfileKernel struct {
 // ProfileReport is the full cost-attribution document.
 type ProfileReport struct {
 	Schema string `json:"schema"`
-	// Handles is the live plan table (core.Handle.Report) the kernel
-	// rows were joined against.
+	// Handles is the plan table (core.Handle.Report) of every handle
+	// the run built, in creation order; the kernel rows were joined
+	// against it.
 	Handles []HandleReport `json:"handles"`
 	// Kernels is the attribution table, sorted by (layer, kernel).
 	Kernels []ProfileKernel `json:"kernels"`
@@ -88,13 +89,12 @@ func findPlan(handles []HandleReport, kernel string) (PlanReport, bool) {
 	return PlanReport{}, false
 }
 
-// BuildProfileReport joins the profiler's attribution rows with the
-// plan tables of every registered handle.
-func BuildProfileReport() ProfileReport {
-	rep := ProfileReport{Schema: ProfileSchema, Handles: []HandleReport{}}
-	for _, h := range Handles() {
-		rep.Handles = append(rep.Handles, h.Report())
-	}
+// BuildProfileReport joins the profiler's attribution rows with
+// handles, the plan tables (Handle.Report) of the handles the profiled
+// run built, in creation order. The owner of the run supplies them:
+// the profiler is process-wide and knows kernels, not handles.
+func BuildProfileReport(handles []HandleReport) ProfileReport {
+	rep := ProfileReport{Schema: ProfileSchema, Handles: append([]HandleReport{}, handles...)}
 	rows := prof.Snapshot()
 	rep.Kernels = make([]ProfileKernel, 0, len(rows))
 	for _, r := range rows {
@@ -163,15 +163,15 @@ func (r ProfileReport) WriteTable(w io.Writer) error {
 	return tw.Flush()
 }
 
-// WriteProfileFile exports the current profile: "-" writes the
-// human-readable table to stdout, any other path gets the schema'd
-// JSON document. This is the shared behaviour of the CLIs' -profile
-// flags.
-func WriteProfileFile(path string) error {
+// WriteProfileFile exports the current profile joined against handles
+// (see BuildProfileReport): "-" writes the human-readable table to
+// stdout, any other path gets the schema'd JSON document. This is the
+// shared behaviour of the CLIs' -profile flags.
+func WriteProfileFile(path string, handles []HandleReport) error {
 	if path == "" {
 		return nil
 	}
-	rep := BuildProfileReport()
+	rep := BuildProfileReport(handles)
 	if path == "-" {
 		return rep.WriteTable(os.Stdout)
 	}

@@ -60,7 +60,7 @@ func profiledForward(t *testing.T) *Handle {
 
 func TestBuildProfileReportJoinsPlans(t *testing.T) {
 	h := profiledForward(t)
-	rep := BuildProfileReport()
+	rep := BuildProfileReport([]HandleReport{h.Report()})
 	if rep.Schema != ProfileSchema {
 		t.Fatalf("schema = %q", rep.Schema)
 	}
@@ -100,9 +100,50 @@ func TestBuildProfileReportJoinsPlans(t *testing.T) {
 	}
 }
 
+// The plan join must cover every handle the run built, not the last few:
+// each of several handles executes one distinct kernel, and every kernel
+// row of the report carries its plan.
+func TestBuildProfileReportJoinsEveryHandle(t *testing.T) {
+	prof.Reset()
+	prof.Enable()
+	t.Cleanup(func() {
+		prof.Disable()
+		prof.Reset()
+	})
+	const n = 6
+	var handles []HandleReport
+	for i := 0; i < n; i++ {
+		h := newTestHandle(t, cudnn.ModelOnlyBackend, WithWorkspaceLimit(1<<20),
+			WithAlgoFilter(func(op conv.Op, a conv.Algo) bool { return a == conv.AlgoGemm }))
+		xd, wd, cd, yd, _ := smallConv(4 + i)
+		algo, _ := h.GetConvolutionForwardAlgorithm(xd, wd, cd, yd, cudnn.SpecifyWorkspaceLimit, 1<<20)
+		if err := h.ConvolutionForward(1, xd, nil, wd, nil, cd, algo, nil, 0, yd, nil); err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, h.Report())
+	}
+	rep := BuildProfileReport(handles)
+	if len(rep.Handles) != n {
+		t.Fatalf("report lists %d handles, want %d", len(rep.Handles), n)
+	}
+	for i := 1; i < n; i++ {
+		if rep.Handles[i].ID <= rep.Handles[i-1].ID {
+			t.Fatalf("handle ids not ascending: %d then %d", rep.Handles[i-1].ID, rep.Handles[i].ID)
+		}
+	}
+	if len(rep.Kernels) != n {
+		t.Fatalf("report has %d kernel rows, want one per handle (%d)", len(rep.Kernels), n)
+	}
+	for _, k := range rep.Kernels {
+		if k.Config == "" || k.Divisions < 1 || k.WorkspaceBytes <= 0 {
+			t.Errorf("%s: plan join missing: %+v", k.Kernel, k)
+		}
+	}
+}
+
 func TestWriteTableAndProfileFile(t *testing.T) {
-	profiledForward(t)
-	rep := BuildProfileReport()
+	handles := []HandleReport{profiledForward(t).Report()}
+	rep := BuildProfileReport(handles)
 	var sb strings.Builder
 	if err := rep.WriteTable(&sb); err != nil {
 		t.Fatal(err)
@@ -115,7 +156,7 @@ func TestWriteTableAndProfileFile(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "prof.json")
-	if err := WriteProfileFile(path); err != nil {
+	if err := WriteProfileFile(path, handles); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -126,10 +167,10 @@ func TestWriteTableAndProfileFile(t *testing.T) {
 		t.Fatalf("written profile fails its own validator: %v", err)
 	}
 	// "" is a no-op, and a bad path reports the error.
-	if err := WriteProfileFile(""); err != nil {
+	if err := WriteProfileFile("", nil); err != nil {
 		t.Fatalf("empty path: %v", err)
 	}
-	if err := WriteProfileFile(filepath.Join(t.TempDir(), "no", "such", "dir", "x.json")); err == nil {
+	if err := WriteProfileFile(filepath.Join(t.TempDir(), "no", "such", "dir", "x.json"), nil); err == nil {
 		t.Fatal("unwritable path did not error")
 	}
 }

@@ -2,62 +2,18 @@ package core
 
 import (
 	"sort"
-	"sync"
+	"sync/atomic"
 )
 
-// This file is the live-introspection surface behind the debug server's
-// /debug/ucudnn/plan endpoint: a bounded registry of recently created
-// handles, and a structured per-handle report of the paper's §IV-B
-// table — per-kernel chosen algorithm, micro-batch division, and
-// workspace share against the budget — taken from the running process
-// instead of a finished benchmark log.
+// This file is the per-handle plan table, the paper's §IV-B table as a
+// value: per-kernel chosen algorithm, micro-batch division, and
+// workspace share against the budget. The profile report
+// (BuildProfileReport) joins its kernel rows against it.
 
-// handleRingSize bounds how many handles the registry retains. A ring
-// (rather than an unbounded list) keeps long runs from pinning every
-// handle's multi-MiB workspace arena and snapshot buffer in memory, and
-// a small one because a process that builds a handle per planning cycle
-// fills any ring: retained handles are then ring-size × MiBs of resident
-// memory nobody looks at. A live process inspecting itself cares about
-// the handles it is currently executing.
-const handleRingSize = 4
+// handleSeq numbers handles in creation order (Handle.id).
+var handleSeq atomic.Int64
 
-var (
-	handleRegMu sync.Mutex
-	handleSeq   int64
-	handleRing  [handleRingSize]*Handle
-)
-
-// registerHandle assigns h its process-wide id and notes it in the
-// ring; called once from New.
-func registerHandle(h *Handle) {
-	handleRegMu.Lock()
-	defer handleRegMu.Unlock()
-	handleSeq++
-	h.id = handleSeq
-	handleRing[(handleSeq-1)%handleRingSize] = h
-}
-
-// Handles returns the most recently created µ-cuDNN handles, oldest
-// first (bounded to the last handleRingSize).
-func Handles() []*Handle {
-	handleRegMu.Lock()
-	defer handleRegMu.Unlock()
-	lo := handleSeq - handleRingSize
-	if lo < 0 {
-		lo = 0
-	}
-	out := make([]*Handle, 0, handleSeq-lo)
-	for s := lo + 1; s <= handleSeq; s++ {
-		out = append(out, handleRing[(s-1)%handleRingSize])
-	}
-	return out
-}
-
-// ID returns the handle's process-wide creation index (1-based); flight
-// events carry it as their handle argument.
-func (h *Handle) ID() int64 { return h.id }
-
-// PlanReport is one kernel's row of the live plan table.
+// PlanReport is one kernel's row of the plan table.
 type PlanReport struct {
 	// Kernel is the kernel identity, "Op[shape]".
 	Kernel string `json:"kernel"`
@@ -93,7 +49,7 @@ type HandleReport struct {
 	Plans               []PlanReport `json:"plans"`
 }
 
-// Report snapshots the handle's live plan table, sorted by kernel.
+// Report snapshots the handle's plan table, sorted by kernel.
 func (h *Handle) Report() HandleReport {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -2,49 +2,16 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ucudnn/internal/conv"
 	"ucudnn/internal/cudnn"
-	"ucudnn/internal/flight"
 	"ucudnn/internal/tensor"
 )
-
-func TestHandleRegistryRing(t *testing.T) {
-	before := len(Handles())
-	if before > handleRingSize {
-		t.Fatalf("Handles() returned %d, more than the ring holds", before)
-	}
-	h := newTestHandle(t, cudnn.ModelOnlyBackend)
-	if h.ID() <= 0 {
-		t.Fatalf("handle id = %d, want positive", h.ID())
-	}
-	hs := Handles()
-	if len(hs) == 0 || hs[len(hs)-1] != h {
-		t.Fatalf("newest handle not last in Handles()")
-	}
-	// Overfill the ring: the oldest handles are evicted, order is kept.
-	made := make([]*Handle, 0, handleRingSize+3)
-	for i := 0; i < handleRingSize+3; i++ {
-		made = append(made, newTestHandle(t, cudnn.ModelOnlyBackend))
-	}
-	hs = Handles()
-	if len(hs) != handleRingSize {
-		t.Fatalf("Handles() after overfill = %d, want %d", len(hs), handleRingSize)
-	}
-	for i, got := range hs {
-		want := made[len(made)-handleRingSize+i]
-		if got != want {
-			t.Fatalf("Handles()[%d] = handle %d, want %d", i, got.ID(), want.ID())
-		}
-	}
-	for i := 1; i < len(hs); i++ {
-		if hs[i].ID() != hs[i-1].ID()+1 {
-			t.Fatalf("ids not consecutive: %d then %d", hs[i-1].ID(), hs[i].ID())
-		}
-	}
-}
 
 func TestHandleReport(t *testing.T) {
 	h := newTestHandle(t, cudnn.ModelBackend, WithWorkspaceLimit(1<<20),
@@ -61,7 +28,7 @@ func TestHandleReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := h.Report()
-	if r.ID != h.ID() || r.Mode != "WR" || r.Policy != PolicyPowerOfTwo.String() {
+	if r.ID != h.id || r.Mode != "WR" || r.Policy != PolicyPowerOfTwo.String() {
 		t.Fatalf("report header = %+v", r)
 	}
 	if r.Device == "" {
@@ -103,120 +70,20 @@ func TestHandleReportWD(t *testing.T) {
 	}
 }
 
-// TestExecuteFlightEvents drives a real plan with a fresh recorder
-// installed and checks the execution path's event stream: launch,
-// per-micro-batch kernels, finish — with renderable text.
-func TestExecuteFlightEvents(t *testing.T) {
-	prev := flight.Active()
-	defer flight.Install(prev)
-	flight.Enable(1024)
-
-	// Pin the universe to GEMM so the plan needs real workspace (and the
-	// arena therefore grows) regardless of what the optimizer prefers.
-	h := newTestHandle(t, cudnn.ModelBackend, WithWorkspaceLimit(1<<20),
-		WithAlgoFilter(func(op conv.Op, a conv.Algo) bool { return a == conv.AlgoGemm }))
-	xd, wd, cd, yd, cs := smallConv(10)
-	rng := rand.New(rand.NewSource(6))
-	x := tensor.NewShaped(cs.In)
-	x.Randomize(rng, 1)
-	w := tensor.NewFilter(12, 8, 3, 3)
-	w.Randomize(rng, 0.5)
-	y := tensor.NewShaped(cs.OutShape())
-	algo, _ := h.GetConvolutionForwardAlgorithm(xd, wd, cd, yd, cudnn.SpecifyWorkspaceLimit, 1<<20)
-	if err := h.ConvolutionForward(1, xd, x, wd, w, cd, algo, nil, 0, yd, y); err != nil {
-		t.Fatal(err)
+// A dropped handle must be collectable: nothing package-level may
+// retain it (or its multi-MiB workspace arena) after its owner lets go.
+func TestDroppedHandleIsCollectable(t *testing.T) {
+	const n = 8
+	var freed atomic.Int32
+	for i := 0; i < n; i++ {
+		h := newTestHandle(t, cudnn.ModelOnlyBackend)
+		runtime.SetFinalizer(h, func(*Handle) { freed.Add(1) })
 	}
-
-	byName := map[string][]flight.Event{}
-	for _, e := range flight.Events(0) {
-		byName[e.Name()] = append(byName[e.Name()], e)
+	for try := 0; try < 50 && freed.Load() < n; try++ {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
-	launches := byName[string(EvKernelLaunch)]
-	if len(launches) != 1 {
-		t.Fatalf("kernel launch events = %d, want 1", len(launches))
-	}
-	l := launches[0]
-	if l.A != h.ID() || conv.Op(l.B) != conv.Forward || l.C < 1 || l.D <= 0 {
-		t.Fatalf("launch event = %+v (%s)", l, l.Text())
-	}
-	if !strings.Contains(l.Text(), "op=Forward") {
-		t.Fatalf("launch text = %q", l.Text())
-	}
-	finishes := byName[string(EvKernelFinish)]
-	if len(finishes) != 1 || finishes[0].C != 1 || finishes[0].D <= 0 {
-		t.Fatalf("finish events = %+v", finishes)
-	}
-	micro := byName[string(EvMicroKernel)]
-	if int64(len(micro)) != l.C {
-		t.Fatalf("micro-kernel events = %d, launch divisions = %d", len(micro), l.C)
-	}
-	var covered int64
-	for _, e := range micro {
-		if e.D != covered {
-			t.Fatalf("micro offsets out of order: %+v", micro)
-		}
-		covered += e.C
-	}
-	if covered != int64(cs.In.N) {
-		t.Fatalf("micro batches cover %d samples, want %d", covered, cs.In.N)
-	}
-	if len(byName[string(EvArenaGrow)]) == 0 {
-		t.Fatal("no arena-grow event recorded")
-	}
-	g := byName[string(EvArenaGrow)][0]
-	if g.B != g.C {
-		t.Fatalf("unfaulted arena grant cut: %s", g.Text())
-	}
-	if !strings.Contains(g.Text(), "granted=") {
-		t.Fatalf("arena text = %q", g.Text())
-	}
-	if len(byName[string(EvCacheMiss)]) == 0 {
-		t.Fatal("no cache-miss event from first benchmark pass")
-	}
-}
-
-func TestStageCodeRoundTrip(t *testing.T) {
-	for i, name := range fallbackStages {
-		if got := stageCode(name); got != int64(i) {
-			t.Errorf("stageCode(%q) = %d, want %d", name, got, i)
-		}
-	}
-	if stageCode("nope") != -1 {
-		t.Error("unknown stage did not map to -1")
-	}
-	e := flight.Event{A: 3, B: 1, C: int64(conv.Forward), D: 1}
-	k, ok := flight.Lookup(EvFallback)
-	if !ok {
-		t.Fatal("EvFallback not registered")
-	}
-	e.Kind = k
-	if want := "handle=3 stage=pareto op=Forward ok=1"; e.Text() != want {
-		t.Fatalf("fallback text = %q, want %q", e.Text(), want)
-	}
-}
-
-func TestEventFormatters(t *testing.T) {
-	cases := []struct {
-		name       flight.Name
-		a, b, c, d int64
-		want       string
-	}{
-		{EvKernelLaunch, 1, int64(conv.Forward), 4, 2048, "handle=1 op=Forward divisions=4 ws=2048"},
-		{EvKernelFinish, 1, int64(conv.BackwardData), 1, 99, "handle=1 op=BackwardData ok=1 sim_ns=99"},
-		{EvMicroKernel, 2, int64(conv.AlgoGemm), 8, 16, "handle=2 algo=" + conv.AlgoGemm.String() + " batch=8 offset=16"},
-		{EvArenaGrow, 1, 100, 50, 200, "handle=1 requested=100 granted=50 arena=200"},
-		{EvFallback, 1, 3, int64(conv.Forward), 1, "handle=1 stage=floor op=Forward ok=1"},
-		{EvFallback, 1, 9, int64(conv.Forward), 0, "handle=1 stage=? op=Forward ok=0"},
-		{EvCacheHit, 12, 0, 0, 0, "entries=12"},
-	}
-	for _, tc := range cases {
-		k, ok := flight.Lookup(tc.name)
-		if !ok {
-			t.Fatalf("%s not registered", tc.name)
-		}
-		e := flight.Event{Kind: k, A: tc.a, B: tc.b, C: tc.c, D: tc.d}
-		if e.Text() != tc.want {
-			t.Errorf("%s text = %q, want %q", tc.name, e.Text(), tc.want)
-		}
+	if got := freed.Load(); got != n {
+		t.Fatalf("%d of %d dropped handles were collected", got, n)
 	}
 }

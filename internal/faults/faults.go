@@ -23,7 +23,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"ucudnn/internal/flight"
 	"ucudnn/internal/obs"
 )
 
@@ -260,9 +259,6 @@ func (r *Registry) fire(p Point, effect string) (int64, bool) {
 	if reg != nil {
 		reg.Counter(MetricFaultInjected, obs.L("point", string(p))).Inc()
 	}
-	if fired {
-		flight.Rec(evFaultShot, pointIndex(p), call, effectCode(effect), 0)
-	}
 	return call, fired
 }
 
@@ -323,15 +319,10 @@ func (r *Registry) Grant(p Point, bytes int64) int64 {
 	}
 	r.shots = append(r.shots, Shot{Point: p, Call: call, Effect: effect})
 	reg := r.reg
-	code, div := effectDeny, int64(0)
-	if a.rule.Shrink > 1 {
-		code, div = effectShrink, a.rule.Shrink
-	}
 	r.mu.Unlock()
 	if reg != nil {
 		reg.Counter(MetricFaultInjected, obs.L("point", string(p))).Inc()
 	}
-	flight.Rec(evFaultShot, pointIndex(p), call, code, div)
 	return granted
 }
 

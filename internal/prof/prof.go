@@ -6,18 +6,16 @@
 // stripe load imbalance is a first-class number, and tracks workspace
 // high-watermarks per kernel plan.
 //
-// The recording paths mirror the flight recorder's contract: when
-// profiling is disabled every hook is an atomic load plus a branch, and
-// when enabled the hot-path hooks (Enter/Exit/Next, the launch and
-// worker hooks) touch only fixed atomic slots — no allocation, no
-// locks, //ucudnn:hotpath clean. The warm-path hooks (Begin/End around
-// a whole kernel execution, SetLayer from the framework layer walk) may
-// take a mutex and allocate; they run once per kernel call, not once
-// per tile.
+// When profiling is disabled every hook is an atomic load plus a
+// branch, and when enabled the hot-path hooks (Enter/Exit/Next, the
+// launch and worker hooks) touch only fixed atomic slots — no
+// allocation, no locks, //ucudnn:hotpath clean. The warm-path hooks
+// (Begin/End around a whole kernel execution, SetLayer from the
+// framework layer walk) may take a mutex and allocate; they run once
+// per kernel call, not once per tile.
 //
 // Phase names are compile-time ucudnn_ph_* snake_case constants
-// (enforced by the phasename analyzer, mirroring the flight recorder's
-// ucudnn_ev_* contract) registered once at package init:
+// (enforced by the phasename analyzer) registered once at package init:
 //
 //	const PhGemmSgemm prof.Phase = "ucudnn_ph_gemm_sgemm"
 //	var phGemmSgemm = prof.Register(PhGemmSgemm)
@@ -424,7 +422,6 @@ func launchEnd(workers int, start int64, nested bool) {
 	r.imbN.Add(1)
 	g := imbGauge.Load()
 	g.Set(imb)
-	recLaunchWindow(int64(workers), sum, wall, nested)
 }
 
 //ucudnn:hotpath
@@ -566,8 +563,7 @@ func (r *row) snap() RowSnap {
 }
 
 // Snapshot returns every attribution row, sorted by (layer, kernel),
-// with the unattributed row (if any) last. It also records a
-// ucudnn_ev_profile_snapshot flight event.
+// with the unattributed row (if any) last.
 func Snapshot() []RowSnap {
 	rowMu.Lock()
 	rs := make([]*row, 0, len(rows))
@@ -588,11 +584,45 @@ func Snapshot() []RowSnap {
 	if orphan.used() {
 		out = append(out, orphan.snap())
 	}
-	var attributed, measured int64
-	for i := range out {
-		attributed += out[i].AttributedNS
-		measured += out[i].MeasuredNS
+	return out
+}
+
+// PhaseTotal is one phase's aggregate across every attribution row.
+type PhaseTotal struct {
+	Phase string `json:"phase"`
+	NS    int64  `json:"ns"`
+	Count int64  `json:"count"`
+}
+
+// PhaseTotals aggregates phase time across every row (including the
+// unattributed one), heaviest first; phases never recorded are omitted.
+func PhaseTotals() []PhaseTotal {
+	rowMu.Lock()
+	rs := make([]*row, 0, len(rows)+1)
+	for _, r := range rows {
+		rs = append(rs, r)
 	}
-	recSnapshot(int64(len(out)), int64(len(Phases())), attributed, measured)
+	rowMu.Unlock()
+	rs = append(rs, orphan)
+	var ns, n [maxKinds]int64
+	for _, r := range rs {
+		for i := range r.phaseNS {
+			ns[i] += r.phaseNS[i].Load()
+			n[i] += r.phaseN[i].Load()
+		}
+	}
+	var out []PhaseTotal
+	for i := range ns {
+		if n[i] == 0 && ns[i] == 0 {
+			continue
+		}
+		out = append(out, PhaseTotal{Phase: phaseName(Kind(i + 1)), NS: ns[i], Count: n[i]})
+	}
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].NS != out[b].NS {
+			return out[a].NS > out[b].NS
+		}
+		return out[a].Phase < out[b].Phase
+	})
 	return out
 }

@@ -312,23 +312,6 @@ func TestPhaseTotals(t *testing.T) {
 	}
 }
 
-func TestDumpSection(t *testing.T) {
-	resetAll(t)
-	var sb strings.Builder
-	dumpSection(&sb)
-	if !strings.Contains(sb.String(), "profiling disabled") {
-		t.Fatalf("disabled dump = %q", sb.String())
-	}
-	Enable()
-	Begin("Kern")
-	Exit(phA, Enter())
-	sb.Reset()
-	dumpSection(&sb)
-	if !strings.Contains(sb.String(), "ucudnn_ph_test_alpha") {
-		t.Fatalf("dump lacks the recorded phase:\n%s", sb.String())
-	}
-}
-
 // spin burns a little CPU so phase windows are strictly positive.
 func spin() {
 	x := 1.0

@@ -6,21 +6,17 @@ import (
 	"os"
 
 	"ucudnn/internal/core"
-	"ucudnn/internal/debugserver"
 	"ucudnn/internal/faults"
-	"ucudnn/internal/flight"
 	"ucudnn/internal/obs"
 	"ucudnn/internal/prof"
 )
 
 // ObsFlags is the observability flag block the runner CLIs share:
-// -metrics, -faults, -profile and -debug-addr, with one lifecycle behind
-// them (Run).
+// -metrics, -faults and -profile, with one lifecycle behind them (Run).
 type ObsFlags struct {
-	Metrics   string
-	Faults    string
-	Profile   string
-	DebugAddr string
+	Metrics string
+	Faults  string
+	Profile string
 }
 
 // Register declares the flags on fs.
@@ -28,47 +24,40 @@ func (f *ObsFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Metrics, "metrics", "", "write µ-cuDNN metrics at exit (\"-\" for stdout, .prom for Prometheus)")
 	fs.StringVar(&f.Faults, "faults", "", "arm a fault-injection schedule, e.g. \"ucudnn_fp_convolve=nth:3;ucudnn_fp_arena_grow=every:2,shrink=4\"")
 	fs.StringVar(&f.Profile, "profile", "", "write a per-phase cost-attribution report at exit (\"-\" for a table on stdout, else JSON)")
-	fs.StringVar(&f.DebugAddr, "debug-addr", os.Getenv("UCUDNN_DEBUG_ADDR"),
-		"serve /debug/ucudnn/ endpoints on this address, e.g. localhost:6060 (default $UCUDNN_DEBUG_ADDR)")
 }
 
-// Run brackets body with everything the flags ask for: the SIGQUIT
-// flight dump, the armed fault schedule, one shared metrics registry
-// (created when -metrics or -debug-addr is given, so profiler series
-// reach the -metrics file too; nil otherwise), the debug server and the
-// phase profiler. After a successful body it writes the profile and
-// metrics files.
-func (f ObsFlags) Run(body func(reg *obs.Registry) error) error {
-	flight.DumpOnSignal()
+// Run brackets body with everything the flags ask for: the armed fault
+// schedule, the metrics registry (created when -metrics is given, and
+// shared with the profiler so its series reach the -metrics file; nil
+// otherwise) and the phase profiler. body returns the plan table
+// (core.Handle.Report) of every µ-cuDNN handle it built, in creation
+// order; after a successful body Run writes the profile joined against
+// those tables, then the metrics file.
+func (f ObsFlags) Run(body func(reg *obs.Registry) ([]core.HandleReport, error)) error {
 	report, err := armFaults(f.Faults)
 	if err != nil {
 		return err
 	}
 	defer report()
 	var reg *obs.Registry
-	if f.Metrics != "" || f.DebugAddr != "" {
+	if f.Metrics != "" {
 		reg = obs.NewRegistry()
-	}
-	if f.DebugAddr != "" {
-		srv, err := debugserver.Start(f.DebugAddr, reg)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "debug server on http://%s/debug/ucudnn/\n", srv.Addr())
 	}
 	if f.Profile != "" {
 		prof.Enable()
 		prof.SetMetrics(reg)
-		defer prof.Disable()
+		defer func() {
+			prof.Disable()
+			prof.SetMetrics(nil)
+		}()
 	}
-	if err := body(reg); err != nil {
+	handles, err := body(reg)
+	if err != nil {
 		return err
 	}
-	if err := core.WriteProfileFile(f.Profile); err != nil {
+	if err := core.WriteProfileFile(f.Profile, handles); err != nil {
 		return err
 	}
-	flight.SyncMetrics(reg)
 	return reg.WriteFile(f.Metrics)
 }
 

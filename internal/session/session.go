@@ -139,9 +139,19 @@ func newHandle(d device.Spec, backend cudnn.Backend) *cudnn.Handle {
 	return h
 }
 
+// HandleReports returns the plan table of the run's µ-cuDNN handle as
+// the list ObsFlags.Run's body hands back for the profile report; empty
+// in "cudnn" mode.
+func (s *Session) HandleReports() []core.HandleReport {
+	if s.UC == nil {
+		return nil
+	}
+	return []core.HandleReport{s.UC.Report()}
+}
+
 // Attach points the handle's kernel spans and the net's layer spans at
 // rec; nil detaches. It goes through the µ-cuDNN handle when there is
-// one, so the debug server's /debug/ucudnn/timeline sees the recorder.
+// one, so the degradation ladder's fault spans reach rec too.
 func (s *Session) Attach(rec *trace.Recorder) {
 	if s.UC != nil {
 		s.UC.SetTraceRecorder(rec)

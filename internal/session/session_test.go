@@ -129,3 +129,43 @@ func TestTraceDetaches(t *testing.T) {
 		t.Fatal("Trace left a recorder attached")
 	}
 }
+
+// Two sessions in one process each report their own handle: the profile
+// report's plan tables come from the session, not from a process-wide
+// list of whatever handles exist.
+func TestSessionsReportOwnHandle(t *testing.T) {
+	var ids []int64
+	for _, mode := range []string{"wr", "wd"} {
+		s, err := New(Config{Net: "alexnet", Batch: 8, Device: device.P100, Mode: mode,
+			Policy: core.PolicyPowerOfTwo, WS: 8 * mib, Total: 64 * mib, Backend: cudnn.ModelOnlyBackend})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Net.RunIteration(); err != nil {
+			t.Fatal(err)
+		}
+		rep := core.BuildProfileReport(s.HandleReports())
+		if len(rep.Handles) != 1 {
+			t.Fatalf("%s session's report lists %d handles, want its own only", mode, len(rep.Handles))
+		}
+		h := rep.Handles[0]
+		if want := s.UC.Report(); h.ID != want.ID || h.Mode != want.Mode || len(h.Plans) == 0 {
+			t.Fatalf("%s session's report lists handle %d (%s, %d plans), want its own handle %d (%s)",
+				mode, h.ID, h.Mode, len(h.Plans), want.ID, want.Mode)
+		}
+		ids = append(ids, h.ID)
+	}
+	if ids[0] == ids[1] {
+		t.Fatalf("both sessions report handle %d", ids[0])
+	}
+
+	// The plain-cuDNN session has no µ-cuDNN handle to report.
+	s, err := New(Config{Net: "alexnet", Batch: 8, Device: device.P100, Mode: "cudnn",
+		WS: 8 * mib, Backend: cudnn.ModelOnlyBackend})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s.HandleReports(); len(got) != 0 {
+		t.Fatalf("cudnn session reports %d handles", len(got))
+	}
+}

@@ -54,7 +54,7 @@ func TestProfileE2EAttribution(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep := core.BuildProfileReport()
+	rep := core.BuildProfileReport(nil)
 	byLayer := map[string]bool{}
 	var attributed, measured, orphaned int64
 	for _, k := range rep.Kernels {

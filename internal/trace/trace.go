@@ -102,25 +102,28 @@ func (r *Recorder) Len() int {
 	return len(r.events)
 }
 
-// Events returns a snapshot sorted by (Start, Track, Name, Span). The
-// key is total over concurrent recordings, so exports are byte-identical
-// across runs regardless of the order events arrived in.
+// Less is the canonical timeline order, (Start, Track, Name, Span). The
+// key is total over concurrent recordings, so exports sorted by it are
+// byte-identical across runs regardless of the order events arrived in.
+func Less(a, b Event) bool {
+	if a.Start != b.Start {
+		return a.Start < b.Start
+	}
+	if a.Track != b.Track {
+		return a.Track < b.Track
+	}
+	if a.Name != b.Name {
+		return a.Name < b.Name
+	}
+	return a.Span < b.Span
+}
+
+// Events returns a snapshot in canonical order (Less).
 func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := append([]Event{}, r.events...)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Start != out[j].Start {
-			return out[i].Start < out[j].Start
-		}
-		if out[i].Track != out[j].Track {
-			return out[i].Track < out[j].Track
-		}
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Span < out[j].Span
-	})
+	sort.SliceStable(out, func(i, j int) bool { return Less(out[i], out[j]) })
 	return out
 }
 
