@@ -89,8 +89,10 @@ func Sgemm(transA, transB bool, m, n, k int, alpha float32, a []float32, lda int
 // workers <= 0 selects automatically (GOMAXPROCS, dropping to one thread
 // for small products), workers == 1 forces the serial path (callers that
 // already parallelize across GEMM invocations use this to avoid
-// oversubscription). Every element of C is accumulated in the same order
-// regardless of the worker count, so results are bit-identical across
+// oversubscription). Workers split the long side of C — rows when it is
+// tall, columns when it is wide or a single row panel. Every element of
+// C is accumulated in the same order regardless of the worker count and
+// of the kernel its shape selects, so results are bit-identical across
 // all settings.
 //
 //ucudnn:hotpath
@@ -125,36 +127,40 @@ func sgemmWorkers(rec bool, workers int, transA, transB bool, m, n, k int, alpha
 			workers = 1
 		}
 	}
-	if workers > m {
-		workers = m
+	// Fork over the long side, in whole register-tile panels. A worker
+	// packs every panel of the operand it does not split, so splitting
+	// rows repeats the B pack per worker and splitting columns the A pack:
+	// the short side is the cheap one to repeat. A single row panel
+	// (m <= mr) has no rows to hand out at all.
+	byCols := m <= mr || n > m
+	units := (m + mr - 1) / mr
+	if byCols {
+		units = (n + nr - 1) / nr
+	}
+	if workers > units {
+		workers = units
 	}
 	if workers <= 1 {
-		sgemmRows(rec, transA, transB, 0, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+		sgemmChunk(rec, byCols, 0, units, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 		return
 	}
+	chunk := (units + workers - 1) / workers
+	launched := (units + chunk - 1) / chunk
 	ls := prof.LaunchStart()
 	var wg sync.WaitGroup
-	chunk := (m + workers - 1) / workers
-	launched := 0
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			break
-		}
-		launched++
-		wg.Add(1)
+	wg.Add(launched - 1)
+	for w := 1; w < launched; w++ {
 		//ucudnn:allow hotpath -- the multi-worker path forks by design; callers on the zero-alloc path pass workers==1
-		go func(w, lo, hi int) {
+		go func(w int) {
 			defer wg.Done()
 			bs := prof.WorkerStart()
-			sgemmRows(rec, transA, transB, lo, hi, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+			sgemmChunk(rec, byCols, w, chunk, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 			prof.WorkerEnd(w, bs)
-		}(w, lo, hi)
+		}(w)
 	}
+	bs := prof.WorkerStart()
+	sgemmChunk(rec, byCols, 0, chunk, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+	prof.WorkerEnd(0, bs)
 	wg.Wait()
 	// With rec the workers' own pack/kernel windows are the attribution of
 	// this region, so their busy time is its measured time: a top-level
@@ -166,6 +172,27 @@ func sgemmWorkers(rec bool, workers int, transA, transB bool, m, n, k int, alpha
 	} else {
 		prof.LaunchEndNested(launched, ls)
 	}
+}
+
+// sgemmChunk computes worker w's share of the product: chunk whole
+// panels of columns (byCols) or of rows, through the kernel the shape
+// calls for.
+//
+//ucudnn:hotpath
+func sgemmChunk(rec, byCols bool, w, chunk int, transA, transB bool, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
+	mLo, mHi, nLo, nHi := 0, m, 0, n
+	if byCols {
+		nLo = w * chunk * nr
+		nHi = min(nLo+chunk*nr, n)
+	} else {
+		mLo = w * chunk * mr
+		mHi = min(mLo+chunk*mr, m)
+	}
+	if m <= mr {
+		sgemmSkinny(rec, transA, transB, m, nLo, nHi, k, alpha, a, lda, b, ldb, beta, c, ldc)
+		return
+	}
+	sgemmRows(rec, transA, transB, mLo, mHi, nLo, nHi, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
 // PackAFloats returns the float32 length of the packed form of an
@@ -321,13 +348,13 @@ func scaleC(m, n int, beta float32, c []float32, ldc int) {
 	}
 }
 
-// sgemmRows computes rows [mLo, mHi) of C = alpha*op(A)*op(B) + beta*C
-// with cache blocking: B panels are packed once per (j0, k0) block —
-// hoisted out of the row-block loop — and beta is fused into the
-// micro-kernel's store of the first k-block.
+// sgemmRows computes rows [mLo, mHi), columns [nLo, nHi) of
+// C = alpha*op(A)*op(B) + beta*C with cache blocking: B panels are
+// packed once per (j0, k0) block — hoisted out of the row-block loop —
+// and beta is fused into the micro-kernel's store of the first k-block.
 //
 //ucudnn:hotpath
-func sgemmRows(rec bool, transA, transB bool, mLo, mHi, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
+func sgemmRows(rec bool, transA, transB bool, mLo, mHi, nLo, nHi, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
 	// One continuous Enter/Next chain: every phase window ends exactly
 	// where the next begins, so the whole walk is attributed with no
 	// internal gaps (loop bookkeeping lands in the adjacent phase). It
@@ -338,8 +365,8 @@ func sgemmRows(rec bool, transA, transB bool, mLo, mHi, n, k int, alpha float32,
 	}
 	var packA [mc * kc]float32
 	var packB [kc * nc]float32
-	for j0 := 0; j0 < n; j0 += nc {
-		jb := min(nc, n-j0)
+	for j0 := nLo; j0 < nHi; j0 += nc {
+		jb := min(nc, nHi-j0)
 		for k0 := 0; k0 < k; k0 += kc {
 			kb := min(kc, k-k0)
 			packBPanels(packB[:], transB, b, ldb, k0, kb, j0, jb)
@@ -485,7 +512,7 @@ func PackAPanels(pack []float32, transA bool, a []float32, lda int, i0, ib, k0, 
 // otherwise — bitwise-identical), then stored once, fusing beta on the
 // first k-block and masking the zero-padded edge lanes. Each C element's
 // accumulation is a single strict k-order chain, so results do not
-// depend on how rows are chunked across workers.
+// depend on how rows or columns are chunked across workers.
 //
 //ucudnn:hotpath
 func KernelBlock(pa, pb []float32, ib, jb, kb int, first bool, beta float32, c []float32, off, ldc int) {
@@ -532,19 +559,26 @@ func KernelBlock(pa, pb []float32, ib, jb, kb int, first bool, beta float32, c [
 			iw := min(mr, ib-it)
 			for i := 0; i < iw; i++ {
 				row := c[co+i*ldc : co+i*ldc+jw]
-				for j := 0; j < jw; j++ {
-					v := acc[i*nr+j]
-					if !first || beta == 1 {
-						row[j] += v
-					} else if beta == 0 {
-						row[j] = v
-					} else {
-						row[j] = beta*row[j] + v
-					}
+				for j := range row {
+					row[j] = fuseBeta(row[j], acc[i*nr+j], first, beta)
 				}
 			}
 		}
 	}
+}
+
+// fuseBeta is the store of one finished k-block sum v into the C element
+// holding cv: beta applies on the first k-block only, later blocks add.
+//
+//ucudnn:hotpath
+func fuseBeta(cv, v float32, first bool, beta float32) float32 {
+	if !first || beta == 1 {
+		return cv + v
+	}
+	if beta == 0 {
+		return v
+	}
+	return beta*cv + v
 }
 
 // sgemmTileGeneric is the pure-Go form of sgemmTileAVX: one mr x nr tile

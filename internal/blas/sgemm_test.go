@@ -354,15 +354,21 @@ func TestSaxpySdot(t *testing.T) {
 	}
 }
 
-func benchSgemm(b *testing.B, m, n, k int) {
+func benchSgemm(b *testing.B, m, n, k int) { benchSgemmT(b, false, m, n, k) }
+
+func benchSgemmT(b *testing.B, transB bool, m, n, k int) {
 	rng := rand.New(rand.NewSource(7))
 	a := randSlice(rng, m*k)
 	bm := randSlice(rng, k*n)
 	c := make([]float32, m*n)
+	ldb := n
+	if transB {
+		ldb = k
+	}
 	b.SetBytes(int64(2) * int64(m) * int64(n) * int64(k) * 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Sgemm(false, false, m, n, k, 1, a, k, bm, n, 0, c, n)
+		Sgemm(false, transB, m, n, k, 1, a, k, bm, ldb, 0, c, n)
 	}
 }
 
@@ -375,6 +381,14 @@ func BenchmarkSgemm256(b *testing.B) { benchSgemm(b, 256, 256, 256) }
 func BenchmarkSgemmSkinny32x784x144(b *testing.B) { benchSgemm(b, 32, 784, 144) }
 
 func BenchmarkSgemmPanel64x196x16(b *testing.B) { benchSgemm(b, 64, 196, 16) }
+
+// AlexNet's fc6 (4096 x 9216) at the end-to-end benchmark's batch 4: the
+// forward product Y = X Wᵀ (NT) and the input gradient dX = dY W (NN).
+// One row panel of A against a 151 MB B whose every element is used
+// once — the shapes the in-place skinny kernels exist for.
+func BenchmarkSgemmFC4x4096x9216NT(b *testing.B) { benchSgemmT(b, true, 4, 4096, 9216) }
+
+func BenchmarkSgemmFC4x4096x9216NN(b *testing.B) { benchSgemmT(b, false, 4, 9216, 4096) }
 
 // BenchmarkSgemmPackedA measures the conv forward inner loop once the
 // weight matrix has been packed per Run: the A-pack cost disappears from

@@ -9,6 +9,15 @@ package blas
 //go:noescape
 func sgemmTileAVX(pa, pb *float32, kb int, acc *[mr * nr]float32)
 
+// sgemmDotAVX and sgemmAxpyAVX are the AVX forms of sgemmDotGeneric and
+// sgemmAxpyGeneric, the skinny path's in-place-B kernels.
+//
+//go:noescape
+func sgemmDotAVX(pa, b *float32, ldb, kb int, acc *[nr * mr]float32)
+
+//go:noescape
+func sgemmAxpyAVX(pa, b *float32, ldb, kb, n8 int, acc *[mr * skinnyStrip]float32)
+
 //go:noescape
 func cpuidLow(arg1, arg2 uint32) (eax, ebx, ecx, edx uint32)
 

@@ -4,6 +4,7 @@
 // FMA — fusing would skip the intermediate rounding and change bits), so
 // the asm and generic paths produce bitwise-identical results.
 
+#include "go_asm.h"
 #include "textflag.h"
 
 // func sgemmTileAVX(pa, pb *float32, kb int, acc *[32]float32)
@@ -78,6 +79,191 @@ done:
 	VMOVUPS Y1, 32(DX)
 	VMOVUPS Y2, 64(DX)
 	VMOVUPS Y3, 96(DX)
+	VZEROUPPER
+	RET
+
+// The two skinny kernels (m <= mr: B is streamed in place, see
+// sgemm_skinny.go). Same arithmetic contract as the tile above: every C
+// element is one k-order chain of VMULPS then VADDPS from zero.
+
+// DOTSTEP is one k step of sgemmDotAVX at byte offset off into the eight
+// B rows: X8 = the four alpha-fused A values of this k, broadcast B
+// values in X9-X12 (two rounds of four rows).
+#define DOTSTEP(off, aoff) \
+	VMOVUPS      aoff(SI), X8          \
+	VBROADCASTSS off(DI), X9           \
+	VBROADCASTSS off(DI)(R8*1), X10    \
+	VBROADCASTSS off(DI)(R8*2), X11    \
+	VBROADCASTSS off(R9), X12          \
+	VMULPS       X9, X8, X9            \
+	VMULPS       X10, X8, X10          \
+	VMULPS       X11, X8, X11          \
+	VMULPS       X12, X8, X12          \
+	VADDPS       X9, X0, X0            \
+	VADDPS       X10, X1, X1           \
+	VADDPS       X11, X2, X2           \
+	VADDPS       X12, X3, X3           \
+	VBROADCASTSS off(R9)(R8*1), X9     \
+	VBROADCASTSS off(R9)(R8*2), X10    \
+	VBROADCASTSS off(R10), X11         \
+	VBROADCASTSS off(R10)(R8*1), X12   \
+	VMULPS       X9, X8, X9            \
+	VMULPS       X10, X8, X10          \
+	VMULPS       X11, X8, X11          \
+	VMULPS       X12, X8, X12          \
+	VADDPS       X9, X4, X4            \
+	VADDPS       X10, X5, X5           \
+	VADDPS       X11, X6, X6           \
+	VADDPS       X12, X7, X7
+
+// func sgemmDotAVX(pa, b *float32, ldb, kb int, acc *[32]float32)
+//
+// Computes acc[r*4+i] = sum_p pa[p*4+i] * b[r*ldb+p] for eight rows r of
+// B (row stride ldb floats), each contiguous in p: pa is one packed A
+// row-panel ([kb][4], alpha fused). Row r's four sums are the lanes of
+// Xr; the k loop is unrolled by four.
+TEXT ·sgemmDotAVX(SB), NOSPLIT, $0-40
+	MOVQ pa+0(FP), SI
+	MOVQ b+8(FP), DI
+	MOVQ ldb+16(FP), R8
+	MOVQ kb+24(FP), CX
+	MOVQ acc+32(FP), DX
+	SHLQ $2, R8
+	LEAQ (R8)(R8*2), R11
+	LEAQ (DI)(R11*1), R9  // row 3
+	LEAQ (R9)(R11*1), R10 // row 6
+	VXORPS X0, X0, X0
+	VXORPS X1, X1, X1
+	VXORPS X2, X2, X2
+	VXORPS X3, X3, X3
+	VXORPS X4, X4, X4
+	VXORPS X5, X5, X5
+	VXORPS X6, X6, X6
+	VXORPS X7, X7, X7
+	SUBQ $4, CX
+	JL   dottail
+
+dotquad:
+	DOTSTEP(0, 0)
+	DOTSTEP(4, 16)
+	DOTSTEP(8, 32)
+	DOTSTEP(12, 48)
+	ADDQ $64, SI
+	ADDQ $16, DI
+	ADDQ $16, R9
+	ADDQ $16, R10
+	SUBQ $4, CX
+	JGE  dotquad
+
+dottail:
+	ADDQ $4, CX
+	JZ   dotdone
+
+dotone:
+	DOTSTEP(0, 0)
+	ADDQ $16, SI
+	ADDQ $4, DI
+	ADDQ $4, R9
+	ADDQ $4, R10
+	DECQ CX
+	JNZ  dotone
+
+dotdone:
+	VMOVUPS X0, (DX)
+	VMOVUPS X1, 16(DX)
+	VMOVUPS X2, 32(DX)
+	VMOVUPS X3, 48(DX)
+	VMOVUPS X4, 64(DX)
+	VMOVUPS X5, 80(DX)
+	VMOVUPS X6, 96(DX)
+	VMOVUPS X7, 112(DX)
+	RET
+
+// AXPYROW adds this k pair's two products into eight columns of one
+// accumulator row: Y4/Y5 hold the B rows of k and k+1, a0/a1 the row's
+// broadcast A values for them. k before k+1 — the chain order.
+#define AXPYROW(accaddr, a0, a1) \
+	VMULPS  Y4, a0, Y6       \
+	VMULPS  Y5, a1, Y7       \
+	VADDPS  accaddr, Y6, Y6  \
+	VADDPS  Y7, Y6, Y6       \
+	VMOVUPS Y6, accaddr
+
+#define AXPYROW1(accaddr, a0) \
+	VMULPS  Y4, a0, Y6       \
+	VADDPS  accaddr, Y6, Y6  \
+	VMOVUPS Y6, accaddr
+
+// func sgemmAxpyAVX(pa, b *float32, ldb, kb, n8 int, acc *[4*skinnyStrip]float32)
+//
+// Computes acc[i*skinnyStrip+j] += pa[p*4+i] * b[p*ldb+j] for p = 0..kb-1 in
+// order and j < 8*n8: B rows are contiguous in j. Two k steps per pass
+// over the strip, their eight A values broadcast in Y8-Y15, so the
+// accumulator is loaded and stored once per pair.
+TEXT ·sgemmAxpyAVX(SB), NOSPLIT, $0-48
+	MOVQ pa+0(FP), SI
+	MOVQ b+8(FP), DI
+	MOVQ ldb+16(FP), R8
+	MOVQ kb+24(FP), CX
+	MOVQ n8+32(FP), R12
+	MOVQ acc+40(FP), DX
+	SHLQ $2, R8
+	SUBQ $2, CX
+	JL   axpytail
+
+axpypair:
+	VBROADCASTSS (SI), Y8
+	VBROADCASTSS 4(SI), Y9
+	VBROADCASTSS 8(SI), Y10
+	VBROADCASTSS 12(SI), Y11
+	VBROADCASTSS 16(SI), Y12
+	VBROADCASTSS 20(SI), Y13
+	VBROADCASTSS 24(SI), Y14
+	VBROADCASTSS 28(SI), Y15
+	MOVQ DI, R9
+	LEAQ (DI)(R8*1), R10
+	MOVQ DX, R11
+	MOVQ R12, BX
+
+axpypaircols:
+	VMOVUPS (R9), Y4
+	VMOVUPS (R10), Y5
+	AXPYROW(0(R11), Y8, Y12)
+	AXPYROW((const_skinnyStrip*4)(R11), Y9, Y13)
+	AXPYROW((const_skinnyStrip*8)(R11), Y10, Y14)
+	AXPYROW((const_skinnyStrip*12)(R11), Y11, Y15)
+	ADDQ $32, R9
+	ADDQ $32, R10
+	ADDQ $32, R11
+	DECQ BX
+	JNZ  axpypaircols
+	ADDQ $32, SI
+	LEAQ (DI)(R8*2), DI
+	SUBQ $2, CX
+	JGE  axpypair
+
+axpytail:
+	ADDQ $2, CX
+	JZ   axpydone
+	VBROADCASTSS (SI), Y8
+	VBROADCASTSS 4(SI), Y9
+	VBROADCASTSS 8(SI), Y10
+	VBROADCASTSS 12(SI), Y11
+	MOVQ DX, R11
+	MOVQ R12, BX
+
+axpyonecols:
+	VMOVUPS (DI), Y4
+	AXPYROW1(0(R11), Y8)
+	AXPYROW1((const_skinnyStrip*4)(R11), Y9)
+	AXPYROW1((const_skinnyStrip*8)(R11), Y10)
+	AXPYROW1((const_skinnyStrip*12)(R11), Y11)
+	ADDQ $32, DI
+	ADDQ $32, R11
+	DECQ BX
+	JNZ  axpyonecols
+
+axpydone:
 	VZEROUPPER
 	RET
 

@@ -7,3 +7,11 @@ const useAVX = false
 func sgemmTileAVX(pa, pb *float32, kb int, acc *[mr * nr]float32) {
 	panic("blas: sgemmTileAVX without amd64")
 }
+
+func sgemmDotAVX(pa, b *float32, ldb, kb int, acc *[nr * mr]float32) {
+	panic("blas: sgemmDotAVX without amd64")
+}
+
+func sgemmAxpyAVX(pa, b *float32, ldb, kb, n8 int, acc *[mr * skinnyStrip]float32) {
+	panic("blas: sgemmAxpyAVX without amd64")
+}

@@ -190,11 +190,23 @@ type layerInst struct {
 	top     string
 }
 
+// layerBound is what the per-iteration walk of one layer reads, resolved
+// from the blob names once by Setup so the walk allocates nothing: the
+// bottoms' data and gradient tensors, the headers of the scratch
+// gradients Backward writes into (backed by Net.bwdScratch), the top
+// blob and the backward label.
+type layerBound struct {
+	bot, dbot, scratch []*tensor.Tensor
+	topBlob            *Blob
+	bwdLabel           string
+}
+
 // Net is a feed-forward network over named blobs, executed in insertion
 // order (the builder adds layers topologically).
 type Net struct {
 	ctx    *Context
 	layers []layerInst
+	bound  []layerBound // parallel to layers, built by Setup
 	blobs  map[string]*Blob
 	order  []string // blob creation order, for deterministic iteration
 	ready  bool
@@ -238,7 +250,8 @@ func (n *Net) Setup() error {
 	if err := n.addBlobCharged(n.inputName, n.inputShape, n.ctx.OOC == nil); err != nil {
 		return err
 	}
-	for _, li := range n.layers {
+	n.bound = make([]layerBound, len(n.layers))
+	for i, li := range n.layers {
 		var bs []tensor.Shape
 		for _, b := range li.bottoms {
 			s, ok := shapes[b]
@@ -271,6 +284,7 @@ func (n *Net) Setup() error {
 		if err := n.addBlobCharged(li.top, out, charge); err != nil {
 			return err
 		}
+		n.bound[i] = n.bind(li)
 	}
 	n.ready = true
 	if ooc := n.ctx.OOC; ooc != nil {
@@ -282,6 +296,36 @@ func (n *Net) Setup() error {
 		}
 	}
 	return nil
+}
+
+// bind resolves li's blob names into its layerBound, in as few
+// allocations as that takes: a plan-only cycle is all Setup, so what the
+// iteration walk no longer allocates must not be paid several times here.
+func (n *Net) bind(li layerInst) layerBound {
+	nb := len(li.bottoms)
+	ptrs := make([]*tensor.Tensor, 2*nb)
+	lb := layerBound{
+		bot: ptrs[:nb:nb], dbot: ptrs[nb:],
+		topBlob:  n.blobs[li.top],
+		bwdLabel: li.layer.Name() + "/bwd",
+	}
+	for j, b := range li.bottoms {
+		lb.bot[j], lb.dbot[j] = n.blobs[b].Data, n.blobs[b].Grad
+	}
+	if n.ctx.SkipCompute {
+		// Timing-only runs hand dbot straight to Backward: no scratch.
+		return lb
+	}
+	headers := make([]tensor.Tensor, nb)
+	lb.scratch = make([]*tensor.Tensor, nb)
+	for j, b := range li.bottoms {
+		headers[j].Shape = n.blobs[b].Shape
+		lb.scratch[j] = &headers[j]
+	}
+	for len(n.bwdScratch) < nb {
+		n.bwdScratch = append(n.bwdScratch, nil)
+	}
+	return lb
 }
 
 // inPlacer marks layers whose top may alias their bottom on the device.
@@ -364,7 +408,7 @@ func (n *Net) Forward() error {
 }
 
 func (n *Net) forwardLayer(i int) error {
-	li := n.layers[i]
+	li, lb := n.layers[i], &n.bound[i]
 	n.ctx.label = li.layer.Name()
 	prof.SetLayer(li.layer.Name())
 	sc := causal.Begin(causal.KindLayer, li.layer.Name())
@@ -376,11 +420,7 @@ func (n *Net) forwardLayer(i int) error {
 			return err
 		}
 	}
-	bot := make([]*tensor.Tensor, len(li.bottoms))
-	for j, b := range li.bottoms {
-		bot[j] = n.blobs[b].Data
-	}
-	if err := li.layer.Forward(n.ctx, bot, n.blobs[li.top].Data); err != nil {
+	if err := li.layer.Forward(n.ctx, lb.bot, lb.topBlob.Data); err != nil {
 		return fmt.Errorf("dnn: forward %s: %w", li.layer.Name(), err)
 	}
 	return nil
@@ -451,8 +491,8 @@ func (n *Net) Backward() error {
 }
 
 func (n *Net) backwardLayer(i int) error {
-	li := n.layers[i]
-	n.ctx.label = li.layer.Name() + "/bwd"
+	li, lb := n.layers[i], &n.bound[i]
+	n.ctx.label = lb.bwdLabel
 	prof.SetLayer(n.ctx.label)
 	sc := causal.Begin(causal.KindLayer, li.layer.Name())
 	defer causal.End(sc)
@@ -463,15 +503,9 @@ func (n *Net) backwardLayer(i int) error {
 			return err
 		}
 	}
-	bot := make([]*tensor.Tensor, len(li.bottoms))
-	dbot := make([]*tensor.Tensor, len(li.bottoms))
-	for j, b := range li.bottoms {
-		bot[j] = n.blobs[b].Data
-		dbot[j] = n.blobs[b].Grad
-	}
-	top := n.blobs[li.top]
+	top := lb.topBlob
 	if n.ctx.SkipCompute {
-		if err := li.layer.Backward(n.ctx, bot, top.Data, top.Grad, dbot); err != nil {
+		if err := li.layer.Backward(n.ctx, lb.bot, top.Data, top.Grad, lb.dbot); err != nil {
 			return fmt.Errorf("dnn: backward %s: %w", li.layer.Name(), err)
 		}
 		return nil
@@ -481,27 +515,21 @@ func (n *Net) backwardLayer(i int) error {
 	// the extra add is cheap relative to the layer work. The buffers are
 	// the net's, zeroed per use: a fresh tensor per layer per iteration was
 	// garbage piling up at the iteration rate until the next GC cycle.
-	scratch := make([]*tensor.Tensor, len(dbot))
-	for len(n.bwdScratch) < len(dbot) {
-		n.bwdScratch = append(n.bwdScratch, nil)
-	}
-	for j := range dbot {
-		elems := dbot[j].Shape.Elems()
+	for j, g := range lb.scratch {
+		elems := g.Shape.Elems()
 		if cap(n.bwdScratch[j]) < elems {
 			n.bwdScratch[j] = make([]float32, elems)
 		}
-		buf := n.bwdScratch[j][:elems]
-		clear(buf)
-		scratch[j] = &tensor.Tensor{Shape: dbot[j].Shape, Data: buf}
+		g.Data = n.bwdScratch[j][:elems]
+		clear(g.Data)
 	}
-	if err := li.layer.Backward(n.ctx, bot, top.Data, top.Grad, scratch); err != nil {
+	if err := li.layer.Backward(n.ctx, lb.bot, top.Data, top.Grad, lb.scratch); err != nil {
 		return fmt.Errorf("dnn: backward %s: %w", li.layer.Name(), err)
 	}
-	for j := range dbot {
-		dst := dbot[j].Data
-		src := scratch[j].Data
-		for k := range dst {
-			dst[k] += src[k]
+	for j, g := range lb.scratch {
+		dst := lb.dbot[j].Data
+		for k, v := range g.Data {
+			dst[k] += v
 		}
 	}
 	return nil

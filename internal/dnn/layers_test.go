@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"ucudnn/internal/blas"
+	"ucudnn/internal/conv"
 	"ucudnn/internal/cudnn"
 	"ucudnn/internal/device"
 	"ucudnn/internal/tensor"
@@ -378,5 +380,208 @@ func TestNetTimeRealBackend(t *testing.T) {
 	}
 	if rep.Layer("conv1").Forward <= 0 {
 		t.Fatal("real-backend timing missing")
+	}
+}
+
+// lrnForwardRef and lrnBackwardRef are the loops LRN ran before its
+// plane-wise rewrite, kept verbatim as the definition of its bits:
+// channels innermost through At()/Index(), math.Pow in both passes, the
+// ratio term recomputed at every window position.
+func lrnForwardRef(l *LRN, x, top *tensor.Tensor, denom []float32) {
+	s := l.shape
+	half := l.n / 2
+	scale := l.alpha / float32(l.n)
+	for n := 0; n < s.N; n++ {
+		for h := 0; h < s.H; h++ {
+			for w := 0; w < s.W; w++ {
+				for c := 0; c < s.C; c++ {
+					lo := imax(0, c-half)
+					hi := imin(s.C-1, c+half)
+					var acc float32
+					for cc := lo; cc <= hi; cc++ {
+						v := x.At(n, cc, h, w)
+						acc += v * v
+					}
+					d := l.k + scale*acc
+					idx := x.Index(n, c, h, w)
+					denom[idx] = d
+					top.Data[idx] = x.Data[idx] * float32(math.Pow(float64(d), float64(-l.beta)))
+				}
+			}
+		}
+	}
+}
+
+func lrnBackwardRef(l *LRN, x, top, dTop, dx *tensor.Tensor, denom []float32) {
+	s := l.shape
+	half := l.n / 2
+	scale := l.alpha / float32(l.n)
+	for n := 0; n < s.N; n++ {
+		for h := 0; h < s.H; h++ {
+			for w := 0; w < s.W; w++ {
+				for c := 0; c < s.C; c++ {
+					idx := x.Index(n, c, h, w)
+					d := denom[idx]
+					acc := dTop.Data[idx] * float32(math.Pow(float64(d), float64(-l.beta)))
+					lo := imax(0, c-half)
+					hi := imin(s.C-1, c+half)
+					var ratio float32
+					for cc := lo; cc <= hi; cc++ {
+						j := x.Index(n, cc, h, w)
+						ratio += dTop.Data[j] * top.Data[j] / denom[j]
+					}
+					acc -= 2 * scale * l.beta * x.Data[idx] * ratio
+					dx.Data[idx] = acc
+				}
+			}
+		}
+	}
+}
+
+func sameBits(a, b []float32) int {
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// TestLRNMatchesReferenceBitwise: output, cached denominators and input
+// gradient carry the reference loops' bits on shapes with fewer channels
+// than the window, one channel, one pixel and more samples than workers,
+// at every worker count (including more workers than Setup sized for).
+func TestLRNMatchesReferenceBitwise(t *testing.T) {
+	defer conv.SetMaxWorkers(conv.SetMaxWorkers(0))
+	shapes := []tensor.Shape{
+		{N: 1, C: 8, H: 3, W: 3},
+		{N: 3, C: 3, H: 4, W: 5}, // C < window
+		{N: 4, C: 1, H: 6, W: 2}, // C = 1
+		{N: 3, C: 7, H: 1, W: 1}, // H*W = 1
+		{N: 4, C: 16, H: 5, W: 5},
+	}
+	for _, s := range shapes {
+		rng := rand.New(rand.NewSource(int64(s.Elems())))
+		x, dy := tensor.NewShaped(s), tensor.NewShaped(s)
+		x.Randomize(rng, 3)
+		dy.Randomize(rng, 1)
+		x.Data[0] = float32(math.Copysign(0, -1))
+		x.Data[len(x.Data)-1] = 0
+
+		ref := NewLRN("ref")
+		ref.shape = s
+		wantY, wantDX := tensor.NewShaped(s), tensor.NewShaped(s)
+		wantDenom := make([]float32, s.Elems())
+		lrnForwardRef(ref, x, wantY, wantDenom)
+		lrnBackwardRef(ref, x, wantY, dy, wantDX, wantDenom)
+
+		for _, setupWorkers := range []int{1, 2, 4} {
+			conv.SetMaxWorkers(setupWorkers)
+			l := NewLRN("lrn")
+			ctx := testCtx()
+			if _, err := l.Setup(ctx, []tensor.Shape{s}); err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2, 4} {
+				conv.SetMaxWorkers(workers)
+				y, dx := tensor.NewShaped(s), tensor.NewShaped(s)
+				if err := l.Forward(ctx, []*tensor.Tensor{x}, y); err != nil {
+					t.Fatal(err)
+				}
+				if err := l.Backward(ctx, []*tensor.Tensor{x}, y, dy, []*tensor.Tensor{dx}); err != nil {
+					t.Fatal(err)
+				}
+				for name, pair := range map[string][2][]float32{
+					"y": {y.Data, wantY.Data}, "denom": {l.denom, wantDenom}, "dx": {dx.Data, wantDX.Data},
+				} {
+					if i := sameBits(pair[0], pair[1]); i >= 0 {
+						t.Fatalf("%v setup@%d run@%d: %s[%d] = %v, reference %v", s, setupWorkers, workers, name, i, pair[0][i], pair[1][i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// A forked LRN pass reuses the goroutine bodies and scratch Setup built:
+// nothing is allocated per call at any worker count.
+func TestLRNPassesDoNotAllocate(t *testing.T) {
+	defer conv.SetMaxWorkers(conv.SetMaxWorkers(2))
+	s := tensor.Shape{N: 4, C: 8, H: 6, W: 6}
+	l := NewLRN("lrn")
+	ctx := testCtx()
+	if _, err := l.Setup(ctx, []tensor.Shape{s}); err != nil {
+		t.Fatal(err)
+	}
+	x, y, dy, dx := tensor.NewShaped(s), tensor.NewShaped(s), tensor.NewShaped(s), tensor.NewShaped(s)
+	x.Randomize(rand.New(rand.NewSource(1)), 1)
+	bot, dbot := []*tensor.Tensor{x}, []*tensor.Tensor{dx}
+	if avg := testing.AllocsPerRun(20, func() {
+		if err := l.Forward(ctx, bot, y); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Backward(ctx, bot, y, dy, dbot); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("LRN forward+backward allocates %v/op at 2 workers, want 0", avg)
+	}
+}
+
+// TestFCMatchesPackedReferenceBitwise: the FC layer's three products at
+// batch 1..5 (both sides of the one-row-panel boundary, where blas
+// streams W in place instead of packing it) on a width that is no
+// multiple of the register tile, against the packed-tile path
+// (blas.SgemmPackedA never takes the in-place kernels).
+func TestFCMatchesPackedReferenceBitwise(t *testing.T) {
+	const in, out = 2 * 3 * 7, 37
+	for batch := 1; batch <= 5; batch++ {
+		s := tensor.Shape{N: batch, C: 2, H: 3, W: 7}
+		ctx := testCtx()
+		ctx.RNG = rand.New(rand.NewSource(int64(batch)))
+		l := NewFC("fc", out)
+		if _, err := l.Setup(ctx, []tensor.Shape{s}); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(100 + batch)))
+		x, dy := tensor.NewShaped(s), tensor.New(batch, out, 1, 1)
+		x.Randomize(rng, 1)
+		dy.Randomize(rng, 1)
+		for i := range l.bias.Data {
+			l.bias.Data[i] = rng.Float32()
+		}
+		for i := range l.weight.Grad {
+			l.weight.Grad[i] = rng.Float32()
+		}
+		wantDW := append([]float32(nil), l.weight.Grad...)
+
+		y, dx := tensor.New(batch, out, 1, 1), tensor.NewShaped(s)
+		if err := l.Forward(ctx, []*tensor.Tensor{x}, y); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Backward(ctx, []*tensor.Tensor{x}, y, dy, []*tensor.Tensor{dx}); err != nil {
+			t.Fatal(err)
+		}
+
+		packed := func(transA bool, m, k int, a []float32, lda int) []float32 {
+			pa := make([]float32, blas.PackAFloats(m, k))
+			blas.PackA(pa, transA, m, k, 1, a, lda)
+			return pa
+		}
+		wantY := make([]float32, batch*out)
+		blas.SgemmPackedA(1, packed(false, batch, in, x.Data, in), true, batch, out, in, l.weight.Data, in, 0, wantY, out)
+		for i := range wantY {
+			wantY[i] += l.bias.Data[i%out]
+		}
+		wantDX := make([]float32, batch*in)
+		blas.SgemmPackedA(1, packed(false, batch, out, dy.Data, out), false, batch, in, out, l.weight.Data, in, 0, wantDX, in)
+		blas.SgemmPackedA(1, packed(true, out, batch, dy.Data, out), false, out, in, batch, x.Data, in, 1, wantDW, in)
+		for name, pair := range map[string][2][]float32{
+			"y": {y.Data, wantY}, "dx": {dx.Data, wantDX}, "dW": {l.weight.Grad, wantDW},
+		} {
+			if i := sameBits(pair[0], pair[1]); i >= 0 {
+				t.Fatalf("batch %d: %s[%d] = %v, packed reference %v", batch, name, i, pair[0][i], pair[1][i])
+			}
+		}
 	}
 }

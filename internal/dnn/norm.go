@@ -3,13 +3,21 @@ package dnn
 import (
 	"fmt"
 	"math"
+	"sync"
 
+	"ucudnn/internal/conv"
 	"ucudnn/internal/tensor"
 )
 
 // LRN is AlexNet's cross-channel local response normalization:
 //
 //	y[c] = x[c] / d[c]^beta,  d[c] = k + (alpha/n) * sum_{c' in win(c)} x[c']^2
+//
+// Samples are independent, so both passes spread them over the kernel
+// engine's workers; within a sample the walk is channel-outer,
+// pixel-inner over contiguous H*W planes. Every element sees the float
+// operations of the definition in the definition's order (window sums in
+// ascending c'), so results do not depend on the worker count.
 type LRN struct {
 	name        string
 	n           int // window size
@@ -17,6 +25,20 @@ type LRN struct {
 	k           float32
 	shape       tensor.Shape
 	denom       []float32 // cached d[c] from forward
+	factor      []float32 // cached d[c]^-beta from forward
+
+	// Fork-join state, built once in Setup so a pass allocates nothing:
+	// one sample-sized scratch per worker for backward's dy*y/d, and the
+	// goroutine body of every worker but the calling one.
+	ratio []float32
+	run   []func()
+	wg    sync.WaitGroup
+	// The pass in flight, read by the workers.
+	pass struct {
+		workers      int
+		backward     bool
+		x, y, dy, dx []float32
+	}
 }
 
 // NewLRN builds an LRN layer with AlexNet's defaults (n=5, alpha=1e-4,
@@ -39,8 +61,47 @@ func (l *LRN) Setup(ctx *Context, bottoms []tensor.Shape) (tensor.Shape, error) 
 	l.shape = bottoms[0]
 	if !ctx.SkipCompute {
 		l.denom = make([]float32, l.shape.Elems())
+		l.factor = make([]float32, l.shape.Elems())
+		// As the conv engine sizes its workspace strips: scratch for the
+		// parallelism available now, and a pass uses as much of it as the
+		// worker cap then allows.
+		workers := imax(1, imin(conv.MaxWorkers(), l.shape.N))
+		l.ratio = make([]float32, workers*l.shape.C*l.shape.H*l.shape.W)
+		l.run = make([]func(), workers-1)
+		for i := range l.run {
+			w := i + 1
+			l.run[i] = func() {
+				defer l.wg.Done()
+				l.work(w)
+			}
+		}
 	}
 	return bottoms[0], nil
+}
+
+// forkJoin runs the pass described by l.pass: worker 0 on the calling
+// goroutine, the others on the bodies Setup built.
+func (l *LRN) forkJoin() {
+	workers := imin(conv.MaxWorkers(), len(l.run)+1)
+	l.pass.workers = workers
+	l.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go l.run[w-1]()
+	}
+	l.work(0)
+	l.wg.Wait()
+}
+
+// work is worker w's share of the pass: a contiguous range of samples.
+func (l *LRN) work(w int) {
+	chunk := (l.shape.N + l.pass.workers - 1) / l.pass.workers
+	for n := w * chunk; n < imin((w+1)*chunk, l.shape.N); n++ {
+		if l.pass.backward {
+			l.backwardSample(w, n)
+		} else {
+			l.forwardSample(n)
+		}
+	}
 }
 
 // Forward implements Layer.
@@ -49,30 +110,38 @@ func (l *LRN) Forward(ctx *Context, bottoms []*tensor.Tensor, top *tensor.Tensor
 	if ctx.SkipCompute {
 		return nil
 	}
+	l.pass.backward = false
+	l.pass.x, l.pass.y = bottoms[0].Data, top.Data
+	l.forkJoin()
+	return nil
+}
+
+func (l *LRN) forwardSample(n int) {
 	s := l.shape
+	hw := s.H * s.W
 	half := l.n / 2
 	scale := l.alpha / float32(l.n)
-	x := bottoms[0]
-	for n := 0; n < s.N; n++ {
-		for h := 0; h < s.H; h++ {
-			for w := 0; w < s.W; w++ {
-				for c := 0; c < s.C; c++ {
-					lo := imax(0, c-half)
-					hi := imin(s.C-1, c+half)
-					var acc float32
-					for cc := lo; cc <= hi; cc++ {
-						v := x.At(n, cc, h, w)
-						acc += v * v
-					}
-					d := l.k + scale*acc
-					idx := x.Index(n, c, h, w)
-					l.denom[idx] = d
-					top.Data[idx] = x.Data[idx] * float32(math.Pow(float64(d), float64(-l.beta)))
-				}
+	negBeta := float64(-l.beta)
+	lo, hi := n*s.C*hw, (n+1)*s.C*hw
+	x, y := l.pass.x[lo:hi], l.pass.y[lo:hi]
+	denom, factor := l.denom[lo:hi], l.factor[lo:hi]
+	for c := 0; c < s.C; c++ {
+		d := denom[c*hw : (c+1)*hw]
+		clear(d)
+		for cc := imax(0, c-half); cc <= imin(s.C-1, c+half); cc++ {
+			for p, v := range x[cc*hw : (cc+1)*hw] {
+				d[p] += v * v
 			}
 		}
+		xc, yc, fc := x[c*hw:(c+1)*hw], y[c*hw:(c+1)*hw], factor[c*hw:(c+1)*hw]
+		for p, acc := range d {
+			dv := l.k + scale*acc
+			d[p] = dv
+			// The one math.Pow per element: backward reuses it.
+			fc[p] = float32(math.Pow(float64(dv), negBeta))
+			yc[p] = xc[p] * fc[p]
+		}
 	}
-	return nil
 }
 
 // Backward implements Layer.
@@ -81,33 +150,43 @@ func (l *LRN) Backward(ctx *Context, bottoms []*tensor.Tensor, top, dTop *tensor
 	if ctx.SkipCompute {
 		return nil
 	}
-	// dx[c] = dy[c]*d[c]^-beta
-	//         - 2*scale*beta * x[c] * sum_{c': c in win(c')} dy[c']*y[c']/d[c']
+	l.pass.backward = true
+	l.pass.x, l.pass.y = bottoms[0].Data, top.Data
+	l.pass.dy, l.pass.dx = dTop.Data, dBottoms[0].Data
+	l.forkJoin()
+	return nil
+}
+
+// backwardSample computes, in worker w's scratch,
+//
+//	dx[c] = dy[c]*d[c]^-beta
+//	        - 2*scale*beta * x[c] * sum_{c': c in win(c')} dy[c']*y[c']/d[c']
+func (l *LRN) backwardSample(w, n int) {
 	s := l.shape
+	hw := s.H * s.W
 	half := l.n / 2
 	scale := l.alpha / float32(l.n)
-	x := bottoms[0]
-	for n := 0; n < s.N; n++ {
-		for h := 0; h < s.H; h++ {
-			for w := 0; w < s.W; w++ {
-				for c := 0; c < s.C; c++ {
-					idx := x.Index(n, c, h, w)
-					d := l.denom[idx]
-					acc := dTop.Data[idx] * float32(math.Pow(float64(d), float64(-l.beta)))
-					lo := imax(0, c-half)
-					hi := imin(s.C-1, c+half)
-					var ratio float32
-					for cc := lo; cc <= hi; cc++ {
-						j := x.Index(n, cc, h, w)
-						ratio += dTop.Data[j] * top.Data[j] / l.denom[j]
-					}
-					acc -= 2 * scale * l.beta * x.Data[idx] * ratio
-					dBottoms[0].Data[idx] = acc
-				}
+	coef := 2 * scale * l.beta
+	lo, hi := n*s.C*hw, (n+1)*s.C*hw
+	x, y, dy, dx := l.pass.x[lo:hi], l.pass.y[lo:hi], l.pass.dy[lo:hi], l.pass.dx[lo:hi]
+	denom, factor := l.denom[lo:hi], l.factor[lo:hi]
+	ratio := l.ratio[w*s.C*hw : (w+1)*s.C*hw]
+	for i, d := range denom {
+		ratio[i] = dy[i] * y[i] / d
+	}
+	for c := 0; c < s.C; c++ {
+		sum := dx[c*hw : (c+1)*hw]
+		clear(sum)
+		for cc := imax(0, c-half); cc <= imin(s.C-1, c+half); cc++ {
+			for p, r := range ratio[cc*hw : (cc+1)*hw] {
+				sum[p] += r
 			}
 		}
+		xc, dyc, fc := x[c*hw:(c+1)*hw], dy[c*hw:(c+1)*hw], factor[c*hw:(c+1)*hw]
+		for p, r := range sum {
+			sum[p] = dyc[p]*fc[p] - coef*xc[p]*r
+		}
 	}
-	return nil
 }
 
 // BatchNorm is spatial batch normalization with learnable scale and bias.
