@@ -35,7 +35,6 @@ test: build
 # gradients (see internal/testkit).
 test-e2e:
 	$(GO) test -count=1 -timeout 1200s ./internal/testkit/
-	$(GO) test -count=1 -timeout 1200s -run 'TestOOC' ./internal/testkit/
 
 bench:
 	$(GO) test -bench=. -benchmem -run=NONE
@@ -84,7 +83,7 @@ smoke:
 	$(GO) run ./cmd/ucudnn-time -net alexnet -batch 8 -iters 1 -mode wr -ws 64 -profile PROF_report.json
 	$(GO) run ./cmd/ucudnn-time -check PROF_report.json
 	$(GO) run ./cmd/ucudnn-time -net alexnet -batch 16 -iters 1 -mode wd -total 256 -blob-budget 48 \
-		-ws 64 -timeline TRACE_timeline.json -critical-path -stalls
+		-ws 64 -timeline TRACE_timeline.json -critical-path
 	$(GO) run ./cmd/ucudnn-time -check TRACE_timeline.json
 
 # lint runs the ucudnn-lint analyzer suite (the analyzer table in

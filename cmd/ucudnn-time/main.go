@@ -1,10 +1,10 @@
 // Command ucudnn-time is the `caffe time` equivalent: it builds one of
 // the zoo networks over the simulated device, runs timed forward-backward
 // iterations, and prints the per-layer breakdown — under plain cuDNN or
-// µ-cuDNN (WR or WD). With -timeline, -trace, -critical-path or -stalls
-// it also runs -iters causally traced iterations and exports or analyzes
-// the unified timeline (critical path, modeled-vs-measured out-of-core
-// stalls); -check validates a timeline or profile-report file.
+// µ-cuDNN (WR or WD). With -timeline, -trace or -critical-path it also
+// runs -iters causally traced iterations and exports or analyzes the
+// unified timeline (critical path, stall totals by cause); -check
+// validates a timeline or profile-report file.
 //
 // Usage:
 //
@@ -12,7 +12,7 @@
 //	ucudnn-time -net resnet50 -batch 32 -mode wd -total 2544
 //	ucudnn-time -net alexnet -mode wr -profile prof.json     # forces real compute
 //	ucudnn-time -net alexnet -mode wr -timeline timeline.json -trace chrome.json
-//	ucudnn-time -net densenet40 -batch 64 -mode wd -total 512 -blob-budget 96 -critical-path -stalls
+//	ucudnn-time -net densenet40 -batch 64 -mode wd -total 512 -blob-budget 96 -critical-path
 //	ucudnn-time -check timeline.json                         # or a -profile report
 package main
 
@@ -31,7 +31,6 @@ import (
 	"ucudnn/internal/cudnn"
 	"ucudnn/internal/device"
 	"ucudnn/internal/obs"
-	"ucudnn/internal/prof"
 	"ucudnn/internal/session"
 	"ucudnn/internal/zoo"
 )
@@ -57,7 +56,6 @@ type runOpts struct {
 	Timeline string
 	Trace    string
 	Critical bool
-	Stalls   bool
 	Check    string
 
 	session.ObsFlags
@@ -78,9 +76,8 @@ func main() {
 	flag.StringVar(&o.DB, "db", "", "benchmark database file (optional)")
 	flag.IntVar(&o.Workers, "workers", 0, "kernel worker cap (0 = leave default); the exported timeline is byte-identical across worker counts")
 	flag.StringVar(&o.Timeline, "timeline", "", "write the canonical causal timeline JSON here")
-	flag.StringVar(&o.Trace, "trace", "", "write the causal timeline as Chrome trace-event JSON (flow arrows, named tracks) here")
-	flag.BoolVar(&o.Critical, "critical-path", false, "print the per-iteration critical-path report")
-	flag.BoolVar(&o.Stalls, "stalls", false, "print the per-layer modeled-vs-measured stall table")
+	flag.StringVar(&o.Trace, "trace", "", "write the causal timeline as Chrome trace-event JSON (named tracks) here")
+	flag.BoolVar(&o.Critical, "critical-path", false, "print the per-iteration critical-path report and the stall totals by cause")
 	flag.StringVar(&o.Check, "check", "", "validate a causal-timeline or profile-report JSON file (dispatching on its schema field) and exit")
 	o.ObsFlags.Register(flag.CommandLine)
 	flag.Parse()
@@ -129,8 +126,7 @@ func check(path string, w io.Writer) error {
 }
 
 // checkTimeline applies the schema/ID/flow/overlap invariants plus the
-// analysis-level acceptance bars (critical-path coverage, single-cause
-// stall attribution).
+// analysis-level acceptance bar (critical-path coverage).
 func checkTimeline(path string, data []byte, w io.Writer) error {
 	t, err := causal.ReadTimeline(bytes.NewReader(data))
 	if err != nil {
@@ -139,20 +135,15 @@ func checkTimeline(path string, data []byte, w io.Writer) error {
 	if err := t.Validate(); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	a := causal.Analyze(t, nil)
+	a := causal.Analyze(t)
 	for _, it := range a.Iterations {
 		if it.WallNS > 0 && it.Coverage < minCoverage {
 			return fmt.Errorf("%s: iteration %d critical path covers %.1f%% of wall, want >= %.0f%%",
 				path, it.Span, it.Coverage*100, minCoverage*100)
 		}
 	}
-	for _, l := range a.Layers {
-		if l.StallNS > 0 && l.Cause == "" {
-			return fmt.Errorf("%s: layer %s has %dns stall with no attributed cause", path, l.Layer, l.StallNS)
-		}
-	}
-	fmt.Fprintf(w, "%s: ok (%d scopes, %d events, %d iterations, %d layers)\n",
-		path, len(t.Scopes), len(t.Events), len(a.Iterations), len(a.Layers))
+	fmt.Fprintf(w, "%s: ok (%d scopes, %d events, %d iterations)\n",
+		path, len(t.Scopes), len(t.Events), len(a.Iterations))
 	return nil
 }
 
@@ -193,12 +184,12 @@ func runNet(o runOpts, reg *obs.Registry, w io.Writer) ([]core.HandleReport, err
 	// warm-up, so the timeline's clock does not depend on -iters' timed
 	// pass below.
 	var analysis *causal.Analysis
-	if o.Timeline != "" || o.Trace != "" || o.Critical || o.Stalls {
+	if o.Timeline != "" || o.Trace != "" || o.Critical {
 		t, err := s.Trace(o.Iters)
 		if err != nil {
 			return nil, err
 		}
-		analysis = causal.Analyze(t, busyByLayer(o.Profile != ""))
+		analysis = causal.Analyze(t)
 		analysis.Metrics(reg)
 		if o.Timeline != "" {
 			if err := writeFile(o.Timeline, t.WriteJSON); err != nil {
@@ -239,7 +230,7 @@ func runNet(o runOpts, reg *obs.Registry, w io.Writer) ([]core.HandleReport, err
 			return nil, err
 		}
 	}
-	if o.Critical || o.Stalls {
+	if o.Critical {
 		fmt.Fprintln(w)
 		analysis.WriteTable(w)
 	}
@@ -257,28 +248,6 @@ func writeFile(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
-}
-
-// busyByLayer folds the profiler's launch accounting into a layer ->
-// mean worker busy ratio map for worker-imbalance attribution. The
-// profiler keys backward rows as "layer/bwd"; the timeline's layer
-// scopes use the base name, so both directions fold onto it (keeping
-// the minimum: the worst imbalance attributes the layer).
-func busyByLayer(enabled bool) map[string]float64 {
-	if !enabled {
-		return nil
-	}
-	busy := map[string]float64{}
-	for _, r := range prof.Snapshot() {
-		if r.Layer == "" || r.Launches+r.NestedLaunches == 0 || r.MeanBusyRatio <= 0 {
-			continue
-		}
-		name := strings.TrimSuffix(r.Layer, "/bwd")
-		if b, ok := busy[name]; !ok || r.MeanBusyRatio < b {
-			busy[name] = r.MeanBusyRatio
-		}
-	}
-	return busy
 }
 
 func fmtMiB(b int64) string { return fmt.Sprintf("%.1f", float64(b)/(1<<20)) }

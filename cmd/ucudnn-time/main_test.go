@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"ucudnn/internal/causal"
+	"ucudnn/internal/trace"
 )
 
 func opts(net string, batch int, dev, mode, policy string, ws, total int64, iters int, db string) runOpts {
@@ -177,7 +178,6 @@ func TestRunAndCheck(t *testing.T) {
 	o := traceOpts("wr", 0)
 	o.Timeline = out
 	o.Critical = true
-	o.Stalls = true
 	var buf bytes.Buffer
 	if err := run(o, &buf); err != nil {
 		t.Fatal(err)
@@ -194,13 +194,12 @@ func TestRunAndCheck(t *testing.T) {
 	}
 }
 
-// Under a blob budget the stall table must attribute every positive
-// stall to exactly one cause, and the per-iteration critical path must
-// cover >= 95% of wall time (the ISSUE's acceptance criterion; check
-// enforces both).
-func TestRunOOCStallAttribution(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "timeline.json")
+// The same round trip under a blob budget: the modeled transfers are
+// serial charges on the device stream, so the exported timeline holds
+// them as kernel-track leaves with no flow edge, and the critical path
+// still covers >= 95% of wall time (check enforces it).
+func TestRunOOCAndCheck(t *testing.T) {
+	out := filepath.Join(t.TempDir(), "timeline.json")
 	o := traceOpts("wd", 16)
 	o.Net = "densenet40"
 	o.Batch = 8
@@ -222,21 +221,18 @@ func TestRunOOCStallAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := causal.Analyze(tl, nil)
-	attributed := 0
-	for _, l := range a.Layers {
-		if l.StallNS > 0 {
-			if l.Cause == "" {
-				t.Fatalf("layer %s: stall without cause", l.Layer)
-			}
-			attributed++
+	transfers := 0
+	for _, e := range tl.Events {
+		if !strings.HasPrefix(e.Cat, "ooc_") {
+			continue
+		}
+		transfers++
+		if e.Track != trace.TrackKernel || e.Flow != 0 {
+			t.Fatalf("transfer %q on track %d with flow %d, want a plain device-stream leaf", e.Name, e.Track, e.Flow)
 		}
 	}
-	if attributed == 0 {
-		t.Fatal("blob-budgeted run produced no attributable stalls")
-	}
-	if len(a.StallNS) == 0 {
-		t.Fatal("no stall totals")
+	if transfers == 0 {
+		t.Fatal("blob-budgeted run recorded no transfer charges")
 	}
 }
 

@@ -5,27 +5,19 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"text/tabwriter"
 
 	"ucudnn/internal/obs"
-	"ucudnn/internal/trace"
 )
 
-// The stall taxonomy: every nanosecond of measured stall is attributed
-// to exactly one cause by a first-match decision tree (see DESIGN.md).
+// The stall taxonomy: every idle nanosecond on a critical path is
+// attributed to exactly one cause by a first-match decision tree (see
+// DESIGN.md).
 const (
 	// CauseSerialFallback: the degradation ladder hit the serial
 	// MinWorkspace floor, so micro-batches ran without division benefits.
 	CauseSerialFallback = "serial-fallback"
 	// CauseWorkspaceWait: a workspace fault forced replanning/retries.
 	CauseWorkspaceWait = "workspace-wait"
-	// CauseFetchStarved: compute waited on host-to-device fetches the
-	// overlap model could not hide.
-	CauseFetchStarved = "fetch-starved"
-	// CauseSpillBlocked: device-to-host spills serialized behind compute.
-	CauseSpillBlocked = "spill-blocked"
-	// CauseWorkerImbalance: parallel kernel workers finished unevenly.
-	CauseWorkerImbalance = "worker-imbalance"
 	// CauseOther: residual stall none of the model's causes explain.
 	CauseOther = "other"
 )
@@ -67,95 +59,18 @@ type IterationPath struct {
 	Coverage float64 `json:"coverage"`
 }
 
-// LayerStall is the modeled-vs-measured comparison for one layer: the
-// measured serial time of its leaves vs the makespan of replaying the
-// same per-window durations through ScheduleOOC's three-stream overlap
-// model. The delta is the stall overlap would hide, attributed to one
-// cause.
-type LayerStall struct {
-	Layer       string `json:"layer"`
-	Windows     int    `json:"windows"`
-	MeasuredNS  int64  `json:"measured_ns"`
-	ModeledNS   int64  `json:"modeled_ns"`
-	StallNS     int64  `json:"stall_ns"`
-	ComputeNS   int64  `json:"compute_ns"`
-	FetchNS     int64  `json:"fetch_ns"`
-	SpillNS     int64  `json:"spill_ns"`
-	RecomputeNS int64  `json:"recompute_ns"`
-	Cause       string `json:"cause,omitempty"`
-}
-
 // Analysis is the result of analyzing one timeline.
 type Analysis struct {
 	Iterations []IterationPath `json:"iterations"`
-	Layers     []LayerStall    `json:"layers"`
-	// StallNS totals attributed stall time by cause, across layer deltas
-	// and critical-path gaps.
+	// StallNS totals the critical paths' idle gaps by attributed cause.
 	StallNS map[string]int64 `json:"stall_ns"`
 	// CriticalPathNS sums the iterations' path lengths.
 	CriticalPathNS int64 `json:"critical_path_ns"`
 	WallNS         int64 `json:"wall_ns"`
 }
 
-// Overlap is the replayed three-stream overlap model's verdict for one
-// sequence of windows.
-type Overlap struct {
-	// MakespanNS is the modeled completion time with double buffering.
-	MakespanNS int64
-	// FetchWaitNS is compute idle time waiting on fetches.
-	FetchWaitNS int64
-	// SpillTailNS is spill time draining after the last compute.
-	SpillTailNS int64
-}
-
-// ReplayOverlap replays dnn.ScheduleOOC's double-buffered three-stream
-// model (H2D fetch / compute / D2H spill) over explicit per-window
-// durations: fetch w+1 overlaps compute w, spills drain behind their
-// window. The dnn package's schedule tests pin this replica to
-// ScheduleOOC's makespans exactly.
-func ReplayOverlap(fetch, compute, spill []int64) Overlap {
-	var o Overlap
-	var h2d, comp, d2h int64
-	at := func(s []int64, i int) int64 {
-		if i < len(s) {
-			return s[i]
-		}
-		return 0
-	}
-	n := len(fetch)
-	if len(compute) > n {
-		n = len(compute)
-	}
-	if len(spill) > n {
-		n = len(spill)
-	}
-	for w := 0; w < n; w++ {
-		h2d += at(fetch, w)
-		if h2d > comp {
-			o.FetchWaitNS += h2d - comp
-			comp = h2d
-		}
-		comp += at(compute, w)
-		if s := at(spill, w); s > 0 {
-			if comp > d2h {
-				d2h = comp
-			}
-			d2h += s
-		}
-	}
-	o.MakespanNS = comp
-	if d2h > comp {
-		o.MakespanNS = d2h
-		o.SpillTailNS = d2h - comp
-	}
-	return o
-}
-
-// Analyze runs the critical-path engine and the modeled-vs-measured
-// stall comparator over a timeline. busy optionally maps layer names to
-// mean worker busy ratios (from the prof launch accounting) for the
-// worker-imbalance classification; nil disables that cause.
-func Analyze(t *Timeline, busy map[string]float64) *Analysis {
+// Analyze runs the critical-path engine over a timeline.
+func Analyze(t *Timeline) *Analysis {
 	a := &Analysis{StallNS: map[string]int64{}}
 	leaves := make([]TEvent, 0, len(t.Events))
 	var faults []TEvent
@@ -181,12 +96,6 @@ func Analyze(t *Timeline, busy map[string]float64) *Analysis {
 			if s.GapNS > 0 {
 				a.StallNS[s.Cause] += s.GapNS
 			}
-		}
-	}
-	a.Layers = layerStalls(t, leaves, faults, busy)
-	for _, l := range a.Layers {
-		if l.StallNS > 0 {
-			a.StallNS[l.Cause] += l.StallNS
 		}
 	}
 	return a
@@ -288,8 +197,7 @@ func criticalPath(it TEvent, leaves, faults []TEvent) IterationPath {
 }
 
 // classifyGap attributes one idle gap before cur: explicit fault
-// evidence wins, then the stream cur (or its binding predecessor)
-// belongs to, then other.
+// evidence, else other.
 func classifyGap(pred, cur TEvent, faults []TEvent) string {
 	gapStart, gapEnd := pred.End(), cur.StartNS
 	for _, f := range faults {
@@ -300,171 +208,16 @@ func classifyGap(pred, cur TEvent, faults []TEvent) string {
 			return CauseWorkspaceWait
 		}
 	}
-	switch {
-	case strings.HasPrefix(cur.Cat, "ooc_fetch") || strings.HasPrefix(cur.Name, "ooc_fetch"):
-		// The fetch stream itself idling is starvation upstream.
-		return CauseFetchStarved
-	case strings.HasPrefix(pred.Cat, "ooc_fetch") || strings.HasPrefix(pred.Name, "ooc_fetch"):
-		return CauseFetchStarved
-	case strings.HasPrefix(cur.Cat, "ooc_spill") || strings.HasPrefix(cur.Name, "ooc_spill"):
-		return CauseSpillBlocked
-	case strings.HasPrefix(pred.Cat, "ooc_spill") || strings.HasPrefix(pred.Name, "ooc_spill"):
-		return CauseSpillBlocked
-	}
 	return CauseOther
 }
 
-// layerStalls groups leaves by their enclosing layer scope and replays
-// each layer pass's fetch/compute/spill windows through the overlap
-// model, reporting measured (serial) minus modeled (overlapped) per
-// layer with one attributed cause.
-func layerStalls(t *Timeline, leaves, faults []TEvent, busy map[string]float64) []LayerStall {
-	if len(t.Scopes) == 0 {
-		return nil
+// causes lists the causes with attributed stall time, sorted.
+func (a *Analysis) causes() []string {
+	out := make([]string, 0, len(a.StallNS))
+	for c := range a.StallNS {
+		out = append(out, c)
 	}
-	scopeByID := make(map[uint64]Scope, len(t.Scopes))
-	for _, s := range t.Scopes {
-		scopeByID[uint64(s.ID)] = s
-	}
-	layerOf := func(parent uint64) (uint64, string) {
-		for parent != 0 {
-			s, ok := scopeByID[parent]
-			if !ok {
-				return 0, ""
-			}
-			if s.Kind == KindLayer {
-				return uint64(s.ID), s.Name
-			}
-			parent = uint64(s.Parent)
-		}
-		return 0, ""
-	}
-
-	// One pass of one layer = one layer scope instance.
-	type instance struct {
-		name               string
-		fetch, spill       []int64
-		compute, recompute int64
-	}
-	instances := map[uint64]*instance{}
-	var order []uint64
-	get := func(id uint64, name string) *instance {
-		if in, ok := instances[id]; ok {
-			return in
-		}
-		in := &instance{name: name}
-		instances[id] = in
-		order = append(order, id)
-		return in
-	}
-	for _, e := range leaves {
-		id, name := layerOf(e.Parent)
-		if id == 0 {
-			continue
-		}
-		in := get(id, name)
-		switch e.Track {
-		case trace.TrackOOCFetch:
-			in.fetch = append(in.fetch, e.DurNS)
-			if e.Cat == "ooc_recompute" {
-				in.recompute += e.DurNS
-			}
-		case trace.TrackOOCSpill:
-			in.spill = append(in.spill, e.DurNS)
-		default:
-			in.compute += e.DurNS
-		}
-	}
-	faultLayer := map[string]string{} // layer -> worst fault kind seen
-	for _, f := range faults {
-		_, name := layerOf(f.Parent)
-		if name == "" {
-			continue
-		}
-		if strings.Contains(f.Name, "-> floor") {
-			faultLayer[name] = CauseSerialFallback
-		} else if faultLayer[name] == "" {
-			faultLayer[name] = CauseWorkspaceWait
-		}
-	}
-
-	// Aggregate instances per layer name, in first-seen order.
-	agg := map[string]*LayerStall{}
-	var names []string
-	for _, id := range order {
-		in := instances[id]
-		l, ok := agg[in.name]
-		if !ok {
-			l = &LayerStall{Layer: in.name}
-			agg[in.name] = l
-			names = append(names, in.name)
-		}
-		windows := len(in.fetch)
-		if windows == 0 {
-			windows = 1
-		}
-		if windows > l.Windows {
-			l.Windows = windows
-		}
-		var fetchNS, spillNS int64
-		for _, d := range in.fetch {
-			fetchNS += d
-		}
-		for _, d := range in.spill {
-			spillNS += d
-		}
-		measured := fetchNS + in.compute + spillNS
-		o := ReplayOverlap(in.fetch, splitEven(in.compute, windows), in.spill)
-		l.MeasuredNS += measured
-		l.ModeledNS += o.MakespanNS
-		l.StallNS += measured - o.MakespanNS
-		l.ComputeNS += in.compute
-		l.FetchNS += fetchNS - in.recompute
-		l.RecomputeNS += in.recompute
-		l.SpillNS += spillNS
-	}
-	out := make([]LayerStall, 0, len(names))
-	for _, name := range names {
-		l := agg[name]
-		l.Cause = classifyLayer(l, faultLayer[name], busy)
-		out = append(out, *l)
-	}
-	return out
-}
-
-// classifyLayer attributes a layer's stall delta by the first-match
-// decision tree; every positive stall gets exactly one cause.
-func classifyLayer(l *LayerStall, fault string, busy map[string]float64) string {
-	if l.StallNS <= 0 {
-		return ""
-	}
-	switch {
-	case fault == CauseSerialFallback:
-		return CauseSerialFallback
-	case fault == CauseWorkspaceWait:
-		return CauseWorkspaceWait
-	case busy != nil && busy[l.Layer] > 0 && busy[l.Layer] < 0.6:
-		return CauseWorkerImbalance
-	case l.FetchNS+l.RecomputeNS >= l.SpillNS && l.FetchNS+l.RecomputeNS > 0:
-		return CauseFetchStarved
-	case l.SpillNS > 0:
-		return CauseSpillBlocked
-	}
-	return CauseOther
-}
-
-// splitEven divides total across n windows as evenly as integer
-// nanoseconds allow, remainder on the last window, conserving the sum.
-func splitEven(total int64, n int) []int64 {
-	if n < 1 {
-		n = 1
-	}
-	out := make([]int64, n)
-	each := total / int64(n)
-	for i := range out {
-		out[i] = each
-	}
-	out[n-1] = total - each*int64(n-1)
+	sort.Strings(out)
 	return out
 }
 
@@ -474,19 +227,14 @@ func (a *Analysis) Metrics(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	causes := make([]string, 0, len(a.StallNS))
-	for c := range a.StallNS {
-		causes = append(causes, c)
-	}
-	sort.Strings(causes)
-	for _, c := range causes {
+	for _, c := range a.causes() {
 		reg.FloatCounter(MetricStallSeconds, obs.L("cause", c)).Add(float64(a.StallNS[c]) / 1e9)
 	}
 	reg.Gauge(MetricCriticalPath).Set(float64(a.CriticalPathNS) / 1e9)
 }
 
 // WriteTable renders the analysis for terminals: per-iteration critical
-// paths and the per-layer modeled-vs-measured stall table.
+// paths and the per-cause stall totals.
 func (a *Analysis) WriteTable(w io.Writer) {
 	fmt.Fprintf(w, "critical path: %.6fs over %d iteration(s), wall %.6fs\n",
 		float64(a.CriticalPathNS)/1e9, len(a.Iterations), float64(a.WallNS)/1e9)
@@ -494,32 +242,10 @@ func (a *Analysis) WriteTable(w io.Writer) {
 		fmt.Fprintf(w, "  iteration %d: path %.6fs / wall %.6fs (coverage %.1f%%), %d steps\n",
 			i, float64(it.PathNS)/1e9, float64(it.WallNS)/1e9, it.Coverage*100, len(it.Steps))
 	}
-	if len(a.Layers) > 0 {
-		fmt.Fprintln(w)
-		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "layer\twin\tmeasured\tmodeled\tstall\tfetch\tcompute\tspill\trecompute\tcause")
-		for _, l := range a.Layers {
-			cause := l.Cause
-			if cause == "" {
-				cause = "-"
-			}
-			fmt.Fprintf(tw, "%s\t%d\t%.6f\t%.6f\t%.6f\t%.6f\t%.6f\t%.6f\t%.6f\t%s\n",
-				l.Layer, l.Windows,
-				float64(l.MeasuredNS)/1e9, float64(l.ModeledNS)/1e9, float64(l.StallNS)/1e9,
-				float64(l.FetchNS)/1e9, float64(l.ComputeNS)/1e9, float64(l.SpillNS)/1e9,
-				float64(l.RecomputeNS)/1e9, cause)
+	for i, c := range a.causes() {
+		if i == 0 {
+			fmt.Fprintln(w)
 		}
-		tw.Flush()
-	}
-	if len(a.StallNS) > 0 {
-		causes := make([]string, 0, len(a.StallNS))
-		for c := range a.StallNS {
-			causes = append(causes, c)
-		}
-		sort.Strings(causes)
-		fmt.Fprintln(w)
-		for _, c := range causes {
-			fmt.Fprintf(w, "stall[%s] = %.6fs\n", c, float64(a.StallNS[c])/1e9)
-		}
+		fmt.Fprintf(w, "stall[%s] = %.6fs\n", c, float64(a.StallNS[c])/1e9)
 	}
 }

@@ -8,28 +8,6 @@ import (
 	"ucudnn/internal/trace"
 )
 
-func TestReplayOverlap(t *testing.T) {
-	cases := []struct {
-		name                  string
-		fetch, compute, spill []int64
-		makespan, wait, tail  int64
-	}{
-		{"empty", nil, nil, nil, 0, 0, 0},
-		{"compute only", nil, []int64{5, 5}, nil, 10, 0, 0},
-		{"hidden fetch", []int64{2, 2, 2}, []int64{10, 10, 10}, nil, 32, 2, 0},
-		{"fetch bound", []int64{10, 10, 10}, []int64{2, 2, 2}, nil, 32, 26, 0},
-		{"spill tail", []int64{1, 1}, []int64{4, 4}, []int64{6, 6}, 17, 1, 8},
-		{"balanced", []int64{5, 5}, []int64{5, 5}, nil, 15, 5, 0},
-	}
-	for _, tc := range cases {
-		o := ReplayOverlap(tc.fetch, tc.compute, tc.spill)
-		if o.MakespanNS != tc.makespan || o.FetchWaitNS != tc.wait || o.SpillTailNS != tc.tail {
-			t.Errorf("%s: got {makespan %d, wait %d, tail %d}, want {%d, %d, %d}",
-				tc.name, o.MakespanNS, o.FetchWaitNS, o.SpillTailNS, tc.makespan, tc.wait, tc.tail)
-		}
-	}
-}
-
 // bruteLongest is the oracle: the maximum total duration over every
 // dependency chain (e_1..e_k with e_i ending before e_{i+1} starts),
 // found by exhaustive DP over the happens-before DAG. Events must be in
@@ -60,7 +38,7 @@ func oraclePath(t *testing.T, name string, evs []trace.Event) IterationPath {
 	if err := tl.Validate(); err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	a := Analyze(tl, nil)
+	a := Analyze(tl)
 	if len(a.Iterations) != 1 {
 		t.Fatalf("%s: %d iterations, want 1", name, len(a.Iterations))
 	}
@@ -95,12 +73,12 @@ func TestCriticalPathOracle(t *testing.T) {
 	}
 
 	doubleBuffered := []trace.Event{
-		tev("f1", "ooc_fetch", trace.TrackOOCFetch, 0, 6, 1, 0, 0),
-		tev("c1", "ooc", trace.TrackKernel, 6, 4, 2, 0, 0),
-		tev("f2", "ooc_fetch", trace.TrackOOCFetch, 6, 8, 3, 0, 0),
-		tev("s1", "ooc_spill", trace.TrackOOCSpill, 10, 3, 4, 0, 0),
-		tev("c2", "ooc", trace.TrackKernel, 14, 6, 5, 0, 0),
-		tev("s2", "ooc_spill", trace.TrackOOCSpill, 20, 3, 6, 0, 0),
+		tev("f1", "copy_in", 3, 0, 6, 1, 0, 0),
+		tev("c1", "fwd", trace.TrackKernel, 6, 4, 2, 0, 0),
+		tev("f2", "copy_in", 3, 6, 8, 3, 0, 0),
+		tev("s1", "copy_out", 4, 10, 3, 4, 0, 0),
+		tev("c2", "fwd", trace.TrackKernel, 14, 6, 5, 0, 0),
+		tev("s2", "copy_out", 4, 20, 3, 6, 0, 0),
 	}
 	if p := oraclePath(t, "double-buffered", doubleBuffered); p.PathNS != 23 {
 		t.Fatalf("double-buffered: path %d, want 23 (f1,f2,c2,s2)", p.PathNS)
@@ -131,8 +109,8 @@ func TestCriticalPathSerialRandom(t *testing.T) {
 	}
 }
 
-// Gaps on the critical path get exactly one cause from the taxonomy,
-// with fault evidence taking precedence over stream heuristics.
+// Gaps on the critical path get exactly one cause from the taxonomy:
+// fault evidence, else other.
 func TestClassifyGap(t *testing.T) {
 	faultFloor := TEvent{Name: "degrade conv -> floor", Cat: "fault", StartNS: 10, DurNS: 5}
 	faultGrow := TEvent{Name: "degrade conv -> halved", Cat: "fault", StartNS: 10, DurNS: 5}
@@ -144,92 +122,7 @@ func TestClassifyGap(t *testing.T) {
 	if got := classifyGap(pred, cur, []TEvent{faultGrow}); got != CauseWorkspaceWait {
 		t.Fatalf("workspace fault gap = %q", got)
 	}
-	fetch := TEvent{Name: "ooc_fetch conv1", Cat: "ooc_fetch", StartNS: 20, DurNS: 10}
-	if got := classifyGap(pred, fetch, nil); got != CauseFetchStarved {
-		t.Fatalf("fetch gap = %q", got)
-	}
-	spill := TEvent{Name: "ooc_spill conv1", Cat: "ooc_spill", StartNS: 20, DurNS: 10}
-	if got := classifyGap(pred, spill, nil); got != CauseSpillBlocked {
-		t.Fatalf("spill gap = %q", got)
-	}
 	if got := classifyGap(pred, cur, nil); got != CauseOther {
 		t.Fatalf("unexplained gap = %q", got)
-	}
-}
-
-// The layer comparator: a layer whose windows serialize fetch → compute
-// shows a fetch-starved stall equal to the hideable fetch time.
-func TestLayerStallAttribution(t *testing.T) {
-	scopes := []Scope{
-		{ID: 1, Kind: KindIteration, Name: "iteration"},
-		{ID: 2, Parent: 1, Kind: KindLayer, Name: "conv1"},
-	}
-	// Two windows, measured fully serial: fetch 10 then compute 10 each.
-	evs := []trace.Event{
-		tev("ooc_fetch conv1", "ooc_fetch", trace.TrackOOCFetch, 0, 10, 3, 2, 0),
-		tev("mb[0]", "fwd", trace.TrackKernel, 10, 10, 4, 2, 0),
-		tev("ooc_fetch conv1", "ooc_fetch", trace.TrackOOCFetch, 20, 10, 5, 2, 0),
-		tev("mb[1]", "fwd", trace.TrackKernel, 30, 10, 6, 2, 0),
-	}
-	a := Analyze(Build(evs, scopes), nil)
-	if len(a.Layers) != 1 {
-		t.Fatalf("layers: %+v", a.Layers)
-	}
-	l := a.Layers[0]
-	// Modeled: fetch 2 overlaps compute 1 → makespan 30; measured 40.
-	if l.Layer != "conv1" || l.Windows != 2 || l.MeasuredNS != 40 || l.ModeledNS != 30 || l.StallNS != 10 {
-		t.Fatalf("layer stall: %+v", l)
-	}
-	if l.Cause != CauseFetchStarved {
-		t.Fatalf("cause %q, want %q", l.Cause, CauseFetchStarved)
-	}
-	if a.StallNS[CauseFetchStarved] < 10 {
-		t.Fatalf("stall totals: %+v", a.StallNS)
-	}
-}
-
-// Worker-imbalance attribution kicks in only when the busy map reports
-// a low mean worker busy ratio for the layer.
-func TestWorkerImbalanceAttribution(t *testing.T) {
-	l := &LayerStall{Layer: "conv1", StallNS: 100, FetchNS: 50}
-	if got := classifyLayer(l, "", map[string]float64{"conv1": 0.4}); got != CauseWorkerImbalance {
-		t.Fatalf("low busy ratio = %q", got)
-	}
-	if got := classifyLayer(l, "", map[string]float64{"conv1": 0.9}); got != CauseFetchStarved {
-		t.Fatalf("healthy busy ratio = %q", got)
-	}
-	if got := classifyLayer(l, CauseSerialFallback, nil); got != CauseSerialFallback {
-		t.Fatalf("fault evidence must win: %q", got)
-	}
-	if got := classifyLayer(&LayerStall{StallNS: 0}, "", nil); got != "" {
-		t.Fatalf("no stall must have no cause: %q", got)
-	}
-}
-
-func TestSplitEven(t *testing.T) {
-	for _, tc := range []struct {
-		total int64
-		n     int
-		want  []int64
-	}{
-		{10, 3, []int64{3, 3, 4}},
-		{9, 3, []int64{3, 3, 3}},
-		{5, 1, []int64{5}},
-		{7, 0, []int64{7}},
-	} {
-		got := splitEven(tc.total, tc.n)
-		if len(got) != len(tc.want) {
-			t.Fatalf("splitEven(%d,%d) = %v", tc.total, tc.n, got)
-		}
-		var sum int64
-		for i := range got {
-			sum += got[i]
-			if got[i] != tc.want[i] {
-				t.Fatalf("splitEven(%d,%d) = %v, want %v", tc.total, tc.n, got, tc.want)
-			}
-		}
-		if sum != tc.total {
-			t.Fatalf("splitEven(%d,%d) does not conserve the sum: %v", tc.total, tc.n, got)
-		}
 	}
 }

@@ -146,28 +146,11 @@ func (h *Handle) Charge(d time.Duration) {
 }
 
 // ChargeNamed adds d to the simulated clock and, when a tracer is
-// attached, records a named span on the device compute stream.
+// attached, records a named span on the device compute stream. When
+// causal correlation is enabled the recorded span carries a fresh leaf
+// ID under the current scope, which is what links every clock
+// advancement back to its conv call, layer and iteration.
 func (h *Handle) ChargeNamed(name, cat string, d time.Duration) {
-	h.ChargeOn(trace.TrackKernel, name, cat, d)
-}
-
-// ChargeOn is ChargeNamed on an explicit timeline track (the out-of-core
-// executor charges transfers on the H2D/D2H streams). When causal
-// correlation is enabled the recorded span carries a fresh leaf ID under
-// the current scope, which is what links every clock advancement back to
-// its conv call, layer and iteration.
-func (h *Handle) ChargeOn(track int, name, cat string, d time.Duration) {
-	h.ChargeFlow(track, name, cat, d, 0)
-}
-
-// ChargeFlow is ChargeOn with an explicit flow edge: the recorded span
-// declares a dependency on the span ID flow (0 for none), and the
-// recorded span's own ID is returned so callers can chain further
-// dependents (the out-of-core executor links each window's spill and
-// recompute back to that window's fetch). The returned ID is 0 when no
-// tracer is attached — nothing was recorded, so there is nothing to
-// point at.
-func (h *Handle) ChargeFlow(track int, name, cat string, d time.Duration, flow uint64) uint64 {
 	h.mu.Lock()
 	start := h.elapsed
 	h.elapsed += d
@@ -175,14 +158,12 @@ func (h *Handle) ChargeFlow(track int, name, cat string, d time.Duration, flow u
 	tr := h.tracer
 	h.mu.Unlock()
 	if tr == nil {
-		return 0
+		return
 	}
-	span := uint64(causal.NewLeaf())
 	tr.Add(trace.Event{
-		Name: name, Cat: cat, Start: start, Dur: d, Track: track,
-		Span: span, Parent: uint64(causal.Current()), Flow: flow,
+		Name: name, Cat: cat, Start: start, Dur: d, Track: trace.TrackKernel,
+		Span: uint64(causal.NewLeaf()), Parent: uint64(causal.Current()),
 	})
-	return span
 }
 
 // AlgoPerf reports the benchmark outcome of one algorithm, mirroring

@@ -4,74 +4,12 @@ import (
 	"bytes"
 	"math/rand"
 	"testing"
-	"time"
 
 	"ucudnn/internal/causal"
 	"ucudnn/internal/conv"
 	"ucudnn/internal/prof"
 	"ucudnn/internal/trace"
 )
-
-// ReplayOverlap is the causal package's replica of ScheduleOOC's
-// double-buffered three-stream recurrence; this test pins the two to
-// each other so the stall comparator can never drift from the model it
-// claims to replay.
-func TestReplayOverlapMatchesScheduleOOC(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	repeat := func(d time.Duration, n int) []int64 {
-		out := make([]int64, n)
-		for i := range out {
-			out[i] = d.Nanoseconds()
-		}
-		return out
-	}
-	for trial := 0; trial < 200; trial++ {
-		windows := 1 + rng.Intn(9)
-		fetch := time.Duration(rng.Intn(2000))
-		compute := time.Duration(rng.Intn(2000))
-		spill := time.Duration(rng.Intn(3))
-		if trial%3 == 0 {
-			spill = time.Duration(rng.Intn(2000))
-		}
-		sched, err := ScheduleOOC(OOCPlan{Windows: windows}, fetch, compute, spill)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o := causal.ReplayOverlap(
-			repeat(fetch, windows), repeat(compute, windows), repeat(spill, windows))
-		if o.MakespanNS != sched.Makespan.Nanoseconds() {
-			t.Fatalf("trial %d (w=%d f=%d c=%d s=%d): replay makespan %d != ScheduleOOC %d",
-				trial, windows, fetch, compute, spill, o.MakespanNS, sched.Makespan.Nanoseconds())
-		}
-	}
-}
-
-// The modeled OOC schedule's flow edges must satisfy the timeline
-// invariants, and the critical-path engine must reproduce its makespan
-// (the chain through the binding stream is the schedule's own critical
-// path).
-func TestScheduleOOCTimeline(t *testing.T) {
-	sched, err := ScheduleOOC(OOCPlan{Windows: 4}, 70, 100, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tl := causal.Build(sched.Spans, nil)
-	if err := tl.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	a := causal.Analyze(tl, nil)
-	if len(a.Iterations) != 1 {
-		t.Fatalf("iterations: %d", len(a.Iterations))
-	}
-	p := a.Iterations[0]
-	covered := p.PathNS
-	for _, s := range p.Steps {
-		covered += s.GapNS
-	}
-	if covered != sched.Makespan.Nanoseconds() {
-		t.Fatalf("critical path covers %dns of the %dns makespan", covered, sched.Makespan.Nanoseconds())
-	}
-}
 
 // causalTimelineBytes runs the OOC test net under a blob budget with P
 // kernel workers and returns the exported canonical timeline bytes.
@@ -139,22 +77,14 @@ func causalTimelineBytes(t *testing.T, workers int, profile bool) []byte {
 	}
 
 	// Every iteration's critical path must explain >= 95% of its wall
-	// time, and every positive stall must carry exactly one cause.
-	a := causal.Analyze(tl, nil)
+	// time.
+	a := causal.Analyze(tl)
 	if len(a.Iterations) != 2 {
 		t.Fatalf("iterations: %d, want 2", len(a.Iterations))
 	}
 	for _, it := range a.Iterations {
 		if it.Coverage < 0.95 {
 			t.Fatalf("iteration %d coverage %.3f, want >= 0.95", it.Span, it.Coverage)
-		}
-	}
-	for _, l := range a.Layers {
-		if l.StallNS > 0 && l.Cause == "" {
-			t.Fatalf("layer %s: stall %dns with no cause", l.Layer, l.StallNS)
-		}
-		if l.StallNS <= 0 && l.Cause != "" {
-			t.Fatalf("layer %s: cause %q without stall", l.Layer, l.Cause)
 		}
 	}
 

@@ -27,7 +27,6 @@ type Conv struct {
 	xd, yd                         cudnn.TensorDesc
 	wd                             cudnn.FilterDesc
 	cd                             cudnn.ConvDesc
-	fwdAlgo, bwdDAlgo, bwdFAlgo    conv.Algo
 	wsFBytes, wsBDBytes, wsBFBytes int64
 	skipInputGrad                  bool
 
@@ -38,16 +37,21 @@ type Conv struct {
 	in, out    tensor.Shape
 	xg, yg, dg *tensor.Tensor
 
-	// Out-of-core window state: descriptors, algorithms and workspace
-	// sizes per micro-batch window size. Setup seeds the planned sizes
-	// (so WD registers the kernels actually executed); sizes the
-	// degradation ladder improvises later are queried lazily and fall to
-	// the library's WR path. Nil when the layer runs whole-batch.
-	win map[int]*convWindow
+	// Window state. Every pass runs over a partition of the batch into
+	// ascending contiguous sample windows — the whole batch as one window
+	// (whole) normally, the out-of-core executor's partition under a blob
+	// budget — and win holds the kernel state per window size. Setup
+	// seeds the planned sizes (so WD registers the kernels actually
+	// executed); sizes the degradation ladder improvises later are
+	// queried lazily and fall to the library's WR path.
+	whole [1]int
+	win   []convWindow
 }
 
-// convWindow is one micro-batch window size's kernel state.
+// convWindow is the kernel state for windows of n samples: window-shaped
+// descriptors plus the library's algorithm and workspace answers.
 type convWindow struct {
+	n               int
 	xd, yd          cudnn.TensorDesc
 	fwd, bwdD, bwdF conv.Algo
 	wsF, wsBD, wsBF int64
@@ -151,44 +155,26 @@ func (l *Conv) Setup(ctx *Context, bottoms []tensor.Shape) (tensor.Shape, error)
 	}
 
 	// Algorithm selection and workspace queries through the framework's
-	// preference convention (Caffe: explicit limit; TF: PreferFastest).
-	// Under out-of-core execution the layer runs in micro-batch windows,
-	// so the windows' shapes — not the whole batch — are what the library
-	// must select algorithms (and, under WD, register kernels) for.
-	pref, limit := ctx.Pref, ctx.WorkspaceLimit
+	// preference convention (Caffe: explicit limit; TF: PreferFastest),
+	// one set per window size the layer will execute: those shapes — the
+	// whole batch only when no blob budget divides it — are what the
+	// library must select algorithms (and, under WD, register kernels)
+	// for.
+	l.whole[0] = in.N
+	sizes := l.whole[:]
 	if ctx.OOC != nil {
-		l.win = map[int]*convWindow{}
-		for i, wn := range ctx.OOC.SetupSizes() {
-			w, werr := l.winFor(ctx, wn)
-			if werr != nil {
-				return tensor.Shape{}, werr
-			}
-			if i == 0 {
-				l.fwdAlgo, l.bwdDAlgo, l.bwdFAlgo = w.fwd, w.bwdD, w.bwdF
-			}
-			l.wsFBytes = imax64(l.wsFBytes, w.wsF)
-			l.wsBDBytes = imax64(l.wsBDBytes, w.wsBD)
-			l.wsBFBytes = imax64(l.wsBFBytes, w.wsBF)
-		}
-	} else {
-		if l.fwdAlgo, err = ctx.Conv.GetConvolutionForwardAlgorithm(l.xd, l.wd, l.cd, l.yd, pref, limit); err != nil {
+		sizes = ctx.OOC.SetupSizes()
+	}
+	l.win = nil
+	l.wsFBytes, l.wsBDBytes, l.wsBFBytes = 0, 0, 0
+	for _, n := range sizes {
+		w, err := l.winFor(ctx, n)
+		if err != nil {
 			return tensor.Shape{}, err
 		}
-		if l.bwdDAlgo, err = ctx.Conv.GetConvolutionBackwardDataAlgorithm(l.wd, l.yd, l.cd, l.xd, pref, limit); err != nil {
-			return tensor.Shape{}, err
-		}
-		if l.bwdFAlgo, err = ctx.Conv.GetConvolutionBackwardFilterAlgorithm(l.xd, l.yd, l.cd, l.wd, pref, limit); err != nil {
-			return tensor.Shape{}, err
-		}
-		if l.wsFBytes, err = ctx.Conv.GetConvolutionForwardWorkspaceSize(l.xd, l.wd, l.cd, l.yd, l.fwdAlgo); err != nil {
-			return tensor.Shape{}, err
-		}
-		if l.wsBDBytes, err = ctx.Conv.GetConvolutionBackwardDataWorkspaceSize(l.wd, l.yd, l.cd, l.xd, l.bwdDAlgo); err != nil {
-			return tensor.Shape{}, err
-		}
-		if l.wsBFBytes, err = ctx.Conv.GetConvolutionBackwardFilterWorkspaceSize(l.xd, l.yd, l.cd, l.wd, l.bwdFAlgo); err != nil {
-			return tensor.Shape{}, err
-		}
+		l.wsFBytes = max(l.wsFBytes, w.wsF)
+		l.wsBDBytes = max(l.wsBDBytes, w.wsBD)
+		l.wsBFBytes = max(l.wsBFBytes, w.wsBF)
 	}
 	// Each kernel's workspace counts against device memory individually
 	// (frameworks allocate per layer); the host backing is the context's
@@ -234,194 +220,98 @@ func (l *Conv) WorkspaceBytes() (fwd, bwdData, bwdFilter int64) {
 	return l.wsFBytes, l.wsBDBytes, l.wsBFBytes
 }
 
-func imax64(a, b int64) int64 {
-	if a > b {
-		return a
+// partition is the window partition the current pass executes:
+// ascending contiguous sample counts summing to the batch.
+func (l *Conv) partition(ctx *Context) []int {
+	if ctx.OOC != nil {
+		return ctx.OOC.partition()
 	}
-	return b
+	return l.whole[:]
 }
 
-// sampleOrNil returns the [lo, lo+n) sample window of t, passing nil
-// through for timing-only runs whose blobs have no host backing.
-func sampleOrNil(t *tensor.Tensor, lo, n int) *tensor.Tensor {
-	if t == nil {
-		return nil
+// window returns the [lo, lo+n) sample window of t. A window covering
+// the batch is t itself, and nil passes through for timing-only runs
+// whose blobs have no host backing.
+func window(t *tensor.Tensor, lo, n int) *tensor.Tensor {
+	if t == nil || n == t.Shape.N {
+		return t
 	}
 	return t.Sample(lo, n)
 }
 
-// winFor returns (querying lazily if needed) the kernel state for a
-// micro-batch window of n samples: window-shaped descriptors plus the
-// library's algorithm and workspace answers for that shape.
-func (l *Conv) winFor(ctx *Context, n int) (*convWindow, error) {
-	if w, ok := l.win[n]; ok {
-		return w, nil
+// winFor returns (querying the library on first use) the kernel state
+// for windows of n samples.
+func (l *Conv) winFor(ctx *Context, n int) (convWindow, error) {
+	for i := range l.win {
+		if l.win[i].n == n {
+			return l.win[i], nil
+		}
 	}
-	cg := l.in.C / l.groups
-	w := &convWindow{}
+	w := convWindow{n: n}
 	var err error
-	if w.xd, err = cudnn.NewTensorDesc(n, cg, l.in.H, l.in.W); err != nil {
-		return nil, err
+	if w.xd, err = cudnn.NewTensorDesc(n, l.in.C/l.groups, l.in.H, l.in.W); err != nil {
+		return w, err
 	}
 	if w.yd, err = cudnn.GetOutputDim(w.xd, l.wd, l.cd); err != nil {
-		return nil, err
+		return w, err
 	}
 	pref, limit := ctx.Pref, ctx.WorkspaceLimit
 	if w.fwd, err = ctx.Conv.GetConvolutionForwardAlgorithm(w.xd, l.wd, l.cd, w.yd, pref, limit); err != nil {
-		return nil, err
+		return w, err
 	}
 	if w.bwdD, err = ctx.Conv.GetConvolutionBackwardDataAlgorithm(l.wd, w.yd, l.cd, w.xd, pref, limit); err != nil {
-		return nil, err
+		return w, err
 	}
 	if w.bwdF, err = ctx.Conv.GetConvolutionBackwardFilterAlgorithm(w.xd, w.yd, l.cd, l.wd, pref, limit); err != nil {
-		return nil, err
+		return w, err
 	}
 	if w.wsF, err = ctx.Conv.GetConvolutionForwardWorkspaceSize(w.xd, l.wd, l.cd, w.yd, w.fwd); err != nil {
-		return nil, err
+		return w, err
 	}
 	if w.wsBD, err = ctx.Conv.GetConvolutionBackwardDataWorkspaceSize(l.wd, w.yd, l.cd, w.xd, w.bwdD); err != nil {
-		return nil, err
+		return w, err
 	}
 	if w.wsBF, err = ctx.Conv.GetConvolutionBackwardFilterWorkspaceSize(w.xd, w.yd, l.cd, l.wd, w.bwdF); err != nil {
-		return nil, err
+		return w, err
 	}
-	l.win[n] = w
+	l.win = append(l.win, w)
 	return w, nil
 }
 
-// forwardOOC runs the forward convolution over the executor's window
-// partition: ascending contiguous sample windows, each a whole kernel
-// call on window-shaped descriptors. Per-sample independence makes the
+// Forward implements Layer. Each window is a whole kernel call on
+// window-shaped descriptors; per-sample independence makes the
 // concatenated windows bitwise equal to the undivided call.
-func (l *Conv) forwardOOC(ctx *Context, bottoms []*tensor.Tensor, top *tensor.Tensor) error {
+func (l *Conv) Forward(ctx *Context, bottoms []*tensor.Tensor, top *tensor.Tensor) error {
 	cg, kg := l.in.C/l.groups, l.k/l.groups
 	lo := 0
-	for _, c := range ctx.OOC.partition() {
+	for _, c := range l.partition(ctx) {
 		w, err := l.winFor(ctx, c)
 		if err != nil {
 			return err
 		}
+		x, y := window(bottoms[0], lo, c), window(top, lo, c)
 		if l.groups == 1 {
-			if err := ctx.Conv.ConvolutionForward(1, w.xd, sampleOrNil(bottoms[0], lo, c), l.wd, l.filter, l.cd, w.fwd, ctx.Workspace(w.wsF), 0, w.yd, sampleOrNil(top, lo, c)); err != nil {
+			if err := ctx.Conv.ConvolutionForward(1, w.xd, x, l.wd, l.filter, l.cd, w.fwd, ctx.Workspace(w.wsF), 0, w.yd, y); err != nil {
 				return err
 			}
 		} else {
-			xg, yg := sampleOrNil(l.xg, lo, c), sampleOrNil(l.yg, lo, c)
-			xv, yv := sampleOrNil(bottoms[0], lo, c), sampleOrNil(top, lo, c)
+			xg, yg := window(l.xg, lo, c), window(l.yg, lo, c)
 			for g := 0; g < l.groups; g++ {
+				// Channel gather/scatter is a device copy, as in Caffe's
+				// per-group cuDNN calls with strided descriptors.
 				ctx.ChargeMem(2 * (w.xd.Shape().Bytes() + w.yd.Shape().Bytes()))
 				if !ctx.SkipCompute {
-					copyChannels(xg, 0, xv, g*cg, cg)
+					copyChannels(xg, 0, x, g*cg, cg)
 				}
 				if err := ctx.Conv.ConvolutionForward(1, w.xd, xg, l.wd, l.groupFilter(g, false), l.cd, w.fwd, ctx.Workspace(w.wsF), 0, w.yd, yg); err != nil {
 					return err
 				}
 				if !ctx.SkipCompute {
-					copyChannels(yv, g*kg, yg, 0, kg)
+					copyChannels(y, g*kg, yg, 0, kg)
 				}
 			}
 		}
 		lo += c
-	}
-	return nil
-}
-
-// backwardFilterOOC accumulates dW over the window partition with
-// beta=1: ascending contiguous windows reproduce the undivided
-// ascending-n reduction bit for bit (the same contract micro-batching
-// itself relies on).
-func (l *Conv) backwardFilterOOC(ctx *Context, bottoms []*tensor.Tensor, dTop *tensor.Tensor) error {
-	cg, kg := l.in.C/l.groups, l.k/l.groups
-	lo := 0
-	for _, c := range ctx.OOC.partition() {
-		w, err := l.winFor(ctx, c)
-		if err != nil {
-			return err
-		}
-		if l.groups == 1 {
-			if err := ctx.Conv.ConvolutionBackwardFilter(1, w.xd, sampleOrNil(bottoms[0], lo, c), w.yd, sampleOrNil(dTop, lo, c), l.cd, w.bwdF, ctx.Workspace(w.wsBF), 1, l.wd, l.dFilter); err != nil {
-				return err
-			}
-		} else {
-			xg, dg := sampleOrNil(l.xg, lo, c), sampleOrNil(l.dg, lo, c)
-			xv, dv := sampleOrNil(bottoms[0], lo, c), sampleOrNil(dTop, lo, c)
-			for g := 0; g < l.groups; g++ {
-				ctx.ChargeMem(2 * (w.xd.Shape().Bytes() + w.yd.Shape().Bytes()))
-				if !ctx.SkipCompute {
-					copyChannels(xg, 0, xv, g*cg, cg)
-					copyChannels(dg, 0, dv, g*kg, kg)
-				}
-				if err := ctx.Conv.ConvolutionBackwardFilter(1, w.xd, xg, w.yd, dg, l.cd, w.bwdF, ctx.Workspace(w.wsBF), 1, l.wd, l.groupFilter(g, true)); err != nil {
-					return err
-				}
-			}
-		}
-		lo += c
-	}
-	return nil
-}
-
-// backwardDataOOC computes dX over the window partition (beta=0; window
-// writes are disjoint, so the concatenation is the undivided result).
-func (l *Conv) backwardDataOOC(ctx *Context, dTop *tensor.Tensor, dBottoms []*tensor.Tensor) error {
-	cg, kg := l.in.C/l.groups, l.k/l.groups
-	lo := 0
-	for _, c := range ctx.OOC.partition() {
-		w, err := l.winFor(ctx, c)
-		if err != nil {
-			return err
-		}
-		if l.groups == 1 {
-			if err := ctx.Conv.ConvolutionBackwardData(1, l.wd, l.filter, w.yd, sampleOrNil(dTop, lo, c), l.cd, w.bwdD, ctx.Workspace(w.wsBD), 0, w.xd, sampleOrNil(dBottoms[0], lo, c)); err != nil {
-				return err
-			}
-		} else {
-			xg, dg := sampleOrNil(l.xg, lo, c), sampleOrNil(l.dg, lo, c)
-			dxv, dv := sampleOrNil(dBottoms[0], lo, c), sampleOrNil(dTop, lo, c)
-			for g := 0; g < l.groups; g++ {
-				ctx.ChargeMem(2 * (w.xd.Shape().Bytes() + w.yd.Shape().Bytes()))
-				if !ctx.SkipCompute {
-					copyChannels(dg, 0, dv, g*kg, kg)
-				}
-				if err := ctx.Conv.ConvolutionBackwardData(1, l.wd, l.groupFilter(g, false), w.yd, dg, l.cd, w.bwdD, ctx.Workspace(w.wsBD), 0, w.xd, xg); err != nil {
-					return err
-				}
-				if !ctx.SkipCompute {
-					copyChannels(dxv, g*cg, xg, 0, cg)
-				}
-			}
-		}
-		lo += c
-	}
-	return nil
-}
-
-// Forward implements Layer.
-func (l *Conv) Forward(ctx *Context, bottoms []*tensor.Tensor, top *tensor.Tensor) error {
-	if ctx.OOC != nil {
-		if err := l.forwardOOC(ctx, bottoms, top); err != nil {
-			return err
-		}
-	} else if l.groups == 1 {
-		if err := ctx.Conv.ConvolutionForward(1, l.xd, bottoms[0], l.wd, l.filter, l.cd, l.fwdAlgo, ctx.Workspace(l.wsFBytes), 0, l.yd, top); err != nil {
-			return err
-		}
-	} else {
-		cg, kg := l.in.C/l.groups, l.k/l.groups
-		for g := 0; g < l.groups; g++ {
-			// Channel gather/scatter is a device copy, as in Caffe's
-			// per-group cuDNN calls with strided descriptors.
-			ctx.ChargeMem(2 * (l.xd.Shape().Bytes() + l.yd.Shape().Bytes()))
-			if !ctx.SkipCompute {
-				copyChannels(l.xg, 0, bottoms[0], g*cg, cg)
-			}
-			if err := ctx.Conv.ConvolutionForward(1, l.xd, l.xg, l.wd, l.groupFilter(g, false), l.cd, l.fwdAlgo, ctx.Workspace(l.wsFBytes), 0, l.yd, l.yg); err != nil {
-				return err
-			}
-			if !ctx.SkipCompute {
-				copyChannels(top, g*kg, l.yg, 0, kg)
-			}
-		}
 	}
 	if l.withBias {
 		ctx.ChargeMem(2 * l.out.Bytes())
@@ -441,29 +331,38 @@ func (l *Conv) Forward(ctx *Context, bottoms []*tensor.Tensor, top *tensor.Tenso
 	return nil
 }
 
-// Backward implements Layer.
+// Backward implements Layer. Parameter gradients accumulate (beta=1;
+// the trainer zeroes them): ascending contiguous windows reproduce the
+// undivided ascending-n dW reduction bit for bit, the same contract
+// micro-batching itself relies on. dX is written with beta=0 into
+// disjoint windows.
 func (l *Conv) Backward(ctx *Context, bottoms []*tensor.Tensor, top, dTop *tensor.Tensor, dBottoms []*tensor.Tensor) error {
-	if ctx.OOC != nil {
-		if err := l.backwardFilterOOC(ctx, bottoms, dTop); err != nil {
+	cg, kg := l.in.C/l.groups, l.k/l.groups
+	lo := 0
+	for _, c := range l.partition(ctx) {
+		w, err := l.winFor(ctx, c)
+		if err != nil {
 			return err
 		}
-	} else if l.groups == 1 {
-		// Parameter gradients accumulate (beta=1); the trainer zeroes them.
-		if err := ctx.Conv.ConvolutionBackwardFilter(1, l.xd, bottoms[0], l.yd, dTop, l.cd, l.bwdFAlgo, ctx.Workspace(l.wsBFBytes), 1, l.wd, l.dFilter); err != nil {
-			return err
-		}
-	} else {
-		cg, kg := l.in.C/l.groups, l.k/l.groups
-		for g := 0; g < l.groups; g++ {
-			ctx.ChargeMem(2 * (l.xd.Shape().Bytes() + l.yd.Shape().Bytes()))
-			if !ctx.SkipCompute {
-				copyChannels(l.xg, 0, bottoms[0], g*cg, cg)
-				copyChannels(l.dg, 0, dTop, g*kg, kg)
-			}
-			if err := ctx.Conv.ConvolutionBackwardFilter(1, l.xd, l.xg, l.yd, l.dg, l.cd, l.bwdFAlgo, ctx.Workspace(l.wsBFBytes), 1, l.wd, l.groupFilter(g, true)); err != nil {
+		x, dy := window(bottoms[0], lo, c), window(dTop, lo, c)
+		if l.groups == 1 {
+			if err := ctx.Conv.ConvolutionBackwardFilter(1, w.xd, x, w.yd, dy, l.cd, w.bwdF, ctx.Workspace(w.wsBF), 1, l.wd, l.dFilter); err != nil {
 				return err
 			}
+		} else {
+			xg, dg := window(l.xg, lo, c), window(l.dg, lo, c)
+			for g := 0; g < l.groups; g++ {
+				ctx.ChargeMem(2 * (w.xd.Shape().Bytes() + w.yd.Shape().Bytes()))
+				if !ctx.SkipCompute {
+					copyChannels(xg, 0, x, g*cg, cg)
+					copyChannels(dg, 0, dy, g*kg, kg)
+				}
+				if err := ctx.Conv.ConvolutionBackwardFilter(1, w.xd, xg, w.yd, dg, l.cd, w.bwdF, ctx.Workspace(w.wsBF), 1, l.wd, l.groupFilter(g, true)); err != nil {
+					return err
+				}
+			}
 		}
+		lo += c
 	}
 	if l.withBias {
 		ctx.ChargeMem(l.out.Bytes())
@@ -484,24 +383,33 @@ func (l *Conv) Backward(ctx *Context, bottoms []*tensor.Tensor, top, dTop *tenso
 	if l.skipInputGrad {
 		return nil
 	}
-	if ctx.OOC != nil {
-		return l.backwardDataOOC(ctx, dTop, dBottoms)
-	}
-	if l.groups == 1 {
-		return ctx.Conv.ConvolutionBackwardData(1, l.wd, l.filter, l.yd, dTop, l.cd, l.bwdDAlgo, ctx.Workspace(l.wsBDBytes), 0, l.xd, dBottoms[0])
-	}
-	cg, kg := l.in.C/l.groups, l.k/l.groups
-	for g := 0; g < l.groups; g++ {
-		ctx.ChargeMem(2 * (l.xd.Shape().Bytes() + l.yd.Shape().Bytes()))
-		if !ctx.SkipCompute {
-			copyChannels(l.dg, 0, dTop, g*kg, kg)
-		}
-		if err := ctx.Conv.ConvolutionBackwardData(1, l.wd, l.groupFilter(g, false), l.yd, l.dg, l.cd, l.bwdDAlgo, ctx.Workspace(l.wsBDBytes), 0, l.xd, l.xg); err != nil {
+	lo = 0
+	for _, c := range l.partition(ctx) {
+		w, err := l.winFor(ctx, c)
+		if err != nil {
 			return err
 		}
-		if !ctx.SkipCompute {
-			copyChannels(dBottoms[0], g*cg, l.xg, 0, cg)
+		dy, dx := window(dTop, lo, c), window(dBottoms[0], lo, c)
+		if l.groups == 1 {
+			if err := ctx.Conv.ConvolutionBackwardData(1, l.wd, l.filter, w.yd, dy, l.cd, w.bwdD, ctx.Workspace(w.wsBD), 0, w.xd, dx); err != nil {
+				return err
+			}
+		} else {
+			xg, dg := window(l.xg, lo, c), window(l.dg, lo, c)
+			for g := 0; g < l.groups; g++ {
+				ctx.ChargeMem(2 * (w.xd.Shape().Bytes() + w.yd.Shape().Bytes()))
+				if !ctx.SkipCompute {
+					copyChannels(dg, 0, dy, g*kg, kg)
+				}
+				if err := ctx.Conv.ConvolutionBackwardData(1, l.wd, l.groupFilter(g, false), w.yd, dg, l.cd, w.bwdD, ctx.Workspace(w.wsBD), 0, w.xd, xg); err != nil {
+					return err
+				}
+				if !ctx.SkipCompute {
+					copyChannels(dx, g*cg, xg, 0, cg)
+				}
+			}
 		}
+		lo += c
 	}
 	return nil
 }

@@ -1,10 +1,14 @@
 package dnn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
+	"ucudnn/internal/conv"
 	"ucudnn/internal/core"
 	"ucudnn/internal/cudnn"
 	"ucudnn/internal/device"
@@ -253,5 +257,177 @@ func TestGroupedConvUnderUcudnn(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("no group-shaped plan: %v", uc.Plans())
+	}
+}
+
+// recConv logs every ConvHandle call — descriptors, algorithm,
+// workspace size, alpha/beta and operand shapes, never addresses — and
+// forwards it to the wrapped handle.
+type recConv struct {
+	h   ConvHandle
+	log []string
+}
+
+func (r *recConv) rec(args ...any) { r.log = append(r.log, fmt.Sprint(args...)) }
+
+func (r *recConv) GetConvolutionForwardAlgorithm(x cudnn.TensorDesc, w cudnn.FilterDesc, cd cudnn.ConvDesc, y cudnn.TensorDesc, pref cudnn.Pref, lim int64) (conv.Algo, error) {
+	r.rec("GetFwdAlgo", x, w, cd, y, pref, lim)
+	return r.h.GetConvolutionForwardAlgorithm(x, w, cd, y, pref, lim)
+}
+func (r *recConv) GetConvolutionBackwardDataAlgorithm(w cudnn.FilterDesc, dy cudnn.TensorDesc, cd cudnn.ConvDesc, dx cudnn.TensorDesc, pref cudnn.Pref, lim int64) (conv.Algo, error) {
+	r.rec("GetBwdDAlgo", w, dy, cd, dx, pref, lim)
+	return r.h.GetConvolutionBackwardDataAlgorithm(w, dy, cd, dx, pref, lim)
+}
+func (r *recConv) GetConvolutionBackwardFilterAlgorithm(x, dy cudnn.TensorDesc, cd cudnn.ConvDesc, dw cudnn.FilterDesc, pref cudnn.Pref, lim int64) (conv.Algo, error) {
+	r.rec("GetBwdFAlgo", x, dy, cd, dw, pref, lim)
+	return r.h.GetConvolutionBackwardFilterAlgorithm(x, dy, cd, dw, pref, lim)
+}
+func (r *recConv) GetConvolutionForwardWorkspaceSize(x cudnn.TensorDesc, w cudnn.FilterDesc, cd cudnn.ConvDesc, y cudnn.TensorDesc, a conv.Algo) (int64, error) {
+	r.rec("GetFwdWS", x, w, cd, y, a)
+	return r.h.GetConvolutionForwardWorkspaceSize(x, w, cd, y, a)
+}
+func (r *recConv) GetConvolutionBackwardDataWorkspaceSize(w cudnn.FilterDesc, dy cudnn.TensorDesc, cd cudnn.ConvDesc, dx cudnn.TensorDesc, a conv.Algo) (int64, error) {
+	r.rec("GetBwdDWS", w, dy, cd, dx, a)
+	return r.h.GetConvolutionBackwardDataWorkspaceSize(w, dy, cd, dx, a)
+}
+func (r *recConv) GetConvolutionBackwardFilterWorkspaceSize(x, dy cudnn.TensorDesc, cd cudnn.ConvDesc, dw cudnn.FilterDesc, a conv.Algo) (int64, error) {
+	r.rec("GetBwdFWS", x, dy, cd, dw, a)
+	return r.h.GetConvolutionBackwardFilterWorkspaceSize(x, dy, cd, dw, a)
+}
+func (r *recConv) ConvolutionForward(alpha float32, xd cudnn.TensorDesc, x *tensor.Tensor, wd cudnn.FilterDesc, w *tensor.FilterTensor, cd cudnn.ConvDesc, a conv.Algo, ws []float32, beta float32, yd cudnn.TensorDesc, y *tensor.Tensor) error {
+	r.rec("Fwd", alpha, xd, x.Shape, wd, w.Filter, cd, a, len(ws), beta, yd, y.Shape)
+	return r.h.ConvolutionForward(alpha, xd, x, wd, w, cd, a, ws, beta, yd, y)
+}
+func (r *recConv) ConvolutionBackwardData(alpha float32, wd cudnn.FilterDesc, w *tensor.FilterTensor, dyd cudnn.TensorDesc, dy *tensor.Tensor, cd cudnn.ConvDesc, a conv.Algo, ws []float32, beta float32, dxd cudnn.TensorDesc, dx *tensor.Tensor) error {
+	r.rec("BwdD", alpha, wd, w.Filter, dyd, dy.Shape, cd, a, len(ws), beta, dxd, dx.Shape)
+	return r.h.ConvolutionBackwardData(alpha, wd, w, dyd, dy, cd, a, ws, beta, dxd, dx)
+}
+func (r *recConv) ConvolutionBackwardFilter(alpha float32, xd cudnn.TensorDesc, x *tensor.Tensor, dyd cudnn.TensorDesc, dy *tensor.Tensor, cd cudnn.ConvDesc, a conv.Algo, ws []float32, beta float32, dwd cudnn.FilterDesc, dw *tensor.FilterTensor) error {
+	r.rec("BwdF", alpha, xd, x.Shape, dyd, dy.Shape, cd, a, len(ws), beta, dwd, dw.Filter)
+	return r.h.ConvolutionBackwardFilter(alpha, xd, x, dyd, dy, cd, a, ws, beta, dwd, dw)
+}
+
+// oneWindowOOC is an executor for a lone conv layer whose plan is a
+// single window covering the batch.
+func oneWindowOOC(in, out tensor.Shape) *OOCState {
+	n := int64(in.N)
+	m := &OOCModel{
+		Batch: in.N,
+		Slabs: []OOCSlab{
+			{Name: "x", PerSample: in.Bytes() / n, Full: 2 * in.Bytes()},
+			{Name: "y", PerSample: out.Bytes() / n, Full: 2 * out.Bytes()},
+		},
+		Layers: []OOCLayerFoot{{Name: "conv", Slabs: []int{0, 1}, In: []int{0}, Out: 1}},
+	}
+	return NewOOCState(m, OOCPlan{Batch: in.N, Chunk: in.N, Windows: 1})
+}
+
+// The whole-batch pass is the one-window case of the windowed path, not
+// a fork of it: with no blob budget and under a budget whose plan is one
+// window, a conv layer must put the identical Get*/Convolution* sequence
+// to the library.
+func TestConvOneWindowIsWholeBatch(t *testing.T) {
+	in := tensor.Shape{N: 4, C: 4, H: 6, W: 6}
+	calls := func(groups int, skip, budget bool) []string {
+		inner := cudnn.NewHandle(device.P100, cudnn.ModelBackend)
+		rc := &recConv{h: inner}
+		ctx := NewContext(rc, inner, 1<<20)
+		ctx.RNG = rand.New(rand.NewSource(61))
+		l := NewConvGrouped("conv", 6, 3, 1, 1, groups, true)
+		if skip {
+			l.SkipInputGrad()
+		}
+		if budget {
+			ctx.OOC = oneWindowOOC(in, tensor.Shape{N: in.N, C: 6, H: in.H, W: in.W})
+		}
+		out, err := l.Setup(ctx, []tensor.Shape{in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, y, dy, dx := tensor.NewShaped(in), tensor.NewShaped(out), tensor.NewShaped(out), tensor.NewShaped(in)
+		x.Randomize(ctx.RNG, 1)
+		dy.Randomize(ctx.RNG, 1)
+		for _, backward := range []bool{false, true} {
+			if budget {
+				if err := ctx.OOC.beginLayer(ctx, 0, backward); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !backward {
+				err = l.Forward(ctx, []*tensor.Tensor{x}, y)
+			} else {
+				err = l.Backward(ctx, []*tensor.Tensor{x}, y, dy, []*tensor.Tensor{dx})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		return rc.log
+	}
+	for _, groups := range []int{1, 2} {
+		for _, skip := range []bool{false, true} {
+			whole, windowed := calls(groups, skip, false), calls(groups, skip, true)
+			// 6 queries, then one kernel call per group per op.
+			ops := 3
+			if skip {
+				ops = 2
+			}
+			if want := 6 + ops*groups; len(whole) != want {
+				t.Fatalf("groups=%d skip=%v: %d calls, want %d:\n%s", groups, skip, len(whole), want, strings.Join(whole, "\n"))
+			}
+			if !slices.Equal(whole, windowed) {
+				t.Fatalf("groups=%d skip=%v: call sequences differ\nwhole-batch:\n%s\none window:\n%s",
+					groups, skip, strings.Join(whole, "\n"), strings.Join(windowed, "\n"))
+			}
+		}
+	}
+}
+
+// nopConv answers the three kernel calls with nothing, so a pass over it
+// allocates only what the layer itself does.
+type nopConv struct{ ConvHandle }
+
+func (nopConv) ConvolutionForward(float32, cudnn.TensorDesc, *tensor.Tensor, cudnn.FilterDesc, *tensor.FilterTensor, cudnn.ConvDesc, conv.Algo, []float32, float32, cudnn.TensorDesc, *tensor.Tensor) error {
+	return nil
+}
+func (nopConv) ConvolutionBackwardData(float32, cudnn.FilterDesc, *tensor.FilterTensor, cudnn.TensorDesc, *tensor.Tensor, cudnn.ConvDesc, conv.Algo, []float32, float32, cudnn.TensorDesc, *tensor.Tensor) error {
+	return nil
+}
+func (nopConv) ConvolutionBackwardFilter(float32, cudnn.TensorDesc, *tensor.Tensor, cudnn.TensorDesc, *tensor.Tensor, cudnn.ConvDesc, conv.Algo, []float32, float32, cudnn.FilterDesc, *tensor.FilterTensor) error {
+	return nil
+}
+
+// The unbudgeted pass takes no window headers: a window covering the
+// batch is handed the layer's own tensors and descriptors, so Forward +
+// Backward allocate what the whole-batch bodies they replaced did —
+// nothing for groups == 1, one filter view per group per kernel call
+// otherwise.
+func TestConvWholeBatchAllocs(t *testing.T) {
+	in := tensor.Shape{N: 4, C: 4, H: 6, W: 6}
+	for _, tc := range []struct {
+		groups int
+		want   float64
+	}{{1, 0}, {2, 6}} {
+		inner := cudnn.NewHandle(device.P100, cudnn.ModelBackend)
+		ctx := NewContext(inner, inner, 1<<20)
+		l := NewConvGrouped("conv", 6, 3, 1, 1, tc.groups, true)
+		out, err := l.Setup(ctx, []tensor.Shape{in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx.Conv = nopConv{}
+		x, y, dy, dx := tensor.NewShaped(in), tensor.NewShaped(out), tensor.NewShaped(out), tensor.NewShaped(in)
+		bot, dBot := []*tensor.Tensor{x}, []*tensor.Tensor{dx}
+		got := testing.AllocsPerRun(10, func() {
+			if err := l.Forward(ctx, bot, y); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Backward(ctx, bot, y, dy, dBot); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > tc.want {
+			t.Fatalf("groups=%d: %v allocs per Forward+Backward, want <= %v", tc.groups, got, tc.want)
+		}
 	}
 }

@@ -22,12 +22,14 @@
 //
 // The spill/recompute planner is a pure function (property-tested
 // against a brute-force oracle); the executor charges transfer traffic
-// to the simulated clock, exposes ucudnn_ooc_* metrics and
-// ucudnn_ph_ooc_* profiler phases, and degrades down a ladder —
-// drop resident slabs, then halve the micro-batch, then the recompute-
-// everything floor — when ucudnn_fp_ooc_* fault points fire. Degradation
-// only refines the window partition (never re-runs arithmetic), so every
-// rung keeps the bitwise contract.
+// to the simulated clock serially on the one device stream (nothing
+// overlaps it, and no host blob is released: a budget changes plans,
+// windows and counters, not resident memory), exposes ucudnn_ooc_*
+// metrics, and degrades down a ladder — drop resident slabs, then halve
+// the micro-batch, then the recompute-everything floor — when
+// ucudnn_fp_ooc_* fault points fire. Degradation only refines the
+// window partition (never re-runs arithmetic), so every rung keeps the
+// bitwise contract.
 package dnn
 
 import (
@@ -36,8 +38,6 @@ import (
 
 	"ucudnn/internal/faults"
 	"ucudnn/internal/obs"
-	"ucudnn/internal/prof"
-	"ucudnn/internal/trace"
 )
 
 // The out-of-core metric series (on the state's private registry).
@@ -55,19 +55,6 @@ const (
 	MetricOOCMicroBatches = "ucudnn_ooc_micro_batches"
 	// MetricOOCPeakBytes gauges the modeled peak working set.
 	MetricOOCPeakBytes = "ucudnn_ooc_peak_bytes"
-)
-
-// The out-of-core profiler phases.
-const (
-	PhaseOOCFetch     prof.Phase = "ucudnn_ph_ooc_fetch"
-	PhaseOOCSpill     prof.Phase = "ucudnn_ph_ooc_spill"
-	PhaseOOCRecompute prof.Phase = "ucudnn_ph_ooc_recompute"
-)
-
-var (
-	kindOOCFetch     = prof.Register(PhaseOOCFetch)
-	kindOOCSpill     = prof.Register(PhaseOOCSpill)
-	kindOOCRecompute = prof.Register(PhaseOOCRecompute)
 )
 
 // OOCSlab is one activation storage unit of the footprint model: a group
@@ -477,27 +464,15 @@ func (o *OOCState) stepLadder(stage string) {
 	o.peakG.Set(float64(o.model.Peak(o.chunk, o.resident)))
 }
 
-// charge models one transfer: the simulated clock pays a bandwidth-bound
-// kernel and the matching counter advances, inside the matching profiler
-// phase. Spans land on the dedicated transfer tracks matching
-// ScheduleOOC's three streams: fetches and recomputes on the H2D track,
-// spills on the D2H track (recompute replaces a fetch, so it competes
-// for the same stream). flow is the span this transfer depends on (a
-// window's spill and recompute flow from its fetch, mirroring the
-// modeled ScheduleOOC edges); the recorded span's own ID is returned.
-func (o *OOCState) charge(ctx *Context, kind prof.Kind, c *obs.Counter, stream string, bytes int64, flow uint64) uint64 {
+// charge models one transfer: the matching counter advances and the
+// simulated clock pays a bandwidth-bound kernel on the device stream,
+// serially like every other charge.
+func (o *OOCState) charge(ctx *Context, c *obs.Counter, cat string, bytes int64) {
 	if bytes <= 0 {
-		return 0
+		return
 	}
-	track := trace.TrackOOCFetch
-	if stream == "ooc_spill" {
-		track = trace.TrackOOCSpill
-	}
-	t := prof.Enter()
-	span := ctx.Cudnn.ChargeFlow(track, ctx.Label(), stream, ctx.Device().MemBoundTime(bytes), flow)
 	c.Add(bytes)
-	prof.Exit(kind, t)
-	return span
+	ctx.Cudnn.ChargeNamed(ctx.Label(), cat, ctx.Device().MemBoundTime(bytes))
 }
 
 // beginLayer models layer i's out-of-core traffic for one pass and
@@ -531,8 +506,8 @@ func (o *OOCState) beginLayer(ctx *Context, i int, backward bool) error {
 	if f.Barrier {
 		// Whole-batch layer: operands transfer whole, no windows.
 		o.part = append(o.part, o.model.Batch)
-		fs := o.charge(ctx, kindOOCFetch, o.fetchC, "ooc_fetch", fetchPer*batch, 0)
-		o.charge(ctx, kindOOCSpill, o.spillC, "ooc_spill", spillPer*batch, fs)
+		o.charge(ctx, o.fetchC, "ooc_fetch", fetchPer*batch)
+		o.charge(ctx, o.spillC, "ooc_spill", spillPer*batch)
 		return nil
 	}
 
@@ -547,21 +522,21 @@ func (o *OOCState) beginLayer(ctx *Context, i int, backward bool) error {
 			// smaller pieces), and subsequent windows go finer.
 			o.stepLadder("fetch")
 		}
-		fs := o.charge(ctx, kindOOCFetch, o.fetchC, "ooc_fetch", fetch, 0)
+		o.charge(ctx, o.fetchC, "ooc_fetch", fetch)
 		if spill := spillPer * int64(c); spill > 0 {
 			if err := faults.Err(faults.PointOOCSpill); err != nil {
 				// Spill failed: drop the buffer, recompute it when next
 				// needed, and degrade.
-				o.charge(ctx, kindOOCRecompute, o.recomputeC, "ooc_recompute", spill, fs)
+				o.charge(ctx, o.recomputeC, "ooc_recompute", spill)
 				o.stepLadder("spill")
 			} else {
-				o.charge(ctx, kindOOCSpill, o.spillC, "ooc_spill", spill, fs)
+				o.charge(ctx, o.spillC, "ooc_spill", spill)
 			}
 		}
 		if o.floor && backward {
 			// Recompute-everything floor: backward re-derives its inputs
 			// instead of re-fetching spilled activations.
-			o.charge(ctx, kindOOCRecompute, o.recomputeC, "ooc_recompute", fetchPer*int64(c), fs)
+			o.charge(ctx, o.recomputeC, "ooc_recompute", fetchPer*int64(c))
 		}
 		o.part = append(o.part, c)
 		lo += c

@@ -3,6 +3,7 @@ package dnn
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ucudnn/internal/conv"
@@ -10,6 +11,7 @@ import (
 	"ucudnn/internal/device"
 	"ucudnn/internal/faults"
 	"ucudnn/internal/tensor"
+	"ucudnn/internal/trace"
 )
 
 // oocTestNet builds a small network covering every streaming shape the
@@ -419,6 +421,133 @@ func TestOOCBitwiseEquality(t *testing.T) {
 			if rep.FetchBytes == 0 {
 				t.Errorf("starved: no fetch traffic modeled")
 			}
+		}
+	}
+}
+
+// What a budget costs on the model clock, pinned: every fetch, spill
+// and recompute of a traced budgeted iteration is a device-stream leaf
+// lasting MemBoundTime of its window's bytes, with no flow edge; the
+// leaves' bytes add up to the report's counters; and the device-stream
+// leaves tile the iteration's clock interval — so the transfer charge is
+// serial and can be neither dropped nor overlapped silently.
+func TestOOCTransferChargesAreSerial(t *testing.T) {
+	probeNet, _ := oocTestNet(oocTestCtx(), 4)
+	if err := probeNet.Setup(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := FootprintModel(probeNet)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for label, budget := range map[string]int64{
+		"mid":     (m.Peak(1, nil) + m.Peak(4, nil)) / 2,
+		"starved": m.Peak(1, nil) - 1, // the floor: backward recomputes
+	} {
+		plan, err := PlanOOC(m, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := oocTestCtx()
+		o := NewOOCState(m, plan)
+		ctx.OOC = o
+		net, loss := oocTestNet(ctx, 4)
+		loss.Labels = []int{0, 1, 2, 3}
+		if err := net.RunIteration(); err != nil { // warm-up
+			t.Fatal(err)
+		}
+
+		before, start := o.Report(), ctx.Cudnn.Elapsed()
+		rec := trace.New()
+		ctx.Cudnn.SetTrace(rec)
+		if err := net.RunIteration(); err != nil {
+			t.Fatal(err)
+		}
+		after, end := o.Report(), ctx.Cudnn.Elapsed()
+
+		// The expected transfers, window by window, from the footprint
+		// model: forward moves data, backward data and gradient.
+		type transfer struct {
+			cat   string
+			bytes int64
+		}
+		var want []transfer
+		expect := func(cat string, bytes int64) {
+			if bytes > 0 {
+				want = append(want, transfer{cat, bytes})
+			}
+		}
+		pass := func(i int, scale int64) {
+			f := o.model.Layers[i]
+			var fetchPer, spillPer int64
+			for _, s := range f.In {
+				if !o.resident[s] {
+					fetchPer += o.model.Slabs[s].PerSample * scale
+				}
+			}
+			if !o.resident[f.Out] {
+				spillPer = o.model.Slabs[f.Out].PerSample * scale
+			}
+			part := []int{m.Batch}
+			if !f.Barrier {
+				part = part[:0]
+				for lo := 0; lo < m.Batch; lo += o.chunk {
+					part = append(part, min(o.chunk, m.Batch-lo))
+				}
+			}
+			for _, c := range part {
+				expect("ooc_fetch", fetchPer*int64(c))
+				expect("ooc_spill", spillPer*int64(c))
+				if o.floor && scale == 2 && !f.Barrier {
+					expect("ooc_recompute", fetchPer*int64(c))
+				}
+			}
+		}
+		for i := range o.model.Layers {
+			pass(i, 1)
+		}
+		for i := len(o.model.Layers) - 1; i >= 0; i-- {
+			pass(i, 2)
+		}
+
+		at := start
+		bytes := map[string]int64{}
+		for _, e := range rec.Events() {
+			if e.Track != trace.TrackKernel || e.Flow != 0 {
+				t.Fatalf("%s: leaf %q (%s) on track %d with flow %d", label, e.Name, e.Cat, e.Track, e.Flow)
+			}
+			if e.Start != at {
+				t.Fatalf("%s: leaf %q (%s) starts at %v, previous leaf ended at %v", label, e.Name, e.Cat, e.Start, at)
+			}
+			at += e.Dur
+			if !strings.HasPrefix(e.Cat, "ooc_") {
+				continue
+			}
+			if len(want) == 0 {
+				t.Fatalf("%s: unexpected transfer %q (%s)", label, e.Name, e.Cat)
+			}
+			w := want[0]
+			want = want[1:]
+			if e.Cat != w.cat || e.Dur != ctx.Device().MemBoundTime(w.bytes) {
+				t.Fatalf("%s: transfer %q is %s for %v, want %s of %d bytes (%v)",
+					label, e.Name, e.Cat, e.Dur, w.cat, w.bytes, ctx.Device().MemBoundTime(w.bytes))
+			}
+			bytes[w.cat] += w.bytes
+		}
+		if at != end {
+			t.Fatalf("%s: device-stream leaves end at %v, clock at %v", label, at, end)
+		}
+		if len(want) != 0 {
+			t.Fatalf("%s: %d expected transfers never charged, first %+v", label, len(want), want[0])
+		}
+		if got := after.FetchBytes - before.FetchBytes; got != bytes["ooc_fetch"] || got == 0 {
+			t.Fatalf("%s: fetch counter moved %d, leaves carry %d", label, got, bytes["ooc_fetch"])
+		}
+		if got := after.SpillBytes - before.SpillBytes; got != bytes["ooc_spill"] || got == 0 {
+			t.Fatalf("%s: spill counter moved %d, leaves carry %d", label, got, bytes["ooc_spill"])
+		}
+		if got := after.RecomputeBytes - before.RecomputeBytes; got != bytes["ooc_recompute"] || (got == 0) == o.floor {
+			t.Fatalf("%s: recompute counter moved %d, leaves carry %d (floor=%v)", label, got, bytes["ooc_recompute"], o.floor)
 		}
 	}
 }

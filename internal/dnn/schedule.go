@@ -92,48 +92,6 @@ func (n *Net) ScheduleForward(rep *TimingReport, streams int) (*Schedule, error)
 	return out, nil
 }
 
-// ScheduleOOC lays one streamed out-of-core layer pass on three streams
-// — track 0 fetches (H2D copy engine), track 1 computes, track 2 spills
-// (D2H copy engine) — with double buffering: window i+1's fetch overlaps
-// window i's compute, and spills drain behind their window's compute.
-// It is the blob-streaming analogue of the workspace-division overlap
-// discipline: with transfer and compute balanced, the makespan
-// approaches max(copy, compute) instead of their sum.
-func ScheduleOOC(plan OOCPlan, fetch, compute, spill time.Duration) (*Schedule, error) {
-	if plan.Windows < 1 {
-		return nil, fmt.Errorf("dnn: OOC plan has no windows")
-	}
-	if fetch < 0 || compute < 0 || spill < 0 {
-		return nil, fmt.Errorf("dnn: negative OOC span duration")
-	}
-	out := &Schedule{}
-	var h2dFree, computeFree, d2hFree time.Duration
-	var nextSpan uint64
-	// Flow edges record the double-buffering dependencies: each window's
-	// compute depends on its fetch, each spill on its compute.
-	add := func(name string, track int, start, dur time.Duration, flow uint64) (time.Duration, uint64) {
-		nextSpan++
-		out.Spans = append(out.Spans, trace.Event{
-			Name: name, Cat: "ooc", Start: start, Dur: dur, Track: track,
-			Span: nextSpan, Flow: flow,
-		})
-		end := start + dur
-		if end > out.Makespan {
-			out.Makespan = end
-		}
-		return end, nextSpan
-	}
-	for w := 0; w < plan.Windows; w++ {
-		var fetchSpan, computeSpan uint64
-		h2dFree, fetchSpan = add(fmt.Sprintf("ooc_fetch[%d]", w), 0, h2dFree, fetch, 0)
-		computeFree, computeSpan = add(fmt.Sprintf("ooc_compute[%d]", w), 1, maxDur(h2dFree, computeFree), compute, fetchSpan)
-		if spill > 0 {
-			d2hFree, _ = add(fmt.Sprintf("ooc_spill[%d]", w), 2, maxDur(computeFree, d2hFree), spill, computeSpan)
-		}
-	}
-	return out, nil
-}
-
 // CriticalPath returns the forward critical-path length (the makespan
 // with unbounded streams): the lower bound concurrency can reach.
 func (n *Net) CriticalPath(rep *TimingReport) (time.Duration, error) {

@@ -145,50 +145,3 @@ func TestValidateDetectsOverlap(t *testing.T) {
 		t.Fatal("overlap not detected")
 	}
 }
-
-func TestScheduleOOCOverlap(t *testing.T) {
-	plan := OOCPlan{Batch: 8, Chunk: 2, Windows: 4}
-	fetch, compute, spill := 3*time.Millisecond, 5*time.Millisecond, 2*time.Millisecond
-	s, err := ScheduleOOC(plan, fetch, compute, spill)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(s.Spans); got != 3*plan.Windows {
-		t.Fatalf("spans = %d, want %d", got, 3*plan.Windows)
-	}
-	serial := time.Duration(plan.Windows) * (fetch + compute + spill)
-	if s.Makespan >= serial {
-		t.Fatalf("no overlap: makespan %v >= serial %v", s.Makespan, serial)
-	}
-	// Double buffering hides all but the first fetch behind compute when
-	// the copy stream keeps up: fetch + W*compute + trailing spill.
-	want := fetch + time.Duration(plan.Windows)*compute + spill
-	if s.Makespan != want {
-		t.Fatalf("makespan = %v, want %v", s.Makespan, want)
-	}
-}
-
-func TestScheduleOOCNoSpill(t *testing.T) {
-	s, err := ScheduleOOC(OOCPlan{Windows: 3}, time.Millisecond, time.Millisecond, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(s.Spans); got != 6 {
-		t.Fatalf("spans = %d, want 6 (no spill events)", got)
-	}
-}
-
-func TestScheduleOOCRejects(t *testing.T) {
-	if _, err := ScheduleOOC(OOCPlan{Windows: 0}, 1, 1, 1); err == nil {
-		t.Fatal("want error for zero windows")
-	}
-	if _, err := ScheduleOOC(OOCPlan{Windows: 1}, -1, 1, 1); err == nil {
-		t.Fatal("want error for negative duration")
-	}
-}

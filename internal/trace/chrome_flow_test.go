@@ -12,7 +12,7 @@ import (
 // pair per flow edge.
 func TestWriteChromeFlowArrows(t *testing.T) {
 	r := New()
-	r.Add(Event{Name: "fetch", Cat: "ooc_fetch", Track: TrackOOCFetch,
+	r.Add(Event{Name: "producer", Cat: "fwd", Track: TrackLayer,
 		Start: 0, Dur: 2 * time.Microsecond, Span: 10})
 	r.Add(Event{Name: "compute", Cat: "fwd", Track: TrackKernel,
 		Start: 2 * time.Microsecond, Dur: 3 * time.Microsecond, Span: 11, Parent: 5, Flow: 10})
@@ -56,7 +56,7 @@ func TestWriteChromeFlowArrows(t *testing.T) {
 	if flowS != 1 || flowF != 1 {
 		t.Fatalf("flow arrows: s=%d f=%d, want one pair", flowS, flowF)
 	}
-	for _, want := range []string{TrackName(TrackOOCFetch), TrackName(TrackKernel)} {
+	for _, want := range []string{TrackName(TrackLayer), TrackName(TrackKernel)} {
 		found := false
 		for _, n := range names {
 			if n == want {
@@ -86,7 +86,7 @@ func TestWriteChromeLegacyUnchanged(t *testing.T) {
 
 func TestTrackNames(t *testing.T) {
 	seen := map[string]bool{}
-	for _, tr := range []int{TrackKernel, TrackLayer, TrackFault, TrackOOCFetch, TrackOOCSpill, TrackIteration} {
+	for _, tr := range []int{TrackKernel, TrackLayer, TrackFault, TrackIteration} {
 		n := TrackName(tr)
 		if n == "" || seen[n] {
 			t.Fatalf("track %d name %q (empty or duplicate)", tr, n)

@@ -14,10 +14,12 @@ import (
 	"time"
 )
 
-// The well-known timeline tracks. Kernel charges land on the device
-// stream; layer and iteration brackets, fault annotations and the
-// out-of-core transfer streams each get a dedicated lane, mirroring
-// dnn.ScheduleOOC's three-stream model (H2D / compute / D2H).
+// The well-known timeline tracks. Every clock charge — kernels and the
+// out-of-core executor's modeled transfers alike — lands on the one
+// device stream; layer and iteration brackets and fault annotations each
+// get a dedicated lane. The numbers are part of the exported timeline,
+// so a retired track's number (3 and 4 were transfer streams) is not
+// reused.
 const (
 	// TrackKernel is the device compute stream (conv/gemm/transfer
 	// charges).
@@ -26,12 +28,6 @@ const (
 	TrackLayer = 1
 	// TrackFault carries fault/degradation annotations.
 	TrackFault = 2
-	// TrackOOCFetch is the host-to-device transfer stream (out-of-core
-	// fetches and recomputes).
-	TrackOOCFetch = 3
-	// TrackOOCSpill is the device-to-host transfer stream (out-of-core
-	// spills).
-	TrackOOCSpill = 4
 	// TrackIteration carries per-iteration bracket spans.
 	TrackIteration = 5
 )
@@ -46,10 +42,6 @@ func TrackName(t int) string {
 		return "layers"
 	case TrackFault:
 		return "faults"
-	case TrackOOCFetch:
-		return "ooc fetch (H2D)"
-	case TrackOOCSpill:
-		return "ooc spill (D2H)"
 	case TrackIteration:
 		return "iterations"
 	}
@@ -74,8 +66,8 @@ type Event struct {
 	// layer, an iteration); 0 at the root.
 	Parent uint64
 	// Flow is the Span of the event this one causally depends on across
-	// tracks (e.g. the fetch a compute window waited for); 0 when none.
-	// Renders as a Chrome flow arrow.
+	// tracks (e.g. the layer whose output a scheduled layer waited for);
+	// 0 when none. Renders as a Chrome flow arrow.
 	Flow uint64
 }
 
