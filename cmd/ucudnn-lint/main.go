@@ -1,31 +1,20 @@
 // Command ucudnn-lint runs the internal/analysis suite (see DESIGN.md
-// "Static analysis") over the repository and exits non-zero on any
-// finding. All matched packages are loaded into one program, so the
-// interprocedural analyzers (hotpathcall, atomiclint, lockorder) see
-// cross-package call chains, not per-package fragments.
+// "Static analysis") over the repository.
 //
 // Usage:
 //
-//	ucudnn-lint [-analyzers detlint,wsfloor] [-json] [-audit-allows] [package patterns]
+//	ucudnn-lint [package patterns]
 //
 // Patterns are directories relative to the current module, with the
 // usual /... suffix for recursion; the default is ./... . Findings can
-// be suppressed per line with a justified //ucudnn:allow directive.
+// be suppressed per line with a justified //ucudnn:allow directive; a
+// directive that suppresses nothing is stale and is reported too.
 //
-// Flags:
-//
-//	-json          emit findings (and allows) as JSON on stdout, for CI
-//	               artifacts and tooling
-//	-audit-allows  list every //ucudnn:allow directive with its
-//	               justification and whether it still suppresses a
-//	               finding; stale directives are failures
-//
-// Exit codes: 0 clean; 1 findings (or stale allows under
-// -audit-allows); 2 load or type errors.
+// Exit codes: 0 clean; 1 findings or stale allows; 2 load or type
+// errors.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -47,21 +36,10 @@ func main() {
 }
 
 func run() int {
-	var (
-		list        string
-		jsonOut     bool
-		auditAllows bool
-	)
-	flag.StringVar(&list, "analyzers", "", "comma-separated analyzer subset (default: the full suite)")
-	flag.BoolVar(&jsonOut, "json", false, "emit findings as JSON on stdout")
-	flag.BoolVar(&auditAllows, "audit-allows", false, "audit //ucudnn:allow directives; stale ones fail")
-	flag.Parse()
-
-	analyzers, err := analysis.ByName(list)
-	if err != nil {
-		return fail(err)
+	flag.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: ucudnn-lint [package patterns]")
 	}
-
+	flag.Parse() // no flags: -h prints the usage line, anything else exits 2
 	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -79,9 +57,6 @@ func run() int {
 	if err != nil {
 		return fail(err)
 	}
-
-	// One loader, one program: type identity holds across packages, so
-	// the call graph resolves cross-package edges exactly.
 	var pkgs []*analysis.Package
 	for _, dir := range dirs {
 		pkg, err := loader.LoadDir(dir)
@@ -91,41 +66,24 @@ func run() int {
 		pkgs = append(pkgs, pkg)
 	}
 
-	res, err := analysis.AnalyzeProgram(analysis.NewProgram(pkgs), analyzers)
+	res, err := analysis.Run(pkgs, analysis.All)
 	if err != nil {
 		return fail(err)
 	}
 
-	// An allow naming an analyzer that did not run cannot be judged
-	// stale on this run; restrict the audit to the selected set.
-	selected := map[string]bool{}
-	for _, a := range analyzers {
-		selected[a.Name] = true
-	}
-	var stale []analysis.Allow
-	for _, al := range res.Allows {
-		if selected[al.Analyzer] && !al.Used {
-			stale = append(stale, al)
-		}
-	}
-
 	cwd, _ := os.Getwd()
-	if jsonOut {
-		emitJSON(cwd, res, stale, auditAllows)
-	} else if auditAllows {
-		printAudit(cwd, res, stale)
-	} else {
-		for _, d := range res.Diags {
-			fmt.Printf("%s:%d:%d: %s: %s\n", relPath(cwd, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
+	for _, d := range res.Diags {
+		fmt.Printf("%s:%d:%d: %s: %s\n", relPath(cwd, d.Pos.Filename), d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
+	}
+	stale := 0
+	for _, al := range res.Allows {
+		if !al.Used {
+			stale++
+			fmt.Printf("%s:%d: stale allow: %s -- %s\n", relPath(cwd, al.Pos.Filename), al.Pos.Line, al.Analyzer, al.Justification)
 		}
 	}
-
-	switch {
-	case len(res.Diags) > 0:
-		fmt.Fprintf(os.Stderr, "ucudnn-lint: %d finding(s)\n", len(res.Diags))
-		return exitFindings
-	case auditAllows && len(stale) > 0:
-		fmt.Fprintf(os.Stderr, "ucudnn-lint: %d stale allow directive(s)\n", len(stale))
+	if len(res.Diags) > 0 || stale > 0 {
+		fmt.Fprintf(os.Stderr, "ucudnn-lint: %d finding(s), %d stale allow directive(s)\n", len(res.Diags), stale)
 		return exitFindings
 	}
 	return exitClean
@@ -134,72 +92,6 @@ func run() int {
 func fail(err error) int {
 	fmt.Fprintln(os.Stderr, "ucudnn-lint:", err)
 	return exitError
-}
-
-// jsonFinding is one diagnostic in -json output.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// jsonAllow is one suppression directive in -json output.
-type jsonAllow struct {
-	File          string `json:"file"`
-	Line          int    `json:"line"`
-	Analyzer      string `json:"analyzer"`
-	Justification string `json:"justification"`
-	Used          bool   `json:"used"`
-}
-
-// jsonReport is the -json document.
-type jsonReport struct {
-	Findings []jsonFinding `json:"findings"`
-	Allows   []jsonAllow   `json:"allows"`
-	Stale    int           `json:"stale_allows"`
-}
-
-func emitJSON(cwd string, res *analysis.Result, stale []analysis.Allow, audit bool) {
-	rep := jsonReport{Findings: []jsonFinding{}, Allows: []jsonAllow{}, Stale: len(stale)}
-	for _, d := range res.Diags {
-		rep.Findings = append(rep.Findings, jsonFinding{
-			File:     relPath(cwd, d.Pos.Filename),
-			Line:     d.Pos.Line,
-			Column:   d.Pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
-	}
-	for _, al := range res.Allows {
-		rep.Allows = append(rep.Allows, jsonAllow{
-			File:          relPath(cwd, al.Pos.Filename),
-			Line:          al.Pos.Line,
-			Analyzer:      al.Analyzer,
-			Justification: al.Justification,
-			Used:          al.Used,
-		})
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	enc.Encode(rep)
-}
-
-func printAudit(cwd string, res *analysis.Result, stale []analysis.Allow) {
-	staleAt := map[string]bool{}
-	for _, al := range stale {
-		staleAt[fmt.Sprintf("%s:%d", al.Pos.Filename, al.Pos.Line)] = true
-	}
-	for _, al := range res.Allows {
-		state := "used"
-		if staleAt[fmt.Sprintf("%s:%d", al.Pos.Filename, al.Pos.Line)] {
-			state = "STALE"
-		} else if !al.Used {
-			state = "unaudited" // analyzer not in this run's selection
-		}
-		fmt.Printf("%s:%d: %s: %s -- %s\n", relPath(cwd, al.Pos.Filename), al.Pos.Line, state, al.Analyzer, al.Justification)
-	}
 }
 
 func relPath(cwd, file string) string {

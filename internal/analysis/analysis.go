@@ -5,9 +5,11 @@
 // It exists because the engine's three load-bearing promises — bitwise
 // determinism at every worker count, the MinWorkspace floor, and
 // zero-allocation kernel hot paths (see DESIGN.md "Kernel execution
-// engine") — are contracts that spot tests can only sample. The analyzers
-// in this package (detlint, hotpath, wsfloor, metricname) check them
-// mechanically on every build via cmd/ucudnn-lint, which make check runs.
+// engine") — are contracts that spot tests can only sample. The six
+// analyzers in this package (detlint, hotpath, wsfloor, metricname,
+// faultpoint, phasename) check them, and the naming rules of the
+// telemetry tables, file by file on every build via cmd/ucudnn-lint,
+// which make check runs.
 //
 // # Suppressing a finding
 //
@@ -18,7 +20,8 @@
 //
 // The justification is mandatory; a directive without one is itself a
 // diagnostic. Directives name exactly one analyzer, so a line needing two
-// suppressions carries two directives.
+// suppressions carries two directives. A directive that suppresses
+// nothing is stale, and cmd/ucudnn-lint fails on it.
 package analysis
 
 import (
@@ -27,13 +30,11 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
+	"sort"
 	"strings"
 )
 
-// An Analyzer describes one static check. Per-package analyzers set
-// Run; interprocedural analyzers set RunProgram and see every loaded
-// package (and the module call graph) at once. Exactly one of the two
-// must be non-nil.
+// An Analyzer describes one static check over one package at a time.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //ucudnn:allow directives.
@@ -43,8 +44,6 @@ type Analyzer struct {
 	// Run inspects the package in pass and reports findings via
 	// pass.Reportf.
 	Run func(pass *Pass) error
-	// RunProgram inspects a whole Program at once.
-	RunProgram func(pass *ProgramPass) error
 }
 
 // A Pass provides one analyzer run over one type-checked package.
@@ -119,19 +118,106 @@ func parseDirectives(fset *token.FileSet, files []*ast.File) []directive {
 // and the mandatory justification after "--".
 var allowRe = regexp.MustCompile(`^([a-z][a-z0-9]*)\s*--\s*(.*)$`)
 
-// Run executes the analyzers over a loaded package and returns the
-// surviving diagnostics sorted by position: findings not covered by a
-// valid //ucudnn:allow directive, plus one diagnostic for every malformed
-// or justification-free directive. It is AnalyzeProgram over a
-// single-package program — interprocedural analyzers see a call graph
-// restricted to that package, which is exactly what the analysistest
-// fixtures want.
-func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
-	res, err := AnalyzeProgram(NewProgram([]*Package{pkg}), analyzers)
-	if err != nil {
-		return nil, err
+// An Allow is one parsed //ucudnn:allow directive.
+type Allow struct {
+	// Analyzer is the analyzer the directive names.
+	Analyzer string
+	// Justification is the mandatory text after "--".
+	Justification string
+	// Pos is the directive's position.
+	Pos token.Position
+	// Used reports whether the run suppressed at least one diagnostic
+	// with this directive. An unused allow is stale: its justification
+	// no longer corresponds to a finding.
+	Used bool
+}
+
+// A Result is the outcome of a Run: surviving diagnostics sorted by
+// position, plus every suppression directive in load order.
+type Result struct {
+	Diags  []Diagnostic
+	Allows []Allow
+}
+
+// Run executes the analyzers over every package. A finding on the line
+// of a valid //ucudnn:allow directive naming its analyzer, or on the
+// line below one, is dropped and marks the directive Used; a malformed
+// or justification-free directive is itself a diagnostic.
+func Run(pkgs []*Package, analyzers []*Analyzer) (*Result, error) {
+	type site struct {
+		analyzer, file string
+		line           int
 	}
-	return res.Diags, nil
+	res := &Result{}
+	for _, pkg := range pkgs {
+		var diags []Diagnostic
+		for _, a := range analyzers {
+			pass := &Pass{
+				Analyzer:   a,
+				Fset:       pkg.Fset,
+				Files:      pkg.Files,
+				Pkg:        pkg.Types,
+				TypesInfo:  pkg.Info,
+				ImportPath: pkg.ImportPath,
+			}
+			if err := a.Run(pass); err != nil {
+				return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.ImportPath, err)
+			}
+			diags = append(diags, pass.diags...)
+		}
+
+		covered := map[site]int{} // index into res.Allows
+		for _, d := range parseDirectives(pkg.Fset, pkg.Files) {
+			if d.verb != "allow" {
+				continue
+			}
+			m := allowRe.FindStringSubmatch(d.args)
+			if m == nil || strings.TrimSpace(m[2]) == "" {
+				diags = append(diags, Diagnostic{
+					Analyzer: "directive",
+					Pos:      d.pos,
+					Message:  "malformed //ucudnn:allow directive: want \"//ucudnn:allow <analyzer> -- <justification>\" with a non-empty justification",
+				})
+				continue
+			}
+			res.Allows = append(res.Allows, Allow{
+				Analyzer:      m[1],
+				Justification: strings.TrimSpace(m[2]),
+				Pos:           d.pos,
+			})
+			// A directive covers its own line (trailing-comment form)
+			// and the next (comment-above form); the first directive to
+			// claim a line keeps it.
+			for _, line := range []int{d.pos.Line, d.pos.Line + 1} {
+				s := site{m[1], d.pos.Filename, line}
+				if _, dup := covered[s]; !dup {
+					covered[s] = len(res.Allows) - 1
+				}
+			}
+		}
+
+		for _, d := range diags {
+			if i, ok := covered[site{d.Analyzer, d.Pos.Filename, d.Pos.Line}]; ok {
+				res.Allows[i].Used = true
+				continue
+			}
+			res.Diags = append(res.Diags, d)
+		}
+	}
+	sort.Slice(res.Diags, func(i, j int) bool {
+		a, b := res.Diags[i], res.Diags[j]
+		if a.Pos.Filename != b.Pos.Filename {
+			return a.Pos.Filename < b.Pos.Filename
+		}
+		if a.Pos.Line != b.Pos.Line {
+			return a.Pos.Line < b.Pos.Line
+		}
+		if a.Pos.Column != b.Pos.Column {
+			return a.Pos.Column < b.Pos.Column
+		}
+		return a.Analyzer < b.Analyzer
+	})
+	return res, nil
 }
 
 // funcDirectives returns the //ucudnn: verbs attached to a function

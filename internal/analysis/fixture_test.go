@@ -25,10 +25,11 @@ type expectation struct {
 func RunFixture(t *testing.T, a *Analyzer, pkgdir string) {
 	t.Helper()
 	pkg := loadFixture(t, a.Name, pkgdir)
-	diags, err := Run(pkg, []*Analyzer{a})
+	res, err := Run([]*Package{pkg}, []*Analyzer{a})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	diags := res.Diags
 
 	// Collect expectations keyed by (file, line).
 	type key struct {

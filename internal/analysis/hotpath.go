@@ -19,10 +19,11 @@ import (
 //   - implicit or explicit conversions of non-constant values to
 //     interface types (boxing), which is how fmt-style calls allocate.
 //
-// The check is local: callees are not inspected here — the hotpathcall
-// analyzer propagates the same contract through the module call graph,
-// so annotate the leaf compute functions and let hotpathcall police
-// what they reach.
+// The check is local: callees are not inspected. The directive therefore
+// belongs on every function a hot loop calls, leaf or not — the engine
+// runners and the small helpers they reach (index arithmetic, min/max,
+// metric updates) alike; what annotations miss is caught at run time by
+// the 0 allocs/op table test (conv.TestForwardZeroAllocSteadyState).
 var Hotpath = &Analyzer{
 	Name: "hotpath",
 	Doc:  "forbid allocating constructs inside //ucudnn:hotpath functions",
@@ -36,54 +37,36 @@ func runHotpath(pass *Pass) error {
 			if !ok || fd.Body == nil || !hasFuncDirective(fd, "hotpath") {
 				continue
 			}
-			name := fd.Name.Name
-			for _, af := range allocSites(pass.TypesInfo, pass.Pkg, fd.Body) {
-				pass.Reportf(af.pos, "hot path %s: %s", name, af.msg)
+			report := func(pos token.Pos, msg string) {
+				pass.Reportf(pos, "hot path %s: %s", fd.Name.Name, msg)
 			}
+			// Every allocating construct lexically inside the body,
+			// nested function literals included, in source order.
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					allocCall(pass.TypesInfo, pass.Pkg, n, report)
+				case *ast.FuncLit:
+					report(n.Pos(),
+						"function literal allocates its closure environment; move parallel dispatch outside //ucudnn:hotpath functions")
+				case *ast.GoStmt:
+					report(n.Pos(),
+						"go statement allocates a goroutine; fork-join belongs outside //ucudnn:hotpath functions")
+				case *ast.CompositeLit:
+					if t := pass.TypesInfo.TypeOf(n); t != nil {
+						switch t.Underlying().(type) {
+						case *types.Slice:
+							report(n.Pos(), "slice literal allocates")
+						case *types.Map:
+							report(n.Pos(), "map literal allocates")
+						}
+					}
+				}
+				return true
+			})
 		}
 	}
 	return nil
-}
-
-// An allocFinding is one construct the compiler may lower to a heap
-// allocation, with the shared base message the hotpath and hotpathcall
-// analyzers both wrap.
-type allocFinding struct {
-	pos token.Pos
-	msg string
-}
-
-// allocSites returns every allocating construct lexically inside root
-// (descending into nested function literals), in source order.
-func allocSites(info *types.Info, pkg *types.Package, root ast.Node) []allocFinding {
-	var out []allocFinding
-	report := func(pos token.Pos, msg string) {
-		out = append(out, allocFinding{pos: pos, msg: msg})
-	}
-	ast.Inspect(root, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.CallExpr:
-			allocCall(info, pkg, n, report)
-		case *ast.FuncLit:
-			report(n.Pos(),
-				"function literal allocates its closure environment; move parallel dispatch outside //ucudnn:hotpath functions")
-		case *ast.GoStmt:
-			report(n.Pos(),
-				"go statement allocates a goroutine; fork-join belongs outside //ucudnn:hotpath functions")
-		case *ast.CompositeLit:
-			t := info.TypeOf(n)
-			if t != nil {
-				switch t.Underlying().(type) {
-				case *types.Slice:
-					report(n.Pos(), "slice literal allocates")
-				case *types.Map:
-					report(n.Pos(), "map literal allocates")
-				}
-			}
-		}
-		return true
-	})
-	return out
 }
 
 func allocCall(info *types.Info, pkg *types.Package, call *ast.CallExpr, report func(token.Pos, string)) {

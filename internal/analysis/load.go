@@ -48,10 +48,6 @@ type Loader struct {
 	fset *token.FileSet
 	std  types.Importer
 
-	// buildCtx evaluates build constraints; nil means build.Default
-	// (the host target). Set via SetTarget.
-	buildCtx *build.Context
-
 	mu   sync.Mutex
 	pkgs map[string]*Package
 }
@@ -87,30 +83,6 @@ func NewLoader(moduleRoot, fixtureRoot string) (*Loader, error) {
 		std:         stdImporter(),
 		pkgs:        map[string]*Package{},
 	}, nil
-}
-
-// SetTarget retargets build-constraint evaluation (file name suffixes
-// and //go:build lines) to a synthetic GOOS/GOARCH, so per-arch file
-// pairs — an assembly-backed kernel and its portable fallback — can be
-// analyzed for every target from one host. It must be called before
-// the first load: the package cache is not invalidated. Standard-
-// library imports still resolve with the host's context (the source
-// importer is not retargeted); module and fixture files are what the
-// per-target view changes.
-func (l *Loader) SetTarget(goos, goarch string) {
-	ctx := build.Default
-	ctx.GOOS = goos
-	ctx.GOARCH = goarch
-	ctx.CgoEnabled = false
-	l.buildCtx = &ctx
-}
-
-// context returns the build context constraints are evaluated under.
-func (l *Loader) context() *build.Context {
-	if l.buildCtx != nil {
-		return l.buildCtx
-	}
-	return &build.Default
 }
 
 // modulePath extracts the module path from a go.mod file.
@@ -206,10 +178,8 @@ func (l *Loader) dirFor(path string) (string, bool) {
 
 // parseDir parses the non-test .go files of dir, sorted by name for
 // deterministic diagnostics. Build constraints (file suffixes and
-// //go:build lines) are honored for the loader's target — the host
-// GOOS/GOARCH by default, or a synthetic one set with SetTarget — so
-// per-arch file pairs type-check as the compiler would build them for
-// that target.
+// //go:build lines) are honored for the host GOOS/GOARCH, so per-arch
+// file pairs type-check as the compiler would build them here.
 func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -222,7 +192,7 @@ func (l *Loader) parseDir(dir string) ([]*ast.File, error) {
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
 			continue
 		}
-		if ok, err := l.context().MatchFile(dir, name); err != nil || !ok {
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
 			continue
 		}
 		names = append(names, name)

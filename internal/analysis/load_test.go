@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"go/constant"
 	"os"
 	"path/filepath"
 	"testing"
@@ -59,57 +58,9 @@ const osImpl = "other"
 	return root
 }
 
-func loadSelected(t *testing.T, root, goos, goarch string) string {
-	t.Helper()
-	loader, err := NewLoader(root, "")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	loader.SetTarget(goos, goarch)
-	pkg, err := loader.LoadDir(filepath.Join(root, "kern"))
-	if err != nil {
-		t.Fatalf("LoadDir(%s/%s): %v", goos, goarch, err)
-	}
-	obj := pkg.Types.Scope().Lookup("Selected")
-	if obj == nil {
-		t.Fatalf("%s/%s: no Selected in package scope", goos, goarch)
-	}
-	// Selected is a var initialized from two constants; read the pair
-	// through the constants themselves for an exact answer.
-	arch := pkg.Types.Scope().Lookup("archImpl")
-	osv := pkg.Types.Scope().Lookup("osImpl")
-	if arch == nil || osv == nil {
-		t.Fatalf("%s/%s: constraint pair constants missing", goos, goarch)
-	}
-	return constant.StringVal(arch.(interface{ Val() constant.Value }).Val()) +
-		"/" + constant.StringVal(osv.(interface{ Val() constant.Value }).Val())
-}
-
-// TestLoaderSyntheticTargets loads the same package for a GOOS/GOARCH
-// matrix and asserts each target selects exactly its half of every
-// build-constraint file pair.
-func TestLoaderSyntheticTargets(t *testing.T) {
-	root := writeModule(t)
-	cases := []struct {
-		goos, goarch string
-		want         string
-	}{
-		{"linux", "amd64", "amd64/linux"},
-		{"linux", "arm64", "arm64/linux"},
-		{"darwin", "amd64", "amd64/other"},
-		{"darwin", "arm64", "arm64/other"},
-		{"linux", "riscv64", "portable/linux"},
-	}
-	for _, c := range cases {
-		got := loadSelected(t, root, c.goos, c.goarch)
-		if got != c.want {
-			t.Errorf("%s/%s: selected %q, want %q", c.goos, c.goarch, got, c.want)
-		}
-	}
-}
-
-// TestLoaderHostDefault checks the no-SetTarget path still loads (host
-// constraints).
+// TestLoaderHostDefault checks the package loads under the host's build
+// constraints: with them ignored, both halves of a pair would be parsed
+// and type-checking would fail on the redeclared constants.
 func TestLoaderHostDefault(t *testing.T) {
 	root := writeModule(t)
 	loader, err := NewLoader(root, "")
@@ -118,34 +69,5 @@ func TestLoaderHostDefault(t *testing.T) {
 	}
 	if _, err := loader.LoadDir(filepath.Join(root, "kern")); err != nil {
 		t.Fatalf("LoadDir host default: %v", err)
-	}
-}
-
-// TestLoaderTargetConflict proves the mechanism is load-bearing: with
-// constraints ignored, both halves of a pair would be parsed and the
-// package would fail to type-check with a redeclaration. Loading for a
-// target that matches NO arch file must fail with "no Go files"
-// rather than silently including everything.
-func TestLoaderTargetPairsExclusive(t *testing.T) {
-	root := t.TempDir()
-	for name, src := range map[string]string{
-		"go.mod":             "module exclusivetest\n\ngo 1.22\n",
-		"only/impl_amd64.go": "package only\n\nconst V = 1\n",
-	} {
-		path := filepath.Join(root, filepath.FromSlash(name))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	loader, err := NewLoader(root, "")
-	if err != nil {
-		t.Fatalf("NewLoader: %v", err)
-	}
-	loader.SetTarget("linux", "arm64")
-	if _, err := loader.LoadDir(filepath.Join(root, "only")); err == nil {
-		t.Fatal("loading an amd64-only package for arm64 succeeded; constraints are not being applied")
 	}
 }

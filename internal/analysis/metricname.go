@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"fmt"
 	"go/ast"
 	"go/constant"
 	"go/types"
@@ -185,31 +184,7 @@ func labelCallName(pass *Pass, arg ast.Expr) (string, bool) {
 	return constant.StringVal(tv.Value), true
 }
 
-// All is the ucudnn-lint analyzer suite in execution order: the
-// per-package checks first, then the interprocedural ones.
+// All is the ucudnn-lint analyzer suite in execution order.
 var All = []*Analyzer{
 	Detlint, Hotpath, WSFloor, MetricName, FaultPoint, PhaseName,
-	HotpathCall, AtomicLint, LockOrder, PhasePair,
-}
-
-// ByName resolves a comma-separated analyzer list ("detlint,hotpath");
-// empty selects the whole suite.
-func ByName(list string) ([]*Analyzer, error) {
-	if strings.TrimSpace(list) == "" {
-		return All, nil
-	}
-	byName := map[string]*Analyzer{}
-	for _, a := range All {
-		byName[a.Name] = a
-	}
-	var out []*Analyzer
-	for _, name := range strings.Split(list, ",") {
-		name = strings.TrimSpace(name)
-		a, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("unknown analyzer %q (have detlint, hotpath, wsfloor, metricname, faultpoint, phasename, hotpathcall, atomiclint, lockorder, phasepair)", name)
-		}
-		out = append(out, a)
-	}
-	return out, nil
 }

@@ -121,7 +121,6 @@ func sgemmWorkers(rec bool, workers int, transA, transB bool, m, n, k int, alpha
 	}
 
 	if workers <= 0 {
-		//ucudnn:allow hotpathcall -- GOMAXPROCS(0) is a read-only scheduler query; it does not allocate
 		workers = runtime.GOMAXPROCS(0)
 		if int64(m)*int64(n)*int64(k) < parallelThreshold {
 			workers = 1
@@ -197,6 +196,8 @@ func sgemmChunk(rec, byCols bool, w, chunk int, transA, transB bool, m, n, k int
 
 // PackAFloats returns the float32 length of the packed form of an
 // (m x k) A operand: rows padded up to a multiple of mr.
+//
+//ucudnn:hotpath
 func PackAFloats(m, k int) int {
 	return ((m + mr - 1) / mr) * mr * k
 }
@@ -260,7 +261,6 @@ func SgemmPackedA(workers int, pa []float32, transB bool, m, n, k int, b []float
 	}
 	panels := (m + mr - 1) / mr
 	if workers <= 0 {
-		//ucudnn:allow hotpathcall -- GOMAXPROCS(0) is a read-only scheduler query; it does not allocate
 		workers = runtime.GOMAXPROCS(0)
 		if int64(m)*int64(n)*int64(k) < parallelThreshold {
 			workers = 1
@@ -643,6 +643,7 @@ func Sdot(x, y []float32) float32 {
 	return s
 }
 
+//ucudnn:hotpath
 func min(a, b int) int {
 	if a < b {
 		return a
@@ -650,6 +651,7 @@ func min(a, b int) int {
 	return b
 }
 
+//ucudnn:hotpath
 func max(a, b int) int {
 	if a > b {
 		return a

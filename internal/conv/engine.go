@@ -33,11 +33,12 @@ var engineWorkers atomic.Int32
 
 // MaxWorkers returns the kernel engine's worker cap: the value set by
 // SetMaxWorkers, or GOMAXPROCS when unset.
+//
+//ucudnn:hotpath
 func MaxWorkers() int {
 	if n := int(engineWorkers.Load()); n > 0 {
 		return n
 	}
-	//ucudnn:allow hotpathcall -- GOMAXPROCS(0) is a read-only scheduler query; it does not allocate
 	return runtime.GOMAXPROCS(0)
 }
 

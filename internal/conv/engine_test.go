@@ -246,11 +246,14 @@ func TestBackwardFilterMicroBatchAtWorkerCounts(t *testing.T) {
 	}
 }
 
-// Steady-state Forward must not allocate for the GEMM, implicit-GEMM and
-// Winograd paths: all scratch comes from the caller's workspace or, for
-// the implicit kernels' pack blocks, the stack. Pinned to the serial
+// Steady-state execution must not allocate for any op on any algorithm
+// the shape supports: all scratch comes from the caller's workspace or,
+// for the implicit kernels' pack blocks, the stack. Pinned to the serial
 // path — fork-join goroutine spawns are the one allocation parallel
-// execution inherently makes.
+// execution inherently makes. This is the run-time half of the
+// //ucudnn:hotpath contract: it catches an allocation in any function a
+// kernel reaches, annotated or not. DIRECT is the un-annotated test
+// reference (1 alloc/op) and is excluded by name.
 func TestForwardZeroAllocSteadyState(t *testing.T) {
 	prevP := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prevP)
@@ -261,17 +264,25 @@ func TestForwardZeroAllocSteadyState(t *testing.T) {
 		Filt:   tensor.Filter{K: 8, C: 4, R: 3, S: 3},
 		Params: tensor.ConvParams{PadH: 1, PadW: 1, StrideH: 1, StrideW: 1},
 	}
-	for _, algo := range []Algo{AlgoGemm, AlgoImplicitGemm, AlgoImplicitPrecompGemm, AlgoWinograd, AlgoWinogradNonfused} {
-		x, w, y := randomProblem(cs, 67)
-		ws := wsFor(t, Forward, algo, cs)
-		run := func() {
-			if err := Run(Forward, algo, cs, x, w, y, 1, 0, ws); err != nil {
-				t.Fatal(err)
+	for _, op := range Ops {
+		for _, algo := range AlgosFor(op) {
+			if algo == AlgoDirect {
+				continue
 			}
-		}
-		run() // warm-up: transform caches are one-time costs
-		if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
-			t.Errorf("%v forward allocates %.1f objects/op in steady state, want 0", algo, allocs)
+			if !Supported(op, algo, cs) {
+				t.Fatalf("%v/%v unsupported on the test shape; pick a shape every algorithm accepts", op, algo)
+			}
+			x, w, y := randomProblem(cs, 67)
+			ws := wsFor(t, op, algo, cs)
+			run := func() {
+				if err := Run(op, algo, cs, x, w, y, 1, 0, ws); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // warm-up: transform caches are one-time costs
+			if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+				t.Errorf("%v/%v allocates %.1f objects/op in steady state, want 0", op, algo, allocs)
+			}
 		}
 	}
 }

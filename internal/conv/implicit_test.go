@@ -145,65 +145,109 @@ func TestImplicitBackwardFilterMicroBatchBitExact(t *testing.T) {
 	}
 }
 
-// The profiler contract of a kernel row: the pack and micro-kernel
-// windows tile each worker's busy time, so attributed time never exceeds
-// measured time and covers at least 95% of it, serial and striped.
+// attributionPhases is the exact phase set a profiled Run of op on algo
+// reports: one entry per algorithm family's hook chain.
+func attributionPhases(op Op, algo Algo) []prof.Phase {
+	switch algo {
+	case AlgoImplicitGemm:
+		return []prof.Phase{PhImplicitPack, blas.PhSgemmKernel}
+	case AlgoImplicitPrecompGemm:
+		return []prof.Phase{PhImplicitPack, blas.PhSgemmKernel, PhImplicitPrecomp}
+	case AlgoGemm:
+		phases := []prof.Phase{blas.PhSgemmKernel, blas.PhSgemmPack, PhGemmIm2col}
+		if op == BackwardFilter {
+			phases = append(phases, PhGemmReduce)
+		}
+		return phases
+	case AlgoDirect:
+		return []prof.Phase{PhDirectMain}
+	case AlgoFFT, AlgoFFTTiling:
+		return []prof.Phase{PhRFFTForward, PhRFFTPointwise, PhRFFTInverse}
+	case AlgoWinograd, AlgoWinogradNonfused:
+		return []prof.Phase{PhWinogradTransformIn, PhWinogradElementwise, PhWinogradTransformOut}
+	}
+	return nil
+}
+
+// profileOnce runs op on algo as the profiler's only row and returns it,
+// after checking what no scheduler can disturb: attributed time within
+// measured time, and exactly the family's phase set.
+func profileOnce(t *testing.T, label string, op Op, algo Algo, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTensor, y *tensor.Tensor, ws []float32) prof.RowSnap {
+	t.Helper()
+	prof.Reset()
+	tok := prof.Begin(label)
+	err := Run(op, algo, cs, x, w, y, 1, 0, ws)
+	prof.End(tok)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := prof.Snapshot()
+	if len(rows) != 1 {
+		t.Fatalf("%s: %d profile rows, want 1", label, len(rows))
+	}
+	r := rows[0]
+	if r.AttributedNS > r.MeasuredNS {
+		t.Errorf("%s: attributed %d exceeds measured %d", label, r.AttributedNS, r.MeasuredNS)
+	}
+	got := map[prof.Phase]bool{}
+	for _, ph := range r.Phases {
+		got[prof.Phase(ph.Phase)] = true
+	}
+	want := attributionPhases(op, algo)
+	for _, ph := range want {
+		if !got[ph] {
+			t.Errorf("%s: phases %v lack %s", label, r.Phases, ph)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("%s: phases %v, want exactly %v", label, r.Phases, want)
+	}
+	return r
+}
+
+// The profiler contract of a kernel row, for every op on every algorithm:
+// the phase windows tile each worker's busy time, so attributed time
+// never exceeds measured time and covers at least 95% of it, serial and
+// striped, and the row reports exactly its family's phases. A window
+// leaked on a continue or early return inside a t = prof.Next(...) chain
+// shows up here as lost coverage and a missing phase.
 func TestImplicitProfileAttribution(t *testing.T) {
 	cs := tensor.ConvShape{
 		In:     tensor.Shape{N: 4, C: 32, H: 28, W: 28},
 		Filt:   tensor.Filter{K: 64, C: 32, R: 3, S: 3},
 		Params: tensor.ConvParams{PadH: 1, PadW: 1, StrideH: 1, StrideW: 1},
 	}
-	prof.Reset()
 	prof.Enable()
 	t.Cleanup(func() {
 		prof.Disable()
 		prof.Reset()
 	})
-	want := map[string][]prof.Phase{} // by row label
 	for _, p := range []int{1, 2, 4} {
 		withWorkers(p, func() {
 			for _, op := range Ops {
-				for _, algo := range []Algo{AlgoImplicitGemm, AlgoImplicitPrecompGemm} {
+				for _, algo := range AlgosFor(op) {
 					if !Supported(op, algo, cs) {
-						continue
+						t.Fatalf("%v/%v unsupported on the test shape; pick a shape every algorithm accepts", op, algo)
 					}
 					x, w, y := randomProblem(cs, 83)
 					ws := wsFor(t, op, algo, cs)
 					label := fmt.Sprintf("P=%d %v/%v", p, op, algo)
-					want[label] = []prof.Phase{PhImplicitPack, blas.PhSgemmKernel}
-					if algo == AlgoImplicitPrecompGemm {
-						want[label] = append(want[label], PhImplicitPrecomp)
-					}
-					tok := prof.Begin(label)
-					err := Run(op, algo, cs, x, w, y, 1, 0, ws)
-					prof.End(tok)
-					if err != nil {
-						t.Fatal(err)
+					// A worker preempted between two windows is busy but
+					// unattributed, so a loaded host can push one run
+					// under the bar; a leaked window is missing from
+					// every run. Only the coverage bar gets the retries.
+					for attempt := 1; ; attempt++ {
+						r := profileOnce(t, label, op, algo, cs, x, w, y, ws)
+						if r.Coverage >= 0.95 || prof.RaceEnabled {
+							break
+						}
+						if attempt == 3 {
+							t.Errorf("%s: attributed %d, measured %d, coverage %.3f", label, r.AttributedNS, r.MeasuredNS, r.Coverage)
+							break
+						}
 					}
 				}
 			}
 		})
-	}
-	rows := prof.Snapshot()
-	if len(rows) != len(want) {
-		t.Fatalf("%d profile rows, want %d", len(rows), len(want))
-	}
-	for _, r := range rows {
-		if r.AttributedNS > r.MeasuredNS || (r.Coverage < 0.95 && !prof.RaceEnabled) {
-			t.Errorf("%s: attributed %d, measured %d, coverage %.3f", r.Kernel, r.AttributedNS, r.MeasuredNS, r.Coverage)
-		}
-		got := map[prof.Phase]bool{}
-		for _, ph := range r.Phases {
-			got[prof.Phase(ph.Phase)] = true
-		}
-		for _, ph := range want[r.Kernel] {
-			if !got[ph] {
-				t.Errorf("%s: phases %v lack %s", r.Kernel, r.Phases, ph)
-			}
-		}
-		if len(got) != len(want[r.Kernel]) {
-			t.Errorf("%s: phases %v, want exactly %v", r.Kernel, r.Phases, want[r.Kernel])
-		}
 	}
 }

@@ -56,6 +56,8 @@ func phaseFor(ph prof.Kind, n int, f func(i int)) {
 }
 
 // blend writes out = alpha*v + beta*out for one element.
+//
+//ucudnn:hotpath
 func blend(out *float32, v, alpha, beta float32) {
 	if beta == 0 {
 		*out = alpha * v
@@ -64,6 +66,7 @@ func blend(out *float32, v, alpha, beta float32) {
 	}
 }
 
+//ucudnn:hotpath
 func imin(a, b int) int {
 	if a < b {
 		return a
@@ -71,6 +74,7 @@ func imin(a, b int) int {
 	return b
 }
 
+//ucudnn:hotpath
 func imax(a, b int) int {
 	if a > b {
 		return a
@@ -78,4 +82,5 @@ func imax(a, b int) int {
 	return b
 }
 
+//ucudnn:hotpath
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

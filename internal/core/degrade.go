@@ -104,7 +104,6 @@ func (h *Handle) degrade(k Kernel, cause error, restore func(), x *tensor.Tensor
 			grant = minBytes
 		}
 		h.mu.Lock()
-		//ucudnn:allow lockorder -- arena-grant fault points fire under the handle lock by design: the grant decision must be serialized with the arena it mutates, and the deterministic trigger sequence depends on that serialization
 		h.growArena(grant)
 		h.mu.Unlock()
 		restore()
@@ -120,7 +119,6 @@ func (h *Handle) degrade(k Kernel, cause error, restore func(), x *tensor.Tensor
 	if algo, minBytes, ok := h.floorAlgo(op, cs); ok {
 		cfg := Config{{BatchSize: n, Algo: algo}}
 		h.mu.Lock()
-		//ucudnn:allow lockorder -- arena-grant fault points fire under the handle lock by design: the grant decision must be serialized with the arena it mutates, and the deterministic trigger sequence depends on that serialization
 		h.growArena(minBytes)
 		h.mu.Unlock()
 		restore()
@@ -205,7 +203,6 @@ func (h *Handle) minWSAlgo(op conv.Op, cs tensor.ConvShape, measure func(conv.Op
 // process replans), then emits the recovery telemetry.
 func (h *Handle) adopt(k Kernel, plan Plan, stage string, clockStart time.Duration) {
 	h.mu.Lock()
-	//ucudnn:allow lockorder -- arena-grant fault points fire under the handle lock by design: the grant decision must be serialized with the arena it mutates, and the deterministic trigger sequence depends on that serialization
 	h.growArena(plan.Workspace)
 	h.plans[k.String()] = &execPlan{plan: plan}
 	h.degraded++

@@ -414,7 +414,6 @@ func (h *Handle) register(k Kernel, wsLimit int64) {
 func (h *Handle) FinalizeRegistration() error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	//ucudnn:allow lockorder -- arena-grant fault points fire under the handle lock by design: the grant decision must be serialized with the arena it mutates, and the deterministic trigger sequence depends on that serialization
 	return h.finalizeLocked()
 }
 
@@ -461,7 +460,6 @@ func (h *Handle) ensurePlan(k Kernel) (*execPlan, error) {
 		return p, nil
 	}
 	// First execution closes WD registration and optimizes the network.
-	//ucudnn:allow lockorder -- arena-grant fault points fire under the handle lock by design: the grant decision must be serialized with the arena it mutates, and the deterministic trigger sequence depends on that serialization
 	if err := h.finalizeLocked(); err != nil {
 		return nil, err
 	}
@@ -485,7 +483,6 @@ func (h *Handle) ensurePlan(k Kernel) (*execPlan, error) {
 	if err := h.inner.Mem().Alloc(plan.Workspace); err != nil {
 		return nil, fmt.Errorf("core: allocating workspace for %v: %w", k, err)
 	}
-	//ucudnn:allow lockorder -- arena-grant fault points fire under the handle lock by design: the grant decision must be serialized with the arena it mutates, and the deterministic trigger sequence depends on that serialization
 	h.growArena(plan.Workspace)
 	p := &execPlan{plan: plan}
 	h.plans[key] = p
@@ -512,13 +509,11 @@ func (h *Handle) execute(op conv.Op, cs tensor.ConvShape, x *tensor.Tensor, w *t
 	defer prof.End(pstart)
 	restore := h.snapshotOutput(op, x, w, y, beta)
 	if err == nil {
-		//ucudnn:allow lockorder -- arena-grant fault points fire under the handle lock by design: the grant decision must be serialized with the arena it mutates, and the deterministic trigger sequence depends on that serialization
 		err = h.runConfig(ep.plan.Config, ep.plan.Workspace, op, cs, x, w, y, alpha, beta)
 		if err == nil {
 			return nil
 		}
 	}
-	//ucudnn:allow lockorder -- arena-grant fault points fire under the handle lock by design: the grant decision must be serialized with the arena it mutates, and the deterministic trigger sequence depends on that serialization
 	return h.degrade(k, err, restore, x, w, y, alpha, beta)
 }
 

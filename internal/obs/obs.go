@@ -108,6 +108,8 @@ type Gauge struct {
 }
 
 // Set stores v.
+//
+//ucudnn:hotpath
 func (g *Gauge) Set(v float64) {
 	if g == nil {
 		return
@@ -116,6 +118,8 @@ func (g *Gauge) Set(v float64) {
 }
 
 // Add adds delta.
+//
+//ucudnn:hotpath
 func (g *Gauge) Add(delta float64) {
 	if g == nil {
 		return
@@ -156,11 +160,12 @@ var DurationBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10, 60}
 var CountBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 
 // Observe records one sample.
+//
+//ucudnn:hotpath
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	//ucudnn:allow hotpathcall -- SearchFloat64s is a pure binary search over the existing bounds slice; no allocation
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
 	h.count.Add(1)

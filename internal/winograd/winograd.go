@@ -197,6 +197,8 @@ func transpose32(x []float32, rows, cols int) []float32 {
 }
 
 // matmul32 computes dst = a (ra x ca) * b (ca x cb), all row-major.
+//
+//ucudnn:hotpath
 func matmul32(dst, a, b []float32, ra, ca, cb int) {
 	for i := 0; i < ra; i++ {
 		for j := 0; j < cb; j++ {
@@ -211,6 +213,8 @@ func matmul32(dst, a, b []float32, ra, ca, cb int) {
 
 // FilterTransform computes U = G g Gᵀ, mapping an r x r filter tile to an
 // alpha x alpha spectral tile. tmp must have alpha*r capacity.
+//
+//ucudnn:hotpath
 func (t *Transform) FilterTransform(dst, g, tmp []float32) {
 	matmul32(tmp, t.g32, g, t.Alpha, t.R, t.R)        // (alpha x r) = G * g
 	matmul32(dst, tmp, t.gt32, t.Alpha, t.R, t.Alpha) // (alpha x alpha) = tmp * Gᵀ
@@ -218,6 +222,8 @@ func (t *Transform) FilterTransform(dst, g, tmp []float32) {
 
 // InputTransform computes V = Bᵀ d B, mapping an alpha x alpha input tile
 // to its spectral form. tmp must have alpha*alpha capacity.
+//
+//ucudnn:hotpath
 func (t *Transform) InputTransform(dst, d, tmp []float32) {
 	matmul32(tmp, t.bt32, d, t.Alpha, t.Alpha, t.Alpha)
 	matmul32(dst, tmp, t.b32, t.Alpha, t.Alpha, t.Alpha)
@@ -225,6 +231,8 @@ func (t *Transform) InputTransform(dst, d, tmp []float32) {
 
 // OutputTransform computes Y = Aᵀ M A, mapping an alpha x alpha spectral
 // accumulator to the m x m output tile. tmp must have m*alpha capacity.
+//
+//ucudnn:hotpath
 func (t *Transform) OutputTransform(dst, mAcc, tmp []float32) {
 	matmul32(tmp, t.at32, mAcc, t.M, t.Alpha, t.Alpha)
 	matmul32(dst, tmp, t.a32, t.M, t.Alpha, t.M)
@@ -233,6 +241,8 @@ func (t *Transform) OutputTransform(dst, mAcc, tmp []float32) {
 // OutputAdjoint computes W = A y Aᵀ, the adjoint of OutputTransform; it
 // maps an m x m output-gradient tile into spectral space (used by the
 // backward-filter path). tmp must have alpha*m capacity.
+//
+//ucudnn:hotpath
 func (t *Transform) OutputAdjoint(dst, y, tmp []float32) {
 	matmul32(tmp, t.a32, y, t.Alpha, t.M, t.M)
 	matmul32(dst, tmp, t.at32, t.Alpha, t.M, t.Alpha)
@@ -241,6 +251,8 @@ func (t *Transform) OutputAdjoint(dst, y, tmp []float32) {
 // FilterAdjoint computes g = Gᵀ U G, the adjoint of FilterTransform; it
 // maps a spectral accumulator back to an r x r filter-gradient tile. tmp
 // must have r*alpha capacity.
+//
+//ucudnn:hotpath
 func (t *Transform) FilterAdjoint(dst, u, tmp []float32) {
 	matmul32(tmp, t.gt32, u, t.R, t.Alpha, t.Alpha)
 	matmul32(dst, tmp, t.g32, t.R, t.Alpha, t.R)
