@@ -46,7 +46,7 @@ bench:
 # ledger records the engine's serial path, whose allocs/op must be zero
 # (fork-join allocates goroutines by design), on whatever host this is.
 bench-smoke:
-	$(GO) test -run=NONE -bench='BenchmarkConvKernels$$|BenchmarkConvBackwardFilter|BenchmarkConvImplicit|BenchmarkSgemm' \
+	$(GO) test -run=NONE -bench='BenchmarkConvKernels$$|BenchmarkConvBackwardFilter|BenchmarkConvImplicit|BenchmarkConvInception3x3|BenchmarkSgemm' \
 		-benchtime=3x -benchmem -cpu 1 ./internal/conv/ ./internal/blas/
 	$(GO) test -run=NONE -bench='BenchmarkILP' -benchtime=20x -benchmem -cpu 1 .
 
@@ -61,7 +61,7 @@ bench-smoke:
 # a third of the sample and allocs/op rounds unevenly.
 bench-json:
 	@tmp=$$(mktemp); \
-	$(GO) test -run=NONE -bench='BenchmarkConvKernels$$|BenchmarkConvKernelsBatch|BenchmarkConvBackwardFilter|BenchmarkConvImplicit|BenchmarkSgemm' \
+	$(GO) test -run=NONE -bench='BenchmarkConvKernels$$|BenchmarkConvKernelsBatch|BenchmarkConvBackwardFilter|BenchmarkConvImplicit|BenchmarkConvInception3x3|BenchmarkSgemm' \
 		-benchtime=3x -count 3 -benchmem -cpu 1 ./internal/conv/ ./internal/blas/ > $$tmp || { cat $$tmp; rm -f $$tmp; exit 1; }; \
 	$(GO) test -run=NONE -bench='BenchmarkILP' -benchtime=200x -count 3 -benchmem -cpu 1 . >> $$tmp || { cat $$tmp; rm -f $$tmp; exit 1; }; \
 	$(GO) run ./cmd/ucudnn-benchdiff -emit < $$tmp > BENCH_report.json; rm -f $$tmp

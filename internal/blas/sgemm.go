@@ -369,7 +369,7 @@ func sgemmRows(rec bool, transA, transB bool, mLo, mHi, nLo, nHi, k int, alpha f
 		jb := min(nc, nHi-j0)
 		for k0 := 0; k0 < k; k0 += kc {
 			kb := min(kc, k-k0)
-			packBPanels(packB[:], transB, b, ldb, k0, kb, j0, jb)
+			PackBPanels(packB[:], transB, b, ldb, k0, kb, j0, jb)
 			if rec {
 				t = prof.Next(phSgemmPack, t)
 			}
@@ -405,7 +405,7 @@ func sgemmPackedRows(rec bool, pa []float32, mLo, mHi, m, n, k int, transB bool,
 		jb := min(nc, n-j0)
 		for k0 := 0; k0 < k; k0 += kc {
 			kb := min(kc, k-k0)
-			packBPanels(packB[:], transB, b, ldb, k0, kb, j0, jb)
+			PackBPanels(packB[:], transB, b, ldb, k0, kb, j0, jb)
 			if rec {
 				t = prof.Next(phSgemmPack, t)
 			}
@@ -421,12 +421,12 @@ func sgemmPackedRows(rec bool, pa []float32, mLo, mHi, m, n, k int, transB bool,
 	}
 }
 
-// packBPanels packs op(B)[k0:k0+kb, j0:j0+jb] into column panels of nr:
+// PackBPanels packs op(B)[k0:k0+kb, j0:j0+jb] into column panels of nr:
 // panel jp holds columns [jp*nr, jp*nr+nr) stored [kb][nr], zero-padded
 // past jb so the micro-kernel never branches on column width.
 //
 //ucudnn:hotpath
-func packBPanels(pack []float32, transB bool, b []float32, ldb int, k0, kb, j0, jb int) {
+func PackBPanels(pack []float32, transB bool, b []float32, ldb int, k0, kb, j0, jb int) {
 	for jt := 0; jt < jb; jt += nr {
 		dst := pack[(jt/nr)*(kb*nr):]
 		jw := min(nr, jb-jt)

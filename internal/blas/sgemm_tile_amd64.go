@@ -37,3 +37,7 @@ var useAVX = func() bool {
 	eax, _ := xgetbv0()
 	return eax&6 == 6 // XMM and YMM state managed by the OS
 }()
+
+// HasAVX reports whether the AVX kernels run on this machine, for the
+// packages that carry AVX kernels of their own.
+func HasAVX() bool { return useAVX }

@@ -4,6 +4,9 @@ package blas
 
 const useAVX = false
 
+// HasAVX reports whether the AVX kernels run on this machine: never here.
+func HasAVX() bool { return false }
+
 func sgemmTileAVX(pa, pb *float32, kb int, acc *[mr * nr]float32) {
 	panic("blas: sgemmTileAVX without amd64")
 }

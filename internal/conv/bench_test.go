@@ -108,3 +108,23 @@ func BenchmarkConvKernelsBatch(b *testing.B) {
 		b.Run(fmt.Sprintf("GEMM/b%d", n), func(b *testing.B) { benchRun(b, conv.Forward, conv.AlgoGemm, cs) })
 	}
 }
+
+// BenchmarkConvInception3x3 measures the Inception module's 3x3 branch
+// (inc.b2.conv3x3 at its N=4 out-of-core window: 96 -> 128 channels on
+// 28x28, pad 1) — the shape at which ROADMAP item 3 compares the
+// Winograd kernels with their GEMM twin.
+func BenchmarkConvInception3x3(b *testing.B) {
+	cs := tensor.ConvShape{
+		In:     tensor.Shape{N: 4, C: 96, H: 28, W: 28},
+		Filt:   tensor.Filter{K: 128, C: 96, R: 3, S: 3},
+		Params: tensor.ConvParams{PadH: 1, PadW: 1, StrideH: 1, StrideW: 1},
+	}
+	for _, op := range conv.Ops {
+		for _, algo := range []conv.Algo{conv.AlgoGemm, conv.AlgoWinograd, conv.AlgoWinogradNonfused} {
+			if !conv.Supported(op, algo, cs) {
+				continue // BackwardFilter has no fused Winograd
+			}
+			b.Run(op.String()+"/"+algo.String(), func(b *testing.B) { benchRun(b, op, algo, cs) })
+		}
+	}
+}

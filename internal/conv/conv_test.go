@@ -23,6 +23,14 @@ var testShapes = []tensor.ConvShape{
 	// Output extents >= winogradLargeTileMin: the non-fused Winograd path
 	// selects F(6x6,3x3) here, so the whole matrix exercises it.
 	{In: tensor.Shape{N: 2, C: 3, H: 16, W: 16}, Filt: tensor.Filter{K: 4, C: 3, R: 3, S: 3}, Params: tensor.ConvParams{PadH: 1, PadW: 1, StrideH: 1, StrideW: 1}},
+	// Where the lane-batched Winograd kernels' edges are: K with whole
+	// filter panels and a partial one (7, 9), several lane blocks of tiles
+	// and of filter pairs, tile rows shorter and longer than a lane group,
+	// all four transforms. (The wide filter bank — two kc-blocks of C, two
+	// mc-blocks of K — is winogradWideShape: too much DIRECT for here.)
+	{In: tensor.Shape{N: 3, C: 5, H: 17, W: 11}, Filt: tensor.Filter{K: 7, C: 5, R: 3, S: 3}, Params: tensor.ConvParams{StrideH: 1, StrideW: 1}},
+	{In: tensor.Shape{N: 2, C: 6, H: 16, W: 16}, Filt: tensor.Filter{K: 9, C: 6, R: 5, S: 5}, Params: tensor.ConvParams{PadH: 2, PadW: 2, StrideH: 1, StrideW: 1}},
+	{In: tensor.Shape{N: 2, C: 9, H: 9, W: 35}, Filt: tensor.Filter{K: 6, C: 9, R: 3, S: 3}, Params: tensor.ConvParams{PadH: 1, PadW: 1, StrideH: 1, StrideW: 1}},
 }
 
 func randomProblem(cs tensor.ConvShape, seed int64) (*tensor.Tensor, *tensor.FilterTensor, *tensor.Tensor) {

@@ -327,7 +327,7 @@ func (g implicitCtx) packB(pack []float32, n, k0, kb, j0, jb int) {
 func storeRow(pack, line []float32, p, kb, jb int) {
 	clear(line[jb : ceilDiv(jb, blas.NR)*blas.NR])
 	for jt := 0; jt < jb; jt += blas.NR {
-		// Element-wise like blas's packBPanels: an array assignment would
+		// Element-wise like blas's PackBPanels: an array assignment would
 		// call memmove.
 		d := (*[blas.NR]float32)(pack[(jt/blas.NR)*(kb*blas.NR)+p*blas.NR:])
 		src := (*[blas.NR]float32)(line[jt:])

@@ -82,9 +82,12 @@ func winogradTiles(m, rows, cols, n int) (tilesH, tilesW, total int) {
 	return tilesH, tilesW, n * tilesH * tilesW
 }
 
-// winogradArenaFloats is the per-worker scratch arena: three alpha^2
-// buffers, enough for the largest (src, dst, tmp) triple of any transform
-// phase (every buffer a transform touches is at most alpha x alpha).
+// winogradArenaFloats is the per-worker share of the workspace beyond the
+// spectral banks: three alpha^2 buffers, the scratch of one per-tile
+// transform. The lane-batched kernels keep their scratch on the worker's
+// stack and never touch it; it stays in the formulas because they are
+// plan-visible, and a grant's arena count is still what admits workers
+// (see winogradWorkers).
 func winogradArenaFloats(tr *winograd.Transform) int {
 	return 3 * tr.Alpha * tr.Alpha
 }
@@ -130,7 +133,9 @@ func winogradWorkspace(op Op, cs tensor.ConvShape, fused, minimal bool) int64 {
 
 // winogradWorkers returns how many tile workers the granted workspace
 // supports: one per arena that fits after the base (shared spectral
-// buffer) floats, capped at the engine's worker limit.
+// buffer) floats, capped at the engine's worker limit. At one worker the
+// correlation runs on the calling goroutine alone (its SGEMM is a walk
+// over the packed filter bank, not a blas call that could fork).
 func winogradWorkers(tr *winograd.Transform, base int, ws []float32) int {
 	fit := (len(ws) - base) / winogradArenaFloats(tr)
 	if fit < 1 {
@@ -168,153 +173,341 @@ func runWinograd(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterT
 	return nil
 }
 
-// wgCtx carries the Winograd kernel state shared by the tile phases.
-// Methods use a value receiver so the serial path runs as plain calls
-// with no closures — the property behind the zero-allocation steady
-// state; the parallel branches wrap the same methods in closures created
-// only when more than one arena is in play.
+// wgCtx carries the Winograd kernel state shared by the stages. The
+// serial path calls its methods directly, so the context stays on the
+// stack and steady-state execution allocates nothing; run copies it once
+// per fork for the workers.
+//
+// Every transform stage works on lane blocks (see winograd/lanes.go): a
+// worker gathers up to winograd.Lanes tiles of one channel into
+// [a][b][tile] rows, transforms them with the tiles in the SIMD lanes,
+// and the result rows land contiguously in the spectral banks. The lane
+// blocks and the SGEMM pack block are locals of the stage functions, as
+// the pack blocks of the implicit-GEMM kernels are: they cost no
+// workspace, and the per-worker arenas the workspace formulas reserve
+// only count how many workers a grant admits.
 type wgCtx struct {
 	tr          *winograd.Transform
-	cs          tensor.ConvShape
 	p           tensor.ConvParams
 	in, out     tensor.Shape
-	x, y        *tensor.Tensor
-	w           *tensor.FilterTensor
+	x, w, y     []float32
 	alpha, beta float32
-	m, alpha2   int
-	r, c, k     int
+	c, k        int
 	tilesW      int
 	tilesPer    int
+	total       int
 	rotSwap     bool
 
-	// Shared spectral buffers (layout differs per op; see the carve sites).
+	// Shared spectral banks (layout differs per op; see the carve sites).
+	// Rows of v and mm are [channel][bp tiles].
 	u, v, mm []float32
-	// Per-worker transform arenas, arena stride winogradArenaFloats.
-	arena []float32
+	bp       int
 
-	// Block-panel geometry (correlate only).
-	bp int
+	// Correlate's split of the tiles over workers: worker i owns tiles
+	// [i*chunk, (i+1)*chunk) and walks them bw at a time through bank
+	// columns [i*bw, (i+1)*bw). Fused, every worker has its own slice of
+	// the 64-tile banks; non-fused the banks hold every tile, bw is chunk
+	// and a tile's column is its index.
+	chunk, bw int
 }
 
-// bufs returns worker wk's three alpha^2 arena buffers.
-//
-//ucudnn:hotpath
-func (g wgCtx) bufs(wk int) (b0, b1, b2 []float32) {
-	a2 := g.alpha2
-	base := wk * 3 * a2
-	ar := g.arena[base : base+3*a2]
-	return ar[:a2], ar[a2 : 2*a2], ar[2*a2 : 3*a2]
+// wgStage names a unit of Winograd work a worker can be handed a range of.
+type wgStage int
+
+const (
+	wgFilter     wgStage = iota // correlate: blocks of packed U positions <- filter pairs
+	wgTiles                     // correlate: a worker's tiles through all three stages
+	wgInput                     // BackwardFilter: (channel, tile block) -> V
+	wgGrad                      // BackwardFilter: (channel, tile block) of dY -> Wb
+	wgSpectral                  // BackwardFilter: dU[e] = Wb[e] V[e]ᵀ
+	wgFilterGrad                // BackwardFilter: blocks of filter pairs, dU -> dW
+)
+
+// run executes units [0, n) of stage st on up to workers workers.
+func (g *wgCtx) run(workers int, st wgStage, n int) {
+	workers = imin(workers, n)
+	if workers <= 1 {
+		g.units(st, 0, n, 0)
+		return
+	}
+	// Only this copy is captured (and heap-allocated) by the escaping
+	// closure; the serial path above keeps g off the heap.
+	gc := *g
+	stripedRun(workers, func(w int) {
+		lo, hi := chunkBounds(n, workers, w)
+		gc.units(st, lo, hi, 1)
+	})
 }
 
-// filterTile transforms filter pair i = kk*c+cc into the spectral bank:
-// U[e][kk*c+cc].
+// units runs units [lo, hi) of stage st as this worker's phase windows.
+// sgemmWorkers is the inner SGEMM's worker cap: 1 inside a fork, 0 (its
+// own choice) on the serial path.
 //
 //ucudnn:hotpath
-func (g wgCtx) filterTile(wk, i int) {
-	kk, cc := i/g.c, i%g.c
-	b0, b1, b2 := g.bufs(wk)
-	r := g.r
-	gb := b0[:r*r]
-	for a := 0; a < r; a++ {
-		for b := 0; b < r; b++ {
-			if g.rotSwap {
-				// Transformed-problem filter [kk=orig c][cc=orig k].
-				gb[a*r+b] = g.w.At(cc, kk, r-1-a, r-1-b)
-			} else {
-				gb[a*r+b] = g.w.At(kk, cc, a, b)
+func (g *wgCtx) units(st wgStage, lo, hi, sgemmWorkers int) {
+	t := prof.Enter()
+	switch st {
+	case wgFilter:
+		g.filterBlocks(lo, hi)
+		prof.Exit(phWinogradTransformIn, t)
+	case wgTiles:
+		for i := lo; i < hi; i++ {
+			t = g.correlateTiles(i*g.chunk, imin((i+1)*g.chunk, g.total), i*g.bw, t)
+		}
+	case wgInput:
+		g.inputBlocks(lo, hi)
+		prof.Exit(phWinogradTransformIn, t)
+	case wgGrad:
+		g.gradBlocks(lo, hi)
+		prof.Exit(phWinogradTransformIn, t)
+	case wgSpectral:
+		k, c, total := g.k, g.c, g.total
+		for e := lo; e < hi; e++ { // dU[e] (k x c) = Wb[e] (k x total) * V[e]ᵀ
+			blas.SgemmWorkersQuiet(sgemmWorkers, false, true, k, c, total,
+				1, g.mm[e*k*total:(e+1)*k*total], total, g.v[e*c*total:(e+1)*c*total], total, 0,
+				g.u[e*k*c:(e+1)*k*c], c)
+		}
+		prof.Exit(phWinogradElementwise, t)
+	case wgFilterGrad:
+		g.filterGradBlocks(lo, hi)
+		prof.Exit(phWinogradTransformOut, t)
+	}
+}
+
+// laneBlocks is the number of lane blocks n tiles (or filter pairs) fill.
+//
+//ucudnn:hotpath
+func laneBlocks(n int) int { return ceilDiv(n, winograd.Lanes) }
+
+// gatherTiles fills blk with rows x rows tiles [p0, p0+cnt) of channel ch
+// of data (shape s): tile (th, tw) of a sample starts at
+// (th*m-padH, tw*m-padW), and what lies outside the plane reads as zero.
+// The walk is by runs of tiles that share a tile row: per tile element
+// (a, b) a run is one strided row copy, and which of its tiles hang over
+// the left and right borders is worked out once per run and column b.
+//
+//ucudnn:hotpath
+func (g *wgCtx) gatherTiles(blk *winograd.LaneBlock, data []float32, s tensor.Shape, ch, rows, padH, padW, p0, cnt int) {
+	ls, m := winograd.LaneStride(cnt), g.tr.M
+	for t0 := 0; t0 < cnt; {
+		pp := p0 + t0
+		nn, th, tw0 := pp/g.tilesPer, (pp%g.tilesPer)/g.tilesW, pp%g.tilesW
+		run := imin(g.tilesW-tw0, cnt-t0)
+		plane := data[(nn*s.C+ch)*s.H*s.W : (nn*s.C+ch+1)*s.H*s.W]
+		// Tile t of the run reads column iw0+t*m for element column b:
+		// inside the plane for t in [lo[b], hi[b]).
+		var lo, hi [winograd.MaxAlpha]int
+		for b := 0; b < rows; b++ {
+			iw0 := tw0*m - padW + b
+			l, h := 0, run
+			for l < h && iw0+l*m < 0 {
+				l++
 			}
+			for h > l && iw0+(h-1)*m >= s.W {
+				h--
+			}
+			lo[b], hi[b] = l, h
 		}
-	}
-	ut := b1[:g.alpha2]
-	tr := g.tr
-	tr.FilterTransform(ut, gb, b2[:tr.Alpha*r])
-	kc := g.k * g.c
-	for e := 0; e < g.alpha2; e++ {
-		g.u[e*kc+i] = ut[e]
-	}
-}
-
-// inputTile transforms input tile p0+dp of channel cc (task i = cc*cnt+dp)
-// into V[e][cc*bp + dp].
-//
-//ucudnn:hotpath
-func (g wgCtx) inputTile(wk, i, p0, cnt int) {
-	cc, dp := i/cnt, i%cnt
-	pp := p0 + dp
-	nn := pp / g.tilesPer
-	th := (pp % g.tilesPer) / g.tilesW
-	tw := pp % g.tilesW
-	baseH := th*g.m - g.p.PadH
-	baseW := tw*g.m - g.p.PadW
-	b0, b1, b2 := g.bufs(wk)
-	d := b0[:g.alpha2]
-	for j := range d {
-		d[j] = 0
-	}
-	tr := g.tr
-	for a := 0; a < tr.Alpha; a++ {
-		ih := baseH + a
-		if ih < 0 || ih >= g.in.H {
-			continue
-		}
-		for b := 0; b < tr.Alpha; b++ {
-			iw := baseW + b
-			if iw < 0 || iw >= g.in.W {
+		for a := 0; a < rows; a++ {
+			ih := th*m - padH + a
+			if uint(ih) >= uint(s.H) {
+				for b := 0; b < rows; b++ {
+					clear(blk[(a*rows+b)*ls+t0 : (a*rows+b)*ls+t0+run])
+				}
 				continue
 			}
-			d[a*tr.Alpha+b] = g.x.At(nn, cc, ih, iw)
+			row := plane[ih*s.W : (ih+1)*s.W]
+			for b := 0; b < rows; b++ {
+				dst := blk[(a*rows+b)*ls+t0 : (a*rows+b)*ls+t0+run]
+				l, h := lo[b], hi[b]
+				clear(dst[:l])
+				if l < h {
+					gatherStrided(dst[l:h], row[tw0*m-padW+b+l*m:], m)
+				}
+				clear(dst[h:])
+			}
 		}
+		t0 += run
 	}
-	vt := b1[:g.alpha2]
-	tr.InputTransform(vt, d, b2[:g.alpha2])
-	cbp := g.c * g.bp
-	for e := 0; e < g.alpha2; e++ {
-		g.v[e*cbp+cc*g.bp+dp] = vt[e]
+}
+
+// gatherStrided copies src[t*step] to dst[t]. It is its own function, and
+// stays one, so that its loop gets registers to itself: inlined into the
+// tile walk it spills its counters every iteration.
+//
+//go:noinline
+//ucudnn:hotpath
+func gatherStrided(dst, src []float32, step int) {
+	j := 0
+	for t := range dst {
+		dst[t] = src[j]
+		j += step
 	}
+}
+
+// blendStrided is gatherStrided's converse with the output blend:
+// dst[t*step] = alpha*src[t] + beta*dst[t*step].
+//
+//go:noinline
+//ucudnn:hotpath
+func blendStrided(dst, src []float32, step int, alpha, beta float32) {
+	j := 0
+	if beta == 0 {
+		for _, v := range src {
+			dst[j] = alpha * v
+			j += step
+		}
+		return
+	}
+	for _, v := range src {
+		dst[j] = alpha*v + beta*dst[j]
+		j += step
+	}
+}
+
+// scatterTiles blends the m x m output tiles [p0, p0+cnt) of channel ch in
+// blk into y, clipping the tiles that overhang the plane.
+//
+//ucudnn:hotpath
+func (g *wgCtx) scatterTiles(blk *winograd.LaneBlock, ch, p0, cnt int) {
+	ls, m, s := winograd.LaneStride(cnt), g.tr.M, g.out
+	for t0 := 0; t0 < cnt; {
+		pp := p0 + t0
+		nn, th, tw0 := pp/g.tilesPer, (pp%g.tilesPer)/g.tilesW, pp%g.tilesW
+		run := imin(g.tilesW-tw0, cnt-t0)
+		plane := g.y[(nn*s.C+ch)*s.H*s.W : (nn*s.C+ch+1)*s.H*s.W]
+		for a := 0; a < m && th*m+a < s.H; a++ {
+			row := plane[(th*m+a)*s.W : (th*m+a+1)*s.W]
+			for b := 0; b < m; b++ {
+				// Tile t of the run writes column ow0 + t*m.
+				ow0 := tw0*m + b
+				n := imin(imax(ceilDiv(s.W-ow0, m), 0), run)
+				if n > 0 {
+					blendStrided(row[ow0:], blk[(a*m+b)*ls+t0:(a*m+b)*ls+t0+n], m, g.alpha, g.beta)
+				}
+			}
+		}
+		t0 += run
+	}
+}
+
+// uPair is the filter pair (kk, cc) whose spectral components sit at
+// position q of their k*c floats of the U bank. The whole MR-row panels
+// are stored the way blas.PackA would pack the k x c matrix — kc-blocks in
+// order, each holding its panels as [kb][MR] — so the filter bank is
+// packed once per call, by the transform's own stores, and every tile
+// block's SGEMM reads it as is. The k%MR rows of a partial last panel
+// stay row-major behind them: its zero padding has no room in the bytes
+// Workspace reports, so that one panel is packed per product (see
+// spectralGemm).
+//
+//ucudnn:hotpath
+func (g *wgCtx) uPair(q int) (kk, cc int) {
+	pf := g.k &^ (blas.MR - 1)
+	if q >= pf*g.c {
+		return q / g.c, q % g.c
+	}
+	k0 := q / (pf * blas.KC) * blas.KC
+	q -= pf * k0
+	kb := imin(blas.KC, g.c-k0)
+	return q/(kb*blas.MR)*blas.MR + q%blas.MR, k0 + q%(kb*blas.MR)/blas.MR
+}
+
+// filterBlocks transforms lane blocks [lo, hi) of filter pairs into the
+// packed bank. The lanes of a block are consecutive bank positions, so a
+// spectral row of the block is one contiguous store into U[e].
+//
+//ucudnn:hotpath
+func (g *wgCtx) filterBlocks(lo, hi int) {
+	var gb, tmp winograd.LaneBlock
+	rr, kc := g.tr.R*g.tr.R, g.k*g.c
+	for blk := lo; blk < hi; blk++ {
+		q0 := blk * winograd.Lanes
+		cnt := imin(winograd.Lanes, kc-q0)
+		ls := winograd.LaneStride(cnt)
+		for t := 0; t < cnt; t++ {
+			kk, cc := g.uPair(q0 + t)
+			if g.rotSwap {
+				// The transformed problem's filter [kk = orig c][cc = orig k],
+				// rotated 180 degrees: the taps in reverse.
+				src := g.w[(cc*g.k+kk)*rr : (cc*g.k+kk+1)*rr]
+				for ab, v := range src {
+					gb[(rr-1-ab)*ls+t] = v
+				}
+			} else {
+				src := g.w[(kk*g.c+cc)*rr : (kk*g.c+cc+1)*rr]
+				for ab, v := range src {
+					gb[ab*ls+t] = v
+				}
+			}
+		}
+		g.tr.FilterLanes(g.u[q0:], kc, &gb, cnt, &tmp)
+	}
+}
+
+// correlateTiles takes tiles [lo, hi) through the three stages, bw tiles
+// at a time, in bank columns [col0, col0+bw). The stages of a tile block
+// depend on nothing but the block and the finished filter bank, so
+// workers never meet: one fork per call, however many blocks there are.
+// t is the open phase window; the window open at the end is returned.
+//
+//ucudnn:hotpath
+func (g *wgCtx) correlateTiles(lo, hi, col0 int, t int64) int64 {
+	var blk, tmp winograd.LaneBlock
+	var packB [blas.KC * blas.NC]float32
+	tr, bp := g.tr, g.bp
+	for p0 := lo; p0 < hi; p0 += g.bw {
+		cnt := imin(g.bw, hi-p0)
+		for cc := 0; cc < g.c; cc++ { // input tiles: V[e][cc*bp + col]
+			for t0 := 0; t0 < cnt; t0 += winograd.Lanes {
+				w := imin(winograd.Lanes, cnt-t0)
+				g.gatherTiles(&blk, g.x, g.in, cc, tr.Alpha, g.p.PadH, g.p.PadW, p0+t0, w)
+				tr.InputLanes(g.v[cc*bp+col0+t0:], g.c*bp, &blk, w, &tmp)
+			}
+		}
+		t = prof.Next(phWinogradTransformIn, t)
+		for e := 0; e < tr.Alpha*tr.Alpha; e++ { // M[e] = U[e] * V[e]
+			g.spectralGemm(packB[:], e, col0, cnt)
+		}
+		t = prof.Next(phWinogradElementwise, t)
+		for kk := 0; kk < g.k; kk++ { // inverse transforms and scatter
+			for t0 := 0; t0 < cnt; t0 += winograd.Lanes {
+				w := imin(winograd.Lanes, cnt-t0)
+				tr.OutputLanes(&blk, g.mm[kk*bp+col0+t0:], g.k*bp, w, &tmp)
+				g.scatterTiles(&blk, kk, p0+t0, w)
+			}
+		}
+		t = prof.Next(phWinogradTransformOut, t)
+	}
+	return t
 }
 
 // spectralGemm multiplies spectral component e of the filter and input
-// banks: M[e] (k x cnt) = U[e] (k x c) * V[e] (c x cnt).
+// banks over cnt bank columns from col0: M[e] (k x cnt) = U[e] (k x c) *
+// V[e] (c x cnt) — blas's sgemmPackedRows loop nest over the bank packed
+// by filterBlocks, so every M element is SgemmWorkers's chain: per
+// kc-block a sum from zero in c order, blocks added in order.
 //
 //ucudnn:hotpath
-func (g wgCtx) spectralGemm(e, cnt, sgemmWorkers int) {
+func (g *wgCtx) spectralGemm(packB []float32, e, col0, cnt int) {
 	k, c, bp := g.k, g.c, g.bp
-	blas.SgemmWorkersQuiet(sgemmWorkers, false, false, k, cnt, c,
-		1, g.u[e*k*c:(e+1)*k*c], c, g.v[e*c*bp:e*c*bp+c*bp], bp, 0,
-		g.mm[e*k*bp:e*k*bp+k*bp], bp)
-}
-
-// outputTile inverse-transforms product tile p0+dp of output channel kk
-// (task i = kk*cnt+dp) and blends it into y.
-//
-//ucudnn:hotpath
-func (g wgCtx) outputTile(wk, i, p0, cnt int) {
-	kk, dp := i/cnt, i%cnt
-	pp := p0 + dp
-	nn := pp / g.tilesPer
-	th := (pp % g.tilesPer) / g.tilesW
-	tw := pp % g.tilesW
-	b0, b1, b2 := g.bufs(wk)
-	macc := b0[:g.alpha2]
-	kbp := g.k * g.bp
-	for e := 0; e < g.alpha2; e++ {
-		macc[e] = g.mm[e*kbp+kk*g.bp+dp]
-	}
-	m := g.m
-	yt := b1[:m*m]
-	tr := g.tr
-	tr.OutputTransform(yt, macc, b2[:m*tr.Alpha])
-	for a := 0; a < m; a++ {
-		oh := th*m + a
-		if oh >= g.out.H {
-			break
-		}
-		for b := 0; b < m; b++ {
-			ow := tw*m + b
-			if ow >= g.out.W {
-				break
+	pf := k &^ (blas.MR - 1)
+	ue := g.u[e*k*c : (e+1)*k*c]
+	ve := g.v[e*c*bp : (e+1)*c*bp]
+	me := g.mm[e*k*bp : (e+1)*k*bp]
+	var tail [blas.KC * blas.MR]float32
+	for j0 := 0; j0 < cnt; j0 += blas.NC {
+		jb := imin(blas.NC, cnt-j0)
+		for k0 := 0; k0 < c; k0 += blas.KC {
+			kb := imin(blas.KC, c-k0)
+			blas.PackBPanels(packB, false, ve, bp, k0, kb, col0+j0, jb)
+			for i0 := 0; i0 < pf; i0 += blas.MC {
+				blas.KernelBlock(ue[pf*k0+i0/blas.MR*(kb*blas.MR):], packB, imin(blas.MC, pf-i0), jb, kb, k0 == 0, 0, me, i0*bp+col0+j0, bp)
 			}
-			blend(&g.y.Data[g.y.Index(nn, kk, oh, ow)], yt[a*m+b], g.alpha, g.beta)
+			if pf < k {
+				blas.PackAPanels(tail[:], false, ue[pf*c:], c, 0, k-pf, k0, kb, 1)
+				blas.KernelBlock(tail[:], packB, k-pf, jb, kb, k0 == 0, 0, me, pf*bp+col0+j0, bp)
+			}
 		}
 	}
 }
@@ -325,175 +518,91 @@ func (g wgCtx) outputTile(wk, i, p0, cnt int) {
 // filter is read rotated 180 degrees with its K/C axes swapped (the raw
 // filter tensor retains its original KCRS layout).
 func winogradCorrelate(tr *winograd.Transform, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTensor, y *tensor.Tensor, alpha, beta float32, ws []float32, fused, rotSwap bool) {
-	p := cs.Params.Normalized()
 	out := cs.OutShape()
-	in := cs.In
 	m, alpha2 := tr.M, tr.Alpha*tr.Alpha
 	c, k := cs.Filt.C, cs.Filt.K
-	tilesH, tilesW, total := winogradTiles(m, out.H, out.W, in.N)
+	tilesH, tilesW, total := winogradTiles(m, out.H, out.W, cs.In.N)
 	bp := total
 	if fused && bp > fusedBlockTiles {
 		bp = fusedBlockTiles
 	}
 
 	g := wgCtx{
-		tr: tr, cs: cs, p: p, in: in, out: out,
-		x: x, y: y, w: w, alpha: alpha, beta: beta,
-		m: m, alpha2: alpha2, r: cs.Filt.R, c: c, k: k,
-		tilesW: tilesW, tilesPer: tilesH * tilesW, rotSwap: rotSwap,
+		tr: tr, p: cs.Params.Normalized(), in: cs.In, out: out,
+		x: x.Data, w: w.Data, y: y.Data, alpha: alpha, beta: beta, c: c, k: k,
+		tilesW: tilesW, tilesPer: tilesH * tilesW, total: total, rotSwap: rotSwap,
 		bp: bp,
 	}
 	g.u = ws[:alpha2*k*c]
 	g.v = ws[alpha2*k*c : alpha2*(k*c+c*bp)]
 	g.mm = ws[alpha2*(k*c+c*bp) : alpha2*(k*c+(c+k)*bp)]
-	base := alpha2 * (k*c + (c+k)*bp)
-	workers := winogradWorkers(tr, base, ws)
-	g.arena = ws[base : base+workers*winogradArenaFloats(tr)]
+	workers := winogradWorkers(tr, alpha2*(k*c+(c+k)*bp), ws)
 
-	if workers <= 1 {
-		// Serial path: plain method calls, no closures, so g stays on the
-		// stack and steady-state execution allocates nothing. Each stage
-		// loop is one phase window (wall time; the inner SGEMM may still
-		// fan out — its launch is accounted as nested).
-		t := prof.Enter()
-		for i := 0; i < k*c; i++ { // filter transforms: U[e][kk*c+cc]
-			g.filterTile(0, i)
-		}
-		prof.Exit(phWinogradTransformIn, t)
-		for p0 := 0; p0 < total; p0 += bp {
-			cnt := imin(bp, total-p0)
-			t = prof.Enter()
-			for i := 0; i < c*cnt; i++ { // input tiles: V[e][cc*bp + (p-p0)]
-				g.inputTile(0, i, p0, cnt)
-			}
-			t = prof.Next(phWinogradTransformIn, t)
-			for e := 0; e < alpha2; e++ { // M[e] = U[e] * V[e]
-				g.spectralGemm(e, cnt, 0)
-			}
-			t = prof.Next(phWinogradElementwise, t)
-			for i := 0; i < k*cnt; i++ { // inverse transforms and scatter
-				g.outputTile(0, i, p0, cnt)
-			}
-			prof.Exit(phWinogradTransformOut, t)
-		}
-		return
+	// Tiles go to workers in whole groups of eight lanes (one SGEMM column
+	// panel). The fused banks hold bp tiles however many there are, so
+	// there the workers also share out the bank columns, at least one
+	// group each.
+	g.bw = bp
+	if fused && workers > 1 {
+		g.bw = imax(bp/workers&^7, imin(bp, 8))
+		workers = imin(workers, bp/g.bw)
 	}
-	// Copy g so only the copy is captured (and heap-allocated) by the
-	// escaping closures; the serial path above keeps g off the heap.
-	gc := g
-	phaseForW(phWinogradTransformIn, workers, k*c, func(wk, i int) { gc.filterTile(wk, i) })
-	for p0 := 0; p0 < total; p0 += bp {
-		cnt := imin(bp, total-p0)
-		phaseForW(phWinogradTransformIn, workers, c*cnt, func(wk, i int) { gc.inputTile(wk, i, p0, cnt) })
-		phaseForW(phWinogradElementwise, workers, alpha2, func(_, e int) { gc.spectralGemm(e, cnt, 1) })
-		phaseForW(phWinogradTransformOut, workers, k*cnt, func(wk, i int) { gc.outputTile(wk, i, p0, cnt) })
+	g.chunk = ceilDiv(ceilDiv(total, workers), 8) * 8
+	if !fused {
+		g.bw = g.chunk
+	}
+	g.run(workers, wgFilter, laneBlocks(k*c))
+	g.run(workers, wgTiles, ceilDiv(total, g.chunk))
+}
+
+// inputBlocks transforms units [lo, hi) of (channel, lane block of tiles)
+// into the BackwardFilter bank V[e][cc*total + p].
+//
+//ucudnn:hotpath
+func (g *wgCtx) inputBlocks(lo, hi int) {
+	var blk, tmp winograd.LaneBlock
+	total, nb := g.total, laneBlocks(g.total)
+	for u := lo; u < hi; u++ {
+		cc, t0 := u/nb, u%nb*winograd.Lanes
+		w := imin(winograd.Lanes, total-t0)
+		g.gatherTiles(&blk, g.x, g.in, cc, g.tr.Alpha, g.p.PadH, g.p.PadW, t0, w)
+		g.tr.InputLanes(g.v[cc*total+t0:], g.c*total, &blk, w, &tmp)
 	}
 }
 
-// inputTileTotal is inputTile with the BackwardFilter bank layout
-// V[e][cc*total + pp] (no block panelling).
+// gradBlocks maps units [lo, hi) of (output channel, lane block of
+// output-gradient tiles) through the adjoint of the output transform into
+// Wb[e][kk*total + p] (the mm bank in the BackwardFilter layout).
 //
 //ucudnn:hotpath
-func (g wgCtx) inputTileTotal(wk, i, total int) {
-	cc, pp := i/total, i%total
-	nn := pp / g.tilesPer
-	th := (pp % g.tilesPer) / g.tilesW
-	tw := pp % g.tilesW
-	baseH := th*g.m - g.p.PadH
-	baseW := tw*g.m - g.p.PadW
-	b0, b1, b2 := g.bufs(wk)
-	d := b0[:g.alpha2]
-	for j := range d {
-		d[j] = 0
+func (g *wgCtx) gradBlocks(lo, hi int) {
+	var blk, tmp winograd.LaneBlock
+	total, nb := g.total, laneBlocks(g.total)
+	for u := lo; u < hi; u++ {
+		kk, t0 := u/nb, u%nb*winograd.Lanes
+		w := imin(winograd.Lanes, total-t0)
+		g.gatherTiles(&blk, g.y, g.out, kk, g.tr.M, 0, 0, t0, w)
+		g.tr.OutputAdjointLanes(g.mm[kk*total+t0:], g.k*total, &blk, w, &tmp)
 	}
-	tr := g.tr
-	for a := 0; a < tr.Alpha; a++ {
-		ih := baseH + a
-		if ih < 0 || ih >= g.in.H {
-			continue
-		}
-		for b := 0; b < tr.Alpha; b++ {
-			iw := baseW + b
-			if iw < 0 || iw >= g.in.W {
-				continue
+}
+
+// filterGradBlocks maps lane blocks [lo, hi) of spectral accumulator
+// pairs i = kk*c+cc back to filter space and blends them into dW.
+//
+//ucudnn:hotpath
+func (g *wgCtx) filterGradBlocks(lo, hi int) {
+	var gb, tmp winograd.LaneBlock
+	rr, kc := g.tr.R*g.tr.R, g.k*g.c
+	for blk := lo; blk < hi; blk++ {
+		i0 := blk * winograd.Lanes
+		cnt := imin(winograd.Lanes, kc-i0)
+		ls := winograd.LaneStride(cnt)
+		g.tr.FilterAdjointLanes(&gb, g.u[i0:], kc, cnt, &tmp)
+		for t := 0; t < cnt; t++ {
+			dw := g.w[(i0+t)*rr : (i0+t+1)*rr]
+			for ab := range dw {
+				blend(&dw[ab], gb[ab*ls+t], g.alpha, g.beta)
 			}
-			d[a*tr.Alpha+b] = g.x.At(nn, cc, ih, iw)
-		}
-	}
-	vt := b1[:g.alpha2]
-	tr.InputTransform(vt, d, b2[:g.alpha2])
-	for e := 0; e < g.alpha2; e++ {
-		g.v[e*g.c*total+cc*total+pp] = vt[e]
-	}
-}
-
-// outputAdjointTile maps output-gradient tile pp of channel kk (task
-// i = kk*total+pp) through the adjoint into Wb[e][kk*total + pp] (the mm
-// bank in the BackwardFilter layout).
-//
-//ucudnn:hotpath
-func (g wgCtx) outputAdjointTile(wk, i, total int) {
-	kk, pp := i/total, i%total
-	nn := pp / g.tilesPer
-	th := (pp % g.tilesPer) / g.tilesW
-	tw := pp % g.tilesW
-	b0, b1, b2 := g.bufs(wk)
-	m := g.m
-	dy := b0[:m*m]
-	for j := range dy {
-		dy[j] = 0
-	}
-	for a := 0; a < m; a++ {
-		oh := th*m + a
-		if oh >= g.out.H {
-			break
-		}
-		for b := 0; b < m; b++ {
-			ow := tw*m + b
-			if ow >= g.out.W {
-				break
-			}
-			dy[a*m+b] = g.y.At(nn, kk, oh, ow)
-		}
-	}
-	wt := b1[:g.alpha2]
-	tr := g.tr
-	tr.OutputAdjoint(wt, dy, b2[:tr.Alpha*m])
-	for e := 0; e < g.alpha2; e++ {
-		g.mm[e*g.k*total+kk*total+pp] = wt[e]
-	}
-}
-
-// spectralAdjointGemm accumulates spectral component e of the filter
-// gradient: dU[e] (k x c) = Wb[e] (k x total) * V[e]ᵀ.
-//
-//ucudnn:hotpath
-func (g wgCtx) spectralAdjointGemm(e, total, sgemmWorkers int) {
-	k, c := g.k, g.c
-	blas.SgemmWorkersQuiet(sgemmWorkers, false, true, k, c, total,
-		1, g.mm[e*k*total:(e+1)*k*total], total, g.v[e*c*total:(e+1)*c*total], total, 0,
-		g.u[e*k*c:(e+1)*k*c], c)
-}
-
-// filterAdjointTile maps spectral accumulator pair i = kk*c+cc back to
-// filter space and blends it into dW.
-//
-//ucudnn:hotpath
-func (g wgCtx) filterAdjointTile(wk, i int) {
-	kk, cc := i/g.c, i%g.c
-	b0, b1, b2 := g.bufs(wk)
-	uacc := b0[:g.alpha2]
-	kc := g.k * g.c
-	for e := 0; e < g.alpha2; e++ {
-		uacc[e] = g.u[e*kc+i]
-	}
-	r := g.r
-	gb := b1[:r*r]
-	tr := g.tr
-	tr.FilterAdjoint(gb, uacc, b2[:r*tr.Alpha])
-	for a := 0; a < r; a++ {
-		for b := 0; b < r; b++ {
-			blend(&g.w.Data[g.w.Index(kk, cc, a, b)], gb[a*r+b], g.alpha, g.beta)
 		}
 	}
 }
@@ -501,52 +610,25 @@ func (g wgCtx) filterAdjointTile(wk, i int) {
 // winogradBackwardFilter computes dW = alpha*grad + beta*dW using the
 // exact adjoint of the Winograd forward tiling (non-fused only).
 func winogradBackwardFilter(tr *winograd.Transform, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTensor, y *tensor.Tensor, alpha, beta float32, ws []float32) {
-	p := cs.Params.Normalized()
 	out := cs.OutShape()
-	in := cs.In
 	m, alpha2 := tr.M, tr.Alpha*tr.Alpha
 	c, k := cs.Filt.C, cs.Filt.K
-	tilesH, tilesW, total := winogradTiles(m, out.H, out.W, in.N)
+	tilesH, tilesW, total := winogradTiles(m, out.H, out.W, cs.In.N)
 
 	g := wgCtx{
-		tr: tr, cs: cs, p: p, in: in, out: out,
-		x: x, y: y, w: w, alpha: alpha, beta: beta,
-		m: m, alpha2: alpha2, r: cs.Filt.R, c: c, k: k,
-		tilesW: tilesW, tilesPer: tilesH * tilesW,
+		tr: tr, p: cs.Params.Normalized(), in: cs.In, out: out,
+		x: x.Data, w: w.Data, y: y.Data, alpha: alpha, beta: beta, c: c, k: k,
+		tilesW: tilesW, tilesPer: tilesH * tilesW, total: total,
 	}
 	// Input tiles, output-gradient tiles (mm), and the spectral
-	// accumulator (u), then the worker arenas.
+	// accumulator (u, row-major: it is this product's output).
 	g.v = ws[:alpha2*c*total]
 	g.mm = ws[alpha2*c*total : alpha2*(c+k)*total]
 	g.u = ws[alpha2*(c+k)*total : alpha2*((c+k)*total+k*c)]
-	base := alpha2 * ((c+k)*total + k*c)
-	workers := winogradWorkers(tr, base, ws)
-	g.arena = ws[base : base+workers*winogradArenaFloats(tr)]
+	workers := winogradWorkers(tr, alpha2*((c+k)*total+k*c), ws)
 
-	if workers <= 1 {
-		// Serial path: plain method calls keep g on the stack (see
-		// winogradCorrelate).
-		t := prof.Enter()
-		for i := 0; i < c*total; i++ { // input tiles: V[e][cc*total + p]
-			g.inputTileTotal(0, i, total)
-		}
-		for i := 0; i < k*total; i++ { // adjoint dY tiles: Wb[e][kk*total + p]
-			g.outputAdjointTile(0, i, total)
-		}
-		t = prof.Next(phWinogradTransformIn, t)
-		for e := 0; e < alpha2; e++ { // dU[e] = Wb[e] * V[e]ᵀ
-			g.spectralAdjointGemm(e, total, 0)
-		}
-		t = prof.Next(phWinogradElementwise, t)
-		for i := 0; i < k*c; i++ { // back to filter space
-			g.filterAdjointTile(0, i)
-		}
-		prof.Exit(phWinogradTransformOut, t)
-		return
-	}
-	gc := g
-	phaseForW(phWinogradTransformIn, workers, c*total, func(wk, i int) { gc.inputTileTotal(wk, i, total) })
-	phaseForW(phWinogradTransformIn, workers, k*total, func(wk, i int) { gc.outputAdjointTile(wk, i, total) })
-	phaseForW(phWinogradElementwise, workers, alpha2, func(_, e int) { gc.spectralAdjointGemm(e, total, 1) })
-	phaseForW(phWinogradTransformOut, workers, k*c, func(wk, i int) { gc.filterAdjointTile(wk, i) })
+	g.run(workers, wgInput, c*laneBlocks(total))
+	g.run(workers, wgGrad, k*laneBlocks(total))
+	g.run(workers, wgSpectral, alpha2)
+	g.run(workers, wgFilterGrad, laneBlocks(k*c))
 }

@@ -7,10 +7,12 @@ import (
 	"ucudnn/internal/tensor"
 )
 
-// ReLU is the rectified linear activation.
+// ReLU is the rectified linear activation. Both passes are element-wise,
+// so they spread contiguous element ranges over the engine's workers.
 type ReLU struct {
 	name  string
 	shape tensor.Shape
+	fork  *forkJoin
 }
 
 // NewReLU builds a ReLU layer.
@@ -28,7 +30,32 @@ func (l *ReLU) Setup(ctx *Context, bottoms []tensor.Shape) (tensor.Shape, error)
 		return tensor.Shape{}, fmt.Errorf("relu %s: want 1 bottom", l.name)
 	}
 	l.shape = bottoms[0]
+	if !ctx.SkipCompute {
+		l.fork = newForkJoin(ceilDiv(l.shape.Elems(), forkGrain), l.work)
+	}
 	return bottoms[0], nil
+}
+
+// work is worker w's share of the pass: a contiguous range of elements.
+// The sign of an activation is a coin toss, so the pass is written as a
+// select on the bits, not a branch: x > 0 exactly when its bits lie in
+// [1, +Inf's] (that leaves out both zeros, the negatives and every NaN).
+func (l *ReLU) work(w, workers int) {
+	pass := &l.fork.pass
+	lo, hi := share(len(pass.x), w, workers)
+	// Forward passes x itself where it is positive, backward dy.
+	x, from, out := pass.x[lo:hi], pass.x[lo:hi], pass.y[lo:hi]
+	if pass.backward {
+		from, out = pass.dy[lo:hi], pass.dx[lo:hi]
+	}
+	const inf = 0x7f800000
+	for i, v := range x {
+		var bits uint32
+		if p := math.Float32bits(from[i]); math.Float32bits(v)-1 < inf {
+			bits = p
+		}
+		out[i] = math.Float32frombits(bits)
+	}
 }
 
 // Forward implements Layer.
@@ -37,13 +64,7 @@ func (l *ReLU) Forward(ctx *Context, bottoms []*tensor.Tensor, top *tensor.Tenso
 	if ctx.SkipCompute {
 		return nil
 	}
-	for i, v := range bottoms[0].Data {
-		if v > 0 {
-			top.Data[i] = v
-		} else {
-			top.Data[i] = 0
-		}
-	}
+	l.fork.forward(ceilDiv(l.shape.Elems(), forkGrain), bottoms[0].Data, top.Data)
 	return nil
 }
 
@@ -53,13 +74,7 @@ func (l *ReLU) Backward(ctx *Context, bottoms []*tensor.Tensor, top, dTop *tenso
 	if ctx.SkipCompute {
 		return nil
 	}
-	for i, v := range bottoms[0].Data {
-		if v > 0 {
-			dBottoms[0].Data[i] = dTop.Data[i]
-		} else {
-			dBottoms[0].Data[i] = 0
-		}
-	}
+	l.fork.backward(ceilDiv(l.shape.Elems(), forkGrain), bottoms[0].Data, top.Data, dTop.Data, dBottoms[0].Data)
 	return nil
 }
 
@@ -74,7 +89,10 @@ const (
 	AvgPool
 )
 
-// Pool is a spatial pooling layer.
+// Pool is a spatial pooling layer. A channel plane's windows read and
+// write that plane alone, so both passes spread the N*C planes over the
+// engine's workers; within a plane the walk is the definition's, window
+// by window in h-then-w order.
 type Pool struct {
 	name           string
 	kind           PoolKind
@@ -82,6 +100,7 @@ type Pool struct {
 	pad            int
 	in, out        tensor.Shape
 	argmax         []int32
+	fork           *forkJoin
 }
 
 // NewPool builds a pooling layer.
@@ -118,10 +137,37 @@ func (l *Pool) Setup(ctx *Context, bottoms []tensor.Shape) (tensor.Shape, error)
 	}
 	l.in = in
 	l.out = tensor.Shape{N: in.N, C: in.C, H: oh, W: ow}
-	if l.kind == MaxPool && !ctx.SkipCompute {
-		l.argmax = make([]int32, l.out.Elems())
+	if !ctx.SkipCompute {
+		if l.kind == MaxPool {
+			l.argmax = make([]int32, l.out.Elems())
+		}
+		l.fork = newForkJoin(l.units(), l.work)
 	}
 	return l.out, nil
+}
+
+// units is the work a pass offers the fork: the planes, or fewer when
+// they are too small to be worth a worker each.
+func (l *Pool) units() int {
+	return imin(l.in.N*l.in.C, ceilDiv(l.in.Elems(), forkGrain))
+}
+
+// work is worker w's share of the pass: a contiguous range of planes.
+func (l *Pool) work(w, workers int) {
+	lo, hi := share(l.in.N*l.in.C, w, workers)
+	for p := lo; p < hi; p++ {
+		if l.fork.pass.backward {
+			l.backwardPlane(p)
+		} else {
+			l.forwardPlane(p)
+		}
+	}
+}
+
+// window clips output position o's window along one axis of extent n.
+func (l *Pool) window(o, n int) (lo, hi int) {
+	lo = o*l.stride - l.pad
+	return imax(lo, 0), imin(lo+l.kernel, n)
 }
 
 // Forward implements Layer.
@@ -130,47 +176,79 @@ func (l *Pool) Forward(ctx *Context, bottoms []*tensor.Tensor, top *tensor.Tenso
 	if ctx.SkipCompute {
 		return nil
 	}
-	x := bottoms[0]
-	for n := 0; n < l.out.N; n++ {
-		for c := 0; c < l.out.C; c++ {
-			for oh := 0; oh < l.out.H; oh++ {
-				for ow := 0; ow < l.out.W; ow++ {
-					h0 := oh*l.stride - l.pad
-					w0 := ow*l.stride - l.pad
-					h1 := imin(h0+l.kernel, l.in.H)
-					w1 := imin(w0+l.kernel, l.in.W)
-					h0 = imax(h0, 0)
-					w0 = imax(w0, 0)
-					oi := top.Index(n, c, oh, ow)
-					if l.kind == MaxPool {
-						best := float32(math.Inf(-1))
-						bestIdx := int32(-1)
-						for h := h0; h < h1; h++ {
-							for w := w0; w < w1; w++ {
-								if v := x.At(n, c, h, w); v > best {
-									best = v
-									bestIdx = int32(x.Index(n, c, h, w))
-								}
-							}
-						}
-						top.Data[oi] = best
-						l.argmax[oi] = bestIdx
-					} else {
-						var sum float32
-						cnt := 0
-						for h := h0; h < h1; h++ {
-							for w := w0; w < w1; w++ {
-								sum += x.At(n, c, h, w)
-								cnt++
-							}
-						}
-						top.Data[oi] = sum / float32(cnt)
-					}
+	l.fork.forward(l.units(), bottoms[0].Data, top.Data)
+	return nil
+}
+
+// forwardPlane pools plane p = n*C+c.
+func (l *Pool) forwardPlane(p int) {
+	inHW, outHW := l.in.H*l.in.W, l.out.H*l.out.W
+	x, y := l.fork.pass.x[p*inHW:(p+1)*inHW], l.fork.pass.y[p*outHW:(p+1)*outHW]
+	if l.kind == MaxPool {
+		l.maxPlane(x, y, l.argmax[p*outHW:(p+1)*outHW], int32(p*inHW))
+	} else {
+		l.avgPlane(x, y)
+	}
+}
+
+// maxPlane max-pools one plane, recording each maximum in arg as base
+// plus its index in the plane, or -1 where nothing exceeds -Inf.
+func (l *Pool) maxPlane(x, y []float32, arg []int32, base int32) {
+	outW := l.out.W
+	for oh := 0; oh < l.out.H; oh++ {
+		h0, h1 := l.window(oh, l.in.H)
+		maxPoolRow(x, l.in.W, h0, h1, y[oh*outW:(oh+1)*outW], arg[oh*outW:(oh+1)*outW], base, l.kernel, l.stride, l.pad)
+	}
+}
+
+// maxPoolRow max-pools rows [h0, h1) of plane x into one output row over
+// row slices, keeping the first maximum in h-then-w order (strict >). The
+// running maximum is carried as bits beside its index so that the update
+// is two integer selects: taken-or-not is a coin toss on real
+// activations, and a branch there costs more than the compares of a
+// window. Its own function, and not inlined, so that the window loops
+// have the registers to themselves.
+//
+//go:noinline
+func maxPoolRow(x []float32, inW, h0, h1 int, y []float32, arg []int32, base int32, kernel, stride, pad int) {
+	for ow := range y {
+		w0 := ow*stride - pad
+		w1 := imin(w0+kernel, inW)
+		w0 = imax(w0, 0)
+		best := float32(math.Inf(-1))
+		bestBits, bestIdx := math.Float32bits(best), -1-int(base)
+		for h := h0; h < h1; h++ {
+			at := h*inW + w0
+			for j, v := range x[at : at+w1-w0] {
+				vb, vi := math.Float32bits(v), at+j
+				if v > best {
+					bestBits, bestIdx = vb, vi
 				}
+				best = math.Float32frombits(bestBits)
 			}
 		}
+		y[ow] = best
+		arg[ow] = base + int32(bestIdx)
 	}
-	return nil
+}
+
+// avgPlane average-pools one plane: window sums in h-then-w order over
+// the in-bounds elements, divided by their count (Caffe's convention).
+func (l *Pool) avgPlane(x, y []float32) {
+	inW, outW := l.in.W, l.out.W
+	for oh := 0; oh < l.out.H; oh++ {
+		h0, h1 := l.window(oh, l.in.H)
+		for ow := 0; ow < outW; ow++ {
+			w0, w1 := l.window(ow, inW)
+			var sum float32
+			for h := h0; h < h1; h++ {
+				for _, v := range x[h*inW+w0 : h*inW+w1] {
+					sum += v
+				}
+			}
+			y[oh*outW+ow] = sum / float32((h1-h0)*(w1-w0))
+		}
+	}
 }
 
 // Backward implements Layer.
@@ -179,38 +257,38 @@ func (l *Pool) Backward(ctx *Context, bottoms []*tensor.Tensor, top, dTop *tenso
 	if ctx.SkipCompute {
 		return nil
 	}
-	dx := dBottoms[0]
-	dx.Zero()
+	l.fork.backward(l.units(), bottoms[0].Data, top.Data, dTop.Data, dBottoms[0].Data)
+	return nil
+}
+
+// backwardPlane routes plane p's output gradients back: to the recorded
+// maximum, or spread evenly over the window, in output order.
+func (l *Pool) backwardPlane(p int) {
+	inW, outW := l.in.W, l.out.W
+	dx := l.fork.pass.dx[p*l.in.H*inW : (p+1)*l.in.H*inW]
+	dy := l.fork.pass.dy[p*l.out.H*outW : (p+1)*l.out.H*outW]
+	clear(dx)
 	if l.kind == MaxPool {
-		for oi, src := range l.argmax {
+		for oi, src := range l.argmax[p*len(dy) : (p+1)*len(dy)] {
 			if src >= 0 {
-				dx.Data[src] += dTop.Data[oi]
+				l.fork.pass.dx[src] += dy[oi]
 			}
 		}
-		return nil
+		return
 	}
-	for n := 0; n < l.out.N; n++ {
-		for c := 0; c < l.out.C; c++ {
-			for oh := 0; oh < l.out.H; oh++ {
-				for ow := 0; ow < l.out.W; ow++ {
-					h0 := oh*l.stride - l.pad
-					w0 := ow*l.stride - l.pad
-					h1 := imin(h0+l.kernel, l.in.H)
-					w1 := imin(w0+l.kernel, l.in.W)
-					h0 = imax(h0, 0)
-					w0 = imax(w0, 0)
-					cnt := (h1 - h0) * (w1 - w0)
-					g := dTop.At(n, c, oh, ow) / float32(cnt)
-					for h := h0; h < h1; h++ {
-						for w := w0; w < w1; w++ {
-							dx.Add(n, c, h, w, g)
-						}
-					}
+	for oh := 0; oh < l.out.H; oh++ {
+		h0, h1 := l.window(oh, l.in.H)
+		for ow := 0; ow < outW; ow++ {
+			w0, w1 := l.window(ow, inW)
+			g := dy[oh*outW+ow] / float32((h1-h0)*(w1-w0))
+			for h := h0; h < h1; h++ {
+				row := dx[h*inW+w0 : h*inW+w1]
+				for j := range row {
+					row[j] += g
 				}
 			}
 		}
 	}
-	return nil
 }
 
 // GlobalAvgPool averages each channel plane to 1x1.
@@ -495,6 +573,8 @@ func imax(a, b int) int {
 	}
 	return b
 }
+
+func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 // InPlace marks ReLU as in-place eligible (Caffe's convention).
 func (l *ReLU) InPlace() bool { return true }

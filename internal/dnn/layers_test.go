@@ -585,3 +585,219 @@ func TestFCMatchesPackedReferenceBitwise(t *testing.T) {
 		}
 	}
 }
+
+// poolForwardRef is the loop Pool.Forward ran before its plane-wise
+// rewrite, kept verbatim as the definition of its bits and of argmax:
+// every window element through At()/Index(), strict > in h-then-w order.
+func poolForwardRef(l *Pool, x, top *tensor.Tensor, argmax []int32) {
+	for n := 0; n < l.out.N; n++ {
+		for c := 0; c < l.out.C; c++ {
+			for oh := 0; oh < l.out.H; oh++ {
+				for ow := 0; ow < l.out.W; ow++ {
+					h0 := oh*l.stride - l.pad
+					w0 := ow*l.stride - l.pad
+					h1 := imin(h0+l.kernel, l.in.H)
+					w1 := imin(w0+l.kernel, l.in.W)
+					h0 = imax(h0, 0)
+					w0 = imax(w0, 0)
+					oi := top.Index(n, c, oh, ow)
+					if l.kind == MaxPool {
+						best := float32(math.Inf(-1))
+						bestIdx := int32(-1)
+						for h := h0; h < h1; h++ {
+							for w := w0; w < w1; w++ {
+								if v := x.At(n, c, h, w); v > best {
+									best = v
+									bestIdx = int32(x.Index(n, c, h, w))
+								}
+							}
+						}
+						top.Data[oi] = best
+						argmax[oi] = bestIdx
+					} else {
+						var sum float32
+						cnt := 0
+						for h := h0; h < h1; h++ {
+							for w := w0; w < w1; w++ {
+								sum += x.At(n, c, h, w)
+								cnt++
+							}
+						}
+						top.Data[oi] = sum / float32(cnt)
+					}
+				}
+			}
+		}
+	}
+}
+
+// poolBackwardRef is Pool.Backward's former whole-tensor loop.
+func poolBackwardRef(l *Pool, dTop, dx *tensor.Tensor, argmax []int32) {
+	dx.Zero()
+	if l.kind == MaxPool {
+		for oi, src := range argmax {
+			if src >= 0 {
+				dx.Data[src] += dTop.Data[oi]
+			}
+		}
+		return
+	}
+	for n := 0; n < l.out.N; n++ {
+		for c := 0; c < l.out.C; c++ {
+			for oh := 0; oh < l.out.H; oh++ {
+				for ow := 0; ow < l.out.W; ow++ {
+					h0 := oh*l.stride - l.pad
+					w0 := ow*l.stride - l.pad
+					h1 := imin(h0+l.kernel, l.in.H)
+					w1 := imin(w0+l.kernel, l.in.W)
+					h0 = imax(h0, 0)
+					w0 = imax(w0, 0)
+					g := dTop.At(n, c, oh, ow) / float32((h1-h0)*(w1-w0))
+					for h := h0; h < h1; h++ {
+						for w := w0; w < w1; w++ {
+							dx.Add(n, c, h, w, g)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPoolAndReLUMatchReferenceBitwise: both pooling kinds (overlapping,
+// padded, ceil-mode windows, ties, an all -Inf window) and ReLU carry
+// their former serial loops' bits — outputs, argmax and gradients — at
+// every worker count, including more workers than Setup sized for and
+// tensors large enough to fork.
+func TestPoolAndReLUMatchReferenceBitwise(t *testing.T) {
+	defer conv.SetMaxWorkers(conv.SetMaxWorkers(0))
+	type poolCase struct {
+		kind                PoolKind
+		kernel, stride, pad int
+		in                  tensor.Shape
+	}
+	cases := []poolCase{
+		{MaxPool, 3, 2, 0, tensor.Shape{N: 2, C: 3, H: 7, W: 7}},
+		{MaxPool, 3, 1, 1, tensor.Shape{N: 4, C: 48, H: 28, W: 28}}, // Inception's pool branch: forks
+		{MaxPool, 3, 2, 0, tensor.Shape{N: 3, C: 5, H: 8, W: 6}},    // ceil mode: clipped last windows
+		{AvgPool, 2, 2, 0, tensor.Shape{N: 2, C: 2, H: 6, W: 6}},
+		{AvgPool, 3, 2, 1, tensor.Shape{N: 5, C: 40, H: 13, W: 13}},
+	}
+	for ci, pc := range cases {
+		rng := rand.New(rand.NewSource(int64(ci + 1)))
+		x := tensor.NewShaped(pc.in)
+		x.Randomize(rng, 2)
+		for i := 0; i < len(x.Data); i += 3 {
+			x.Data[i] = float32(rng.Intn(3)) // ties: the first maximum must win
+		}
+		if pc.kind == MaxPool {
+			for i := 0; i < pc.in.H*pc.in.W; i++ {
+				x.Data[i] = float32(math.Inf(-1)) // a plane with nothing above -Inf
+			}
+		}
+		for _, setupWorkers := range []int{1, 2, 4} {
+			conv.SetMaxWorkers(setupWorkers)
+			l := NewPool("pool", pc.kind, pc.kernel, pc.stride, pc.pad)
+			ctx := testCtx()
+			out, err := l.Setup(ctx, []tensor.Shape{pc.in})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dy := tensor.NewShaped(out)
+			dy.Randomize(rng, 1)
+			wantY, wantDX := tensor.NewShaped(out), tensor.NewShaped(pc.in)
+			wantArg := make([]int32, out.Elems())
+			poolForwardRef(l, x, wantY, wantArg)
+			poolBackwardRef(l, dy, wantDX, wantArg)
+			for _, workers := range []int{1, 2, 4} {
+				conv.SetMaxWorkers(workers)
+				y, dx := tensor.NewShaped(out), tensor.NewShaped(pc.in)
+				dx.Randomize(rng, 1) // backward must overwrite, not accumulate
+				if err := l.Forward(ctx, []*tensor.Tensor{x}, y); err != nil {
+					t.Fatal(err)
+				}
+				if err := l.Backward(ctx, []*tensor.Tensor{x}, y, dy, []*tensor.Tensor{dx}); err != nil {
+					t.Fatal(err)
+				}
+				if i := sameBits(y.Data, wantY.Data); i >= 0 {
+					t.Fatalf("pool case %d setup@%d run@%d: y[%d] = %v, reference %v", ci, setupWorkers, workers, i, y.Data[i], wantY.Data[i])
+				}
+				if i := sameBits(dx.Data, wantDX.Data); i >= 0 {
+					t.Fatalf("pool case %d setup@%d run@%d: dx[%d] = %v, reference %v", ci, setupWorkers, workers, i, dx.Data[i], wantDX.Data[i])
+				}
+				for i := range l.argmax {
+					if l.argmax[i] != wantArg[i] {
+						t.Fatalf("pool case %d setup@%d run@%d: argmax[%d] = %d, reference %d", ci, setupWorkers, workers, i, l.argmax[i], wantArg[i])
+					}
+				}
+			}
+		}
+	}
+
+	for _, s := range []tensor.Shape{{N: 1, C: 2, H: 3, W: 3}, {N: 4, C: 64, H: 28, W: 28}} {
+		rng := rand.New(rand.NewSource(int64(s.Elems())))
+		x, dy := tensor.NewShaped(s), tensor.NewShaped(s)
+		x.Randomize(rng, 1)
+		dy.Randomize(rng, 1)
+		x.Data[0], x.Data[1] = 0, float32(math.Copysign(0, -1))
+		wantY, wantDX := tensor.NewShaped(s), tensor.NewShaped(s)
+		for i, v := range x.Data {
+			if v > 0 {
+				wantY.Data[i], wantDX.Data[i] = v, dy.Data[i]
+			}
+		}
+		for _, setupWorkers := range []int{1, 2, 4} {
+			conv.SetMaxWorkers(setupWorkers)
+			l := NewReLU("relu")
+			ctx := testCtx()
+			if _, err := l.Setup(ctx, []tensor.Shape{s}); err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2, 4} {
+				conv.SetMaxWorkers(workers)
+				y, dx := tensor.NewShaped(s), tensor.NewShaped(s)
+				y.Randomize(rng, 1)
+				dx.Randomize(rng, 1)
+				if err := l.Forward(ctx, []*tensor.Tensor{x}, y); err != nil {
+					t.Fatal(err)
+				}
+				if err := l.Backward(ctx, []*tensor.Tensor{x}, y, dy, []*tensor.Tensor{dx}); err != nil {
+					t.Fatal(err)
+				}
+				if i := sameBits(y.Data, wantY.Data); i >= 0 {
+					t.Fatalf("relu %v setup@%d run@%d: y[%d] = %v, want %v", s, setupWorkers, workers, i, y.Data[i], wantY.Data[i])
+				}
+				if i := sameBits(dx.Data, wantDX.Data); i >= 0 {
+					t.Fatalf("relu %v setup@%d run@%d: dx[%d] = %v, want %v", s, setupWorkers, workers, i, dx.Data[i], wantDX.Data[i])
+				}
+			}
+		}
+	}
+}
+
+// Forked Pool and ReLU passes run on the goroutine bodies Setup built, as
+// LRN's do: nothing is allocated per call.
+func TestPoolAndReLUPassesDoNotAllocate(t *testing.T) {
+	defer conv.SetMaxWorkers(conv.SetMaxWorkers(2))
+	s := tensor.Shape{N: 4, C: 32, H: 28, W: 28} // above forkGrain per worker
+	ctx := testCtx()
+	for _, l := range []Layer{NewPool("pool", MaxPool, 3, 1, 1), NewPool("avg", AvgPool, 3, 2, 0), NewReLU("relu")} {
+		out, err := l.Setup(ctx, []tensor.Shape{s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, dx, y, dy := tensor.NewShaped(s), tensor.NewShaped(s), tensor.NewShaped(out), tensor.NewShaped(out)
+		x.Randomize(rand.New(rand.NewSource(1)), 1)
+		bot, dbot := []*tensor.Tensor{x}, []*tensor.Tensor{dx}
+		if avg := testing.AllocsPerRun(20, func() {
+			if err := l.Forward(ctx, bot, y); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Backward(ctx, bot, y, dy, dbot); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Fatalf("%s forward+backward allocates %v/op at 2 workers, want 0", l.Name(), avg)
+		}
+	}
+}

@@ -3,9 +3,7 @@ package dnn
 import (
 	"fmt"
 	"math"
-	"sync"
 
-	"ucudnn/internal/conv"
 	"ucudnn/internal/tensor"
 )
 
@@ -27,18 +25,10 @@ type LRN struct {
 	denom       []float32 // cached d[c] from forward
 	factor      []float32 // cached d[c]^-beta from forward
 
-	// Fork-join state, built once in Setup so a pass allocates nothing:
-	// one sample-sized scratch per worker for backward's dy*y/d, and the
-	// goroutine body of every worker but the calling one.
+	// Built once in Setup so a pass allocates nothing: the fork, and one
+	// sample-sized scratch per worker for backward's dy*y/d.
+	fork  *forkJoin
 	ratio []float32
-	run   []func()
-	wg    sync.WaitGroup
-	// The pass in flight, read by the workers.
-	pass struct {
-		workers      int
-		backward     bool
-		x, y, dy, dx []float32
-	}
 }
 
 // NewLRN builds an LRN layer with AlexNet's defaults (n=5, alpha=1e-4,
@@ -62,41 +52,17 @@ func (l *LRN) Setup(ctx *Context, bottoms []tensor.Shape) (tensor.Shape, error) 
 	if !ctx.SkipCompute {
 		l.denom = make([]float32, l.shape.Elems())
 		l.factor = make([]float32, l.shape.Elems())
-		// As the conv engine sizes its workspace strips: scratch for the
-		// parallelism available now, and a pass uses as much of it as the
-		// worker cap then allows.
-		workers := imax(1, imin(conv.MaxWorkers(), l.shape.N))
-		l.ratio = make([]float32, workers*l.shape.C*l.shape.H*l.shape.W)
-		l.run = make([]func(), workers-1)
-		for i := range l.run {
-			w := i + 1
-			l.run[i] = func() {
-				defer l.wg.Done()
-				l.work(w)
-			}
-		}
+		l.fork = newForkJoin(l.shape.N, l.work)
+		l.ratio = make([]float32, l.fork.maxWorkers()*l.shape.C*l.shape.H*l.shape.W)
 	}
 	return bottoms[0], nil
 }
 
-// forkJoin runs the pass described by l.pass: worker 0 on the calling
-// goroutine, the others on the bodies Setup built.
-func (l *LRN) forkJoin() {
-	workers := imin(conv.MaxWorkers(), len(l.run)+1)
-	l.pass.workers = workers
-	l.wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		go l.run[w-1]()
-	}
-	l.work(0)
-	l.wg.Wait()
-}
-
 // work is worker w's share of the pass: a contiguous range of samples.
-func (l *LRN) work(w int) {
-	chunk := (l.shape.N + l.pass.workers - 1) / l.pass.workers
-	for n := w * chunk; n < imin((w+1)*chunk, l.shape.N); n++ {
-		if l.pass.backward {
+func (l *LRN) work(w, workers int) {
+	lo, hi := share(l.shape.N, w, workers)
+	for n := lo; n < hi; n++ {
+		if l.fork.pass.backward {
 			l.backwardSample(w, n)
 		} else {
 			l.forwardSample(n)
@@ -110,9 +76,7 @@ func (l *LRN) Forward(ctx *Context, bottoms []*tensor.Tensor, top *tensor.Tensor
 	if ctx.SkipCompute {
 		return nil
 	}
-	l.pass.backward = false
-	l.pass.x, l.pass.y = bottoms[0].Data, top.Data
-	l.forkJoin()
+	l.fork.forward(l.shape.N, bottoms[0].Data, top.Data)
 	return nil
 }
 
@@ -123,7 +87,7 @@ func (l *LRN) forwardSample(n int) {
 	scale := l.alpha / float32(l.n)
 	negBeta := float64(-l.beta)
 	lo, hi := n*s.C*hw, (n+1)*s.C*hw
-	x, y := l.pass.x[lo:hi], l.pass.y[lo:hi]
+	x, y := l.fork.pass.x[lo:hi], l.fork.pass.y[lo:hi]
 	denom, factor := l.denom[lo:hi], l.factor[lo:hi]
 	for c := 0; c < s.C; c++ {
 		d := denom[c*hw : (c+1)*hw]
@@ -150,10 +114,7 @@ func (l *LRN) Backward(ctx *Context, bottoms []*tensor.Tensor, top, dTop *tensor
 	if ctx.SkipCompute {
 		return nil
 	}
-	l.pass.backward = true
-	l.pass.x, l.pass.y = bottoms[0].Data, top.Data
-	l.pass.dy, l.pass.dx = dTop.Data, dBottoms[0].Data
-	l.forkJoin()
+	l.fork.backward(l.shape.N, bottoms[0].Data, top.Data, dTop.Data, dBottoms[0].Data)
 	return nil
 }
 
@@ -168,7 +129,8 @@ func (l *LRN) backwardSample(w, n int) {
 	scale := l.alpha / float32(l.n)
 	coef := 2 * scale * l.beta
 	lo, hi := n*s.C*hw, (n+1)*s.C*hw
-	x, y, dy, dx := l.pass.x[lo:hi], l.pass.y[lo:hi], l.pass.dy[lo:hi], l.pass.dx[lo:hi]
+	pass := &l.fork.pass
+	x, y, dy, dx := pass.x[lo:hi], pass.y[lo:hi], pass.dy[lo:hi], pass.dx[lo:hi]
 	denom, factor := l.denom[lo:hi], l.factor[lo:hi]
 	ratio := l.ratio[w*s.C*hw : (w+1)*s.C*hw]
 	for i, d := range denom {

@@ -40,7 +40,7 @@ type Transform struct {
 
 	at32, g32, bt32 []float32
 	// Transposes, for the adjoint (backward-filter) path.
-	a32, gt32, b32 []float32
+	a32, gt32 []float32
 }
 
 // standardPoints is the canonical Cook–Toom interpolation point sequence.
@@ -183,7 +183,6 @@ func (t *Transform) buildFloat32() {
 	t.bt32 = to32(t.BT)
 	t.a32 = transpose32(t.at32, t.M, t.Alpha)
 	t.gt32 = transpose32(t.g32, t.Alpha, t.R)
-	t.b32 = transpose32(t.bt32, t.Alpha, t.Alpha)
 }
 
 func transpose32(x []float32, rows, cols int) []float32 {
@@ -194,68 +193,6 @@ func transpose32(x []float32, rows, cols int) []float32 {
 		}
 	}
 	return y
-}
-
-// matmul32 computes dst = a (ra x ca) * b (ca x cb), all row-major.
-//
-//ucudnn:hotpath
-func matmul32(dst, a, b []float32, ra, ca, cb int) {
-	for i := 0; i < ra; i++ {
-		for j := 0; j < cb; j++ {
-			var s float32
-			for k := 0; k < ca; k++ {
-				s += a[i*ca+k] * b[k*cb+j]
-			}
-			dst[i*cb+j] = s
-		}
-	}
-}
-
-// FilterTransform computes U = G g Gᵀ, mapping an r x r filter tile to an
-// alpha x alpha spectral tile. tmp must have alpha*r capacity.
-//
-//ucudnn:hotpath
-func (t *Transform) FilterTransform(dst, g, tmp []float32) {
-	matmul32(tmp, t.g32, g, t.Alpha, t.R, t.R)        // (alpha x r) = G * g
-	matmul32(dst, tmp, t.gt32, t.Alpha, t.R, t.Alpha) // (alpha x alpha) = tmp * Gᵀ
-}
-
-// InputTransform computes V = Bᵀ d B, mapping an alpha x alpha input tile
-// to its spectral form. tmp must have alpha*alpha capacity.
-//
-//ucudnn:hotpath
-func (t *Transform) InputTransform(dst, d, tmp []float32) {
-	matmul32(tmp, t.bt32, d, t.Alpha, t.Alpha, t.Alpha)
-	matmul32(dst, tmp, t.b32, t.Alpha, t.Alpha, t.Alpha)
-}
-
-// OutputTransform computes Y = Aᵀ M A, mapping an alpha x alpha spectral
-// accumulator to the m x m output tile. tmp must have m*alpha capacity.
-//
-//ucudnn:hotpath
-func (t *Transform) OutputTransform(dst, mAcc, tmp []float32) {
-	matmul32(tmp, t.at32, mAcc, t.M, t.Alpha, t.Alpha)
-	matmul32(dst, tmp, t.a32, t.M, t.Alpha, t.M)
-}
-
-// OutputAdjoint computes W = A y Aᵀ, the adjoint of OutputTransform; it
-// maps an m x m output-gradient tile into spectral space (used by the
-// backward-filter path). tmp must have alpha*m capacity.
-//
-//ucudnn:hotpath
-func (t *Transform) OutputAdjoint(dst, y, tmp []float32) {
-	matmul32(tmp, t.a32, y, t.Alpha, t.M, t.M)
-	matmul32(dst, tmp, t.at32, t.Alpha, t.M, t.Alpha)
-}
-
-// FilterAdjoint computes g = Gᵀ U G, the adjoint of FilterTransform; it
-// maps a spectral accumulator back to an r x r filter-gradient tile. tmp
-// must have r*alpha capacity.
-//
-//ucudnn:hotpath
-func (t *Transform) FilterAdjoint(dst, u, tmp []float32) {
-	matmul32(tmp, t.gt32, u, t.R, t.Alpha, t.Alpha)
-	matmul32(dst, tmp, t.g32, t.R, t.Alpha, t.R)
 }
 
 // solveLeastSquares solves min ||Hx - b|| for H (rows x cols, row-major)

@@ -263,3 +263,59 @@ func TestSolveDenseKnown(t *testing.T) {
 		t.Fatalf("solve = %v", x)
 	}
 }
+
+// The per-tile transforms: two row-major triple loops per tile. They are
+// what the convolution kernels ran before the lane-batched forms in
+// lanes.go replaced them, and remain the oracle the lane kernels must
+// match bit for bit (lanes_test.go) and the subject of the adjoint and
+// nesting identities above.
+
+// matmul32 computes dst = a (ra x ca) * b (ca x cb), all row-major.
+func matmul32(dst, a, b []float32, ra, ca, cb int) {
+	for i := 0; i < ra; i++ {
+		for j := 0; j < cb; j++ {
+			var s float32
+			for k := 0; k < ca; k++ {
+				s += a[i*ca+k] * b[k*cb+j]
+			}
+			dst[i*cb+j] = s
+		}
+	}
+}
+
+// FilterTransform computes U = G g Gᵀ, mapping an r x r filter tile to an
+// alpha x alpha spectral tile. tmp must have alpha*r capacity.
+func (t *Transform) FilterTransform(dst, g, tmp []float32) {
+	matmul32(tmp, t.g32, g, t.Alpha, t.R, t.R)        // (alpha x r) = G * g
+	matmul32(dst, tmp, t.gt32, t.Alpha, t.R, t.Alpha) // (alpha x alpha) = tmp * Gᵀ
+}
+
+// InputTransform computes V = Bᵀ d B, mapping an alpha x alpha input tile
+// to its spectral form. tmp must have alpha*alpha capacity.
+func (t *Transform) InputTransform(dst, d, tmp []float32) {
+	matmul32(tmp, t.bt32, d, t.Alpha, t.Alpha, t.Alpha)
+	matmul32(dst, tmp, transpose32(t.bt32, t.Alpha, t.Alpha), t.Alpha, t.Alpha, t.Alpha)
+}
+
+// OutputTransform computes Y = Aᵀ M A, mapping an alpha x alpha spectral
+// accumulator to the m x m output tile. tmp must have m*alpha capacity.
+func (t *Transform) OutputTransform(dst, mAcc, tmp []float32) {
+	matmul32(tmp, t.at32, mAcc, t.M, t.Alpha, t.Alpha)
+	matmul32(dst, tmp, t.a32, t.M, t.Alpha, t.M)
+}
+
+// OutputAdjoint computes W = A y Aᵀ, the adjoint of OutputTransform; it
+// maps an m x m output-gradient tile into spectral space (used by the
+// backward-filter path). tmp must have alpha*m capacity.
+func (t *Transform) OutputAdjoint(dst, y, tmp []float32) {
+	matmul32(tmp, t.a32, y, t.Alpha, t.M, t.M)
+	matmul32(dst, tmp, t.at32, t.Alpha, t.M, t.Alpha)
+}
+
+// FilterAdjoint computes g = Gᵀ U G, the adjoint of FilterTransform; it
+// maps a spectral accumulator back to an r x r filter-gradient tile. tmp
+// must have r*alpha capacity.
+func (t *Transform) FilterAdjoint(dst, u, tmp []float32) {
+	matmul32(tmp, t.gt32, u, t.R, t.Alpha, t.Alpha)
+	matmul32(dst, tmp, t.g32, t.R, t.Alpha, t.R)
+}
