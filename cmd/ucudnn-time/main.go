@@ -1,9 +1,8 @@
 // Command ucudnn-time is the `caffe time` equivalent: it builds one of
 // the zoo networks over the simulated device, runs timed forward-backward
 // iterations, and prints the per-layer breakdown — under plain cuDNN or
-// µ-cuDNN (WR or WD). With -timeline, -trace or -critical-path it also
-// runs -iters causally traced iterations and exports or analyzes the
-// unified timeline (critical path, stall totals by cause); -check
+// µ-cuDNN (WR or WD). With -timeline or -trace it also runs -iters
+// causally traced iterations and exports the unified timeline; -check
 // validates a timeline or profile-report file.
 //
 // Usage:
@@ -12,7 +11,7 @@
 //	ucudnn-time -net resnet50 -batch 32 -mode wd -total 2544
 //	ucudnn-time -net alexnet -mode wr -profile prof.json     # forces real compute
 //	ucudnn-time -net alexnet -mode wr -timeline timeline.json -trace chrome.json
-//	ucudnn-time -net densenet40 -batch 64 -mode wd -total 512 -blob-budget 96 -critical-path
+//	ucudnn-time -net densenet40 -batch 64 -mode wd -total 512 -blob-budget 96 -timeline t.json
 //	ucudnn-time -check timeline.json                         # or a -profile report
 package main
 
@@ -35,10 +34,6 @@ import (
 	"ucudnn/internal/zoo"
 )
 
-// minCoverage is the -check floor for per-iteration critical-path
-// coverage (the acceptance bar: the chain must explain >= 95% of wall).
-const minCoverage = 0.95
-
 // runOpts mirrors the command-line flags.
 type runOpts struct {
 	Net      string
@@ -55,7 +50,6 @@ type runOpts struct {
 
 	Timeline string
 	Trace    string
-	Critical bool
 	Check    string
 
 	session.ObsFlags
@@ -77,7 +71,6 @@ func main() {
 	flag.IntVar(&o.Workers, "workers", 0, "kernel worker cap (0 = leave default); the exported timeline is byte-identical across worker counts")
 	flag.StringVar(&o.Timeline, "timeline", "", "write the canonical causal timeline JSON here")
 	flag.StringVar(&o.Trace, "trace", "", "write the causal timeline as Chrome trace-event JSON (named tracks) here")
-	flag.BoolVar(&o.Critical, "critical-path", false, "print the per-iteration critical-path report and the stall totals by cause")
 	flag.StringVar(&o.Check, "check", "", "validate a causal-timeline or profile-report JSON file (dispatching on its schema field) and exit")
 	o.ObsFlags.Register(flag.CommandLine)
 	flag.Parse()
@@ -125,8 +118,9 @@ func check(path string, w io.Writer) error {
 	return fmt.Errorf("%s: unknown schema %q (want %s or %s)", path, doc.Schema, causal.Schema, core.ProfileSchema)
 }
 
-// checkTimeline applies the schema/ID/flow/overlap invariants plus the
-// analysis-level acceptance bar (critical-path coverage).
+// checkTimeline applies the timeline invariants (Timeline.Validate:
+// schema, IDs, order, overlap and the device stream tiling every
+// iteration).
 func checkTimeline(path string, data []byte, w io.Writer) error {
 	t, err := causal.ReadTimeline(bytes.NewReader(data))
 	if err != nil {
@@ -135,15 +129,14 @@ func checkTimeline(path string, data []byte, w io.Writer) error {
 	if err := t.Validate(); err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
-	a := causal.Analyze(t)
-	for _, it := range a.Iterations {
-		if it.WallNS > 0 && it.Coverage < minCoverage {
-			return fmt.Errorf("%s: iteration %d critical path covers %.1f%% of wall, want >= %.0f%%",
-				path, it.Span, it.Coverage*100, minCoverage*100)
+	iters := 0
+	for _, e := range t.Events {
+		if e.Cat == "iteration" {
+			iters++
 		}
 	}
 	fmt.Fprintf(w, "%s: ok (%d scopes, %d events, %d iterations)\n",
-		path, len(t.Scopes), len(t.Events), len(a.Iterations))
+		path, len(t.Scopes), len(t.Events), iters)
 	return nil
 }
 
@@ -183,14 +176,11 @@ func runNet(o runOpts, reg *obs.Registry, w io.Writer) ([]core.HandleReport, err
 	// The traced iterations run first, straight after set-up and one
 	// warm-up, so the timeline's clock does not depend on -iters' timed
 	// pass below.
-	var analysis *causal.Analysis
-	if o.Timeline != "" || o.Trace != "" || o.Critical {
+	if o.Timeline != "" || o.Trace != "" {
 		t, err := s.Trace(o.Iters)
 		if err != nil {
 			return nil, err
 		}
-		analysis = causal.Analyze(t)
-		analysis.Metrics(reg)
 		if o.Timeline != "" {
 			if err := writeFile(o.Timeline, t.WriteJSON); err != nil {
 				return nil, err
@@ -229,10 +219,6 @@ func runNet(o runOpts, reg *obs.Registry, w io.Writer) ([]core.HandleReport, err
 		if err := ooc.Metrics().WriteSummary(w); err != nil {
 			return nil, err
 		}
-	}
-	if o.Critical {
-		fmt.Fprintln(w)
-		analysis.WriteTable(w)
 	}
 	return s.HandleReports(), nil
 }

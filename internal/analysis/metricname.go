@@ -11,12 +11,12 @@ import (
 
 // MetricName enforces the observability naming scheme documented in
 // README.md ("Observability") on every obs.Registry registration call
-// (Counter / FloatCounter / Gauge / Histogram):
+// (Counter / Gauge / Histogram):
 //
 //   - series names are compile-time string constants matching
 //     ucudnn_* snake_case, so dashboards can rely on them;
-//   - counter names (integer and float) end in _total (Prometheus
-//     convention); gauge and histogram names do not;
+//   - counter names end in _total (Prometheus convention); gauge and
+//     histogram names do not;
 //   - labels are built inline with obs.L and constant snake_case names;
 //   - a series name is registered with one stable label set and one
 //     metric kind throughout a package.
@@ -57,17 +57,16 @@ func runMetricName(pass *Pass) error {
 	return nil
 }
 
-// registryCall reports whether call is obs.Registry.Counter /
-// FloatCounter / Gauge / Histogram, identified by method name and
-// receiver type (a Registry named type declared in a package named
-// "obs").
+// registryCall reports whether call is obs.Registry.Counter / Gauge /
+// Histogram, identified by method name and receiver type (a Registry
+// named type declared in a package named "obs").
 func registryCall(pass *Pass, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return "", false
 	}
 	kind := sel.Sel.Name
-	if kind != "Counter" && kind != "FloatCounter" && kind != "Gauge" && kind != "Histogram" {
+	if kind != "Counter" && kind != "Gauge" && kind != "Histogram" {
 		return "", false
 	}
 	selection := pass.TypesInfo.Selections[sel]
@@ -98,7 +97,7 @@ func checkRegistration(pass *Pass, call *ast.CallExpr, kind string, seen map[str
 			"metric name %q does not match the documented ucudnn_* snake_case scheme", name)
 	}
 	switch kind {
-	case "Counter", "FloatCounter":
+	case "Counter":
 		if !strings.HasSuffix(name, "_total") {
 			pass.Reportf(nameArg.Pos(),
 				"counter %q must end in _total (Prometheus counter convention)", name)

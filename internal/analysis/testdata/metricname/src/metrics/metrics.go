@@ -25,21 +25,12 @@ func compliantOOC() {
 	reg.Gauge("ucudnn_ooc_peak_bytes")
 }
 
-// compliantCausal covers the causal-timeline series: second-valued
-// stall counters (FloatCounter) and the critical-path gauge.
-func compliantCausal() {
-	reg.FloatCounter("ucudnn_stall_seconds_total", obs.L("cause", "fetch-starved"))
-	reg.Gauge("ucudnn_critical_path_seconds")
-}
-
 func badNames(dyn string) {
 	reg.Counter("ucudnn-conv-runs")                   // want `does not match` `must end in _total`
 	reg.Counter("conv_runs_total")                    // want `does not match`
 	reg.Counter("ucudnn_conv_runs")                   // want `must end in _total`
 	reg.Gauge("ucudnn_queue_depth_total")             // want `must not end in _total`
 	reg.Histogram("ucudnn_lat_total", nil)            // want `must not end in _total`
-	reg.FloatCounter("ucudnn_stall_seconds")          // want `must end in _total`
-	reg.FloatCounter("stall_seconds_total")           // want `does not match`
 	reg.Counter(dyn)                                  // want `compile-time string constant`
 	reg.Counter("ucudnn_d_total", obs.L(dyn, "x"))    // want `constant name`
 	reg.Counter("ucudnn_c_total", obs.L("Algo", "x")) // want `must be snake_case`

@@ -15,13 +15,10 @@ type Registry struct{}
 func NewRegistry() *Registry { return &Registry{} }
 
 type Counter struct{}
-type FloatCounter struct{}
 type Gauge struct{}
 type Histogram struct{}
 
 func (r *Registry) Counter(name string, labels ...Label) *Counter { return &Counter{} }
-
-func (r *Registry) FloatCounter(name string, labels ...Label) *FloatCounter { return &FloatCounter{} }
 
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge { return &Gauge{} }
 

@@ -21,10 +21,7 @@ type TEvent struct {
 	// first, then events in timeline order).
 	Span uint64 `json:"span"`
 	// Parent is the enclosing scope's ID; 0 at the root.
-	Parent uint64 `json:"parent,omitempty"`
-	// Flow is the Span of the event this one causally waited on across
-	// tracks; 0 when none.
-	Flow    uint64 `json:"flow,omitempty"`
+	Parent  uint64 `json:"parent,omitempty"`
 	Name    string `json:"name"`
 	Cat     string `json:"cat"`
 	Track   int    `json:"track"`
@@ -57,8 +54,8 @@ var bracketCats = map[string]bool{
 	"fault":     true,
 }
 
-// Leaf reports whether the event is a leaf work span (participates in
-// critical-path and stall accounting) rather than a bracket/annotation.
+// Leaf reports whether the event is a leaf work span (exclusively
+// occupies its track) rather than a bracket/annotation.
 func (e TEvent) Leaf() bool { return !bracketCats[e.Cat] }
 
 // Build assembles the canonical timeline from recorded trace events and
@@ -76,28 +73,16 @@ func Build(events []trace.Event, scopes []Scope) *Timeline {
 	}
 	evs := append([]trace.Event{}, events...)
 	sort.SliceStable(evs, func(i, j int) bool { return trace.Less(evs[i], evs[j]) })
-	eventMap := make(map[uint64]uint64, len(evs))
-	next := uint64(len(scopes))
-	for _, e := range evs {
-		next++
-		if e.Span != 0 {
-			eventMap[e.Span] = next
-		}
-	}
-	next = uint64(len(scopes))
-	for _, e := range evs {
-		next++
-		te := TEvent{
-			Span:    next,
+	for i, e := range evs {
+		t.Events = append(t.Events, TEvent{
+			Span:    uint64(len(scopes) + i + 1),
 			Parent:  uint64(scopeMap[ID(e.Parent)]),
-			Flow:    eventMap[e.Flow],
 			Name:    e.Name,
 			Cat:     e.Cat,
 			Track:   e.Track,
 			StartNS: e.Start.Nanoseconds(),
 			DurNS:   e.Dur.Nanoseconds(),
-		}
-		t.Events = append(t.Events, te)
+		})
 	}
 	return t
 }
@@ -107,7 +92,7 @@ func (e TEvent) traceEvent() trace.Event {
 	return trace.Event{
 		Name: e.Name, Cat: e.Cat, Track: e.Track,
 		Start: time.Duration(e.StartNS), Dur: time.Duration(e.DurNS),
-		Span: e.Span, Parent: e.Parent, Flow: e.Flow,
+		Span: e.Span, Parent: e.Parent,
 	}
 }
 
@@ -130,7 +115,7 @@ func (t *Timeline) WriteJSON(w io.Writer) error {
 }
 
 // WriteChrome renders the timeline as Chrome trace-event JSON with
-// span/parent args, flow arrows and named tracks.
+// span/parent args and named tracks.
 func (t *Timeline) WriteChrome(w io.Writer) error {
 	return trace.WriteChromeEvents(w, t.TraceEvents())
 }
@@ -148,10 +133,11 @@ func ReadTimeline(r io.Reader) (*Timeline, error) {
 // Validate checks the timeline invariants ucudnn-time -check enforces:
 // the schema tag; scope IDs dense 1..S with parents preceding children;
 // event IDs dense S+1.. in canonical (trace.Less) order; parents
-// referencing scopes; flow edges referencing events that completed
-// before the dependent started; and leaf spans on one track never
-// overlapping (bracket/annotation tracks are exempt — brackets cover
-// their children by design).
+// referencing scopes; leaf spans on one track never overlapping
+// (bracket/annotation tracks are exempt — brackets cover their children
+// by design); and the device stream's leaves tiling every iteration
+// bracket with no gap (every clock advancement is a leaf, so an idle
+// nanosecond inside an iteration is a lost charge).
 func (t *Timeline) Validate() error {
 	if t.Schema != Schema {
 		return fmt.Errorf("causal: schema %q, want %q", t.Schema, Schema)
@@ -165,7 +151,15 @@ func (t *Timeline) Validate() error {
 		}
 	}
 	nScopes := uint64(len(t.Scopes))
-	byID := make(map[uint64]TEvent, len(t.Events))
+	lastLeaf := map[int]TEvent{}
+	// Canonical order delivers the device stream's leaves by start time,
+	// and an iteration bracket after the leaves that start with it, so
+	// one pass tracks where the stream's current busy run ends (runEnd)
+	// and the latest iteration end it still owes (due).
+	var runEnd, due int64
+	gap := func(at, end int64) error {
+		return fmt.Errorf("causal: device stream has a gap at %d ns inside an iteration ending at %d ns", at, end)
+	}
 	var prev trace.Event
 	for i, e := range t.Events {
 		if e.Span != nScopes+uint64(i)+1 {
@@ -181,37 +175,30 @@ func (t *Timeline) Validate() error {
 		if i > 0 && trace.Less(cur, prev) {
 			return fmt.Errorf("causal: events not in canonical order at %d (%s)", e.Span, e.Name)
 		}
-		byID[e.Span] = e
 		prev = cur
-	}
-	tracks := map[int][]TEvent{}
-	for _, e := range t.Events {
-		if e.Flow != 0 {
-			src, ok := byID[e.Flow]
-			if !ok {
-				return fmt.Errorf("causal: event %d flow %d is not an event", e.Span, e.Flow)
+		switch {
+		case e.Leaf():
+			if last, ok := lastLeaf[e.Track]; ok && e.StartNS < last.End() {
+				return fmt.Errorf("causal: track %d leaf spans overlap: %q and %q", e.Track, last.Name, e.Name)
 			}
-			if src.End() > e.StartNS {
-				return fmt.Errorf("causal: event %d starts at %d before its dependency %d ends at %d",
-					e.Span, e.StartNS, e.Flow, src.End())
+			lastLeaf[e.Track] = e
+			if e.Track == trace.TrackKernel {
+				if e.StartNS > runEnd && due > runEnd {
+					return gap(runEnd, due)
+				}
+				runEnd = e.End()
 			}
-		}
-		if e.Leaf() {
-			tracks[e.Track] = append(tracks[e.Track], e)
+		case e.Cat == "iteration" && e.DurNS > 0:
+			// Every stream leaf starting at or before the bracket has been
+			// seen, so its start must lie inside the current run.
+			if e.StartNS >= runEnd {
+				return gap(e.StartNS, e.End())
+			}
+			due = max(due, e.End())
 		}
 	}
-	ids := make([]int, 0, len(tracks))
-	for tr := range tracks {
-		ids = append(ids, tr)
-	}
-	sort.Ints(ids)
-	for _, tr := range ids {
-		evs := tracks[tr]
-		for i := 1; i < len(evs); i++ {
-			if evs[i].StartNS < evs[i-1].End() {
-				return fmt.Errorf("causal: track %d leaf spans overlap: %q and %q", tr, evs[i-1].Name, evs[i].Name)
-			}
-		}
+	if due > runEnd {
+		return gap(runEnd, due)
 	}
 	return nil
 }

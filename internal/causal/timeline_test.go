@@ -10,9 +10,9 @@ import (
 )
 
 // tev builds a raw trace event with explicit span wiring.
-func tev(name, cat string, track int, start, dur time.Duration, span, parent, flow uint64) trace.Event {
+func tev(name, cat string, track int, start, dur time.Duration, span, parent uint64) trace.Event {
 	return trace.Event{Name: name, Cat: cat, Track: track, Start: start, Dur: dur,
-		Span: span, Parent: parent, Flow: flow}
+		Span: span, Parent: parent}
 }
 
 // Build must renumber raw allocation-ordered IDs canonically: the same
@@ -24,8 +24,8 @@ func TestBuildCanonicalRenumbering(t *testing.T) {
 		{ID: 9, Parent: 7, Kind: KindLayer, Name: "conv1"},
 	}
 	evsA := []trace.Event{
-		tev("k1", "fwd", trace.TrackKernel, 0, 10, 21, 9, 0),
-		tev("k2", "fwd", trace.TrackKernel, 10, 5, 23, 9, 21),
+		tev("k1", "fwd", trace.TrackKernel, 0, 10, 21, 9),
+		tev("k2", "fwd", trace.TrackKernel, 10, 5, 23, 9),
 	}
 	// Same recording, different raw IDs, events inserted reversed.
 	scopesB := []Scope{
@@ -33,8 +33,8 @@ func TestBuildCanonicalRenumbering(t *testing.T) {
 		{ID: 150, Parent: 101, Kind: KindLayer, Name: "conv1"},
 	}
 	evsB := []trace.Event{
-		tev("k2", "fwd", trace.TrackKernel, 10, 5, 3, 150, 2),
-		tev("k1", "fwd", trace.TrackKernel, 0, 10, 2, 150, 0),
+		tev("k2", "fwd", trace.TrackKernel, 10, 5, 3, 150),
+		tev("k1", "fwd", trace.TrackKernel, 0, 10, 2, 150),
 	}
 	ta, tb := Build(evsA, scopesA), Build(evsB, scopesB)
 	var ba, bb bytes.Buffer
@@ -50,7 +50,7 @@ func TestBuildCanonicalRenumbering(t *testing.T) {
 	if err := ta.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Canonical shape: scopes 1,2; events 3,4; parent/flow remapped.
+	// Canonical shape: scopes 1,2; events 3,4; parents remapped.
 	if ta.Scopes[0].ID != 1 || ta.Scopes[1].ID != 2 || ta.Scopes[1].Parent != 1 {
 		t.Fatalf("scope renumbering: %+v", ta.Scopes)
 	}
@@ -60,15 +60,12 @@ func TestBuildCanonicalRenumbering(t *testing.T) {
 	if ta.Events[0].Parent != 2 || ta.Events[1].Parent != 2 {
 		t.Fatalf("event parents not remapped: %+v", ta.Events)
 	}
-	if ta.Events[1].Flow != 3 {
-		t.Fatalf("flow not remapped to canonical span: %+v", ta.Events[1])
-	}
 }
 
 // Round trip: WriteJSON → ReadTimeline preserves the timeline.
 func TestTimelineRoundTrip(t *testing.T) {
 	tl := Build([]trace.Event{
-		tev("k1", "fwd", trace.TrackKernel, 0, 10, 1, 0, 0),
+		tev("k1", "fwd", trace.TrackKernel, 0, 10, 1, 0),
 	}, nil)
 	var b bytes.Buffer
 	if err := tl.WriteJSON(&b); err != nil {
@@ -87,10 +84,13 @@ func TestTimelineRoundTrip(t *testing.T) {
 }
 
 func TestValidateRejects(t *testing.T) {
+	// Canonical order: k1, the iteration bracket (same start, later
+	// track), k2.
 	base := func() *Timeline {
 		return Build([]trace.Event{
-			tev("k1", "fwd", trace.TrackKernel, 0, 10, 11, 5, 0),
-			tev("k2", "fwd", trace.TrackKernel, 10, 5, 12, 5, 11),
+			tev("k1", "fwd", trace.TrackKernel, 0, 10, 11, 5),
+			tev("k2", "fwd", trace.TrackKernel, 10, 5, 12, 5),
+			tev("iteration", "iteration", trace.TrackIteration, 0, 15, 4, 0),
 		}, []Scope{{ID: 5, Kind: KindLayer, Name: "conv1"}})
 	}
 	cases := []struct {
@@ -105,12 +105,12 @@ func TestValidateRejects(t *testing.T) {
 		{"negative dur", func(t *Timeline) { t.Events[0].DurNS = -1 }, "negative"},
 		{"parent not scope", func(t *Timeline) { t.Events[0].Parent = 42 }, "not a scope"},
 		{"order", func(t *Timeline) {
-			t.Events[0], t.Events[1] = t.Events[1], t.Events[0]
-			t.Events[0].Span, t.Events[1].Span = 2, 3
+			t.Events[1], t.Events[2] = t.Events[2], t.Events[1]
+			t.Events[1].Span, t.Events[2].Span = 3, 4
 		}, "canonical order"},
-		{"flow target", func(t *Timeline) { t.Events[1].Flow = 77 }, "not an event"},
-		{"flow time", func(t *Timeline) { t.Events[1].Flow = t.Events[1].Span }, "before its dependency"},
-		{"overlap", func(t *Timeline) { t.Events[1].StartNS = 5; t.Events[1].Flow = 0 }, "overlap"},
+		{"overlap", func(t *Timeline) { t.Events[2].StartNS = 5 }, "overlap"},
+		{"gap", func(t *Timeline) { t.Events[2].StartNS = 11; t.Events[2].DurNS = 4 }, "gap at 10 ns"},
+		{"tail gap", func(t *Timeline) { t.Events[2].DurNS = 3 }, "gap at 13 ns"},
 	}
 	for _, tc := range cases {
 		tl := base()
@@ -129,9 +129,9 @@ func TestValidateRejects(t *testing.T) {
 // their children by design and must be exempt from overlap checking.
 func TestValidateBracketExempt(t *testing.T) {
 	tl := Build([]trace.Event{
-		tev("conv1", "forward", trace.TrackLayer, 0, 15, 0, 0, 0),
-		tev("k1", "fwd", trace.TrackLayer, 0, 10, 1, 0, 0),
-		tev("k2", "fwd", trace.TrackLayer, 10, 5, 2, 0, 0),
+		tev("conv1", "forward", trace.TrackLayer, 0, 15, 0, 0),
+		tev("k1", "fwd", trace.TrackLayer, 0, 10, 1, 0),
+		tev("k2", "fwd", trace.TrackLayer, 10, 5, 2, 0),
 	}, nil)
 	if err := tl.Validate(); err != nil {
 		t.Fatalf("bracket span tripped overlap check: %v", err)

@@ -103,14 +103,6 @@ func (h *Handle) KernelCalls() int64 {
 	return h.kernels
 }
 
-// ResetClock zeroes the accumulated time and kernel count.
-func (h *Handle) ResetClock() {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.elapsed = 0
-	h.kernels = 0
-}
-
 // SetTrace attaches a timeline recorder; every subsequent kernel charge
 // appends a span (see internal/trace). Pass nil to detach.
 func (h *Handle) SetTrace(r *trace.Recorder) {
@@ -151,15 +143,25 @@ func (h *Handle) Charge(d time.Duration) {
 // ID under the current scope, which is what links every clock
 // advancement back to its conv call, layer and iteration.
 func (h *Handle) ChargeNamed(name, cat string, d time.Duration) {
+	if start, tr := h.charge(d); tr != nil {
+		record(tr, name, cat, start, d)
+	}
+}
+
+// charge adds d to the simulated clock and returns the charge's start
+// and the attached recorder (nil when tracing is off).
+func (h *Handle) charge(d time.Duration) (time.Duration, *trace.Recorder) {
 	h.mu.Lock()
 	start := h.elapsed
 	h.elapsed += d
 	h.kernels++
 	tr := h.tracer
 	h.mu.Unlock()
-	if tr == nil {
-		return
-	}
+	return start, tr
+}
+
+// record appends one device-stream span to tr.
+func record(tr *trace.Recorder, name, cat string, start, d time.Duration) {
 	tr.Add(trace.Event{
 		Name: name, Cat: cat, Start: start, Dur: d, Track: trace.TrackKernel,
 		Span: uint64(causal.NewLeaf()), Parent: uint64(causal.Current()),
@@ -364,14 +366,13 @@ func (h *Handle) Convolve(op conv.Op, algo conv.Algo, cs tensor.ConvShape, x *te
 	if err := faults.Err(faults.PointConvolve); err != nil {
 		return err
 	}
-	label := fmt.Sprintf("%v %v@%d %dc %dx%d", op, algo, cs.In.N, cs.In.C, cs.In.H, cs.In.W)
 	switch h.backend {
 	case RealBackend:
 		start := time.Now()
 		if err := conv.Run(op, algo, cs, x, w, y, alpha, beta, ws); err != nil {
 			return err
 		}
-		h.ChargeNamed(label, "conv", time.Since(start))
+		h.chargeConv(op, algo, cs, time.Since(start))
 	case ModelBackend, ModelOnlyBackend:
 		mt, ok := h.dev.ModelTime(op, algo, cs)
 		if !ok {
@@ -386,7 +387,15 @@ func (h *Handle) Convolve(op conv.Op, algo conv.Algo, cs tensor.ConvShape, x *te
 			// executing kernels would enforce.
 			return fmt.Errorf("cudnn: workspace too small: have %d bytes, need %d", int64(len(ws))*4, need)
 		}
-		h.ChargeNamed(label, "conv", mt)
+		h.chargeConv(op, algo, cs, mt)
 	}
 	return nil
+}
+
+// chargeConv charges one convolution kernel. Only an attached recorder
+// reads the span label, so an untraced call does not format it.
+func (h *Handle) chargeConv(op conv.Op, algo conv.Algo, cs tensor.ConvShape, d time.Duration) {
+	if start, tr := h.charge(d); tr != nil {
+		record(tr, fmt.Sprintf("%v %v@%d %dc %dx%d", op, algo, cs.In.N, cs.In.C, cs.In.H, cs.In.W), "conv", start, d)
+	}
 }

@@ -71,21 +71,10 @@ func causalTimelineBytes(t *testing.T, workers int, profile bool) []byte {
 	}
 	causal.Disable()
 
+	// Validate also checks that the device stream tiles both iterations.
 	tl := causal.Build(rec.Events(), causal.Scopes())
 	if err := tl.Validate(); err != nil {
 		t.Fatal(err)
-	}
-
-	// Every iteration's critical path must explain >= 95% of its wall
-	// time.
-	a := causal.Analyze(tl)
-	if len(a.Iterations) != 2 {
-		t.Fatalf("iterations: %d, want 2", len(a.Iterations))
-	}
-	for _, it := range a.Iterations {
-		if it.Coverage < 0.95 {
-			t.Fatalf("iteration %d coverage %.3f, want >= 0.95", it.Span, it.Coverage)
-		}
 	}
 
 	var b bytes.Buffer

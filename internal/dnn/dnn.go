@@ -455,8 +455,8 @@ func (n *Net) spanOn(track int, name, cat string, sc causal.Token) func() {
 }
 
 // RunIteration runs one training iteration (forward + backward) inside
-// an iteration-level causal scope, recording an iteration bracket span.
-// This is the unit the critical-path engine analyzes.
+// an iteration-level causal scope, recording an iteration bracket span
+// (the window the timeline's tiling check covers).
 func (n *Net) RunIteration() error {
 	if err := n.Setup(); err != nil {
 		return err

@@ -211,9 +211,6 @@ func TestNetTimeSkipCompute(t *testing.T) {
 	if convSum <= 0 || convSum > rep.Total() {
 		t.Fatalf("conv total %v out of range (total %v)", convSum, rep.Total())
 	}
-	if got := rep.TopKByTotal(2); len(got) != 2 || got[0].Total() < got[1].Total() {
-		t.Fatal("TopKByTotal broken")
-	}
 	var sb strings.Builder
 	rep.Print(&sb)
 	if !strings.Contains(sb.String(), "TOTAL") || !strings.Contains(sb.String(), "conv1") {

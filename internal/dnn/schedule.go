@@ -20,13 +20,6 @@ type Schedule struct {
 	Spans []trace.Event
 }
 
-// WriteTrace exports the schedule in Chrome trace format.
-func (s *Schedule) WriteTrace(rec *trace.Recorder) {
-	for _, ev := range s.Spans {
-		rec.Add(ev)
-	}
-}
-
 // ScheduleForward simulates the forward pass on `streams` concurrent
 // streams using per-layer durations from a prior timing report: a layer
 // becomes ready when all its bottom blobs are produced, and the earliest-
@@ -43,24 +36,18 @@ func (n *Net) ScheduleForward(rep *TimingReport, streams int) (*Schedule, error)
 	if len(rep.Layers) != len(n.layers) {
 		return nil, fmt.Errorf("dnn: report has %d layers, net has %d", len(rep.Layers), len(n.layers))
 	}
-	// blobReady[name] = completion time of the producing layer;
-	// blobSpan[name] = its span ID, the flow edge consumers point at.
+	// blobReady[name] = completion time of the producing layer.
 	blobReady := map[string]time.Duration{n.inputName: 0}
-	blobSpan := map[string]uint64{}
 	streamFree := make([]time.Duration, streams)
 	out := &Schedule{}
 	for i, li := range n.layers {
 		ready := time.Duration(0)
-		var flow uint64
 		for _, b := range li.bottoms {
 			t, ok := blobReady[b]
 			if !ok {
 				return nil, fmt.Errorf("dnn: blob %q scheduled before production", b)
 			}
-			if t > ready {
-				ready = t
-				flow = blobSpan[b]
-			}
+			ready = maxDur(ready, t)
 		}
 		// Earliest-start stream: max(ready, streamFree) minimized.
 		best := 0
@@ -74,16 +61,12 @@ func (n *Net) ScheduleForward(rep *TimingReport, streams int) (*Schedule, error)
 		end := bestStart + dur
 		streamFree[best] = end
 		blobReady[li.top] = end
-		span := uint64(i + 1)
-		blobSpan[li.top] = span
 		out.Spans = append(out.Spans, trace.Event{
 			Name:  li.layer.Name(),
 			Cat:   "fwd",
 			Start: bestStart,
 			Dur:   dur,
 			Track: best,
-			Span:  span,
-			Flow:  flow,
 		})
 		if end > out.Makespan {
 			out.Makespan = end
@@ -100,26 +83,6 @@ func (n *Net) CriticalPath(rep *TimingReport) (time.Duration, error) {
 		return 0, err
 	}
 	return s.Makespan, nil
-}
-
-// StreamUtilization summarizes per-stream busy fractions of a schedule.
-func (s *Schedule) StreamUtilization() []float64 {
-	if s.Makespan <= 0 {
-		return nil
-	}
-	busy := map[int]time.Duration{}
-	maxTrack := 0
-	for _, ev := range s.Spans {
-		busy[ev.Track] += ev.Dur
-		if ev.Track > maxTrack {
-			maxTrack = ev.Track
-		}
-	}
-	out := make([]float64, maxTrack+1)
-	for tr, d := range busy {
-		out[tr] = d.Seconds() / s.Makespan.Seconds()
-	}
-	return out
 }
 
 // Validate checks the schedule invariants: spans on the same stream never

@@ -3,7 +3,6 @@ package dnn
 import (
 	"fmt"
 	"io"
-	"sort"
 	"text/tabwriter"
 	"time"
 )
@@ -59,7 +58,7 @@ func (r *TimingReport) Layer(name string) *LayerTiming {
 	return nil
 }
 
-// ConvTotal sums the layers selected by the predicate; used to report
+// SumMatching sums the layers selected by the predicate; used to report
 // convolution-only totals as the paper does.
 func (r *TimingReport) SumMatching(match func(name string) bool) time.Duration {
 	var s time.Duration
@@ -127,14 +126,4 @@ func (n *Net) Time(iters int) (*TimingReport, error) {
 		})
 	}
 	return rep, nil
-}
-
-// TopKByTotal returns the k most expensive layers.
-func (r *TimingReport) TopKByTotal(k int) []LayerTiming {
-	sorted := append([]LayerTiming{}, r.Layers...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Total() > sorted[j].Total() })
-	if k > len(sorted) {
-		k = len(sorted)
-	}
-	return sorted[:k]
 }

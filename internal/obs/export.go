@@ -22,7 +22,7 @@ func fmtFloat(v float64) string {
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	lastFamily := ""
 	for _, m := range r.snapshot() {
-		typ := "counter" // Counter and FloatCounter both export as counter.
+		typ := "counter"
 		if m.g != nil {
 			typ = "gauge"
 		} else if m.h != nil {
@@ -37,10 +37,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		switch {
 		case m.c != nil:
 			if _, err := fmt.Fprintf(w, "%s%s %d\n", m.name, m.labels, m.c.Value()); err != nil {
-				return err
-			}
-		case m.fc != nil:
-			if _, err := fmt.Fprintf(w, "%s%s %s\n", m.name, m.labels, fmtFloat(m.fc.Value())); err != nil {
 				return err
 			}
 		case m.g != nil:
@@ -92,8 +88,6 @@ func (r *Registry) WriteSummary(w io.Writer) error {
 		switch {
 		case m.c != nil:
 			fmt.Fprintf(tw, "%s%s\t%d\n", m.name, m.labels, m.c.Value())
-		case m.fc != nil:
-			fmt.Fprintf(tw, "%s%s\t%s\n", m.name, m.labels, fmtFloat(m.fc.Value()))
 		case m.g != nil:
 			fmt.Fprintf(tw, "%s%s\t%s\n", m.name, m.labels, fmtFloat(m.g.Value()))
 		case m.h != nil:

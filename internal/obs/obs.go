@@ -72,36 +72,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// FloatCounter is a monotonically increasing float64 metric (Prometheus
-// counters are doubles natively; this is the handle for second-valued
-// totals like ucudnn_stall_seconds_total).
-type FloatCounter struct {
-	bits atomic.Uint64
-}
-
-// Add adds delta (negative or NaN deltas are ignored to keep the
-// counter monotone).
-func (c *FloatCounter) Add(delta float64) {
-	if c == nil || !(delta > 0) {
-		return
-	}
-	for {
-		old := c.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if c.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current total.
-func (c *FloatCounter) Value() float64 {
-	if c == nil {
-		return 0
-	}
-	return math.Float64frombits(c.bits.Load())
-}
-
 // Gauge is a float64 metric that can move in both directions.
 type Gauge struct {
 	bits atomic.Uint64
@@ -229,7 +199,6 @@ type metric struct {
 	name   string
 	labels string // rendered suffix, "" when unlabeled
 	c      *Counter
-	fc     *FloatCounter
 	g      *Gauge
 	h      *Histogram
 }
@@ -269,21 +238,6 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 		m.c = &Counter{}
 	}
 	return m.c
-}
-
-// FloatCounter returns (creating if needed) the float counter series
-// name{labels}.
-func (r *Registry) FloatCounter(name string, labels ...Label) *FloatCounter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m, existed := r.lookup(name, labels)
-	if !existed {
-		m.fc = &FloatCounter{}
-	}
-	return m.fc
 }
 
 // Gauge returns (creating if needed) the gauge series name{labels}.

@@ -95,13 +95,6 @@ func Register(name Phase) Kind {
 	return Kind(len(names))
 }
 
-// Phases returns the registered phase names in registration order.
-func Phases() []Phase {
-	regMu.Lock()
-	defer regMu.Unlock()
-	return append([]Phase(nil), names...)
-}
-
 // phaseName returns the registered name of k ("" for unknown kinds).
 func phaseName(k Kind) string {
 	regMu.Lock()

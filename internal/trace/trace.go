@@ -65,10 +65,6 @@ type Event struct {
 	// Parent is the Span of the enclosing causal scope (a conv call, a
 	// layer, an iteration); 0 at the root.
 	Parent uint64
-	// Flow is the Span of the event this one causally depends on across
-	// tracks (e.g. the layer whose output a scheduled layer waited for);
-	// 0 when none. Renders as a Chrome flow arrow.
-	Flow uint64
 }
 
 // Recorder accumulates events; it is safe for concurrent use.
@@ -119,15 +115,8 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
-// Reset clears the recorder.
-func (r *Recorder) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.events = nil
-}
-
-// chromeEvent is the trace-event JSON schema ("X" complete events,
-// "s"/"f" flow arrows, "M" metadata).
+// chromeEvent is the trace-event JSON schema ("X" complete events, "M"
+// metadata).
 type chromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat"`
@@ -136,16 +125,13 @@ type chromeEvent struct {
 	Dur  int64          `json:"dur"` // microseconds
 	PID  int            `json:"pid"`
 	TID  int            `json:"tid"`
-	ID   string         `json:"id,omitempty"`
-	BP   string         `json:"bp,omitempty"`
 	Args map[string]any `json:"args,omitempty"`
 }
 
 // WriteChrome emits the events as a Chrome trace-event JSON array. When
-// the trace carries causal spans, each event's span/parent land in args,
-// cross-track dependencies become flow arrows ("s"/"f" pairs) and tracks
-// get thread_name metadata; span-less traces emit exactly the legacy
-// format.
+// the trace carries causal spans, each event's span/parent land in args
+// and tracks get thread_name metadata; span-less traces emit exactly the
+// legacy format.
 func (r *Recorder) WriteChrome(w io.Writer) error {
 	return WriteChromeEvents(w, r.Events())
 }
@@ -179,12 +165,6 @@ func WriteChromeEvents(w io.Writer, evs []Event) error {
 			})
 		}
 	}
-	spanEnd := map[uint64]Event{}
-	for _, e := range evs {
-		if e.Span != 0 {
-			spanEnd[e.Span] = e
-		}
-	}
 	for _, e := range evs {
 		ce := chromeEvent{
 			Name: e.Name,
@@ -200,38 +180,12 @@ func WriteChromeEvents(w io.Writer, evs []Event) error {
 			if e.Parent != 0 {
 				ce.Args["parent"] = e.Parent
 			}
-			if e.Flow != 0 {
-				ce.Args["flow"] = e.Flow
-			}
 		}
 		out = append(out, ce)
-	}
-	// Flow arrows: an "s" at the dependency's end bound to an "f" at the
-	// dependent's start.
-	for _, e := range evs {
-		src, ok := spanEnd[e.Flow]
-		if e.Flow == 0 || !ok {
-			continue
-		}
-		id := fmt.Sprintf("%d-%d", e.Flow, e.Span)
-		out = append(out, chromeEvent{
-			Name: "dep", Cat: "flow", Ph: "s", ID: id, PID: 1,
-			TID: src.Track + 1, TS: (src.Start + src.Dur).Microseconds(),
-		}, chromeEvent{
-			Name: "dep", Cat: "flow", Ph: "f", BP: "e", ID: id, PID: 1,
-			TID: e.Track + 1, TS: e.Start.Microseconds(),
-		})
 	}
 	if out == nil {
 		out = []chromeEvent{}
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
-}
-
-// Summary renders a one-line-per-event text timeline for terminals.
-func (r *Recorder) Summary(w io.Writer) {
-	for _, e := range r.Events() {
-		fmt.Fprintf(w, "%12v +%-10v [%s] %s\n", e.Start, e.Dur, e.Cat, e.Name)
-	}
 }

@@ -50,20 +50,6 @@ func TestWriteChromeFormat(t *testing.T) {
 	}
 }
 
-func TestSummaryAndReset(t *testing.T) {
-	r := New()
-	r.Add(Event{Name: "k1", Cat: "conv", Start: 0, Dur: time.Millisecond})
-	var sb strings.Builder
-	r.Summary(&sb)
-	if !strings.Contains(sb.String(), "k1") || !strings.Contains(sb.String(), "[conv]") {
-		t.Fatalf("summary: %q", sb.String())
-	}
-	r.Reset()
-	if r.Len() != 0 {
-		t.Fatal("reset failed")
-	}
-}
-
 func TestConcurrentAdd(t *testing.T) {
 	r := New()
 	var wg sync.WaitGroup
