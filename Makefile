@@ -8,7 +8,7 @@ COVER_FLOOR_core   = 88.0
 COVER_FLOOR_faults = 83.0
 COVER_FLOOR_dnn    = 87.0
 
-.PHONY: build test test-e2e bench bench-smoke bench-json benchdiff check cover-gate race fmt lint fuzz-smoke smoke
+.PHONY: build test test-e2e bench bench-smoke bench-json benchdiff check cover-gate race fmt fma-arm64 lint fuzz-smoke smoke
 
 # benchdiff compares BENCH_report.json (from bench-json) against the
 # committed baseline. `make check` and CI run it strict
@@ -124,6 +124,20 @@ race:
 		./internal/conv/... ./internal/blas/... ./internal/faults/... \
 		./internal/prof/... ./internal/dnn/...
 	$(GO) test -race -short -count=1 -timeout 1200s ./internal/testkit/
+
+# fma-arm64 builds the arm64 blas test binary and fails if a non-test
+# blas file compiled to a fused multiply-add: Go lets a compiler fuse
+# x*y + z (the arm64 backend does), which skips the rounding of the
+# product the AVX kernels perform, so the Go twins round every product
+# explicitly and this keeps them doing so.
+fma-arm64:
+	@tmp=$$(mktemp); \
+	GOARCH=arm64 $(GO) test -c -o $$tmp ./internal/blas/ || { rm -f $$tmp; exit 1; }; \
+	sites=$$($(GO) tool objdump -s 'ucudnn/internal/blas\.' $$tmp | grep -E '[[:space:]]FN?M(ADD|SUB)' | grep -v '_test\.go:'); \
+	rm -f $$tmp; \
+	n=$$(printf '%s' "$$sites" | grep -c .); \
+	echo "fused multiply-adds in non-test arm64 blas code: $$n"; \
+	if [ "$$n" -ne 0 ]; then echo "$$sites"; exit 1; fi
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

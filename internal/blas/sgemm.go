@@ -36,16 +36,28 @@ var (
 // compute zeros that the masked store discards.
 //
 // The 4x8 tile is sized to the AVX kernel: four YMM accumulators, one
-// 8-wide B row load and four A broadcasts per k step. The pure-Go
-// fallback computes the same tile as four 2x4 quarters because the gc
-// register allocator has only 15 usable XMM registers — 16 scalar
-// accumulators spill to the stack and run slower than no tiling at all.
-// Both paths accumulate every C element in the exact same k order
-// (mul then add, no FMA contraction), so their results are
-// bitwise-identical.
+// 8-wide B row load and four A broadcasts per k step. With AVX-512 the
+// tile walk takes two adjacent nr panels at once as one 4x16 tile in
+// four ZMM accumulators, and that body also stores C itself. The
+// pure-Go fallback computes the 4x8 tile as four 2x4 quarters because
+// the gc register allocator has only 15 usable XMM registers — 16
+// scalar accumulators spill to the stack and run slower than no tiling
+// at all. Every body accumulates every C element in the exact same k
+// order (mul then add, no FMA contraction; the Go twins round each
+// product explicitly so no compiler may fuse them), so their results
+// are bitwise-identical.
 const (
 	mr = 4
 	nr = 8
+)
+
+// The store forms of a finished tile (fuseBeta's three cases), as the
+// AVX-512 body takes them: C = acc on a beta=0 first k-block, C += acc
+// on a later block or beta=1, C = beta·C + acc otherwise.
+const (
+	tileStore = iota
+	tileAdd
+	tileScale
 )
 
 // Cache blocking: the micro-kernel walks an (mc x kc) packed A block
@@ -472,6 +484,9 @@ func PackBPanels(pack []float32, transB bool, b []float32, ldb int, k0, kb, j0, 
 // mr: panel ip holds rows [ip*mr, ip*mr+mr) stored [kb][mr], zero-padded
 // past ib. The padded lanes make the micro-kernel's FMA body width-
 // independent; alpha is fused here so the kernel never multiplies by it.
+// With AVX a full no-trans panel is packed eight k at a time (four row
+// loads scaled by alpha, transposed in registers); the k tail and
+// partial panels take the scalar loop, which computes the same products.
 //
 //ucudnn:hotpath
 func PackAPanels(pack []float32, transA bool, a []float32, lda int, i0, ib, k0, kb int, alpha float32) {
@@ -479,9 +494,16 @@ func PackAPanels(pack []float32, transA bool, a []float32, lda int, i0, ib, k0, 
 		dst := pack[(it/mr)*(kb*mr):]
 		iw := min(mr, ib-it)
 		if !transA {
+			p0 := 0
+			if useAVX && iw == mr && kb >= 8 {
+				p0 = kb &^ 7
+				row := (i0 + it) * lda
+				src := a[row+k0 : row+(mr-1)*lda+k0+p0]
+				packA4x8AVX(&dst[:p0*mr][0], &src[0], lda, p0/8, alpha)
+			}
 			for i := 0; i < iw; i++ {
 				src := a[(i0+it+i)*lda+k0:]
-				for p := 0; p < kb; p++ {
+				for p := p0; p < kb; p++ {
 					dst[p*mr+i] = alpha * src[p]
 				}
 			}
@@ -505,63 +527,95 @@ func PackAPanels(pack []float32, transA bool, a []float32, lda int, i0, ib, k0, 
 	}
 }
 
-// KernelBlock walks the mr x nr register-tile grid of one (ib x jb) C
-// block, multiplying packed A panels (base pa, panel stride kb*mr)
-// against packed B panels. Each tile is accumulated from zero over the
-// whole kb extent (AVX kernel when available, generic quarters
-// otherwise — bitwise-identical), then stored once, fusing beta on the
-// first k-block and masking the zero-padded edge lanes. Each C element's
-// accumulation is a single strict k-order chain, so results do not
-// depend on how rows or columns are chunked across workers.
+// KernelBlock walks the register-tile grid of one (ib x jb) C block,
+// multiplying packed A panels (base pa, panel stride kb*mr) against
+// packed B panels. Each tile is accumulated from zero over the whole kb
+// extent, then stored once, fusing beta on the first k-block and masking
+// the zero-padded edge lanes. With AVX-512, full four-row tiles over two
+// adjacent B panels run as one 4x16 tile that also stores C; the last
+// odd panel and a partial row tile take the 4x8 walk (AVX kernel, or the
+// generic quarters without AVX). All bodies are bitwise-identical. Each
+// C element's accumulation is a single strict k-order chain, so results
+// do not depend on how rows or columns are chunked across workers.
 //
 //ucudnn:hotpath
 func KernelBlock(pa, pb []float32, ib, jb, kb int, first bool, beta float32, c []float32, off, ldc int) {
+	jt := 0
+	if useAVX512 {
+		mode := tileAdd
+		if first && beta != 1 {
+			mode = tileScale
+			if beta == 0 {
+				mode = tileStore
+			}
+		}
+		for ; jb-jt >= 2*nr; jt += 2 * nr {
+			bp := pb[(jt/nr)*(kb*nr) : (jt/nr+2)*(kb*nr)]
+			it := 0
+			for ; ib-it >= mr; it += mr {
+				ap := pa[(it/mr)*(kb*mr) : (it/mr+1)*(kb*mr)]
+				co := off + it*ldc + jt
+				ct := c[co : co+(mr-1)*ldc+2*nr]
+				sgemmTile16AVX512(&ap[0], &bp[0], kb, &ct[0], ldc, mode, beta)
+			}
+			if it < ib {
+				kernelPanel(pa, bp, it, ib, kb, nr, first, beta, c, off+jt, ldc)
+				kernelPanel(pa, bp[kb*nr:], it, ib, kb, nr, first, beta, c, off+jt+nr, ldc)
+			}
+		}
+	}
+	for ; jt < jb; jt += nr {
+		kernelPanel(pa, pb[(jt/nr)*(kb*nr):], 0, ib, kb, min(nr, jb-jt), first, beta, c, off+jt, ldc)
+	}
+}
+
+// kernelPanel is KernelBlock's 4x8 walk down one B panel (jw live
+// columns at C offset off) over rows [itLo, ib).
+//
+//ucudnn:hotpath
+func kernelPanel(pa, bp []float32, itLo, ib, kb, jw int, first bool, beta float32, c []float32, off, ldc int) {
 	var acc [mr * nr]float32
-	for jt := 0; jt < jb; jt += nr {
-		bp := pb[(jt/nr)*(kb*nr):]
-		jw := min(nr, jb-jt)
-		for it := 0; it < ib; it += mr {
-			ap := pa[(it/mr)*(kb*mr):]
-			if useAVX {
-				sgemmTileAVX(&ap[0], &bp[0], kb, &acc)
+	for it := itLo; it < ib; it += mr {
+		ap := pa[(it/mr)*(kb*mr):]
+		if useAVX {
+			sgemmTileAVX(&ap[0], &bp[0], kb, &acc)
+		} else {
+			sgemmTileGeneric(ap, bp, kb, &acc)
+		}
+		co := off + it*ldc
+		if ib-it >= mr && jw == nr {
+			if !first || beta == 1 {
+				for i := 0; i < mr; i++ {
+					row := (*[nr]float32)(c[co+i*ldc:])
+					av := (*[nr]float32)(acc[i*nr:])
+					for j := 0; j < nr; j++ {
+						row[j] += av[j]
+					}
+				}
+			} else if beta == 0 {
+				for i := 0; i < mr; i++ {
+					row := (*[nr]float32)(c[co+i*ldc:])
+					av := (*[nr]float32)(acc[i*nr:])
+					for j := 0; j < nr; j++ {
+						row[j] = av[j]
+					}
+				}
 			} else {
-				sgemmTileGeneric(ap, bp, kb, &acc)
-			}
-			co := off + it*ldc + jt
-			if ib-it >= mr && jw == nr {
-				if !first || beta == 1 {
-					for i := 0; i < mr; i++ {
-						row := (*[nr]float32)(c[co+i*ldc:])
-						av := (*[nr]float32)(acc[i*nr:])
-						for j := 0; j < nr; j++ {
-							row[j] += av[j]
-						}
-					}
-				} else if beta == 0 {
-					for i := 0; i < mr; i++ {
-						row := (*[nr]float32)(c[co+i*ldc:])
-						av := (*[nr]float32)(acc[i*nr:])
-						for j := 0; j < nr; j++ {
-							row[j] = av[j]
-						}
-					}
-				} else {
-					for i := 0; i < mr; i++ {
-						row := (*[nr]float32)(c[co+i*ldc:])
-						av := (*[nr]float32)(acc[i*nr:])
-						for j := 0; j < nr; j++ {
-							row[j] = beta*row[j] + av[j]
-						}
+				for i := 0; i < mr; i++ {
+					row := (*[nr]float32)(c[co+i*ldc:])
+					av := (*[nr]float32)(acc[i*nr:])
+					for j := 0; j < nr; j++ {
+						row[j] = float32(beta*row[j]) + av[j]
 					}
 				}
-				continue
 			}
-			iw := min(mr, ib-it)
-			for i := 0; i < iw; i++ {
-				row := c[co+i*ldc : co+i*ldc+jw]
-				for j := range row {
-					row[j] = fuseBeta(row[j], acc[i*nr+j], first, beta)
-				}
+			continue
+		}
+		iw := min(mr, ib-it)
+		for i := 0; i < iw; i++ {
+			row := c[co+i*ldc : co+i*ldc+jw]
+			for j := range row {
+				row[j] = fuseBeta(row[j], acc[i*nr+j], first, beta)
 			}
 		}
 	}
@@ -578,14 +632,16 @@ func fuseBeta(cv, v float32, first bool, beta float32) float32 {
 	if beta == 0 {
 		return v
 	}
-	return beta*cv + v
+	return float32(beta*cv) + v
 }
 
 // sgemmTileGeneric is the pure-Go form of sgemmTileAVX: one mr x nr tile
 // accumulated from zero, computed as 2x4 quarters so the accumulators
 // stay in the gc register allocator's 15 usable XMM registers. Every C
 // element sees the same strict k-order mul-then-add chain as the AVX
-// kernel, so the two paths are bitwise-identical.
+// kernel, so the two paths are bitwise-identical. Go lets a compiler
+// fuse x*y + z (the arm64 backend does); the explicit float32 rounding
+// of each product forbids that.
 //
 //ucudnn:hotpath
 func sgemmTileGeneric(ap, bp []float32, kb int, acc *[mr * nr]float32) {
@@ -599,15 +655,15 @@ func sgemmTileGeneric(ap, bp []float32, kb int, acc *[mr * nr]float32) {
 				bv := (*[4]float32)(bp[qb:])
 				a0, a1 := av[0], av[1]
 				b0, b1 := bv[0], bv[1]
-				c00 += a0 * b0
-				c10 += a1 * b0
-				c01 += a0 * b1
-				c11 += a1 * b1
+				c00 += float32(a0 * b0)
+				c10 += float32(a1 * b0)
+				c01 += float32(a0 * b1)
+				c11 += float32(a1 * b1)
 				b2, b3 := bv[2], bv[3]
-				c02 += a0 * b2
-				c12 += a1 * b2
-				c03 += a0 * b3
-				c13 += a1 * b3
+				c02 += float32(a0 * b2)
+				c12 += float32(a1 * b2)
+				c03 += float32(a0 * b3)
+				c13 += float32(a1 * b3)
 				qa += mr
 				qb += nr
 			}
@@ -625,7 +681,7 @@ func Saxpy(alpha float32, x, y []float32) {
 		panic("blas: Saxpy length mismatch")
 	}
 	for i := range x {
-		y[i] += alpha * x[i]
+		y[i] += float32(alpha * x[i])
 	}
 }
 
@@ -638,7 +694,7 @@ func Sdot(x, y []float32) float32 {
 	}
 	var s float32
 	for i := range x {
-		s += x[i] * y[i]
+		s += float32(x[i] * y[i])
 	}
 	return s
 }

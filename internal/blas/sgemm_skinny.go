@@ -124,10 +124,10 @@ func sgemmDotGeneric(pa, b []float32, ldb, jw, kb int, acc *[nr * mr]float32) {
 		var c0, c1, c2, c3 float32
 		for p, bv := range row {
 			av := (*[mr]float32)(pa[p*mr:])
-			c0 += av[0] * bv
-			c1 += av[1] * bv
-			c2 += av[2] * bv
-			c3 += av[3] * bv
+			c0 += float32(av[0] * bv)
+			c1 += float32(av[1] * bv)
+			c2 += float32(av[2] * bv)
+			c3 += float32(av[3] * bv)
 		}
 		acc[r*mr], acc[r*mr+1], acc[r*mr+2], acc[r*mr+3] = c0, c1, c2, c3
 	}
@@ -148,10 +148,10 @@ func sgemmAxpyGeneric(pa, b []float32, ldb, kb, jLo, jHi int, acc *[mr * skinnyS
 		a0, a1, a2, a3 := av[0], av[1], av[2], av[3]
 		row := b[p*ldb+jLo : p*ldb+jHi]
 		for j, bv := range row {
-			r0[j] += a0 * bv
-			r1[j] += a1 * bv
-			r2[j] += a2 * bv
-			r3[j] += a3 * bv
+			r0[j] += float32(a0 * bv)
+			r1[j] += float32(a1 * bv)
+			r2[j] += float32(a2 * bv)
+			r3[j] += float32(a3 * bv)
 		}
 	}
 }

@@ -390,6 +390,35 @@ func BenchmarkSgemmFC4x4096x9216NT(b *testing.B) { benchSgemmT(b, true, 4, 4096,
 
 func BenchmarkSgemmFC4x4096x9216NN(b *testing.B) { benchSgemmT(b, false, 4, 9216, 4096) }
 
+// BenchmarkSgemmFCdW4096x9216x4 is fc6's weight gradient at batch 4,
+// dW += dYᵀ X: k = 4, so each 151 MB pass over dW is a read-modify-write
+// of C with four products per element.
+func BenchmarkSgemmFCdW4096x9216x4(b *testing.B) {
+	const m, n, k = 4096, 9216, 4
+	rng := rand.New(rand.NewSource(7))
+	dy, x, dw := randSlice(rng, k*m), randSlice(rng, k*n), make([]float32, m*n)
+	b.SetBytes(int64(2) * m * n * k * 4)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Sgemm(true, false, m, n, k, 1, dy, m, x, n, 1, dw, n)
+	}
+}
+
+// BenchmarkSgemmKernelBlock is the register-tile walk alone on one full
+// cache block (64 x 160 x 192, packed) accumulating into C rows 784
+// floats apart — an implicit-GEMM forward block on a 28x28 plane.
+func BenchmarkSgemmKernelBlock(b *testing.B) {
+	rng := rand.New(rand.NewSource(7))
+	pa, pb := randSlice(rng, mc*kc), randSlice(rng, kc*nc)
+	const ldc = 784
+	c := make([]float32, mc*ldc)
+	b.SetBytes(int64(2) * mc * nc * kc * 4)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		KernelBlock(pa, pb, mc, nc, kc, true, 1, c, 0, ldc)
+	}
+}
+
 // BenchmarkSgemmPackedA measures the conv forward inner loop once the
 // weight matrix has been packed per Run: the A-pack cost disappears from
 // the per-sample path.

@@ -9,6 +9,22 @@ package blas
 //go:noescape
 func sgemmTileAVX(pa, pb *float32, kb int, acc *[mr * nr]float32)
 
+// sgemmTile16AVX512 is the 4x16 AVX-512 tile over two adjacent packed B
+// panels (pb and pb + kb*nr): the same per-element chains as two
+// sgemmTileAVX calls, then stored into the four C rows at c (row stride
+// ldc floats) in the given store form (tileStore, tileAdd, tileScale).
+//
+//go:noescape
+func sgemmTile16AVX512(pa, pb *float32, kb int, c *float32, ldc, mode int, beta float32)
+
+// packA4x8AVX packs kb8 groups of eight k of one full A row panel: rows
+// a, a+lda, a+2*lda, a+3*lda (contiguous in k), scaled by alpha, into
+// dst as [8*kb8][mr] — PackAPanels' no-trans scalar loop, eight k at a
+// time.
+//
+//go:noescape
+func packA4x8AVX(dst, a *float32, lda, kb8 int, alpha float32)
+
 // sgemmDotAVX and sgemmAxpyAVX are the AVX forms of sgemmDotGeneric and
 // sgemmAxpyGeneric, the skinny path's in-place-B kernels.
 //
@@ -36,6 +52,23 @@ var useAVX = func() bool {
 	}
 	eax, _ := xgetbv0()
 	return eax&6 == 6 // XMM and YMM state managed by the OS
+}()
+
+// useAVX512 reports whether the AVX-512F tile runs: AVX as above, the
+// leaf-7 AVX512F bit, and the OS managing the opmask and both halves of
+// the ZMM state. Decided once at init, like useAVX.
+var useAVX512 = useAVX && func() bool {
+	if maxLeaf, _, _, _ := cpuidLow(0, 0); maxLeaf < 7 {
+		return false
+	}
+	_, ebx, _, _ := cpuidLow(7, 0)
+	const avx512f = 1 << 16
+	if ebx&avx512f == 0 {
+		return false
+	}
+	eax, _ := xgetbv0()
+	const zmmState = 1<<1 | 1<<2 | 1<<5 | 1<<6 | 1<<7 // XMM, YMM, opmask, ZMM0-15 upper, ZMM16-31
+	return eax&zmmState == zmmState
 }()
 
 // HasAVX reports whether the AVX kernels run on this machine, for the

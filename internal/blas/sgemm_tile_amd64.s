@@ -82,6 +82,152 @@ done:
 	VZEROUPPER
 	RET
 
+// STEP16 is one k step of sgemmTile16AVX512: brow is the 16-wide B row
+// (the two panels' rows of this k side by side), aoff the byte offset of
+// this k's four A values. Row i's product goes into Z0+i, acc first.
+#define STEP16(brow, aoff) \
+	VMULPS.BCST aoff(SI), brow, Z6     \
+	VMULPS.BCST (aoff+4)(SI), brow, Z7 \
+	VMULPS.BCST (aoff+8)(SI), brow, Z8 \
+	VMULPS.BCST (aoff+12)(SI), brow, Z9 \
+	VADDPS      Z6, Z0, Z0             \
+	VADDPS      Z7, Z1, Z1             \
+	VADDPS      Z8, Z2, Z2             \
+	VADDPS      Z9, Z3, Z3
+
+// func sgemmTile16AVX512(pa, pb *float32, kb int, c *float32, ldc, mode int, beta float32)
+//
+// Computes s[i][j] = sum_p pa[p*4+i] * B[p][j] for one 4x16 tile, where
+// B[p][0:8] = pb[p*8:] and B[p][8:16] = pb[kb*8+p*8:] (two adjacent
+// packed B panels), then stores row i into c[i*ldc:i*ldc+16] as s
+// (tileStore), c + s (tileAdd) or beta*c + s (tileScale). Rows live in
+// Z0-Z3 across the whole k extent; the k loop is unrolled by two. Each
+// lane's chain is the one sgemmTileAVX computes for that column.
+TEXT ·sgemmTile16AVX512(SB), NOSPLIT, $0-52
+	MOVQ pa+0(FP), SI
+	MOVQ pb+8(FP), DI
+	MOVQ kb+16(FP), CX
+	MOVQ c+24(FP), DX
+	MOVQ ldc+32(FP), R9
+	MOVQ mode+40(FP), R10
+	MOVQ CX, R8
+	SHLQ $5, R8 // second panel: kb*8 floats on
+	SHLQ $2, R9
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	SUBQ $2, CX
+	JL   tail16
+
+pair16:
+	VMOVUPS      (DI), Y4
+	VINSERTF64X4 $1, (DI)(R8*1), Z4, Z4
+	VMOVUPS      32(DI), Y5
+	VINSERTF64X4 $1, 32(DI)(R8*1), Z5, Z5
+	STEP16(Z4, 0)
+	STEP16(Z5, 16)
+	ADDQ $32, SI
+	ADDQ $64, DI
+	SUBQ $2, CX
+	JGE  pair16
+
+tail16:
+	ADDQ $2, CX
+	JZ   store16
+	VMOVUPS      (DI), Y4
+	VINSERTF64X4 $1, (DI)(R8*1), Z4, Z4
+	STEP16(Z4, 0)
+
+store16:
+	LEAQ (DX)(R9*2), R11 // row 2
+	CMPQ R10, $const_tileAdd
+	JEQ  add16
+	JGT  scale16
+	VMOVUPS Z0, (DX)
+	VMOVUPS Z1, (DX)(R9*1)
+	VMOVUPS Z2, (R11)
+	VMOVUPS Z3, (R11)(R9*1)
+	VZEROUPPER
+	RET
+
+add16:
+	VMOVUPS (DX), Z4
+	VMOVUPS (DX)(R9*1), Z5
+	VMOVUPS (R11), Z6
+	VMOVUPS (R11)(R9*1), Z7
+	VADDPS  Z0, Z4, Z4
+	VADDPS  Z1, Z5, Z5
+	VADDPS  Z2, Z6, Z6
+	VADDPS  Z3, Z7, Z7
+	VMOVUPS Z4, (DX)
+	VMOVUPS Z5, (DX)(R9*1)
+	VMOVUPS Z6, (R11)
+	VMOVUPS Z7, (R11)(R9*1)
+	VZEROUPPER
+	RET
+
+scale16:
+	VBROADCASTSS beta+48(FP), Z8
+	VMULPS       (DX), Z8, Z4
+	VMULPS       (DX)(R9*1), Z8, Z5
+	VMULPS       (R11), Z8, Z6
+	VMULPS       (R11)(R9*1), Z8, Z7
+	VADDPS       Z0, Z4, Z4
+	VADDPS       Z1, Z5, Z5
+	VADDPS       Z2, Z6, Z6
+	VADDPS       Z3, Z7, Z7
+	VMOVUPS      Z4, (DX)
+	VMOVUPS      Z5, (DX)(R9*1)
+	VMOVUPS      Z6, (R11)
+	VMOVUPS      Z7, (R11)(R9*1)
+	VZEROUPPER
+	RET
+
+// func packA4x8AVX(dst, a *float32, lda, kb8 int, alpha float32)
+//
+// Packs kb8 groups of eight k of four A rows (a + r*lda, contiguous in
+// k): each row is loaded eight k at a time and scaled by alpha — one
+// rounded multiply per element, as the scalar loop — then the 4x8 block
+// is transposed in registers into eight [mr] groups, 128 bytes of dst.
+TEXT ·packA4x8AVX(SB), NOSPLIT, $0-36
+	MOVQ         dst+0(FP), DI
+	MOVQ         a+8(FP), SI
+	MOVQ         lda+16(FP), R8
+	MOVQ         kb8+24(FP), CX
+	VBROADCASTSS alpha+32(FP), Y8
+	SHLQ         $2, R8
+	LEAQ         (SI)(R8*2), R9 // row 2
+
+pack8:
+	VMULPS     (SI), Y8, Y0
+	VMULPS     (SI)(R8*1), Y8, Y1
+	VMULPS     (R9), Y8, Y2
+	VMULPS     (R9)(R8*1), Y8, Y3
+	VUNPCKLPS  Y1, Y0, Y4 // r0k0 r1k0 r0k1 r1k1 | k4 k5
+	VUNPCKHPS  Y1, Y0, Y5 // r0k2 r1k2 r0k3 r1k3 | k6 k7
+	VUNPCKLPS  Y3, Y2, Y6
+	VUNPCKHPS  Y3, Y2, Y7
+	VSHUFPS    $0x44, Y6, Y4, Y0 // k0 | k4, rows 0-3
+	VSHUFPS    $0xEE, Y6, Y4, Y1 // k1 | k5
+	VSHUFPS    $0x44, Y7, Y5, Y2 // k2 | k6
+	VSHUFPS    $0xEE, Y7, Y5, Y3 // k3 | k7
+	VPERM2F128 $0x20, Y1, Y0, Y4 // k0 k1
+	VPERM2F128 $0x20, Y3, Y2, Y5 // k2 k3
+	VPERM2F128 $0x31, Y1, Y0, Y6 // k4 k5
+	VPERM2F128 $0x31, Y3, Y2, Y7 // k6 k7
+	VMOVUPS    Y4, (DI)
+	VMOVUPS    Y5, 32(DI)
+	VMOVUPS    Y6, 64(DI)
+	VMOVUPS    Y7, 96(DI)
+	ADDQ       $32, SI
+	ADDQ       $32, R9
+	ADDQ       $128, DI
+	DECQ       CX
+	JNZ        pack8
+	VZEROUPPER
+	RET
+
 // The two skinny kernels (m <= mr: B is streamed in place, see
 // sgemm_skinny.go). Same arithmetic contract as the tile above: every C
 // element is one k-order chain of VMULPS then VADDPS from zero.

@@ -2,13 +2,24 @@
 
 package blas
 
-const useAVX = false
+const (
+	useAVX    = false
+	useAVX512 = false
+)
 
 // HasAVX reports whether the AVX kernels run on this machine: never here.
 func HasAVX() bool { return false }
 
 func sgemmTileAVX(pa, pb *float32, kb int, acc *[mr * nr]float32) {
 	panic("blas: sgemmTileAVX without amd64")
+}
+
+func sgemmTile16AVX512(pa, pb *float32, kb int, c *float32, ldc, mode int, beta float32) {
+	panic("blas: sgemmTile16AVX512 without amd64")
+}
+
+func packA4x8AVX(dst, a *float32, lda, kb8 int, alpha float32) {
+	panic("blas: packA4x8AVX without amd64")
 }
 
 func sgemmDotAVX(pa, b *float32, ldb, kb int, acc *[nr * mr]float32) {
