@@ -79,13 +79,23 @@ BENCH_report.json:
 # followed by -check (schema + invariants; for the timeline, that
 # includes the device stream tiling every iteration with no gap).
 # PROF_report.json and TRACE_timeline.json are kept as CI artifacts next
-# to BENCH_report.json.
+# to BENCH_report.json. It then builds and runs every example, from a
+# temporary directory so the files they write stay out of the checkout.
+EXAMPLES = quickstart training inception_wd pareto
+
 smoke:
 	$(GO) run ./cmd/ucudnn-time -net alexnet -batch 8 -iters 1 -mode wr -ws 64 -profile PROF_report.json
 	$(GO) run ./cmd/ucudnn-time -check PROF_report.json
 	$(GO) run ./cmd/ucudnn-time -net alexnet -batch 16 -iters 1 -mode wd -total 256 -blob-budget 48 \
 		-ws 64 -timeline TRACE_timeline.json
 	$(GO) run ./cmd/ucudnn-time -check TRACE_timeline.json
+	@tmp=$$(mktemp -d); \
+	for ex in $(EXAMPLES); do \
+		$(GO) build -o $$tmp/$$ex ./examples/$$ex && (cd $$tmp && ./$$ex > $$ex.out) || \
+			{ echo "example $$ex failed"; cat $$tmp/$$ex.out 2>/dev/null; rm -rf $$tmp; exit 1; }; \
+		echo "example $$ex: ok"; \
+	done; \
+	rm -rf $$tmp
 
 # lint runs the ucudnn-lint analyzer suite (the analyzer table in
 # DESIGN.md "Static analysis") over the whole module.

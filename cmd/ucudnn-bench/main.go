@@ -4,7 +4,7 @@
 // Usage:
 //
 //	ucudnn-bench -exp fig10 [-device p100] [-batch 256] [-iters 3] [-csv out.csv]
-//	ucudnn-bench -exp all -metrics metrics.prom -trace trace.json
+//	ucudnn-bench -exp all -metrics metrics.prom
 //	ucudnn-bench -exp fig10 -cpuprofile cpu.pprof -memprofile mem.pprof
 //
 // Experiments: fig1 fig8 fig9 fig10 fig11 fig12 fig13 fig14 table1
@@ -24,14 +24,13 @@ import (
 	"ucudnn/internal/device"
 	"ucudnn/internal/obs"
 	"ucudnn/internal/session"
-	"ucudnn/internal/trace"
 )
 
 // opts mirrors the command's own flags.
 type opts struct {
-	exp, dev                                   string
-	batch, iters                               int
-	csvPath, tracePath, cpuProfile, memProfile string
+	exp, dev                        string
+	batch, iters                    int
+	csvPath, cpuProfile, memProfile string
 }
 
 func main() {
@@ -41,7 +40,6 @@ func main() {
 	flag.IntVar(&o.batch, "batch", 0, "override mini-batch size (0 = experiment default)")
 	flag.IntVar(&o.iters, "iters", 3, "timed iterations")
 	flag.StringVar(&o.csvPath, "csv", "", "also write CSV rows to this file")
-	flag.StringVar(&o.tracePath, "trace", "", "write a Chrome trace of every timed run")
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the run for go tool pprof")
 	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile at exit for go tool pprof")
 	var of session.ObsFlags
@@ -86,10 +84,6 @@ func run(o opts, reg *obs.Registry, handles *[]core.HandleReport) error {
 		defer f.Close()
 		cfg.CSV = f
 	}
-	if o.tracePath != "" {
-		cfg.Trace = trace.New()
-	}
-
 	names := []string{o.exp}
 	if o.exp == "all" {
 		names = bench.Names()
@@ -109,14 +103,6 @@ func run(o opts, reg *obs.Registry, handles *[]core.HandleReport) error {
 		if err := pprof.WriteHeapProfile(f); err != nil {
 			return err
 		}
-	}
-	if cfg.Trace != nil {
-		f, err := os.Create(o.tracePath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		return cfg.Trace.WriteChrome(f)
 	}
 	return nil
 }

@@ -10,7 +10,7 @@
 //
 //	ucudnn-optimize -shape 256x64x27x27 -filter 192x5x5 -pad 2 -ws 64
 //	ucudnn-optimize -shape 32x128x28x28 -filter 128x3x3 -pad 1 -op backward-filter -policy all -db bench.db
-//	ucudnn-optimize -net alexnet -batch 256 -total 128 -metrics - -trace plan.json
+//	ucudnn-optimize -net alexnet -batch 256 -total 128 -metrics -
 package main
 
 import (
@@ -29,7 +29,6 @@ import (
 	"ucudnn/internal/obs"
 	"ucudnn/internal/session"
 	"ucudnn/internal/tensor"
-	"ucudnn/internal/trace"
 	"ucudnn/internal/zoo"
 )
 
@@ -50,7 +49,6 @@ type runOpts struct {
 	Batch     int
 	TotalMiB  int64
 	BlobMiB   int64
-	Trace     string
 
 	session.ObsFlags
 }
@@ -73,7 +71,6 @@ func main() {
 	flag.Int64Var(&o.TotalMiB, "total", 0, "WD total workspace (MiB; required for -net)")
 	flag.Int64Var(&o.BlobMiB, "blob-budget", 0,
 		"out-of-core blob budget (MiB) for -net mode: reserve the planned activation working set out of the WD pool (0 = off)")
-	flag.StringVar(&o.Trace, "trace", "", "write the chosen plans as a Chrome-trace micro-batch timeline (Fig. 3)")
 	o.ObsFlags.Register(flag.CommandLine)
 	flag.Parse()
 
@@ -162,7 +159,6 @@ func runKernel(o runOpts, reg *obs.Registry) error {
 		fmt.Printf("  %-22s %10v  ws %8.1f MiB\n", p.Algo, p.Time, float64(p.Memory)/(1<<20))
 	}
 
-	var tracePlan *core.Plan
 	fmt.Printf("\nWR plans (%s policy):\n", pol)
 	for _, lim := range []int64{8, o.WSMiB, 512} {
 		plan, err := core.OptimizeWR(b, k, lim<<20, pol)
@@ -172,9 +168,6 @@ func runKernel(o runOpts, reg *obs.Registry) error {
 		}
 		fmt.Printf("  %4d MiB: %10v  ws %8.1f MiB  %v\n",
 			lim, plan.Time, float64(plan.Workspace)/(1<<20), plan.Config)
-		if lim == o.WSMiB {
-			tracePlan = &plan
-		}
 	}
 
 	if o.ShowFront {
@@ -189,15 +182,6 @@ func runKernel(o runOpts, reg *obs.Registry) error {
 	}
 	if o.DB != "" {
 		fmt.Printf("\nbenchmark database %s now holds %d entries\n", o.DB, cache.Len())
-	}
-	if o.Trace != "" {
-		var plans []core.Plan
-		if tracePlan != nil {
-			plans = []core.Plan{*tracePlan}
-		}
-		if err := writePlanTrace(o.Trace, b, plans); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -261,48 +245,5 @@ func runNet(o runOpts, reg *obs.Registry) ([]core.HandleReport, error) {
 	for _, p := range plans {
 		fmt.Printf("  %v\n", p)
 	}
-
-	if o.Trace != "" {
-		b := core.NewBencher(s.Inner, uc.Cache(), 1)
-		if err := writePlanTrace(o.Trace, b, plans); err != nil {
-			return nil, err
-		}
-	}
 	return s.HandleReports(), nil
-}
-
-// writePlanTrace synthesizes the paper's Fig. 3 view of the chosen plans:
-// each kernel's micro-batches laid end to end on one timeline, named
-// algo@batch, with per-micro durations looked up in the benchmark cache.
-func writePlanTrace(path string, b *core.Bencher, plans []core.Plan) error {
-	rec := trace.New()
-	var cursor time.Duration
-	for _, p := range plans {
-		for _, mc := range p.Config {
-			dur := p.Time / time.Duration(len(p.Config))
-			for _, perf := range b.Perfs(core.Kernel{Op: p.Kernel.Op, Shape: p.Kernel.Shape.WithN(mc.BatchSize)}) {
-				if perf.Algo == mc.Algo {
-					dur = perf.Time
-					break
-				}
-			}
-			rec.Add(trace.Event{
-				Name:  fmt.Sprintf("%s %v", p.Kernel.Op, mc),
-				Cat:   p.Kernel.Op.String(),
-				Start: cursor,
-				Dur:   dur,
-			})
-			cursor += dur
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := rec.WriteChrome(f); err != nil {
-		return err
-	}
-	fmt.Printf("\nwrote %d micro-batch spans to %s (open in chrome://tracing)\n", rec.Len(), path)
-	return nil
 }

@@ -43,9 +43,8 @@ func TestRunAllOps(t *testing.T) {
 func TestRunNetWD(t *testing.T) {
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "metrics.txt")
-	tracePath := filepath.Join(dir, "plan.json")
 	o := runOpts{Net: "alexnet", Batch: 64, TotalMiB: 128, Device: "p100",
-		Policy: "powerOfTwo", Workers: 1, Trace: tracePath}
+		Policy: "powerOfTwo", Workers: 1}
 	o.Metrics = metrics
 	if err := run(o); err != nil {
 		t.Fatal(err)
@@ -66,20 +65,11 @@ func TestRunNetWD(t *testing.T) {
 			t.Fatalf("metrics output lacks %s:\n%s", want, s)
 		}
 	}
-	tr, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(tr), "\"ph\":\"X\"") {
-		t.Fatal("plan trace has no spans")
-	}
 }
 
-func TestRunKernelMetricsAndTrace(t *testing.T) {
-	dir := t.TempDir()
+func TestRunKernelMetrics(t *testing.T) {
 	o := kernelOpts("16x8x13x13", "12x3x3", 1, 1, "forward", "p100", "powerOfTwo", 8, "", 1, true)
-	o.Metrics = filepath.Join(dir, "m.prom")
-	o.Trace = filepath.Join(dir, "t.json")
+	o.Metrics = filepath.Join(t.TempDir(), "m.prom")
 	if err := run(o); err != nil {
 		t.Fatal(err)
 	}
@@ -89,9 +79,6 @@ func TestRunKernelMetricsAndTrace(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "# TYPE ucudnn_opt_wr_seconds histogram") {
 		t.Fatal("Prometheus output lacks WR histogram")
-	}
-	if _, err := os.Stat(o.Trace); err != nil {
-		t.Fatal(err)
 	}
 }
 

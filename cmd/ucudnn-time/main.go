@@ -214,11 +214,9 @@ func runNet(o runOpts, reg *obs.Registry, w io.Writer) ([]core.HandleReport, err
 	}
 	if ooc := s.Ctx.OOC; ooc != nil {
 		r := ooc.Report()
-		fmt.Fprintf(w, "OOC: budget %s MiB, chunk %d (%d windows), peak %s MiB, floor=%v, degraded=%d\n",
-			fmtMiB(s.OOCPlan.Budget), r.Chunk, r.Windows, fmtMiB(s.OOCPlan.PeakBytes), r.Floor, r.Degraded)
-		if err := ooc.Metrics().WriteSummary(w); err != nil {
-			return nil, err
-		}
+		fmt.Fprintf(w, "OOC: budget %s MiB, chunk %d (%d windows), peak %s MiB, floor=%v, degraded=%d, fetch/spill/recompute %s/%s/%s MiB\n",
+			fmtMiB(s.OOCPlan.Budget), r.Chunk, r.Windows, fmtMiB(s.OOCPlan.PeakBytes), r.Floor, r.Degraded,
+			fmtMiB(r.FetchBytes), fmtMiB(r.SpillBytes), fmtMiB(r.RecomputeBytes))
 	}
 	return s.HandleReports(), nil
 }

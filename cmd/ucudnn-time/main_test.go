@@ -6,10 +6,17 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
 	"ucudnn/internal/causal"
+	"ucudnn/internal/core"
+	"ucudnn/internal/cudnn"
+	"ucudnn/internal/device"
+	"ucudnn/internal/dnn"
+	"ucudnn/internal/faults"
+	"ucudnn/internal/session"
 	"ucudnn/internal/trace"
 )
 
@@ -101,9 +108,9 @@ func TestRunMetrics(t *testing.T) {
 	}
 }
 
-// A -profile run must export the profiler's series through -metrics:
-// the profiler observes into the same registry the -metrics file is
-// written from.
+// A -profile run writes both files: the -metrics registry exists under
+// -profile too, and the profile report carries the per-phase time and
+// passes -check.
 func TestRunProfileMetrics(t *testing.T) {
 	dir := t.TempDir()
 	o := opts("inception", 4, "p100", "wr", "powerOfTwo", 8, 0, 1, "")
@@ -116,17 +123,77 @@ func TestRunProfileMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"ucudnn_kernel_phase_seconds_bucket{", "ucudnn_worker_imbalance_ratio"} {
-		if !strings.Contains(string(data), want) {
-			t.Fatalf("-metrics of a -profile run lacks %s", want)
-		}
+	if !strings.Contains(string(data), "# TYPE ucudnn_opt_wr_seconds histogram") {
+		t.Fatal("-metrics of a -profile run lacks the WR optimizer series")
 	}
 	var buf bytes.Buffer
 	if err := check(o.Profile, &buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), ": valid ucudnn-profile-report/v1 (") {
+	if !strings.Contains(buf.String(), ": valid ucudnn-profile-report/v1 (") || strings.Contains(buf.String(), " 0 phases)") {
 		t.Fatalf("check output: %q", buf.String())
+	}
+}
+
+// A blob-budgeted run's ucudnn_ooc_* series land in the run's one
+// -metrics registry, with the values the out-of-core executor reports —
+// including a ladder step taken while the executor was built, before
+// the registry was attached.
+func TestRunOOCMetrics(t *testing.T) {
+	const schedule = "ucudnn_fp_ooc_plan=nth:1"
+	o := traceOpts("wd", 48)
+	o.Batch, o.Iters = 16, 1
+	o.Faults = schedule
+	o.Metrics = filepath.Join(t.TempDir(), "m.prom")
+	if err := run(o, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(o.Metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if name, val, ok := strings.Cut(line, " "); ok && strings.HasPrefix(name, "ucudnn_ooc_") {
+			got[name] = val
+		}
+	}
+
+	// The same run, built directly under the same schedule.
+	freg, err := faults.Parse(schedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults.Install(freg)
+	defer faults.Install(nil)
+	s, err := session.New(session.Config{Net: o.Net, Batch: o.Batch, Device: device.P100, Mode: o.Mode,
+		Policy: core.PolicyPowerOfTwo, WS: o.WSMiB << 20, Total: o.TotalMiB << 20, BlobBudget: o.BlobMiB << 20,
+		Backend: cudnn.ModelOnlyBackend})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Net.Time(o.Iters); err != nil {
+		t.Fatal(err)
+	}
+	r := s.Ctx.OOC.Report()
+	want := map[string]string{
+		dnn.MetricOOCFetchBytes:                  strconv.FormatInt(r.FetchBytes, 10),
+		dnn.MetricOOCSpillBytes:                  strconv.FormatInt(r.SpillBytes, 10),
+		dnn.MetricOOCRecomputeBytes:              strconv.FormatInt(r.RecomputeBytes, 10),
+		dnn.MetricOOCDegraded + `{stage="plan"}`: strconv.Itoa(r.Degraded),
+	}
+	if r.Degraded != 1 || r.FetchBytes == 0 {
+		t.Fatalf("reference run: %+v, want one plan-time step and fetch traffic", r)
+	}
+	for name, v := range want {
+		if got[name] != v {
+			t.Errorf("%s = %q in the -metrics file, Report gives %s", name, got[name], v)
+		}
+	}
+	for _, name := range []string{dnn.MetricOOCMicroBatches, dnn.MetricOOCPeakBytes} {
+		if got[name] == "" {
+			t.Errorf("-metrics file lacks %s", name)
+		}
 	}
 }
 

@@ -6,14 +6,14 @@
 // hardware efficiency from statistical efficiency: the training dynamics
 // are unchanged.
 //
-// At exit the µ-cuDNN run exports its observability outputs: a metrics
-// summary (training_metrics.txt; metrics_sample.txt is a checked-in
-// snapshot) and a Chrome trace of the training timeline
-// (training_trace.json, viewable in chrome://tracing or Perfetto). Both
-// paths can be overridden with UCUDNN_METRICS and UCUDNN_TRACE.
+// The µ-cuDNN handle records into a metrics registry the example owns
+// (core.WithMetrics) and writes at exit as a summary table
+// (training_metrics.txt; metrics_sample.txt is a checked-in snapshot).
+// For the kernel timeline of a run — the paper's Fig. 3 — use
+// `ucudnn-time -trace`, which exports the validated causal timeline.
 //
 // A final run takes the same idea out of core: the device is capped
-// below the undivided activation footprint, the mini-batch streams
+// below what the undivided network needs, the mini-batch streams
 // through in micro-batch windows under a blob budget, and every
 // per-step loss is still bitwise identical to an uncapped reference.
 package main
@@ -29,8 +29,8 @@ import (
 	"ucudnn/internal/cudnn"
 	"ucudnn/internal/device"
 	"ucudnn/internal/dnn"
+	"ucudnn/internal/obs"
 	"ucudnn/internal/tensor"
-	"ucudnn/internal/trace"
 )
 
 const (
@@ -71,10 +71,9 @@ func makeBatch(rng *rand.Rand, in *tensor.Tensor, labels []int) {
 	}
 }
 
-func train(name string, convH dnn.ConvHandle, inner *cudnn.Handle, rec *trace.Recorder, ooc *dnn.OOCState) []float32 {
+func train(name string, convH dnn.ConvHandle, inner *cudnn.Handle, ooc *dnn.OOCState) []float32 {
 	ctx := dnn.NewContext(convH, inner, 1<<20)
 	ctx.RNG = rand.New(rand.NewSource(42))
-	ctx.Trace = rec
 	ctx.OOC = ooc
 	net, loss := buildNet(ctx)
 	if err := net.Setup(); err != nil {
@@ -103,19 +102,19 @@ func train(name string, convH dnn.ConvHandle, inner *cudnn.Handle, rec *trace.Re
 
 func main() {
 	plain := cudnn.NewHandle(device.P100, cudnn.ModelBackend)
-	base := train("cuDNN", plain, plain, nil, nil)
+	base := train("cuDNN", plain, plain, nil)
 
 	inner := cudnn.NewHandle(device.P100, cudnn.ModelBackend)
+	reg := obs.NewRegistry()
 	uc, err := core.New(inner,
 		core.WithPolicy(core.PolicyPowerOfTwo),
 		core.WithWorkspaceLimit(1<<20),
-		core.WithMetricsPath("training_metrics.txt"),
-		core.WithTracePath("training_trace.json"),
+		core.WithMetrics(reg),
 		core.FromEnv())
 	if err != nil {
 		log.Fatal(err)
 	}
-	opt := train("µ-cuDNN", uc, inner, uc.TraceRecorder(), nil)
+	opt := train("µ-cuDNN", uc, inner, nil)
 
 	var maxDiff float64
 	for i := range base {
@@ -133,11 +132,11 @@ func main() {
 		fmt.Printf("  %v\n", p)
 	}
 
-	if err := uc.Flush(); err != nil {
+	const metricsPath = "training_metrics.txt"
+	if err := reg.WriteFile(metricsPath); err != nil {
 		log.Fatal(err)
 	}
-	o := uc.Options()
-	fmt.Printf("\nwrote metrics to %s and trace to %s\n", o.MetricsPath, o.TracePath)
+	fmt.Printf("\nwrote metrics to %s\n", metricsPath)
 
 	trainOutOfCore()
 }
@@ -153,7 +152,9 @@ func gemmOnly(op conv.Op, a conv.Algo) bool { return a == conv.AlgoGemm }
 func trainOutOfCore() {
 	fmt.Println("\nout-of-core training under a blob-memory budget:")
 
-	// Probe the activation footprint (shapes only, no compute).
+	// Probe the undivided footprint (shapes only, no compute): parameters,
+	// activations and the per-layer workspaces, whose striped sizes grow
+	// with the kernel worker cap.
 	probe := cudnn.NewHandle(device.P100, cudnn.ModelBackend)
 	probe.SetAlgoFilter(gemmOnly)
 	probeCtx := dnn.NewContext(probe, probe, 1<<20)
@@ -166,12 +167,19 @@ func trainOutOfCore() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	capBytes := model.ActivationBytes() * 3 / 4
+	// The device holds everything but the activations, plus a blob budget
+	// of 3/8 of them: the undivided network cannot fit, and the windowed
+	// one can (its per-window workspaces are no larger than the
+	// whole-batch ones, and its working set is at most the budget).
+	act := model.ActivationBytes()
+	budget := act * 3 / 8
+	capBytes := probe.Mem().Used() - act + budget
 	fmt.Printf("undivided activations %.1f KiB; device capped at %.1f KiB\n",
-		float64(model.ActivationBytes())/(1<<10), float64(capBytes)/(1<<10))
+		float64(act)/(1<<10), float64(capBytes)/(1<<10))
 
-	// Undivided training cannot even allocate its blobs under the cap.
+	// Undivided training cannot set up under the cap.
 	small := cudnn.NewHandle(device.P100, cudnn.ModelBackend)
+	small.SetAlgoFilter(gemmOnly)
 	small.Mem().Cap = capBytes
 	failNet, _ := buildNet(dnn.NewContext(small, small, 1<<20))
 	if err := failNet.Setup(); err == nil {
@@ -183,10 +191,10 @@ func trainOutOfCore() {
 	// Uncapped reference with the same pinned arithmetic.
 	ref := cudnn.NewHandle(device.P100, cudnn.ModelBackend)
 	ref.SetAlgoFilter(gemmOnly)
-	refHist := train("ref", ref, ref, nil, nil)
+	refHist := train("ref", ref, ref, nil)
 
-	// Out-of-core run: half the cap as the blob budget.
-	plan, err := dnn.PlanOOC(model, capBytes/2)
+	// Out-of-core run under the blob budget.
+	plan, err := dnn.PlanOOC(model, budget)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -196,7 +204,7 @@ func trainOutOfCore() {
 	oocH.SetAlgoFilter(gemmOnly)
 	oocH.Mem().Cap = capBytes
 	state := dnn.NewOOCState(model, plan)
-	oocHist := train("OOC", oocH, oocH, nil, state)
+	oocHist := train("OOC", oocH, oocH, state)
 
 	for i := range refHist {
 		if math.Float32bits(refHist[i]) != math.Float32bits(oocHist[i]) {

@@ -22,7 +22,6 @@ import (
 	"ucudnn/internal/obs"
 	"ucudnn/internal/session"
 	"ucudnn/internal/tensor"
-	"ucudnn/internal/trace"
 	"ucudnn/internal/zoo"
 )
 
@@ -41,9 +40,6 @@ type Config struct {
 	// Metrics, when non-nil, accumulates µ-cuDNN observability metrics
 	// across every handle the experiments create.
 	Metrics *obs.Registry
-	// Trace, when non-nil, receives kernel spans (track 0) and layer spans
-	// (track 1) from every timed network run.
-	Trace *trace.Recorder
 	// Handles, when non-nil, receives the plan table of every µ-cuDNN
 	// handle the experiments build, in creation order (the -profile
 	// report joins its kernel rows against them).
@@ -115,7 +111,7 @@ func newModelHandle(cfg Config) *cudnn.Handle {
 }
 
 // netRun builds network `name` through the shared session constructor
-// (timing-only, cfg's metrics, trace and plan-table sinks attached),
+// (timing-only, cfg's metrics and plan-table sinks attached),
 // times it, and returns the report plus the session (its UC is nil when
 // mode is "cudnn").
 //
@@ -130,9 +126,6 @@ func netRun(cfg Config, name string, mode string, policy core.Policy, limit int6
 	s, err := session.New(sc)
 	if err != nil {
 		return nil, nil, err
-	}
-	if cfg.Trace != nil {
-		s.Attach(cfg.Trace)
 	}
 	rep, err := s.Net.Time(cfg.Iters)
 	if err != nil {

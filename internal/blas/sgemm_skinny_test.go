@@ -147,7 +147,7 @@ func TestSgemmBatchOneForks(t *testing.T) {
 	})
 	Sgemm(false, true, 1, n, k, 1, a, k, b, k, 0, forked, n)
 	rows := prof.Snapshot()
-	if len(rows) != 1 || rows[0].Launches != 1 || rows[0].NestedLaunches != 0 {
+	if len(rows) != 1 || rows[0].Workers.Launches != 1 || rows[0].Workers.NestedLaunches != 0 {
 		t.Fatalf("want one top-level launch on one row, got %+v", rows)
 	}
 	// Two workers: the launch's busy+idle is workers x wall, and the

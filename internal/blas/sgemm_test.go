@@ -497,8 +497,8 @@ func TestForkedSgemmLaunchAccounting(t *testing.T) {
 		if r.Kernel == "quiet" {
 			wantTop, wantNested = 0, 1
 		}
-		if r.Launches != wantTop || r.NestedLaunches != wantNested {
-			t.Errorf("%s: launches = %d top-level / %d nested, want %d / %d", r.Kernel, r.Launches, r.NestedLaunches, wantTop, wantNested)
+		if r.Workers.Launches != wantTop || r.Workers.NestedLaunches != wantNested {
+			t.Errorf("%s: launches = %d top-level / %d nested, want %d / %d", r.Kernel, r.Workers.Launches, r.Workers.NestedLaunches, wantTop, wantNested)
 		}
 		if r.AttributedNS > r.MeasuredNS {
 			t.Errorf("%s: attributed %d exceeds measured %d", r.Kernel, r.AttributedNS, r.MeasuredNS)

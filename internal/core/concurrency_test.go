@@ -210,10 +210,10 @@ func TestBencherParallelWorkersRace(t *testing.T) {
 }
 
 // The attach path (SetTraceRecorder) may run while kernels execute: the
-// degradation ladder's fault span and Flush must read the recorder
-// through the handle lock. Run under -race: a fault schedule drives
-// every other call into the ladder while another goroutine toggles the
-// recorder.
+// degradation ladder's fault span and every TraceRecorder reader must
+// read the recorder through the handle lock. Run under -race: a fault
+// schedule drives every other call into the ladder while another
+// goroutine toggles and reads the recorder.
 func TestSetTraceRecorderDuringDegradeRace(t *testing.T) {
 	xd, wd, cd, yd, cs := smallConv(8)
 	h := newTestHandle(t, cudnn.ModelOnlyBackend, WithWorkspaceLimit(1<<20))
@@ -231,9 +231,10 @@ func TestSetTraceRecorderDuringDegradeRace(t *testing.T) {
 				return
 			default:
 			}
-			h.SetTraceRecorder(trace.New())
-			if err := h.Flush(); err != nil {
-				t.Error(err)
+			rec := trace.New()
+			h.SetTraceRecorder(rec)
+			if got := h.TraceRecorder(); got != rec {
+				t.Error("TraceRecorder does not return the attached recorder")
 			}
 			h.SetTraceRecorder(nil)
 		}

@@ -72,15 +72,9 @@ type Options struct {
 	CachePath string
 	// Metrics, when non-nil, receives the handle's observability metrics
 	// (algorithm selections, cache traffic, optimizer costs). Nil disables
-	// collection at no cost beyond a nil check per event.
+	// collection at no cost beyond a nil check per event. The registry
+	// belongs to the caller, which exports it (obs.Registry.WriteFile).
 	Metrics *obs.Registry
-	// MetricsPath is where Flush exports the metrics ("-" for stdout,
-	// ".prom" suffix for Prometheus text exposition, summary table
-	// otherwise). Setting it without Metrics creates a private registry.
-	MetricsPath string
-	// TracePath, when set, attaches a timeline recorder to the wrapped
-	// handle; Flush exports it as Chrome trace-event JSON.
-	TracePath string
 	// AlgoFilter, when non-nil, restricts the algorithm universe the
 	// optimizers and the degradation ladder may choose from; it is also
 	// installed on the wrapped cuDNN handle so benchmark enumeration
@@ -136,14 +130,6 @@ func WithCachePath(path string) Option { return func(o *Options) { o.CachePath =
 // WithMetrics points the handle's instrumentation at registry r.
 func WithMetrics(r *obs.Registry) Option { return func(o *Options) { o.Metrics = r } }
 
-// WithMetricsPath sets where Flush exports metrics, creating a private
-// registry if none was supplied.
-func WithMetricsPath(path string) Option { return func(o *Options) { o.MetricsPath = path } }
-
-// WithTracePath enables timeline recording and sets where Flush exports
-// the Chrome trace.
-func WithTracePath(path string) Option { return func(o *Options) { o.TracePath = path } }
-
 // WithAlgoFilter restricts algorithm selection to those f admits (nil
 // removes the restriction). The filter is installed on the wrapped cuDNN
 // handle by New, so Find*/benchmark enumeration and plan optimization
@@ -155,10 +141,9 @@ func WithAlgoFilter(f func(conv.Op, conv.Algo) bool) Option {
 // FromEnv applies the paper's environment-variable configuration:
 // UCUDNN_BATCH_SIZE_POLICY, UCUDNN_WORKSPACE_LIMIT (bytes),
 // UCUDNN_TOTAL_WORKSPACE_SIZE (bytes; enables WD),
-// UCUDNN_BENCHMARK_DB_PATH and UCUDNN_WORKERS — plus the observability
-// outputs UCUDNN_METRICS and UCUDNN_TRACE (file paths exported by Flush;
-// "-" writes the metrics summary to stdout), so the Caffe-style
-// "swap the handle type" integration stays transparent.
+// UCUDNN_BLOB_RESERVE (bytes), UCUDNN_BENCHMARK_DB_PATH and
+// UCUDNN_WORKERS, so the Caffe-style "swap the handle type" integration
+// stays transparent.
 func FromEnv() Option {
 	return func(o *Options) {
 		if v := os.Getenv("UCUDNN_BATCH_SIZE_POLICY"); v != "" {
@@ -189,12 +174,6 @@ func FromEnv() Option {
 			if n, err := strconv.Atoi(v); err == nil && n > 0 {
 				o.Workers = n
 			}
-		}
-		if v := os.Getenv("UCUDNN_METRICS"); v != "" {
-			o.MetricsPath = v
-		}
-		if v := os.Getenv("UCUDNN_TRACE"); v != "" {
-			o.TracePath = v
 		}
 	}
 }
@@ -278,9 +257,6 @@ func New(inner *cudnn.Handle, opts ...Option) (*Handle, error) {
 	if o.Mode == WD && o.BlobReserve >= o.TotalWorkspaceLimit {
 		return nil, fmt.Errorf("core: blob reserve %d consumes the whole joint pool of %d bytes", o.BlobReserve, o.TotalWorkspaceLimit)
 	}
-	if o.Metrics == nil && o.MetricsPath != "" {
-		o.Metrics = obs.NewRegistry()
-	}
 	cache, err := NewCache(o.CachePath)
 	if err != nil {
 		return nil, err
@@ -297,10 +273,6 @@ func New(inner *cudnn.Handle, opts ...Option) (*Handle, error) {
 		plans:   map[string]*execPlan{},
 		limits:  map[string]int64{},
 		regSet:  map[string]bool{},
-	}
-	if o.TracePath != "" {
-		h.tracer = trace.New()
-		inner.SetTrace(h.tracer)
 	}
 	if o.AlgoFilter != nil {
 		inner.SetAlgoFilter(o.AlgoFilter)
@@ -321,9 +293,9 @@ func (h *Handle) Cache() *Cache { return h.cache }
 // is disabled).
 func (h *Handle) Metrics() *obs.Registry { return h.opts.Metrics }
 
-// TraceRecorder returns the timeline recorder attached via TracePath
-// (nil when tracing is disabled). Attach it to a dnn.Context's Trace
-// field to add per-layer spans alongside the kernel spans.
+// TraceRecorder returns the timeline recorder attached by
+// SetTraceRecorder (nil when none is). The degradation ladder reads it
+// to record its fault spans.
 func (h *Handle) TraceRecorder() *trace.Recorder {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -339,27 +311,6 @@ func (h *Handle) SetTraceRecorder(r *trace.Recorder) {
 	h.tracer = r
 	h.mu.Unlock()
 	h.inner.SetTrace(r)
-}
-
-// Flush exports the configured observability outputs: metrics to
-// Options.MetricsPath and the timeline to Options.TracePath. Framework
-// integrations call it once at process exit (the examples do); paths
-// that are unset are skipped, so Flush is always safe to call.
-func (h *Handle) Flush() error {
-	if err := h.opts.Metrics.WriteFile(h.opts.MetricsPath); err != nil {
-		return err
-	}
-	if rec := h.TraceRecorder(); rec != nil && h.opts.TracePath != "" {
-		f, err := os.Create(h.opts.TracePath)
-		if err != nil {
-			return fmt.Errorf("core: writing trace: %w", err)
-		}
-		defer f.Close()
-		if err := rec.WriteChrome(f); err != nil {
-			return fmt.Errorf("core: writing trace: %w", err)
-		}
-	}
-	return nil
 }
 
 // OptimizationTime returns the cumulative time spent benchmarking kernels

@@ -140,14 +140,16 @@ func TestCacheStats(t *testing.T) {
 	}
 }
 
-// TestHandleMetricsExport checks the end-to-end Flush path: a handle with
-// a MetricsPath writes a summary containing the selection and workspace
+// TestHandleMetricsExport checks the export path of an integration that
+// owns its registry: the handle records into it, and the registry's
+// WriteFile writes a summary containing the selection and workspace
 // series.
 func TestHandleMetricsExport(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "metrics.txt")
-	h := newTestHandle(t, cudnn.ModelBackend, WithMetricsPath(path), WithWorkspaceLimit(1<<20))
-	if h.Metrics() == nil {
-		t.Fatal("MetricsPath must create a private registry")
+	reg := obs.NewRegistry()
+	h := newTestHandle(t, cudnn.ModelBackend, WithMetrics(reg), WithWorkspaceLimit(1<<20))
+	if h.Metrics() != reg {
+		t.Fatal("the handle must record into the registry it was given")
 	}
 	xd, wd, cd, yd, cs := smallConv(16)
 	rng := rand.New(rand.NewSource(7))
@@ -160,7 +162,7 @@ func TestHandleMetricsExport(t *testing.T) {
 	if err := h.ConvolutionForward(1, xd, x, wd, w, cd, algo, nil, 0, yd, y); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.Flush(); err != nil {
+	if err := reg.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -169,7 +171,7 @@ func TestHandleMetricsExport(t *testing.T) {
 	}
 	for _, want := range []string{MetricAlgoSelected, MetricMicrobatchCount, MetricWSGranted} {
 		if !strings.Contains(string(data), want) {
-			t.Fatalf("flushed metrics lack %s:\n%s", want, data)
+			t.Fatalf("exported metrics lack %s:\n%s", want, data)
 		}
 	}
 }

@@ -23,44 +23,17 @@ import (
 // ProfileSchema identifies the profile report's JSON schema.
 const ProfileSchema = "ucudnn-profile-report/v1"
 
-// ProfileWorkers is one kernel's worker-utilization accounting.
-type ProfileWorkers struct {
-	// Launches counts top-level parallel launches (busy/idle accounted);
-	// NestedLaunches counts inner launches (imbalance only).
-	Launches       int64 `json:"launches"`
-	NestedLaunches int64 `json:"nested_launches,omitempty"`
-	BusyNS         int64 `json:"busy_ns"`
-	IdleNS         int64 `json:"idle_ns"`
-	// MeanBusyRatio is busy/(busy+idle) over top-level launches;
-	// Max/MeanImbalance are the max-over-mean per-worker busy ratios
-	// (1.0 = perfectly balanced stripes) over every launch.
-	MeanBusyRatio float64 `json:"mean_busy_ratio"`
-	MaxImbalance  float64 `json:"max_imbalance"`
-	MeanImbalance float64 `json:"mean_imbalance"`
-}
-
-// ProfileKernel is one (layer, kernel) row of the attribution report.
+// ProfileKernel is one (layer, kernel) row of the attribution report:
+// the profiler's row joined with its plan.
 type ProfileKernel struct {
-	Layer  string `json:"layer"`
-	Kernel string `json:"kernel"`
+	prof.RowSnap
 	// Config/Divisions/WorkspaceBytes are joined from the plan table
 	// (empty for rows without a matching plan, e.g. unattributed work).
+	// The row's WSHighWaterBytes is <= WorkspaceBytes unless a fault
+	// shrank the arena.
 	Config         string `json:"config,omitempty"`
 	Divisions      int    `json:"divisions,omitempty"`
 	WorkspaceBytes int64  `json:"workspace_bytes,omitempty"`
-	// WSHighWaterBytes is the largest workspace grant the kernel's
-	// executions actually received (<= WorkspaceBytes unless a fault
-	// shrank the arena).
-	WSHighWaterBytes int64 `json:"ws_high_water_bytes"`
-	Executions       int64 `json:"executions"`
-	TotalNS          int64 `json:"total_ns"`
-	AttributedNS     int64 `json:"attributed_ns"`
-	MeasuredNS       int64 `json:"measured_ns"`
-	// Coverage is AttributedNS/MeasuredNS — the fraction of measured
-	// kernel time explained by named phases.
-	Coverage float64          `json:"coverage"`
-	Phases   []prof.PhaseSnap `json:"phases"`
-	Workers  ProfileWorkers   `json:"workers"`
 }
 
 // ProfileReport is the full cost-attribution document.
@@ -72,9 +45,8 @@ type ProfileReport struct {
 	Handles []HandleReport `json:"handles"`
 	// Kernels is the attribution table, sorted by (layer, kernel).
 	Kernels []ProfileKernel `json:"kernels"`
-	// TopPhases aggregates phase time across every kernel, heaviest
-	// first.
-	TopPhases []prof.PhaseTotal `json:"top_phases"`
+	// TopPhases is the per-phase sum of the kernel rows, heaviest first.
+	TopPhases []prof.PhaseSnap `json:"top_phases"`
 }
 
 // findPlan resolves kernel's plan row, preferring the newest handle.
@@ -96,37 +68,42 @@ func findPlan(handles []HandleReport, kernel string) (PlanReport, bool) {
 func BuildProfileReport(handles []HandleReport) ProfileReport {
 	rep := ProfileReport{Schema: ProfileSchema, Handles: append([]HandleReport{}, handles...)}
 	rows := prof.Snapshot()
-	rep.Kernels = make([]ProfileKernel, 0, len(rows))
-	for _, r := range rows {
-		pk := ProfileKernel{
-			Layer:            r.Layer,
-			Kernel:           r.Kernel,
-			WSHighWaterBytes: r.WSHighWaterBytes,
-			Executions:       r.Executions,
-			TotalNS:          r.TotalNS,
-			AttributedNS:     r.AttributedNS,
-			MeasuredNS:       r.MeasuredNS,
-			Coverage:         r.Coverage,
-			Phases:           r.Phases,
-			Workers: ProfileWorkers{
-				Launches:       r.Launches,
-				NestedLaunches: r.NestedLaunches,
-				BusyNS:         r.BusyNS,
-				IdleNS:         r.IdleNS,
-				MeanBusyRatio:  r.MeanBusyRatio,
-				MaxImbalance:   r.MaxImbalance,
-				MeanImbalance:  r.MeanImbalance,
-			},
-		}
+	rep.Kernels = make([]ProfileKernel, len(rows))
+	for i, r := range rows {
+		k := &rep.Kernels[i]
+		k.RowSnap = r
 		if p, ok := findPlan(rep.Handles, r.Kernel); ok {
-			pk.Config = p.Config
-			pk.Divisions = p.Divisions
-			pk.WorkspaceBytes = p.WorkspaceBytes
+			k.Config, k.Divisions, k.WorkspaceBytes = p.Config, p.Divisions, p.WorkspaceBytes
 		}
-		rep.Kernels = append(rep.Kernels, pk)
 	}
-	rep.TopPhases = prof.PhaseTotals()
+	rep.TopPhases = topPhases(rep.Kernels)
 	return rep
+}
+
+// topPhases sums each phase's time and count over the kernel rows,
+// heaviest first (ties by name); nil when no row recorded a phase.
+func topPhases(kernels []ProfileKernel) []prof.PhaseSnap {
+	var out []prof.PhaseSnap
+	at := map[string]int{}
+	for _, k := range kernels {
+		for _, p := range k.Phases {
+			i, ok := at[p.Phase]
+			if !ok {
+				i = len(out)
+				at[p.Phase] = i
+				out = append(out, prof.PhaseSnap{Phase: p.Phase})
+			}
+			out[i].NS += p.NS
+			out[i].Count += p.Count
+		}
+	}
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].NS != out[b].NS {
+			return out[a].NS > out[b].NS
+		}
+		return out[a].Phase < out[b].Phase
+	})
+	return out
 }
 
 // WriteTable renders the report as the human-readable attribution
@@ -235,9 +212,13 @@ func ValidateProfile(data []byte) error {
 			return fmt.Errorf("profile: kernels[%d] %s: negative worker accounting", i, k.Kernel)
 		}
 	}
+	want := topPhases(rep.Kernels)
+	if len(rep.TopPhases) != len(want) {
+		return fmt.Errorf("profile: top_phases lists %d phases, the kernel rows record %d", len(rep.TopPhases), len(want))
+	}
 	for i, p := range rep.TopPhases {
-		if !profilePhaseRe.MatchString(p.Phase) {
-			return fmt.Errorf("profile: top_phases[%d]: phase %q violates the ucudnn_ph_* scheme", i, p.Phase)
+		if p != want[i] {
+			return fmt.Errorf("profile: top_phases[%d] = %+v, the kernel rows sum to %+v", i, p, want[i])
 		}
 	}
 	return nil

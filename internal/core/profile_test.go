@@ -180,13 +180,14 @@ func TestValidateProfileRejects(t *testing.T) {
 		return ProfileReport{
 			Schema:  ProfileSchema,
 			Handles: []HandleReport{},
-			Kernels: []ProfileKernel{{
+			Kernels: []ProfileKernel{{RowSnap: prof.RowSnap{
 				Kernel:       "Forward[x]",
 				AttributedNS: 10,
 				MeasuredNS:   10,
 				Coverage:     1,
 				Phases:       []prof.PhaseSnap{{Phase: "ucudnn_ph_gemm_sgemm", NS: 10, Count: 1}},
-			}},
+			}}},
+			TopPhases: []prof.PhaseSnap{{Phase: "ucudnn_ph_gemm_sgemm", NS: 10, Count: 1}},
 		}
 	}
 	enc := func(r ProfileReport) []byte {
@@ -200,16 +201,20 @@ func TestValidateProfileRejects(t *testing.T) {
 		t.Fatalf("base report invalid: %v", err)
 	}
 	for name, mutate := range map[string]func(*ProfileReport){
-		"schema":         func(r *ProfileReport) { r.Schema = "bogus/v9" },
-		"empty kernel":   func(r *ProfileReport) { r.Kernels[0].Kernel = "" },
-		"negative time":  func(r *ProfileReport) { r.Kernels[0].TotalNS = -1 },
-		"bad phase name": func(r *ProfileReport) { r.Kernels[0].Phases[0].Phase = "sgemm" },
-		"phase sum":      func(r *ProfileReport) { r.Kernels[0].AttributedNS = 99 },
-		"negative phase": func(r *ProfileReport) { r.Kernels[0].Phases[0].NS = -5; r.Kernels[0].AttributedNS = -5 },
-		"bad coverage":   func(r *ProfileReport) { r.Kernels[0].Coverage = -1 },
-		"neg workers":    func(r *ProfileReport) { r.Kernels[0].Workers.BusyNS = -1 },
-		"bad top phase": func(r *ProfileReport) {
-			r.TopPhases = []prof.PhaseTotal{{Phase: "nope", NS: 1, Count: 1}}
+		"schema":            func(r *ProfileReport) { r.Schema = "bogus/v9" },
+		"empty kernel":      func(r *ProfileReport) { r.Kernels[0].Kernel = "" },
+		"negative time":     func(r *ProfileReport) { r.Kernels[0].TotalNS = -1 },
+		"bad phase name":    func(r *ProfileReport) { r.Kernels[0].Phases[0].Phase = "sgemm" },
+		"phase sum":         func(r *ProfileReport) { r.Kernels[0].AttributedNS = 99 },
+		"negative phase":    func(r *ProfileReport) { r.Kernels[0].Phases[0].NS = -5; r.Kernels[0].AttributedNS = -5 },
+		"bad coverage":      func(r *ProfileReport) { r.Kernels[0].Coverage = -1 },
+		"neg workers":       func(r *ProfileReport) { r.Kernels[0].Workers.BusyNS = -1 },
+		"bad top phase":     func(r *ProfileReport) { r.TopPhases[0].Phase = "nope" },
+		"top phase ns":      func(r *ProfileReport) { r.TopPhases[0].NS = 11 },
+		"top phase count":   func(r *ProfileReport) { r.TopPhases[0].Count = 2 },
+		"top phase missing": func(r *ProfileReport) { r.TopPhases = nil },
+		"top phase extra": func(r *ProfileReport) {
+			r.TopPhases = append(r.TopPhases, prof.PhaseSnap{Phase: "ucudnn_ph_gemm_im2col", NS: 1, Count: 1})
 		},
 	} {
 		r := base()

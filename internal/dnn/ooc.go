@@ -40,7 +40,7 @@ import (
 	"ucudnn/internal/obs"
 )
 
-// The out-of-core metric series (on the state's private registry).
+// The out-of-core metric series (on the run's registry, see SetMetrics).
 const (
 	// MetricOOCFetchBytes counts bytes fetched into the working set.
 	MetricOOCFetchBytes = "ucudnn_ooc_fetch_bytes_total"
@@ -385,11 +385,7 @@ func NewOOCState(m *OOCModel, plan OOCPlan) *OOCState {
 	for _, s := range plan.Resident {
 		o.resident[s] = true
 	}
-	o.fetchC = o.reg.Counter(MetricOOCFetchBytes)
-	o.spillC = o.reg.Counter(MetricOOCSpillBytes)
-	o.recomputeC = o.reg.Counter(MetricOOCRecomputeBytes)
-	o.microG = o.reg.Gauge(MetricOOCMicroBatches)
-	o.peakG = o.reg.Gauge(MetricOOCPeakBytes)
+	o.resolveMetrics()
 	if faults.Hit(faults.PointOOCPlan) {
 		o.stepLadder("plan")
 	}
@@ -398,8 +394,42 @@ func NewOOCState(m *OOCModel, plan OOCPlan) *OOCState {
 	return o
 }
 
-// Metrics exposes the state's ucudnn_ooc_* registry.
-func (o *OOCState) Metrics() *obs.Registry { return o.reg }
+// oocStages are the degradation ladder's stage labels.
+var oocStages = []string{"plan", "fetch", "spill"}
+
+// SetMetrics moves the state's ucudnn_ooc_* series into reg, the run's
+// registry, carrying over what was counted before (a plan-time ladder
+// step). Until then they live on a private registry, so Report works
+// without one; a nil reg keeps it.
+func (o *OOCState) SetMetrics(reg *obs.Registry) {
+	if reg == nil || reg == o.reg {
+		return
+	}
+	prev := o.reg
+	fetch, spill, recompute := o.fetchC.Value(), o.spillC.Value(), o.recomputeC.Value()
+	micro, peak := o.microG.Value(), o.peakG.Value()
+	o.reg = reg
+	o.resolveMetrics()
+	o.fetchC.Add(fetch)
+	o.spillC.Add(spill)
+	o.recomputeC.Add(recompute)
+	o.microG.Set(micro)
+	o.peakG.Set(peak)
+	for _, stage := range oocStages {
+		if n := prev.Counter(MetricOOCDegraded, obs.L("stage", stage)).Value(); n > 0 {
+			reg.Counter(MetricOOCDegraded, obs.L("stage", stage)).Add(n)
+		}
+	}
+}
+
+// resolveMetrics points the series handles at o.reg.
+func (o *OOCState) resolveMetrics() {
+	o.fetchC = o.reg.Counter(MetricOOCFetchBytes)
+	o.spillC = o.reg.Counter(MetricOOCSpillBytes)
+	o.recomputeC = o.reg.Counter(MetricOOCRecomputeBytes)
+	o.microG = o.reg.Gauge(MetricOOCMicroBatches)
+	o.peakG = o.reg.Gauge(MetricOOCPeakBytes)
+}
 
 // Report summarizes execution so far.
 func (o *OOCState) Report() OOCReport {

@@ -10,6 +10,7 @@ import (
 	"ucudnn/internal/cudnn"
 	"ucudnn/internal/device"
 	"ucudnn/internal/faults"
+	"ucudnn/internal/obs"
 	"ucudnn/internal/tensor"
 	"ucudnn/internal/trace"
 )
@@ -325,6 +326,20 @@ func TestOOCPlanFaultDegradesAtConstruction(t *testing.T) {
 	o := NewOOCState(m, plan)
 	if o.Report().Degraded != 1 {
 		t.Fatalf("plan fault did not step the ladder: %+v", o.Report())
+	}
+	// The step happened before the run's registry was attached: it, and
+	// the gauges, move into the registry with the series.
+	reg := obs.NewRegistry()
+	o.SetMetrics(reg)
+	o.SetMetrics(reg) // attaching the same registry again counts nothing twice
+	if n := reg.Counter(MetricOOCDegraded, obs.L("stage", "plan")).Value(); n != 1 {
+		t.Fatalf("plan-stage degradations in the run's registry = %d, want 1", n)
+	}
+	if g := reg.Gauge(MetricOOCMicroBatches).Value(); g != float64(o.Report().Windows) {
+		t.Fatalf("micro-batch gauge = %v, want %d", g, o.Report().Windows)
+	}
+	if g := reg.Gauge(MetricOOCPeakBytes).Value(); g <= 0 {
+		t.Fatalf("peak gauge = %v", g)
 	}
 }
 

@@ -46,11 +46,11 @@ func TestLayerSpans(t *testing.T) {
 	}
 	// Detached recorder must add nothing.
 	ctx.Trace = nil
-	before := rec.Len()
+	before := len(rec.Events())
 	if err := net.Forward(); err != nil {
 		t.Fatal(err)
 	}
-	if rec.Len() != before {
+	if len(rec.Events()) != before {
 		t.Fatal("spans recorded with tracing disabled")
 	}
 }

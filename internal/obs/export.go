@@ -108,7 +108,8 @@ func (r *Registry) WriteSummary(w io.Writer) error {
 // WriteFile exports the registry to path: "-" writes the summary table
 // to stdout; a path ending in ".prom" writes Prometheus text exposition;
 // any other path gets the summary table. This is the shared behaviour of
-// the CLIs' -metrics flags and the UCUDNN_METRICS environment variable.
+// the CLIs' -metrics flags, and how an integration that owns its
+// registry (core.WithMetrics) exports it.
 func (r *Registry) WriteFile(path string) error {
 	if r == nil || path == "" {
 		return nil

@@ -2,9 +2,9 @@ package obs
 
 // Exporter-ordering determinism: two registries fed the same series in
 // different registration orders must render byte-identical expositions.
-// The profiler registers one ucudnn_kernel_phase_seconds histogram per
-// phase in registration order, so this is the property that keeps a
-// scraped profile diffable across runs and builds.
+// A labelled family registers its series in whatever order their first
+// use comes, so this is the property that keeps a scraped run diffable
+// across runs and builds.
 
 import (
 	"strings"

@@ -42,8 +42,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"ucudnn/internal/obs"
 )
 
 // Phase is a profiler phase name. Names are compile-time ucudnn_ph_*
@@ -177,42 +175,6 @@ var (
 // array serves both.
 var workerBusy [maxWorkerSlots]atomic.Int64
 
-// obs bridge, pre-resolved by SetMetrics so the hot path is a pointer
-// load plus the (allocation-free) Observe/Set.
-var (
-	phaseHist [maxKinds]atomic.Pointer[obs.Histogram]
-	imbGauge  atomic.Pointer[obs.Gauge]
-)
-
-// MetricPhaseSeconds is the per-phase duration histogram family,
-// labelled by phase name.
-const MetricPhaseSeconds = "ucudnn_kernel_phase_seconds"
-
-// MetricImbalance is the stripe load-imbalance gauge: the last parallel
-// launch's max/mean per-worker busy ratio (1.0 = perfectly balanced).
-const MetricImbalance = "ucudnn_worker_imbalance_ratio"
-
-// SetMetrics points the profiler's exported series at reg: one
-// MetricPhaseSeconds histogram per registered phase and the
-// MetricImbalance gauge. A nil registry detaches them.
-func SetMetrics(reg *obs.Registry) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	for i := range names {
-		if reg == nil {
-			phaseHist[i].Store(nil)
-			continue
-		}
-		phaseHist[i].Store(reg.Histogram(MetricPhaseSeconds, obs.DurationBuckets,
-			obs.L("phase", string(names[i]))))
-	}
-	if reg == nil {
-		imbGauge.Store(nil)
-		return
-	}
-	imbGauge.Store(reg.Gauge(MetricImbalance))
-}
-
 // SetLayer names the framework layer whose kernels execute next; Begin
 // joins it into the attribution key. The framework layer walk calls it
 // around each layer ("" to clear).
@@ -317,8 +279,6 @@ func record(k Kind, d int64) {
 	}
 	r.phaseNS[k-1].Add(d)
 	r.phaseN[k-1].Add(1)
-	h := phaseHist[k-1].Load()
-	h.Observe(float64(d) * 1e-9)
 }
 
 // LaunchStart opens a parallel-launch window (0 when disabled).
@@ -413,8 +373,6 @@ func launchEnd(workers int, start int64, nested bool) {
 	casMax(&r.imbMaxMicro, imbMicro)
 	r.imbSumMicro.Add(imbMicro)
 	r.imbN.Add(1)
-	g := imbGauge.Load()
-	g.Set(imb)
 }
 
 //ucudnn:hotpath
@@ -483,19 +441,27 @@ type RowSnap struct {
 	MeasuredNS   int64   `json:"measured_ns"`
 	Coverage     float64 `json:"coverage"`
 	// Phases lists the row's nonzero phases, heaviest first.
-	Phases []PhaseSnap `json:"phases"`
-	// Launch accounting: top-level launches contribute busy/idle;
-	// nested launches contribute imbalance only.
-	Launches       int64   `json:"launches"`
-	NestedLaunches int64   `json:"nested_launches,omitempty"`
-	BusyNS         int64   `json:"busy_ns"`
-	IdleNS         int64   `json:"idle_ns"`
-	MeanBusyRatio  float64 `json:"mean_busy_ratio"`
-	MaxImbalance   float64 `json:"max_imbalance"`
-	MeanImbalance  float64 `json:"mean_imbalance"`
+	Phases  []PhaseSnap `json:"phases"`
+	Workers WorkerSnap  `json:"workers"`
 	// WSHighWaterBytes is the largest workspace grant the row's kernel
 	// executions actually received.
 	WSHighWaterBytes int64 `json:"ws_high_water_bytes"`
+}
+
+// WorkerSnap is a row's worker-utilization accounting: top-level
+// launches contribute busy/idle; nested launches contribute imbalance
+// only.
+type WorkerSnap struct {
+	Launches       int64 `json:"launches"`
+	NestedLaunches int64 `json:"nested_launches,omitempty"`
+	BusyNS         int64 `json:"busy_ns"`
+	IdleNS         int64 `json:"idle_ns"`
+	// MeanBusyRatio is busy/(busy+idle) over top-level launches;
+	// Max/MeanImbalance are the max-over-mean per-worker busy ratios
+	// (1.0 = perfectly balanced stripes) over every launch.
+	MeanBusyRatio float64 `json:"mean_busy_ratio"`
+	MaxImbalance  float64 `json:"max_imbalance"`
+	MeanImbalance float64 `json:"mean_imbalance"`
 }
 
 // used reports whether the row recorded anything.
@@ -513,16 +479,19 @@ func (r *row) used() bool {
 
 func (r *row) snap() RowSnap {
 	s := RowSnap{
-		Layer:            r.layer,
-		Kernel:           r.kernel,
-		Executions:       r.execs.Load(),
-		TotalNS:          r.total.Load(),
-		Launches:         r.launches.Load(),
-		NestedLaunches:   r.nested.Load(),
-		BusyNS:           r.busyNS.Load(),
-		IdleNS:           r.idleNS.Load(),
+		Layer:      r.layer,
+		Kernel:     r.kernel,
+		Executions: r.execs.Load(),
+		TotalNS:    r.total.Load(),
+		Workers: WorkerSnap{
+			Launches:       r.launches.Load(),
+			NestedLaunches: r.nested.Load(),
+			BusyNS:         r.busyNS.Load(),
+			IdleNS:         r.idleNS.Load(),
+		},
 		WSHighWaterBytes: r.wsHigh.Load(),
 	}
+	w := &s.Workers
 	for i := range r.phaseNS {
 		ns, n := r.phaseNS[i].Load(), r.phaseN[i].Load()
 		if n == 0 && ns == 0 {
@@ -541,16 +510,16 @@ func (r *row) snap() RowSnap {
 	if serial < 0 {
 		serial = 0
 	}
-	s.MeasuredNS = s.BusyNS + serial
+	s.MeasuredNS = w.BusyNS + serial
 	if s.MeasuredNS > 0 {
 		s.Coverage = float64(s.AttributedNS) / float64(s.MeasuredNS)
 	}
-	if tot := s.BusyNS + s.IdleNS; tot > 0 {
-		s.MeanBusyRatio = float64(s.BusyNS) / float64(tot)
+	if tot := w.BusyNS + w.IdleNS; tot > 0 {
+		w.MeanBusyRatio = float64(w.BusyNS) / float64(tot)
 	}
-	s.MaxImbalance = float64(r.imbMaxMicro.Load()) * 1e-6
+	w.MaxImbalance = float64(r.imbMaxMicro.Load()) * 1e-6
 	if n := r.imbN.Load(); n > 0 {
-		s.MeanImbalance = float64(r.imbSumMicro.Load()) / float64(n) * 1e-6
+		w.MeanImbalance = float64(r.imbSumMicro.Load()) / float64(n) * 1e-6
 	}
 	return s
 }
@@ -577,45 +546,5 @@ func Snapshot() []RowSnap {
 	if orphan.used() {
 		out = append(out, orphan.snap())
 	}
-	return out
-}
-
-// PhaseTotal is one phase's aggregate across every attribution row.
-type PhaseTotal struct {
-	Phase string `json:"phase"`
-	NS    int64  `json:"ns"`
-	Count int64  `json:"count"`
-}
-
-// PhaseTotals aggregates phase time across every row (including the
-// unattributed one), heaviest first; phases never recorded are omitted.
-func PhaseTotals() []PhaseTotal {
-	rowMu.Lock()
-	rs := make([]*row, 0, len(rows)+1)
-	for _, r := range rows {
-		rs = append(rs, r)
-	}
-	rowMu.Unlock()
-	rs = append(rs, orphan)
-	var ns, n [maxKinds]int64
-	for _, r := range rs {
-		for i := range r.phaseNS {
-			ns[i] += r.phaseNS[i].Load()
-			n[i] += r.phaseN[i].Load()
-		}
-	}
-	var out []PhaseTotal
-	for i := range ns {
-		if n[i] == 0 && ns[i] == 0 {
-			continue
-		}
-		out = append(out, PhaseTotal{Phase: phaseName(Kind(i + 1)), NS: ns[i], Count: n[i]})
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].NS != out[b].NS {
-			return out[a].NS > out[b].NS
-		}
-		return out[a].Phase < out[b].Phase
-	})
 	return out
 }

@@ -2,10 +2,7 @@ package prof
 
 import (
 	"math"
-	"strings"
 	"testing"
-
-	"ucudnn/internal/obs"
 )
 
 // Test phases; registered once — the registry is process-global.
@@ -18,12 +15,10 @@ var (
 func resetAll(t *testing.T) {
 	t.Helper()
 	Disable()
-	SetMetrics(nil)
 	SetLayer("")
 	Reset()
 	t.Cleanup(func() {
 		Disable()
-		SetMetrics(nil)
 		SetLayer("")
 		Reset()
 	})
@@ -157,25 +152,25 @@ func TestImbalanceAccounting(t *testing.T) {
 	End(start)
 
 	r := Snapshot()[0]
-	if r.Launches != 1 || r.NestedLaunches != 0 {
-		t.Fatalf("launches = %d/%d, want 1/0", r.Launches, r.NestedLaunches)
+	if r.Workers.Launches != 1 || r.Workers.NestedLaunches != 0 {
+		t.Fatalf("launches = %d/%d, want 1/0", r.Workers.Launches, r.Workers.NestedLaunches)
 	}
-	if r.BusyNS != 700 {
-		t.Fatalf("busy = %d, want 700", r.BusyNS)
+	if r.Workers.BusyNS != 700 {
+		t.Fatalf("busy = %d, want 700", r.Workers.BusyNS)
 	}
 	want := 400.0 * 4 / 700.0 // max * workers / sum = 16/7
-	if math.Abs(r.MaxImbalance-want) > 1e-4 || math.Abs(r.MeanImbalance-want) > 1e-4 {
-		t.Fatalf("imbalance max=%v mean=%v, want %v", r.MaxImbalance, r.MeanImbalance, want)
+	if math.Abs(r.Workers.MaxImbalance-want) > 1e-4 || math.Abs(r.Workers.MeanImbalance-want) > 1e-4 {
+		t.Fatalf("imbalance max=%v mean=%v, want %v", r.Workers.MaxImbalance, r.Workers.MeanImbalance, want)
 	}
-	if r.IdleNS <= 0 {
-		t.Fatalf("idle = %d, want positive (wall*workers > busy)", r.IdleNS)
+	if r.Workers.IdleNS <= 0 {
+		t.Fatalf("idle = %d, want positive (wall*workers > busy)", r.Workers.IdleNS)
 	}
-	if r.MeanBusyRatio <= 0 || r.MeanBusyRatio >= 1 {
-		t.Fatalf("mean busy ratio = %v", r.MeanBusyRatio)
+	if r.Workers.MeanBusyRatio <= 0 || r.Workers.MeanBusyRatio >= 1 {
+		t.Fatalf("mean busy ratio = %v", r.Workers.MeanBusyRatio)
 	}
 	// Measured folds launch busy time in place of the launch's wall.
-	if r.MeasuredNS < r.BusyNS {
-		t.Fatalf("measured %d < busy %d", r.MeasuredNS, r.BusyNS)
+	if r.MeasuredNS < r.Workers.BusyNS {
+		t.Fatalf("measured %d < busy %d", r.MeasuredNS, r.Workers.BusyNS)
 	}
 }
 
@@ -190,8 +185,8 @@ func TestBalancedLaunchImbalanceIsOne(t *testing.T) {
 	LaunchEnd(4, ls)
 	End(start)
 	r := Snapshot()[0]
-	if math.Abs(r.MaxImbalance-1.0) > 1e-4 {
-		t.Fatalf("balanced launch imbalance = %v, want 1.0", r.MaxImbalance)
+	if math.Abs(r.Workers.MaxImbalance-1.0) > 1e-4 {
+		t.Fatalf("balanced launch imbalance = %v, want 1.0", r.Workers.MaxImbalance)
 	}
 }
 
@@ -205,14 +200,14 @@ func TestNestedLaunchKeepsBusyOutOfMeasured(t *testing.T) {
 	LaunchEndNested(2, ls)
 	End(start)
 	r := Snapshot()[0]
-	if r.NestedLaunches != 1 || r.Launches != 0 {
-		t.Fatalf("launches = %d/%d, want 0 top-level / 1 nested", r.Launches, r.NestedLaunches)
+	if r.Workers.NestedLaunches != 1 || r.Workers.Launches != 0 {
+		t.Fatalf("launches = %d/%d, want 0 top-level / 1 nested", r.Workers.Launches, r.Workers.NestedLaunches)
 	}
-	if r.BusyNS != 0 || r.IdleNS != 0 {
-		t.Fatalf("nested launch leaked busy/idle: %d/%d", r.BusyNS, r.IdleNS)
+	if r.Workers.BusyNS != 0 || r.Workers.IdleNS != 0 {
+		t.Fatalf("nested launch leaked busy/idle: %d/%d", r.Workers.BusyNS, r.Workers.IdleNS)
 	}
-	if want := 3000.0 * 2 / 4000.0; math.Abs(r.MaxImbalance-want) > 1e-4 {
-		t.Fatalf("nested imbalance = %v, want %v", r.MaxImbalance, want)
+	if want := 3000.0 * 2 / 4000.0; math.Abs(r.Workers.MaxImbalance-want) > 1e-4 {
+		t.Fatalf("nested imbalance = %v, want %v", r.Workers.MaxImbalance, want)
 	}
 	// The nested region stays measured as wall time.
 	if r.MeasuredNS != r.TotalNS {
@@ -258,50 +253,54 @@ func TestHotPathAllocs(t *testing.T) {
 	}
 }
 
+// What the retired metrics bridge exported — per-phase durations and
+// the launch imbalance — lives on in the row: one snapshot carries both.
 func TestSetMetricsBridge(t *testing.T) {
 	resetAll(t)
-	reg := obs.NewRegistry()
 	Enable()
-	SetMetrics(reg)
 	Begin("Kern")
 	Exit(phA, Enter())
 	ls := LaunchStart()
 	workerBusy[0].Store(10)
 	LaunchEnd(1, ls)
 
-	var sb strings.Builder
-	if err := reg.WriteSummary(&sb); err != nil {
-		t.Fatal(err)
+	rows := Snapshot()
+	if len(rows) != 1 {
+		t.Fatalf("got %d rows, want 1: %+v", len(rows), rows)
 	}
-	out := sb.String()
-	if !strings.Contains(out, MetricPhaseSeconds) {
-		t.Errorf("summary lacks %s:\n%s", MetricPhaseSeconds, out)
+	r := rows[0]
+	if len(r.Phases) != 1 || r.Phases[0].Phase != "ucudnn_ph_test_alpha" || r.Phases[0].NS <= 0 {
+		t.Errorf("row lacks the phase window: %+v", r.Phases)
 	}
-	if !strings.Contains(out, MetricImbalance) {
-		t.Errorf("summary lacks %s:\n%s", MetricImbalance, out)
+	if r.Workers.Launches != 1 || math.Abs(r.Workers.MaxImbalance-1) > 1e-4 {
+		t.Errorf("row lacks the one-worker launch's imbalance: %+v", r.Workers)
 	}
 }
 
+// Phase totals are the per-phase sums of the rows (the profile report's
+// top_phases): every recorded phase appears once per window, and a
+// row lists its phases heaviest first.
 func TestPhaseTotals(t *testing.T) {
 	resetAll(t)
 	Enable()
 	Begin("Kern")
 	Exit(phA, Enter())
 	Exit(phB, Enter())
-	totals := PhaseTotals()
-	found := map[string]bool{}
-	for _, p := range totals {
-		found[p.Phase] = true
-		if p.NS <= 0 || p.Count != 1 {
-			t.Errorf("total %+v: want positive ns, count 1", p)
+	totals := map[string]PhaseSnap{}
+	for _, r := range Snapshot() {
+		for i, p := range r.Phases {
+			if i > 0 && r.Phases[i-1].NS < p.NS {
+				t.Fatalf("row phases not sorted heaviest-first: %+v", r.Phases)
+			}
+			tot := totals[p.Phase]
+			tot.NS += p.NS
+			tot.Count += p.Count
+			totals[p.Phase] = tot
 		}
 	}
-	if !found["ucudnn_ph_test_alpha"] || !found["ucudnn_ph_test_beta"] {
-		t.Fatalf("totals missing test phases: %+v", totals)
-	}
-	for i := 1; i < len(totals); i++ {
-		if totals[i-1].NS < totals[i].NS {
-			t.Fatalf("totals not sorted heaviest-first: %+v", totals)
+	for _, ph := range []string{"ucudnn_ph_test_alpha", "ucudnn_ph_test_beta"} {
+		if p := totals[ph]; p.NS <= 0 || p.Count != 1 {
+			t.Errorf("total of %s = %+v: want positive ns, count 1", ph, p)
 		}
 	}
 }

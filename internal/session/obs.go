@@ -27,8 +27,7 @@ func (f *ObsFlags) Register(fs *flag.FlagSet) {
 }
 
 // Run brackets body with everything the flags ask for: the armed fault
-// schedule, the metrics registry (created when -metrics is given, and
-// shared with the profiler so its series reach the -metrics file; nil
+// schedule, the metrics registry (created when -metrics is given; nil
 // otherwise) and the phase profiler. body returns the plan table
 // (core.Handle.Report) of every µ-cuDNN handle it built, in creation
 // order; after a successful body Run writes the profile joined against
@@ -45,11 +44,7 @@ func (f ObsFlags) Run(body func(reg *obs.Registry) ([]core.HandleReport, error))
 	}
 	if f.Profile != "" {
 		prof.Enable()
-		prof.SetMetrics(reg)
-		defer func() {
-			prof.Disable()
-			prof.SetMetrics(nil)
-		}()
+		defer prof.Disable()
 	}
 	handles, err := body(reg)
 	if err != nil {

@@ -40,7 +40,9 @@ type Config struct {
 	// Backend selects the timing backend; ModelOnlyBackend builds a
 	// timing-only run (no arithmetic, no buffers).
 	Backend cudnn.Backend
-	// CachePath, Workers and Metrics pass through to the µ-cuDNN handle.
+	// CachePath and Workers pass through to the µ-cuDNN handle; Metrics
+	// is the run's one registry, shared by the handle and the
+	// out-of-core executor.
 	CachePath string
 	Workers   int
 	Metrics   *obs.Registry
@@ -114,6 +116,7 @@ func New(cfg Config) (*Session, error) {
 	s.Ctx.SkipCompute = cfg.Backend == cudnn.ModelOnlyBackend
 	if oocModel != nil {
 		s.Ctx.OOC = dnn.NewOOCState(oocModel, *s.OOCPlan)
+		s.Ctx.OOC.SetMetrics(cfg.Metrics)
 	}
 	net, loss, err := zoo.Build(s.Ctx, cfg.Net, cfg.Batch)
 	if err != nil {
@@ -149,18 +152,6 @@ func (s *Session) HandleReports() []core.HandleReport {
 	return []core.HandleReport{s.UC.Report()}
 }
 
-// Attach points the handle's kernel spans and the net's layer spans at
-// rec; nil detaches. It goes through the µ-cuDNN handle when there is
-// one, so the degradation ladder's fault spans reach rec too.
-func (s *Session) Attach(rec *trace.Recorder) {
-	if s.UC != nil {
-		s.UC.SetTraceRecorder(rec)
-	} else {
-		s.Inner.SetTrace(rec)
-	}
-	s.Ctx.Trace = rec
-}
-
 // Trace runs one warm-up iteration (plans get decided and arenas
 // settle, so the traced iterations see steady state), then iters
 // iterations under causal recording, and returns the validated
@@ -172,9 +163,20 @@ func (s *Session) Trace(iters int) (*causal.Timeline, error) {
 	causal.Reset()
 	causal.Enable()
 	defer causal.Disable()
+	// The handle's kernel spans and the net's layer spans go to one
+	// recorder, through the µ-cuDNN handle when there is one so the
+	// degradation ladder's fault spans reach it too.
+	attach := func(rec *trace.Recorder) {
+		if s.UC != nil {
+			s.UC.SetTraceRecorder(rec)
+		} else {
+			s.Inner.SetTrace(rec)
+		}
+		s.Ctx.Trace = rec
+	}
 	rec := trace.New()
-	s.Attach(rec)
-	defer s.Attach(nil)
+	attach(rec)
+	defer attach(nil)
 	for i := 0; i < iters; i++ {
 		if err := s.Net.RunIteration(); err != nil {
 			return nil, err

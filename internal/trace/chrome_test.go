@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-// Span-carrying traces get the enriched Chrome rendering: thread-name
-// metadata per used track and span/parent args.
+// The Chrome rendering: thread-name metadata per used track and
+// span/parent args on every complete event.
 func TestWriteChromeSpanArgs(t *testing.T) {
 	r := New()
 	r.Add(Event{Name: "producer", Cat: "fwd", Track: TrackLayer,
@@ -16,7 +16,7 @@ func TestWriteChromeSpanArgs(t *testing.T) {
 	r.Add(Event{Name: "compute", Cat: "fwd", Track: TrackKernel,
 		Start: 2 * time.Microsecond, Dur: 3 * time.Microsecond, Span: 11, Parent: 5})
 	var buf bytes.Buffer
-	if err := r.WriteChrome(&buf); err != nil {
+	if err := WriteChromeEvents(&buf, r.Events()); err != nil {
 		t.Fatal(err)
 	}
 	var out []map[string]interface{}
@@ -57,21 +57,6 @@ func TestWriteChromeSpanArgs(t *testing.T) {
 		if !found {
 			t.Fatalf("missing track name %q in %v", want, names)
 		}
-	}
-}
-
-// Span-less traces must keep the legacy byte format: no metadata, no
-// args (committed goldens depend on those exact bytes).
-func TestWriteChromeLegacyUnchanged(t *testing.T) {
-	r := New()
-	r.Add(Event{Name: "k", Cat: "conv", Start: time.Microsecond, Dur: time.Microsecond})
-	var buf bytes.Buffer
-	if err := r.WriteChrome(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(buf.Bytes(), []byte(`"ph":"M"`)) ||
-		bytes.Contains(buf.Bytes(), []byte(`"args"`)) {
-		t.Fatalf("legacy trace gained enrichment:\n%s", buf.String())
 	}
 }
 

@@ -83,13 +83,6 @@ func (r *Recorder) Add(ev Event) {
 	r.events = append(r.events, ev)
 }
 
-// Len returns the number of recorded events.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.events)
-}
-
 // Less is the canonical timeline order, (Start, Track, Name, Span). The
 // key is total over concurrent recordings, so exports sorted by it are
 // byte-identical across runs regardless of the order events arrived in.
@@ -128,42 +121,25 @@ type chromeEvent struct {
 	Args map[string]any `json:"args,omitempty"`
 }
 
-// WriteChrome emits the events as a Chrome trace-event JSON array. When
-// the trace carries causal spans, each event's span/parent land in args
-// and tracks get thread_name metadata; span-less traces emit exactly the
-// legacy format.
-func (r *Recorder) WriteChrome(w io.Writer) error {
-	return WriteChromeEvents(w, r.Events())
-}
-
-// WriteChromeEvents is WriteChrome over an explicit event slice (already
-// in canonical order), for exporters that post-process events before
-// rendering.
+// WriteChromeEvents emits evs (in canonical order, Less) as a Chrome
+// trace-event JSON array: thread_name metadata for every track used,
+// then one complete event per span with its span/parent in args.
 func WriteChromeEvents(w io.Writer, evs []Event) error {
-	causal := false
+	tracks := map[int]bool{}
 	for _, e := range evs {
-		if e.Span != 0 {
-			causal = true
-			break
-		}
+		tracks[e.Track] = true
 	}
-	var out []chromeEvent
-	if causal {
-		tracks := map[int]bool{}
-		for _, e := range evs {
-			tracks[e.Track] = true
-		}
-		order := make([]int, 0, len(tracks))
-		for t := range tracks {
-			order = append(order, t)
-		}
-		sort.Ints(order)
-		for _, t := range order {
-			out = append(out, chromeEvent{
-				Name: "thread_name", Ph: "M", PID: 1, TID: t + 1,
-				Args: map[string]any{"name": TrackName(t)},
-			})
-		}
+	order := make([]int, 0, len(tracks))
+	for t := range tracks {
+		order = append(order, t)
+	}
+	sort.Ints(order)
+	out := make([]chromeEvent, 0, len(order)+len(evs))
+	for _, t := range order {
+		out = append(out, chromeEvent{
+			Name: "thread_name", Ph: "M", PID: 1, TID: t + 1,
+			Args: map[string]any{"name": TrackName(t)},
+		})
 	}
 	for _, e := range evs {
 		ce := chromeEvent{
@@ -182,9 +158,6 @@ func WriteChromeEvents(w io.Writer, evs []Event) error {
 			}
 		}
 		out = append(out, ce)
-	}
-	if out == nil {
-		out = []chromeEvent{}
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
