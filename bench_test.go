@@ -59,7 +59,7 @@ func BenchmarkOptimizerWR(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// A fresh bencher each iteration so the cache doesn't hide
 				// the benchmarking cost.
-				bc := core.NewBencher(cudnn.NewHandle(device.P100, cudnn.ModelOnlyBackend), nil, 1)
+				bc := core.NewBencher(cudnn.NewHandle(device.P100, cudnn.ModelOnlyBackend), nil)
 				if _, err := core.OptimizeWR(bc, k, 64<<20, pol); err != nil {
 					b.Fatal(err)
 				}
@@ -85,7 +85,7 @@ func BenchmarkOptimizerWD(b *testing.B) {
 		}
 	}
 	for i := 0; i < b.N; i++ {
-		bc := core.NewBencher(cudnn.NewHandle(device.P100, cudnn.ModelOnlyBackend), nil, 1)
+		bc := core.NewBencher(cudnn.NewHandle(device.P100, cudnn.ModelOnlyBackend), nil)
 		if _, err := core.OptimizeWD(bc, kernels, 120<<20, core.PolicyPowerOfTwo); err != nil {
 			b.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func BenchmarkILPDenseNetPlan(b *testing.B) {
 		b.Fatal(err)
 	}
 	want := uc.WDStats()
-	bc := core.NewBencher(uc.Inner(), nil, 1)
+	bc := core.NewBencher(uc.Inner(), nil)
 	prob := &ilp.Problem{Budget: want.EffectiveBudget}
 	var kernels []core.Kernel
 	count := map[string]int64{}
@@ -198,7 +198,7 @@ func BenchmarkILPDenseNetPlan(b *testing.B) {
 func BenchmarkDesirableSet(b *testing.B) {
 	for _, pol := range []core.Policy{core.PolicyPowerOfTwo, core.PolicyAll} {
 		b.Run(pol.String(), func(b *testing.B) {
-			bc := core.NewBencher(cudnn.NewHandle(device.P100, cudnn.ModelOnlyBackend), nil, 1)
+			bc := core.NewBencher(cudnn.NewHandle(device.P100, cudnn.ModelOnlyBackend), nil)
 			k := core.Kernel{Op: conv.Forward, Shape: bench.Conv2(256)}
 			bc.PerfsForSizes(k, pol.CandidateSizes(256)) // pre-warm the cache
 			b.ResetTimer()

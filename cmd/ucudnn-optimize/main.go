@@ -43,7 +43,6 @@ type runOpts struct {
 	Policy    string
 	WSMiB     int64
 	DB        string
-	Workers   int
 	ShowFront bool
 	Net       string
 	Batch     int
@@ -64,7 +63,6 @@ func main() {
 	flag.StringVar(&o.Policy, "policy", "powerOfTwo", "batch-size policy")
 	flag.Int64Var(&o.WSMiB, "ws", 64, "workspace limit (MiB)")
 	flag.StringVar(&o.DB, "db", "", "benchmark database file to populate")
-	flag.IntVar(&o.Workers, "workers", 1, "parallel benchmark workers")
 	flag.BoolVar(&o.ShowFront, "front", true, "print the desirable-configuration Pareto front")
 	flag.StringVar(&o.Net, "net", "", "optimize a whole network under WD instead of one kernel: "+strings.Join(zoo.Names(), ", "))
 	flag.IntVar(&o.Batch, "batch", 256, "mini-batch size for -net mode")
@@ -149,7 +147,7 @@ func runKernel(o runOpts, reg *obs.Registry) error {
 		return err
 	}
 	defer cache.Close()
-	b := core.NewBencher(h, cache, o.Workers)
+	b := core.NewBencher(h, cache)
 	b.SetMetrics(reg)
 	k := core.Kernel{Op: op, Shape: cs}
 
@@ -202,7 +200,7 @@ func runNet(o runOpts, reg *obs.Registry) ([]core.HandleReport, error) {
 	s, err := session.New(session.Config{
 		Net: o.Net, Batch: o.Batch, Device: d, Mode: "wd", Policy: pol,
 		WS: core.DefaultWorkspaceLimit, Total: o.TotalMiB << 20, BlobBudget: o.BlobMiB << 20,
-		Backend: cudnn.ModelOnlyBackend, CachePath: o.DB, Workers: o.Workers, Metrics: reg,
+		Backend: cudnn.ModelOnlyBackend, CachePath: o.DB, Metrics: reg,
 	})
 	if err != nil {
 		return nil, err

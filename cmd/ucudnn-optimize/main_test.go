@@ -7,9 +7,9 @@ import (
 	"testing"
 )
 
-func kernelOpts(shape, filter string, pad, stride int, op, dev, policy string, ws int64, db string, workers int, front bool) runOpts {
+func kernelOpts(shape, filter string, pad, stride int, op, dev, policy string, ws int64, db string, front bool) runOpts {
 	return runOpts{Shape: shape, Filter: filter, Pad: pad, Stride: stride, Op: op,
-		Device: dev, Policy: policy, WSMiB: ws, DB: db, Workers: workers, ShowFront: front}
+		Device: dev, Policy: policy, WSMiB: ws, DB: db, ShowFront: front}
 }
 
 func TestParseDims(t *testing.T) {
@@ -31,7 +31,7 @@ func TestParseDims(t *testing.T) {
 func TestRunAllOps(t *testing.T) {
 	db := filepath.Join(t.TempDir(), "db.jsonl")
 	for _, op := range []string{"forward", "backward-data", "backward-filter"} {
-		if err := run(kernelOpts("16x8x13x13", "12x3x3", 1, 1, op, "p100", "powerOfTwo", 8, db, 2, true)); err != nil {
+		if err := run(kernelOpts("16x8x13x13", "12x3x3", 1, 1, op, "p100", "powerOfTwo", 8, db, true)); err != nil {
 			t.Fatalf("%s: %v", op, err)
 		}
 	}
@@ -44,7 +44,7 @@ func TestRunNetWD(t *testing.T) {
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "metrics.txt")
 	o := runOpts{Net: "alexnet", Batch: 64, TotalMiB: 128, Device: "p100",
-		Policy: "powerOfTwo", Workers: 1}
+		Policy: "powerOfTwo"}
 	o.Metrics = metrics
 	if err := run(o); err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestRunNetWD(t *testing.T) {
 }
 
 func TestRunKernelMetrics(t *testing.T) {
-	o := kernelOpts("16x8x13x13", "12x3x3", 1, 1, "forward", "p100", "powerOfTwo", 8, "", 1, true)
+	o := kernelOpts("16x8x13x13", "12x3x3", 1, 1, "forward", "p100", "powerOfTwo", 8, "", true)
 	o.Metrics = filepath.Join(t.TempDir(), "m.prom")
 	if err := run(o); err != nil {
 		t.Fatal(err)
@@ -83,20 +83,20 @@ func TestRunKernelMetrics(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run(kernelOpts("bad", "12x3x3", 1, 1, "forward", "p100", "powerOfTwo", 8, "", 1, false)); err == nil {
+	if err := run(kernelOpts("bad", "12x3x3", 1, 1, "forward", "p100", "powerOfTwo", 8, "", false)); err == nil {
 		t.Fatal("bad shape must error")
 	}
-	if err := run(kernelOpts("16x8x13x13", "12x3x3", 1, 1, "sideways", "p100", "powerOfTwo", 8, "", 1, false)); err == nil {
+	if err := run(kernelOpts("16x8x13x13", "12x3x3", 1, 1, "sideways", "p100", "powerOfTwo", 8, "", false)); err == nil {
 		t.Fatal("bad op must error")
 	}
-	if err := run(kernelOpts("16x8x13x13", "12x3x3", 1, 1, "forward", "abacus", "powerOfTwo", 8, "", 1, false)); err == nil {
+	if err := run(kernelOpts("16x8x13x13", "12x3x3", 1, 1, "forward", "abacus", "powerOfTwo", 8, "", false)); err == nil {
 		t.Fatal("bad device must error")
 	}
-	if err := run(kernelOpts("16x8x13x13", "12x3x3", 1, 1, "forward", "p100", "sometimes", 8, "", 1, false)); err == nil {
+	if err := run(kernelOpts("16x8x13x13", "12x3x3", 1, 1, "forward", "p100", "sometimes", 8, "", false)); err == nil {
 		t.Fatal("bad policy must error")
 	}
 	// Kernel larger than padded input: invalid convolution.
-	if err := run(kernelOpts("1x1x2x2", "1x5x5", 0, 1, "forward", "p100", "powerOfTwo", 8, "", 1, false)); err == nil {
+	if err := run(kernelOpts("1x1x2x2", "1x5x5", 0, 1, "forward", "p100", "powerOfTwo", 8, "", false)); err == nil {
 		t.Fatal("invalid convolution must error")
 	}
 	if err := run(runOpts{Net: "alexnet", Batch: 8}); err == nil {

@@ -68,7 +68,7 @@ func main() {
 	flag.Int64Var(&o.BlobMiB, "blob-budget", 0,
 		"out-of-core blob budget (MiB): stream activations in micro-batch windows under this working-set bound (0 = off)")
 	flag.StringVar(&o.DB, "db", "", "benchmark database file (optional)")
-	flag.IntVar(&o.Workers, "workers", 0, "kernel worker cap (0 = leave default); the exported timeline is byte-identical across worker counts")
+	flag.IntVar(&o.Workers, "workers", 0, "kernel worker cap: bounds every convolution, SGEMM and layer fork (0 = leave default); the exported timeline is byte-identical across worker counts")
 	flag.StringVar(&o.Timeline, "timeline", "", "write the canonical causal timeline JSON here")
 	flag.StringVar(&o.Trace, "trace", "", "write the causal timeline as Chrome trace-event JSON (named tracks) here")
 	flag.StringVar(&o.Check, "check", "", "validate a causal-timeline or profile-report JSON file (dispatching on its schema field) and exit")

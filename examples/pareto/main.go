@@ -33,7 +33,7 @@ func main() {
 		Filt:   tensor.Filter{K: 192, C: 64, R: 5, S: 5},
 		Params: tensor.ConvParams{PadH: 2, PadW: 2, StrideH: 1, StrideW: 1},
 	}
-	b := core.NewBencher(cudnn.NewHandle(dev, cudnn.ModelOnlyBackend), nil, 1)
+	b := core.NewBencher(cudnn.NewHandle(dev, cudnn.ModelOnlyBackend), nil)
 	front, err := core.DesirableSet(b, core.Kernel{Op: conv.Forward, Shape: cs},
 		*limitMiB<<20, core.PolicyAll)
 	if err != nil {

@@ -20,7 +20,7 @@ func Ablation(cfg Config) error {
 	if batch <= 0 {
 		batch = 256
 	}
-	b := core.NewBencher(newModelHandle(cfg), nil, 1)
+	b := core.NewBencher(newModelHandle(cfg), nil)
 
 	t := newTable(cfg, fmt.Sprintf("Ablation: Pareto pruning per AlexNet forward kernel (%s, N=%d, 120 MiB)",
 		cfg.Device.Name, batch),
@@ -67,7 +67,7 @@ func Ablation(cfg Config) error {
 		"pass", "optimization_time")
 	cache, _ := core.NewCache("")
 	for pass := 1; pass <= 2; pass++ {
-		bc := core.NewBencher(newModelHandle(cfg), cache, 1)
+		bc := core.NewBencher(newModelHandle(cfg), cache)
 		start := time.Now()
 		for _, l := range alexNetFwdShapes(batch) {
 			if _, err := core.OptimizeWR(bc, core.Kernel{Op: conv.Forward, Shape: l.Shape}, 64*MiB, core.PolicyAll); err != nil {

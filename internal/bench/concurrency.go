@@ -5,7 +5,6 @@ import (
 
 	"ucudnn/internal/core"
 	"ucudnn/internal/dnn"
-	"ucudnn/internal/zoo"
 )
 
 // Concurrency is an extension experiment backing the paper's §III-A
@@ -28,48 +27,22 @@ func Concurrency(cfg Config) error {
 		rep  *dnn.TimingReport
 	}
 	var runs []run
-
-	// WR with equal per-kernel slices (17 kernels in the module).
-	build := func(name, mode string, limit int64, policy core.Policy) error {
-		inner := newModelHandle(cfg)
-		inner.Mem().Cap = 0
-		var convH dnn.ConvHandle = inner
-		var uc *core.Handle
-		ctxLimit := limit
-		if mode != "cudnn" {
-			var opts []core.Option
-			opts = append(opts, core.WithPolicy(policy))
-			if mode == "wd" {
-				opts = append(opts, core.WithWD(limit))
-				// WD ignores per-kernel limits; the framework-side value is
-				// only what Caffe would pass through.
-				ctxLimit = core.DefaultWorkspaceLimit
-			} else {
-				opts = append(opts, core.WithWorkspaceLimit(limit))
-			}
-			var err error
-			if uc, err = core.New(inner, opts...); err != nil {
-				return err
-			}
-			convH = uc
-		}
-		ctx := dnn.NewContext(convH, inner, ctxLimit)
-		ctx.SkipCompute = true
-		net := zoo.InceptionModule(ctx, batch)
-		rep, err := net.Time(cfg.Iters)
+	// WR with equal per-kernel slices (17 kernels in the module: 6 conv
+	// layers x 3 kernels - 1, no input grad) against WD's ILP division of
+	// the same total.
+	kernels := int64(17)
+	for _, v := range []struct {
+		name, mode string
+		limit      int64
+	}{
+		{"WR equal slices", "wr", totalMiB * MiB / kernels},
+		{"WD ILP division", "wd", totalMiB * MiB},
+	} {
+		rep, s, err := netRun(cfg, "inception", v.mode, core.PolicyPowerOfTwo, v.limit, batch)
 		if err != nil {
 			return err
 		}
-		cfg.noteHandle(uc)
-		runs = append(runs, run{name: name, net: net, rep: rep})
-		return nil
-	}
-	kernels := int64(17) // 6 conv layers x 3 kernels - 1 (no input grad)
-	if err := build("WR equal slices", "wr", totalMiB*MiB/kernels, core.PolicyPowerOfTwo); err != nil {
-		return err
-	}
-	if err := build("WD ILP division", "wd", totalMiB*MiB, core.PolicyPowerOfTwo); err != nil {
-		return err
+		runs = append(runs, run{name: v.name, net: s.Net, rep: rep})
 	}
 
 	t := newTable(cfg, fmt.Sprintf("Concurrency (extension): inception(3a) forward, N=%d, %d MiB total (%s)",

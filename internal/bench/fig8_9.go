@@ -17,7 +17,7 @@ func Fig8(cfg Config) error {
 	if batch <= 0 {
 		batch = 256
 	}
-	b := core.NewBencher(newModelHandle(cfg), nil, 1)
+	b := core.NewBencher(newModelHandle(cfg), nil)
 	k := core.Kernel{Op: conv.Forward, Shape: Conv2(batch)}
 	front, err := core.DesirableSet(b, k, 120*MiB, core.PolicyAll)
 	if err != nil {
@@ -43,7 +43,7 @@ func Fig9(cfg Config) error {
 	if batch <= 0 {
 		batch = 256
 	}
-	b := core.NewBencher(newModelHandle(cfg), nil, 1)
+	b := core.NewBencher(newModelHandle(cfg), nil)
 	k := core.Kernel{Op: conv.Forward, Shape: Conv2(batch)}
 	t := newTable(cfg, fmt.Sprintf("Fig 9: conv2 forward, WR @64 MiB (%s, N=%d)", cfg.Device.Name, batch),
 		"policy", "time_ms", "ws_MiB", "speedup_vs_undivided", "configuration")

@@ -32,7 +32,7 @@ func Summary(cfg Config) error {
 	t.row("conv2 -1 byte slowdown", "4.51x", fmt.Sprintf("%.2fx", cliff))
 
 	// Fig 9: conv2 WR@64MiB, all vs undivided.
-	b := core.NewBencher(h, nil, 1)
+	b := core.NewBencher(h, nil)
 	k := core.Kernel{Op: conv.Forward, Shape: cs}
 	undiv, err := core.OptimizeWR(b, k, 64*MiB, core.PolicyUndivided)
 	if err != nil {

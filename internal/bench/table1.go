@@ -46,7 +46,7 @@ func OptTime(cfg Config) error {
 		"policy", "optimization_time")
 	for _, pol := range core.Policies {
 		start := time.Now()
-		b := core.NewBencher(newModelHandle(cfg), nil, 1)
+		b := core.NewBencher(newModelHandle(cfg), nil)
 		for _, l := range alexNetFwdShapes(batch) {
 			for _, op := range conv.Ops {
 				if _, err := core.OptimizeWR(b, core.Kernel{Op: op, Shape: l.Shape}, 64*MiB, pol); err != nil {

@@ -5,7 +5,6 @@
 package blas
 
 import (
-	"runtime"
 	"sync"
 
 	"ucudnn/internal/prof"
@@ -81,11 +80,6 @@ const (
 	NC = nc
 )
 
-// parallelThreshold is the minimum number of multiply-adds below which
-// Sgemm runs single-threaded; spawning goroutines for tiny GEMMs costs
-// more than the arithmetic.
-const parallelThreshold = 1 << 16
-
 // Sgemm computes C = alpha * op(A) * op(B) + beta * C for row-major
 // matrices, where op(X) is X or Xᵀ according to transA/transB.
 //
@@ -98,10 +92,10 @@ func Sgemm(transA, transB bool, m, n, k int, alpha float32, a []float32, lda int
 }
 
 // SgemmWorkers is Sgemm with an explicit cap on the goroutines used:
-// workers <= 0 selects automatically (GOMAXPROCS, dropping to one thread
-// for small products), workers == 1 forces the serial path (callers that
-// already parallelize across GEMM invocations use this to avoid
-// oversubscription). Workers split the long side of C — rows when it is
+// workers <= 0 selects automatically (AutoWorkers: the kernel worker
+// cap, dropping to one thread for small products), workers == 1 forces
+// the serial path (callers that already parallelize across GEMM
+// invocations use this to avoid oversubscription). Workers split the long side of C — rows when it is
 // tall, columns when it is wide or a single row panel. Every element of
 // C is accumulated in the same order regardless of the worker count and
 // of the kernel its shape selects, so results are bit-identical across
@@ -133,10 +127,7 @@ func sgemmWorkers(rec bool, workers int, transA, transB bool, m, n, k int, alpha
 	}
 
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if int64(m)*int64(n)*int64(k) < parallelThreshold {
-			workers = 1
-		}
+		workers = AutoWorkers(int64(m) * int64(n) * int64(k))
 	}
 	// Fork over the long side, in whole register-tile panels. A worker
 	// packs every panel of the operand it does not split, so splitting
@@ -273,10 +264,7 @@ func SgemmPackedA(workers int, pa []float32, transB bool, m, n, k int, b []float
 	}
 	panels := (m + mr - 1) / mr
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if int64(m)*int64(n)*int64(k) < parallelThreshold {
-			workers = 1
-		}
+		workers = AutoWorkers(int64(m) * int64(n) * int64(k))
 	}
 	if workers > panels {
 		workers = panels

@@ -418,11 +418,17 @@ func TestAlgosForCounts(t *testing.T) {
 
 func TestParallelForCoversAll(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 100} {
-		hits := make([]int32, n)
-		parallelFor(n, func(i int) { hits[i]++ })
-		for i, h := range hits {
-			if h != 1 {
-				t.Fatalf("n=%d: index %d hit %d times", n, i, h)
+		for workers := 1; workers <= 5; workers++ {
+			hits := make([]int32, n)
+			fork(workers, n, func(_, lo, hi int) {
+				for i := lo; i < hi; i++ {
+					hits[i]++
+				}
+			})
+			for i, h := range hits {
+				if h != 1 {
+					t.Fatalf("n=%d workers=%d: index %d hit %d times", n, workers, i, h)
+				}
 			}
 		}
 	}

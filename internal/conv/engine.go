@@ -1,16 +1,15 @@
 package conv
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 
+	"ucudnn/internal/blas"
 	"ucudnn/internal/prof"
 )
 
-// This file is the kernel execution engine: worker-count policy, batch
-// striping, and the worker-indexed parallel runners the algorithm kernels
-// are built on.
+// This file is the kernel execution engine: batch striping and the
+// fork-join runner the algorithm kernels are built on. The worker-count
+// policy itself (the cap and the small-product rule) is blas's.
 //
 // The engine's contract has three parts:
 //
@@ -27,33 +26,19 @@ import (
 //     redistributes *who* computes each sample/tile, never the per-element
 //     operation order (see the BackwardFilter reduction in gemm.go).
 
-// engineWorkers is the configured cap on kernel workers; 0 means "track
-// runtime.GOMAXPROCS".
-var engineWorkers atomic.Int32
-
-// MaxWorkers returns the kernel engine's worker cap: the value set by
-// SetMaxWorkers, or GOMAXPROCS when unset.
+// MaxWorkers returns the kernel worker cap (blas.MaxWorkers): the value
+// set by SetMaxWorkers, or GOMAXPROCS when unset.
 //
 //ucudnn:hotpath
-func MaxWorkers() int {
-	if n := int(engineWorkers.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
+func MaxWorkers() int { return blas.MaxWorkers() }
 
-// SetMaxWorkers caps the engine's parallelism (and with it the striped
-// workspace sizes reported by Workspace) and returns the previous cap
-// (0 = automatic). n <= 0 restores the automatic GOMAXPROCS-tracking
-// default. Tests pin it for deterministic workspace accounting; callers
-// that share a machine can bound kernel parallelism without touching
-// GOMAXPROCS.
-func SetMaxWorkers(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	return int(engineWorkers.Swap(int32(n)))
-}
+// SetMaxWorkers caps kernel parallelism — every fork in blas, conv and
+// dnn, and with it the striped workspace sizes reported by Workspace —
+// and returns the previous cap (0 = automatic). n <= 0 restores the
+// automatic GOMAXPROCS-tracking default. Tests pin it for deterministic
+// workspace accounting; callers that share a machine can bound kernel
+// parallelism without touching GOMAXPROCS.
+func SetMaxWorkers(n int) int { return blas.SetMaxWorkers(n) }
 
 // batchStripes returns the stripe count the workspace contract assumes
 // for a batch of n samples: one strip per worker, never more than the
@@ -90,15 +75,26 @@ func fitStripes(want int, have, stripElems int) int {
 	return want
 }
 
-// stripedRun executes f(w) for w in [0, workers), worker 0 inline on the
-// calling goroutine. It is the engine's fork-join primitive: each worker
-// owns a disjoint workspace strip, so there is no shared mutable state
-// beyond the output tensors' disjoint regions. Every parallel launch is
-// accounted by the profiler: per-worker busy windows plus the launch's
-// wall time, from which stripe load imbalance is derived.
-func stripedRun(workers int, f func(w int)) {
+// fork is the engine's fork-join primitive: it splits [0, n) into one
+// contiguous range per worker (at most maxWorkers of them) and runs
+// f(w, lo, hi) for each, worker 0 inline on the calling goroutine. Each
+// worker owns a disjoint workspace strip, so there is no shared mutable
+// state beyond the output tensors' disjoint regions. Every parallel
+// launch is accounted by the profiler: per-worker busy windows plus the
+// launch's wall time, from which stripe load imbalance is derived. A
+// phase a body times is one window per worker chunk: on the serial path
+// that window is wall time, inside a launch it is that worker's
+// occupancy — the halves the profiler's measured-time denominator is
+// built from.
+//
+// The closure f escapes, so call sites that must not allocate keep their
+// own serial branch and call fork only with more than one worker.
+func fork(maxWorkers, n int, f func(w, lo, hi int)) {
+	// Bound once: the goroutine closures capture workers by value only
+	// while it is never reassigned (otherwise it moves to the heap).
+	workers := imin(maxWorkers, n)
 	if workers <= 1 {
-		f(0)
+		f(0, 0, n)
 		return
 	}
 	ls := prof.LaunchStart()
@@ -108,88 +104,15 @@ func stripedRun(workers int, f func(w int)) {
 		go func(w int) {
 			defer wg.Done()
 			bs := prof.WorkerStart()
-			f(w)
+			lo, hi := blas.Chunk(n, workers, w)
+			f(w, lo, hi)
 			prof.WorkerEnd(w, bs)
 		}(w)
 	}
 	bs := prof.WorkerStart()
-	f(0)
+	lo, hi := blas.Chunk(n, workers, 0)
+	f(0, lo, hi)
 	prof.WorkerEnd(0, bs)
 	wg.Wait()
 	prof.LaunchEnd(workers, ls)
-}
-
-// chunkBounds splits n items into chunks of ceil(n/workers) and returns
-// the [lo, hi) range owned by worker w.
-//
-//ucudnn:hotpath
-func chunkBounds(n, workers, w int) (int, int) {
-	chunk := (n + workers - 1) / workers
-	lo := w * chunk
-	hi := lo + chunk
-	if lo > n {
-		lo = n
-	}
-	if hi > n {
-		hi = n
-	}
-	return lo, hi
-}
-
-// parallelForW runs f(w, i) for i in [0, n) across at most `workers`
-// workers in contiguous deterministic chunks, passing each invocation the
-// index of the worker (and therefore of its scratch arena). The serial
-// case calls f inline so steady-state execution allocates nothing.
-func parallelForW(workers, n int, f func(w, i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			f(0, i)
-		}
-		return
-	}
-	stripedRun(workers, func(w int) {
-		lo, hi := chunkBounds(n, workers, w)
-		for i := lo; i < hi; i++ {
-			f(w, i)
-		}
-	})
-}
-
-// phaseForW is parallelForW with each worker's chunk timed as one
-// window of phase ph. Timing is chunk-level by design: two clock
-// readings per worker per stage, independent of how many tiles the
-// chunk covers, so profiling overhead stays negligible against the
-// chunk's own work. On the serial path the single window is wall time;
-// inside a parallel launch each window is that worker's occupancy —
-// exactly the halves the profiler's measured-time denominator is built
-// from.
-func phaseForW(ph prof.Kind, workers, n int, f func(w, i int)) {
-	if n <= 0 {
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		t := prof.Enter()
-		for i := 0; i < n; i++ {
-			f(0, i)
-		}
-		prof.Exit(ph, t)
-		return
-	}
-	stripedRun(workers, func(w int) {
-		lo, hi := chunkBounds(n, workers, w)
-		t := prof.Enter()
-		for i := lo; i < hi; i++ {
-			f(w, i)
-		}
-		prof.Exit(ph, t)
-	})
 }

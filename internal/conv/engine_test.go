@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"testing"
 
+	"ucudnn/internal/blas"
 	"ucudnn/internal/tensor"
 )
 
@@ -59,7 +60,7 @@ func TestChunkBoundsCoverDisjointly(t *testing.T) {
 			covered := 0
 			prevHi := 0
 			for w := 0; w < workers; w++ {
-				lo, hi := chunkBounds(n, workers, w)
+				lo, hi := blas.Chunk(n, workers, w)
 				if lo != prevHi {
 					t.Fatalf("n=%d workers=%d: worker %d starts at %d, want %d", n, workers, w, lo, prevHi)
 				}
@@ -249,14 +250,12 @@ func TestBackwardFilterMicroBatchAtWorkerCounts(t *testing.T) {
 // Steady-state execution must not allocate for any op on any algorithm
 // the shape supports: all scratch comes from the caller's workspace or,
 // for the implicit kernels' pack blocks, the stack. Pinned to the serial
-// path — fork-join goroutine spawns are the one allocation parallel
-// execution inherently makes. This is the run-time half of the
-// //ucudnn:hotpath contract: it catches an allocation in any function a
-// kernel reaches, annotated or not. DIRECT is the un-annotated test
-// reference (1 alloc/op) and is excluded by name.
+// path by the worker cap alone — fork-join goroutine spawns are the one
+// allocation parallel execution inherently makes. This is the run-time
+// half of the //ucudnn:hotpath contract: it catches an allocation in any
+// function a kernel reaches, annotated or not. DIRECT is the
+// un-annotated test reference (1 alloc/op) and is excluded by name.
 func TestForwardZeroAllocSteadyState(t *testing.T) {
-	prevP := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prevP)
 	prev := SetMaxWorkers(1)
 	defer SetMaxWorkers(prev)
 	cs := tensor.ConvShape{

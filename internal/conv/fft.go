@@ -433,36 +433,31 @@ func (g *fftCtx) stageTask(st fftStage, wk, i int) {
 	}
 }
 
-// forEach runs stage st over n tasks with the chunk timed as phase ph.
+// forEach runs stage st over n tasks, each worker's chunk timed as one
+// window of phase ph; the self-timing combine stages, whose tasks split
+// their own time between the pointwise and inverse phases, pass ph 0.
 // The serial path (one worker or one task) is plain calls — no closure,
 // no allocation; the parallel path captures a copy of the context in
 // one escaping closure per launch.
 func (g *fftCtx) forEach(ph prof.Kind, n int, st fftStage) {
-	workers := imin(g.workers, n)
-	if workers <= 1 {
-		t := prof.Enter()
-		for i := 0; i < n; i++ {
-			g.stageTask(st, 0, i)
-		}
-		prof.Exit(ph, t)
+	if imin(g.workers, n) <= 1 {
+		g.stageTasks(ph, st, 0, 0, n)
 		return
 	}
 	gc := *g
-	phaseForW(ph, workers, n, func(wk, i int) { gc.stageTask(st, wk, i) })
+	fork(g.workers, n, func(wk, lo, hi int) { gc.stageTasks(ph, st, wk, lo, hi) })
 }
 
-// forEachRaw is forEach for the self-timing combine stages, whose tasks
-// split their own time between the pointwise and inverse phases.
-func (g *fftCtx) forEachRaw(n int, st fftStage) {
-	workers := imin(g.workers, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			g.stageTask(st, 0, i)
-		}
-		return
+// stageTasks runs tasks [lo, hi) of stage st in worker wk's scratch as
+// one window of phase ph (the zero Kind records nothing).
+//
+//ucudnn:hotpath
+func (g *fftCtx) stageTasks(ph prof.Kind, st fftStage, wk, lo, hi int) {
+	t := prof.Enter()
+	for i := lo; i < hi; i++ {
+		g.stageTask(st, wk, i)
 	}
-	gc := *g
-	parallelForW(workers, n, func(wk, i int) { gc.stageTask(st, wk, i) })
+	prof.Exit(ph, t)
 }
 
 // runFFT executes the full-plane FFT convolution.
@@ -478,7 +473,7 @@ func runFFT(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTensor
 		for k0 := 0; k0 < g.k; k0 += kch {
 			g.fb, g.fc = k0, imin(kch, g.k-k0)
 			g.forEach(phRFFTForward, g.fc*g.c, stFullFwdW)
-			g.forEachRaw(g.n*g.fc, stFullCombineFwd)
+			g.forEach(0, g.n*g.fc, stFullCombineFwd)
 		}
 	case BackwardData:
 		// dX[n,c] = sum_k corr(padded dY[n,k], rot(w[k,c])).
@@ -487,7 +482,7 @@ func runFFT(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTensor
 		for c0 := 0; c0 < g.c; c0 += cch {
 			g.fb, g.fc = c0, imin(cch, g.c-c0)
 			g.forEach(phRFFTForward, g.fc*g.k, stFullFwdWRot)
-			g.forEachRaw(g.n*g.fc, stFullCombineBwd)
+			g.forEach(0, g.n*g.fc, stFullCombineBwd)
 		}
 	case BackwardFilter:
 		// dW[k,c] = sum_n corr(padded X[n,c], dY[n,k])[0:R, 0:S].
@@ -496,7 +491,7 @@ func runFFT(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTensor
 		kch := imin(g.k, fftFilterChunk)
 		for k0 := 0; k0 < g.k; k0 += kch {
 			g.fb, g.fc = k0, imin(kch, g.k-k0)
-			g.forEachRaw(g.fc*g.c, stFullCombineWgrad)
+			g.forEach(0, g.fc*g.c, stFullCombineWgrad)
 		}
 	}
 }
@@ -516,7 +511,7 @@ func runFFTTiling(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.Filter
 			for tw := 0; tw < tilesW; tw++ {
 				g.baseH, g.baseW = th*g.toH, tw*g.toW
 				g.forEach(phRFFTForward, g.n*g.c, stTileFwdX)
-				g.forEachRaw(g.n*g.k, stTileCombineFwd)
+				g.forEach(0, g.n*g.k, stTileCombineFwd)
 			}
 		}
 	case BackwardData:
@@ -527,7 +522,7 @@ func runFFTTiling(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.Filter
 			for tw := 0; tw < tilesW; tw++ {
 				g.baseH, g.baseW = th*g.toH, tw*g.toW
 				g.forEach(phRFFTForward, g.n*g.k, stTileBwdDY)
-				g.forEachRaw(g.n*g.c, stTileCombineBwd)
+				g.forEach(0, g.n*g.c, stTileCombineBwd)
 			}
 		}
 	case BackwardFilter:

@@ -267,7 +267,11 @@ func runGemm(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTenso
 		// Copy g so only the copy is captured (and heap-allocated) by the
 		// escaping closure; the serial path above keeps g on the stack.
 		gc := g
-		parallelForW(workers, in.N, func(wk, n int) { gc.forwardSample(wk, n, 1) })
+		fork(workers, in.N, func(wk, lo, hi int) {
+			for n := lo; n < hi; n++ {
+				gc.forwardSample(wk, n, 1)
+			}
+		})
 	case BackwardData:
 		// colGrad = Wmatᵀ (CRS x K) * dY[n] (K x pixels); scatter via col2im.
 		if workers <= 1 {
@@ -277,7 +281,11 @@ func runGemm(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTenso
 			return
 		}
 		gc := g
-		parallelForW(workers, in.N, func(wk, n int) { gc.backwardDataSample(wk, n, 1) })
+		fork(workers, in.N, func(wk, lo, hi int) {
+			for n := lo; n < hi; n++ {
+				gc.backwardDataSample(wk, n, 1)
+			}
+		})
 	case BackwardFilter:
 		// dW = beta*dW + alpha * sum_n dY[n] * colᵀ. Per-sample partial
 		// buffers are computed in parallel rounds of `workers` samples and
@@ -305,7 +313,11 @@ func runGemm(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTenso
 		for n0 := 0; n0 < in.N; n0 += workers {
 			cnt := imin(workers, in.N-n0)
 			base := n0
-			parallelForW(cnt, cnt, func(wk, i int) { gc.filterPartial(wk, base+i, 1) })
+			fork(cnt, cnt, func(wk, lo, hi int) {
+				for i := lo; i < hi; i++ {
+					gc.filterPartial(wk, base+i, 1)
+				}
+			})
 			t := prof.Enter()
 			for i := 0; i < cnt; i++ {
 				blas.Saxpy(alpha, gc.partFor(i), w.Data)

@@ -37,14 +37,10 @@ import (
 // depends on who computes its block, so results are bit-identical at
 // every worker count.
 
-// implicitForkMACs is the multiply-add count below which a Run stays on
-// the calling goroutine; implicitSmallPack is the pack-block size (in
-// float32s, each) up to which runUnits uses small stack blocks, so that a
-// toy problem does not pay for clearing 168 KiB.
-const (
-	implicitForkMACs  = 1 << 16
-	implicitSmallPack = 2048
-)
+// implicitSmallPack is the pack-block size (in float32s, each) up to
+// which runUnits uses small stack blocks, so that a toy problem does not
+// pay for clearing 168 KiB.
+const implicitSmallPack = 2048
 
 // implicitCtx carries the kernel state. Methods use a value receiver so
 // the serial path runs as plain calls with no closures (see gemmCtx).
@@ -86,11 +82,8 @@ func runImplicit(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterT
 		g.m, g.n, g.k, g.c = g.f.K, crs, pixels, g.w
 		groups = 1
 	}
-	// Forking costs more than a product this small (blas.Sgemm's rule).
-	workers := MaxWorkers()
-	if int64(g.in.N)*int64(g.m)*int64(g.n)*int64(g.k) < implicitForkMACs {
-		workers = 1
-	}
+	// Forking costs more than a small product repays (blas's rule).
+	workers := blas.AutoWorkers(int64(g.in.N) * int64(g.m) * int64(g.n) * int64(g.k))
 	// Even-width column blocks, in a count the workers divide: how the
 	// columns are cut never shows in the result.
 	blocks := ceilDiv(g.n, blas.NC)
@@ -110,18 +103,14 @@ func runImplicit(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterT
 // fork splits [0, n) into one contiguous chunk per worker; the serial
 // case is a plain call so steady-state execution allocates nothing.
 func (g implicitCtx) fork(workers int, table bool, n int) {
-	workers = imin(workers, n)
-	if workers <= 1 {
+	if imin(workers, n) <= 1 {
 		g.chunk(table, 0, n)
 		return
 	}
 	// Copy g so only the copy is captured (and heap-allocated) by the
 	// escaping closure.
 	gc := g
-	stripedRun(workers, func(w int) {
-		lo, hi := chunkBounds(n, workers, w)
-		gc.chunk(table, lo, hi)
-	})
+	fork(workers, n, func(_, lo, hi int) { gc.chunk(table, lo, hi) })
 }
 
 //ucudnn:hotpath

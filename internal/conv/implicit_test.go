@@ -18,7 +18,8 @@ import (
 // implicitShapes stress the gathering packers: strides 2 and 4, dilation,
 // asymmetric padding, 1x1, extents that are no multiple of the register
 // tile (4x8) or the kc=192 / nc=160 blocks, several k-blocks, and N=1.
-// All but the two smallest exceed implicitForkMACs, so they fork at P > 1.
+// All but the two smallest exceed blas's small-product rule (blas.AutoWorkers),
+// so they fork at P > 1.
 var implicitShapes = []tensor.ConvShape{
 	// K=5, CRS=363 (two k-blocks), 25 pixels: nothing divides anything.
 	{In: tensor.Shape{N: 2, C: 3, H: 23, W: 23}, Filt: tensor.Filter{K: 5, C: 3, R: 11, S: 11}, Params: tensor.ConvParams{PadH: 2, PadW: 2, StrideH: 4, StrideW: 4}},

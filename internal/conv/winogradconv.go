@@ -225,18 +225,14 @@ const (
 
 // run executes units [0, n) of stage st on up to workers workers.
 func (g *wgCtx) run(workers int, st wgStage, n int) {
-	workers = imin(workers, n)
-	if workers <= 1 {
+	if imin(workers, n) <= 1 {
 		g.units(st, 0, n, 0)
 		return
 	}
 	// Only this copy is captured (and heap-allocated) by the escaping
 	// closure; the serial path above keeps g off the heap.
 	gc := *g
-	stripedRun(workers, func(w int) {
-		lo, hi := chunkBounds(n, workers, w)
-		gc.units(st, lo, hi, 1)
-	})
+	fork(workers, n, func(_, lo, hi int) { gc.units(st, lo, hi, 1) })
 }
 
 // units runs units [lo, hi) of stage st as this worker's phase windows.

@@ -1,33 +1,27 @@
 package core
 
 import (
-	"sync"
-
 	"ucudnn/internal/cudnn"
 	"ucudnn/internal/obs"
 )
 
 // Bencher measures (or, with the model backend, predicts) per-algorithm
-// kernel performance for the optimizers, with caching and parallel
-// evaluation of micro-batch candidates (the paper's multi-GPU parallel
-// benchmarking, realized as a worker pool over virtual devices).
+// kernel performance for the optimizers, with caching. Benchmarking is
+// serial: µ-cuDNN spreads micro-benchmarks over several GPUs, but on one
+// host concurrent timings would contend for the same cores and skew one
+// another (see DESIGN.md's substitutions).
 type Bencher struct {
-	h       *cudnn.Handle
-	cache   *Cache
-	workers int
-	m       *metricSet
+	h     *cudnn.Handle
+	cache *Cache
+	m     *metricSet
 }
 
-// NewBencher builds a bencher over the given cuDNN handle. workers <= 1
-// evaluates sequentially.
-func NewBencher(h *cudnn.Handle, cache *Cache, workers int) *Bencher {
+// NewBencher builds a bencher over the given cuDNN handle.
+func NewBencher(h *cudnn.Handle, cache *Cache) *Bencher {
 	if cache == nil {
 		cache, _ = NewCache("")
 	}
-	if workers < 1 {
-		workers = 1
-	}
-	return &Bencher{h: h, cache: cache, workers: workers, m: newMetricSet(nil)}
+	return &Bencher{h: h, cache: cache, m: newMetricSet(nil)}
 }
 
 // SetMetrics mirrors the bencher's (and its cache's) activity, plus the
@@ -51,49 +45,12 @@ func (b *Bencher) Perfs(k Kernel) []cudnn.AlgoPerf {
 	return p
 }
 
-// PerfsForSizes benchmarks kernel k at each micro-batch size, distributing
-// the uncached sizes over the worker pool.
+// PerfsForSizes benchmarks kernel k at each micro-batch size, in the
+// order given, so a file cache records them in a deterministic order.
 func (b *Bencher) PerfsForSizes(k Kernel, sizes []int) map[int][]cudnn.AlgoPerf {
 	out := make(map[int][]cudnn.AlgoPerf, len(sizes))
-	var pending []int
-	var mu sync.Mutex
 	for _, n := range sizes {
-		key := CacheKey(b.h.Device().Name, b.h.Backend(), k.Op, k.Shape.WithN(n))
-		if p, ok := b.cache.Get(key); ok {
-			out[n] = p
-		} else {
-			pending = append(pending, n)
-		}
+		out[n] = b.Perfs(Kernel{Op: k.Op, Shape: k.Shape.WithN(n)})
 	}
-	if len(pending) == 0 {
-		return out
-	}
-	workers := b.workers
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	var wg sync.WaitGroup
-	ch := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for n := range ch {
-				mk := Kernel{Op: k.Op, Shape: k.Shape.WithN(n)}
-				p := b.h.AlgoPerfs(mk.Op, mk.Shape)
-				b.m.benchKernels.Inc()
-				key := CacheKey(b.h.Device().Name, b.h.Backend(), mk.Op, mk.Shape)
-				mu.Lock()
-				_ = b.cache.Put(key, p)
-				out[n] = p
-				mu.Unlock()
-			}
-		}()
-	}
-	for _, n := range pending {
-		ch <- n
-	}
-	close(ch)
-	wg.Wait()
 	return out
 }

@@ -191,24 +191,6 @@ func TestFileDBSharedAcrossHandles(t *testing.T) {
 	h2.Cache().Close()
 }
 
-// Parallel benchmark workers against a shared cache must be race-free and
-// deterministic (run with -race).
-func TestBencherParallelWorkersRace(t *testing.T) {
-	cache, _ := NewCache("")
-	b := NewBencher(cudnn.NewHandle(device.P100, cudnn.ModelOnlyBackend), cache, 8)
-	k := Kernel{Op: conv.BackwardFilter, Shape: conv2Shape(64)}
-	sizes := PolicyAll.CandidateSizes(64)
-	out := b.PerfsForSizes(k, sizes)
-	if len(out) != len(sizes) {
-		t.Fatalf("got %d entries", len(out))
-	}
-	for _, n := range sizes {
-		if len(out[n]) == 0 {
-			t.Fatalf("size %d empty", n)
-		}
-	}
-}
-
 // The attach path (SetTraceRecorder) may run while kernels execute: the
 // degradation ladder's fault span and every TraceRecorder reader must
 // read the recorder through the handle lock. Run under -race: a fault

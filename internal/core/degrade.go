@@ -47,7 +47,7 @@ func (h *Handle) degrade(k Kernel, cause error, restore func(), x *tensor.Tensor
 
 	h.mu.Lock()
 	key := k.String()
-	prior := h.plans[key]
+	prior, hasPrior := h.plans[key]
 	limit := h.opts.WorkspaceLimit
 	if l, ok := h.limits[key]; ok {
 		limit = l
@@ -59,10 +59,10 @@ func (h *Handle) degrade(k Kernel, cause error, restore func(), x *tensor.Tensor
 	// failure under workspace pressure is not fixed by asking for more.
 	wsBound := limit
 	var priorCfg string
-	if prior != nil {
-		priorCfg = prior.plan.Config.String()
-		if prior.plan.Workspace < wsBound {
-			wsBound = prior.plan.Workspace
+	if hasPrior {
+		priorCfg = prior.Config.String()
+		if prior.Workspace < wsBound {
+			wsBound = prior.Workspace
 		}
 	}
 	if front, ferr := DesirableSet(h.bencher, k, limit, h.opts.Policy); ferr == nil {
@@ -204,7 +204,7 @@ func (h *Handle) minWSAlgo(op conv.Op, cs tensor.ConvShape, measure func(conv.Op
 func (h *Handle) adopt(k Kernel, plan Plan, stage string, clockStart time.Duration) {
 	h.mu.Lock()
 	h.growArena(plan.Workspace)
-	h.plans[k.String()] = &execPlan{plan: plan}
+	h.plans[k.String()] = plan
 	h.degraded++
 	deg := h.degraded
 	h.mu.Unlock()

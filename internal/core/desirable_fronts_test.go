@@ -42,7 +42,7 @@ func TestDesirableSetFrontsPinned(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, pol := range []core.Policy{core.PolicyPowerOfTwo, core.PolicyAll} {
-				b := core.NewBencher(h, nil, 1)
+				b := core.NewBencher(h, nil)
 				sum := fnv.New64a()
 				kernels, entries := 0, 0
 				seen := map[string]bool{}

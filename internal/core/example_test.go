@@ -15,7 +15,7 @@ import (
 // the FFT algorithm fits.
 func ExampleOptimizeWR() {
 	h := cudnn.NewHandle(device.P100, cudnn.ModelOnlyBackend)
-	b := core.NewBencher(h, nil, 1)
+	b := core.NewBencher(h, nil)
 	kernel := core.Kernel{
 		Op: conv.Forward,
 		Shape: tensor.ConvShape{

@@ -65,9 +65,6 @@ type Options struct {
 	// set leaves behind. Ignored in WR mode, where the caller folds the
 	// blob peak into the per-kernel limit instead.
 	BlobReserve int64
-	// Workers is the parallel micro-benchmark width (§III-D's multi-GPU
-	// evaluation; default 1).
-	Workers int
 	// CachePath optionally points at the file benchmark database.
 	CachePath string
 	// Metrics, when non-nil, receives the handle's observability metrics
@@ -121,9 +118,6 @@ func WDJointPool(wsBytes, blobPeak int64) Option {
 	}
 }
 
-// WithWorkers sets the parallel benchmark width.
-func WithWorkers(n int) Option { return func(o *Options) { o.Workers = n } }
-
 // WithCachePath sets the benchmark database file.
 func WithCachePath(path string) Option { return func(o *Options) { o.CachePath = path } }
 
@@ -141,9 +135,8 @@ func WithAlgoFilter(f func(conv.Op, conv.Algo) bool) Option {
 // FromEnv applies the paper's environment-variable configuration:
 // UCUDNN_BATCH_SIZE_POLICY, UCUDNN_WORKSPACE_LIMIT (bytes),
 // UCUDNN_TOTAL_WORKSPACE_SIZE (bytes; enables WD),
-// UCUDNN_BLOB_RESERVE (bytes), UCUDNN_BENCHMARK_DB_PATH and
-// UCUDNN_WORKERS, so the Caffe-style "swap the handle type" integration
-// stays transparent.
+// UCUDNN_BLOB_RESERVE (bytes) and UCUDNN_BENCHMARK_DB_PATH, so the
+// Caffe-style "swap the handle type" integration stays transparent.
 func FromEnv() Option {
 	return func(o *Options) {
 		if v := os.Getenv("UCUDNN_BATCH_SIZE_POLICY"); v != "" {
@@ -170,16 +163,7 @@ func FromEnv() Option {
 		if v := os.Getenv("UCUDNN_BENCHMARK_DB_PATH"); v != "" {
 			o.CachePath = v
 		}
-		if v := os.Getenv("UCUDNN_WORKERS"); v != "" {
-			if n, err := strconv.Atoi(v); err == nil && n > 0 {
-				o.Workers = n
-			}
-		}
 	}
-}
-
-type execPlan struct {
-	plan Plan
 }
 
 // Handle is µ-cuDNN's drop-in replacement for the cuDNN handle
@@ -204,7 +188,7 @@ type Handle struct {
 	execMu sync.Mutex
 
 	mu         sync.Mutex
-	plans      map[string]*execPlan
+	plans      map[string]Plan
 	limits     map[string]int64
 	registered []Kernel
 	regSet     map[string]bool
@@ -243,7 +227,6 @@ func New(inner *cudnn.Handle, opts ...Option) (*Handle, error) {
 	o := Options{
 		Policy:         PolicyPowerOfTwo,
 		WorkspaceLimit: DefaultWorkspaceLimit,
-		Workers:        1,
 	}
 	for _, f := range opts {
 		f(&o)
@@ -261,7 +244,7 @@ func New(inner *cudnn.Handle, opts ...Option) (*Handle, error) {
 	if err != nil {
 		return nil, err
 	}
-	bencher := NewBencher(inner, cache, o.Workers)
+	bencher := NewBencher(inner, cache)
 	bencher.SetMetrics(o.Metrics)
 	h := &Handle{
 		inner:   inner,
@@ -270,7 +253,7 @@ func New(inner *cudnn.Handle, opts ...Option) (*Handle, error) {
 		cache:   cache,
 		bencher: bencher,
 		m:       bencher.m,
-		plans:   map[string]*execPlan{},
+		plans:   map[string]Plan{},
 		limits:  map[string]int64{},
 		regSet:  map[string]bool{},
 	}
@@ -327,7 +310,7 @@ func (h *Handle) Plans() []Plan {
 	defer h.mu.Unlock()
 	out := make([]Plan, 0, len(h.plans))
 	for _, p := range h.plans {
-		out = append(out, p.plan)
+		out = append(out, p)
 	}
 	return out
 }
@@ -397,13 +380,13 @@ func (h *Handle) finalizeLocked() error {
 			return fmt.Errorf("core: allocating WD segment for %v: %w", p.Kernel, err)
 		}
 		h.growArena(p.Workspace)
-		h.plans[key] = &execPlan{plan: p}
+		h.plans[key] = p
 	}
 	return nil
 }
 
 // ensurePlan returns (computing if needed) the execution plan of kernel k.
-func (h *Handle) ensurePlan(k Kernel) (*execPlan, error) {
+func (h *Handle) ensurePlan(k Kernel) (Plan, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	key := k.String()
@@ -412,7 +395,7 @@ func (h *Handle) ensurePlan(k Kernel) (*execPlan, error) {
 	}
 	// First execution closes WD registration and optimizes the network.
 	if err := h.finalizeLocked(); err != nil {
-		return nil, err
+		return Plan{}, err
 	}
 	if p, ok := h.plans[key]; ok {
 		return p, nil
@@ -426,18 +409,17 @@ func (h *Handle) ensurePlan(k Kernel) (*execPlan, error) {
 	plan, err := OptimizeWR(h.bencher, k, limit, h.opts.Policy)
 	h.optTime += time.Since(start)
 	if err != nil {
-		return nil, err
+		return Plan{}, err
 	}
 	h.m.wsRequested.Add(limit)
 	h.m.wsGranted.Add(plan.Workspace)
 	h.m.microbatchCount.Observe(float64(len(plan.Config)))
 	if err := h.inner.Mem().Alloc(plan.Workspace); err != nil {
-		return nil, fmt.Errorf("core: allocating workspace for %v: %w", k, err)
+		return Plan{}, fmt.Errorf("core: allocating workspace for %v: %w", k, err)
 	}
 	h.growArena(plan.Workspace)
-	p := &execPlan{plan: plan}
-	h.plans[key] = p
-	return p, nil
+	h.plans[key] = plan
+	return plan, nil
 }
 
 // execute runs the kernel's micro-batched configuration sequentially,
@@ -448,7 +430,7 @@ func (h *Handle) ensurePlan(k Kernel) (*execPlan, error) {
 // degradation ladder in degrade.go until some configuration runs.
 func (h *Handle) execute(op conv.Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTensor, y *tensor.Tensor, alpha, beta float32) error {
 	k := Kernel{Op: op, Shape: cs}
-	ep, err := h.ensurePlan(k)
+	plan, err := h.ensurePlan(k)
 	h.execMu.Lock()
 	defer h.execMu.Unlock()
 	sc := causal.Begin(causal.KindConv, k.String())
@@ -460,7 +442,7 @@ func (h *Handle) execute(op conv.Op, cs tensor.ConvShape, x *tensor.Tensor, w *t
 	defer prof.End(pstart)
 	restore := h.snapshotOutput(op, x, w, y, beta)
 	if err == nil {
-		err = h.runConfig(ep.plan.Config, ep.plan.Workspace, op, cs, x, w, y, alpha, beta)
+		err = h.runConfig(plan.Config, plan.Workspace, op, cs, x, w, y, alpha, beta)
 		if err == nil {
 			return nil
 		}

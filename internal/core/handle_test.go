@@ -229,11 +229,10 @@ func TestFromEnv(t *testing.T) {
 	t.Setenv("UCUDNN_BATCH_SIZE_POLICY", "all")
 	t.Setenv("UCUDNN_WORKSPACE_LIMIT", "1048576")
 	t.Setenv("UCUDNN_TOTAL_WORKSPACE_SIZE", "8388608")
-	t.Setenv("UCUDNN_WORKERS", "4")
 	h := newTestHandle(t, cudnn.ModelOnlyBackend, FromEnv())
 	o := h.Options()
 	if o.Policy != PolicyAll || o.WorkspaceLimit != 1<<20 || o.Mode != WD ||
-		o.TotalWorkspaceLimit != 8<<20 || o.Workers != 4 {
+		o.TotalWorkspaceLimit != 8<<20 {
 		t.Fatalf("env options wrong: %+v", o)
 	}
 	if WR.String() != "WR" || WD.String() != "WD" {
@@ -245,33 +244,10 @@ func TestFromEnvIgnoresBadValues(t *testing.T) {
 	t.Setenv("UCUDNN_BATCH_SIZE_POLICY", "nope")
 	t.Setenv("UCUDNN_WORKSPACE_LIMIT", "xyz")
 	t.Setenv("UCUDNN_TOTAL_WORKSPACE_SIZE", "")
-	t.Setenv("UCUDNN_WORKERS", "-3")
 	h := newTestHandle(t, cudnn.ModelOnlyBackend, FromEnv())
 	o := h.Options()
-	if o.Policy != PolicyPowerOfTwo || o.WorkspaceLimit != DefaultWorkspaceLimit || o.Mode != WR || o.Workers != 1 {
+	if o.Policy != PolicyPowerOfTwo || o.WorkspaceLimit != DefaultWorkspaceLimit || o.Mode != WR {
 		t.Fatalf("bad env values must keep defaults: %+v", o)
-	}
-}
-
-func TestHandleParallelWorkersPlanIdentical(t *testing.T) {
-	// Parallel micro-benchmarking (the multi-GPU evaluation) must not
-	// change the resulting plan: the model backend is deterministic.
-	xd, wd, cd, yd, _ := smallConv(32)
-	var plans []string
-	for _, workers := range []int{1, 4} {
-		h := newTestHandle(t, cudnn.ModelOnlyBackend, WithWorkers(workers), WithWorkspaceLimit(1<<20))
-		algo, _ := h.GetConvolutionForwardAlgorithm(xd, wd, cd, yd, cudnn.PreferFastest, 0)
-		if err := h.ConvolutionForward(1, xd, nil, wd, nil, cd, algo, nil, 0, yd, nil); err != nil {
-			t.Fatal(err)
-		}
-		ps := h.Plans()
-		if len(ps) != 1 {
-			t.Fatal("one plan expected")
-		}
-		plans = append(plans, ps[0].Config.String())
-	}
-	if plans[0] != plans[1] {
-		t.Fatalf("workers changed the plan: %v vs %v", plans[0], plans[1])
 	}
 }
 

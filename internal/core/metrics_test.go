@@ -130,7 +130,7 @@ func TestCacheStats(t *testing.T) {
 		t.Fatalf("reopened stats = %+v", c2.Stats())
 	}
 	reg := obs.NewRegistry()
-	b := NewBencher(cudnn.NewHandle(device.P100, cudnn.ModelOnlyBackend), c2, 1)
+	b := NewBencher(cudnn.NewHandle(device.P100, cudnn.ModelOnlyBackend), c2)
 	b.SetMetrics(reg)
 	if reg.Counter(MetricCacheFileLoads).Value() != 1 {
 		t.Fatal("file loads not replayed into registry")

@@ -23,7 +23,7 @@ func conv2Shape(n int) tensor.ConvShape {
 }
 
 func modelBencher() *Bencher {
-	return NewBencher(cudnn.NewHandle(device.P100, cudnn.ModelOnlyBackend), nil, 1)
+	return NewBencher(cudnn.NewHandle(device.P100, cudnn.ModelOnlyBackend), nil)
 }
 
 func TestPolicyCandidateSizes(t *testing.T) {
@@ -589,7 +589,7 @@ func TestOptimizeWDErrors(t *testing.T) {
 func TestOptimizeWDInfeasiblePool(t *testing.T) {
 	h := cudnn.NewHandle(device.P100, cudnn.ModelOnlyBackend)
 	h.SetAlgoFilter(func(op conv.Op, a conv.Algo) bool { return a == conv.AlgoGemm }) // no zero-workspace fallback
-	b := NewBencher(h, nil, 1)
+	b := NewBencher(h, nil)
 	kernels := []Kernel{{Op: conv.Forward, Shape: conv2Shape(8)}, {Op: conv.BackwardData, Shape: conv2Shape(8)}}
 	var need, least int64
 	for _, k := range kernels {
@@ -744,7 +744,7 @@ func TestCacheKeyDistinguishes(t *testing.T) {
 func TestBencherUsesCache(t *testing.T) {
 	h := cudnn.NewHandle(device.P100, cudnn.ModelOnlyBackend)
 	cache, _ := NewCache("")
-	b := NewBencher(h, cache, 4)
+	b := NewBencher(h, cache)
 	k := Kernel{Op: conv.Forward, Shape: conv2Shape(16)}
 	sizes := []int{1, 2, 4, 8, 16}
 	m1 := b.PerfsForSizes(k, sizes)

@@ -71,7 +71,7 @@ func (h *Handle) Report() HandleReport {
 	}
 	sort.Strings(keys)
 	for _, key := range keys {
-		p := h.plans[key].plan
+		p := h.plans[key]
 		limit := h.opts.WorkspaceLimit
 		if h.opts.Mode == WD {
 			limit = h.opts.TotalWorkspaceLimit

@@ -477,17 +477,25 @@ func (n *Net) Backward() error {
 	if !n.ready {
 		return fmt.Errorf("dnn: Backward before Forward")
 	}
-	if !n.ctx.SkipCompute {
-		for _, b := range n.blobs {
-			b.Grad.Zero()
-		}
-	}
+	n.zeroBlobGrads()
 	for i := len(n.layers) - 1; i >= 0; i-- {
 		if err := n.backwardLayer(i); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// zeroBlobGrads clears every blob gradient ahead of a backward pass:
+// bottom gradients accumulate across consumers. A timing-only context
+// has no gradient buffers to clear.
+func (n *Net) zeroBlobGrads() {
+	if n.ctx.SkipCompute {
+		return
+	}
+	for _, b := range n.blobs {
+		b.Grad.Zero()
+	}
 }
 
 func (n *Net) backwardLayer(i int) error {

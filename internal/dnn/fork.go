@@ -3,7 +3,7 @@ package dnn
 import (
 	"sync"
 
-	"ucudnn/internal/conv"
+	"ucudnn/internal/blas"
 )
 
 // forkGrain is the number of tensor elements below which a second worker
@@ -11,13 +11,15 @@ import (
 // work per forkGrain elements.
 const forkGrain = 1 << 14
 
-// forkJoin spreads a layer pass over the kernel engine's workers without
-// allocating: the goroutine bodies are built once, in Setup, and a pass
-// only starts them. The layer describes the pass in flight in the pass
-// fields, which the bodies read; results must not depend on the worker
-// count, so every worker takes a range of independent samples, planes or
-// elements. A layer holds its fork by pointer and builds it only when
-// the context computes, so a planning context pays one nil word for it.
+// forkJoin spreads a layer pass over the kernel workers (the one cap,
+// blas.MaxWorkers) without allocating: the goroutine bodies are built
+// once, in Setup, and a pass only starts them — a per-call fork helper
+// would allocate its closure on every pass. The layer describes the pass
+// in flight in the pass fields, which the bodies read; results must not
+// depend on the worker count, so every worker takes a blas.Chunk range
+// of independent samples, planes or elements. A layer holds its fork by
+// pointer and builds it only when the context computes, so a planning
+// context pays one nil word for it.
 type forkJoin struct {
 	body    func(w, workers int) // worker w's share of the pass in flight
 	run     []func()             // the goroutine body of every worker but the calling one
@@ -37,7 +39,7 @@ type forkJoin struct {
 // pass uses as many of them as the worker cap then allows.
 func newForkJoin(maxUnits int, body func(w, workers int)) *forkJoin {
 	f := &forkJoin{body: body}
-	f.run = make([]func(), imax(1, imin(conv.MaxWorkers(), maxUnits))-1)
+	f.run = make([]func(), imax(1, imin(blas.MaxWorkers(), maxUnits))-1)
 	for i := range f.run {
 		w := i + 1
 		f.run[i] = func() {
@@ -66,17 +68,11 @@ func (f *forkJoin) backward(units int, x, y, dy, dx []float32) {
 }
 
 func (f *forkJoin) do(units int) {
-	f.workers = imax(1, imin(imin(conv.MaxWorkers(), f.maxWorkers()), units))
+	f.workers = imax(1, imin(imin(blas.MaxWorkers(), f.maxWorkers()), units))
 	f.wg.Add(f.workers - 1)
 	for w := 1; w < f.workers; w++ {
 		go f.run[w-1]()
 	}
 	f.body(0, f.workers)
 	f.wg.Wait()
-}
-
-// share is worker w's contiguous range of n items split over workers.
-func share(n, w, workers int) (lo, hi int) {
-	chunk := (n + workers - 1) / workers
-	return imin(w*chunk, n), imin((w+1)*chunk, n)
 }

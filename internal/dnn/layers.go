@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"ucudnn/internal/blas"
 	"ucudnn/internal/tensor"
 )
 
@@ -42,7 +43,7 @@ func (l *ReLU) Setup(ctx *Context, bottoms []tensor.Shape) (tensor.Shape, error)
 // [1, +Inf's] (that leaves out both zeros, the negatives and every NaN).
 func (l *ReLU) work(w, workers int) {
 	pass := &l.fork.pass
-	lo, hi := share(len(pass.x), w, workers)
+	lo, hi := blas.Chunk(len(pass.x), workers, w)
 	// Forward passes x itself where it is positive, backward dy.
 	x, from, out := pass.x[lo:hi], pass.x[lo:hi], pass.y[lo:hi]
 	if pass.backward {
@@ -154,7 +155,7 @@ func (l *Pool) units() int {
 
 // work is worker w's share of the pass: a contiguous range of planes.
 func (l *Pool) work(w, workers int) {
-	lo, hi := share(l.in.N*l.in.C, w, workers)
+	lo, hi := blas.Chunk(l.in.N*l.in.C, workers, w)
 	for p := lo; p < hi; p++ {
 		if l.fork.pass.backward {
 			l.backwardPlane(p)

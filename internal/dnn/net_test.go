@@ -1,6 +1,7 @@
 package dnn
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -59,6 +60,40 @@ func TestNetForwardBackward(t *testing.T) {
 	}
 	if len(net.Layers()) != 8 {
 		t.Fatalf("layers = %v", net.Layers())
+	}
+}
+
+// Time's timed iterations start each backward pass from zeroed blob
+// gradients, as Backward does; otherwise every iteration's bottom
+// gradients pile onto the previous one's.
+func TestNetTimeZeroesBlobGrads(t *testing.T) {
+	build := func() *Net {
+		net, loss := buildTinyNet(testCtx(), 4)
+		if err := net.Setup(); err != nil {
+			t.Fatal(err)
+		}
+		net.InputBlob().Data.Randomize(rand.New(rand.NewSource(3)), 1)
+		loss.Labels = []int{0, 1, 2, 3}
+		return net
+	}
+	timed := build()
+	if _, err := timed.Time(1); err != nil {
+		t.Fatal(err)
+	}
+	ref := build() // Time(1) is a warm-up iteration plus one timed one
+	for i := 0; i < 2; i++ {
+		if err := ref.Forward(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.Backward(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got, want := timed.Blob("pool1").Grad.Data, ref.Blob("pool1").Grad.Data
+	for i := range want {
+		if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+			t.Fatalf("pool1 gradient[%d] after Time(1) = %v, after two Forward+Backward passes %v", i, got[i], want[i])
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"ucudnn/internal/blas"
 	"ucudnn/internal/tensor"
 )
 
@@ -60,7 +61,7 @@ func (l *LRN) Setup(ctx *Context, bottoms []tensor.Shape) (tensor.Shape, error) 
 
 // work is worker w's share of the pass: a contiguous range of samples.
 func (l *LRN) work(w, workers int) {
-	lo, hi := share(l.shape.N, w, workers)
+	lo, hi := blas.Chunk(l.shape.N, workers, w)
 	for n := lo; n < hi; n++ {
 		if l.fork.pass.backward {
 			l.backwardSample(w, n)

@@ -109,6 +109,7 @@ func (n *Net) Time(iters int) (*TimingReport, error) {
 			}
 			fwd[i] += n.ctx.Cudnn.Elapsed() - start
 		}
+		n.zeroBlobGrads()
 		for i := len(n.layers) - 1; i >= 0; i-- {
 			start := n.ctx.Cudnn.Elapsed()
 			if err := n.backwardLayer(i); err != nil {

@@ -59,8 +59,8 @@ type Kind uint8
 const maxKinds = 64
 
 // maxWorkerSlots bounds the per-worker busy-time slot array; worker
-// indices wrap beyond it (the engine caps workers at GOMAXPROCS, far
-// below).
+// indices wrap beyond it (every kernel fork is bounded by the one worker
+// cap, blas.MaxWorkers, far below).
 const maxWorkerSlots = 256
 
 // phaseRe is the naming scheme Register enforces (mirrored by the

@@ -40,11 +40,10 @@ type Config struct {
 	// Backend selects the timing backend; ModelOnlyBackend builds a
 	// timing-only run (no arithmetic, no buffers).
 	Backend cudnn.Backend
-	// CachePath and Workers pass through to the µ-cuDNN handle; Metrics
-	// is the run's one registry, shared by the handle and the
-	// out-of-core executor.
+	// CachePath passes through to the µ-cuDNN handle; Metrics is the
+	// run's one registry, shared by the handle and the out-of-core
+	// executor.
 	CachePath string
-	Workers   int
 	Metrics   *obs.Registry
 }
 
@@ -93,7 +92,7 @@ func New(cfg Config) (*Session, error) {
 	var convH dnn.ConvHandle = s.Inner
 	if cfg.Mode != "cudnn" {
 		opts := []core.Option{core.WithPolicy(cfg.Policy), core.WithCachePath(cfg.CachePath),
-			core.WithWorkers(cfg.Workers), core.WithMetrics(cfg.Metrics)}
+			core.WithMetrics(cfg.Metrics)}
 		switch cfg.Mode {
 		case "wr":
 			opts = append(opts, core.WithWorkspaceLimit(cfg.WS))
