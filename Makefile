@@ -39,15 +39,15 @@ test-e2e:
 bench:
 	$(GO) test -bench=. -benchmem -run=NONE
 
-# bench-smoke is a short pass over the convolution kernel and WD ILP
-# micro-benchmarks (the BENCH_kernels.json baseline): enough iterations
+# bench-smoke is a short pass over the convolution kernel, LRN layer and
+# WD ILP micro-benchmarks (the BENCH_kernels.json baseline): enough iterations
 # to catch a kernel that stopped running or started allocating, fast
 # enough for the pre-commit gate. Like bench-json it runs at -cpu 1: the
 # ledger records the engine's serial path, whose allocs/op must be zero
 # (fork-join allocates goroutines by design), on whatever host this is.
 bench-smoke:
-	$(GO) test -run=NONE -bench='BenchmarkConvKernels$$|BenchmarkConvBackwardFilter|BenchmarkConvImplicit|BenchmarkConvInception3x3|BenchmarkSgemm' \
-		-benchtime=3x -benchmem -cpu 1 ./internal/conv/ ./internal/blas/
+	$(GO) test -run=NONE -bench='BenchmarkConvKernels$$|BenchmarkConvBackwardFilter|BenchmarkConvImplicit|BenchmarkConvInception3x3|BenchmarkSgemm|BenchmarkLRN' \
+		-benchtime=3x -benchmem -cpu 1 ./internal/conv/ ./internal/blas/ ./internal/dnn/
 	$(GO) test -run=NONE -bench='BenchmarkILP' -benchtime=20x -benchmem -cpu 1 .
 
 # bench-json runs the kernel micro-benchmarks that back
@@ -61,8 +61,8 @@ bench-smoke:
 # a third of the sample and allocs/op rounds unevenly.
 bench-json:
 	@tmp=$$(mktemp); \
-	$(GO) test -run=NONE -bench='BenchmarkConvKernels$$|BenchmarkConvKernelsBatch|BenchmarkConvBackwardFilter|BenchmarkConvImplicit|BenchmarkConvInception3x3|BenchmarkSgemm' \
-		-benchtime=3x -count 3 -benchmem -cpu 1 ./internal/conv/ ./internal/blas/ > $$tmp || { cat $$tmp; rm -f $$tmp; exit 1; }; \
+	$(GO) test -run=NONE -bench='BenchmarkConvKernels$$|BenchmarkConvKernelsBatch|BenchmarkConvBackwardFilter|BenchmarkConvImplicit|BenchmarkConvInception3x3|BenchmarkSgemm|BenchmarkLRN' \
+		-benchtime=3x -count 3 -benchmem -cpu 1 ./internal/conv/ ./internal/blas/ ./internal/dnn/ > $$tmp || { cat $$tmp; rm -f $$tmp; exit 1; }; \
 	$(GO) test -run=NONE -bench='BenchmarkILP' -benchtime=200x -count 3 -benchmem -cpu 1 . >> $$tmp || { cat $$tmp; rm -f $$tmp; exit 1; }; \
 	$(GO) run ./cmd/ucudnn-benchdiff -emit < $$tmp > BENCH_report.json; rm -f $$tmp
 	@echo "wrote BENCH_report.json"
@@ -135,19 +135,25 @@ race:
 		./internal/prof/... ./internal/dnn/...
 	$(GO) test -race -short -count=1 -timeout 1200s ./internal/testkit/
 
-# fma-arm64 builds the arm64 blas test binary and fails if a non-test
-# blas file compiled to a fused multiply-add: Go lets a compiler fuse
-# x*y + z (the arm64 backend does), which skips the rounding of the
-# product the AVX kernels perform, so the Go twins round every product
-# explicitly and this keeps them doing so.
+# fma-arm64 builds the arm64 test binary of each package in FMA_PKGS and
+# fails if a non-test file of that package compiled to a fused
+# multiply-add: Go lets a compiler fuse x*y + z (the arm64 backend does),
+# which skips the rounding of the product that amd64 code (the AVX
+# kernels, the dnn layers) performs, so these packages round every
+# product explicitly and this keeps them doing so.
+FMA_PKGS = blas dnn
+
 fma-arm64:
-	@tmp=$$(mktemp); \
-	GOARCH=arm64 $(GO) test -c -o $$tmp ./internal/blas/ || { rm -f $$tmp; exit 1; }; \
-	sites=$$($(GO) tool objdump -s 'ucudnn/internal/blas\.' $$tmp | grep -E '[[:space:]]FN?M(ADD|SUB)' | grep -v '_test\.go:'); \
+	@tmp=$$(mktemp); total=0; \
+	for pkg in $(FMA_PKGS); do \
+		GOARCH=arm64 $(GO) test -c -o $$tmp ./internal/$$pkg/ || { rm -f $$tmp; exit 1; }; \
+		sites=$$($(GO) tool objdump -s "ucudnn/internal/$$pkg\." $$tmp | grep -E '[[:space:]]FN?M(ADD|SUB)' | grep -v '_test\.go:'); \
+		n=$$(printf '%s' "$$sites" | grep -c .); \
+		echo "fused multiply-adds in non-test arm64 $$pkg code: $$n"; \
+		if [ "$$n" -ne 0 ]; then echo "$$sites"; total=$$((total + n)); fi; \
+	done; \
 	rm -f $$tmp; \
-	n=$$(printf '%s' "$$sites" | grep -c .); \
-	echo "fused multiply-adds in non-test arm64 blas code: $$n"; \
-	if [ "$$n" -ne 0 ]; then echo "$$sites"; exit 1; fi
+	[ "$$total" -eq 0 ]
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \

@@ -384,9 +384,10 @@ func TestNetTimeRealBackend(t *testing.T) {
 }
 
 // lrnForwardRef and lrnBackwardRef are the loops LRN ran before its
-// plane-wise rewrite, kept verbatim as the definition of its bits:
-// channels innermost through At()/Index(), math.Pow in both passes, the
-// ratio term recomputed at every window position.
+// plane-wise rewrite, kept as the definition of its bits: channels
+// innermost through At()/Index(), math.Pow in both passes, the ratio
+// term recomputed at every window position. Each product feeding an add
+// is rounded explicitly, as in the layer, so that no compiler fuses it.
 func lrnForwardRef(l *LRN, x, top *tensor.Tensor, denom []float32) {
 	s := l.shape
 	half := l.n / 2
@@ -400,12 +401,12 @@ func lrnForwardRef(l *LRN, x, top *tensor.Tensor, denom []float32) {
 					var acc float32
 					for cc := lo; cc <= hi; cc++ {
 						v := x.At(n, cc, h, w)
-						acc += v * v
+						acc += float32(v * v)
 					}
-					d := l.k + scale*acc
+					d := l.k + float32(scale*acc)
 					idx := x.Index(n, c, h, w)
 					denom[idx] = d
-					top.Data[idx] = x.Data[idx] * float32(math.Pow(float64(d), float64(-l.beta)))
+					top.Data[idx] = x.Data[idx] * float32(math.Pow(float64(d), -lrnBeta))
 				}
 			}
 		}
@@ -422,7 +423,7 @@ func lrnBackwardRef(l *LRN, x, top, dTop, dx *tensor.Tensor, denom []float32) {
 				for c := 0; c < s.C; c++ {
 					idx := x.Index(n, c, h, w)
 					d := denom[idx]
-					acc := dTop.Data[idx] * float32(math.Pow(float64(d), float64(-l.beta)))
+					acc := dTop.Data[idx] * float32(math.Pow(float64(d), -lrnBeta))
 					lo := imax(0, c-half)
 					hi := imin(s.C-1, c+half)
 					var ratio float32
@@ -430,7 +431,7 @@ func lrnBackwardRef(l *LRN, x, top, dTop, dx *tensor.Tensor, denom []float32) {
 						j := x.Index(n, cc, h, w)
 						ratio += dTop.Data[j] * top.Data[j] / denom[j]
 					}
-					acc -= 2 * scale * l.beta * x.Data[idx] * ratio
+					acc -= float32(2 * scale * lrnBeta * x.Data[idx] * ratio)
 					dx.Data[idx] = acc
 				}
 			}
@@ -451,14 +452,21 @@ func sameBits(a, b []float32) int {
 // gradient carry the reference loops' bits on shapes with fewer channels
 // than the window, one channel, one pixel and more samples than workers,
 // at every worker count (including more workers than Setup sized for).
+// On the wide shape the inputs run up to 1e5, so d spans [1, 1e6] rather
+// than [1, 1.001]; a NaN input makes its window's d NaN, which takes
+// the math.Pow fallback, and each infinity makes d = +Inf. The three sit
+// in disjoint windows, so no two NaN payloads meet (which one survives
+// would then be up to operand order).
 func TestLRNMatchesReferenceBitwise(t *testing.T) {
 	defer conv.SetMaxWorkers(conv.SetMaxWorkers(0))
+	wide := tensor.Shape{N: 2, C: 12, H: 6, W: 6}
 	shapes := []tensor.Shape{
 		{N: 1, C: 8, H: 3, W: 3},
 		{N: 3, C: 3, H: 4, W: 5}, // C < window
 		{N: 4, C: 1, H: 6, W: 2}, // C = 1
 		{N: 3, C: 7, H: 1, W: 1}, // H*W = 1
 		{N: 4, C: 16, H: 5, W: 5},
+		wide,
 	}
 	for _, s := range shapes {
 		rng := rand.New(rand.NewSource(int64(s.Elems())))
@@ -467,6 +475,14 @@ func TestLRNMatchesReferenceBitwise(t *testing.T) {
 		dy.Randomize(rng, 1)
 		x.Data[0] = float32(math.Copysign(0, -1))
 		x.Data[len(x.Data)-1] = 0
+		if s == wide {
+			for i := range x.Data {
+				x.Data[i] *= float32(math.Pow(10, 5*rng.Float64()))
+			}
+			x.Data[7] = float32(math.NaN())
+			x.Data[s.Elems()/2] = float32(math.Inf(1))
+			x.Data[s.Elems()-9] = float32(math.Inf(-1))
+		}
 
 		ref := NewLRN("ref")
 		ref.shape = s
@@ -474,6 +490,17 @@ func TestLRNMatchesReferenceBitwise(t *testing.T) {
 		wantDenom := make([]float32, s.Elems())
 		lrnForwardRef(ref, x, wantY, wantDenom)
 		lrnBackwardRef(ref, x, wantY, dy, wantDX, wantDenom)
+		if s == wide {
+			var top float32
+			for _, d := range wantDenom {
+				if d > top && !math.IsInf(float64(d), 0) {
+					top = d
+				}
+			}
+			if top < 1e5 {
+				t.Fatalf("wide shape: largest finite d is %v, want d to reach 1e5", top)
+			}
+		}
 
 		for _, setupWorkers := range []int{1, 2, 4} {
 			conv.SetMaxWorkers(setupWorkers)
@@ -526,6 +553,75 @@ func TestLRNPassesDoNotAllocate(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("LRN forward+backward allocates %v/op at 2 workers, want 0", avg)
 	}
+}
+
+// TestLRNFactorIsPowBitwise: wherever lrnFactor vouches for its result,
+// that result carries the bits of float32(math.Pow(d, -0.75)), on every
+// float32 in [1, 2) and on a strided sweep of all 2^32 patterns
+// (negatives, zeros, subnormals, infinities, NaNs); and it vouches for
+// all but fewer than 1e-4 of [1, 2).
+func TestLRNFactorIsPowBitwise(t *testing.T) {
+	fallbacks := 0
+	check := func(bits uint32) {
+		d := math.Float32frombits(bits)
+		got, ok := lrnFactor(d)
+		if !ok {
+			fallbacks++
+			return
+		}
+		if want := float32(math.Pow(float64(d), -lrnBeta)); math.Float32bits(got) != math.Float32bits(want) {
+			t.Fatalf("lrnFactor(%v) [%#08x] = %v, math.Pow %v", d, bits, got, want)
+		}
+	}
+	one, two := math.Float32bits(1), math.Float32bits(2)
+	for bits := one; bits < two; bits++ {
+		check(bits)
+	}
+	rate := float64(fallbacks) / float64(two-one)
+	t.Logf("math.Pow fallback on %d of %d inputs in [1, 2) (%.2g)", fallbacks, two-one, rate)
+	if rate >= 1e-4 {
+		t.Errorf("lrnFactor falls back on %.2g of [1, 2), want < 1e-4", rate)
+	}
+	for _, bits := range []uint32{0, 1 << 31, 1, 0x7f7fffff, 0x7f800000, 0xff800000, 0x7fc00000, 0xffffffff} {
+		check(bits)
+	}
+	const stride = 1021 // prime, so the sweep meets every low-bit pattern
+	for bits := uint64(0); bits < 1<<32; bits += stride {
+		check(uint32(bits))
+	}
+}
+
+// BenchmarkLRN times one LRN pass at AlexNet norm1's shape at batch 4
+// (96 channels of 55x55): the layer's row in the kernel ledger.
+func BenchmarkLRN(b *testing.B) {
+	s := tensor.Shape{N: 4, C: 96, H: 55, W: 55}
+	l := NewLRN("norm1")
+	ctx := testCtx()
+	if _, err := l.Setup(ctx, []tensor.Shape{s}); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	x, y, dy, dx := tensor.NewShaped(s), tensor.NewShaped(s), tensor.NewShaped(s), tensor.NewShaped(s)
+	x.Randomize(rng, 3)
+	dy.Randomize(rng, 1)
+	bot, dbot := []*tensor.Tensor{x}, []*tensor.Tensor{dx}
+	if err := l.Forward(ctx, bot, y); err != nil {
+		b.Fatal(err)
+	}
+	b.Run("Forward", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := l.Forward(ctx, bot, y); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("Backward", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := l.Backward(ctx, bot, y, dy, dbot); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestFCMatchesPackedReferenceBitwise: the FC layer's three products at

@@ -16,15 +16,17 @@ import (
 // engine's workers; within a sample the walk is channel-outer,
 // pixel-inner over contiguous H*W planes. Every element sees the float
 // operations of the definition in the definition's order (window sums in
-// ascending c'), so results do not depend on the worker count.
+// ascending c'), so results do not depend on the worker count. Each
+// product is rounded explicitly so that no compiler fuses it into the
+// following add (Go allows that, and the arm64 backend does it).
 type LRN struct {
-	name        string
-	n           int // window size
-	alpha, beta float32
-	k           float32
-	shape       tensor.Shape
-	denom       []float32 // cached d[c] from forward
-	factor      []float32 // cached d[c]^-beta from forward
+	name   string
+	n      int // window size
+	alpha  float32
+	k      float32
+	shape  tensor.Shape
+	denom  []float32 // cached d[c] from forward
+	factor []float32 // cached d[c]^-beta from forward
 
 	// Built once in Setup so a pass allocates nothing: the fork, and one
 	// sample-sized scratch per worker for backward's dy*y/d.
@@ -32,10 +34,33 @@ type LRN struct {
 	ratio []float32
 }
 
+// lrnBeta is LRN's exponent beta: AlexNet's 0.75 is the only one NewLRN
+// builds, and lrnFactor's square-root form is exact for it alone.
+const lrnBeta = 0.75
+
 // NewLRN builds an LRN layer with AlexNet's defaults (n=5, alpha=1e-4,
 // beta=0.75, k=1).
 func NewLRN(name string) *LRN {
-	return &LRN{name: name, n: 5, alpha: 1e-4, beta: 0.75, k: 1}
+	return &LRN{name: name, n: 5, alpha: 1e-4, k: 1}
+}
+
+// lrnFactor computes r = 1/(s*sqrt(s)), s = sqrt(d), in float64 and
+// returns f = float32(r), with ok when f is bit for bit the float32 that
+// math.Pow(float64(d), -0.75) rounds to; the caller falls back to that
+// expression when !ok. Four correctly rounded operations put r within 3
+// float64 ulps of d^-0.75, and math.Pow is within a few dozen. Two
+// float64 values round to different float32s only if a float32 halfway
+// point lies between them, where the 29 bits below float32 precision
+// read 1<<28. So unless r's 29 low bits lie within 1<<12 of that, both
+// round alike. That excludes about 2^-16 of inputs, and the NaN that
+// sqrt makes of a negative d. The fallback is the caller's, so that
+// this inlines into the element loop.
+func lrnFactor(d float32) (f float32, ok bool) {
+	const half, margin = 1 << 28, 1 << 12
+	s := math.Sqrt(float64(d))
+	r := 1 / (s * math.Sqrt(s))
+	low := math.Float64bits(r) & (1<<29 - 1)
+	return float32(r), low-(half-margin) > 2*margin && r == r
 }
 
 // Name implements Layer.
@@ -86,7 +111,6 @@ func (l *LRN) forwardSample(n int) {
 	hw := s.H * s.W
 	half := l.n / 2
 	scale := l.alpha / float32(l.n)
-	negBeta := float64(-l.beta)
 	lo, hi := n*s.C*hw, (n+1)*s.C*hw
 	x, y := l.fork.pass.x[lo:hi], l.fork.pass.y[lo:hi]
 	denom, factor := l.denom[lo:hi], l.factor[lo:hi]
@@ -95,16 +119,19 @@ func (l *LRN) forwardSample(n int) {
 		clear(d)
 		for cc := imax(0, c-half); cc <= imin(s.C-1, c+half); cc++ {
 			for p, v := range x[cc*hw : (cc+1)*hw] {
-				d[p] += v * v
+				d[p] += float32(v * v)
 			}
 		}
 		xc, yc, fc := x[c*hw:(c+1)*hw], y[c*hw:(c+1)*hw], factor[c*hw:(c+1)*hw]
 		for p, acc := range d {
-			dv := l.k + scale*acc
+			dv := l.k + float32(scale*acc)
 			d[p] = dv
-			// The one math.Pow per element: backward reuses it.
-			fc[p] = float32(math.Pow(float64(dv), negBeta))
-			yc[p] = xc[p] * fc[p]
+			f, ok := lrnFactor(dv)
+			if !ok {
+				f = float32(math.Pow(float64(dv), -lrnBeta))
+			}
+			fc[p] = f // backward reuses it
+			yc[p] = xc[p] * f
 		}
 	}
 }
@@ -128,7 +155,7 @@ func (l *LRN) backwardSample(w, n int) {
 	hw := s.H * s.W
 	half := l.n / 2
 	scale := l.alpha / float32(l.n)
-	coef := 2 * scale * l.beta
+	coef := 2 * scale * lrnBeta
 	lo, hi := n*s.C*hw, (n+1)*s.C*hw
 	pass := &l.fork.pass
 	x, y, dy, dx := pass.x[lo:hi], pass.y[lo:hi], pass.dy[lo:hi], pass.dx[lo:hi]
@@ -147,13 +174,14 @@ func (l *LRN) backwardSample(w, n int) {
 		}
 		xc, dyc, fc := x[c*hw:(c+1)*hw], dy[c*hw:(c+1)*hw], factor[c*hw:(c+1)*hw]
 		for p, r := range sum {
-			sum[p] = dyc[p]*fc[p] - coef*xc[p]*r
+			sum[p] = float32(dyc[p]*fc[p]) - float32(coef*xc[p]*r)
 		}
 	}
 }
 
 // BatchNorm is spatial batch normalization with learnable scale and bias.
 // Training mode uses batch statistics; inference uses running averages.
+// Products are rounded explicitly, as in LRN.
 type BatchNorm struct {
 	name    string
 	eps     float32
@@ -225,11 +253,11 @@ func (l *BatchNorm) Forward(ctx *Context, bottoms []*tensor.Tensor, top *tensor.
 			for i := 0; i < plane; i++ {
 				v := float64(x.Data[base+i])
 				mean += v
-				msq += v * v
+				msq += float64(v * v)
 			}
 		}
 		mean /= float64(m)
-		variance := msq/float64(m) - mean*mean
+		variance := msq/float64(m) - float64(mean*mean)
 		if variance < 0 {
 			variance = 0
 		}
@@ -238,8 +266,8 @@ func (l *BatchNorm) Forward(ctx *Context, bottoms []*tensor.Tensor, top *tensor.
 			mu = float32(mean)
 			is = float32(1 / math.Sqrt(variance+float64(l.eps)))
 			const momentum = 0.9
-			l.runMean[c] = momentum*l.runMean[c] + (1-momentum)*mu
-			l.runVar[c] = momentum*l.runVar[c] + (1-momentum)*float32(variance)
+			l.runMean[c] = float32(momentum*l.runMean[c]) + float32((1-momentum)*mu)
+			l.runVar[c] = float32(momentum*l.runVar[c]) + float32((1-momentum)*float32(variance))
 		} else {
 			mu = l.runMean[c]
 			is = float32(1 / math.Sqrt(float64(l.runVar[c])+float64(l.eps)))
@@ -252,7 +280,7 @@ func (l *BatchNorm) Forward(ctx *Context, bottoms []*tensor.Tensor, top *tensor.
 			for i := 0; i < plane; i++ {
 				xh := (x.Data[base+i] - mu) * is
 				l.xhat[base+i] = xh
-				top.Data[base+i] = g*xh + b
+				top.Data[base+i] = float32(g*xh) + b
 			}
 		}
 	}
@@ -275,7 +303,7 @@ func (l *BatchNorm) Backward(ctx *Context, bottoms []*tensor.Tensor, top, dTop *
 			for i := 0; i < plane; i++ {
 				dy := float64(dTop.Data[base+i])
 				sumDy += dy
-				sumDyXhat += dy * float64(l.xhat[base+i])
+				sumDyXhat += float64(dy * float64(l.xhat[base+i]))
 			}
 		}
 		l.gamma.Grad[c] += float32(sumDyXhat)
@@ -288,7 +316,7 @@ func (l *BatchNorm) Backward(ctx *Context, bottoms []*tensor.Tensor, top, dTop *
 				dy := dTop.Data[base+i]
 				xh := l.xhat[base+i]
 				dBottoms[0].Data[base+i] = g * is / m *
-					(m*dy - float32(sumDy) - xh*float32(sumDyXhat))
+					(float32(m*dy) - float32(sumDy) - float32(xh*float32(sumDyXhat)))
 			}
 		}
 	}

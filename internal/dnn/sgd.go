@@ -4,6 +4,9 @@ package dnn
 // decay, matching Caffe's solver update rule:
 //
 //	v = momentum*v + lr*(grad + decay*w);  w -= v
+//
+// Each product is rounded explicitly, so that no compiler fuses it into
+// the add (Go allows that, and the arm64 backend does it).
 type SGD struct {
 	LR       float32
 	Momentum float32
@@ -25,8 +28,8 @@ func (s *SGD) Step(params []*Param) {
 			s.velocity[p] = v
 		}
 		for i := range p.Data {
-			g := p.Grad[i] + s.Decay*p.Data[i]
-			v[i] = s.Momentum*v[i] + s.LR*g
+			g := p.Grad[i] + float32(s.Decay*p.Data[i])
+			v[i] = float32(s.Momentum*v[i]) + float32(s.LR*g)
 			p.Data[i] -= v[i]
 		}
 	}
