@@ -8,7 +8,7 @@ COVER_FLOOR_core   = 88.0
 COVER_FLOOR_faults = 83.0
 COVER_FLOOR_dnn    = 87.0
 
-.PHONY: build test test-e2e bench bench-smoke bench-json benchdiff check cover-gate race fmt fma-arm64 lint fuzz-smoke smoke
+.PHONY: build test test-e2e bench bench-smoke bench-json benchdiff check cover-gate race fmt fma-arm64 fuzz-smoke smoke
 
 # benchdiff compares BENCH_report.json (from bench-json) against the
 # committed baseline. `make check` and CI run it strict
@@ -97,11 +97,6 @@ smoke:
 	done; \
 	rm -rf $$tmp
 
-# lint runs the ucudnn-lint analyzer suite (the analyzer table in
-# DESIGN.md "Static analysis") over the whole module.
-lint:
-	$(GO) run ./cmd/ucudnn-lint ./...
-
 # fuzz-smoke gives each committed fuzz target a short budget: long
 # enough to replay the corpus and probe nearby inputs, short enough for
 # the pre-commit gate.
@@ -160,13 +155,12 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # check is the pre-commit gate: tier-1 build+test plus vet, formatting,
-# the analyzer suite, the coverage gate, the race pass, the kernel
+# the coverage gate, the race pass, the kernel
 # benchmark smoke run, the fuzz smoke run, the report-pipeline smoke run
 # and the strict kernel benchdiff.
 check: build
 	$(GO) vet ./...
 	@$(MAKE) --no-print-directory fmt
-	@$(MAKE) --no-print-directory lint
 	$(GO) test ./...
 	@$(MAKE) --no-print-directory cover-gate
 	@$(MAKE) --no-print-directory race

@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -238,7 +237,6 @@ func runNet(o runOpts, reg *obs.Registry) ([]core.HandleReport, error) {
 	}
 
 	plans := uc.Plans()
-	sort.Slice(plans, func(i, j int) bool { return plans[i].Kernel.String() < plans[j].Kernel.String() })
 	fmt.Printf("\nplans (%d unique kernels):\n", len(plans))
 	for _, p := range plans {
 		fmt.Printf("  %v\n", p)

@@ -85,8 +85,6 @@ const (
 //
 // A is (m x k) after op, with leading dimension lda; B is (k x n) after
 // op, with leading dimension ldb; C is (m x n) with leading dimension ldc.
-//
-//ucudnn:hotpath
 func Sgemm(transA, transB bool, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
 	sgemmWorkers(true, 0, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
@@ -100,8 +98,6 @@ func Sgemm(transA, transB bool, m, n, k int, alpha float32, a []float32, lda int
 // C is accumulated in the same order regardless of the worker count and
 // of the kernel its shape selects, so results are bit-identical across
 // all settings.
-//
-//ucudnn:hotpath
 func SgemmWorkers(workers int, transA, transB bool, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
 	sgemmWorkers(true, workers, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
@@ -109,13 +105,10 @@ func SgemmWorkers(workers int, transA, transB bool, m, n, k int, alpha float32, 
 // SgemmWorkersQuiet is SgemmWorkers without the pack/kernel phase
 // windows, for callers whose own phase window already covers the call
 // (overlapping windows would double-count attributed time).
-//
-//ucudnn:hotpath
 func SgemmWorkersQuiet(workers int, transA, transB bool, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
 	sgemmWorkers(false, workers, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
-//ucudnn:hotpath
 func sgemmWorkers(rec bool, workers int, transA, transB bool, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
 	if m == 0 || n == 0 {
 		return
@@ -152,7 +145,6 @@ func sgemmWorkers(rec bool, workers int, transA, transB bool, m, n, k int, alpha
 	var wg sync.WaitGroup
 	wg.Add(launched - 1)
 	for w := 1; w < launched; w++ {
-		//ucudnn:allow hotpath -- the multi-worker path forks by design; callers on the zero-alloc path pass workers==1
 		go func(w int) {
 			defer wg.Done()
 			bs := prof.WorkerStart()
@@ -179,8 +171,6 @@ func sgemmWorkers(rec bool, workers int, transA, transB bool, m, n, k int, alpha
 // sgemmChunk computes worker w's share of the product: chunk whole
 // panels of columns (byCols) or of rows, through the kernel the shape
 // calls for.
-//
-//ucudnn:hotpath
 func sgemmChunk(rec, byCols bool, w, chunk int, transA, transB bool, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
 	mLo, mHi, nLo, nHi := 0, m, 0, n
 	if byCols {
@@ -199,8 +189,6 @@ func sgemmChunk(rec, byCols bool, w, chunk int, transA, transB bool, m, n, k int
 
 // PackAFloats returns the float32 length of the packed form of an
 // (m x k) A operand: rows padded up to a multiple of mr.
-//
-//ucudnn:hotpath
 func PackAFloats(m, k int) int {
 	return ((m + mr - 1) / mr) * mr * k
 }
@@ -212,8 +200,6 @@ func PackAFloats(m, k int) int {
 // be multiplied against many B operands via SgemmPackedA — the weight
 // matrix of a convolution is packed once per Run and reused across every
 // sample and micro-batch.
-//
-//ucudnn:hotpath
 func PackA(dst []float32, transA bool, m, k int, alpha float32, a []float32, lda int) {
 	if m < 0 || k < 0 {
 		panic("blas: negative dimension")
@@ -245,8 +231,6 @@ func PackA(dst []float32, transA bool, m, k int, alpha float32, a []float32, lda
 // chunks are rounded to whole mr panels; every C element still sees the
 // exact k-order accumulation of the serial path, so results are
 // bit-identical to SgemmWorkers at every worker count.
-//
-//ucudnn:hotpath
 func SgemmPackedA(workers int, pa []float32, transB bool, m, n, k int, b []float32, ldb int, beta float32, c []float32, ldc int) {
 	if m == 0 || n == 0 {
 		return
@@ -288,7 +272,6 @@ func SgemmPackedA(workers int, pa []float32, transB bool, m, n, k int, b []float
 		}
 		launched++
 		wg.Add(1)
-		//ucudnn:allow hotpath -- the multi-worker path forks by design; callers on the zero-alloc path pass workers==1
 		go func(w, lo, hi int) {
 			defer wg.Done()
 			bs := prof.WorkerStart()
@@ -302,7 +285,6 @@ func SgemmPackedA(workers int, pa []float32, transB bool, m, n, k int, b []float
 	prof.LaunchEnd(launched, ls)
 }
 
-//ucudnn:hotpath
 func checkDims(transA, transB bool, m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
 	if m < 0 || n < 0 || k < 0 {
 		panic("blas: negative dimension")
@@ -329,7 +311,6 @@ func checkDims(transA, transB bool, m, n, k int, a []float32, lda int, b []float
 	}
 }
 
-//ucudnn:hotpath
 func scaleC(m, n int, beta float32, c []float32, ldc int) {
 	if beta == 1 {
 		return
@@ -352,8 +333,6 @@ func scaleC(m, n int, beta float32, c []float32, ldc int) {
 // C = alpha*op(A)*op(B) + beta*C with cache blocking: B panels are
 // packed once per (j0, k0) block — hoisted out of the row-block loop —
 // and beta is fused into the micro-kernel's store of the first k-block.
-//
-//ucudnn:hotpath
 func sgemmRows(rec bool, transA, transB bool, mLo, mHi, nLo, nHi, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
 	// One continuous Enter/Next chain: every phase window ends exactly
 	// where the next begins, so the whole walk is attributed with no
@@ -392,8 +371,6 @@ func sgemmRows(rec bool, transA, transB bool, mLo, mHi, nLo, nHi, k int, alpha f
 // sgemmPackedRows is sgemmRows over a pre-packed A (PackA layout): the
 // A-pack is skipped entirely and panels are read at their global
 // offsets. mLo must be a multiple of mr.
-//
-//ucudnn:hotpath
 func sgemmPackedRows(rec bool, pa []float32, mLo, mHi, m, n, k int, transB bool, b []float32, ldb int, beta float32, c []float32, ldc int) {
 	pm := ((m + mr - 1) / mr) * mr
 	var t int64
@@ -424,8 +401,6 @@ func sgemmPackedRows(rec bool, pa []float32, mLo, mHi, m, n, k int, transB bool,
 // PackBPanels packs op(B)[k0:k0+kb, j0:j0+jb] into column panels of nr:
 // panel jp holds columns [jp*nr, jp*nr+nr) stored [kb][nr], zero-padded
 // past jb so the micro-kernel never branches on column width.
-//
-//ucudnn:hotpath
 func PackBPanels(pack []float32, transB bool, b []float32, ldb int, k0, kb, j0, jb int) {
 	for jt := 0; jt < jb; jt += nr {
 		dst := pack[(jt/nr)*(kb*nr):]
@@ -475,8 +450,6 @@ func PackBPanels(pack []float32, transB bool, b []float32, ldb int, k0, kb, j0, 
 // With AVX a full no-trans panel is packed eight k at a time (four row
 // loads scaled by alpha, transposed in registers); the k tail and
 // partial panels take the scalar loop, which computes the same products.
-//
-//ucudnn:hotpath
 func PackAPanels(pack []float32, transA bool, a []float32, lda int, i0, ib, k0, kb int, alpha float32) {
 	for it := 0; it < ib; it += mr {
 		dst := pack[(it/mr)*(kb*mr):]
@@ -525,8 +498,6 @@ func PackAPanels(pack []float32, transA bool, a []float32, lda int, i0, ib, k0, 
 // generic quarters without AVX). All bodies are bitwise-identical. Each
 // C element's accumulation is a single strict k-order chain, so results
 // do not depend on how rows or columns are chunked across workers.
-//
-//ucudnn:hotpath
 func KernelBlock(pa, pb []float32, ib, jb, kb int, first bool, beta float32, c []float32, off, ldc int) {
 	jt := 0
 	if useAVX512 {
@@ -559,8 +530,6 @@ func KernelBlock(pa, pb []float32, ib, jb, kb int, first bool, beta float32, c [
 
 // kernelPanel is KernelBlock's 4x8 walk down one B panel (jw live
 // columns at C offset off) over rows [itLo, ib).
-//
-//ucudnn:hotpath
 func kernelPanel(pa, bp []float32, itLo, ib, kb, jw int, first bool, beta float32, c []float32, off, ldc int) {
 	var acc [mr * nr]float32
 	for it := itLo; it < ib; it += mr {
@@ -611,8 +580,6 @@ func kernelPanel(pa, bp []float32, itLo, ib, kb, jw int, first bool, beta float3
 
 // fuseBeta is the store of one finished k-block sum v into the C element
 // holding cv: beta applies on the first k-block only, later blocks add.
-//
-//ucudnn:hotpath
 func fuseBeta(cv, v float32, first bool, beta float32) float32 {
 	if !first || beta == 1 {
 		return cv + v
@@ -630,8 +597,6 @@ func fuseBeta(cv, v float32, first bool, beta float32) float32 {
 // kernel, so the two paths are bitwise-identical. Go lets a compiler
 // fuse x*y + z (the arm64 backend does); the explicit float32 rounding
 // of each product forbids that.
-//
-//ucudnn:hotpath
 func sgemmTileGeneric(ap, bp []float32, kb int, acc *[mr * nr]float32) {
 	for ro := 0; ro < mr; ro += 2 {
 		for co := 0; co < nr; co += 4 {
@@ -662,8 +627,6 @@ func sgemmTileGeneric(ap, bp []float32, kb int, acc *[mr * nr]float32) {
 }
 
 // Saxpy computes y += alpha * x.
-//
-//ucudnn:hotpath
 func Saxpy(alpha float32, x, y []float32) {
 	if len(x) != len(y) {
 		panic("blas: Saxpy length mismatch")
@@ -673,21 +636,6 @@ func Saxpy(alpha float32, x, y []float32) {
 	}
 }
 
-// Sdot returns the dot product of x and y.
-//
-//ucudnn:hotpath
-func Sdot(x, y []float32) float32 {
-	if len(x) != len(y) {
-		panic("blas: Sdot length mismatch")
-	}
-	var s float32
-	for i := range x {
-		s += float32(x[i] * y[i])
-	}
-	return s
-}
-
-//ucudnn:hotpath
 func min(a, b int) int {
 	if a < b {
 		return a
@@ -695,7 +643,6 @@ func min(a, b int) int {
 	return b
 }
 
-//ucudnn:hotpath
 func max(a, b int) int {
 	if a > b {
 		return a

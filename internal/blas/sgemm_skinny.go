@@ -30,8 +30,6 @@ const (
 //
 // The whole walk is reported as PhSgemmKernel: the A pack is a few KiB
 // per block against the B stream.
-//
-//ucudnn:hotpath
 func sgemmSkinny(rec bool, transA, transB bool, m, nLo, nHi, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
 	var t int64
 	if rec {
@@ -49,8 +47,6 @@ func sgemmSkinny(rec bool, transA, transB bool, m, nLo, nHi, k int, alpha float3
 
 // sgemmSkinnyNT: op(B) column j is row j of B, contiguous in k. nr rows
 // at a time, one 4-lane dot chain (a row of A per lane) per B row.
-//
-//ucudnn:hotpath
 func sgemmSkinnyNT(transA bool, m, nLo, nHi, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
 	var pa [skinnyKBlocks * kc * mr]float32
 	var acc [nr * mr]float32
@@ -81,8 +77,6 @@ func sgemmSkinnyNT(transA bool, m, nLo, nHi, k int, alpha float32, a []float32, 
 
 // sgemmSkinnyNN: B rows are contiguous in j. Each B row is one AXPY per
 // row of A into the strip accumulator.
-//
-//ucudnn:hotpath
 func sgemmSkinnyNN(transA bool, m, nLo, nHi, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
 	var pa [kc * mr]float32
 	var acc [mr * skinnyStrip]float32
@@ -116,8 +110,6 @@ func sgemmSkinnyNN(transA bool, m, nLo, nHi, k int, alpha float32, a []float32, 
 // sgemmDotGeneric is the pure-Go form of sgemmDotAVX for jw <= nr rows
 // of B (row stride ldb): acc[r*mr+i] = sum_p pa[p*mr+i] * b[r*ldb+p],
 // each sum from zero in p order, mul then add — bitwise the AVX kernel.
-//
-//ucudnn:hotpath
 func sgemmDotGeneric(pa, b []float32, ldb, jw, kb int, acc *[nr * mr]float32) {
 	for r := 0; r < jw; r++ {
 		row := b[r*ldb : r*ldb+kb]
@@ -136,8 +128,6 @@ func sgemmDotGeneric(pa, b []float32, ldb, jw, kb int, acc *[nr * mr]float32) {
 // sgemmAxpyGeneric is the pure-Go form of sgemmAxpyAVX over columns
 // [jLo, jHi) of the strip: acc[i*skinnyStrip+j] += pa[p*mr+i] * b[p*ldb+j]
 // for p in order, mul then add — bitwise the AVX kernel.
-//
-//ucudnn:hotpath
 func sgemmAxpyGeneric(pa, b []float32, ldb, kb, jLo, jHi int, acc *[mr * skinnyStrip]float32) {
 	r0 := acc[jLo:jHi]
 	r1 := acc[skinnyStrip+jLo : skinnyStrip+jHi]

@@ -221,16 +221,21 @@ func TestSgemmZeroAllocSteadyState(t *testing.T) {
 	b := randSlice(rng, k*n)
 	c := make([]float32, m*n)
 	pa := make([]float32, PackAFloats(m, k))
-	if avg := testing.AllocsPerRun(10, func() {
-		PackA(pa, false, m, k, 1, a, k)
-		SgemmPackedA(1, pa, false, m, n, k, b, n, 0, c, n)
-	}); avg != 0 {
-		t.Fatalf("packed path allocates %v/op, want 0", avg)
-	}
-	if avg := testing.AllocsPerRun(10, func() {
-		SgemmWorkers(1, false, false, m, n, k, 1, a, k, b, n, 0, c, n)
-	}); avg != 0 {
-		t.Fatalf("serial Sgemm allocates %v/op, want 0", avg)
+	for _, row := range []struct {
+		name string
+		f    func()
+	}{
+		{"packed path", func() {
+			PackA(pa, false, m, k, 1, a, k)
+			SgemmPackedA(1, pa, false, m, n, k, b, n, 0, c, n)
+		}},
+		{"serial Sgemm", func() { SgemmWorkers(1, false, false, m, n, k, 1, a, k, b, n, 0, c, n) }},
+		// alpha == 0 leaves only C = beta*C.
+		{"beta-only scale", func() { SgemmWorkers(1, false, false, m, n, k, 0, a, k, b, n, 0.5, c, n) }},
+	} {
+		if avg := testing.AllocsPerRun(10, row.f); avg != 0 {
+			t.Errorf("%s allocates %v/op, want 0", row.name, avg)
+		}
 	}
 }
 
@@ -339,7 +344,7 @@ func TestSgemmQuick(t *testing.T) {
 	}
 }
 
-func TestSaxpySdot(t *testing.T) {
+func TestSaxpy(t *testing.T) {
 	x := []float32{1, 2, 3}
 	y := []float32{4, 5, 6}
 	Saxpy(2, x, y)
@@ -348,9 +353,6 @@ func TestSaxpySdot(t *testing.T) {
 		if y[i] != want[i] {
 			t.Fatalf("Saxpy: y[%d]=%v", i, y[i])
 		}
-	}
-	if d := Sdot(x, []float32{1, 1, 1}); d != 6 {
-		t.Fatalf("Sdot = %v", d)
 	}
 }
 
@@ -456,15 +458,6 @@ func TestSaxpyLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	Saxpy(1, []float32{1}, []float32{1, 2})
-}
-
-func TestSdotLengthMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Sdot([]float32{1}, []float32{1, 2})
 }
 
 // A forked SGEMM whose workers record their own pack/kernel windows is a

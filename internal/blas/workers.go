@@ -20,8 +20,6 @@ const parallelThreshold = 1 << 16
 
 // MaxWorkers returns the kernel worker cap: the value set by
 // SetMaxWorkers, or GOMAXPROCS when unset.
-//
-//ucudnn:hotpath
 func MaxWorkers() int {
 	if n := int(maxWorkers.Load()); n > 0 {
 		return n
@@ -42,8 +40,6 @@ func SetMaxWorkers(n int) int {
 
 // AutoWorkers is the automatic width of a product of macs multiply-adds:
 // the cap, or one worker below parallelThreshold.
-//
-//ucudnn:hotpath
 func AutoWorkers(macs int64) int {
 	if macs < parallelThreshold {
 		return 1
@@ -53,8 +49,6 @@ func AutoWorkers(macs int64) int {
 
 // Chunk splits n items into chunks of ceil(n/workers) and returns the
 // [lo, hi) range owned by worker w.
-//
-//ucudnn:hotpath
 func Chunk(n, workers, w int) (lo, hi int) {
 	chunk := (n + workers - 1) / workers
 	return min(w*chunk, n), min((w+1)*chunk, n)

@@ -114,8 +114,6 @@ func End(t Token) {
 
 // Current returns the innermost open scope's ID (0 when none, or when
 // recording is disabled). Hot-path: one atomic load.
-//
-//ucudnn:hotpath
 func Current() ID {
 	if !enabled.Load() {
 		return 0
@@ -126,8 +124,6 @@ func Current() ID {
 // NewLeaf allocates an ID for a leaf event (a timeline charge). Leaves
 // share the scope ID space so every identifier in a recording is
 // unique. Hot-path: one atomic add. Returns 0 when disabled.
-//
-//ucudnn:hotpath
 func NewLeaf() ID {
 	if !enabled.Load() {
 		return 0

@@ -232,20 +232,6 @@ func TestDirectBackwardFilterBitwiseMicroBatch(t *testing.T) {
 	}
 }
 
-func TestRunRejectsSmallWorkspace(t *testing.T) {
-	cs := testShapes[0]
-	x, w, y := randomProblem(cs, 17)
-	need, _ := MinWorkspace(Forward, AlgoGemm, cs)
-	small := make([]float32, need/4-1)
-	if err := Run(Forward, AlgoGemm, cs, x, w, y, 1, 0, small); err == nil {
-		t.Fatal("expected workspace error")
-	}
-	// Anything from the floor up to the full striped size must execute.
-	if err := Run(Forward, AlgoGemm, cs, x, w, y, 1, 0, make([]float32, need/4)); err != nil {
-		t.Fatalf("MinWorkspace-sized buffer rejected: %v", err)
-	}
-}
-
 func TestRunRejectsShapeMismatch(t *testing.T) {
 	cs := testShapes[0]
 	x, w, y := randomProblem(cs, 19)

@@ -28,8 +28,6 @@ import (
 
 // MaxWorkers returns the kernel worker cap (blas.MaxWorkers): the value
 // set by SetMaxWorkers, or GOMAXPROCS when unset.
-//
-//ucudnn:hotpath
 func MaxWorkers() int { return blas.MaxWorkers() }
 
 // SetMaxWorkers caps kernel parallelism — every fork in blas, conv and
@@ -43,8 +41,6 @@ func SetMaxWorkers(n int) int { return blas.SetMaxWorkers(n) }
 // batchStripes returns the stripe count the workspace contract assumes
 // for a batch of n samples: one strip per worker, never more than the
 // samples available.
-//
-//ucudnn:hotpath
 func batchStripes(n int) int {
 	s := MaxWorkers()
 	if s > n {
@@ -59,8 +55,6 @@ func batchStripes(n int) int {
 // fitStripes bounds want stripes by how many whole strips of stripElems
 // float32s fit in a workspace of have float32s (at least one: Run has
 // already validated the MinWorkspace floor).
-//
-//ucudnn:hotpath
 func fitStripes(want int, have, stripElems int) int {
 	if stripElems <= 0 {
 		return want

@@ -251,10 +251,10 @@ func TestBackwardFilterMicroBatchAtWorkerCounts(t *testing.T) {
 // the shape supports: all scratch comes from the caller's workspace or,
 // for the implicit kernels' pack blocks, the stack. Pinned to the serial
 // path by the worker cap alone — fork-join goroutine spawns are the one
-// allocation parallel execution inherently makes. This is the run-time
-// half of the //ucudnn:hotpath contract: it catches an allocation in any
-// function a kernel reaches, annotated or not. DIRECT is the
-// un-annotated test reference (1 alloc/op) and is excluded by name.
+// allocation parallel execution inherently makes. This is the gate of
+// the zero-allocation contract: it catches an allocation in any function
+// a kernel reaches. DIRECT is the test reference (1 alloc/op) and is
+// excluded by name.
 func TestForwardZeroAllocSteadyState(t *testing.T) {
 	prev := SetMaxWorkers(1)
 	defer SetMaxWorkers(prev)

@@ -42,8 +42,6 @@ func (pl spectralPlan) scratchFloats() int { return fftpkg.ScratchFloats(pl.p, p
 // source coordinates outside [0, limH) x [0, limW) are the zero padding
 // and are skipped. Negative strides express the rotated-filter reads of
 // BackwardData.
-//
-//ucudnn:hotpath
 func embedPlane(re []float32, q, rows, cols int, data []float32, base, sh, sw, offH, offW, limH, limW int) {
 	// Only the first rows*q elements are filled; FwdReal is told the rest
 	// of the plane is zero and never reads it.
@@ -68,8 +66,6 @@ func embedPlane(re []float32, q, rows, cols int, data []float32, base, sh, sw, o
 
 // blendRows blends the top-left rows x cols corner of the real scratch
 // plane re (row stride q) into the output at data[base + oh*sh + ow].
-//
-//ucudnn:hotpath
 func blendRows(data []float32, base, sh int, re []float32, q, rows, cols int, alpha, beta float32) {
 	for oh := 0; oh < rows; oh++ {
 		src := re[oh*q : oh*q+cols]
@@ -80,8 +76,6 @@ func blendRows(data []float32, base, sh int, re []float32, q, rows, cols int, al
 }
 
 // zeroPlane clears one stored plane.
-//
-//ucudnn:hotpath
 func zeroPlane(dst []float32) {
 	for i := range dst {
 		dst[i] = 0
@@ -90,8 +84,6 @@ func zeroPlane(dst []float32) {
 
 // accumMulConj computes dst += a * conj(b) over interleaved complex planes.
 // This is the spectral form of correlation (the DL "convolution").
-//
-//ucudnn:hotpath
 func accumMulConj(dst, a, b []float32) {
 	for i := 0; i < len(dst); i += 2 {
 		ar, ai := a[i], a[i+1]
@@ -278,8 +270,6 @@ func newFFTCtx(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTen
 }
 
 // scrFor returns worker wk's real plane and spectrum-row swap scratch.
-//
-//ucudnn:hotpath
 func (g *fftCtx) scrFor(wk int) (re, tmp []float32) {
 	s := g.scr[wk*g.sf : (wk+1)*g.sf]
 	pq := g.pl.p * g.pl.q
@@ -291,8 +281,6 @@ func (g *fftCtx) scrFor(wk int) (re, tmp []float32) {
 // embedded rows are transformed: the plan treats the rest as exact
 // zeros, which makes small-filter planes (3 nonzero rows in a 32-row
 // tile) much cheaper than full transforms.
-//
-//ucudnn:hotpath
 func (g *fftCtx) fwdPlane(wk int, dst, data []float32, base, sh, sw, rows, cols, offH, offW, limH, limW int) {
 	re, tmp := g.scrFor(wk)
 	embedPlane(re, g.pl.q, rows, cols, data, base, sh, sw, offH, offW, limH, limW)
@@ -302,8 +290,6 @@ func (g *fftCtx) fwdPlane(wk int, dst, data []float32, base, sh, sw, rows, cols,
 // invBlend inverse-transforms the accumulated half-spectrum acc
 // (destroyed) in worker wk's scratch and blends its top-left rows x cols
 // corner into data at base with row stride sh.
-//
-//ucudnn:hotpath
 func (g *fftCtx) invBlend(wk int, acc, data []float32, base, sh, rows, cols int) {
 	re, tmp := g.scrFor(wk)
 	g.plan.InvReal(re, acc, tmp)
@@ -313,8 +299,6 @@ func (g *fftCtx) invBlend(wk int, acc, data []float32, base, sh, rows, cols int)
 // stageTask executes task i of stage st in worker wk's scratch. The
 // combine stages time their own pointwise/inverse split; the transform
 // stages are timed chunk-level by forEach.
-//
-//ucudnn:hotpath
 func (g *fftCtx) stageTask(st fftStage, wk, i int) {
 	pf := g.pf
 	switch st {
@@ -450,8 +434,6 @@ func (g *fftCtx) forEach(ph prof.Kind, n int, st fftStage) {
 
 // stageTasks runs tasks [lo, hi) of stage st in worker wk's scratch as
 // one window of phase ph (the zero Kind records nothing).
-//
-//ucudnn:hotpath
 func (g *fftCtx) stageTasks(ph prof.Kind, st fftStage, wk, lo, hi int) {
 	t := prof.Enter()
 	for i := lo; i < hi; i++ {

@@ -10,8 +10,6 @@ import (
 // strip: the per-sample im2col lowering buffer of (C*R*S) x (OH*OW), plus
 // for BackwardFilter a per-sample partial dW buffer of K x (C*R*S) that
 // the deterministic reduction consumes.
-//
-//ucudnn:hotpath
 func gemmStripFloats(op Op, cs tensor.ConvShape) int {
 	out := cs.OutShape()
 	crs := cs.Filt.C * cs.Filt.R * cs.Filt.S
@@ -28,8 +26,6 @@ func gemmStripFloats(op Op, cs tensor.ConvShape) int {
 // are packed into SGEMM panel layout once per Run and reused across the
 // whole batch; BackwardFilter's A operand is the per-sample dY, so it
 // has no shared pack.
-//
-//ucudnn:hotpath
 func gemmPackFloats(op Op, cs tensor.ConvShape) int {
 	crs := cs.Filt.C * cs.Filt.R * cs.Filt.S
 	switch op {
@@ -58,8 +54,6 @@ func gemmWorkspace(op Op, cs tensor.ConvShape, minimal bool) int64 {
 
 // im2col lowers sample xn (C x H x W, sample-local) into col, a
 // (C*R*S) x (OH*OW) row-major matrix, zero-filling padded positions.
-//
-//ucudnn:hotpath
 func im2col(cs tensor.ConvShape, xn []float32, col []float32) {
 	p := cs.Params.Normalized()
 	out := cs.OutShape()
@@ -101,8 +95,6 @@ func im2col(cs tensor.ConvShape, xn []float32, col []float32) {
 
 // col2im scatters col (the gradient of the im2col lowering) back into
 // sample xn, accumulating alpha*col on top of the existing contents.
-//
-//ucudnn:hotpath
 func col2im(cs tensor.ConvShape, col []float32, xn []float32, alpha float32) {
 	p := cs.Params.Normalized()
 	out := cs.OutShape()
@@ -156,16 +148,12 @@ type gemmCtx struct {
 }
 
 // colFor returns worker wk's im2col buffer.
-//
-//ucudnn:hotpath
 func (g gemmCtx) colFor(wk int) []float32 {
 	return g.ws[wk*g.strip : wk*g.strip+g.crs*g.pixels]
 }
 
 // partFor returns worker wk's partial-dW buffer (BackwardFilter strips
 // only).
-//
-//ucudnn:hotpath
 func (g gemmCtx) partFor(wk int) []float32 {
 	off := wk*g.strip + g.crs*g.pixels
 	return g.ws[off : off+g.k*g.crs]
@@ -175,8 +163,6 @@ func (g gemmCtx) partFor(wk int) []float32 {
 // in worker wk's strip, reusing the per-Run weight pack (alpha fused).
 // sgemmWorkers caps the inner GEMM's parallelism. The SGEMM records its
 // own pack/kernel phases.
-//
-//ucudnn:hotpath
 func (g gemmCtx) forwardSample(wk, n, sgemmWorkers int) {
 	col := g.colFor(wk)
 	t := prof.Enter()
@@ -189,8 +175,6 @@ func (g gemmCtx) forwardSample(wk, n, sgemmWorkers int) {
 
 // backwardDataSample computes dX[n] from dY[n] in worker wk's strip,
 // reusing the per-Run Wᵀ pack (alpha applied in the col2im scatter).
-//
-//ucudnn:hotpath
 func (g gemmCtx) backwardDataSample(wk, n, sgemmWorkers int) {
 	col := g.colFor(wk)
 	blas.SgemmPackedA(sgemmWorkers, g.packW, false, g.crs, g.pixels, g.k,
@@ -214,8 +198,6 @@ func (g gemmCtx) backwardDataSample(wk, n, sgemmWorkers int) {
 // filterPartial computes strip wk's raw per-sample filter-gradient
 // contribution: part = dY[n] * im2col(X[n])ᵀ, unscaled, beta=0. The A
 // operand is the per-sample dY, so there is no shared pack here.
-//
-//ucudnn:hotpath
 func (g gemmCtx) filterPartial(wk, n, sgemmWorkers int) {
 	col := g.colFor(wk)
 	t := prof.Enter()

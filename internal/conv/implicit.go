@@ -113,7 +113,6 @@ func (g implicitCtx) fork(workers int, table bool, n int) {
 	fork(workers, n, func(_, lo, hi int) { gc.chunk(table, lo, hi) })
 }
 
-//ucudnn:hotpath
 func (g implicitCtx) chunk(table bool, lo, hi int) {
 	if table {
 		g.buildTable(lo, hi)
@@ -135,8 +134,6 @@ func precompWorkspace(cs tensor.ConvShape) int64 {
 // filter tap: the offsets are shared by every sample, so they are computed
 // once per Run. Entries are int32 bit patterns stored in the float32
 // workspace.
-//
-//ucudnn:hotpath
 func (g implicitCtx) buildTable(lo, hi int) {
 	t := prof.Enter()
 	pixels := g.out.H * g.out.W
@@ -165,8 +162,6 @@ func (g implicitCtx) buildTable(lo, hi int) {
 // runUnits computes units [lo, hi) with pack blocks on this stack: they
 // are declared once per worker chunk, and no slice of them may reach an
 // interface or a go closure.
-//
-//ucudnn:hotpath
 func (g implicitCtx) runUnits(lo, hi int) {
 	// One continuous Enter/Next chain, as in sgemmRows; it opens before
 	// the pack blocks so that clearing them counts as packing.
@@ -185,8 +180,6 @@ func (g implicitCtx) runUnits(lo, hi int) {
 // units walks units [lo, hi). Forward and BackwardData units are (sample,
 // column block) pairs; a BackwardFilter unit is one column block of dW
 // reduced over the batch in ascending n.
-//
-//ucudnn:hotpath
 func (g implicitCtx) units(packA, packB []float32, lo, hi int, t int64) {
 	for u := lo; u < hi; u++ {
 		if g.op == BackwardFilter {
@@ -202,8 +195,6 @@ func (g implicitCtx) units(packA, packB []float32, lo, hi int, t int64) {
 // block runs sample n's product for the C columns [j0, j0+jw): the kc/mc
 // loops of sgemmRows with gathering packers. fresh says C has not been
 // written yet, so the first k-block's store fuses beta.
-//
-//ucudnn:hotpath
 func (g implicitCtx) block(packA, packB []float32, n, j0 int, fresh bool, t int64) int64 {
 	jb := imin(g.jw, g.n-j0)
 	c := g.c[n*g.cStride:]
@@ -224,8 +215,6 @@ func (g implicitCtx) block(packA, packB []float32, n, j0 int, fresh bool, t int6
 }
 
 // packA packs alpha·A[i0:i0+ib, k0:k0+kb] into MR-row panels.
-//
-//ucudnn:hotpath
 func (g implicitCtx) packA(pack []float32, n, i0, ib, k0, kb int) {
 	switch g.op {
 	case Forward:
@@ -239,8 +228,6 @@ func (g implicitCtx) packA(pack []float32, n, i0, ib, k0, kb int) {
 
 // packWT packs BackwardData's A operand: row c, column (k, r, s) of Wᵀ is
 // W[k][c][r][s].
-//
-//ucudnn:hotpath
 func (g implicitCtx) packWT(pack []float32, i0, ib, k0, kb int) {
 	rs := g.f.R * g.f.S
 	crs := g.f.C * rs
@@ -270,8 +257,6 @@ func (g implicitCtx) packWT(pack []float32, i0, ib, k0, kb int) {
 // packB gathers B[k0:k0+kb, j0:j0+jb] of sample n into NR-column panels
 // stored [kb][NR], zero-padded past jb. Each gathered line goes through
 // one L1-resident row so the three gathers share the panel stores.
-//
-//ucudnn:hotpath
 func (g implicitCtx) packB(pack []float32, n, k0, kb, j0, jb int) {
 	var line [max(blas.KC, blas.NC)]float32
 	switch g.op {
@@ -311,8 +296,6 @@ func (g implicitCtx) packB(pack []float32, n, k0, kb, j0, jb int) {
 
 // storeRow writes line[:jb] as row p of the NR-column panels, zero-padding
 // the last panel.
-//
-//ucudnn:hotpath
 func storeRow(pack, line []float32, p, kb, jb int) {
 	clear(line[jb : ceilDiv(jb, blas.NR)*blas.NR])
 	for jt := 0; jt < jb; jt += blas.NR {
@@ -328,8 +311,6 @@ func storeRow(pack, line []float32, p, kb, jb int) {
 
 // gatherTable reads one table row's worth of sample xn: idx holds int32
 // offsets (as float32 bits), negative for padded positions.
-//
-//ucudnn:hotpath
 func gatherTable(line, xn, idx []float32) {
 	for j := range line {
 		var v float32
@@ -342,8 +323,6 @@ func gatherTable(line, xn, idx []float32) {
 
 // im2colLine writes im2col(xn)[row][q0 : q0+len(line)]: tap row = (c, r, s)
 // of sample xn over consecutive output pixels, zero at padded positions.
-//
-//ucudnn:hotpath
 func (g implicitCtx) im2colLine(line, xn []float32, row, q0 int) {
 	rs := g.f.R * g.f.S
 	c, r, s := row/rs, (row/g.f.S)%g.f.R, row%g.f.S
@@ -367,8 +346,6 @@ func (g implicitCtx) im2colLine(line, xn []float32, row, q0 int) {
 // up to period, where it wraps and pos advances by step. im2col lines walk
 // src in steps of the stride (period 1); gradient lines visit each src
 // element once per stride (step 1). Unit stride is a clipped copy.
-//
-//ucudnn:hotpath
 func gatherSeg(seg, src []float32, pos, rem, step, period int) {
 	if step == 1 && period == 1 {
 		lo := imin(imax(-pos, 0), len(seg))
@@ -396,8 +373,6 @@ func gatherSeg(seg, src []float32, pos, rem, step, period int) {
 // gradLine writes gather(dyn)[row][q0 : q0+len(line)]: for tap row =
 // (k, r, s) and consecutive input pixels (ih, iw), the output gradient at
 // (ih+pad-r·dil)/stride when that is an in-range whole number, else zero.
-//
-//ucudnn:hotpath
 func (g implicitCtx) gradLine(line, dyn []float32, row, q0 int) {
 	rs := g.f.R * g.f.S
 	k, r, s := row/rs, (row/g.f.S)%g.f.R, row%g.f.S
@@ -417,8 +392,6 @@ func (g implicitCtx) gradLine(line, dyn []float32, row, q0 int) {
 }
 
 // floorDivMod returns floor(a/b) and the non-negative remainder, b > 0.
-//
-//ucudnn:hotpath
 func floorDivMod(a, b int) (int, int) {
 	q, r := a/b, a%b
 	if r < 0 {

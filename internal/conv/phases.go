@@ -5,8 +5,7 @@ import "ucudnn/internal/prof"
 // Profiler phases of the conv algorithms. Each kernel run tiles its
 // measured time into these windows, so the cost-attribution report can
 // answer "is GEMM time im2col-pack or SGEMM?" per layer. Names are
-// compile-time ucudnn_ph_* constants (enforced by the phasename
-// analyzer).
+// ucudnn_ph_* constants; prof.Register checks them at init.
 const (
 	// GEMM algorithm: im2col/col2im patch packing (including the
 	// zero/scale passes fused into it) and the deterministic partial-dW

@@ -1,8 +1,6 @@
 package conv
 
 // blend writes out = alpha*v + beta*out for one element.
-//
-//ucudnn:hotpath
 func blend(out *float32, v, alpha, beta float32) {
 	if beta == 0 {
 		*out = alpha * v
@@ -11,7 +9,6 @@ func blend(out *float32, v, alpha, beta float32) {
 	}
 }
 
-//ucudnn:hotpath
 func imin(a, b int) int {
 	if a < b {
 		return a
@@ -19,7 +16,6 @@ func imin(a, b int) int {
 	return b
 }
 
-//ucudnn:hotpath
 func imax(a, b int) int {
 	if a > b {
 		return a
@@ -27,5 +23,4 @@ func imax(a, b int) int {
 	return b
 }
 
-//ucudnn:hotpath
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -238,8 +238,6 @@ func (g *wgCtx) run(workers int, st wgStage, n int) {
 // units runs units [lo, hi) of stage st as this worker's phase windows.
 // sgemmWorkers is the inner SGEMM's worker cap: 1 inside a fork, 0 (its
 // own choice) on the serial path.
-//
-//ucudnn:hotpath
 func (g *wgCtx) units(st wgStage, lo, hi, sgemmWorkers int) {
 	t := prof.Enter()
 	switch st {
@@ -271,8 +269,6 @@ func (g *wgCtx) units(st wgStage, lo, hi, sgemmWorkers int) {
 }
 
 // laneBlocks is the number of lane blocks n tiles (or filter pairs) fill.
-//
-//ucudnn:hotpath
 func laneBlocks(n int) int { return ceilDiv(n, winograd.Lanes) }
 
 // gatherTiles fills blk with rows x rows tiles [p0, p0+cnt) of channel ch
@@ -281,8 +277,6 @@ func laneBlocks(n int) int { return ceilDiv(n, winograd.Lanes) }
 // The walk is by runs of tiles that share a tile row: per tile element
 // (a, b) a run is one strided row copy, and which of its tiles hang over
 // the left and right borders is worked out once per run and column b.
-//
-//ucudnn:hotpath
 func (g *wgCtx) gatherTiles(blk *winograd.LaneBlock, data []float32, s tensor.Shape, ch, rows, padH, padW, p0, cnt int) {
 	ls, m := winograd.LaneStride(cnt), g.tr.M
 	for t0 := 0; t0 < cnt; {
@@ -332,7 +326,6 @@ func (g *wgCtx) gatherTiles(blk *winograd.LaneBlock, data []float32, s tensor.Sh
 // tile walk it spills its counters every iteration.
 //
 //go:noinline
-//ucudnn:hotpath
 func gatherStrided(dst, src []float32, step int) {
 	j := 0
 	for t := range dst {
@@ -345,7 +338,6 @@ func gatherStrided(dst, src []float32, step int) {
 // dst[t*step] = alpha*src[t] + beta*dst[t*step].
 //
 //go:noinline
-//ucudnn:hotpath
 func blendStrided(dst, src []float32, step int, alpha, beta float32) {
 	j := 0
 	if beta == 0 {
@@ -363,8 +355,6 @@ func blendStrided(dst, src []float32, step int, alpha, beta float32) {
 
 // scatterTiles blends the m x m output tiles [p0, p0+cnt) of channel ch in
 // blk into y, clipping the tiles that overhang the plane.
-//
-//ucudnn:hotpath
 func (g *wgCtx) scatterTiles(blk *winograd.LaneBlock, ch, p0, cnt int) {
 	ls, m, s := winograd.LaneStride(cnt), g.tr.M, g.out
 	for t0 := 0; t0 < cnt; {
@@ -396,8 +386,6 @@ func (g *wgCtx) scatterTiles(blk *winograd.LaneBlock, ch, p0, cnt int) {
 // stay row-major behind them: its zero padding has no room in the bytes
 // Workspace reports, so that one panel is packed per product (see
 // spectralGemm).
-//
-//ucudnn:hotpath
 func (g *wgCtx) uPair(q int) (kk, cc int) {
 	pf := g.k &^ (blas.MR - 1)
 	if q >= pf*g.c {
@@ -412,8 +400,6 @@ func (g *wgCtx) uPair(q int) (kk, cc int) {
 // filterBlocks transforms lane blocks [lo, hi) of filter pairs into the
 // packed bank. The lanes of a block are consecutive bank positions, so a
 // spectral row of the block is one contiguous store into U[e].
-//
-//ucudnn:hotpath
 func (g *wgCtx) filterBlocks(lo, hi int) {
 	var gb, tmp winograd.LaneBlock
 	rr, kc := g.tr.R*g.tr.R, g.k*g.c
@@ -446,8 +432,6 @@ func (g *wgCtx) filterBlocks(lo, hi int) {
 // depend on nothing but the block and the finished filter bank, so
 // workers never meet: one fork per call, however many blocks there are.
 // t is the open phase window; the window open at the end is returned.
-//
-//ucudnn:hotpath
 func (g *wgCtx) correlateTiles(lo, hi, col0 int, t int64) int64 {
 	var blk, tmp winograd.LaneBlock
 	var packB [blas.KC * blas.NC]float32
@@ -483,8 +467,6 @@ func (g *wgCtx) correlateTiles(lo, hi, col0 int, t int64) int64 {
 // V[e] (c x cnt) — blas's sgemmPackedRows loop nest over the bank packed
 // by filterBlocks, so every M element is SgemmWorkers's chain: per
 // kc-block a sum from zero in c order, blocks added in order.
-//
-//ucudnn:hotpath
 func (g *wgCtx) spectralGemm(packB []float32, e, col0, cnt int) {
 	k, c, bp := g.k, g.c, g.bp
 	pf := k &^ (blas.MR - 1)
@@ -553,8 +535,6 @@ func winogradCorrelate(tr *winograd.Transform, cs tensor.ConvShape, x *tensor.Te
 
 // inputBlocks transforms units [lo, hi) of (channel, lane block of tiles)
 // into the BackwardFilter bank V[e][cc*total + p].
-//
-//ucudnn:hotpath
 func (g *wgCtx) inputBlocks(lo, hi int) {
 	var blk, tmp winograd.LaneBlock
 	total, nb := g.total, laneBlocks(g.total)
@@ -569,8 +549,6 @@ func (g *wgCtx) inputBlocks(lo, hi int) {
 // gradBlocks maps units [lo, hi) of (output channel, lane block of
 // output-gradient tiles) through the adjoint of the output transform into
 // Wb[e][kk*total + p] (the mm bank in the BackwardFilter layout).
-//
-//ucudnn:hotpath
 func (g *wgCtx) gradBlocks(lo, hi int) {
 	var blk, tmp winograd.LaneBlock
 	total, nb := g.total, laneBlocks(g.total)
@@ -584,8 +562,6 @@ func (g *wgCtx) gradBlocks(lo, hi int) {
 
 // filterGradBlocks maps lane blocks [lo, hi) of spectral accumulator
 // pairs i = kk*c+cc back to filter space and blends them into dW.
-//
-//ucudnn:hotpath
 func (g *wgCtx) filterGradBlocks(lo, hi int) {
 	var gb, tmp winograd.LaneBlock
 	rr, kc := g.tr.R*g.tr.R, g.k*g.c

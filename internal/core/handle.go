@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -304,15 +305,28 @@ func (h *Handle) OptimizationTime() time.Duration {
 	return h.optTime
 }
 
-// Plans returns a snapshot of the execution plans decided so far.
+// Plans returns a snapshot of the execution plans decided so far,
+// sorted by kernel.
 func (h *Handle) Plans() []Plan {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	out := make([]Plan, 0, len(h.plans))
-	for _, p := range h.plans {
-		out = append(out, p)
+	keys := h.planKeysLocked()
+	out := make([]Plan, len(keys))
+	for i, key := range keys {
+		out[i] = h.plans[key]
 	}
 	return out
+}
+
+// planKeysLocked returns the plan table's kernel keys in sorted order.
+// The caller holds h.mu.
+func (h *Handle) planKeysLocked() []string {
+	keys := make([]string, 0, len(h.plans))
+	for key := range h.plans {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // WDStats returns the WD optimization result, if WD has run.
@@ -359,7 +373,7 @@ func (h *Handle) finalizeLocked() error {
 	if h.opts.Mode != WD || len(h.registered) == 0 {
 		return nil
 	}
-	start := time.Now() //ucudnn:allow detlint -- optTime accounting only; the WD plan does not depend on it
+	start := time.Now()
 	res, err := OptimizeWDReserved(h.bencher, h.registered, h.opts.TotalWorkspaceLimit, h.opts.BlobReserve, h.opts.Policy)
 	h.optTime += time.Since(start)
 	if err != nil {
@@ -405,7 +419,7 @@ func (h *Handle) ensurePlan(k Kernel) (Plan, error) {
 	if l, ok := h.limits[key]; ok {
 		limit = l
 	}
-	start := time.Now() //ucudnn:allow detlint -- optTime accounting only; the WR plan does not depend on it
+	start := time.Now()
 	plan, err := OptimizeWR(h.bencher, k, limit, h.opts.Policy)
 	h.optTime += time.Since(start)
 	if err != nil {

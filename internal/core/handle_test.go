@@ -157,6 +157,31 @@ func TestHandleDelegatesRealAlgo(t *testing.T) {
 	}
 }
 
+// Plans comes back sorted by kernel whatever order the kernels were
+// registered in: callers print it, and a map-ordered snapshot made two
+// runs of one program print their plans differently.
+func TestHandlePlansSorted(t *testing.T) {
+	h := newTestHandle(t, cudnn.ModelOnlyBackend, WithWD(32<<20), WithPolicy(PolicyPowerOfTwo))
+	for n := 9; n >= 2; n-- { // reverse order of the kernel strings
+		xd, wd, cd, yd, _ := smallConv(n)
+		if _, err := h.GetConvolutionForwardAlgorithm(xd, wd, cd, yd, cudnn.PreferFastest, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.FinalizeRegistration(); err != nil {
+		t.Fatal(err)
+	}
+	plans := h.Plans()
+	if len(plans) != 8 {
+		t.Fatalf("%d plans, want 8", len(plans))
+	}
+	for i := 1; i < len(plans); i++ {
+		if a, b := plans[i-1].Kernel.String(), plans[i].Kernel.String(); a >= b {
+			t.Fatalf("plans out of order: %s before %s", a, b)
+		}
+	}
+}
+
 func TestHandleWDMode(t *testing.T) {
 	h := newTestHandle(t, cudnn.ModelOnlyBackend,
 		WithWD(32<<20), WithPolicy(PolicyPowerOfTwo))

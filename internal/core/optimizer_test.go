@@ -765,3 +765,74 @@ func TestBencherUsesCache(t *testing.T) {
 		}
 	}
 }
+
+// The optimizers decide by value alone: no map order, clock or random
+// source may reach a plan. Synthetic perfs make nearly every decision a
+// tie. Time is exactly linear in the micro-batch size, so every division
+// of a batch costs the same, and two algorithms tie at every size. One
+// kernel's workspace grows with the micro-batch and the other's is flat,
+// and WD's budget fits the fast configuration of only one of the two
+// equal-cost groups. An order-dependent loop in WR, the desirable sets or
+// WD then breaks a tie differently on some run of twenty.
+func TestOptimizersRepeatUnderTies(t *testing.T) {
+	const n = 12
+	grows := Kernel{Op: conv.Forward, Shape: conv2Shape(n)}
+	flat := Kernel{Op: conv.BackwardData, Shape: conv2Shape(n)}
+	variants := []Kernel{grows, flat}
+	kernels := []Kernel{grows, flat, grows, flat}
+	perfs := func(k Kernel, m int) []cudnn.AlgoPerf {
+		tm := time.Duration(m) * time.Microsecond
+		ws := int64(4 << 10)
+		if k == grows {
+			ws *= int64(m)
+		}
+		return []cudnn.AlgoPerf{
+			{Algo: conv.AlgoGemm, Time: tm, Memory: ws},
+			{Algo: conv.AlgoFFT, Time: tm, Memory: ws},
+			{Algo: conv.AlgoImplicitGemm, Time: 2 * tm, Memory: 0},
+		}
+	}
+	run := func(policy Policy) string {
+		b := modelBencher()
+		for _, k := range variants {
+			for m := 1; m <= n; m++ {
+				key := CacheKey(b.h.Device().Name, b.h.Backend(), k.Op, k.Shape.WithN(m))
+				if err := b.cache.Put(key, perfs(k, m)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		var sb strings.Builder
+		for _, k := range variants {
+			plan, err := OptimizeWR(b, k, 24<<10, policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintf(&sb, "WR %v: %v %v %d\n", k, plan.Config, plan.Time, plan.Workspace)
+			front, err := DesirableSet(b, k, 32<<10, policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, sc := range front {
+				fmt.Fprintf(&sb, "front %v: %v %v %d\n", k, sc.Config, sc.Time, sc.Workspace)
+			}
+		}
+		res, err := OptimizeWDReserved(b, kernels, 8<<10, 2<<10, policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range res.Plans {
+			fmt.Fprintf(&sb, "WD %v: %v %v %d\n", p.Kernel, p.Config, p.Time, p.Workspace)
+		}
+		fmt.Fprintf(&sb, "WD total %v %d\n", res.TotalTime, res.TotalWorkspace)
+		return sb.String()
+	}
+	for _, policy := range []Policy{PolicyPowerOfTwo, PolicyAll} {
+		want := run(policy)
+		for i := 1; i < 20; i++ {
+			if got := run(policy); got != want {
+				t.Fatalf("%v run %d differs from run 0:\n%s\nwant:\n%s", policy, i, got, want)
+			}
+		}
+	}
+}

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"sort"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // This file is the per-handle plan table, the paper's §IV-B table as a
 // value: per-kernel chosen algorithm, micro-batch division, and
@@ -65,12 +62,7 @@ func (h *Handle) Report() HandleReport {
 		ArenaBytes:          int64(len(h.wsArena)) * 4,
 		Plans:               make([]PlanReport, 0, len(h.plans)),
 	}
-	keys := make([]string, 0, len(h.plans))
-	for key := range h.plans {
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	for _, key := range keys {
+	for _, key := range h.planKeysLocked() {
 		p := h.plans[key]
 		limit := h.opts.WorkspaceLimit
 		if h.opts.Mode == WD {
@@ -93,6 +85,5 @@ func (h *Handle) Report() HandleReport {
 			Share:          share,
 		})
 	}
-	sort.Slice(r.Plans, func(i, j int) bool { return r.Plans[i].Kernel < r.Plans[j].Kernel })
 	return r
 }

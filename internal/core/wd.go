@@ -65,7 +65,7 @@ func OptimizeWDReserved(b *Bencher, kernels []Kernel, totalLimit, reserve int64,
 	if reserve < 0 || reserve >= totalLimit {
 		return nil, fmt.Errorf("core: blob reserve %d outside joint pool of %d bytes", reserve, totalLimit)
 	}
-	optStart := time.Now() //ucudnn:allow detlint -- timing feeds the wdSeconds metric only, never the ILP
+	optStart := time.Now()
 	defer b.m.wdSeconds.ObserveSince(optStart)
 	// Group identical kernels.
 	type group struct {
@@ -112,7 +112,7 @@ func OptimizeWDReserved(b *Bencher, kernels []Kernel, totalLimit, reserve int64,
 		n += len(items)
 	}
 
-	solveStart := time.Now() //ucudnn:allow detlint -- solve-time telemetry only; the ILP result is independent of it
+	solveStart := time.Now()
 	res, err := ilp.Solve(prob)
 	solveTime := time.Since(solveStart)
 	b.m.ilpVariables.Set(float64(n))

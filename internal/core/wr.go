@@ -17,7 +17,7 @@ import (
 // the limit, and the candidate sizes m are chosen by the batch-size
 // policy.
 func OptimizeWR(b *Bencher, k Kernel, wsLimit int64, policy Policy) (Plan, error) {
-	optStart := time.Now() //ucudnn:allow detlint -- timing feeds the wrSeconds metric only, never the DP
+	optStart := time.Now()
 	defer b.m.wrSeconds.ObserveSince(optStart)
 	n := k.Shape.In.N
 	sizes := policy.CandidateSizes(n)

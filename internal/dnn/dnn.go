@@ -99,7 +99,6 @@ func (c *Context) Workspace(bytes int64) []float32 {
 	}
 	n := int((bytes + 3) / 4)
 	if len(c.wsArena) < n {
-		//ucudnn:allow wsfloor -- arena accessor, not a size reporter: grow-and-reuse is its documented contract
 		c.wsArena = make([]float32, n)
 	}
 	return c.wsArena[:n]

@@ -871,13 +871,13 @@ func TestPoolAndReLUMatchReferenceBitwise(t *testing.T) {
 	}
 }
 
-// Forked Pool and ReLU passes run on the goroutine bodies Setup built, as
-// LRN's do: nothing is allocated per call.
+// Pool, global-average-pool and ReLU passes allocate nothing per call;
+// the forked ones run on the goroutine bodies Setup built, as LRN's do.
 func TestPoolAndReLUPassesDoNotAllocate(t *testing.T) {
 	defer conv.SetMaxWorkers(conv.SetMaxWorkers(2))
 	s := tensor.Shape{N: 4, C: 32, H: 28, W: 28} // above forkGrain per worker
 	ctx := testCtx()
-	for _, l := range []Layer{NewPool("pool", MaxPool, 3, 1, 1), NewPool("avg", AvgPool, 3, 2, 0), NewReLU("relu")} {
+	for _, l := range []Layer{NewPool("pool", MaxPool, 3, 1, 1), NewPool("avg", AvgPool, 3, 2, 0), NewGlobalAvgPool("gap"), NewReLU("relu")} {
 		out, err := l.Setup(ctx, []tensor.Shape{s})
 		if err != nil {
 			t.Fatal(err)

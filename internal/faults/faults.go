@@ -1,7 +1,7 @@
 // Package faults is a deterministic, seedable fault-injection registry
 // for exercising µ-cuDNN's degradation paths without real hardware
 // failures. Code under test declares named injection points (the
-// ucudnn_fp_* constants below); a test or CLI arms a Registry with one
+// Point constants below); a test or CLI arms a Registry with one
 // rule per point and installs it globally. Instrumented code consults
 // the global registry through the package-level helpers (Err, Hit,
 // Grant, Mangle), which are a single atomic load when no registry is
@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -26,50 +25,63 @@ import (
 	"ucudnn/internal/obs"
 )
 
-// Point names one injection site threaded through the stack. Point names
-// are compile-time ucudnn_fp_* constants (enforced by the faultpoint
-// analyzer) so the set of sites is knowable statically.
-type Point string
+// Point names one injection site threaded through the stack. The set is
+// closed: call sites name one of the constants below, and Parse resolves
+// a spec's ucudnn_fp_* names through the same table, so neither can name
+// a site that does not exist.
+type Point uint8
 
 // The injection points wired through the µ-cuDNN stack.
 const (
 	// PointKernelRun fails conv.Run after validation, simulating a kernel
 	// launch failure.
-	PointKernelRun Point = "ucudnn_fp_kernel_run"
+	PointKernelRun Point = iota
 	// PointConvolve fails cudnn.Handle.Convolve at entry, simulating a
 	// CUDNN_STATUS_EXECUTION_FAILED return.
-	PointConvolve Point = "ucudnn_fp_convolve"
+	PointConvolve
 	// PointFind drops one algorithm candidate from cudnn.Handle.AlgoPerfs,
 	// simulating a failed Find* benchmark entry.
-	PointFind Point = "ucudnn_fp_find"
+	PointFind
 	// PointArenaGrow shrinks (or denies) core.Handle workspace-arena
 	// growth, simulating a failed or partial device allocation.
-	PointArenaGrow Point = "ucudnn_fp_arena_grow"
+	PointArenaGrow
 	// PointDnnWorkspace shrinks (or denies) dnn.Context.Workspace grants,
 	// simulating framework-side workspace pressure.
-	PointDnnWorkspace Point = "ucudnn_fp_dnn_workspace"
+	PointDnnWorkspace
 	// PointCacheLoad corrupts one line of the benchmark-cache file as it
 	// is read, exercising the tolerant cache loader.
-	PointCacheLoad Point = "ucudnn_fp_cache_load"
+	PointCacheLoad
 	// PointOOCFetch shrinks (or denies) an out-of-core micro-batch fetch,
 	// simulating transfer pressure; the OOC executor degrades to finer
 	// micro-batches.
-	PointOOCFetch Point = "ucudnn_fp_ooc_fetch"
+	PointOOCFetch
 	// PointOOCSpill fails an out-of-core activation spill; the executor
 	// drops the buffer, marks it for recompute and degrades.
-	PointOOCSpill Point = "ucudnn_fp_ooc_spill"
+	PointOOCSpill
 	// PointOOCPlan forces the out-of-core planner to adopt a schedule one
 	// rung finer than the memory model requires (conservative planning
 	// under an unreliable allocator).
-	PointOOCPlan Point = "ucudnn_fp_ooc_plan"
+	PointOOCPlan
 )
+
+// pointNames are the spec names Parse reads and String renders.
+var pointNames = [...]string{
+	PointKernelRun:    "ucudnn_fp_kernel_run",
+	PointConvolve:     "ucudnn_fp_convolve",
+	PointFind:         "ucudnn_fp_find",
+	PointArenaGrow:    "ucudnn_fp_arena_grow",
+	PointDnnWorkspace: "ucudnn_fp_dnn_workspace",
+	PointCacheLoad:    "ucudnn_fp_cache_load",
+	PointOOCFetch:     "ucudnn_fp_ooc_fetch",
+	PointOOCSpill:     "ucudnn_fp_ooc_spill",
+	PointOOCPlan:      "ucudnn_fp_ooc_plan",
+}
+
+// String returns the point's spec name.
+func (p Point) String() string { return pointNames[p] }
 
 // MetricFaultInjected counts fired injections, labeled by point.
 const MetricFaultInjected = "ucudnn_fault_injected_total"
-
-// pointRe is the naming scheme Parse enforces (mirrors the faultpoint
-// analyzer's compile-time rule).
-var pointRe = regexp.MustCompile(`^ucudnn_fp(_[a-z0-9]+)+$`)
 
 // TriggerKind selects a trigger policy.
 type TriggerKind int
@@ -127,7 +139,7 @@ type Rule struct {
 
 // String returns the canonical spec form of the rule.
 func (r Rule) String() string {
-	s := string(r.Point) + "=" + r.Trigger.String()
+	s := r.Point.String() + "=" + r.Trigger.String()
 	if r.Shrink > 0 {
 		s += ",shrink=" + strconv.FormatInt(r.Shrink, 10)
 	}
@@ -257,7 +269,7 @@ func (r *Registry) fire(p Point, effect string) (int64, bool) {
 	}
 	r.mu.Unlock()
 	if reg != nil {
-		reg.Counter(MetricFaultInjected, obs.L("point", string(p))).Inc()
+		reg.Counter(MetricFaultInjected, obs.L("point", p.String())).Inc()
 	}
 	return call, fired
 }
@@ -321,7 +333,7 @@ func (r *Registry) Grant(p Point, bytes int64) int64 {
 	reg := r.reg
 	r.mu.Unlock()
 	if reg != nil {
-		reg.Counter(MetricFaultInjected, obs.L("point", string(p))).Inc()
+		reg.Counter(MetricFaultInjected, obs.L("point", p.String())).Inc()
 	}
 	return granted
 }
@@ -393,7 +405,7 @@ func Mangle(p Point, data []byte) []byte {
 //	rule    := point '=' trigger [',shrink=' int]
 //	trigger := 'nth:' int | 'every:' int | 'prob:' float ':' seed
 //
-// Point names must follow the ucudnn_fp_* scheme. An empty spec yields
+// Point names must be declared points (see Point). An empty spec yields
 // an empty (armed-with-nothing) registry.
 func Parse(spec string) (*Registry, error) {
 	r := New()
@@ -420,11 +432,11 @@ func parseRule(s string) (Rule, error) {
 	if eq < 0 {
 		return Rule{}, fmt.Errorf("faults: rule %q missing '='", s)
 	}
-	point := strings.TrimSpace(s[:eq])
-	if !pointRe.MatchString(point) {
-		return Rule{}, fmt.Errorf("faults: point %q does not match the ucudnn_fp_* scheme", point)
+	point, err := parsePoint(strings.TrimSpace(s[:eq]))
+	if err != nil {
+		return Rule{}, err
 	}
-	rule := Rule{Point: Point(point)}
+	rule := Rule{Point: point}
 	rest := s[eq+1:]
 	trigSpec := rest
 	if comma := strings.Index(rest, ","); comma >= 0 {
@@ -448,6 +460,15 @@ func parseRule(s string) (Rule, error) {
 	}
 	rule.Trigger = trig
 	return rule, nil
+}
+
+func parsePoint(name string) (Point, error) {
+	for p, n := range pointNames {
+		if n == name {
+			return Point(p), nil
+		}
+	}
+	return 0, fmt.Errorf("faults: unknown point %q (valid: %s)", name, strings.Join(pointNames[:], ", "))
 }
 
 func parseTrigger(s string) (Trigger, error) {

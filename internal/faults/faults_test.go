@@ -138,6 +138,20 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// A well-formed name that no site declares would arm nothing and fire
+// nothing; Parse rejects it and lists the points that exist.
+func TestParseRejectsUndeclaredPoint(t *testing.T) {
+	_, err := Parse("ucudnn_fp_convolv=every:1")
+	if err == nil {
+		t.Fatal("Parse accepted a misspelled point")
+	}
+	for _, name := range pointNames {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not list %s", err, name)
+		}
+	}
+}
+
 func TestReplayFromSpecReproducesShots(t *testing.T) {
 	spec := "ucudnn_fp_convolve=prob:0.4:99;ucudnn_fp_find=every:3"
 	drive := func(r *Registry) string {
@@ -185,7 +199,7 @@ func TestMetrics(t *testing.T) {
 	r.SetMetrics(reg)
 	r.Err(PointConvolve)
 	r.Err(PointConvolve)
-	got := reg.Counter(MetricFaultInjected, obs.L("point", string(PointConvolve))).Value()
+	got := reg.Counter(MetricFaultInjected, obs.L("point", PointConvolve.String())).Value()
 	if got != 2 {
 		t.Fatalf("%s{point=%s} = %v, want 2", MetricFaultInjected, PointConvolve, got)
 	}

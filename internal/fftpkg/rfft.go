@@ -100,8 +100,6 @@ func fillStageTwiddles(tw []float32, n int) {
 // (re, im) float32 pairs, using the precomputed stage twiddles tw (laid
 // out by fillStageTwiddles). The inverse conjugates the twiddles and
 // scales by 1/n — an exact power of two, so the scaling rounds nothing.
-//
-//ucudnn:hotpath
 func cfft(buf []float32, n int, tw []float32, inverse bool) {
 	if n <= 1 {
 		return
@@ -154,8 +152,6 @@ func cfft(buf []float32, n int, tw []float32, inverse bool) {
 // scalar twiddle, so the inner loop walks 2*hw contiguous floats instead
 // of a strided column gather. Element-wise the arithmetic and its order
 // are exactly the per-column cfft's.
-//
-//ucudnn:hotpath
 func colPass(dst []float32, p, hw int, tw, tmp []float32, inverse bool) {
 	if p <= 1 {
 		return
@@ -201,8 +197,6 @@ func colPass(dst []float32, p, hw int, tw, tmp []float32, inverse bool) {
 
 // rowButterfly combines two interleaved complex rows with one twiddle:
 // (a, b) <- (a + w*b, a - w*b) element-wise.
-//
-//ucudnn:hotpath
 func rowButterfly(ra, rb []float32, wr, wi float32) {
 	for c := 0; c < len(ra); c += 2 {
 		br, bi := rb[c], rb[c+1]
@@ -223,8 +217,6 @@ func rowButterfly(ra, rb []float32, wr, wi float32) {
 // bit-identical to transforming the zeros, since every butterfly and
 // untangle term on signed zeros rounds back to +0. tmp is a 2*(q/2+1)
 // float swap buffer; re and tmp together are ScratchFloats(p, q) floats.
-//
-//ucudnn:hotpath
 func (pl Plan2D) FwdReal(dst, re, tmp []float32, nz int) {
 	p, q, h, hw := pl.p, pl.q, pl.h, pl.hw
 	if nz > p {
@@ -266,8 +258,6 @@ func (pl Plan2D) FwdReal(dst, re, tmp []float32, nz int) {
 // InvReal inverse-transforms the interleaved half-spectrum src
 // (destroyed) into the real p x q plane re, including the full 1/(p*q)
 // inverse normalization. tmp is the same swap buffer as in FwdReal.
-//
-//ucudnn:hotpath
 func (pl Plan2D) InvReal(re, src, tmp []float32) {
 	p, q, h, hw := pl.p, pl.q, pl.h, pl.hw
 	colPass(src, p, hw, pl.colTw, tmp, true)

@@ -10,7 +10,9 @@
 package obs
 
 import (
+	"fmt"
 	"math"
+	"regexp"
 	"sort"
 	"strings"
 	"sync"
@@ -78,8 +80,6 @@ type Gauge struct {
 }
 
 // Set stores v.
-//
-//ucudnn:hotpath
 func (g *Gauge) Set(v float64) {
 	if g == nil {
 		return
@@ -88,8 +88,6 @@ func (g *Gauge) Set(v float64) {
 }
 
 // Add adds delta.
-//
-//ucudnn:hotpath
 func (g *Gauge) Add(delta float64) {
 	if g == nil {
 		return
@@ -130,8 +128,6 @@ var DurationBuckets = []float64{1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1, 10, 60}
 var CountBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 
 // Observe records one sample.
-//
-//ucudnn:hotpath
 func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
@@ -203,27 +199,64 @@ type metric struct {
 	h      *Histogram
 }
 
-// Registry holds metric series keyed by name plus labels. The zero value
+// seriesKey identifies a series by kind, name and rendered labels, so
+// asking for an existing name as another kind creates a series, which
+// checkNew rejects.
+type seriesKey struct{ kind, series string }
+
+// metricNameRe is the series-name scheme dashboards rely on.
+var metricNameRe = regexp.MustCompile(`^ucudnn(_[a-z0-9]+)+$`)
+
+// Registry holds metric series keyed by kind, name and labels. The zero value
 // is not usable; a nil *Registry is: every lookup returns a nil handle,
 // whose operations are no-ops.
 type Registry struct {
-	mu      sync.Mutex
-	metrics map[string]*metric
+	mu       sync.Mutex
+	metrics  map[seriesKey]*metric
+	families map[string]string // name -> kind{label names}
 }
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{metrics: map[string]*metric{}}
+	return &Registry{metrics: map[seriesKey]*metric{}, families: map[string]string{}}
 }
 
-func (r *Registry) lookup(name string, labels []Label) (*metric, bool) {
-	key := name + labelString(labels)
+func (r *Registry) lookup(kind, name string, labels []Label) (*metric, bool) {
+	suffix := labelString(labels)
+	key := seriesKey{kind, name + suffix}
 	m, ok := r.metrics[key]
 	if !ok {
-		m = &metric{name: name, labels: labelString(labels)}
+		r.checkNew(kind, name, labels)
+		m = &metric{name: name, labels: suffix}
 		r.metrics[key] = m
 	}
 	return m, ok
+}
+
+// checkNew holds a series about to be created to the naming scheme and
+// panics, as prof.Register does, when it breaks it: the name is ucudnn_*
+// snake_case, it ends in _total exactly when it is a counter, and it
+// keeps one kind and one set of label names across the registry.
+func (r *Registry) checkNew(kind, name string, labels []Label) {
+	names := make([]string, len(labels))
+	for i, l := range labels {
+		names[i] = l.Name
+	}
+	sort.Strings(names)
+	family := kind + "{" + strings.Join(names, ",") + "}"
+	var problem string
+	switch prev, seen := r.families[name]; {
+	case !metricNameRe.MatchString(name):
+		problem = "is not ucudnn_* snake_case"
+	case strings.HasSuffix(name, "_total") != (kind == "counter"):
+		problem = "must end in _total exactly when it is a counter"
+	case seen && prev != family:
+		problem = "is already a " + prev
+	default:
+		r.families[name] = family
+		return
+	}
+	panic(fmt.Sprintf("obs: %s %q %s", family, name, problem))
 }
 
 // Counter returns (creating if needed) the counter series name{labels}.
@@ -233,7 +266,7 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	m, existed := r.lookup(name, labels)
+	m, existed := r.lookup("counter", name, labels)
 	if !existed {
 		m.c = &Counter{}
 	}
@@ -247,7 +280,7 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	m, existed := r.lookup(name, labels)
+	m, existed := r.lookup("gauge", name, labels)
 	if !existed {
 		m.g = &Gauge{}
 	}
@@ -263,7 +296,7 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	m, existed := r.lookup(name, labels)
+	m, existed := r.lookup("histogram", name, labels)
 	if !existed {
 		m.h = &Histogram{
 			bounds: append([]float64(nil), bounds...),

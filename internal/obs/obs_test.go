@@ -10,20 +10,20 @@ import (
 
 func TestCounterGaugeHistogramBasics(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("c_total")
+	c := r.Counter("ucudnn_c_total")
 	c.Inc()
 	c.Add(4)
 	c.Add(-3) // ignored: counters are monotone
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Value())
 	}
-	g := r.Gauge("g")
+	g := r.Gauge("ucudnn_g")
 	g.Set(2.5)
 	g.Add(-0.5)
 	if g.Value() != 2 {
 		t.Fatalf("gauge = %v, want 2", g.Value())
 	}
-	h := r.Histogram("h_seconds", []float64{0.01, 0.1, 1})
+	h := r.Histogram("ucudnn_h_seconds", []float64{0.01, 0.1, 1})
 	h.Observe(0.005)
 	h.Observe(0.05)
 	h.Observe(50)
@@ -37,18 +37,18 @@ func TestCounterGaugeHistogramBasics(t *testing.T) {
 
 func TestRegistryReturnsSameSeries(t *testing.T) {
 	r := NewRegistry()
-	a := r.Counter("x", L("op", "fwd"))
-	b := r.Counter("x", L("op", "fwd"))
+	a := r.Counter("ucudnn_x_total", L("op", "fwd"))
+	b := r.Counter("ucudnn_x_total", L("op", "fwd"))
 	if a != b {
 		t.Fatal("same name+labels must return the same counter")
 	}
-	other := r.Counter("x", L("op", "bwd"))
+	other := r.Counter("ucudnn_x_total", L("op", "bwd"))
 	if a == other {
 		t.Fatal("different labels must return distinct counters")
 	}
 	// Label order must not matter.
-	h1 := r.Histogram("hh", CountBuckets, L("a", "1"), L("b", "2"))
-	h2 := r.Histogram("hh", CountBuckets, L("b", "2"), L("a", "1"))
+	h1 := r.Histogram("ucudnn_hh", CountBuckets, L("a", "1"), L("b", "2"))
+	h2 := r.Histogram("ucudnn_hh", CountBuckets, L("b", "2"), L("a", "1"))
 	if h1 != h2 {
 		t.Fatal("label order must not create a new series")
 	}
@@ -56,9 +56,9 @@ func TestRegistryReturnsSameSeries(t *testing.T) {
 
 func TestNilSafety(t *testing.T) {
 	var r *Registry
-	c := r.Counter("c")
-	g := r.Gauge("g")
-	h := r.Histogram("h", DurationBuckets)
+	c := r.Counter("ucudnn_c")
+	g := r.Gauge("ucudnn_g")
+	h := r.Histogram("ucudnn_h", DurationBuckets)
 	if c != nil || g != nil || h != nil {
 		t.Fatal("nil registry must hand out nil metrics")
 	}
@@ -92,24 +92,24 @@ func TestConcurrentUpdates(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				r.Counter("c_total").Inc()
-				r.Counter("labeled_total", L("w", "shared")).Inc()
-				r.Gauge("g").Add(1)
-				r.Histogram("h", CountBuckets).Observe(float64(i % 70))
+				r.Counter("ucudnn_c_total").Inc()
+				r.Counter("ucudnn_labeled_total", L("w", "shared")).Inc()
+				r.Gauge("ucudnn_g").Add(1)
+				r.Histogram("ucudnn_h", CountBuckets).Observe(float64(i % 70))
 			}
 		}(w)
 	}
 	wg.Wait()
-	if got := r.Counter("c_total").Value(); got != workers*per {
+	if got := r.Counter("ucudnn_c_total").Value(); got != workers*per {
 		t.Fatalf("counter = %d, want %d", got, workers*per)
 	}
-	if got := r.Counter("labeled_total", L("w", "shared")).Value(); got != workers*per {
+	if got := r.Counter("ucudnn_labeled_total", L("w", "shared")).Value(); got != workers*per {
 		t.Fatalf("labeled counter = %d, want %d", got, workers*per)
 	}
-	if got := r.Gauge("g").Value(); got != workers*per {
+	if got := r.Gauge("ucudnn_g").Value(); got != workers*per {
 		t.Fatalf("gauge = %v, want %d", got, workers*per)
 	}
-	if got := r.Histogram("h", CountBuckets).Count(); got != workers*per {
+	if got := r.Histogram("ucudnn_h", CountBuckets).Count(); got != workers*per {
 		t.Fatalf("histogram count = %d, want %d", got, workers*per)
 	}
 }
@@ -120,15 +120,15 @@ func TestConcurrentUpdates(t *testing.T) {
 // over-escape it).
 func TestLabelValueEscaping(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("esc_total", L("path", "C:\\tmp\n\"x\"")).Inc()
-	r.Counter("utf_total", L("dev", "µ-cuDNN ©")).Inc()
+	r.Counter("ucudnn_esc_total", L("path", "C:\\tmp\n\"x\"")).Inc()
+	r.Counter("ucudnn_utf_total", L("dev", "µ-cuDNN ©")).Inc()
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`esc_total{path="C:\\tmp\n\"x\""} 1`,
-		`utf_total{dev="µ-cuDNN ©"} 1`,
+		`ucudnn_esc_total{path="C:\\tmp\n\"x\""} 1`,
+		`ucudnn_utf_total{dev="µ-cuDNN ©"} 1`,
 	} {
 		if !strings.Contains(sb.String(), want+"\n") {
 			t.Errorf("exposition missing %q:\n%s", want, sb.String())
@@ -137,7 +137,7 @@ func TestLabelValueEscaping(t *testing.T) {
 }
 
 func TestHistogramQuantile(t *testing.T) {
-	h := NewRegistry().Histogram("q_seconds", []float64{0.01, 1})
+	h := NewRegistry().Histogram("ucudnn_q_seconds", []float64{0.01, 1})
 	for _, q := range []float64{0, 0.5, 1} {
 		if !math.IsNaN(h.Quantile(q)) {
 			t.Fatalf("empty histogram Quantile(%g) = %g, want NaN", q, h.Quantile(q))
@@ -217,5 +217,51 @@ func TestWriteSummaryGolden(t *testing.T) {
 	}
 	if sb.String() != goldenSummary {
 		t.Fatalf("summary mismatch:\ngot:\n%s\nwant:\n%s", sb.String(), goldenSummary)
+	}
+}
+
+// Updating a metric through a held handle is the instrumented hot path:
+// kernels and the optimizers update series per call, so no handle
+// operation may allocate.
+func TestMetricHandlesDoNotAllocate(t *testing.T) {
+	r := NewRegistry()
+	c := r.Counter("ucudnn_c_total")
+	g := r.Gauge("ucudnn_g")
+	h := r.Histogram("ucudnn_h_seconds", DurationBuckets)
+	ops := map[string]func(){
+		"Counter.Add":       func() { c.Add(2) },
+		"Gauge.Set":         func() { g.Set(1.5) },
+		"Gauge.Add":         func() { g.Add(0.5) },
+		"Histogram.Observe": func() { h.Observe(0.003) },
+	}
+	for name, f := range ops {
+		if n := testing.AllocsPerRun(100, f); n != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", name, n)
+		}
+	}
+}
+
+// Creating a series holds it to the naming scheme; a violation panics
+// at the first registration, as prof.Register does for phase names.
+func TestRegistryRejectsMisnamedSeries(t *testing.T) {
+	for name, register := range map[string]func(r *Registry){
+		"counter without _total":  func(r *Registry) { r.Counter("ucudnn_hits") },
+		"gauge with _total":       func(r *Registry) { r.Gauge("ucudnn_hits_total") },
+		"histogram with _total":   func(r *Registry) { r.Histogram("ucudnn_wait_total", CountBuckets) },
+		"missing ucudnn_ prefix":  func(r *Registry) { r.Gauge("queue_depth") },
+		"upper case":              func(r *Registry) { r.Gauge("ucudnn_Queue") },
+		"gauge then counter":      func(r *Registry) { r.Gauge("ucudnn_x"); r.Counter("ucudnn_x").Inc() },
+		"counter then histogram":  func(r *Registry) { r.Counter("ucudnn_x_total"); r.Histogram("ucudnn_x_total", CountBuckets) },
+		"label names differ":      func(r *Registry) { r.Gauge("ucudnn_x", L("op", "a")); r.Gauge("ucudnn_x", L("algo", "a")) },
+		"label added to a series": func(r *Registry) { r.Gauge("ucudnn_x"); r.Gauge("ucudnn_x", L("op", "a")) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: registered without a panic", name)
+				}
+			}()
+			register(NewRegistry())
+		}()
 	}
 }

@@ -9,13 +9,13 @@
 // When profiling is disabled every hook is an atomic load plus a
 // branch, and when enabled the hot-path hooks (Enter/Exit/Next, the
 // launch and worker hooks) touch only fixed atomic slots — no
-// allocation, no locks, //ucudnn:hotpath clean. The warm-path hooks
+// allocation and no locks (TestHotPathAllocs). The warm-path hooks
 // (Begin/End around a whole kernel execution, SetLayer from the
 // framework layer walk) may take a mutex and allocate; they run once
 // per kernel call, not once per tile.
 //
-// Phase names are compile-time ucudnn_ph_* snake_case constants
-// (enforced by the phasename analyzer) registered once at package init:
+// Phase names are ucudnn_ph_* snake_case constants registered once at
+// package init, where Register panics on a malformed or duplicate name:
 //
 //	const PhGemmSgemm prof.Phase = "ucudnn_ph_gemm_sgemm"
 //	var phGemmSgemm = prof.Register(PhGemmSgemm)
@@ -44,9 +44,9 @@ import (
 	"time"
 )
 
-// Phase is a profiler phase name. Names are compile-time ucudnn_ph_*
-// snake_case constants (enforced by the phasename analyzer), so the
-// phase universe is enumerable statically.
+// Phase is a profiler phase name. Names are ucudnn_ph_* snake_case
+// constants passed to Register at package init, so a malformed name
+// fails every test binary that links the declaring package.
 type Phase string
 
 // Kind identifies a registered phase; the zero Kind is invalid.
@@ -63,8 +63,7 @@ const maxKinds = 64
 // cap, blas.MaxWorkers, far below).
 const maxWorkerSlots = 256
 
-// phaseRe is the naming scheme Register enforces (mirrored by the
-// phasename analyzer's compile-time rule).
+// phaseRe is the naming scheme Register enforces.
 var phaseRe = regexp.MustCompile(`^ucudnn_ph(_[a-z0-9]+)+$`)
 
 var (
@@ -110,8 +109,6 @@ var clockBase = time.Now()
 
 // nanotime returns a monotonic timestamp in nanoseconds (never 0: the
 // hooks use 0 as the "profiling was disabled at Enter" token).
-//
-//ucudnn:hotpath
 func nanotime() int64 {
 	return int64(time.Since(clockBase)) + 1
 }
@@ -220,8 +217,6 @@ func End(start int64) {
 
 // GrantWS records a workspace grant against the current kernel's
 // high-watermark.
-//
-//ucudnn:hotpath
 func GrantWS(bytes int64) {
 	if !on.Load() {
 		return
@@ -235,8 +230,6 @@ func GrantWS(bytes int64) {
 
 // Enter opens a phase window and returns its start token (0 when
 // profiling is disabled).
-//
-//ucudnn:hotpath
 func Enter() int64 {
 	if !on.Load() {
 		return 0
@@ -246,8 +239,6 @@ func Enter() int64 {
 
 // Exit closes a phase window, attributing its elapsed time to phase k
 // on the current kernel row. A zero start token is a no-op.
-//
-//ucudnn:hotpath
 func Exit(k Kind, start int64) {
 	if start == 0 {
 		return
@@ -257,8 +248,6 @@ func Exit(k Kind, start int64) {
 
 // Next closes phase k and opens the next phase window with a single
 // clock reading, so chained phases tile their region without gaps.
-//
-//ucudnn:hotpath
 func Next(k Kind, start int64) int64 {
 	if start == 0 {
 		return 0
@@ -268,7 +257,6 @@ func Next(k Kind, start int64) int64 {
 	return now
 }
 
-//ucudnn:hotpath
 func record(k Kind, d int64) {
 	if k < 1 || int(k) > maxKinds {
 		return
@@ -282,8 +270,6 @@ func record(k Kind, d int64) {
 }
 
 // LaunchStart opens a parallel-launch window (0 when disabled).
-//
-//ucudnn:hotpath
 func LaunchStart() int64 {
 	if !on.Load() {
 		return 0
@@ -292,8 +278,6 @@ func LaunchStart() int64 {
 }
 
 // WorkerStart opens one worker's busy window inside a launch.
-//
-//ucudnn:hotpath
 func WorkerStart() int64 {
 	if !on.Load() {
 		return 0
@@ -302,8 +286,6 @@ func WorkerStart() int64 {
 }
 
 // WorkerEnd accumulates worker w's busy time into its launch slot.
-//
-//ucudnn:hotpath
 func WorkerEnd(w int, start int64) {
 	if start == 0 {
 		return
@@ -315,8 +297,6 @@ func WorkerEnd(w int, start int64) {
 // count: drains the worker busy slots into the current kernel's
 // busy/idle accounting and records the launch's load imbalance
 // (max/mean per-worker busy ratio).
-//
-//ucudnn:hotpath
 func LaunchEnd(workers int, start int64) {
 	launchEnd(workers, start, false)
 }
@@ -325,13 +305,10 @@ func LaunchEnd(workers int, start int64) {
 // parallelism, whose workers record no phases): imbalance is recorded,
 // but busy time stays out of the measured total — the caller's enclosing
 // phase window already covers this region as wall time.
-//
-//ucudnn:hotpath
 func LaunchEndNested(workers int, start int64) {
 	launchEnd(workers, start, true)
 }
 
-//ucudnn:hotpath
 func launchEnd(workers int, start int64, nested bool) {
 	if start == 0 {
 		return
@@ -375,7 +352,6 @@ func launchEnd(workers int, start int64, nested bool) {
 	r.imbN.Add(1)
 }
 
-//ucudnn:hotpath
 func casMax(v *atomic.Int64, x int64) {
 	for {
 		old := v.Load()

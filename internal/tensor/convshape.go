@@ -16,8 +16,6 @@ var Unit = ConvParams{StrideH: 1, StrideW: 1, DilationH: 1, DilationW: 1}
 
 // Normalized returns p with zero stride/dilation fields promoted to 1 so
 // that zero-valued ConvParams behave like Unit with no padding.
-//
-//ucudnn:hotpath
 func (p ConvParams) Normalized() ConvParams {
 	if p.StrideH == 0 {
 		p.StrideH = 1
@@ -50,8 +48,6 @@ type ConvShape struct {
 
 // OutShape returns the output activation shape for the convolution, using
 // the standard cuDNN output-dimension formula.
-//
-//ucudnn:hotpath
 func (cs ConvShape) OutShape() Shape {
 	p := cs.Params.Normalized()
 	effR := (cs.Filt.R-1)*p.DilationH + 1

@@ -55,8 +55,6 @@ func New(n, c, h, w int) *Tensor {
 func NewShaped(s Shape) *Tensor { return New(s.N, s.C, s.H, s.W) }
 
 // At returns the element at (n, c, h, w).
-//
-//ucudnn:hotpath
 func (t *Tensor) At(n, c, h, w int) float32 {
 	return t.Data[t.Index(n, c, h, w)]
 }
@@ -72,8 +70,6 @@ func (t *Tensor) Add(n, c, h, w int, v float32) {
 }
 
 // Index returns the linear offset of (n, c, h, w).
-//
-//ucudnn:hotpath
 func (t *Tensor) Index(n, c, h, w int) int {
 	s := t.Shape
 	return ((n*s.C+c)*s.H+h)*s.W + w
@@ -172,8 +168,6 @@ func NewFilter(k, c, r, s int) *FilterTensor {
 }
 
 // At returns the element at (k, c, r, s).
-//
-//ucudnn:hotpath
 func (w *FilterTensor) At(k, c, r, s int) float32 {
 	return w.Data[w.Index(k, c, r, s)]
 }
@@ -189,8 +183,6 @@ func (w *FilterTensor) Add(k, c, r, s int, v float32) {
 }
 
 // Index returns the linear offset of (k, c, r, s).
-//
-//ucudnn:hotpath
 func (w *FilterTensor) Index(k, c, r, s int) int {
 	f := w.Filter
 	return ((k*f.C+c)*f.R+r)*f.S + s

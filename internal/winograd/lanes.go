@@ -31,16 +31,12 @@ type LaneBlock [MaxAlpha * MaxAlpha * Lanes]float32
 
 // InputLanes computes V = Bᵀ d B for the w <= Lanes tiles gathered in src:
 // element (i, j) of the spectral tiles goes to dst[(i*Alpha+j)*dstStride].
-//
-//ucudnn:hotpath
 func (t *Transform) InputLanes(dst []float32, dstStride int, src *LaneBlock, w int, tmp *LaneBlock) {
 	sandwich(dst, dstStride, t.bt32, t.Alpha, t.Alpha, src[:], true, LaneStride(w), w, tmp)
 }
 
 // FilterLanes computes U = G g Gᵀ for w gathered filter tiles (r x r rows
 // in, alpha x alpha rows out), in InputLanes's addressing.
-//
-//ucudnn:hotpath
 func (t *Transform) FilterLanes(dst []float32, dstStride int, src *LaneBlock, w int, tmp *LaneBlock) {
 	sandwich(dst, dstStride, t.g32, t.Alpha, t.R, src[:], true, LaneStride(w), w, tmp)
 }
@@ -48,8 +44,6 @@ func (t *Transform) FilterLanes(dst []float32, dstStride int, src *LaneBlock, w 
 // OutputAdjointLanes computes W = A y Aᵀ, the adjoint of OutputLanes, for
 // w gathered output-gradient tiles (m x m rows in, alpha x alpha rows
 // out) — the backward-filter path.
-//
-//ucudnn:hotpath
 func (t *Transform) OutputAdjointLanes(dst []float32, dstStride int, src *LaneBlock, w int, tmp *LaneBlock) {
 	sandwich(dst, dstStride, t.a32, t.Alpha, t.M, src[:], true, LaneStride(w), w, tmp)
 }
@@ -57,8 +51,6 @@ func (t *Transform) OutputAdjointLanes(dst []float32, dstStride int, src *LaneBl
 // OutputLanes computes Y = Aᵀ M A into the lane block dst (m x m rows) for
 // w spectral accumulators: element (a, b) is the row at
 // src[(a*Alpha+b)*srcStride].
-//
-//ucudnn:hotpath
 func (t *Transform) OutputLanes(dst *LaneBlock, src []float32, srcStride, w int, tmp *LaneBlock) {
 	sandwich(dst[:], LaneStride(w), t.at32, t.M, t.Alpha, src, false, srcStride, w, tmp)
 }
@@ -66,8 +58,6 @@ func (t *Transform) OutputLanes(dst *LaneBlock, src []float32, srcStride, w int,
 // FilterAdjointLanes computes g = Gᵀ U G, the adjoint of FilterLanes, into
 // the lane block dst (r x r rows) from alpha x alpha rows in OutputLanes's
 // addressing.
-//
-//ucudnn:hotpath
 func (t *Transform) FilterAdjointLanes(dst *LaneBlock, src []float32, srcStride, w int, tmp *LaneBlock) {
 	sandwich(dst[:], LaneStride(w), t.gt32, t.R, t.Alpha, src, false, srcStride, w, tmp)
 }
@@ -75,8 +65,6 @@ func (t *Transform) FilterAdjointLanes(dst *LaneBlock, src []float32, srcStride,
 // LaneStride is the row stride of a lane block holding w tiles: w rounded
 // up to whole groups of eight lanes. The pad lanes hold whatever the
 // block held before; lanes never mix.
-//
-//ucudnn:hotpath
 func LaneStride(w int) int { return (w + 7) &^ 7 }
 
 // sandwich computes dst = mat · src · matᵀ over w lanes: mat is (rows x
@@ -85,8 +73,6 @@ func LaneStride(w int) int { return (w + 7) &^ 7 }
 // LaneStride(w). When src is a lane block too (srcBlock), its cols rows
 // per a are adjacent, pad lanes included, and the pass is one wide
 // product; bank rows take cols narrow ones.
-//
-//ucudnn:hotpath
 func sandwich(dst []float32, dstStride int, mat []float32, rows, cols int, src []float32, srcBlock bool, srcStride, w int, tmp *LaneBlock) {
 	if w < 1 || w > Lanes || rows > MaxAlpha || cols > MaxAlpha {
 		panic("winograd: lane block out of range")
@@ -107,8 +93,6 @@ func sandwich(dst []float32, dstStride int, mat []float32, rows, cols int, src [
 // laneMul computes dst[i*dstStride+x] = Σ_a coef[i*ca+a] · src[a*srcStride+x]
 // for i < ra and x < w: whole groups of eight lanes through the AVX kernel
 // when there is one, the rest through its twin.
-//
-//ucudnn:hotpath
 func laneMul(dst []float32, dstStride int, coef []float32, ra, ca int, src []float32, srcStride, w int) {
 	_ = dst[(ra-1)*dstStride+w-1]
 	_ = src[(ca-1)*srcStride+w-1]
@@ -127,8 +111,6 @@ func laneMul(dst []float32, dstStride int, coef []float32, ra, ca int, src []flo
 // laneMulGeneric is the pure-Go form of laneMulAVX over lanes [lo, hi).
 // The float32 conversions keep a compiler that has a fused multiply-add
 // from contracting the chain.
-//
-//ucudnn:hotpath
 func laneMulGeneric(dst []float32, dstStride int, coef []float32, ra, ca int, src []float32, srcStride, lo, hi int) {
 	for i := 0; i < ra; i++ {
 		d := dst[i*dstStride+lo : i*dstStride+hi]
