@@ -136,6 +136,17 @@ func AlgosFor(op Op) []Algo {
 // value is fixed because it is part of the plan-visible support matrix.
 const maxSampleElems = 1 << 24
 
+// tiledExtent returns the plane the tiled algorithms (FFT, Winograd) cut
+// into tiles for op on cs: dX for BackwardData (the transformed
+// problem's output), the forward output otherwise.
+func tiledExtent(op Op, cs tensor.ConvShape) (rows, cols int) {
+	if op == BackwardData {
+		return cs.In.H, cs.In.W
+	}
+	out := cs.OutShape()
+	return out.H, out.W
+}
+
 // Supported reports whether algo can execute op on the given shape.
 func Supported(op Op, algo Algo, cs tensor.ConvShape) bool {
 	if !cs.Valid() {
@@ -163,9 +174,15 @@ func Supported(op Op, algo Algo, cs tensor.ConvShape) bool {
 		if !spatial1 || !padOK {
 			return false
 		}
-		// cuDNN bounds the FFT plan size; we bound the padded plane.
-		ph, pw := fftPlanes(cs)
-		return ph <= 1024 && pw <= 1024
+		// cuDNN bounds the FFT plan size; the bound holds for every op,
+		// so the larger of BackwardData's plane (H+R-1) and the others'
+		// (H+2*pad) must fit.
+		for _, o := range []Op{Forward, BackwardData} {
+			if g := fftGeometry(o, algo, cs); g.p > fftMaxPlane || g.q > fftMaxPlane {
+				return false
+			}
+		}
+		return true
 	case AlgoFFTTiling:
 		return spatial1 && padOK && cs.Filt.R <= fftTile-1 && cs.Filt.S <= fftTile-1
 	case AlgoWinograd:
@@ -209,10 +226,8 @@ func workspaceSize(op Op, algo Algo, cs tensor.ConvShape, minimal bool) (int64, 
 		return precompWorkspace(cs), true
 	case AlgoGemm:
 		return gemmWorkspace(op, cs, minimal), true
-	case AlgoFFT:
-		return fftWorkspace(op, cs, minimal), true
-	case AlgoFFTTiling:
-		return fftTilingWorkspace(op, cs, minimal), true
+	case AlgoFFT, AlgoFFTTiling:
+		return fftWorkspace(op, algo, cs, minimal), true
 	case AlgoWinograd:
 		return winogradWorkspace(op, cs, true, minimal), true
 	case AlgoWinogradNonfused:
@@ -263,10 +278,8 @@ func Run(op Op, algo Algo, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.Filt
 		runImplicit(op, cs, x, w, y, alpha, beta, ws)
 	case AlgoGemm:
 		runGemm(op, cs, x, w, y, alpha, beta, ws)
-	case AlgoFFT:
-		runFFT(op, cs, x, w, y, alpha, beta, ws)
-	case AlgoFFTTiling:
-		runFFTTiling(op, cs, x, w, y, alpha, beta, ws)
+	case AlgoFFT, AlgoFFTTiling:
+		runFFT(op, algo, cs, x, w, y, alpha, beta, ws)
 	case AlgoWinograd:
 		return runWinograd(op, cs, x, w, y, alpha, beta, ws, true)
 	case AlgoWinogradNonfused:

@@ -10,31 +10,92 @@ import (
 // matching cuDNN's 32x32 tiles.
 const fftTile = 32
 
-// A spectralPlan describes the 2-D FFT geometry shared by all planes of
-// one convolution call: a P x Q transform (powers of two) of which only
-// the Hermitian half-spectrum (P rows x Q/2+1 columns) is stored, exactly
-// as cuFFT's R2C transforms do. Each stored plane is interleaved
-// (re, im) float32 pairs.
-type spectralPlan struct {
-	p, q, hw int // hw = q/2 + 1
+// fftFilterChunk is how many filter-bank rows AlgoFFT keeps resident.
+// Chunking the bank makes the FFT workspace batch-dominated — the
+// property micro-batching exploits.
+const fftFilterChunk = 32
+
+// fftMaxPlane bounds AlgoFFT's plane the way cuDNN bounds its FFT plan
+// size.
+const fftMaxPlane = 1024
+
+// An fftGeom is the transform geometry of one spectral call, the one
+// description both FFT algorithms run from and the device model costs.
+// Every real p x q plane is stored as its Hermitian half-spectrum, p rows
+// of q/2+1 interleaved (re, im) float32 pairs, exactly as cuFFT's R2C
+// transforms do. The tiled extent (see tiledExtent) is cut into tilesH x
+// tilesW tiles of toH x toW outputs; a tile's operand planes span the
+// tile plus the filter's halo. The filter bank has bank rows (output
+// channels, or input channels for BackwardData), chunk of which have
+// their spectra resident at once.
+//
+// AlgoFFT is the one-tile case: a single tile covering the padded plane,
+// rounded up to powers of two, with the bank in chunks of
+// fftFilterChunk. AlgoFFTTiling runs fftTile x fftTile planes with the
+// whole bank resident, which bounds its workspace independently of the
+// spatial extent.
+type fftGeom struct {
+	p, q           int
+	toH, toW       int
+	tilesH, tilesW int
+	bank, chunk    int
 }
 
-func newSpectralPlan(rows, cols int) spectralPlan {
-	p := fftpkg.NextPow2(rows)
-	q := fftpkg.NextPow2(cols)
-	return spectralPlan{p: p, q: q, hw: q/2 + 1}
+// fftGeometry returns the geometry algo (AlgoFFT or AlgoFFTTiling) runs
+// op on cs with.
+func fftGeometry(op Op, algo Algo, cs tensor.ConvShape) fftGeom {
+	r, s := cs.Filt.R, cs.Filt.S
+	h, w := tiledExtent(op, cs)
+	bank := cs.Filt.K
+	if op == BackwardData {
+		bank = cs.In.C
+	}
+	if algo == AlgoFFTTiling {
+		toH, toW := fftTile-r+1, fftTile-s+1
+		return fftGeom{p: fftTile, q: fftTile, toH: toH, toW: toW,
+			tilesH: ceilDiv(h, toH), tilesW: ceilDiv(w, toW), bank: bank, chunk: bank}
+	}
+	return fftGeom{p: fftpkg.NextPow2(h + r - 1), q: fftpkg.NextPow2(w + s - 1), toH: h, toW: w,
+		tilesH: 1, tilesW: 1, bank: bank, chunk: imin(bank, fftFilterChunk)}
+}
+
+// FFTGeometry returns the p x q plane and the per-sample tile count with
+// which algo (AlgoFFT or AlgoFFTTiling) runs op on cs, a supported shape:
+// the geometry the device cost model prices.
+func FFTGeometry(op Op, algo Algo, cs tensor.ConvShape) (p, q, tiles int) {
+	g := fftGeometry(op, algo, cs)
+	return g.p, g.q, g.tilesH * g.tilesW
 }
 
 // planeFloats returns the number of float32 elements per stored plane.
-func (pl spectralPlan) planeFloats() int { return 2 * pl.p * pl.hw }
+func (g fftGeom) planeFloats() int { return 2 * g.p * (g.q/2 + 1) }
 
-// tableFloats returns the float32 elements of the plan's precomputed
-// twiddle tables, carved from the workspace once per Run.
-func (pl spectralPlan) tableFloats() int { return fftpkg.PlanFloats(pl.p, pl.q) }
+// bankPlanes returns the resident filter-spectrum planes: chunk bank rows
+// of one plane per channel on the filter's other axis.
+func (g fftGeom) bankPlanes(op Op, cs tensor.ConvShape) int {
+	if op == BackwardData {
+		return g.chunk * cs.Filt.K
+	}
+	return g.chunk * cs.In.C
+}
 
-// scratchFloats returns the float32 elements of one worker's transform
-// scratch (a real p x q plane plus a complex column buffer).
-func (pl spectralPlan) scratchFloats() int { return fftpkg.ScratchFloats(pl.p, pl.q) }
+// fftWorkspace returns the spectral workspace: the resident filter
+// spectra plus spectra for every input and output plane of one tile —
+// the (chunk + N*C + N*K) structure that makes AlgoFFT the memory-hungry,
+// batch-proportional algorithm in the paper — plus the twiddle tables
+// and per-worker transform scratch. With minimal set, scratch for a
+// single worker: the floor at which Run degrades to the serial walk.
+func fftWorkspace(op Op, algo Algo, cs tensor.ConvShape, minimal bool) int64 {
+	g := fftGeometry(op, algo, cs)
+	n, c, k := int64(cs.In.N), int64(cs.In.C), int64(cs.Filt.K)
+	planes := int64(g.bankPlanes(op, cs)) + n*c + n*k
+	workers := 1
+	if !minimal {
+		workers = MaxWorkers()
+	}
+	overhead := int64(fftpkg.PlanFloats(g.p, g.q)) + int64(workers)*int64(fftpkg.ScratchFloats(g.p, g.q))
+	return (planes*int64(g.planeFloats()) + overhead) * 4
+}
 
 // embedPlane zero-fills the real p x q scratch plane re (row stride q)
 // and writes the source element data[base + ih*sh + iw*sw] into
@@ -93,174 +154,101 @@ func accumMulConj(dst, a, b []float32) {
 	}
 }
 
-// fftPlanes returns the worst-case padded plane dimensions over the three
-// operations, used by the support predicate to bound plan sizes.
-func fftPlanes(cs tensor.ConvShape) (int, int) {
-	p := cs.Params.Normalized()
-	rows := imax(cs.In.H+2*p.PadH, cs.In.H+cs.Filt.R-1)
-	cols := imax(cs.In.W+2*p.PadW, cs.In.W+cs.Filt.S-1)
-	return fftpkg.NextPow2(rows), fftpkg.NextPow2(cols)
-}
-
-// fftPlanFor returns the spectral plan of op on cs.
-func fftPlanFor(op Op, cs tensor.ConvShape) spectralPlan {
-	p := cs.Params.Normalized()
-	out := cs.OutShape()
-	switch op {
-	case Forward, BackwardFilter:
-		// Correlate the padded input (with the filter, or with dY).
-		return newSpectralPlan(cs.In.H+2*p.PadH, cs.In.W+2*p.PadW)
-	case BackwardData:
-		// Correlate dY padded by (R-1-pad) with the rotated filter; the
-		// padded extent is OH + 2(R-1-pad) = H + R - 1.
-		return newSpectralPlan(out.H+2*(cs.Filt.R-1-p.PadH), out.W+2*(cs.Filt.S-1-p.PadW))
-	}
-	panic("conv: bad op")
-}
-
-// fftFilterChunk is how many filter-bank rows (output channels for
-// Forward/BackwardFilter, input channels for BackwardData) have their
-// spectra resident at once. Chunking the filter planes makes the FFT
-// workspace batch-dominated — the property micro-batching exploits.
-const fftFilterChunk = 32
-
-// fftChunkPlanes returns the number of resident filter-spectrum planes.
-func fftChunkPlanes(op Op, cs tensor.ConvShape) int {
-	c, k := cs.In.C, cs.Filt.K
-	if op == BackwardData {
-		return imin(c, fftFilterChunk) * k
-	}
-	return imin(k, fftFilterChunk) * c
-}
-
-// fftOverheadFloats is the non-plane part of the FFT workspace: the
-// twiddle tables plus one transform scratch arena per worker.
-func fftOverheadFloats(pl spectralPlan, workers int) int64 {
-	return int64(pl.tableFloats()) + int64(workers)*int64(pl.scratchFloats())
-}
-
-// fftWorkspace returns the full-plane FFT workspace: one chunk of filter
-// spectra plus spectra for every input and output plane — the
-// (chunk + N*C + N*K) structure that makes FFT the memory-hungry,
-// batch-proportional algorithm in the paper — plus the twiddle tables
-// and per-worker transform scratch. With minimal set, scratch for a
-// single worker: the floor at which Run degrades to the serial walk.
-func fftWorkspace(op Op, cs tensor.ConvShape, minimal bool) int64 {
-	pl := fftPlanFor(op, cs)
-	n, c, k := int64(cs.In.N), int64(cs.In.C), int64(cs.Filt.K)
-	planes := int64(fftChunkPlanes(op, cs)) + n*c + n*k
-	workers := 1
-	if !minimal {
-		workers = MaxWorkers()
-	}
-	return (planes*int64(pl.planeFloats()) + fftOverheadFloats(pl, workers)) * 4
-}
-
-// fftTilingWorkspace returns the tiled-FFT workspace: filter spectra at
-// the fixed tile size plus one tile's worth of input/output spectra,
-// reused across tiles, plus tables and per-worker scratch.
-func fftTilingWorkspace(op Op, cs tensor.ConvShape, minimal bool) int64 {
-	pl := newSpectralPlan(fftTile, fftTile)
-	n, c, k := int64(cs.In.N), int64(cs.In.C), int64(cs.Filt.K)
-	planes := k*c + n*c + n*k
-	workers := 1
-	if !minimal {
-		workers = MaxWorkers()
-	}
-	return (planes*int64(pl.planeFloats()) + fftOverheadFloats(pl, workers)) * 4
-}
-
-// fftStage identifies one fan-out stage of the FFT kernels; fftCtx.stageTask
-// dispatches on it so the serial path runs as plain method calls with no
-// closures (the zero-allocation steady state), while the parallel path
-// wraps the same dispatch in one escaping closure per launch.
+// fftStage identifies one fan-out stage of the spectral kernels;
+// fftCtx.stageTask dispatches on it so the serial path runs as plain
+// method calls with no closures (the zero-allocation steady state), while
+// the parallel path wraps the same dispatch in one escaping closure per
+// launch.
 type fftStage int
 
 const (
-	stFullFwdX         fftStage = iota // padded input planes -> xspec
-	stFullFwdW                         // filter chunk planes -> wspec
-	stFullFwdWRot                      // rotated filter chunk -> wspec (BackwardData)
-	stFullFwdDYPad                     // padded dY planes -> yspec (BackwardData)
-	stFullFwdDY                        // unpadded dY planes -> yspec (BackwardFilter)
-	stFullCombineFwd                   // accumulate+inverse+blend into y
-	stFullCombineBwd                   // accumulate+inverse+blend into dX
-	stFullCombineWgrad                 // accumulate+inverse+blend into dW
-
-	stTileFwdW        // filter planes at tile size -> wspec
-	stTileBwdW        // rotated filter planes -> wspec
-	stTileFwdX        // input tile planes -> xspec
-	stTileBwdDY       // padded dY tile planes -> yspec
-	stTileWgradDY     // output-tile dY planes -> yspec (BackwardFilter)
-	stTileZeroW       // clear the wspec accumulators
-	stTileWgradAcc    // accumulate one tile's contribution into wspec
-	stTileWgradFinish // inverse+blend wspec into dW
-	stTileCombineFwd  // accumulate+inverse+blend one tile into y
-	stTileCombineBwd  // accumulate+inverse+blend one tile into dX
+	stOperand fftStage = iota // operand tile planes -> a.spec
+	stGrad                    // BackwardFilter's dY tile planes -> b.spec
+	stBank                    // filter chunk planes (rotated for BackwardData) -> wspec
+	stCombine                 // accumulate+inverse+blend one tile of a chunk's outputs
+	stWgrad                   // accumulate one tile into wspec; inverse+blend into dW after the last
 )
 
-// fftCtx carries the FFT kernel state: the spectral plan and its
-// workspace-carved twiddle tables, the three spectrum regions, and the
-// per-worker transform scratch. Stage parameters (filter-chunk base,
-// tile origin) are plain fields set between stages.
-type fftCtx struct {
-	x           *tensor.Tensor
-	w           *tensor.FilterTensor
-	y           *tensor.Tensor
-	alpha, beta float32
-
-	in           tensor.Shape
-	out          tensor.Shape
-	f            tensor.Filter
-	n, c, k      int
-	padH, padW   int // forward input padding
-	padBH, padBW int // BackwardData dY padding: R-1-padH, S-1-padW
-
-	pl                  spectralPlan
-	plan                fftpkg.Plan2D
-	pf                  int // floats per stored plane
-	wspec, xspec, yspec []float32
-	scr                 []float32
-	sf                  int // scratch floats per worker
-	workers             int
-
-	fb, fc       int // filter-chunk base and count (k0/kc or c0/ccnt)
-	baseH, baseW int // tile origin (FFT_TILING)
-	toH, toW     int // usable tile output extents (FFT_TILING)
+// An fftSrc is a tensor whose planes a transform stage stores in spec,
+// one spectrum per (sample, channel): each tile embeds rows x cols of
+// the tensor, zero-padded by (padH, padW), from the tile origin.
+type fftSrc struct {
+	t          *tensor.Tensor
+	spec       []float32
+	rows, cols int
+	padH, padW int
 }
 
-// newFFTCtx carves ws into the spectrum regions, the twiddle tables, and
-// as many per-worker scratch arenas as the granted workspace holds (at
-// least one: Run has validated the MinWorkspace floor), so a smaller
-// grant degrades parallelism without changing any result bit.
-func newFFTCtx(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTensor, y *tensor.Tensor, alpha, beta float32, ws []float32, tiling bool) fftCtx {
+// planes returns the number of stored spectra: one per (sample, channel).
+func (s *fftSrc) planes() int { return s.t.Shape.N * s.t.Shape.C }
+
+// fftCtx carries the spectral kernels' state. Forward and BackwardData
+// are one correlation with the roles swapped: the operand a (x, or dY
+// padded by R-1-pad) is correlated with the filter bank (w, or w rotated)
+// into res (y, or dX), accumulating in resSpec. BackwardFilter correlates
+// a (x) with b (dY) and accumulates in the bank's own spectra. Stage
+// parameters (filter chunk, tile origin) are plain fields set between
+// stages.
+type fftCtx struct {
+	w           *tensor.FilterTensor
+	alpha, beta float32
+	f           tensor.Filter
+
+	geo     fftGeom
+	plan    fftpkg.Plan2D
+	wspec   []float32
+	scr     []float32
+	sf      int // scratch floats per worker
+	workers int
+
+	a, b    fftSrc
+	res     *tensor.Tensor
+	resSpec []float32
+
+	fb, fc       int  // filter-chunk base and count
+	baseH, baseW int  // tile origin
+	rot          bool // read the bank rotated, its K/C axes swapped (BackwardData)
+	first, last  bool // the tile is the first / last (BackwardFilter)
+}
+
+// newFFTCtx carves ws into the bank, operand and result spectra, the
+// twiddle tables, and as many per-worker scratch arenas as the granted
+// workspace holds (at least one: Run has validated the MinWorkspace
+// floor), so a smaller grant degrades parallelism without changing any
+// result bit.
+func newFFTCtx(op Op, algo Algo, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTensor, y *tensor.Tensor, alpha, beta float32, ws []float32) fftCtx {
 	p := cs.Params.Normalized()
-	in, out, f := cs.In, cs.OutShape(), cs.Filt
-	var pl spectralPlan
-	var wplanes int
-	if tiling {
-		pl = newSpectralPlan(fftTile, fftTile)
-		wplanes = f.K * in.C
-	} else {
-		pl = fftPlanFor(op, cs)
-		wplanes = fftChunkPlanes(op, cs)
-	}
+	geo := fftGeometry(op, algo, cs)
+	f := cs.Filt
 	g := fftCtx{
-		x: x, w: w, y: y, alpha: alpha, beta: beta,
-		in: in, out: out, f: f,
-		n: in.N, c: in.C, k: f.K,
-		padH: p.PadH, padW: p.PadW,
-		padBH: f.R - 1 - p.PadH, padBW: f.S - 1 - p.PadW,
-		pl: pl, pf: pl.planeFloats(),
+		w: w, alpha: alpha, beta: beta, f: f, geo: geo,
+		rot: op == BackwardData,
 	}
-	planes := wplanes + g.n*g.c + g.n*g.k
-	g.wspec = ws[:wplanes*g.pf]
-	g.xspec = ws[wplanes*g.pf : (wplanes+g.n*g.c)*g.pf]
-	g.yspec = ws[(wplanes+g.n*g.c)*g.pf : planes*g.pf]
-	off := planes * g.pf
-	tf := pl.tableFloats()
-	g.plan = fftpkg.NewPlan2D(pl.p, pl.q, ws[off:off+tf])
+	pf := geo.planeFloats()
+	wplanes, nc, nk := geo.bankPlanes(op, cs), cs.In.N*cs.In.C, cs.In.N*f.K
+	g.wspec = ws[:wplanes*pf]
+	xspec := ws[wplanes*pf : (wplanes+nc)*pf]
+	yspec := ws[(wplanes+nc)*pf : (wplanes+nc+nk)*pf]
+	rows, cols := geo.toH+f.R-1, geo.toW+f.S-1
+	switch op {
+	case Forward:
+		g.a = fftSrc{x, xspec, rows, cols, p.PadH, p.PadW}
+		g.res, g.resSpec = y, yspec
+	case BackwardData:
+		// dX[n,c] = sum_k corr(padded dY[n,k], rot(w[k,c])).
+		g.a = fftSrc{y, yspec, rows, cols, f.R - 1 - p.PadH, f.S - 1 - p.PadW}
+		g.res, g.resSpec = x, xspec
+	case BackwardFilter:
+		// dW[k,c] = sum_n corr(padded X[n,c], dY[n,k])[0:R, 0:S], each
+		// tile a partial correlation of an input patch with a dY patch.
+		g.a = fftSrc{x, xspec, rows, cols, p.PadH, p.PadW}
+		g.b = fftSrc{y, yspec, geo.toH, geo.toW, 0, 0}
+	}
+	off := (wplanes + nc + nk) * pf
+	tf := fftpkg.PlanFloats(geo.p, geo.q)
+	g.plan = fftpkg.NewPlan2D(geo.p, geo.q, ws[off:off+tf])
 	off += tf
-	g.sf = pl.scratchFloats()
+	g.sf = fftpkg.ScratchFloats(geo.p, geo.q)
 	g.workers = imin(MaxWorkers(), (len(ws)-off)/g.sf)
 	if g.workers < 1 {
 		g.workers = 1
@@ -272,7 +260,7 @@ func newFFTCtx(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTen
 // scrFor returns worker wk's real plane and spectrum-row swap scratch.
 func (g *fftCtx) scrFor(wk int) (re, tmp []float32) {
 	s := g.scr[wk*g.sf : (wk+1)*g.sf]
-	pq := g.pl.p * g.pl.q
+	pq := g.geo.p * g.geo.q
 	return s[:pq], s[pq:]
 }
 
@@ -283,8 +271,17 @@ func (g *fftCtx) scrFor(wk int) (re, tmp []float32) {
 // tile) much cheaper than full transforms.
 func (g *fftCtx) fwdPlane(wk int, dst, data []float32, base, sh, sw, rows, cols, offH, offW, limH, limW int) {
 	re, tmp := g.scrFor(wk)
-	embedPlane(re, g.pl.q, rows, cols, data, base, sh, sw, offH, offW, limH, limW)
+	embedPlane(re, g.geo.q, rows, cols, data, base, sh, sw, offH, offW, limH, limW)
 	g.plan.FwdReal(dst, re, tmp, rows)
+}
+
+// fwdTile transforms plane i = (sample, channel) of s at the current
+// tile origin.
+func (g *fftCtx) fwdTile(wk int, s *fftSrc, i int) {
+	t, pf := s.t, g.geo.planeFloats()
+	nn, ch := i/t.Shape.C, i%t.Shape.C
+	g.fwdPlane(wk, s.spec[i*pf:(i+1)*pf], t.Data, t.Index(nn, ch, 0, 0), t.Shape.W, 1,
+		s.rows, s.cols, s.padH-g.baseH, s.padW-g.baseW, t.Shape.H, t.Shape.W)
 }
 
 // invBlend inverse-transforms the accumulated half-spectrum acc
@@ -293,126 +290,59 @@ func (g *fftCtx) fwdPlane(wk int, dst, data []float32, base, sh, sw, rows, cols,
 func (g *fftCtx) invBlend(wk int, acc, data []float32, base, sh, rows, cols int) {
 	re, tmp := g.scrFor(wk)
 	g.plan.InvReal(re, acc, tmp)
-	blendRows(data, base, sh, re, g.pl.q, rows, cols, g.alpha, g.beta)
+	blendRows(data, base, sh, re, g.geo.q, rows, cols, g.alpha, g.beta)
 }
 
 // stageTask executes task i of stage st in worker wk's scratch. The
-// combine stages time their own pointwise/inverse split; the transform
-// stages are timed chunk-level by forEach.
+// accumulating stages time their own pointwise/inverse split; the
+// transform stages are timed chunk-level by forEach.
 func (g *fftCtx) stageTask(st fftStage, wk, i int) {
-	pf := g.pf
+	pf := g.geo.planeFloats()
 	switch st {
-	case stFullFwdX:
-		nn, cc := i/g.c, i%g.c
-		g.fwdPlane(wk, g.xspec[i*pf:(i+1)*pf], g.x.Data, g.x.Index(nn, cc, 0, 0), g.in.W, 1,
-			g.in.H+2*g.padH, g.in.W+2*g.padW, g.padH, g.padW, g.in.H, g.in.W)
-	case stFullFwdW:
-		dk, cc := i/g.c, i%g.c
-		g.fwdPlane(wk, g.wspec[i*pf:(i+1)*pf], g.w.Data, g.w.Index(g.fb+dk, cc, 0, 0), g.f.S, 1,
-			g.f.R, g.f.S, 0, 0, g.f.R, g.f.S)
-	case stFullFwdWRot:
-		dc, kk := i/g.k, i%g.k
-		g.fwdPlane(wk, g.wspec[i*pf:(i+1)*pf], g.w.Data, g.w.Index(kk, g.fb+dc, g.f.R-1, g.f.S-1), -g.f.S, -1,
-			g.f.R, g.f.S, 0, 0, g.f.R, g.f.S)
-	case stFullFwdDYPad:
-		nn, kk := i/g.k, i%g.k
-		g.fwdPlane(wk, g.yspec[i*pf:(i+1)*pf], g.y.Data, g.y.Index(nn, kk, 0, 0), g.out.W, 1,
-			g.out.H+2*g.padBH, g.out.W+2*g.padBW, g.padBH, g.padBW, g.out.H, g.out.W)
-	case stFullFwdDY:
-		nn, kk := i/g.k, i%g.k
-		g.fwdPlane(wk, g.yspec[i*pf:(i+1)*pf], g.y.Data, g.y.Index(nn, kk, 0, 0), g.out.W, 1,
-			g.out.H, g.out.W, 0, 0, g.out.H, g.out.W)
-	case stFullCombineFwd:
-		nn, dk := i/g.fc, i%g.fc
-		kk := g.fb + dk
-		acc := g.yspec[(nn*g.k+kk)*pf : (nn*g.k+kk+1)*pf]
+	case stOperand:
+		g.fwdTile(wk, &g.a, i)
+	case stGrad:
+		g.fwdTile(wk, &g.b, i)
+	case stBank:
+		jn := g.a.t.Shape.C
+		d, j := g.fb+i/jn, i%jn
+		base, sh, sw := g.w.Index(d, j, 0, 0), g.f.S, 1
+		if g.rot {
+			base, sh, sw = g.w.Index(j, d, g.f.R-1, g.f.S-1), -g.f.S, -1
+		}
+		g.fwdPlane(wk, g.wspec[i*pf:(i+1)*pf], g.w.Data, base, sh, sw, g.f.R, g.f.S, 0, 0, g.f.R, g.f.S)
+	case stCombine:
+		r, jn := g.res, g.a.t.Shape.C
+		nn, d := i/g.fc, i%g.fc
+		ch := g.fb + d
+		acc := g.resSpec[(nn*r.Shape.C+ch)*pf : (nn*r.Shape.C+ch+1)*pf]
 		t := prof.Enter()
 		zeroPlane(acc)
-		for cc := 0; cc < g.c; cc++ {
-			accumMulConj(acc, g.xspec[(nn*g.c+cc)*pf:(nn*g.c+cc+1)*pf], g.wspec[(dk*g.c+cc)*pf:(dk*g.c+cc+1)*pf])
+		for j := 0; j < jn; j++ {
+			accumMulConj(acc, g.a.spec[(nn*jn+j)*pf:(nn*jn+j+1)*pf], g.wspec[(d*jn+j)*pf:(d*jn+j+1)*pf])
 		}
 		t = prof.Next(phRFFTPointwise, t)
-		g.invBlend(wk, acc, g.y.Data, g.y.Index(nn, kk, 0, 0), g.out.W, g.out.H, g.out.W)
+		g.invBlend(wk, acc, r.Data, r.Index(nn, ch, g.baseH, g.baseW), r.Shape.W,
+			imin(g.geo.toH, r.Shape.H-g.baseH), imin(g.geo.toW, r.Shape.W-g.baseW))
 		prof.Exit(phRFFTInverse, t)
-	case stFullCombineBwd:
-		nn, dc := i/g.fc, i%g.fc
-		cc := g.fb + dc
-		acc := g.xspec[(nn*g.c+cc)*pf : (nn*g.c+cc+1)*pf]
-		t := prof.Enter()
-		zeroPlane(acc)
-		for kk := 0; kk < g.k; kk++ {
-			accumMulConj(acc, g.yspec[(nn*g.k+kk)*pf:(nn*g.k+kk+1)*pf], g.wspec[(dc*g.k+kk)*pf:(dc*g.k+kk+1)*pf])
-		}
-		t = prof.Next(phRFFTPointwise, t)
-		g.invBlend(wk, acc, g.x.Data, g.x.Index(nn, cc, 0, 0), g.in.W, g.in.H, g.in.W)
-		prof.Exit(phRFFTInverse, t)
-	case stFullCombineWgrad:
-		dk, cc := i/g.c, i%g.c
-		kk := g.fb + dk
+	case stWgrad:
+		x, dy := g.a.t.Shape, g.b.t.Shape
+		d, cc := i/x.C, i%x.C
+		kk := g.fb + d
 		acc := g.wspec[i*pf : (i+1)*pf]
 		t := prof.Enter()
-		zeroPlane(acc)
-		for nn := 0; nn < g.n; nn++ {
-			accumMulConj(acc, g.xspec[(nn*g.c+cc)*pf:(nn*g.c+cc+1)*pf], g.yspec[(nn*g.k+kk)*pf:(nn*g.k+kk+1)*pf])
+		if g.first {
+			zeroPlane(acc)
+		}
+		for nn := 0; nn < x.N; nn++ {
+			accumMulConj(acc, g.a.spec[(nn*x.C+cc)*pf:(nn*x.C+cc+1)*pf], g.b.spec[(nn*dy.C+kk)*pf:(nn*dy.C+kk+1)*pf])
+		}
+		if !g.last {
+			prof.Exit(phRFFTPointwise, t)
+			return
 		}
 		t = prof.Next(phRFFTPointwise, t)
 		g.invBlend(wk, acc, g.w.Data, g.w.Index(kk, cc, 0, 0), g.f.S, g.f.R, g.f.S)
-		prof.Exit(phRFFTInverse, t)
-
-	case stTileFwdW:
-		kk, cc := i/g.c, i%g.c
-		g.fwdPlane(wk, g.wspec[i*pf:(i+1)*pf], g.w.Data, g.w.Index(kk, cc, 0, 0), g.f.S, 1,
-			g.f.R, g.f.S, 0, 0, g.f.R, g.f.S)
-	case stTileBwdW:
-		cc, kk := i/g.k, i%g.k
-		g.fwdPlane(wk, g.wspec[i*pf:(i+1)*pf], g.w.Data, g.w.Index(kk, cc, g.f.R-1, g.f.S-1), -g.f.S, -1,
-			g.f.R, g.f.S, 0, 0, g.f.R, g.f.S)
-	case stTileFwdX:
-		nn, cc := i/g.c, i%g.c
-		g.fwdPlane(wk, g.xspec[i*pf:(i+1)*pf], g.x.Data, g.x.Index(nn, cc, 0, 0), g.in.W, 1,
-			fftTile, fftTile, g.padH-g.baseH, g.padW-g.baseW, g.in.H, g.in.W)
-	case stTileBwdDY:
-		nn, kk := i/g.k, i%g.k
-		g.fwdPlane(wk, g.yspec[i*pf:(i+1)*pf], g.y.Data, g.y.Index(nn, kk, 0, 0), g.out.W, 1,
-			fftTile, fftTile, g.padBH-g.baseH, g.padBW-g.baseW, g.out.H, g.out.W)
-	case stTileWgradDY:
-		nn, kk := i/g.k, i%g.k
-		g.fwdPlane(wk, g.yspec[i*pf:(i+1)*pf], g.y.Data, g.y.Index(nn, kk, 0, 0), g.out.W, 1,
-			g.toH, g.toW, -g.baseH, -g.baseW, g.out.H, g.out.W)
-	case stTileZeroW:
-		zeroPlane(g.wspec[i*pf : (i+1)*pf])
-	case stTileWgradAcc:
-		kk, cc := i/g.c, i%g.c
-		acc := g.wspec[i*pf : (i+1)*pf]
-		for nn := 0; nn < g.n; nn++ {
-			accumMulConj(acc, g.xspec[(nn*g.c+cc)*pf:(nn*g.c+cc+1)*pf], g.yspec[(nn*g.k+kk)*pf:(nn*g.k+kk+1)*pf])
-		}
-	case stTileWgradFinish:
-		kk, cc := i/g.c, i%g.c
-		g.invBlend(wk, g.wspec[i*pf:(i+1)*pf], g.w.Data, g.w.Index(kk, cc, 0, 0), g.f.S, g.f.R, g.f.S)
-	case stTileCombineFwd:
-		nn, kk := i/g.k, i%g.k
-		acc := g.yspec[i*pf : (i+1)*pf]
-		t := prof.Enter()
-		zeroPlane(acc)
-		for cc := 0; cc < g.c; cc++ {
-			accumMulConj(acc, g.xspec[(nn*g.c+cc)*pf:(nn*g.c+cc+1)*pf], g.wspec[(kk*g.c+cc)*pf:(kk*g.c+cc+1)*pf])
-		}
-		t = prof.Next(phRFFTPointwise, t)
-		g.invBlend(wk, acc, g.y.Data, g.y.Index(nn, kk, g.baseH, g.baseW), g.out.W,
-			imin(g.toH, g.out.H-g.baseH), imin(g.toW, g.out.W-g.baseW))
-		prof.Exit(phRFFTInverse, t)
-	case stTileCombineBwd:
-		nn, cc := i/g.c, i%g.c
-		acc := g.xspec[i*pf : (i+1)*pf]
-		t := prof.Enter()
-		zeroPlane(acc)
-		for kk := 0; kk < g.k; kk++ {
-			accumMulConj(acc, g.yspec[(nn*g.k+kk)*pf:(nn*g.k+kk+1)*pf], g.wspec[(cc*g.k+kk)*pf:(cc*g.k+kk+1)*pf])
-		}
-		t = prof.Next(phRFFTPointwise, t)
-		g.invBlend(wk, acc, g.x.Data, g.x.Index(nn, cc, g.baseH, g.baseW), g.in.W,
-			imin(g.toH, g.in.H-g.baseH), imin(g.toW, g.in.W-g.baseW))
 		prof.Exit(phRFFTInverse, t)
 	}
 }
@@ -442,85 +372,36 @@ func (g *fftCtx) stageTasks(ph prof.Kind, st fftStage, wk, lo, hi int) {
 	prof.Exit(ph, t)
 }
 
-// runFFT executes the full-plane FFT convolution.
-func runFFT(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTensor, y *tensor.Tensor, alpha, beta float32, ws []float32) {
-	g := newFFTCtx(op, cs, x, w, y, alpha, beta, ws, false)
-	switch op {
-	case Forward:
-		// Padded-input spectra (resident for all chunks), then per chunk
-		// of output channels: filter spectra, pointwise accumulate over
-		// input channels, inverse, blend.
-		g.forEach(phRFFTForward, g.n*g.c, stFullFwdX)
-		kch := imin(g.k, fftFilterChunk)
-		for k0 := 0; k0 < g.k; k0 += kch {
-			g.fb, g.fc = k0, imin(kch, g.k-k0)
-			g.forEach(phRFFTForward, g.fc*g.c, stFullFwdW)
-			g.forEach(0, g.n*g.fc, stFullCombineFwd)
+// runFFT executes op with either spectral algorithm over its geometry.
+// Chunks of the filter bank are walked once each, outermost; every tile
+// of the tiled extent is walked inside each chunk. The bank chunk is
+// transformed once, before its tiles; a tile's operand spectra are
+// transformed per chunk, except that a single tile's stay resident
+// across chunks. So AlgoFFT (one tile) transforms its operands once and
+// each chunk once, and AlgoFFTTiling (one chunk) the bank once and each
+// tile's operands once.
+func runFFT(op Op, algo Algo, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTensor, y *tensor.Tensor, alpha, beta float32, ws []float32) {
+	g := newFFTCtx(op, algo, cs, x, w, y, alpha, beta, ws)
+	tiles := g.geo.tilesH * g.geo.tilesW
+	for fb := 0; fb < g.geo.bank; fb += g.geo.chunk {
+		g.fb, g.fc = fb, imin(g.geo.chunk, g.geo.bank-fb)
+		if op != BackwardFilter {
+			g.forEach(phRFFTForward, g.fc*g.a.t.Shape.C, stBank)
 		}
-	case BackwardData:
-		// dX[n,c] = sum_k corr(padded dY[n,k], rot(w[k,c])).
-		g.forEach(phRFFTForward, g.n*g.k, stFullFwdDYPad)
-		cch := imin(g.c, fftFilterChunk)
-		for c0 := 0; c0 < g.c; c0 += cch {
-			g.fb, g.fc = c0, imin(cch, g.c-c0)
-			g.forEach(phRFFTForward, g.fc*g.k, stFullFwdWRot)
-			g.forEach(0, g.n*g.fc, stFullCombineBwd)
-		}
-	case BackwardFilter:
-		// dW[k,c] = sum_n corr(padded X[n,c], dY[n,k])[0:R, 0:S].
-		g.forEach(phRFFTForward, g.n*g.c, stFullFwdX)
-		g.forEach(phRFFTForward, g.n*g.k, stFullFwdDY)
-		kch := imin(g.k, fftFilterChunk)
-		for k0 := 0; k0 < g.k; k0 += kch {
-			g.fb, g.fc = k0, imin(kch, g.k-k0)
-			g.forEach(0, g.fc*g.c, stFullCombineWgrad)
-		}
-	}
-}
-
-// runFFTTiling executes the 32x32-tiled FFT convolution: filter spectra
-// are computed once at the tile size and reused across spatial tiles,
-// while input/output tile spectra are recomputed per tile, bounding the
-// workspace independently of the spatial extent.
-func runFFTTiling(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTensor, y *tensor.Tensor, alpha, beta float32, ws []float32) {
-	g := newFFTCtx(op, cs, x, w, y, alpha, beta, ws, true)
-	g.toH, g.toW = fftTile-g.f.R+1, fftTile-g.f.S+1
-	switch op {
-	case Forward:
-		tilesH, tilesW := ceilDiv(g.out.H, g.toH), ceilDiv(g.out.W, g.toW)
-		g.forEach(phRFFTForward, g.k*g.c, stTileFwdW)
-		for th := 0; th < tilesH; th++ {
-			for tw := 0; tw < tilesW; tw++ {
-				g.baseH, g.baseW = th*g.toH, tw*g.toW
-				g.forEach(phRFFTForward, g.n*g.c, stTileFwdX)
-				g.forEach(0, g.n*g.k, stTileCombineFwd)
+		for t := 0; t < tiles; t++ {
+			g.baseH, g.baseW = t/g.geo.tilesW*g.geo.toH, t%g.geo.tilesW*g.geo.toW
+			if fb == 0 || tiles > 1 {
+				g.forEach(phRFFTForward, g.a.planes(), stOperand)
+				if op == BackwardFilter {
+					g.forEach(phRFFTForward, g.b.planes(), stGrad)
+				}
+			}
+			if op == BackwardFilter {
+				g.first, g.last = t == 0, t == tiles-1
+				g.forEach(0, g.fc*g.f.C, stWgrad)
+			} else {
+				g.forEach(0, g.a.t.Shape.N*g.fc, stCombine)
 			}
 		}
-	case BackwardData:
-		// Same structure on the rotated filter and padded dY, tiled over dX.
-		tilesH, tilesW := ceilDiv(g.in.H, g.toH), ceilDiv(g.in.W, g.toW)
-		g.forEach(phRFFTForward, g.c*g.k, stTileBwdW)
-		for th := 0; th < tilesH; th++ {
-			for tw := 0; tw < tilesW; tw++ {
-				g.baseH, g.baseW = th*g.toH, tw*g.toW
-				g.forEach(phRFFTForward, g.n*g.k, stTileBwdDY)
-				g.forEach(0, g.n*g.c, stTileCombineBwd)
-			}
-		}
-	case BackwardFilter:
-		// Tile the summation domain: each tile contributes a partial
-		// correlation of the padded input patch with the dY patch;
-		// contributions accumulate in spectral space in wspec.
-		tilesH, tilesW := ceilDiv(g.out.H, g.toH), ceilDiv(g.out.W, g.toW)
-		g.forEach(phRFFTPointwise, g.k*g.c, stTileZeroW)
-		for th := 0; th < tilesH; th++ {
-			for tw := 0; tw < tilesW; tw++ {
-				g.baseH, g.baseW = th*g.toH, tw*g.toW
-				g.forEach(phRFFTForward, g.n*g.c, stTileFwdX)
-				g.forEach(phRFFTForward, g.n*g.k, stTileWgradDY)
-				g.forEach(phRFFTPointwise, g.k*g.c, stTileWgradAcc)
-			}
-		}
-		g.forEach(phRFFTInverse, g.k*g.c, stTileWgradFinish)
 	}
 }

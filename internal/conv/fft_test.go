@@ -53,3 +53,19 @@ func TestFFTAlgoBitwiseAcrossWorkersAndWorkspace(t *testing.T) {
 		}
 	}
 }
+
+// The device model calls the geometry accessors for every candidate it
+// prices, so they must not allocate.
+func TestGeometryAccessorsDoNotAllocate(t *testing.T) {
+	cs := testShapes[0]
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, op := range Ops {
+			FFTGeometry(op, AlgoFFT, cs)
+			FFTGeometry(op, AlgoFFTTiling, cs)
+			WinogradTiles(op, AlgoWinogradNonfused, cs)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("geometry accessors allocate %v times per call set", allocs)
+	}
+}

@@ -16,7 +16,7 @@ var f63Shape = tensor.ConvShape{
 
 // The tile-size rule is a pure function of the shape: F(6,3) on large
 // output planes, F(4,3) below the threshold, F(2,3) fused, F(2,5) for
-// 5x5 — and the device cost model mirrors exactly this.
+// 5x5 — and the device cost model reads it through WinogradTiles.
 func TestWinogradTileSelection(t *testing.T) {
 	small := testShapes[0] // 8x8 output
 	if m := winogradM(Forward, f63Shape, false); m != 6 {

@@ -27,11 +27,10 @@ var (
 const winogradLargeTileMin = 12
 
 // winogradM returns the Winograd output-tile size m for op on cs — a
-// pure function of the shape, so every worker count and workspace grant
-// (and the device cost model, which mirrors this rule) agrees on the
-// transform. Fused is always F(2x2,3x3); non-fused 5x5 is F(2x2,5x5);
-// non-fused 3x3 picks F(6x6,3x3) on large output planes and F(4x4,3x3)
-// otherwise.
+// pure function of the shape, so every worker count, workspace grant and
+// the device cost model (through WinogradTiles) agree on the transform.
+// Fused is always F(2x2,3x3); non-fused 5x5 is F(2x2,5x5); non-fused 3x3
+// picks F(6x6,3x3) on large tiled extents and F(4x4,3x3) otherwise.
 func winogradM(op Op, cs tensor.ConvShape, fused bool) int {
 	r := cs.Filt.R
 	switch {
@@ -40,18 +39,24 @@ func winogradM(op Op, cs tensor.ConvShape, fused bool) int {
 	case !fused && r == 5:
 		return 2
 	case !fused && r == 3:
-		// The tiled extents: dX for BackwardData (the transformed
-		// problem's output), the forward output otherwise.
-		rows, cols := cs.OutShape().H, cs.OutShape().W
-		if op == BackwardData {
-			rows, cols = cs.In.H, cs.In.W
-		}
+		rows, cols := tiledExtent(op, cs)
 		if rows >= winogradLargeTileMin && cols >= winogradLargeTileMin {
 			return 6
 		}
 		return 4
 	}
 	panic(fmt.Sprintf("conv: no winograd transform for fused=%v r=%d", fused, r))
+}
+
+// WinogradTiles returns the output-tile size m with which algo
+// (AlgoWinograd or AlgoWinogradNonfused) runs op on cs, a supported
+// shape, and the m x m tiles per sample: the geometry the device cost
+// model prices.
+func WinogradTiles(op Op, algo Algo, cs tensor.ConvShape) (m, tiles int) {
+	m = winogradM(op, cs, algo == AlgoWinograd)
+	rows, cols := tiledExtent(op, cs)
+	_, _, tiles = winogradTiles(m, rows, cols, 1)
+	return m, tiles
 }
 
 // winogradTransformFor returns the cached transform for op on cs:

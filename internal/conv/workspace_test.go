@@ -6,7 +6,6 @@ import (
 	"ucudnn/internal/conv"
 	"ucudnn/internal/cudnn"
 	"ucudnn/internal/device"
-	"ucudnn/internal/dnn"
 	"ucudnn/internal/tensor"
 	"ucudnn/internal/zoo"
 )
@@ -66,17 +65,7 @@ func TestWorkspaceReportersOrderIndependent(t *testing.T) {
 	}
 	var queries []query
 	for _, name := range zoo.Names() {
-		h := cudnn.NewHandle(device.P100, cudnn.ModelOnlyBackend)
-		ctx := dnn.NewContext(h, h, 64<<20)
-		ctx.SkipCompute = true
-		net, _, err := zoo.Build(ctx, name, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := net.Setup(); err != nil {
-			t.Fatal(err)
-		}
-		for _, l := range net.ConvLayers() {
+		for _, l := range zooConvLayers(t, name) {
 			for _, op := range conv.Ops {
 				for _, algo := range conv.AlgosFor(op) {
 					queries = append(queries, query{op, algo, l.Shape()})

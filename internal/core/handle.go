@@ -135,9 +135,11 @@ func WithAlgoFilter(f func(conv.Op, conv.Algo) bool) Option {
 
 // FromEnv applies the paper's environment-variable configuration:
 // UCUDNN_BATCH_SIZE_POLICY, UCUDNN_WORKSPACE_LIMIT (bytes),
-// UCUDNN_TOTAL_WORKSPACE_SIZE (bytes; enables WD),
-// UCUDNN_BLOB_RESERVE (bytes) and UCUDNN_BENCHMARK_DB_PATH, so the
-// Caffe-style "swap the handle type" integration stays transparent.
+// UCUDNN_TOTAL_WORKSPACE_SIZE (bytes; enables WD) and
+// UCUDNN_BENCHMARK_DB_PATH, so the Caffe-style "swap the handle type"
+// integration stays transparent. A blob reserve has no variable: it
+// means something only inside the joint pool it is carved from
+// (WDJointPool).
 func FromEnv() Option {
 	return func(o *Options) {
 		if v := os.Getenv("UCUDNN_BATCH_SIZE_POLICY"); v != "" {
@@ -154,11 +156,6 @@ func FromEnv() Option {
 			if b, err := strconv.ParseInt(v, 10, 64); err == nil && b > 0 {
 				o.Mode = WD
 				o.TotalWorkspaceLimit = b
-			}
-		}
-		if v := os.Getenv("UCUDNN_BLOB_RESERVE"); v != "" {
-			if b, err := strconv.ParseInt(v, 10, 64); err == nil && b > 0 {
-				o.BlobReserve = b
 			}
 		}
 		if v := os.Getenv("UCUDNN_BENCHMARK_DB_PATH"); v != "" {

@@ -9,7 +9,10 @@ import (
 // This file is the overridden cuDNN call surface (§III-D): the same
 // signatures as *cudnn.Handle, but Get*/Find* return the virtual
 // algorithm with zero workspace (recording the kernel for WD), and
-// Convolution* substitutes the optimized micro-batched plan.
+// Convolution* substitutes the optimized micro-batched plan. Every entry
+// point runs cuDNN's own descriptor check (cudnn.CheckConv) before it
+// registers or executes anything, so µ-cuDNN rejects exactly the
+// descriptor sets cuDNN rejects.
 
 // effectiveLimit maps a framework-provided preference/limit to the
 // per-kernel workspace limit µ-cuDNN optimizes under.
@@ -27,7 +30,10 @@ func (h *Handle) effectiveLimit(pref cudnn.Pref, wsLimit int64) int64 {
 // GetConvolutionForwardAlgorithm records the forward kernel and returns
 // the virtual algorithm.
 func (h *Handle) GetConvolutionForwardAlgorithm(x cudnn.TensorDesc, w cudnn.FilterDesc, cd cudnn.ConvDesc, y cudnn.TensorDesc, pref cudnn.Pref, wsLimit int64) (conv.Algo, error) {
-	cs := cudnn.Shape(x, w, cd)
+	cs, err := cudnn.CheckConv(x, w, cd, y)
+	if err != nil {
+		return 0, err
+	}
 	h.register(Kernel{Op: conv.Forward, Shape: cs}, h.effectiveLimit(pref, wsLimit))
 	return VirtualAlgo, nil
 }
@@ -35,7 +41,10 @@ func (h *Handle) GetConvolutionForwardAlgorithm(x cudnn.TensorDesc, w cudnn.Filt
 // GetConvolutionBackwardDataAlgorithm records the backward-data kernel and
 // returns the virtual algorithm.
 func (h *Handle) GetConvolutionBackwardDataAlgorithm(w cudnn.FilterDesc, dy cudnn.TensorDesc, cd cudnn.ConvDesc, dx cudnn.TensorDesc, pref cudnn.Pref, wsLimit int64) (conv.Algo, error) {
-	cs := cudnn.Shape(dx, w, cd)
+	cs, err := cudnn.CheckConv(dx, w, cd, dy)
+	if err != nil {
+		return 0, err
+	}
 	h.register(Kernel{Op: conv.BackwardData, Shape: cs}, h.effectiveLimit(pref, wsLimit))
 	return VirtualAlgo, nil
 }
@@ -43,7 +52,10 @@ func (h *Handle) GetConvolutionBackwardDataAlgorithm(w cudnn.FilterDesc, dy cudn
 // GetConvolutionBackwardFilterAlgorithm records the backward-filter kernel
 // and returns the virtual algorithm.
 func (h *Handle) GetConvolutionBackwardFilterAlgorithm(x cudnn.TensorDesc, dy cudnn.TensorDesc, cd cudnn.ConvDesc, dw cudnn.FilterDesc, pref cudnn.Pref, wsLimit int64) (conv.Algo, error) {
-	cs := cudnn.Shape(x, dw, cd)
+	cs, err := cudnn.CheckConv(x, dw, cd, dy)
+	if err != nil {
+		return 0, err
+	}
 	h.register(Kernel{Op: conv.BackwardFilter, Shape: cs}, h.effectiveLimit(pref, wsLimit))
 	return VirtualAlgo, nil
 }
@@ -58,7 +70,10 @@ func (h *Handle) virtualPerf(k Kernel) []cudnn.AlgoPerf {
 // FindConvolutionForwardAlgorithm registers the kernel and reports the
 // virtual algorithm.
 func (h *Handle) FindConvolutionForwardAlgorithm(x cudnn.TensorDesc, w cudnn.FilterDesc, cd cudnn.ConvDesc, y cudnn.TensorDesc) ([]cudnn.AlgoPerf, error) {
-	cs := cudnn.Shape(x, w, cd)
+	cs, err := cudnn.CheckConv(x, w, cd, y)
+	if err != nil {
+		return nil, err
+	}
 	k := Kernel{Op: conv.Forward, Shape: cs}
 	h.register(k, 0)
 	return h.virtualPerf(k), nil
@@ -67,7 +82,10 @@ func (h *Handle) FindConvolutionForwardAlgorithm(x cudnn.TensorDesc, w cudnn.Fil
 // FindConvolutionBackwardDataAlgorithm registers the kernel and reports
 // the virtual algorithm.
 func (h *Handle) FindConvolutionBackwardDataAlgorithm(w cudnn.FilterDesc, dy cudnn.TensorDesc, cd cudnn.ConvDesc, dx cudnn.TensorDesc) ([]cudnn.AlgoPerf, error) {
-	cs := cudnn.Shape(dx, w, cd)
+	cs, err := cudnn.CheckConv(dx, w, cd, dy)
+	if err != nil {
+		return nil, err
+	}
 	k := Kernel{Op: conv.BackwardData, Shape: cs}
 	h.register(k, 0)
 	return h.virtualPerf(k), nil
@@ -76,7 +94,10 @@ func (h *Handle) FindConvolutionBackwardDataAlgorithm(w cudnn.FilterDesc, dy cud
 // FindConvolutionBackwardFilterAlgorithm registers the kernel and reports
 // the virtual algorithm.
 func (h *Handle) FindConvolutionBackwardFilterAlgorithm(x cudnn.TensorDesc, dy cudnn.TensorDesc, cd cudnn.ConvDesc, dw cudnn.FilterDesc) ([]cudnn.AlgoPerf, error) {
-	cs := cudnn.Shape(x, dw, cd)
+	cs, err := cudnn.CheckConv(x, dw, cd, dy)
+	if err != nil {
+		return nil, err
+	}
 	k := Kernel{Op: conv.BackwardFilter, Shape: cs}
 	h.register(k, 0)
 	return h.virtualPerf(k), nil
@@ -85,28 +106,31 @@ func (h *Handle) FindConvolutionBackwardFilterAlgorithm(x cudnn.TensorDesc, dy c
 // GetConvolutionForwardWorkspaceSize reports zero for the virtual
 // algorithm (µ-cuDNN owns its workspaces) and delegates otherwise.
 func (h *Handle) GetConvolutionForwardWorkspaceSize(x cudnn.TensorDesc, w cudnn.FilterDesc, cd cudnn.ConvDesc, y cudnn.TensorDesc, algo conv.Algo) (int64, error) {
-	if algo == VirtualAlgo {
-		return 0, nil
+	if algo != VirtualAlgo {
+		return h.inner.GetConvolutionForwardWorkspaceSize(x, w, cd, y, algo)
 	}
-	return h.inner.GetConvolutionForwardWorkspaceSize(x, w, cd, y, algo)
+	_, err := cudnn.CheckConv(x, w, cd, y)
+	return 0, err
 }
 
 // GetConvolutionBackwardDataWorkspaceSize reports zero for the virtual
 // algorithm and delegates otherwise.
 func (h *Handle) GetConvolutionBackwardDataWorkspaceSize(w cudnn.FilterDesc, dy cudnn.TensorDesc, cd cudnn.ConvDesc, dx cudnn.TensorDesc, algo conv.Algo) (int64, error) {
-	if algo == VirtualAlgo {
-		return 0, nil
+	if algo != VirtualAlgo {
+		return h.inner.GetConvolutionBackwardDataWorkspaceSize(w, dy, cd, dx, algo)
 	}
-	return h.inner.GetConvolutionBackwardDataWorkspaceSize(w, dy, cd, dx, algo)
+	_, err := cudnn.CheckConv(dx, w, cd, dy)
+	return 0, err
 }
 
 // GetConvolutionBackwardFilterWorkspaceSize reports zero for the virtual
 // algorithm and delegates otherwise.
 func (h *Handle) GetConvolutionBackwardFilterWorkspaceSize(x cudnn.TensorDesc, dy cudnn.TensorDesc, cd cudnn.ConvDesc, dw cudnn.FilterDesc, algo conv.Algo) (int64, error) {
-	if algo == VirtualAlgo {
-		return 0, nil
+	if algo != VirtualAlgo {
+		return h.inner.GetConvolutionBackwardFilterWorkspaceSize(x, dy, cd, dw, algo)
 	}
-	return h.inner.GetConvolutionBackwardFilterWorkspaceSize(x, dy, cd, dw, algo)
+	_, err := cudnn.CheckConv(x, dw, cd, dy)
+	return 0, err
 }
 
 // ConvolutionForward executes the optimized micro-batched forward plan
@@ -117,7 +141,10 @@ func (h *Handle) ConvolutionForward(alpha float32, xd cudnn.TensorDesc, x *tenso
 	if algo != VirtualAlgo {
 		return h.inner.ConvolutionForward(alpha, xd, x, wd, w, cd, algo, ws, beta, yd, y)
 	}
-	cs := cudnn.Shape(xd, wd, cd)
+	cs, err := cudnn.CheckConv(xd, wd, cd, yd)
+	if err != nil {
+		return err
+	}
 	return h.execute(conv.Forward, cs, x, w, y, alpha, beta)
 }
 
@@ -127,7 +154,10 @@ func (h *Handle) ConvolutionBackwardData(alpha float32, wd cudnn.FilterDesc, w *
 	if algo != VirtualAlgo {
 		return h.inner.ConvolutionBackwardData(alpha, wd, w, dyd, dy, cd, algo, ws, beta, dxd, dx)
 	}
-	cs := cudnn.Shape(dxd, wd, cd)
+	cs, err := cudnn.CheckConv(dxd, wd, cd, dyd)
+	if err != nil {
+		return err
+	}
 	return h.execute(conv.BackwardData, cs, dx, w, dy, alpha, beta)
 }
 
@@ -138,6 +168,9 @@ func (h *Handle) ConvolutionBackwardFilter(alpha float32, xd cudnn.TensorDesc, x
 	if algo != VirtualAlgo {
 		return h.inner.ConvolutionBackwardFilter(alpha, xd, x, dyd, dy, cd, algo, ws, beta, dwd, dw)
 	}
-	cs := cudnn.Shape(xd, dwd, cd)
+	cs, err := cudnn.CheckConv(xd, dwd, cd, dyd)
+	if err != nil {
+		return err
+	}
 	return h.execute(conv.BackwardFilter, cs, x, dw, dy, alpha, beta)
 }

@@ -377,3 +377,86 @@ func TestExecuteKernelSpans(t *testing.T) {
 		t.Fatalf("micro-batches cover %d samples, want %d", covered, cs.In.N)
 	}
 }
+
+// cuDNN rejects a descriptor set whose output descriptor is not the
+// convolution's output, and µ-cuDNN must reject it too, at every one of
+// the twelve entry points and before it registers or plans anything:
+// otherwise Get*/Find* record a kernel the framework never runs, and the
+// virtual Convolution* executes a plan for the wrong output.
+func TestEntryPointsRejectMismatchedDescriptors(t *testing.T) {
+	xd, _ := cudnn.NewTensorDesc(4, 8, 13, 13)
+	wd, _ := cudnn.NewFilterDesc(16, 8, 3, 3)
+	cd, _ := cudnn.NewConvDesc(1, 1, 1, 1, 1, 1)
+	yd, _ := cudnn.NewTensorDesc(4, 16, 7, 7) // cuDNN's output is 4x16x13x13
+	x := tensor.New(4, 8, 13, 13)
+	w := tensor.NewFilter(16, 8, 3, 3)
+	y := tensor.New(4, 16, 7, 7)
+	if _, err := cudnn.NewHandle(device.P100, cudnn.ModelBackend).GetConvolutionForwardAlgorithm(xd, wd, cd, yd, cudnn.PreferFastest, 0); err == nil {
+		t.Fatal("cuDNN accepted the mismatched output descriptor")
+	}
+	const lim = 8 << 20
+	entries := map[string]func(h *Handle) error{
+		"GetConvolutionForwardAlgorithm": func(h *Handle) error {
+			_, err := h.GetConvolutionForwardAlgorithm(xd, wd, cd, yd, cudnn.SpecifyWorkspaceLimit, lim)
+			return err
+		},
+		"GetConvolutionBackwardDataAlgorithm": func(h *Handle) error {
+			_, err := h.GetConvolutionBackwardDataAlgorithm(wd, yd, cd, xd, cudnn.SpecifyWorkspaceLimit, lim)
+			return err
+		},
+		"GetConvolutionBackwardFilterAlgorithm": func(h *Handle) error {
+			_, err := h.GetConvolutionBackwardFilterAlgorithm(xd, yd, cd, wd, cudnn.SpecifyWorkspaceLimit, lim)
+			return err
+		},
+		"FindConvolutionForwardAlgorithm": func(h *Handle) error {
+			_, err := h.FindConvolutionForwardAlgorithm(xd, wd, cd, yd)
+			return err
+		},
+		"FindConvolutionBackwardDataAlgorithm": func(h *Handle) error {
+			_, err := h.FindConvolutionBackwardDataAlgorithm(wd, yd, cd, xd)
+			return err
+		},
+		"FindConvolutionBackwardFilterAlgorithm": func(h *Handle) error {
+			_, err := h.FindConvolutionBackwardFilterAlgorithm(xd, yd, cd, wd)
+			return err
+		},
+		"GetConvolutionForwardWorkspaceSize": func(h *Handle) error {
+			_, err := h.GetConvolutionForwardWorkspaceSize(xd, wd, cd, yd, VirtualAlgo)
+			return err
+		},
+		"GetConvolutionBackwardDataWorkspaceSize": func(h *Handle) error {
+			_, err := h.GetConvolutionBackwardDataWorkspaceSize(wd, yd, cd, xd, VirtualAlgo)
+			return err
+		},
+		"GetConvolutionBackwardFilterWorkspaceSize": func(h *Handle) error {
+			_, err := h.GetConvolutionBackwardFilterWorkspaceSize(xd, yd, cd, wd, VirtualAlgo)
+			return err
+		},
+		"ConvolutionForward": func(h *Handle) error {
+			return h.ConvolutionForward(1, xd, x, wd, w, cd, VirtualAlgo, nil, 0, yd, y)
+		},
+		"ConvolutionBackwardData": func(h *Handle) error {
+			return h.ConvolutionBackwardData(1, wd, w, yd, y, cd, VirtualAlgo, nil, 0, xd, x)
+		},
+		"ConvolutionBackwardFilter": func(h *Handle) error {
+			return h.ConvolutionBackwardFilter(1, xd, x, yd, y, cd, VirtualAlgo, nil, 0, wd, w)
+		},
+	}
+	for _, backend := range []cudnn.Backend{cudnn.ModelOnlyBackend, cudnn.ModelBackend} {
+		for _, mode := range []struct {
+			name string
+			opts []Option
+		}{{"WR", nil}, {"WD", []Option{WithWD(64 << 20)}}} {
+			for name, call := range entries {
+				h := newTestHandle(t, backend, mode.opts...)
+				if err := call(h); err == nil {
+					t.Errorf("%v %s %s: accepted an output descriptor cuDNN rejects", backend, mode.name, name)
+				}
+				if len(h.limits) != 0 || len(h.registered) != 0 || len(h.Plans()) != 0 {
+					t.Errorf("%v %s %s: rejected call left %d limits, %d registered kernels, %d plans",
+						backend, mode.name, name, len(h.limits), len(h.registered), len(h.Plans()))
+				}
+			}
+		}
+	}
+}

@@ -11,7 +11,11 @@ import (
 // a thin descriptor-validating wrapper over the generic AlgoPerfs /
 // PickAlgo / Convolve core; µ-cuDNN overrides exactly this surface.
 
-func checkConv(op conv.Op, x TensorDesc, w FilterDesc, cd ConvDesc, y TensorDesc) (tensor.ConvShape, error) {
+// CheckConv is the descriptor check every convolution entry point runs
+// before anything else: (x, w, cd) must describe a valid convolution
+// whose output is y. x is the forward input (dX for BackwardData) and y
+// the forward output (dY for the backward ops). It returns the shape.
+func CheckConv(x TensorDesc, w FilterDesc, cd ConvDesc, y TensorDesc) (tensor.ConvShape, error) {
 	cs := Shape(x, w, cd)
 	if !cs.Valid() {
 		return cs, fmt.Errorf("cudnn: invalid convolution %v", cs)
@@ -20,13 +24,12 @@ func checkConv(op conv.Op, x TensorDesc, w FilterDesc, cd ConvDesc, y TensorDesc
 	if (tensor.Shape{N: y.N, C: y.C, H: y.H, W: y.W}) != o {
 		return cs, fmt.Errorf("cudnn: output descriptor %v does not match %v", y, o)
 	}
-	_ = op
 	return cs, nil
 }
 
 // GetConvolutionForwardAlgorithm mirrors cudnnGetConvolutionForwardAlgorithm.
 func (h *Handle) GetConvolutionForwardAlgorithm(x TensorDesc, w FilterDesc, cd ConvDesc, y TensorDesc, pref Pref, wsLimit int64) (conv.Algo, error) {
-	cs, err := checkConv(conv.Forward, x, w, cd, y)
+	cs, err := CheckConv(x, w, cd, y)
 	if err != nil {
 		return 0, err
 	}
@@ -37,7 +40,7 @@ func (h *Handle) GetConvolutionForwardAlgorithm(x TensorDesc, w FilterDesc, cd C
 // GetConvolutionBackwardDataAlgorithm mirrors
 // cudnnGetConvolutionBackwardDataAlgorithm.
 func (h *Handle) GetConvolutionBackwardDataAlgorithm(w FilterDesc, dy TensorDesc, cd ConvDesc, dx TensorDesc, pref Pref, wsLimit int64) (conv.Algo, error) {
-	cs, err := checkConv(conv.BackwardData, dx, w, cd, dy)
+	cs, err := CheckConv(dx, w, cd, dy)
 	if err != nil {
 		return 0, err
 	}
@@ -48,7 +51,7 @@ func (h *Handle) GetConvolutionBackwardDataAlgorithm(w FilterDesc, dy TensorDesc
 // GetConvolutionBackwardFilterAlgorithm mirrors
 // cudnnGetConvolutionBackwardFilterAlgorithm.
 func (h *Handle) GetConvolutionBackwardFilterAlgorithm(x TensorDesc, dy TensorDesc, cd ConvDesc, dw FilterDesc, pref Pref, wsLimit int64) (conv.Algo, error) {
-	cs, err := checkConv(conv.BackwardFilter, x, dw, cd, dy)
+	cs, err := CheckConv(x, dw, cd, dy)
 	if err != nil {
 		return 0, err
 	}
@@ -60,7 +63,7 @@ func (h *Handle) GetConvolutionBackwardFilterAlgorithm(x TensorDesc, dy TensorDe
 // cudnnFindConvolutionForwardAlgorithm: it benchmarks all supported
 // algorithms and returns them sorted fastest first.
 func (h *Handle) FindConvolutionForwardAlgorithm(x TensorDesc, w FilterDesc, cd ConvDesc, y TensorDesc) ([]AlgoPerf, error) {
-	cs, err := checkConv(conv.Forward, x, w, cd, y)
+	cs, err := CheckConv(x, w, cd, y)
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +73,7 @@ func (h *Handle) FindConvolutionForwardAlgorithm(x TensorDesc, w FilterDesc, cd 
 // FindConvolutionBackwardDataAlgorithm mirrors
 // cudnnFindConvolutionBackwardDataAlgorithm.
 func (h *Handle) FindConvolutionBackwardDataAlgorithm(w FilterDesc, dy TensorDesc, cd ConvDesc, dx TensorDesc) ([]AlgoPerf, error) {
-	cs, err := checkConv(conv.BackwardData, dx, w, cd, dy)
+	cs, err := CheckConv(dx, w, cd, dy)
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +83,7 @@ func (h *Handle) FindConvolutionBackwardDataAlgorithm(w FilterDesc, dy TensorDes
 // FindConvolutionBackwardFilterAlgorithm mirrors
 // cudnnFindConvolutionBackwardFilterAlgorithm.
 func (h *Handle) FindConvolutionBackwardFilterAlgorithm(x TensorDesc, dy TensorDesc, cd ConvDesc, dw FilterDesc) ([]AlgoPerf, error) {
-	cs, err := checkConv(conv.BackwardFilter, x, dw, cd, dy)
+	cs, err := CheckConv(x, dw, cd, dy)
 	if err != nil {
 		return nil, err
 	}
@@ -93,7 +96,7 @@ func (h *Handle) FindConvolutionBackwardFilterAlgorithm(x TensorDesc, dy TensorD
 // kernels accept smaller buffers down to conv.MinWorkspace by running
 // with fewer strips.
 func (h *Handle) GetConvolutionForwardWorkspaceSize(x TensorDesc, w FilterDesc, cd ConvDesc, y TensorDesc, algo conv.Algo) (int64, error) {
-	cs, err := checkConv(conv.Forward, x, w, cd, y)
+	cs, err := CheckConv(x, w, cd, y)
 	if err != nil {
 		return 0, err
 	}
@@ -107,7 +110,7 @@ func (h *Handle) GetConvolutionForwardWorkspaceSize(x TensorDesc, w FilterDesc, 
 // GetConvolutionBackwardDataWorkspaceSize mirrors
 // cudnnGetConvolutionBackwardDataWorkspaceSize.
 func (h *Handle) GetConvolutionBackwardDataWorkspaceSize(w FilterDesc, dy TensorDesc, cd ConvDesc, dx TensorDesc, algo conv.Algo) (int64, error) {
-	cs, err := checkConv(conv.BackwardData, dx, w, cd, dy)
+	cs, err := CheckConv(dx, w, cd, dy)
 	if err != nil {
 		return 0, err
 	}
@@ -121,7 +124,7 @@ func (h *Handle) GetConvolutionBackwardDataWorkspaceSize(w FilterDesc, dy Tensor
 // GetConvolutionBackwardFilterWorkspaceSize mirrors
 // cudnnGetConvolutionBackwardFilterWorkspaceSize.
 func (h *Handle) GetConvolutionBackwardFilterWorkspaceSize(x TensorDesc, dy TensorDesc, cd ConvDesc, dw FilterDesc, algo conv.Algo) (int64, error) {
-	cs, err := checkConv(conv.BackwardFilter, x, dw, cd, dy)
+	cs, err := CheckConv(x, dw, cd, dy)
 	if err != nil {
 		return 0, err
 	}
@@ -135,7 +138,7 @@ func (h *Handle) GetConvolutionBackwardFilterWorkspaceSize(x TensorDesc, dy Tens
 // ConvolutionForward mirrors cudnnConvolutionForward:
 // y = alpha*conv(x, w) + beta*y.
 func (h *Handle) ConvolutionForward(alpha float32, xd TensorDesc, x *tensor.Tensor, wd FilterDesc, w *tensor.FilterTensor, cd ConvDesc, algo conv.Algo, ws []float32, beta float32, yd TensorDesc, y *tensor.Tensor) error {
-	cs, err := checkConv(conv.Forward, xd, wd, cd, yd)
+	cs, err := CheckConv(xd, wd, cd, yd)
 	if err != nil {
 		return err
 	}
@@ -145,7 +148,7 @@ func (h *Handle) ConvolutionForward(alpha float32, xd TensorDesc, x *tensor.Tens
 // ConvolutionBackwardData mirrors cudnnConvolutionBackwardData:
 // dx = alpha*corr*(dy, w) + beta*dx.
 func (h *Handle) ConvolutionBackwardData(alpha float32, wd FilterDesc, w *tensor.FilterTensor, dyd TensorDesc, dy *tensor.Tensor, cd ConvDesc, algo conv.Algo, ws []float32, beta float32, dxd TensorDesc, dx *tensor.Tensor) error {
-	cs, err := checkConv(conv.BackwardData, dxd, wd, cd, dyd)
+	cs, err := CheckConv(dxd, wd, cd, dyd)
 	if err != nil {
 		return err
 	}
@@ -156,7 +159,7 @@ func (h *Handle) ConvolutionBackwardData(alpha float32, wd FilterDesc, w *tensor
 // dw = alpha*grad(x, dy) + beta*dw. beta=1 accumulates, which is how
 // micro-batched filter gradients keep the undivided semantics.
 func (h *Handle) ConvolutionBackwardFilter(alpha float32, xd TensorDesc, x *tensor.Tensor, dyd TensorDesc, dy *tensor.Tensor, cd ConvDesc, algo conv.Algo, ws []float32, beta float32, dwd FilterDesc, dw *tensor.FilterTensor) error {
-	cs, err := checkConv(conv.BackwardFilter, xd, dwd, cd, dyd)
+	cs, err := CheckConv(xd, dwd, cd, dyd)
 	if err != nil {
 		return err
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"ucudnn/internal/conv"
-	"ucudnn/internal/fftpkg"
 	"ucudnn/internal/tensor"
 )
 
@@ -57,36 +56,6 @@ func impliedGemmDims(op conv.Op, cs tensor.ConvShape) (m, n, k int64) {
 	}
 }
 
-// fftModelGeometry mirrors the plan geometry of the conv package's FFT
-// kernels: padded power-of-two planes for AlgoFFT, fixed 32x32 tiles for
-// AlgoFFTTiling.
-func fftModelGeometry(op conv.Op, algo conv.Algo, cs tensor.ConvShape) (p, q, tiles int64) {
-	pp := cs.Params.Normalized()
-	out := cs.OutShape()
-	if algo == conv.AlgoFFTTiling {
-		const tile = 32
-		toH, toW := tile-cs.Filt.R+1, tile-cs.Filt.S+1
-		var rows, cols int
-		switch op {
-		case conv.BackwardData:
-			rows, cols = cs.In.H, cs.In.W
-		default:
-			rows, cols = out.H, out.W
-		}
-		return tile, tile, int64((rows+toH-1)/toH) * int64((cols+toW-1)/toW)
-	}
-	var rows, cols int
-	switch op {
-	case conv.BackwardData:
-		rows = out.H + 2*(cs.Filt.R-1-pp.PadH)
-		cols = out.W + 2*(cs.Filt.S-1-pp.PadW)
-	default:
-		rows = cs.In.H + 2*pp.PadH
-		cols = cs.In.W + 2*pp.PadW
-	}
-	return int64(fftpkg.NextPow2(rows)), int64(fftpkg.NextPow2(cols)), 1
-}
-
 // ModelTime predicts the execution time of one convolution kernel call on
 // this device: a roofline of algorithm FLOPs at an algorithm- and
 // shape-dependent efficiency against minimal memory traffic, plus fixed
@@ -125,7 +94,8 @@ func (s Spec) ModelTime(op conv.Op, algo conv.Algo, cs tensor.ConvShape) (time.D
 		traffic += 2 * 4 * float64(gk) * float64(gn)
 		launches = 2
 	case conv.AlgoFFT, conv.AlgoFFTTiling:
-		p, q, tiles := fftModelGeometry(op, algo, cs)
+		pi, qi, ti := conv.FFTGeometry(op, algo, cs)
+		p, q, tiles := int64(pi), int64(qi), int64(ti)
 		hw := q/2 + 1
 		planeFlops := 2.5 * float64(p*q) * math.Log2(float64(p*q))
 		c, k := int64(cs.In.C), int64(cs.Filt.K)
@@ -151,29 +121,13 @@ func (s Spec) ModelTime(op conv.Op, algo conv.Algo, cs tensor.ConvShape) (time.D
 		}
 		eff *= quant(gn, 64) // output-pixel quantization of the final store
 	case conv.AlgoWinograd, conv.AlgoWinogradNonfused:
-		var rows, cols int
-		if op == conv.BackwardData {
-			rows, cols = cs.In.H, cs.In.W
-		} else {
-			rows, cols = out.H, out.W
-		}
-		// Tile-size rule mirrors conv's winogradM: fused is F(2,3),
-		// non-fused 5x5 is F(2,5), non-fused 3x3 steps up to F(6,3)
-		// when both tiled extents reach 12.
-		var m int
-		if algo == conv.AlgoWinograd || cs.Filt.R != 3 {
-			m = 2
-		} else if rows >= 12 && cols >= 12 {
-			m = 6
-		} else {
-			m = 4
-		}
-		a := int64(m + cs.Filt.R - 1)
-		tiles := int64((rows+m-1)/m) * int64((cols+m-1)/m)
+		mi, ti := conv.WinogradTiles(op, algo, cs)
+		m, tiles := int64(mi), int64(ti)
+		a := m + int64(cs.Filt.R) - 1
 		c, k := int64(cs.In.C), int64(cs.Filt.K)
 		gemm := 2 * float64(a*a) * float64(k*c) * float64(tiles*nTot)
 		tfm := 4*float64(a*a*a)*float64(nTot*c*tiles) +
-			4*float64(int64(m)*a*(a+int64(m)))*float64(nTot*k*tiles) +
+			4*float64(m*a*(a+m))*float64(nTot*k*tiles) +
 			4*float64(a*a*int64(cs.Filt.R))*float64(k*c)
 		flops = gemm + tfm
 		if algo == conv.AlgoWinograd {
