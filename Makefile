@@ -133,10 +133,13 @@ race:
 
 # fma-arm64 builds the arm64 test binary of each package in FMA_PKGS and
 # fails if a non-test file of that package compiled to a fused
-# multiply-add: Go lets a compiler fuse x*y + z (the arm64 backend does),
-# which skips the rounding of the product that amd64 code (the AVX
-# kernels, the dnn layers) performs, so these packages round every
-# product explicitly and this keeps them doing so.
+# multiply-add instruction: Go lets a compiler fuse x*y + z (the arm64
+# backend does) wherever the source does not forbid it. The dnn layers
+# multiply, round, then add, as their amd64 code does; blas's one fused
+# operation is the correctly rounded float32 FMA its Go twins spell out
+# in float64 (fma32), which must match VFMADD231PS bit for bit. Both
+# packages therefore round every product explicitly, and this keeps any
+# implicit fusion out.
 FMA_PKGS = blas dnn
 
 fma-arm64:

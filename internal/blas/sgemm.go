@@ -34,20 +34,24 @@ var (
 // k step. Panels are zero-padded to full mr/nr width; the padded lanes
 // compute zeros that the masked store discards.
 //
-// The 4x8 tile is sized to the AVX kernel: four YMM accumulators, one
-// 8-wide B row load and four A broadcasts per k step. With AVX-512 the
-// tile walk takes two adjacent nr panels at once as one 4x16 tile in
-// four ZMM accumulators, and that body also stores C itself. The
-// pure-Go fallback computes the 4x8 tile as four 2x4 quarters because
-// the gc register allocator has only 15 usable XMM registers — 16
-// scalar accumulators spill to the stack and run slower than no tiling
-// at all. Every body accumulates every C element in the exact same k
-// order (mul then add, no FMA contraction; the Go twins round each
-// product explicitly so no compiler may fuse them), so their results
-// are bitwise-identical.
+// The 4x16 tile is sized to the AVX+FMA kernel: eight YMM chains (two
+// per row), enough independent fused multiply-adds in flight to cover
+// the FMA latency on both ports. With AVX-512 the tile walk takes two
+// adjacent nr panels at once as one 4x32 tile in eight ZMM chains, each
+// B row a contiguous 64-byte load, and that body also stores C itself.
+// The pure-Go fallback computes the tile as 2x4 quarters because the gc
+// register allocator has only 15 usable XMM registers — 16 scalar
+// accumulators spill to the stack and run slower than no tiling at all.
+//
+// The rounding contract: every body accumulates every C element as one
+// k-order fused chain from +0 within each kc block, s = fma(a_p, b_p, s),
+// with a*b+s rounded once per step (VFMADD231PS; fma32 in the Go twins).
+// Each finished block is then stored by fuseBeta, which is not fused.
+// So the bodies' results are bitwise-identical whatever the shape, the
+// worker count or the CPU picks.
 const (
 	mr = 4
-	nr = 8
+	nr = 16
 )
 
 // The store forms of a finished tile (fuseBeta's three cases), as the
@@ -61,8 +65,8 @@ const (
 
 // Cache blocking: the micro-kernel walks an (mc x kc) packed A block
 // against a (kc x nc) packed B panel, sized so the A block (~48 KiB)
-// stays L2-resident and the kc * nr B panel (6 KiB) stays in L1 while
-// the kernel streams over it.
+// stays L2-resident and the kc * nr B panels a tile reads (12 KiB each)
+// stay in L1 while the kernel streams over them.
 const (
 	mc = 64
 	kc = 192
@@ -407,16 +411,7 @@ func PackBPanels(pack []float32, transB bool, b []float32, ldb int, k0, kb, j0, 
 		jw := min(nr, jb-jt)
 		if !transB && jw == nr {
 			for p := 0; p < kb; p++ {
-				src := (*[nr]float32)(b[(k0+p)*ldb+j0+jt:])
-				d := (*[nr]float32)(dst[p*nr:])
-				d[0] = src[0]
-				d[1] = src[1]
-				d[2] = src[2]
-				d[3] = src[3]
-				d[4] = src[4]
-				d[5] = src[5]
-				d[6] = src[6]
-				d[7] = src[7]
+				CopyPanelRow((*[nr]float32)(dst[p*nr:]), (*[nr]float32)(b[(k0+p)*ldb+j0+jt:]))
 			}
 		} else if !transB {
 			for p := 0; p < kb; p++ {
@@ -443,10 +438,21 @@ func PackBPanels(pack []float32, transB bool, b []float32, ldb int, k0, kb, j0, 
 	}
 }
 
+// CopyPanelRow copies one nr-wide row into a packed B panel as four
+// 16-byte moves: an array assignment would call memmove, and an element
+// loop moves one float at a time.
+func CopyPanelRow(d, src *[nr]float32) {
+	*(*[4]float32)(d[0:4]) = *(*[4]float32)(src[0:4])
+	*(*[4]float32)(d[4:8]) = *(*[4]float32)(src[4:8])
+	*(*[4]float32)(d[8:12]) = *(*[4]float32)(src[8:12])
+	*(*[4]float32)(d[12:16]) = *(*[4]float32)(src[12:16])
+}
+
 // PackAPanels packs alpha * op(A)[i0:i0+ib, k0:k0+kb] into row panels of
 // mr: panel ip holds rows [ip*mr, ip*mr+mr) stored [kb][mr], zero-padded
-// past ib. The padded lanes make the micro-kernel's FMA body width-
-// independent; alpha is fused here so the kernel never multiplies by it.
+// past ib. The padded lanes make the micro-kernel's body width-
+// independent; alpha is folded in here (one rounded product per
+// element) so the kernel never multiplies by it.
 // With AVX a full no-trans panel is packed eight k at a time (four row
 // loads scaled by alpha, transposed in registers); the k tail and
 // partial panels take the scalar loop, which computes the same products.
@@ -493,11 +499,12 @@ func PackAPanels(pack []float32, transA bool, a []float32, lda int, i0, ib, k0, 
 // packed B panels. Each tile is accumulated from zero over the whole kb
 // extent, then stored once, fusing beta on the first k-block and masking
 // the zero-padded edge lanes. With AVX-512, full four-row tiles over two
-// adjacent B panels run as one 4x16 tile that also stores C; the last
-// odd panel and a partial row tile take the 4x8 walk (AVX kernel, or the
-// generic quarters without AVX). All bodies are bitwise-identical. Each
-// C element's accumulation is a single strict k-order chain, so results
-// do not depend on how rows or columns are chunked across workers.
+// adjacent B panels run as one 4x32 tile that also stores C; the last
+// odd panel and a partial row tile take the 4x16 walk (AVX+FMA kernel,
+// or the generic quarters without FMA). All bodies are bitwise-identical.
+// Each C element's accumulation is a single strict k-order fused chain,
+// so results do not depend on how rows or columns are chunked across
+// workers.
 func KernelBlock(pa, pb []float32, ib, jb, kb int, first bool, beta float32, c []float32, off, ldc int) {
 	jt := 0
 	if useAVX512 {
@@ -515,7 +522,7 @@ func KernelBlock(pa, pb []float32, ib, jb, kb int, first bool, beta float32, c [
 				ap := pa[(it/mr)*(kb*mr) : (it/mr+1)*(kb*mr)]
 				co := off + it*ldc + jt
 				ct := c[co : co+(mr-1)*ldc+2*nr]
-				sgemmTile16AVX512(&ap[0], &bp[0], kb, &ct[0], ldc, mode, beta)
+				sgemmTile32AVX512(&ap[0], &bp[0], kb, &ct[0], ldc, mode, beta)
 			}
 			if it < ib {
 				kernelPanel(pa, bp, it, ib, kb, nr, first, beta, c, off+jt, ldc)
@@ -528,13 +535,13 @@ func KernelBlock(pa, pb []float32, ib, jb, kb int, first bool, beta float32, c [
 	}
 }
 
-// kernelPanel is KernelBlock's 4x8 walk down one B panel (jw live
+// kernelPanel is KernelBlock's 4x16 walk down one B panel (jw live
 // columns at C offset off) over rows [itLo, ib).
 func kernelPanel(pa, bp []float32, itLo, ib, kb, jw int, first bool, beta float32, c []float32, off, ldc int) {
 	var acc [mr * nr]float32
 	for it := itLo; it < ib; it += mr {
 		ap := pa[(it/mr)*(kb*mr):]
-		if useAVX {
+		if useFMA {
 			sgemmTileAVX(&ap[0], &bp[0], kb, &acc)
 		} else {
 			sgemmTileGeneric(ap, bp, kb, &acc)
@@ -590,13 +597,12 @@ func fuseBeta(cv, v float32, first bool, beta float32) float32 {
 	return float32(beta*cv) + v
 }
 
-// sgemmTileGeneric is the pure-Go form of sgemmTileAVX: one mr x nr tile
-// accumulated from zero, computed as 2x4 quarters so the accumulators
-// stay in the gc register allocator's 15 usable XMM registers. Every C
-// element sees the same strict k-order mul-then-add chain as the AVX
-// kernel, so the two paths are bitwise-identical. Go lets a compiler
-// fuse x*y + z (the arm64 backend does); the explicit float32 rounding
-// of each product forbids that.
+// sgemmTileGeneric is the pure-Go form of sgemmTileAVX: one mr x nr
+// tile accumulated from zero, computed as 2x4 quarters so the
+// accumulators stay in the gc register allocator's 15 usable XMM
+// registers. Every C element sees the same strict k-order fused chain as
+// the AVX kernel (fma32 is VFMADD231SS's rounding), so the two paths are
+// bitwise-identical.
 func sgemmTileGeneric(ap, bp []float32, kb int, acc *[mr * nr]float32) {
 	for ro := 0; ro < mr; ro += 2 {
 		for co := 0; co < nr; co += 4 {
@@ -608,15 +614,15 @@ func sgemmTileGeneric(ap, bp []float32, kb int, acc *[mr * nr]float32) {
 				bv := (*[4]float32)(bp[qb:])
 				a0, a1 := av[0], av[1]
 				b0, b1 := bv[0], bv[1]
-				c00 += float32(a0 * b0)
-				c10 += float32(a1 * b0)
-				c01 += float32(a0 * b1)
-				c11 += float32(a1 * b1)
+				c00 = fma32(a0, b0, c00)
+				c10 = fma32(a1, b0, c10)
+				c01 = fma32(a0, b1, c01)
+				c11 = fma32(a1, b1, c11)
 				b2, b3 := bv[2], bv[3]
-				c02 += float32(a0 * b2)
-				c12 += float32(a1 * b2)
-				c03 += float32(a0 * b3)
-				c13 += float32(a1 * b3)
+				c02 = fma32(a0, b2, c02)
+				c12 = fma32(a1, b2, c12)
+				c03 = fma32(a0, b3, c03)
+				c13 = fma32(a1, b3, c13)
 				qa += mr
 				qb += nr
 			}

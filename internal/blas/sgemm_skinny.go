@@ -10,9 +10,13 @@ import "ucudnn/internal/prof"
 // ahead (24 KiB): each B row is then read in runs of that many blocks,
 // long enough for the hardware prefetcher to follow, instead of one
 // 768-byte block per visit.
+//
+// dotRows is how many B rows one transB dot pass takes: eight chains of
+// four lanes, one per row.
 const (
 	skinnyStrip   = 1024
 	skinnyKBlocks = 8
+	dotRows       = 8
 )
 
 // sgemmSkinny computes columns [nLo, nHi) of C = alpha*op(A)*op(B) +
@@ -24,9 +28,9 @@ const (
 // alpha-fused [kb][mr] A blocks PackAPanels builds.
 //
 // Per element it is the contract of KernelBlock: within each kc block
-// the sum starts from zero and takes the products in k order, mul then
-// add; the first block stores beta-fused, later blocks add. The bits are
-// those of the packed path at every worker count.
+// the sum starts from zero and takes the products in k order as one
+// fused chain; the first block stores beta-fused, later blocks add. The
+// bits are those of the packed path at every worker count.
 //
 // The whole walk is reported as PhSgemmKernel: the A pack is a few KiB
 // per block against the B stream.
@@ -45,21 +49,21 @@ func sgemmSkinny(rec bool, transA, transB bool, m, nLo, nHi, k int, alpha float3
 	}
 }
 
-// sgemmSkinnyNT: op(B) column j is row j of B, contiguous in k. nr rows
-// at a time, one 4-lane dot chain (a row of A per lane) per B row.
+// sgemmSkinnyNT: op(B) column j is row j of B, contiguous in k. dotRows
+// rows at a time, one 4-lane dot chain (a row of A per lane) per B row.
 func sgemmSkinnyNT(transA bool, m, nLo, nHi, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
 	var pa [skinnyKBlocks * kc * mr]float32
-	var acc [nr * mr]float32
+	var acc [dotRows * mr]float32
 	for kg := 0; kg < k; kg += skinnyKBlocks * kc {
 		kgEnd := min(k, kg+skinnyKBlocks*kc)
 		for k0 := kg; k0 < kgEnd; k0 += kc {
 			PackAPanels(pa[(k0-kg)*mr:], transA, a, lda, 0, m, k0, min(kc, k-k0), alpha)
 		}
-		for j := nLo; j < nHi; j += nr {
-			jw := min(nr, nHi-j)
+		for j := nLo; j < nHi; j += dotRows {
+			jw := min(dotRows, nHi-j)
 			for k0 := kg; k0 < kgEnd; k0 += kc {
 				kb := min(kc, k-k0)
-				if useAVX && jw == nr {
+				if useFMA && jw == dotRows {
 					sgemmDotAVX(&pa[(k0-kg)*mr], &b[j*ldb+k0], ldb, kb, &acc)
 				} else {
 					sgemmDotGeneric(pa[(k0-kg)*mr:], b[j*ldb+k0:], ldb, jw, kb, &acc)
@@ -89,7 +93,7 @@ func sgemmSkinnyNN(transA bool, m, nLo, nHi, k int, alpha float32, a []float32, 
 				clear(acc[i*skinnyStrip : i*skinnyStrip+jb])
 			}
 			j8 := 0
-			if useAVX && jb >= 8 {
+			if useFMA && jb >= 8 {
 				j8 = jb &^ 7
 				sgemmAxpyAVX(&pa[0], &b[k0*ldb+j0], ldb, kb, j8/8, &acc)
 			}
@@ -107,27 +111,28 @@ func sgemmSkinnyNN(transA bool, m, nLo, nHi, k int, alpha float32, a []float32, 
 	}
 }
 
-// sgemmDotGeneric is the pure-Go form of sgemmDotAVX for jw <= nr rows
-// of B (row stride ldb): acc[r*mr+i] = sum_p pa[p*mr+i] * b[r*ldb+p],
-// each sum from zero in p order, mul then add — bitwise the AVX kernel.
-func sgemmDotGeneric(pa, b []float32, ldb, jw, kb int, acc *[nr * mr]float32) {
+// sgemmDotGeneric is the pure-Go form of sgemmDotAVX for jw <= dotRows
+// rows of B (row stride ldb): acc[r*mr+i] = sum_p pa[p*mr+i] * b[r*ldb+p],
+// each sum a fused chain from zero in p order — bitwise the AVX kernel.
+func sgemmDotGeneric(pa, b []float32, ldb, jw, kb int, acc *[dotRows * mr]float32) {
 	for r := 0; r < jw; r++ {
 		row := b[r*ldb : r*ldb+kb]
 		var c0, c1, c2, c3 float32
 		for p, bv := range row {
 			av := (*[mr]float32)(pa[p*mr:])
-			c0 += float32(av[0] * bv)
-			c1 += float32(av[1] * bv)
-			c2 += float32(av[2] * bv)
-			c3 += float32(av[3] * bv)
+			c0 = fma32(av[0], bv, c0)
+			c1 = fma32(av[1], bv, c1)
+			c2 = fma32(av[2], bv, c2)
+			c3 = fma32(av[3], bv, c3)
 		}
 		acc[r*mr], acc[r*mr+1], acc[r*mr+2], acc[r*mr+3] = c0, c1, c2, c3
 	}
 }
 
 // sgemmAxpyGeneric is the pure-Go form of sgemmAxpyAVX over columns
-// [jLo, jHi) of the strip: acc[i*skinnyStrip+j] += pa[p*mr+i] * b[p*ldb+j]
-// for p in order, mul then add — bitwise the AVX kernel.
+// [jLo, jHi) of the strip: acc[i*skinnyStrip+j] = fma(pa[p*mr+i],
+// b[p*ldb+j], acc[i*skinnyStrip+j]) for p in order — bitwise the AVX
+// kernel.
 func sgemmAxpyGeneric(pa, b []float32, ldb, kb, jLo, jHi int, acc *[mr * skinnyStrip]float32) {
 	r0 := acc[jLo:jHi]
 	r1 := acc[skinnyStrip+jLo : skinnyStrip+jHi]
@@ -138,10 +143,10 @@ func sgemmAxpyGeneric(pa, b []float32, ldb, kb, jLo, jHi int, acc *[mr * skinnyS
 		a0, a1, a2, a3 := av[0], av[1], av[2], av[3]
 		row := b[p*ldb+jLo : p*ldb+jHi]
 		for j, bv := range row {
-			r0[j] += float32(a0 * bv)
-			r1[j] += float32(a1 * bv)
-			r2[j] += float32(a2 * bv)
-			r3[j] += float32(a3 * bv)
+			r0[j] = fma32(a0, bv, r0[j])
+			r1[j] = fma32(a1, bv, r1[j])
+			r2[j] = fma32(a2, bv, r2[j])
+			r3[j] = fma32(a3, bv, r3[j])
 		}
 	}
 }

@@ -2,20 +2,20 @@
 
 package blas
 
-// sgemmTileAVX is the AVX form of sgemmTileGeneric: one 4x8 C tile
-// accumulated in YMM registers, bitwise-identical to the generic tile
+// sgemmTileAVX is the AVX+FMA form of sgemmTileGeneric: one 4x16 C tile
+// accumulated in eight YMM chains, bitwise-identical to the generic tile
 // (see sgemm_tile_amd64.s).
 //
 //go:noescape
 func sgemmTileAVX(pa, pb *float32, kb int, acc *[mr * nr]float32)
 
-// sgemmTile16AVX512 is the 4x16 AVX-512 tile over two adjacent packed B
+// sgemmTile32AVX512 is the 4x32 AVX-512 tile over two adjacent packed B
 // panels (pb and pb + kb*nr): the same per-element chains as two
 // sgemmTileAVX calls, then stored into the four C rows at c (row stride
 // ldc floats) in the given store form (tileStore, tileAdd, tileScale).
 //
 //go:noescape
-func sgemmTile16AVX512(pa, pb *float32, kb int, c *float32, ldc, mode int, beta float32)
+func sgemmTile32AVX512(pa, pb *float32, kb int, c *float32, ldc, mode int, beta float32)
 
 // packA4x8AVX packs kb8 groups of eight k of one full A row panel: rows
 // a, a+lda, a+2*lda, a+3*lda (contiguous in k), scaled by alpha, into
@@ -25,11 +25,11 @@ func sgemmTile16AVX512(pa, pb *float32, kb int, c *float32, ldc, mode int, beta 
 //go:noescape
 func packA4x8AVX(dst, a *float32, lda, kb8 int, alpha float32)
 
-// sgemmDotAVX and sgemmAxpyAVX are the AVX forms of sgemmDotGeneric and
-// sgemmAxpyGeneric, the skinny path's in-place-B kernels.
+// sgemmDotAVX and sgemmAxpyAVX are the AVX+FMA forms of sgemmDotGeneric
+// and sgemmAxpyGeneric, the skinny path's in-place-B kernels.
 //
 //go:noescape
-func sgemmDotAVX(pa, b *float32, ldb, kb int, acc *[nr * mr]float32)
+func sgemmDotAVX(pa, b *float32, ldb, kb int, acc *[dotRows * mr]float32)
 
 //go:noescape
 func sgemmAxpyAVX(pa, b *float32, ldb, kb, n8 int, acc *[mr * skinnyStrip]float32)
@@ -54,10 +54,20 @@ var useAVX = func() bool {
 	return eax&6 == 6 // XMM and YMM state managed by the OS
 }()
 
-// useAVX512 reports whether the AVX-512F tile runs: AVX as above, the
+// useFMA reports whether the fused SGEMM bodies run: AVX as above plus
+// the FMA3 feature bit. Without it the SGEMM takes the Go twins, which
+// compute the same fused chains in software; the AVX A packer (no add)
+// still runs. Decided once at init, like useAVX.
+var useFMA = useAVX && func() bool {
+	_, _, ecx, _ := cpuidLow(1, 0)
+	const fma = 1 << 12
+	return ecx&fma != 0
+}()
+
+// useAVX512 reports whether the AVX-512F tile runs: FMA as above, the
 // leaf-7 AVX512F bit, and the OS managing the opmask and both halves of
 // the ZMM state. Decided once at init, like useAVX.
-var useAVX512 = useAVX && func() bool {
+var useAVX512 = useFMA && func() bool {
 	if maxLeaf, _, _, _ := cpuidLow(0, 0); maxLeaf < 7 {
 		return false
 	}
@@ -72,5 +82,6 @@ var useAVX512 = useAVX && func() bool {
 }()
 
 // HasAVX reports whether the AVX kernels run on this machine, for the
-// packages that carry AVX kernels of their own.
+// packages that carry AVX kernels of their own. It says nothing about
+// FMA: those kernels multiply, round, then add.
 func HasAVX() bool { return useAVX }

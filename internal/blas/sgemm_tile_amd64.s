@@ -1,18 +1,38 @@
-// AVX micro-kernel for the packed SGEMM tile walk. Lanes vectorize
-// across the nr C columns while every C element keeps the exact
-// mul-then-add k-order chain of the pure-Go tile (VMULPS + VADDPS, never
-// FMA — fusing would skip the intermediate rounding and change bits), so
-// the asm and generic paths produce bitwise-identical results.
+// AVX micro-kernels for the packed SGEMM tile walk. Lanes vectorize
+// across the C columns while every C element keeps the fused k-order
+// chain of the pure-Go tile: s = fma(a_p, b_p, s) from +0, one
+// VFMADD231PS per step, which rounds a*b+s once. fma32 is that rounding
+// in Go, so the asm and generic paths produce bitwise-identical results.
 
 #include "go_asm.h"
 #include "textflag.h"
 
-// func sgemmTileAVX(pa, pb *float32, kb int, acc *[32]float32)
+// STEP16 is one k step of sgemmTileAVX: the 16-wide B row at boff(DI)
+// in Y8 (columns 0-7) and Y9 (8-15), the four A values at aoff(SI)
+// broadcast in Y10-Y13. Row i's two halves chain in Y(2i) and Y(2i+1).
+#define STEP16(aoff, boff) \
+	VMOVUPS      boff(DI), Y8          \
+	VMOVUPS      (boff+32)(DI), Y9     \
+	VBROADCASTSS aoff(SI), Y10         \
+	VBROADCASTSS (aoff+4)(SI), Y11     \
+	VBROADCASTSS (aoff+8)(SI), Y12     \
+	VBROADCASTSS (aoff+12)(SI), Y13    \
+	VFMADD231PS  Y8, Y10, Y0           \
+	VFMADD231PS  Y9, Y10, Y1           \
+	VFMADD231PS  Y8, Y11, Y2           \
+	VFMADD231PS  Y9, Y11, Y3           \
+	VFMADD231PS  Y8, Y12, Y4           \
+	VFMADD231PS  Y9, Y12, Y5           \
+	VFMADD231PS  Y8, Y13, Y6           \
+	VFMADD231PS  Y9, Y13, Y7
+
+// func sgemmTileAVX(pa, pb *float32, kb int, acc *[64]float32)
 //
-// Computes acc[i][j] = sum_p pa[p*4+i] * pb[p*8+j] for one 4x8 tile:
+// Computes acc[i][j] = sum_p pa[p*4+i] * pb[p*16+j] for one 4x16 tile:
 // pa is one packed A row-panel ([kb][4], alpha fused), pb one packed B
-// column-panel ([kb][8]). Rows live in Y0-Y3 across the whole k extent;
-// the k loop is unrolled by two.
+// column-panel ([kb][16]). Eight YMM chains live across the whole k
+// extent, enough to keep both FMA ports busy; the k loop is unrolled by
+// two.
 TEXT ·sgemmTileAVX(SB), NOSPLIT, $0-32
 	MOVQ pa+0(FP), SI
 	MOVQ pb+8(FP), DI
@@ -22,88 +42,68 @@ TEXT ·sgemmTileAVX(SB), NOSPLIT, $0-32
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
 	VXORPS Y3, Y3, Y3
+	VXORPS Y4, Y4, Y4
+	VXORPS Y5, Y5, Y5
+	VXORPS Y6, Y6, Y6
+	VXORPS Y7, Y7, Y7
 	SUBQ $2, CX
 	JL   tail
 
 pair:
-	VMOVUPS      (DI), Y12
-	VMOVUPS      32(DI), Y13
-	VBROADCASTSS (SI), Y14
-	VBROADCASTSS 4(SI), Y15
-	VMULPS       Y12, Y14, Y14
-	VADDPS       Y14, Y0, Y0
-	VMULPS       Y12, Y15, Y15
-	VADDPS       Y15, Y1, Y1
-	VBROADCASTSS 8(SI), Y14
-	VBROADCASTSS 12(SI), Y15
-	VMULPS       Y12, Y14, Y14
-	VADDPS       Y14, Y2, Y2
-	VMULPS       Y12, Y15, Y15
-	VADDPS       Y15, Y3, Y3
-	VBROADCASTSS 16(SI), Y14
-	VBROADCASTSS 20(SI), Y15
-	VMULPS       Y13, Y14, Y14
-	VADDPS       Y14, Y0, Y0
-	VMULPS       Y13, Y15, Y15
-	VADDPS       Y15, Y1, Y1
-	VBROADCASTSS 24(SI), Y14
-	VBROADCASTSS 28(SI), Y15
-	VMULPS       Y13, Y14, Y14
-	VADDPS       Y14, Y2, Y2
-	VMULPS       Y13, Y15, Y15
-	VADDPS       Y15, Y3, Y3
+	STEP16(0, 0)
+	STEP16(16, 64)
 	ADDQ $32, SI
-	ADDQ $64, DI
+	ADDQ $128, DI
 	SUBQ $2, CX
 	JGE  pair
 
 tail:
 	ADDQ $2, CX
 	JZ   done
-	VMOVUPS      (DI), Y12
-	VBROADCASTSS (SI), Y14
-	VBROADCASTSS 4(SI), Y15
-	VMULPS       Y12, Y14, Y14
-	VADDPS       Y14, Y0, Y0
-	VMULPS       Y12, Y15, Y15
-	VADDPS       Y15, Y1, Y1
-	VBROADCASTSS 8(SI), Y14
-	VBROADCASTSS 12(SI), Y15
-	VMULPS       Y12, Y14, Y14
-	VADDPS       Y14, Y2, Y2
-	VMULPS       Y12, Y15, Y15
-	VADDPS       Y15, Y3, Y3
+	STEP16(0, 0)
 
 done:
 	VMOVUPS Y0, (DX)
 	VMOVUPS Y1, 32(DX)
 	VMOVUPS Y2, 64(DX)
 	VMOVUPS Y3, 96(DX)
+	VMOVUPS Y4, 128(DX)
+	VMOVUPS Y5, 160(DX)
+	VMOVUPS Y6, 192(DX)
+	VMOVUPS Y7, 224(DX)
 	VZEROUPPER
 	RET
 
-// STEP16 is one k step of sgemmTile16AVX512: brow is the 16-wide B row
-// (the two panels' rows of this k side by side), aoff the byte offset of
-// this k's four A values. Row i's product goes into Z0+i, acc first.
-#define STEP16(brow, aoff) \
-	VMULPS.BCST aoff(SI), brow, Z6     \
-	VMULPS.BCST (aoff+4)(SI), brow, Z7 \
-	VMULPS.BCST (aoff+8)(SI), brow, Z8 \
-	VMULPS.BCST (aoff+12)(SI), brow, Z9 \
-	VADDPS      Z6, Z0, Z0             \
-	VADDPS      Z7, Z1, Z1             \
-	VADDPS      Z8, Z2, Z2             \
-	VADDPS      Z9, Z3, Z3
+// STEP32 is one k step of sgemmTile32AVX512: the two panels' 16-wide B
+// rows of this k (boff(DI) and boff(DI)(R8*1)) in b0 and b1, the four A
+// values at aoff(SI) broadcast in a0-a3. Row i chains in Z(2i) (columns
+// 0-15) and Z(2i+1) (16-31): eight independent FMA chains.
+#define STEP32(aoff, boff, b0, b1, a0, a1, a2, a3) \
+	VMOVUPS      boff(DI), b0          \
+	VMOVUPS      boff(DI)(R8*1), b1    \
+	VBROADCASTSS aoff(SI), a0          \
+	VBROADCASTSS (aoff+4)(SI), a1      \
+	VBROADCASTSS (aoff+8)(SI), a2      \
+	VBROADCASTSS (aoff+12)(SI), a3     \
+	VFMADD231PS  b0, a0, Z0            \
+	VFMADD231PS  b1, a0, Z1            \
+	VFMADD231PS  b0, a1, Z2            \
+	VFMADD231PS  b1, a1, Z3            \
+	VFMADD231PS  b0, a2, Z4            \
+	VFMADD231PS  b1, a2, Z5            \
+	VFMADD231PS  b0, a3, Z6            \
+	VFMADD231PS  b1, a3, Z7
 
-// func sgemmTile16AVX512(pa, pb *float32, kb int, c *float32, ldc, mode int, beta float32)
+// func sgemmTile32AVX512(pa, pb *float32, kb int, c *float32, ldc, mode int, beta float32)
 //
-// Computes s[i][j] = sum_p pa[p*4+i] * B[p][j] for one 4x16 tile, where
-// B[p][0:8] = pb[p*8:] and B[p][8:16] = pb[kb*8+p*8:] (two adjacent
-// packed B panels), then stores row i into c[i*ldc:i*ldc+16] as s
-// (tileStore), c + s (tileAdd) or beta*c + s (tileScale). Rows live in
-// Z0-Z3 across the whole k extent; the k loop is unrolled by two. Each
-// lane's chain is the one sgemmTileAVX computes for that column.
-TEXT ·sgemmTile16AVX512(SB), NOSPLIT, $0-52
+// Computes s[i][j] = sum_p pa[p*4+i] * B[p][j] for one 4x32 tile, where
+// B[p][0:16] = pb[p*16:] and B[p][16:32] = pb[kb*16+p*16:] (two adjacent
+// packed B panels, each row one contiguous ZMM load), then stores row i
+// into c[i*ldc:i*ldc+32] as s (tileStore), c + s (tileAdd) or beta*c + s
+// (tileScale). Rows live in Z0-Z7 across the whole k extent; the k loop
+// is unrolled by two. Each lane's chain is the one sgemmTileAVX computes
+// for that column.
+TEXT ·sgemmTile32AVX512(SB), NOSPLIT, $0-52
 	MOVQ pa+0(FP), SI
 	MOVQ pb+8(FP), DI
 	MOVQ kb+16(FP), CX
@@ -111,76 +111,96 @@ TEXT ·sgemmTile16AVX512(SB), NOSPLIT, $0-52
 	MOVQ ldc+32(FP), R9
 	MOVQ mode+40(FP), R10
 	MOVQ CX, R8
-	SHLQ $5, R8 // second panel: kb*8 floats on
+	SHLQ $6, R8 // second panel: kb*16 floats on
 	SHLQ $2, R9
 	VPXORD Z0, Z0, Z0
 	VPXORD Z1, Z1, Z1
 	VPXORD Z2, Z2, Z2
 	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
 	SUBQ $2, CX
-	JL   tail16
+	JL   tail32
 
-pair16:
-	VMOVUPS      (DI), Y4
-	VINSERTF64X4 $1, (DI)(R8*1), Z4, Z4
-	VMOVUPS      32(DI), Y5
-	VINSERTF64X4 $1, 32(DI)(R8*1), Z5, Z5
-	STEP16(Z4, 0)
-	STEP16(Z5, 16)
+pair32:
+	STEP32(0, 0, Z8, Z9, Z10, Z11, Z12, Z13)
+	STEP32(16, 64, Z14, Z15, Z16, Z17, Z18, Z19)
 	ADDQ $32, SI
-	ADDQ $64, DI
+	ADDQ $128, DI
 	SUBQ $2, CX
-	JGE  pair16
+	JGE  pair32
 
-tail16:
+tail32:
 	ADDQ $2, CX
-	JZ   store16
-	VMOVUPS      (DI), Y4
-	VINSERTF64X4 $1, (DI)(R8*1), Z4, Z4
-	STEP16(Z4, 0)
+	JZ   store32
+	STEP32(0, 0, Z8, Z9, Z10, Z11, Z12, Z13)
 
-store16:
+store32:
 	LEAQ (DX)(R9*2), R11 // row 2
 	CMPQ R10, $const_tileAdd
-	JEQ  add16
-	JGT  scale16
+	JEQ  add32
+	JGT  scale32
 	VMOVUPS Z0, (DX)
-	VMOVUPS Z1, (DX)(R9*1)
-	VMOVUPS Z2, (R11)
-	VMOVUPS Z3, (R11)(R9*1)
+	VMOVUPS Z1, 64(DX)
+	VMOVUPS Z2, (DX)(R9*1)
+	VMOVUPS Z3, 64(DX)(R9*1)
+	VMOVUPS Z4, (R11)
+	VMOVUPS Z5, 64(R11)
+	VMOVUPS Z6, (R11)(R9*1)
+	VMOVUPS Z7, 64(R11)(R9*1)
 	VZEROUPPER
 	RET
 
-add16:
-	VMOVUPS (DX), Z4
-	VMOVUPS (DX)(R9*1), Z5
-	VMOVUPS (R11), Z6
-	VMOVUPS (R11)(R9*1), Z7
-	VADDPS  Z0, Z4, Z4
-	VADDPS  Z1, Z5, Z5
-	VADDPS  Z2, Z6, Z6
-	VADDPS  Z3, Z7, Z7
-	VMOVUPS Z4, (DX)
-	VMOVUPS Z5, (DX)(R9*1)
-	VMOVUPS Z6, (R11)
-	VMOVUPS Z7, (R11)(R9*1)
+add32:
+	VADDPS  (DX), Z0, Z0
+	VADDPS  64(DX), Z1, Z1
+	VADDPS  (DX)(R9*1), Z2, Z2
+	VADDPS  64(DX)(R9*1), Z3, Z3
+	VADDPS  (R11), Z4, Z4
+	VADDPS  64(R11), Z5, Z5
+	VADDPS  (R11)(R9*1), Z6, Z6
+	VADDPS  64(R11)(R9*1), Z7, Z7
+	VMOVUPS Z0, (DX)
+	VMOVUPS Z1, 64(DX)
+	VMOVUPS Z2, (DX)(R9*1)
+	VMOVUPS Z3, 64(DX)(R9*1)
+	VMOVUPS Z4, (R11)
+	VMOVUPS Z5, 64(R11)
+	VMOVUPS Z6, (R11)(R9*1)
+	VMOVUPS Z7, 64(R11)(R9*1)
 	VZEROUPPER
 	RET
 
-scale16:
+// The beta store rounds beta*c first, then adds: fuseBeta's form, not a
+// fused one.
+scale32:
 	VBROADCASTSS beta+48(FP), Z8
-	VMULPS       (DX), Z8, Z4
-	VMULPS       (DX)(R9*1), Z8, Z5
-	VMULPS       (R11), Z8, Z6
-	VMULPS       (R11)(R9*1), Z8, Z7
-	VADDPS       Z0, Z4, Z4
-	VADDPS       Z1, Z5, Z5
-	VADDPS       Z2, Z6, Z6
-	VADDPS       Z3, Z7, Z7
-	VMOVUPS      Z4, (DX)
-	VMOVUPS      Z5, (DX)(R9*1)
-	VMOVUPS      Z6, (R11)
-	VMOVUPS      Z7, (R11)(R9*1)
+	VMULPS       (DX), Z8, Z9
+	VMULPS       64(DX), Z8, Z10
+	VMULPS       (DX)(R9*1), Z8, Z11
+	VMULPS       64(DX)(R9*1), Z8, Z12
+	VMULPS       (R11), Z8, Z13
+	VMULPS       64(R11), Z8, Z14
+	VMULPS       (R11)(R9*1), Z8, Z15
+	VMULPS       64(R11)(R9*1), Z8, Z16
+	VADDPS       Z0, Z9, Z9
+	VADDPS       Z1, Z10, Z10
+	VADDPS       Z2, Z11, Z11
+	VADDPS       Z3, Z12, Z12
+	VADDPS       Z4, Z13, Z13
+	VADDPS       Z5, Z14, Z14
+	VADDPS       Z6, Z15, Z15
+	VADDPS       Z7, Z16, Z16
+	VMOVUPS      Z9, (DX)
+	VMOVUPS      Z10, 64(DX)
+	VMOVUPS      Z11, (DX)(R9*1)
+	VMOVUPS      Z12, 64(DX)(R9*1)
+	VMOVUPS      Z13, (R11)
+	VMOVUPS      Z14, 64(R11)
+	VMOVUPS      Z15, (R11)(R9*1)
+	VMOVUPS      Z16, 64(R11)(R9*1)
 	VZEROUPPER
 	RET
 
@@ -229,8 +249,8 @@ pack8:
 	RET
 
 // The two skinny kernels (m <= mr: B is streamed in place, see
-// sgemm_skinny.go). Same arithmetic contract as the tile above: every C
-// element is one k-order chain of VMULPS then VADDPS from zero.
+// sgemm_skinny.go). Same arithmetic contract as the tiles above: every C
+// element is one k-order chain of VFMADD231PS from zero.
 
 // DOTSTEP is one k step of sgemmDotAVX at byte offset off into the eight
 // B rows: X8 = the four alpha-fused A values of this k, broadcast B
@@ -241,26 +261,18 @@ pack8:
 	VBROADCASTSS off(DI)(R8*1), X10    \
 	VBROADCASTSS off(DI)(R8*2), X11    \
 	VBROADCASTSS off(R9), X12          \
-	VMULPS       X9, X8, X9            \
-	VMULPS       X10, X8, X10          \
-	VMULPS       X11, X8, X11          \
-	VMULPS       X12, X8, X12          \
-	VADDPS       X9, X0, X0            \
-	VADDPS       X10, X1, X1           \
-	VADDPS       X11, X2, X2           \
-	VADDPS       X12, X3, X3           \
+	VFMADD231PS  X9, X8, X0            \
+	VFMADD231PS  X10, X8, X1           \
+	VFMADD231PS  X11, X8, X2           \
+	VFMADD231PS  X12, X8, X3           \
 	VBROADCASTSS off(R9)(R8*1), X9     \
 	VBROADCASTSS off(R9)(R8*2), X10    \
 	VBROADCASTSS off(R10), X11         \
 	VBROADCASTSS off(R10)(R8*1), X12   \
-	VMULPS       X9, X8, X9            \
-	VMULPS       X10, X8, X10          \
-	VMULPS       X11, X8, X11          \
-	VMULPS       X12, X8, X12          \
-	VADDPS       X9, X4, X4            \
-	VADDPS       X10, X5, X5           \
-	VADDPS       X11, X6, X6           \
-	VADDPS       X12, X7, X7
+	VFMADD231PS  X9, X8, X4            \
+	VFMADD231PS  X10, X8, X5           \
+	VFMADD231PS  X11, X8, X6           \
+	VFMADD231PS  X12, X8, X7
 
 // func sgemmDotAVX(pa, b *float32, ldb, kb int, acc *[32]float32)
 //
@@ -329,16 +341,15 @@ dotdone:
 // accumulator row: Y4/Y5 hold the B rows of k and k+1, a0/a1 the row's
 // broadcast A values for them. k before k+1 — the chain order.
 #define AXPYROW(accaddr, a0, a1) \
-	VMULPS  Y4, a0, Y6       \
-	VMULPS  Y5, a1, Y7       \
-	VADDPS  accaddr, Y6, Y6  \
-	VADDPS  Y7, Y6, Y6       \
-	VMOVUPS Y6, accaddr
+	VMOVUPS     accaddr, Y6 \
+	VFMADD231PS Y4, a0, Y6  \
+	VFMADD231PS Y5, a1, Y6  \
+	VMOVUPS     Y6, accaddr
 
 #define AXPYROW1(accaddr, a0) \
-	VMULPS  Y4, a0, Y6       \
-	VADDPS  accaddr, Y6, Y6  \
-	VMOVUPS Y6, accaddr
+	VMOVUPS     accaddr, Y6 \
+	VFMADD231PS Y4, a0, Y6  \
+	VMOVUPS     Y6, accaddr
 
 // func sgemmAxpyAVX(pa, b *float32, ldb, kb, n8 int, acc *[4*skinnyStrip]float32)
 //

@@ -8,12 +8,13 @@ import (
 )
 
 // tileBody is one tile walk the package switches can force: the AVX-512
-// 4x16 tile (over the AVX 4x8 one for odd panels and partial rows), the
-// AVX 4x8 tile with the AVX skinny kernels and A packer, or the Go twins
-// every other architecture runs.
+// 4x32 tile (over the FMA 4x16 one for odd panels and partial rows), the
+// FMA 4x16 tile with the FMA skinny kernels, the Go twins with the AVX A
+// packer (an AVX host without FMA), or the Go twins alone, which every
+// other architecture runs.
 type tileBody struct {
-	name        string
-	avx, avx512 bool
+	name             string
+	avx, fma, avx512 bool
 }
 
 // hostTileBodies lists the bodies this host can run, the Go twins first;
@@ -21,35 +22,45 @@ type tileBody struct {
 func hostTileBodies(t *testing.T) []tileBody {
 	bodies := []tileBody{{name: "go"}}
 	if useAVX {
-		bodies = append(bodies, tileBody{name: "avx", avx: true})
+		bodies = append(bodies, tileBody{name: "avx-nofma", avx: true})
 	} else {
 		t.Log("no AVX: the AVX bodies are not compared")
 	}
-	if useAVX512 {
-		bodies = append(bodies, tileBody{name: "avx512", avx: true, avx512: true})
+	if useFMA {
+		bodies = append(bodies, tileBody{name: "fma", avx: true, fma: true})
 	} else {
-		t.Log("no AVX-512: the 4x16 body is not compared")
+		t.Log("no FMA: the fused AVX bodies are not compared")
+	}
+	if useAVX512 {
+		bodies = append(bodies, tileBody{name: "avx512", avx: true, fma: true, avx512: true})
+	} else {
+		t.Log("no AVX-512: the 4x32 body is not compared")
 	}
 	return bodies
 }
 
 // with runs f with the body's switches set, restoring the host's after.
 func (b tileBody) with(f func()) {
-	avx, avx512 := useAVX, useAVX512
-	useAVX, useAVX512 = b.avx, b.avx512
-	defer func() { useAVX, useAVX512 = avx, avx512 }()
+	avx, fma, avx512 := useAVX, useFMA, useAVX512
+	useAVX, useFMA, useAVX512 = b.avx, b.fma, b.avx512
+	defer func() { useAVX, useFMA, useAVX512 = avx, fma, avx512 }()
 	f()
 }
 
-// TestTileKernelsMatchGoTwins: every body the host has against the Go
-// twins over the whole shape matrix — row panels (m > mr) and the
-// in-place skinny kernels (m <= mr) alike.
+// TestTileKernelsMatchGoTwins: every fused body the host has against the
+// Go twins over the whole shape matrix — row panels (m > mr) and the
+// in-place skinny kernels (m <= mr) alike. The no-FMA AVX body runs the
+// Go twins too and differs only in its A packer, which
+// TestPackAPanelsVectorMatchesScalar compares directly.
 func TestTileKernelsMatchGoTwins(t *testing.T) {
 	bodies := hostTileBodies(t)
 	forEachShape(t, func(name string, sc shapeCase, alpha, beta float32) {
 		var want []float32
 		bodies[0].with(func() { want = sc.run(1, alpha, beta) })
 		for _, b := range bodies[1:] {
+			if !b.fma {
+				continue
+			}
 			var got []float32
 			b.with(func() { got = sc.run(1, alpha, beta) })
 			if i := sameBits(got, want); i >= 0 {
@@ -85,14 +96,14 @@ func salt(rng *rand.Rand, s []float32) {
 }
 
 // refKernelBlock is KernelBlock's contract written out element by
-// element: per C element, a sum from zero over the packed panels in
-// ascending p, each product rounded, then stored by fuseBeta.
+// element: per C element, a fused chain from zero over the packed panels
+// in ascending p, then stored by fuseBeta.
 func refKernelBlock(pa, pb []float32, ib, jb, kb int, first bool, beta float32, c []float32, off, ldc int) {
 	for i := 0; i < ib; i++ {
 		for j := 0; j < jb; j++ {
 			var s float32
 			for p := 0; p < kb; p++ {
-				s += float32(pa[(i/mr)*(kb*mr)+p*mr+i%mr] * pb[(j/nr)*(kb*nr)+p*nr+j%nr])
+				s = fma32(pa[(i/mr)*(kb*mr)+p*mr+i%mr], pb[(j/nr)*(kb*nr)+p*nr+j%nr], s)
 			}
 			c[off+i*ldc+j] = fuseBeta(c[off+i*ldc+j], s, first, beta)
 		}
@@ -100,16 +111,18 @@ func refKernelBlock(pa, pb []float32, ib, jb, kb int, first bool, beta float32, 
 }
 
 // TestKernelBlockBodies drives KernelBlock directly over tile-edge
-// shapes — columns around one and two nr panels, rows around mr, one,
-// two, three and a full kc of k — in all three store forms, with special
-// values in A, B and C and C rows narrower than ldc. Everything outside
-// the block holds a sentinel, so a store past a row end or outside the
-// block shows as a difference from the reference.
+// shapes — columns around one, two and three nr panels (the 4x32 tile's
+// width ±1 panel, and the odd-panel and partial-panel fallbacks), rows
+// around mr, one, two, three and a full kc of k — in all three store
+// forms, with special values in A, B and C and C rows narrower than ldc,
+// every body forced on in turn. Everything outside the block holds a
+// sentinel, so a store past a row end or outside the block shows as a
+// difference from the reference.
 func TestKernelBlockBodies(t *testing.T) {
 	bodies := hostTileBodies(t)
 	sentinel := math.Float32frombits(0x7FA5A5A5)
 	const off = 3
-	for _, jb := range []int{1, 7, 8, 9, 15, 16, 17, 24, 160} {
+	for _, jb := range []int{1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 47, 48, 49, 64, 160} {
 		for _, ib := range []int{1, 3, 4, 5, 64} {
 			for _, kb := range []int{1, 2, 3, 192} {
 				rng := rand.New(rand.NewSource(int64(jb*10000 + ib*1000 + kb)))

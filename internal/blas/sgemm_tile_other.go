@@ -4,6 +4,7 @@ package blas
 
 const (
 	useAVX    = false
+	useFMA    = false
 	useAVX512 = false
 )
 
@@ -14,15 +15,15 @@ func sgemmTileAVX(pa, pb *float32, kb int, acc *[mr * nr]float32) {
 	panic("blas: sgemmTileAVX without amd64")
 }
 
-func sgemmTile16AVX512(pa, pb *float32, kb int, c *float32, ldc, mode int, beta float32) {
-	panic("blas: sgemmTile16AVX512 without amd64")
+func sgemmTile32AVX512(pa, pb *float32, kb int, c *float32, ldc, mode int, beta float32) {
+	panic("blas: sgemmTile32AVX512 without amd64")
 }
 
 func packA4x8AVX(dst, a *float32, lda, kb8 int, alpha float32) {
 	panic("blas: packA4x8AVX without amd64")
 }
 
-func sgemmDotAVX(pa, b *float32, ldb, kb int, acc *[nr * mr]float32) {
+func sgemmDotAVX(pa, b *float32, ldb, kb int, acc *[dotRows * mr]float32) {
 	panic("blas: sgemmDotAVX without amd64")
 }
 

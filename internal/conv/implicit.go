@@ -299,13 +299,7 @@ func (g implicitCtx) packB(pack []float32, n, k0, kb, j0, jb int) {
 func storeRow(pack, line []float32, p, kb, jb int) {
 	clear(line[jb : ceilDiv(jb, blas.NR)*blas.NR])
 	for jt := 0; jt < jb; jt += blas.NR {
-		// Element-wise like blas's PackBPanels: an array assignment would
-		// call memmove.
-		d := (*[blas.NR]float32)(pack[(jt/blas.NR)*(kb*blas.NR)+p*blas.NR:])
-		src := (*[blas.NR]float32)(line[jt:])
-		for j := range d {
-			d[j] = src[j]
-		}
+		blas.CopyPanelRow((*[blas.NR]float32)(pack[(jt/blas.NR)*(kb*blas.NR)+p*blas.NR:]), (*[blas.NR]float32)(line[jt:]))
 	}
 }
 
