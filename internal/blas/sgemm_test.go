@@ -177,6 +177,20 @@ func TestSgemmPackedAMatchesSgemm(t *testing.T) {
 				}
 			}
 		}
+		// Two row ranges split on an MR boundary, run one at a time: the
+		// upper leaves the lower rows alone, and together they give the
+		// same bits.
+		mid := (tc.m / 2) &^ (mr - 1)
+		copy(c1, c2)
+		SgemmPackedARows(mid, tc.m, pa, tc.transB, tc.m, tc.n, tc.k, b, ldb, tc.beta, c1, tc.n)
+		if i := sameBits(c1[:mid*tc.n], c2[:mid*tc.n]); i >= 0 {
+			t.Fatalf("%+v: rows [%d, %d) wrote element %d below them", tc, mid, tc.m, i)
+		}
+		SgemmPackedARows(0, mid, pa, tc.transB, tc.m, tc.n, tc.k, b, ldb, tc.beta, c1, tc.n)
+		SgemmPackedA(1, pa, tc.transB, tc.m, tc.n, tc.k, b, ldb, tc.beta, c2, tc.n)
+		if i := sameBits(c1, c2); i >= 0 {
+			t.Fatalf("%+v: row ranges split at %d diverge at %d: %v vs %v", tc, mid, i, c1[i], c2[i])
+		}
 	}
 }
 

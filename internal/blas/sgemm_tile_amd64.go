@@ -25,6 +25,20 @@ func sgemmTile32AVX512(pa, pb *float32, kb int, c *float32, ldc, mode int, beta 
 //go:noescape
 func packA4x8AVX(dst, a *float32, lda, kb8 int, alpha float32)
 
+// packBT8AVX packs kb8 groups of eight k of eight B rows b, b+ldb, ...,
+// b+7*ldb (op(B) = Bᵀ, each row contiguous in k) into the first eight
+// lanes of dst's [8*kb8][nr] panel rows: PackBPanels' transposed copy,
+// an 8x8 block at a time.
+//
+//go:noescape
+func packBT8AVX(dst, b *float32, ldb, kb8 int)
+
+// saxpyAVX is Saxpy's loop over n8 groups of eight: the same rounded
+// product and rounded sum per element (no fused multiply-add).
+//
+//go:noescape
+func saxpyAVX(alpha float32, x, y *float32, n8 int)
+
 // sgemmDotAVX and sgemmAxpyAVX are the AVX+FMA forms of sgemmDotGeneric
 // and sgemmAxpyGeneric, the skinny path's in-place-B kernels.
 //

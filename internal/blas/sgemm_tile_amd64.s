@@ -248,6 +248,93 @@ pack8:
 	VZEROUPPER
 	RET
 
+// func packBT8AVX(dst, b *float32, ldb, kb8 int)
+//
+// Packs kb8 groups of eight k of eight transposed-B rows (b + j*ldb,
+// contiguous in k) into half of a B panel: each 8x8 block is loaded as
+// eight row vectors, transposed in registers, and stored as eight
+// 8-float halves of [nr] panel rows, 512 bytes of dst per group. A pure
+// copy: every float moves unchanged.
+TEXT ·packBT8AVX(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ b+8(FP), SI
+	MOVQ ldb+16(FP), R8
+	MOVQ kb8+24(FP), CX
+	SHLQ $2, R8
+	LEAQ (R8)(R8*2), R9  // 3 rows
+	LEAQ (SI)(R8*4), R10 // row 4
+
+packbt8:
+	VMOVUPS    (SI), Y0
+	VMOVUPS    (SI)(R8*1), Y1
+	VMOVUPS    (SI)(R8*2), Y2
+	VMOVUPS    (SI)(R9*1), Y3
+	VMOVUPS    (R10), Y4
+	VMOVUPS    (R10)(R8*1), Y5
+	VMOVUPS    (R10)(R8*2), Y6
+	VMOVUPS    (R10)(R9*1), Y7
+	VUNPCKLPS  Y1, Y0, Y8  // r0k0 r1k0 r0k1 r1k1 | k4 k5
+	VUNPCKHPS  Y1, Y0, Y9  // r0k2 r1k2 r0k3 r1k3 | k6 k7
+	VUNPCKLPS  Y3, Y2, Y10
+	VUNPCKHPS  Y3, Y2, Y11
+	VUNPCKLPS  Y5, Y4, Y12
+	VUNPCKHPS  Y5, Y4, Y13
+	VUNPCKLPS  Y7, Y6, Y14
+	VUNPCKHPS  Y7, Y6, Y15
+	VSHUFPS    $0x44, Y10, Y8, Y0  // k0 | k4, rows 0-3
+	VSHUFPS    $0xEE, Y10, Y8, Y1  // k1 | k5
+	VSHUFPS    $0x44, Y11, Y9, Y2  // k2 | k6
+	VSHUFPS    $0xEE, Y11, Y9, Y3  // k3 | k7
+	VSHUFPS    $0x44, Y14, Y12, Y4 // k0 | k4, rows 4-7
+	VSHUFPS    $0xEE, Y14, Y12, Y5
+	VSHUFPS    $0x44, Y15, Y13, Y6
+	VSHUFPS    $0xEE, Y15, Y13, Y7
+	VPERM2F128 $0x20, Y4, Y0, Y8   // k0, rows 0-7
+	VPERM2F128 $0x20, Y5, Y1, Y9   // k1
+	VPERM2F128 $0x20, Y6, Y2, Y10  // k2
+	VPERM2F128 $0x20, Y7, Y3, Y11  // k3
+	VPERM2F128 $0x31, Y4, Y0, Y12  // k4
+	VPERM2F128 $0x31, Y5, Y1, Y13  // k5
+	VPERM2F128 $0x31, Y6, Y2, Y14  // k6
+	VPERM2F128 $0x31, Y7, Y3, Y15  // k7
+	VMOVUPS    Y8, (DI)
+	VMOVUPS    Y9, 64(DI)
+	VMOVUPS    Y10, 128(DI)
+	VMOVUPS    Y11, 192(DI)
+	VMOVUPS    Y12, 256(DI)
+	VMOVUPS    Y13, 320(DI)
+	VMOVUPS    Y14, 384(DI)
+	VMOVUPS    Y15, 448(DI)
+	ADDQ       $32, SI
+	ADDQ       $32, R10
+	ADDQ       $512, DI
+	DECQ       CX
+	JNZ        packbt8
+	VZEROUPPER
+	RET
+
+// func saxpyAVX(alpha float32, x, y *float32, n8 int)
+//
+// y += alpha*x over n8 groups of eight: one rounded product, then one
+// rounded sum with y as the first operand, as Saxpy's scalar loop.
+TEXT ·saxpyAVX(SB), NOSPLIT, $0-32
+	VBROADCASTSS alpha+0(FP), Y0
+	MOVQ         x+8(FP), SI
+	MOVQ         y+16(FP), DI
+	MOVQ         n8+24(FP), CX
+
+saxpy8:
+	VMULPS  (SI), Y0, Y1
+	VMOVUPS (DI), Y2
+	VADDPS  Y1, Y2, Y2
+	VMOVUPS Y2, (DI)
+	ADDQ    $32, SI
+	ADDQ    $32, DI
+	DECQ    CX
+	JNZ     saxpy8
+	VZEROUPPER
+	RET
+
 // The two skinny kernels (m <= mr: B is streamed in place, see
 // sgemm_skinny.go). Same arithmetic contract as the tiles above: every C
 // element is one k-order chain of VFMADD231PS from zero.

@@ -205,3 +205,96 @@ func TestPackAPanelsVectorMatchesScalar(t *testing.T) {
 		}
 	}
 }
+
+// TestPackBPanelsTransMatchesNoTrans: the transposed B pack of B equals,
+// bit for bit, the no-trans pack of Bᵀ, with the AVX 8x8 body and the
+// scalar loop alike, over partial panels (jw < nr), k tails, offsets
+// into B in both directions and special values; nothing past the packed
+// panels is written.
+func TestPackBPanelsTransMatchesNoTrans(t *testing.T) {
+	bodies := []tileBody{{name: "go"}}
+	if useAVX {
+		bodies = append(bodies, tileBody{name: "avx", avx: true})
+	} else {
+		t.Log("no AVX: the scalar packer is the only one")
+	}
+	sentinel := math.Float32frombits(0x7FA5A5A5)
+	for _, jb := range []int{1, 7, 15, 16, 17, 33, 160} {
+		for _, kb := range []int{1, 7, 8, 9, 16, 23, 192} {
+			for _, j0 := range []int{0, 3} {
+				for _, k0 := range []int{0, 5} {
+					// B is (n x k) row-major with ldb > k; Bᵀ is (k x n).
+					n, k := j0+jb+2, k0+kb+1
+					ldb := k + 3
+					rng := rand.New(rand.NewSource(int64(jb*1000 + kb*10 + j0 + k0)))
+					b := randSlice(rng, n*ldb)
+					salt(rng, b)
+					bt := make([]float32, k*n)
+					for j := 0; j < n; j++ {
+						for p := 0; p < k; p++ {
+							bt[p*n+j] = b[j*ldb+p]
+						}
+					}
+					panels := (jb + nr - 1) / nr
+					pack := func(body tileBody, trans bool) []float32 {
+						dst := make([]float32, panels*kb*nr+nr)
+						for i := range dst {
+							dst[i] = sentinel
+						}
+						body.with(func() {
+							if trans {
+								PackBPanels(dst, true, b, ldb, k0, kb, j0, jb)
+							} else {
+								PackBPanels(dst, false, bt, n, k0, kb, j0, jb)
+							}
+						})
+						return dst
+					}
+					want := pack(bodies[0], false)
+					for i, v := range want[panels*kb*nr:] {
+						if math.Float32bits(v) != math.Float32bits(sentinel) {
+							t.Fatalf("jb=%d kb=%d: no-trans pack wrote past its length at +%d", jb, kb, i)
+						}
+					}
+					for _, body := range bodies {
+						got := pack(body, true)
+						if e := sameBits(got, want); e >= 0 {
+							t.Fatalf("%s jb=%d kb=%d j0=%d k0=%d: transposed pack differs at %d: %#x, want %#x",
+								body.name, jb, kb, j0, k0, e, math.Float32bits(got[e]), math.Float32bits(want[e]))
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSaxpyVectorMatchesScalar: Saxpy's AVX body (eight elements at a
+// time, the scalar loop for the tail) against the scalar loop alone, bit
+// for bit, over lengths around the vector width, alpha classes and
+// special values.
+func TestSaxpyVectorMatchesScalar(t *testing.T) {
+	if !useAVX {
+		t.Log("no AVX: the scalar loop is the only one")
+		return
+	}
+	rng := rand.New(rand.NewSource(34))
+	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 31, 64, 100} {
+		for _, alpha := range []float32{1, 0.75, -2, denormal} {
+			x, y := randSlice(rng, n), randSlice(rng, n)
+			if n > 0 {
+				salt(rng, x)
+				salt(rng, y)
+			}
+			run := func(vector bool) []float32 {
+				out := append([]float32(nil), y...)
+				tileBody{avx: vector}.with(func() { Saxpy(alpha, x, out) })
+				return out
+			}
+			got, want := run(true), run(false)
+			if e := sameBits(got, want); e >= 0 {
+				t.Fatalf("n=%d alpha=%v: vector Saxpy differs at %d: %#x, want %#x", n, alpha, e, math.Float32bits(got[e]), math.Float32bits(want[e]))
+			}
+		}
+	}
+}

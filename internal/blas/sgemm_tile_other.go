@@ -30,3 +30,11 @@ func sgemmDotAVX(pa, b *float32, ldb, kb int, acc *[dotRows * mr]float32) {
 func sgemmAxpyAVX(pa, b *float32, ldb, kb, n8 int, acc *[mr * skinnyStrip]float32) {
 	panic("blas: sgemmAxpyAVX without amd64")
 }
+
+func packBT8AVX(dst, b *float32, ldb, kb8 int) {
+	panic("blas: packBT8AVX without amd64")
+}
+
+func saxpyAVX(alpha float32, x, y *float32, n8 int) {
+	panic("blas: saxpyAVX without amd64")
+}

@@ -128,3 +128,24 @@ func BenchmarkConvInception3x3(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkConvMicroBatch measures the batch-1 GEMM calls that Workspace
+// Reuse divides AlexNet's (zoo.AlexNet) kernels into at an 8 MiB budget:
+// conv1's filter gradient (3 -> 64 channels, 11x11 stride 4 on 224x224,
+// pad 2) and conv2's data gradient (64 -> 192, 5x5 pad 2 on 27x27). At
+// N = 1 there is no batch to stripe, so with more than one worker the
+// lowering and the product are striped inside the sample.
+func BenchmarkConvMicroBatch(b *testing.B) {
+	conv1 := tensor.ConvShape{
+		In:     tensor.Shape{N: 1, C: 3, H: 224, W: 224},
+		Filt:   tensor.Filter{K: 64, C: 3, R: 11, S: 11},
+		Params: tensor.ConvParams{PadH: 2, PadW: 2, StrideH: 4, StrideW: 4},
+	}
+	conv2 := tensor.ConvShape{
+		In:     tensor.Shape{N: 1, C: 64, H: 27, W: 27},
+		Filt:   tensor.Filter{K: 192, C: 64, R: 5, S: 5},
+		Params: tensor.ConvParams{PadH: 2, PadW: 2, StrideH: 1, StrideW: 1},
+	}
+	b.Run("BackwardFilter/GEMM/b1", func(b *testing.B) { benchRun(b, conv.BackwardFilter, conv.AlgoGemm, conv1) })
+	b.Run("BackwardData/GEMM/b1", func(b *testing.B) { benchRun(b, conv.BackwardData, conv.AlgoGemm, conv2) })
+}

@@ -24,3 +24,10 @@ func imax(a, b int) int {
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
+}
