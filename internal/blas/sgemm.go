@@ -4,18 +4,14 @@
 // convention is supported, matching the repository's NCHW tensors.
 package blas
 
-import (
-	"sync"
-
-	"ucudnn/internal/prof"
-)
+import "ucudnn/internal/prof"
 
 // Profiler phases of the SGEMM kernel itself: panel packing (the A and
 // B copies into the blocked layouts, alpha fused into the A-pack) and
-// the register-tiled micro-kernel walk. The phased entry points record
-// these so a profile can answer "is GEMM time data movement or FMAs?";
-// callers that already wrap the whole call in their own phase window use
-// the *Quiet variants to keep phase windows non-overlapping.
+// the register-tiled micro-kernel walk. Every SGEMM records these, on
+// whichever worker runs it, so a profile can answer "is GEMM time data
+// movement or FMAs?"; a caller never wraps an SGEMM in a phase window of
+// its own.
 const (
 	PhSgemmPack   prof.Phase = "ucudnn_ph_sgemm_pack"
 	PhSgemmKernel prof.Phase = "ucudnn_ph_sgemm_kernel"
@@ -90,30 +86,19 @@ const (
 // A is (m x k) after op, with leading dimension lda; B is (k x n) after
 // op, with leading dimension ldb; C is (m x n) with leading dimension ldc.
 func Sgemm(transA, transB bool, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
-	sgemmWorkers(true, 0, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+	SgemmWorkers(0, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
 // SgemmWorkers is Sgemm with an explicit cap on the goroutines used:
 // workers <= 0 selects automatically (AutoWorkers: the kernel worker
 // cap, dropping to one thread for small products), workers == 1 forces
-// the serial path (callers that already parallelize across GEMM
-// invocations use this to avoid oversubscription). Workers split the long side of C — rows when it is
-// tall, columns when it is wide or a single row panel. Every element of
-// C is accumulated in the same order regardless of the worker count and
-// of the kernel its shape selects, so results are bit-identical across
-// all settings.
+// the serial path: an SGEMM inside a kernel's own launch runs on the
+// worker that calls it. Workers split the long side of C — rows when it
+// is tall, columns when it is wide or a single row panel — in one Fork.
+// Every element of C is accumulated in the same order regardless of the
+// worker count and of the kernel its shape selects, so results are
+// bit-identical across all settings.
 func SgemmWorkers(workers int, transA, transB bool, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
-	sgemmWorkers(true, workers, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-}
-
-// SgemmWorkersQuiet is SgemmWorkers without the pack/kernel phase
-// windows, for callers whose own phase window already covers the call
-// (overlapping windows would double-count attributed time).
-func SgemmWorkersQuiet(workers int, transA, transB bool, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
-	sgemmWorkers(false, workers, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-}
-
-func sgemmWorkers(rec bool, workers int, transA, transB bool, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
 	if m == 0 || n == 0 {
 		return
 	}
@@ -136,59 +121,33 @@ func sgemmWorkers(rec bool, workers int, transA, transB bool, m, n, k int, alpha
 	if byCols {
 		units = (n + nr - 1) / nr
 	}
-	if workers > units {
-		workers = units
-	}
-	if workers <= 1 {
-		sgemmChunk(rec, byCols, 0, units, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+	// The serial call stays a plain call: through Fork it would build
+	// the escaping closure below on every call.
+	if min(workers, units) <= 1 {
+		sgemmChunk(byCols, 0, units, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 		return
 	}
-	chunk := (units + workers - 1) / workers
-	launched := (units + chunk - 1) / chunk
-	ls := prof.LaunchStart()
-	var wg sync.WaitGroup
-	wg.Add(launched - 1)
-	for w := 1; w < launched; w++ {
-		go func(w int) {
-			defer wg.Done()
-			bs := prof.WorkerStart()
-			sgemmChunk(rec, byCols, w, chunk, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-			prof.WorkerEnd(w, bs)
-		}(w)
-	}
-	bs := prof.WorkerStart()
-	sgemmChunk(rec, byCols, 0, chunk, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-	prof.WorkerEnd(0, bs)
-	wg.Wait()
-	// With rec the workers' own pack/kernel windows are the attribution of
-	// this region, so their busy time is its measured time: a top-level
-	// launch. A Quiet caller's enclosing phase window already covers the
-	// region as wall time, so only the load imbalance is recorded (see
-	// prof's accounting model).
-	if rec {
-		prof.LaunchEnd(launched, ls)
-	} else {
-		prof.LaunchEndNested(launched, ls)
-	}
+	// The workers record their own pack/kernel windows: the launch's busy
+	// time is what they are held against.
+	Fork(workers, units, func(_, lo, hi int) {
+		sgemmChunk(byCols, lo, hi, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
+	})
 }
 
-// sgemmChunk computes worker w's share of the product: chunk whole
-// panels of columns (byCols) or of rows, through the kernel the shape
-// calls for.
-func sgemmChunk(rec, byCols bool, w, chunk int, transA, transB bool, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
+// sgemmChunk computes panels [lo, hi) of the product — whole panels of
+// columns (byCols) or of rows — through the kernel the shape calls for.
+func sgemmChunk(byCols bool, lo, hi int, transA, transB bool, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
 	mLo, mHi, nLo, nHi := 0, m, 0, n
 	if byCols {
-		nLo = w * chunk * nr
-		nHi = min(nLo+chunk*nr, n)
+		nLo, nHi = lo*nr, min(hi*nr, n)
 	} else {
-		mLo = w * chunk * mr
-		mHi = min(mLo+chunk*mr, m)
+		mLo, mHi = lo*mr, min(hi*mr, m)
 	}
 	if m <= mr {
-		sgemmSkinny(rec, transA, transB, m, nLo, nHi, k, alpha, a, lda, b, ldb, beta, c, ldc)
+		sgemmSkinny(transA, transB, m, nLo, nHi, k, alpha, a, lda, b, ldb, beta, c, ldc)
 		return
 	}
-	sgemmRows(rec, transA, transB, mLo, mHi, nLo, nHi, k, alpha, a, lda, b, ldb, beta, c, ldc)
+	sgemmRows(transA, transB, mLo, mHi, nLo, nHi, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
 // PackAFloats returns the float32 length of the packed form of an
@@ -201,7 +160,7 @@ func PackAFloats(m, k int) int {
 // hold PackAFloats(m, k) elements, in the micro-kernel's blocked layout:
 // k-blocks of kc in order, each holding row panels of mr rows stored
 // [kb][mr], zero-padded in the row direction. A matrix packed once can
-// be multiplied against many B operands via SgemmPackedA — the weight
+// be multiplied against many B operands via SgemmPackedARows — the weight
 // matrix of a convolution is packed once per Run and reused across every
 // sample and micro-batch.
 func PackA(dst []float32, transA bool, m, k int, alpha float32, a []float32, lda int) {
@@ -230,70 +189,13 @@ func PackA(dst []float32, transA bool, m, k int, alpha float32, a []float32, lda
 	prof.Exit(phSgemmPack, t)
 }
 
-// SgemmPackedA computes C = PA * op(B) + beta * C where PA is the packed
-// form of alpha * op(A) produced by PackA for the same (m, k). Worker
-// chunks are rounded to whole mr panels; every C element still sees the
-// exact k-order accumulation of the serial path, so results are
-// bit-identical to SgemmWorkers at every worker count.
-func SgemmPackedA(workers int, pa []float32, transB bool, m, n, k int, b []float32, ldb int, beta float32, c []float32, ldc int) {
-	if m == 0 || n == 0 {
-		return
-	}
-	if len(pa) < PackAFloats(m, k) {
-		panic("blas: packed A too short")
-	}
-	checkDims(false, transB, 0, n, k, nil, max(1, k), b, ldb, c, ldc)
-	if len(c) < (m-1)*ldc+n {
-		panic("blas: C too short")
-	}
-	if k == 0 {
-		scaleC(m, n, beta, c, ldc)
-		return
-	}
-	panels := (m + mr - 1) / mr
-	if workers <= 0 {
-		workers = AutoWorkers(int64(m) * int64(n) * int64(k))
-	}
-	if workers > panels {
-		workers = panels
-	}
-	if workers <= 1 {
-		sgemmPackedRows(true, pa, 0, m, m, n, k, transB, b, ldb, beta, c, ldc)
-		return
-	}
-	ls := prof.LaunchStart()
-	var wg sync.WaitGroup
-	chunk := ((panels + workers - 1) / workers) * mr
-	launched := 0
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > m {
-			hi = m
-		}
-		if lo >= hi {
-			break
-		}
-		launched++
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			bs := prof.WorkerStart()
-			sgemmPackedRows(true, pa, lo, hi, m, n, k, transB, b, ldb, beta, c, ldc)
-			prof.WorkerEnd(w, bs)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	// The workers self-report their phases: a top-level launch (see
-	// sgemmWorkers).
-	prof.LaunchEnd(launched, ls)
-}
-
-// SgemmPackedARows is SgemmPackedA restricted to C rows [lo, hi), on
-// the calling goroutine: C[lo:hi] = PA[lo:hi] * op(B) + beta * C[lo:hi],
-// with PA packed by PackA for the whole (m, k). lo must be a multiple of
-// MR. Each computed element is bit-identical to SgemmPackedA's, so
-// callers can hand disjoint row ranges to workers of their own.
+// SgemmPackedARows computes C rows [lo, hi) of C = PA * op(B) + beta * C
+// on the calling goroutine, where PA is the packed form of alpha * op(A)
+// produced by PackA for the whole (m, k): C[lo:hi] = PA[lo:hi] * op(B) +
+// beta * C[lo:hi]. lo must be a multiple of MR; (0, m) is the whole
+// product. Each element sees the exact k-order accumulation of
+// SgemmWorkers, so callers can hand disjoint row ranges to workers of
+// their own and get the same bits.
 func SgemmPackedARows(lo, hi int, pa []float32, transB bool, m, n, k int, b []float32, ldb int, beta float32, c []float32, ldc int) {
 	if lo < 0 || hi > m || lo%mr != 0 {
 		panic("blas: bad packed row range")
@@ -312,7 +214,7 @@ func SgemmPackedARows(lo, hi int, pa []float32, transB bool, m, n, k int, b []fl
 		scaleC(hi-lo, n, beta, c[lo*ldc:], ldc)
 		return
 	}
-	sgemmPackedRows(true, pa, lo, hi, m, n, k, transB, b, ldb, beta, c, ldc)
+	sgemmPackedRows(pa, lo, hi, m, n, k, transB, b, ldb, beta, c, ldc)
 }
 
 func checkDims(transA, transB bool, m, n, k int, a []float32, lda int, b []float32, ldb int, c []float32, ldc int) {
@@ -363,15 +265,12 @@ func scaleC(m, n int, beta float32, c []float32, ldc int) {
 // C = alpha*op(A)*op(B) + beta*C with cache blocking: B panels are
 // packed once per (j0, k0) block — hoisted out of the row-block loop —
 // and beta is fused into the micro-kernel's store of the first k-block.
-func sgemmRows(rec bool, transA, transB bool, mLo, mHi, nLo, nHi, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
+func sgemmRows(transA, transB bool, mLo, mHi, nLo, nHi, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
 	// One continuous Enter/Next chain: every phase window ends exactly
 	// where the next begins, so the whole walk is attributed with no
 	// internal gaps (loop bookkeeping lands in the adjacent phase). It
 	// opens before the pack blocks so that clearing them counts as packing.
-	var t int64
-	if rec {
-		t = prof.Enter()
-	}
+	t := prof.Enter()
 	var packA [mc * kc]float32
 	var packB [kc * nc]float32
 	for j0 := nLo; j0 < nHi; j0 += nc {
@@ -379,20 +278,14 @@ func sgemmRows(rec bool, transA, transB bool, mLo, mHi, nLo, nHi, k int, alpha f
 		for k0 := 0; k0 < k; k0 += kc {
 			kb := min(kc, k-k0)
 			PackBPanels(packB[:], transB, b, ldb, k0, kb, j0, jb)
-			if rec {
-				t = prof.Next(phSgemmPack, t)
-			}
+			t = prof.Next(phSgemmPack, t)
 			first := k0 == 0
 			for i0 := mLo; i0 < mHi; i0 += mc {
 				ib := min(mc, mHi-i0)
 				PackAPanels(packA[:], transA, a, lda, i0, ib, k0, kb, alpha)
-				if rec {
-					t = prof.Next(phSgemmPack, t)
-				}
+				t = prof.Next(phSgemmPack, t)
 				KernelBlock(packA[:], packB[:], ib, jb, kb, first, beta, c, i0*ldc+j0, ldc)
-				if rec {
-					t = prof.Next(KindSgemmKernel, t)
-				}
+				t = prof.Next(KindSgemmKernel, t)
 			}
 		}
 	}
@@ -401,28 +294,21 @@ func sgemmRows(rec bool, transA, transB bool, mLo, mHi, nLo, nHi, k int, alpha f
 // sgemmPackedRows is sgemmRows over a pre-packed A (PackA layout): the
 // A-pack is skipped entirely and panels are read at their global
 // offsets. mLo must be a multiple of mr.
-func sgemmPackedRows(rec bool, pa []float32, mLo, mHi, m, n, k int, transB bool, b []float32, ldb int, beta float32, c []float32, ldc int) {
+func sgemmPackedRows(pa []float32, mLo, mHi, m, n, k int, transB bool, b []float32, ldb int, beta float32, c []float32, ldc int) {
 	pm := ((m + mr - 1) / mr) * mr
-	var t int64
-	if rec {
-		t = prof.Enter()
-	}
+	t := prof.Enter()
 	var packB [kc * nc]float32
 	for j0 := 0; j0 < n; j0 += nc {
 		jb := min(nc, n-j0)
 		for k0 := 0; k0 < k; k0 += kc {
 			kb := min(kc, k-k0)
 			PackBPanels(packB[:], transB, b, ldb, k0, kb, j0, jb)
-			if rec {
-				t = prof.Next(phSgemmPack, t)
-			}
+			t = prof.Next(phSgemmPack, t)
 			first := k0 == 0
 			for i0 := mLo; i0 < mHi; i0 += mc {
 				ib := min(mc, mHi-i0)
 				KernelBlock(pa[pm*k0+(i0/mr)*(kb*mr):], packB[:], ib, jb, kb, first, beta, c, i0*ldc+j0, ldc)
-				if rec {
-					t = prof.Next(KindSgemmKernel, t)
-				}
+				t = prof.Next(KindSgemmKernel, t)
 			}
 		}
 	}

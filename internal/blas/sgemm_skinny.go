@@ -34,19 +34,14 @@ const (
 //
 // The whole walk is reported as PhSgemmKernel: the A pack is a few KiB
 // per block against the B stream.
-func sgemmSkinny(rec bool, transA, transB bool, m, nLo, nHi, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
-	var t int64
-	if rec {
-		t = prof.Enter()
-	}
+func sgemmSkinny(transA, transB bool, m, nLo, nHi, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
+	t := prof.Enter()
 	if transB {
 		sgemmSkinnyNT(transA, m, nLo, nHi, k, alpha, a, lda, b, ldb, beta, c, ldc)
 	} else {
 		sgemmSkinnyNN(transA, m, nLo, nHi, k, alpha, a, lda, b, ldb, beta, c, ldc)
 	}
-	if rec {
-		prof.Exit(KindSgemmKernel, t)
-	}
+	prof.Exit(KindSgemmKernel, t)
 }
 
 // sgemmSkinnyNT: op(B) column j is row j of B, contiguous in k. dotRows

@@ -131,9 +131,19 @@ func packACopy(transA bool, m, k int, alpha float32, a []float32, lda int) []flo
 	return pa
 }
 
+// sgemmPackedForked is the whole pack-once product C = PA * op(B) +
+// beta * C with its MR-row panels forked over workers, as a kernel hands
+// disjoint row ranges of one packed A to the workers of its own launch.
+func sgemmPackedForked(workers int, pa []float32, transB bool, m, n, k int, b []float32, ldb int, beta float32, c []float32, ldc int) {
+	Fork(workers, (m+mr-1)/mr, func(_, lo, hi int) {
+		SgemmPackedARows(lo*mr, min(hi*mr, m), pa, transB, m, n, k, b, ldb, beta, c, ldc)
+	})
+}
+
 // TestSgemmPackedAMatchesSgemm: the pack-once path must be bit-identical
 // to the general entry point (same kernels, same accumulation order) on
-// shapes covering panel remainders and both B orientations.
+// shapes covering panel remainders and both B orientations, whole and
+// with its row panels forked over workers.
 func TestSgemmPackedAMatchesSgemm(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, tc := range []struct {
@@ -168,7 +178,7 @@ func TestSgemmPackedAMatchesSgemm(t *testing.T) {
 		pa := packACopy(tc.transA, tc.m, tc.k, tc.alpha, a, lda)
 		for _, workers := range []int{1, 3} {
 			copy(c1, c2)
-			SgemmPackedA(workers, pa, tc.transB, tc.m, tc.n, tc.k, b, ldb, tc.beta, c1, tc.n)
+			sgemmPackedForked(workers, pa, tc.transB, tc.m, tc.n, tc.k, b, ldb, tc.beta, c1, tc.n)
 			want := append([]float32(nil), c2...)
 			Sgemm(tc.transA, tc.transB, tc.m, tc.n, tc.k, tc.alpha, a, lda, b, ldb, tc.beta, want, tc.n)
 			for i := range c1 {
@@ -187,7 +197,7 @@ func TestSgemmPackedAMatchesSgemm(t *testing.T) {
 			t.Fatalf("%+v: rows [%d, %d) wrote element %d below them", tc, mid, tc.m, i)
 		}
 		SgemmPackedARows(0, mid, pa, tc.transB, tc.m, tc.n, tc.k, b, ldb, tc.beta, c1, tc.n)
-		SgemmPackedA(1, pa, tc.transB, tc.m, tc.n, tc.k, b, ldb, tc.beta, c2, tc.n)
+		SgemmPackedARows(0, tc.m, pa, tc.transB, tc.m, tc.n, tc.k, b, ldb, tc.beta, c2, tc.n)
 		if i := sameBits(c1, c2); i >= 0 {
 			t.Fatalf("%+v: row ranges split at %d diverge at %d: %v vs %v", tc, mid, i, c1[i], c2[i])
 		}
@@ -195,7 +205,8 @@ func TestSgemmPackedAMatchesSgemm(t *testing.T) {
 }
 
 // TestSgemmWorkerCountInvariance: identical bits at every worker count,
-// for both the general and the packed-A entry points.
+// for both the general and the packed-A entry points (the latter's row
+// panels forked over the workers).
 func TestSgemmWorkerCountInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	m, n, k := 61, 95, 131
@@ -217,7 +228,7 @@ func TestSgemmWorkerCountInvariance(t *testing.T) {
 			}
 		}
 		cp := append([]float32(nil), c0...)
-		SgemmPackedA(workers, pa, false, m, n, k, b, n, 0.75, cp, n)
+		sgemmPackedForked(workers, pa, false, m, n, k, b, n, 0.75, cp, n)
 		for i := range cp {
 			if cp[i] != ref[i] {
 				t.Fatalf("packed workers=%d: elem %d differs: %v vs %v", workers, i, cp[i], ref[i])
@@ -241,7 +252,7 @@ func TestSgemmZeroAllocSteadyState(t *testing.T) {
 	}{
 		{"packed path", func() {
 			PackA(pa, false, m, k, 1, a, k)
-			SgemmPackedA(1, pa, false, m, n, k, b, n, 0, c, n)
+			SgemmPackedARows(0, m, pa, false, m, n, k, b, n, 0, c, n)
 		}},
 		{"serial Sgemm", func() { SgemmWorkers(1, false, false, m, n, k, 1, a, k, b, n, 0, c, n) }},
 		// alpha == 0 leaves only C = beta*C.
@@ -449,7 +460,7 @@ func BenchmarkSgemmPackedA32x784x144(b *testing.B) {
 	b.SetBytes(int64(2) * int64(m) * int64(n) * int64(k) * 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SgemmPackedA(1, pa, false, m, n, k, bm, n, 0, c, n)
+		SgemmPackedARows(0, m, pa, false, m, n, k, bm, n, 0, c, n)
 	}
 }
 
@@ -474,10 +485,10 @@ func TestSaxpyLengthMismatchPanics(t *testing.T) {
 	Saxpy(1, []float32{1}, []float32{1, 2})
 }
 
-// A forked SGEMM whose workers record their own pack/kernel windows is a
-// top-level launch: its busy time is the measured time those windows are
-// held against, so attributed never exceeds measured. Only the Quiet
-// variant, which records nothing, is nested in its caller's window.
+// A forked SGEMM's workers record their own pack/kernel windows, so it
+// is one launch whose busy time is the measured time those windows are
+// held against: attributed never exceeds measured. The same holds for a
+// pack-once product whose row ranges are forked over the workers.
 func TestForkedSgemmLaunchAccounting(t *testing.T) {
 	const m, n, k = 64, 96, 64
 	rng := rand.New(rand.NewSource(11))
@@ -491,27 +502,50 @@ func TestForkedSgemmLaunchAccounting(t *testing.T) {
 		prof.Reset()
 	})
 	for name, run := range map[string]func(){
-		"recorded": func() { SgemmWorkers(4, false, false, m, n, k, 1, a, k, b, n, 0, c, n) },
-		"packedA":  func() { SgemmPackedA(4, pa, false, m, n, k, b, n, 0, c, n) },
-		"quiet":    func() { SgemmWorkersQuiet(4, false, false, m, n, k, 1, a, k, b, n, 0, c, n) },
+		"recorded":   func() { SgemmWorkers(4, false, false, m, n, k, 1, a, k, b, n, 0, c, n) },
+		"packedRows": func() { sgemmPackedForked(4, pa, false, m, n, k, b, n, 0, c, n) },
 	} {
 		tok := prof.Begin(name)
 		run()
 		prof.End(tok)
 	}
 	for _, r := range prof.Snapshot() {
-		wantTop, wantNested := int64(1), int64(0)
-		if r.Kernel == "quiet" {
-			wantTop, wantNested = 0, 1
+		if r.Workers.Launches != 1 {
+			t.Errorf("%s: %d launches, want 1", r.Kernel, r.Workers.Launches)
 		}
-		if r.Workers.Launches != wantTop || r.Workers.NestedLaunches != wantNested {
-			t.Errorf("%s: launches = %d top-level / %d nested, want %d / %d", r.Kernel, r.Workers.Launches, r.Workers.NestedLaunches, wantTop, wantNested)
+		if r.AttributedNS <= 0 || r.AttributedNS > r.MeasuredNS {
+			t.Errorf("%s: attributed %d, measured %d", r.Kernel, r.AttributedNS, r.MeasuredNS)
 		}
-		if r.AttributedNS > r.MeasuredNS {
-			t.Errorf("%s: attributed %d exceeds measured %d", r.Kernel, r.AttributedNS, r.MeasuredNS)
+	}
+}
+
+// A forked SGEMM goes through Fork and allocates no more than its own
+// launch loop did: the product's closure, the WaitGroup and one
+// argument-free goroutine closure per extra worker — 3 at P = 2, for a
+// fully-connected product (one row panel, split by columns) and a square
+// one (split by rows).
+func TestForkedSgemmAllocs(t *testing.T) {
+	defer SetMaxWorkers(SetMaxWorkers(2))
+	rng := rand.New(rand.NewSource(13))
+	for _, tc := range []struct {
+		name    string
+		transB  bool
+		m, n, k int
+	}{
+		{"fc", true, 4, 1024, 512},
+		{"square", false, 96, 96, 96},
+	} {
+		a, b, c := randSlice(rng, tc.m*tc.k), randSlice(rng, tc.k*tc.n), make([]float32, tc.m*tc.n)
+		ldb := tc.n
+		if tc.transB {
+			ldb = tc.k
 		}
-		if (r.Kernel == "quiet") != (r.AttributedNS == 0) {
-			t.Errorf("%s: attributed %d", r.Kernel, r.AttributedNS)
+		if AutoWorkers(int64(tc.m)*int64(tc.n)*int64(tc.k)) != 2 {
+			t.Fatalf("%s: product below the small-product rule; it would not fork", tc.name)
+		}
+		run := func() { Sgemm(false, tc.transB, tc.m, tc.n, tc.k, 1, a, tc.k, b, ldb, 0, c, tc.n) }
+		if n := testing.AllocsPerRun(20, run); n > 3 {
+			t.Errorf("%s: forked Sgemm at P=2 makes %v allocs/op, want <= 3", tc.name, n)
 		}
 	}
 }

@@ -111,8 +111,8 @@ func BenchmarkConvKernelsBatch(b *testing.B) {
 
 // BenchmarkConvInception3x3 measures the Inception module's 3x3 branch
 // (inc.b2.conv3x3 at its N=4 out-of-core window: 96 -> 128 channels on
-// 28x28, pad 1) — the shape at which ROADMAP item 3 compares the
-// Winograd kernels with their GEMM twin.
+// 28x28, pad 1) — the shape at which ROADMAP "No dead algorithms" (c)
+// compares the Winograd kernels with their GEMM twin.
 func BenchmarkConvInception3x3(b *testing.B) {
 	cs := tensor.ConvShape{
 		In:     tensor.Shape{N: 4, C: 96, H: 28, W: 28},

@@ -401,21 +401,3 @@ func TestAlgosForCounts(t *testing.T) {
 		t.Fatal("unknown op must have no algos")
 	}
 }
-
-func TestParallelForCoversAll(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 100} {
-		for workers := 1; workers <= 5; workers++ {
-			hits := make([]int32, n)
-			fork(workers, n, func(_, lo, hi int) {
-				for i := lo; i < hi; i++ {
-					hits[i]++
-				}
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("n=%d workers=%d: index %d hit %d times", n, workers, i, h)
-				}
-			}
-		}
-	}
-}

@@ -1,6 +1,7 @@
 package conv
 
 import (
+	"ucudnn/internal/blas"
 	"ucudnn/internal/prof"
 	"ucudnn/internal/tensor"
 )
@@ -21,7 +22,7 @@ func runDirect(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTen
 	switch op {
 	case Forward:
 		// One task per (n, k) output plane.
-		fork(MaxWorkers(), out.N*out.C, func(_, lo, hi int) {
+		blas.Fork(MaxWorkers(), out.N*out.C, func(_, lo, hi int) {
 			t := prof.Enter()
 			for idx := lo; idx < hi; idx++ {
 				n := idx / out.C
@@ -54,7 +55,7 @@ func runDirect(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTen
 		})
 	case BackwardData:
 		// dX[n,c,ih,iw] = sum_{k,r,s : oh,ow valid} dY[n,k,oh,ow] * W[k,c,r,s].
-		fork(MaxWorkers(), in.N*in.C, func(_, lo, hi int) {
+		blas.Fork(MaxWorkers(), in.N*in.C, func(_, lo, hi int) {
 			t := prof.Enter()
 			for idx := lo; idx < hi; idx++ {
 				n := idx / in.C
@@ -98,7 +99,7 @@ func runDirect(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTen
 		// still expose enough tasks to occupy every worker; each (k, c)
 		// pair owns a disjoint R*S block of dW, and the per-element order
 		// is identical at every grid width and worker count.
-		fork(MaxWorkers(), f.K*f.C, func(_, lo, hi int) {
+		blas.Fork(MaxWorkers(), f.K*f.C, func(_, lo, hi int) {
 			t := prof.Enter()
 			for idx := lo; idx < hi; idx++ {
 				k := idx / f.C

@@ -1,15 +1,10 @@
 package conv
 
-import (
-	"sync"
+import "ucudnn/internal/blas"
 
-	"ucudnn/internal/blas"
-	"ucudnn/internal/prof"
-)
-
-// This file is the kernel execution engine: batch striping and the
-// fork-join runner the algorithm kernels are built on. The worker-count
-// policy itself (the cap and the small-product rule) is blas's.
+// This file is the kernel execution engine's batch striping. The
+// worker-count policy (the cap and the small-product rule) and the one
+// launcher the algorithm kernels fork through (blas.Fork) are blas's.
 //
 // The engine's contract has three parts:
 //
@@ -68,48 +63,4 @@ func fitStripes(want int, have, stripElems int) int {
 		want = fit
 	}
 	return want
-}
-
-// fork is the engine's fork-join primitive: it splits [0, n) into one
-// contiguous range per worker (at most maxWorkers of them) and runs
-// f(w, lo, hi) for each, worker 0 inline on the calling goroutine. Each
-// worker owns a disjoint workspace strip, so there is no shared mutable
-// state beyond the output tensors' disjoint regions. Every parallel
-// launch is accounted by the profiler: per-worker busy windows plus the
-// launch's wall time, from which stripe load imbalance is derived. A
-// phase a body times is one window per worker chunk: on the serial path
-// that window is wall time, inside a launch it is that worker's
-// occupancy — the halves the profiler's measured-time denominator is
-// built from.
-//
-// The closure f escapes, so call sites that must not allocate keep their
-// own serial branch and call fork only with more than one worker.
-func fork(maxWorkers, n int, f func(w, lo, hi int)) {
-	// Bound once: the goroutine closures capture workers by value only
-	// while it is never reassigned (otherwise it moves to the heap).
-	workers := imin(maxWorkers, n)
-	if workers <= 1 {
-		f(0, 0, n)
-		return
-	}
-	ls := prof.LaunchStart()
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
-	for w := 1; w < workers; w++ {
-		// A closure with no arguments: go with arguments wraps the call in
-		// a second closure, one more allocation per goroutine.
-		go func() {
-			defer wg.Done()
-			bs := prof.WorkerStart()
-			lo, hi := blas.Chunk(n, workers, w)
-			f(w, lo, hi)
-			prof.WorkerEnd(w, bs)
-		}()
-	}
-	bs := prof.WorkerStart()
-	lo, hi := blas.Chunk(n, workers, 0)
-	f(0, lo, hi)
-	prof.WorkerEnd(0, bs)
-	wg.Wait()
-	prof.LaunchEnd(workers, ls)
 }

@@ -376,10 +376,10 @@ func TestForwardZeroAllocSteadyState(t *testing.T) {
 }
 
 // A GEMM call that splits its one sample across P = 2 workers makes one
-// launch, and allocates no more than the forked SGEMM call per sample
-// that launch replaces: SgemmPackedA for Forward and BackwardData (the
-// per-Run weight pack times one sample), SgemmWorkers for BackwardFilter's
-// dY * colᵀ. This is the unit-level guard of the end-to-end allocation
+// launch, and allocates no more than one forked SGEMM of the product per
+// sample that launch replaces: SgemmWorkers of Wmat times the lowering
+// for Forward, of Wmatᵀ times dY for BackwardData, of dY * colᵀ for
+// BackwardFilter. This is the unit-level guard of the end-to-end allocation
 // budget (alloc_mib_per_iter): a split that forked per stage or per
 // block would show here.
 func TestGemmSplitAllocsAtMostOneSgemmLaunch(t *testing.T) {
@@ -399,11 +399,11 @@ func TestGemmSplitAllocsAtMostOneSgemmLaunch(t *testing.T) {
 		var sgemm func()
 		switch op {
 		case Forward:
-			pa, b, c := make([]float32, blas.PackAFloats(k, crs)), make([]float32, crs*pixels), make([]float32, k*pixels)
-			sgemm = func() { blas.SgemmPackedA(2, pa, false, k, pixels, crs, b, pixels, 0, c, pixels) }
+			a, b, c := make([]float32, k*crs), make([]float32, crs*pixels), make([]float32, k*pixels)
+			sgemm = func() { blas.SgemmWorkers(2, false, false, k, pixels, crs, 1, a, crs, b, pixels, 0, c, pixels) }
 		case BackwardData:
-			pa, b, c := make([]float32, blas.PackAFloats(crs, k)), make([]float32, k*pixels), make([]float32, crs*pixels)
-			sgemm = func() { blas.SgemmPackedA(2, pa, false, crs, pixels, k, b, pixels, 0, c, pixels) }
+			a, b, c := make([]float32, k*crs), make([]float32, k*pixels), make([]float32, crs*pixels)
+			sgemm = func() { blas.SgemmWorkers(2, true, false, crs, pixels, k, 1, a, crs, b, pixels, 0, c, pixels) }
 		case BackwardFilter:
 			a, b, c := make([]float32, k*pixels), make([]float32, crs*pixels), make([]float32, k*crs)
 			sgemm = func() { blas.SgemmWorkers(2, false, true, k, crs, pixels, 1, a, pixels, b, pixels, 0, c, crs) }

@@ -1,6 +1,7 @@
 package conv
 
 import (
+	"ucudnn/internal/blas"
 	"ucudnn/internal/fftpkg"
 	"ucudnn/internal/prof"
 	"ucudnn/internal/tensor"
@@ -359,7 +360,7 @@ func (g *fftCtx) forEach(ph prof.Kind, n int, st fftStage) {
 		return
 	}
 	gc := *g
-	fork(g.workers, n, func(wk, lo, hi int) { gc.stageTasks(ph, st, wk, lo, hi) })
+	blas.Fork(g.workers, n, func(wk, lo, hi int) { gc.stageTasks(ph, st, wk, lo, hi) })
 }
 
 // stageTasks runs tasks [lo, hi) of stage st in worker wk's scratch as

@@ -195,7 +195,7 @@ func (g gemmCtx) forward(wk, n0, n1, pLo, pHi int) {
 		t := prof.Enter()
 		im2col(g.cs, g.x.Data[n*g.inPlane:(n+1)*g.inPlane], col[pLo:], g.pixels, 0, g.crs, pLo, pHi)
 		prof.Exit(phGemmIm2col, t)
-		blas.SgemmPackedA(1, g.packW, false, g.k, pHi-pLo, g.crs,
+		blas.SgemmPackedARows(0, g.k, g.packW, false, g.k, pHi-pLo, g.crs,
 			col[pLo:], g.pixels, g.beta,
 			g.y.Data[n*g.outPlane+pLo:(n+1)*g.outPlane], g.pixels)
 	}
@@ -388,7 +388,7 @@ func runGemm(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTenso
 		// order and ascending-sample reduction, so the split is
 		// bit-identical to the serial walk. (The method value is the
 		// launch's one copy of g.)
-		fork(split, gemmSplitUnits(op, cs), g.span)
+		blas.Fork(split, gemmSplitUnits(op, cs), g.span)
 	default:
 		g.span(0, 0, gemmSplitUnits(op, cs))
 	}
@@ -400,9 +400,9 @@ func (g gemmCtx) runBatch(workers int) {
 	n := g.cs.In.N
 	switch g.op {
 	case Forward:
-		fork(workers, n, func(wk, lo, hi int) { g.forward(wk, lo, hi, 0, g.pixels) })
+		blas.Fork(workers, n, func(wk, lo, hi int) { g.forward(wk, lo, hi, 0, g.pixels) })
 	case BackwardData:
-		fork(workers, n, func(wk, lo, hi int) { g.backwardData(wk, lo, hi, 0, g.cs.Filt.C) })
+		blas.Fork(workers, n, func(wk, lo, hi int) { g.backwardData(wk, lo, hi, 0, g.cs.Filt.C) })
 	case BackwardFilter:
 		// Per-sample partial buffers are computed in parallel rounds of
 		// `workers` samples and reduced serially in ascending n order, so
@@ -412,7 +412,7 @@ func (g gemmCtx) runBatch(workers int) {
 		// the same samples (§II).
 		for n0 := 0; n0 < n; n0 += workers {
 			cnt := imin(workers, n-n0)
-			fork(cnt, cnt, func(wk, lo, hi int) {
+			blas.Fork(cnt, cnt, func(wk, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					g.filterPartial(wk, n0+i, 0, g.crs)
 				}

@@ -95,14 +95,14 @@ func runImplicit(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterT
 	units := groups * g.jblocks
 	if table != nil {
 		g.table = table[:crs*pixels]
-		g.fork(workers, true, crs)
+		g.run(workers, true, crs)
 	}
-	g.fork(workers, false, units)
+	g.run(workers, false, units)
 }
 
-// fork splits [0, n) into one contiguous chunk per worker; the serial
+// run splits [0, n) into one contiguous chunk per worker; the serial
 // case is a plain call so steady-state execution allocates nothing.
-func (g implicitCtx) fork(workers int, table bool, n int) {
+func (g implicitCtx) run(workers int, table bool, n int) {
 	if imin(workers, n) <= 1 {
 		g.chunk(table, 0, n)
 		return
@@ -110,7 +110,7 @@ func (g implicitCtx) fork(workers int, table bool, n int) {
 	// Copy g so only the copy is captured (and heap-allocated) by the
 	// escaping closure.
 	gc := g
-	fork(workers, n, func(_, lo, hi int) { gc.chunk(table, lo, hi) })
+	blas.Fork(workers, n, func(_, lo, hi int) { gc.chunk(table, lo, hi) })
 }
 
 func (g implicitCtx) chunk(table bool, lo, hi int) {

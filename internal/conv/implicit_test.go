@@ -165,6 +165,11 @@ func attributionPhases(op Op, algo Algo) []prof.Phase {
 	case AlgoFFT, AlgoFFTTiling:
 		return []prof.Phase{PhRFFTForward, PhRFFTPointwise, PhRFFTInverse}
 	case AlgoWinograd, AlgoWinogradNonfused:
+		if op == BackwardFilter {
+			// The spectral products are plain SGEMMs, which record their
+			// own phases.
+			return []prof.Phase{PhWinogradTransformIn, blas.PhSgemmPack, blas.PhSgemmKernel, PhWinogradTransformOut}
+		}
 		return []prof.Phase{PhWinogradTransformIn, PhWinogradElementwise, PhWinogradTransformOut}
 	}
 	return nil

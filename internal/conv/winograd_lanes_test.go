@@ -127,3 +127,44 @@ func TestWinogradForkAllocsIndependentOfBlocks(t *testing.T) {
 		}
 	}
 }
+
+// Non-fused Winograd's BackwardFilter allocates no more at its
+// MinWorkspace floor than with its full Workspace. The floor admits one
+// tile worker, but the spectral products dU[e] = Wb[e]·V[e]ᵀ (here 32 x
+// 32 x 100 tiles each, above blas's small-product rule) need no arena:
+// they are one launch over e, each product serial on its worker, so the
+// floor adds no launch per product.
+func TestWinogradBackwardFilterFloorAllocs(t *testing.T) {
+	prevP := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(prevP)
+	prev := SetMaxWorkers(2)
+	defer SetMaxWorkers(prev)
+	cs := tensor.ConvShape{
+		In:     tensor.Shape{N: 4, C: 32, H: 28, W: 28},
+		Filt:   tensor.Filter{K: 32, C: 32, R: 3, S: 3},
+		Params: tensor.ConvParams{PadH: 1, PadW: 1, StrideH: 1, StrideW: 1},
+	}
+	op, algo := BackwardFilter, AlgoWinogradNonfused
+	tr := winogradTransformFor(op, cs, false)
+	_, _, total := winogradTiles(tr.M, 28, 28, cs.In.N)
+	if macs := int64(cs.Filt.K) * int64(cs.Filt.C) * int64(total); macs < 1<<16 {
+		t.Fatalf("one spectral product is %d MACs, below blas's small-product rule", macs)
+	}
+	x, w, y := randomProblem(cs, 79)
+	allocs := func(size func(Op, Algo, tensor.ConvShape) (int64, bool)) float64 {
+		bytes, _ := size(op, algo, cs)
+		ws := make([]float32, (bytes+3)/4)
+		run := func() {
+			if err := Run(op, algo, cs, x, w, y, 1, 0, ws); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		return testing.AllocsPerRun(10, run)
+	}
+	floor, full := allocs(MinWorkspace), allocs(Workspace)
+	if floor > full {
+		t.Errorf("%v/%v at P=2: %.0f allocs/op at MinWorkspace, %.0f at Workspace; want the floor at most the full grant",
+			op, algo, floor, full)
+	}
+}

@@ -231,19 +231,28 @@ const (
 // run executes units [0, n) of stage st on up to workers workers.
 func (g *wgCtx) run(workers int, st wgStage, n int) {
 	if imin(workers, n) <= 1 {
-		g.units(st, 0, n, 0)
+		g.units(st, 0, n)
 		return
 	}
 	// Only this copy is captured (and heap-allocated) by the escaping
 	// closure; the serial path above keeps g off the heap.
 	gc := *g
-	fork(workers, n, func(_, lo, hi int) { gc.units(st, lo, hi, 1) })
+	blas.Fork(workers, n, func(_, lo, hi int) { gc.units(st, lo, hi) })
 }
 
 // units runs units [lo, hi) of stage st as this worker's phase windows.
-// sgemmWorkers is the inner SGEMM's worker cap: 1 inside a fork, 0 (its
-// own choice) on the serial path.
-func (g *wgCtx) units(st wgStage, lo, hi, sgemmWorkers int) {
+func (g *wgCtx) units(st wgStage, lo, hi int) {
+	if st == wgSpectral {
+		// dU[e] (k x c) = Wb[e] (k x total) * V[e]ᵀ, each product on this
+		// worker: the SGEMM records its own pack/kernel windows.
+		k, c, total := g.k, g.c, g.total
+		for e := lo; e < hi; e++ {
+			blas.SgemmWorkers(1, false, true, k, c, total,
+				1, g.mm[e*k*total:(e+1)*k*total], total, g.v[e*c*total:(e+1)*c*total], total, 0,
+				g.u[e*k*c:(e+1)*k*c], c)
+		}
+		return
+	}
 	t := prof.Enter()
 	switch st {
 	case wgFilter:
@@ -259,14 +268,6 @@ func (g *wgCtx) units(st wgStage, lo, hi, sgemmWorkers int) {
 	case wgGrad:
 		g.gradBlocks(lo, hi)
 		prof.Exit(phWinogradTransformIn, t)
-	case wgSpectral:
-		k, c, total := g.k, g.c, g.total
-		for e := lo; e < hi; e++ { // dU[e] (k x c) = Wb[e] (k x total) * V[e]ᵀ
-			blas.SgemmWorkersQuiet(sgemmWorkers, false, true, k, c, total,
-				1, g.mm[e*k*total:(e+1)*k*total], total, g.v[e*c*total:(e+1)*c*total], total, 0,
-				g.u[e*k*c:(e+1)*k*c], c)
-		}
-		prof.Exit(phWinogradElementwise, t)
 	case wgFilterGrad:
 		g.filterGradBlocks(lo, hi)
 		prof.Exit(phWinogradTransformOut, t)
@@ -606,6 +607,8 @@ func winogradBackwardFilter(tr *winograd.Transform, cs tensor.ConvShape, x *tens
 
 	g.run(workers, wgInput, c*laneBlocks(total))
 	g.run(workers, wgGrad, k*laneBlocks(total))
-	g.run(workers, wgSpectral, alpha2)
+	// The spectral products use no arena, so the grant does not bound
+	// their width: one launch over e at blas's small-product rule.
+	g.run(blas.AutoWorkers(int64(alpha2)*int64(k*c)*int64(total)), wgSpectral, alpha2)
 	g.run(workers, wgFilterGrad, laneBlocks(k*c))
 }

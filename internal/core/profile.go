@@ -122,7 +122,7 @@ func (r ProfileReport) WriteTable(w io.Writer) error {
 				100*float64(k.Phases[0].NS)/math.Max(1, float64(k.MeasuredNS)))
 		}
 		imb := ""
-		if k.Workers.Launches+k.Workers.NestedLaunches > 0 {
+		if k.Workers.Launches > 0 {
 			imb = fmt.Sprintf("max=%.2f mean=%.2f", k.Workers.MaxImbalance, k.Workers.MeanImbalance)
 		}
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%d\t%.3f\t%.1f%%\t%s\t%s\t%d\n",

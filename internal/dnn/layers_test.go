@@ -628,7 +628,7 @@ func BenchmarkLRN(b *testing.B) {
 // batch 1..5 (both sides of the one-row-panel boundary, where blas
 // streams W in place instead of packing it) on a width that is no
 // multiple of the register tile, against the packed-tile path
-// (blas.SgemmPackedA never takes the in-place kernels).
+// (blas.SgemmPackedARows never takes the in-place kernels).
 func TestFCMatchesPackedReferenceBitwise(t *testing.T) {
 	const in, out = 2 * 3 * 7, 37
 	for batch := 1; batch <= 5; batch++ {
@@ -665,13 +665,13 @@ func TestFCMatchesPackedReferenceBitwise(t *testing.T) {
 			return pa
 		}
 		wantY := make([]float32, batch*out)
-		blas.SgemmPackedA(1, packed(false, batch, in, x.Data, in), true, batch, out, in, l.weight.Data, in, 0, wantY, out)
+		blas.SgemmPackedARows(0, batch, packed(false, batch, in, x.Data, in), true, batch, out, in, l.weight.Data, in, 0, wantY, out)
 		for i := range wantY {
 			wantY[i] += l.bias.Data[i%out]
 		}
 		wantDX := make([]float32, batch*in)
-		blas.SgemmPackedA(1, packed(false, batch, out, dy.Data, out), false, batch, in, out, l.weight.Data, in, 0, wantDX, in)
-		blas.SgemmPackedA(1, packed(true, out, batch, dy.Data, out), false, out, in, batch, x.Data, in, 1, wantDW, in)
+		blas.SgemmPackedARows(0, batch, packed(false, batch, out, dy.Data, out), false, batch, in, out, l.weight.Data, in, 0, wantDX, in)
+		blas.SgemmPackedARows(0, out, packed(true, out, batch, dy.Data, out), false, out, in, batch, x.Data, in, 1, wantDW, in)
 		for name, pair := range map[string][2][]float32{
 			"y": {y.Data, wantY}, "dx": {dx.Data, wantDX}, "dW": {l.weight.Grad, wantDW},
 		} {

@@ -1,11 +1,11 @@
 // Out-of-core training: streamed micro-batches under a blob-memory
 // budget. The paper's micro-batching divides convolution *workspace*;
 // this file extends the same division discipline to activations and
-// gradients (ROADMAP item 2, after the Chainer out-of-core examples and
-// the Micro-Batch Processing line of work): the mini-batch is split into
-// streamed micro-batch windows run forward+backward with deterministic
-// gradient accumulation, while activation slabs are fetched and spilled
-// against the device memory model.
+// gradients (ROADMAP "Real memory", after the Chainer out-of-core
+// examples and the Micro-Batch Processing line of work): the mini-batch
+// is split into streamed micro-batch windows run forward+backward with
+// deterministic gradient accumulation, while activation slabs are
+// fetched and spilled against the device memory model.
 //
 // Execution stays bitwise identical to the undivided run by
 // construction. Windows are ascending contiguous sample ranges, so the

@@ -26,13 +26,11 @@
 // inside a parallel worker contributes its worker-local (occupancy)
 // time, a phase timed on the serial path contributes wall time. The
 // matching denominator — "measured" kernel time — is therefore the
-// per-worker busy time of the kernel's top-level parallel launches plus
-// the serial remainder of the kernel wall. Nested launches (a quiet
-// SGEMM's inner parallelism inside its caller's phase window) report
-// their imbalance but keep their busy time out of the measured total,
-// because the phase window around them already recorded that region as
-// wall time. A launch whose workers record their own phase windows has
-// no such window around it and is top-level.
+// per-worker busy time of the kernel's parallel launches plus the serial
+// remainder of the kernel wall. Launches never nest: every kernel
+// goroutine starts in one launcher (blas.Fork), an SGEMM inside a launch
+// runs on the worker that calls it, and every SGEMM records its own
+// phase windows, so no phase window ever encloses a launch.
 package prof
 
 import (
@@ -138,11 +136,10 @@ type row struct {
 	phaseNS [maxKinds]atomic.Int64
 	phaseN  [maxKinds]atomic.Int64
 
-	launches   atomic.Int64 // top-level parallel launches
-	nested     atomic.Int64 // nested parallel launches (imbalance only)
-	busyNS     atomic.Int64 // Σ per-worker busy over top-level launches
-	idleNS     atomic.Int64 // Σ (workers*wall - busy) over top-level launches
-	launchWall atomic.Int64 // Σ wall over top-level launches
+	launches   atomic.Int64 // parallel launches
+	busyNS     atomic.Int64 // Σ per-worker busy over launches
+	idleNS     atomic.Int64 // Σ (workers*wall - busy) over launches
+	launchWall atomic.Int64 // Σ wall over launches
 
 	imbMaxMicro atomic.Int64 // max over launches of imbalance * 1e6
 	imbSumMicro atomic.Int64 // Σ imbalance * 1e6 (mean = sum / imbN)
@@ -167,9 +164,8 @@ var (
 )
 
 // workerBusy holds per-worker busy nanoseconds between LaunchStart and
-// LaunchEnd; top-level and nested launches never overlap in time (the
-// engine's parallel paths force the inner SGEMM serial), so one slot
-// array serves both.
+// LaunchEnd; launches never overlap in time (kernel executions are
+// serialized and launches never nest), so one slot array serves all.
 var workerBusy [maxWorkerSlots]atomic.Int64
 
 // SetLayer names the framework layer whose kernels execute next; Begin
@@ -293,23 +289,11 @@ func WorkerEnd(w int, start int64) {
 	workerBusy[w&(maxWorkerSlots-1)].Add(nanotime() - start)
 }
 
-// LaunchEnd closes a top-level parallel launch of the given worker
-// count: drains the worker busy slots into the current kernel's
-// busy/idle accounting and records the launch's load imbalance
-// (max/mean per-worker busy ratio).
+// LaunchEnd closes a parallel launch of the given worker count: drains
+// the worker busy slots into the current kernel's busy/idle accounting
+// and records the launch's load imbalance (max/mean per-worker busy
+// ratio).
 func LaunchEnd(workers int, start int64) {
-	launchEnd(workers, start, false)
-}
-
-// LaunchEndNested closes a nested parallel launch (a quiet SGEMM's inner
-// parallelism, whose workers record no phases): imbalance is recorded,
-// but busy time stays out of the measured total — the caller's enclosing
-// phase window already covers this region as wall time.
-func LaunchEndNested(workers int, start int64) {
-	launchEnd(workers, start, true)
-}
-
-func launchEnd(workers int, start int64, nested bool) {
 	if start == 0 {
 		return
 	}
@@ -335,18 +319,14 @@ func launchEnd(workers int, start int64, nested bool) {
 		imb = float64(max) * float64(workers) / float64(sum)
 	}
 	imbMicro := int64(imb * 1e6)
-	if nested {
-		r.nested.Add(1)
-	} else {
-		r.launches.Add(1)
-		r.busyNS.Add(sum)
-		idle := int64(workers)*wall - sum
-		if idle < 0 {
-			idle = 0
-		}
-		r.idleNS.Add(idle)
-		r.launchWall.Add(wall)
+	r.launches.Add(1)
+	r.busyNS.Add(sum)
+	idle := int64(workers)*wall - sum
+	if idle < 0 {
+		idle = 0
 	}
+	r.idleNS.Add(idle)
+	r.launchWall.Add(wall)
 	casMax(&r.imbMaxMicro, imbMicro)
 	r.imbSumMicro.Add(imbMicro)
 	r.imbN.Add(1)
@@ -383,7 +363,6 @@ func zeroRow(r *row) {
 		r.phaseN[i].Store(0)
 	}
 	r.launches.Store(0)
-	r.nested.Store(0)
 	r.busyNS.Store(0)
 	r.idleNS.Store(0)
 	r.launchWall.Store(0)
@@ -424,17 +403,15 @@ type RowSnap struct {
 	WSHighWaterBytes int64 `json:"ws_high_water_bytes"`
 }
 
-// WorkerSnap is a row's worker-utilization accounting: top-level
-// launches contribute busy/idle; nested launches contribute imbalance
-// only.
+// WorkerSnap is a row's worker-utilization accounting over its
+// parallel launches.
 type WorkerSnap struct {
-	Launches       int64 `json:"launches"`
-	NestedLaunches int64 `json:"nested_launches,omitempty"`
-	BusyNS         int64 `json:"busy_ns"`
-	IdleNS         int64 `json:"idle_ns"`
-	// MeanBusyRatio is busy/(busy+idle) over top-level launches;
-	// Max/MeanImbalance are the max-over-mean per-worker busy ratios
-	// (1.0 = perfectly balanced stripes) over every launch.
+	Launches int64 `json:"launches"`
+	BusyNS   int64 `json:"busy_ns"`
+	IdleNS   int64 `json:"idle_ns"`
+	// MeanBusyRatio is busy/(busy+idle); Max/MeanImbalance are the
+	// max-over-mean per-worker busy ratios (1.0 = perfectly balanced
+	// stripes) over every launch.
 	MeanBusyRatio float64 `json:"mean_busy_ratio"`
 	MaxImbalance  float64 `json:"max_imbalance"`
 	MeanImbalance float64 `json:"mean_imbalance"`
@@ -442,7 +419,7 @@ type WorkerSnap struct {
 
 // used reports whether the row recorded anything.
 func (r *row) used() bool {
-	if r.execs.Load() != 0 || r.launches.Load() != 0 || r.nested.Load() != 0 {
+	if r.execs.Load() != 0 || r.launches.Load() != 0 {
 		return true
 	}
 	for i := range r.phaseN {
@@ -460,10 +437,9 @@ func (r *row) snap() RowSnap {
 		Executions: r.execs.Load(),
 		TotalNS:    r.total.Load(),
 		Workers: WorkerSnap{
-			Launches:       r.launches.Load(),
-			NestedLaunches: r.nested.Load(),
-			BusyNS:         r.busyNS.Load(),
-			IdleNS:         r.idleNS.Load(),
+			Launches: r.launches.Load(),
+			BusyNS:   r.busyNS.Load(),
+			IdleNS:   r.idleNS.Load(),
 		},
 		WSHighWaterBytes: r.wsHigh.Load(),
 	}

@@ -152,8 +152,8 @@ func TestImbalanceAccounting(t *testing.T) {
 	End(start)
 
 	r := Snapshot()[0]
-	if r.Workers.Launches != 1 || r.Workers.NestedLaunches != 0 {
-		t.Fatalf("launches = %d/%d, want 1/0", r.Workers.Launches, r.Workers.NestedLaunches)
+	if r.Workers.Launches != 1 {
+		t.Fatalf("launches = %d, want 1", r.Workers.Launches)
 	}
 	if r.Workers.BusyNS != 700 {
 		t.Fatalf("busy = %d, want 700", r.Workers.BusyNS)
@@ -190,31 +190,6 @@ func TestBalancedLaunchImbalanceIsOne(t *testing.T) {
 	}
 }
 
-func TestNestedLaunchKeepsBusyOutOfMeasured(t *testing.T) {
-	resetAll(t)
-	Enable()
-	start := Begin("Kern")
-	ls := LaunchStart()
-	workerBusy[0].Store(3000)
-	workerBusy[1].Store(1000)
-	LaunchEndNested(2, ls)
-	End(start)
-	r := Snapshot()[0]
-	if r.Workers.NestedLaunches != 1 || r.Workers.Launches != 0 {
-		t.Fatalf("launches = %d/%d, want 0 top-level / 1 nested", r.Workers.Launches, r.Workers.NestedLaunches)
-	}
-	if r.Workers.BusyNS != 0 || r.Workers.IdleNS != 0 {
-		t.Fatalf("nested launch leaked busy/idle: %d/%d", r.Workers.BusyNS, r.Workers.IdleNS)
-	}
-	if want := 3000.0 * 2 / 4000.0; math.Abs(r.Workers.MaxImbalance-want) > 1e-4 {
-		t.Fatalf("nested imbalance = %v, want %v", r.Workers.MaxImbalance, want)
-	}
-	// The nested region stays measured as wall time.
-	if r.MeasuredNS != r.TotalNS {
-		t.Fatalf("measured %d != total %d: nested busy must not replace wall", r.MeasuredNS, r.TotalNS)
-	}
-}
-
 // TestHotPathAllocs pins the hot-path contract: zero allocations per
 // hook, profiling disabled AND enabled.
 func TestHotPathAllocs(t *testing.T) {
@@ -236,12 +211,6 @@ func TestHotPathAllocs(t *testing.T) {
 				bs := WorkerStart()
 				WorkerEnd(0, bs)
 				LaunchEnd(2, ls)
-			},
-			"nested": func() {
-				ls := LaunchStart()
-				bs := WorkerStart()
-				WorkerEnd(1, bs)
-				LaunchEndNested(2, ls)
 			},
 			"grant": func() { GrantWS(4096) },
 		}

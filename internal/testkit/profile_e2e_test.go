@@ -73,9 +73,9 @@ func TestProfileE2EAttribution(t *testing.T) {
 		if k.AttributedNS > k.MeasuredNS {
 			t.Errorf("%s %s: attributed %d exceeds measured %d", k.Layer, k.Kernel, k.AttributedNS, k.MeasuredNS)
 		}
-		if k.Workers.Launches+k.Workers.NestedLaunches > 0 && k.Workers.MaxImbalance < 1 {
+		if k.Workers.Launches > 0 && k.Workers.MaxImbalance < 1 {
 			t.Errorf("%s %s: %d launches but max imbalance %v (must be >= 1 for any launch)",
-				k.Layer, k.Kernel, k.Workers.Launches+k.Workers.NestedLaunches, k.Workers.MaxImbalance)
+				k.Layer, k.Kernel, k.Workers.Launches, k.Workers.MaxImbalance)
 		}
 	}
 	for _, name := range convLayerNames(t, network, batch) {
@@ -105,7 +105,7 @@ func TestProfileE2EAttribution(t *testing.T) {
 	// somewhere — otherwise the imbalance check above is vacuous.
 	var launches int64
 	for _, k := range rep.Kernels {
-		launches += k.Workers.Launches + k.Workers.NestedLaunches
+		launches += k.Workers.Launches
 	}
 	if launches == 0 {
 		t.Error("no parallel launches recorded at P=4")
