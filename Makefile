@@ -39,15 +39,15 @@ test-e2e:
 bench:
 	$(GO) test -bench=. -benchmem -run=NONE
 
-# bench-smoke is a short pass over the convolution kernel, LRN layer and
-# WD ILP micro-benchmarks (the BENCH_kernels.json baseline): enough iterations
-# to catch a kernel that stopped running or started allocating, for a
-# quick check by hand (make check runs bench-json, a superset of these
-# benchmarks, instead). Like bench-json it runs at -cpu 1: the
+# bench-smoke is a short pass over the convolution kernel, LRN and pooling
+# layer and WD ILP micro-benchmarks (the BENCH_kernels.json baseline):
+# enough iterations to catch a kernel that stopped running or started
+# allocating, for a quick check by hand (make check runs bench-json, a
+# superset of these benchmarks, instead). Like bench-json it runs at -cpu 1: the
 # ledger records the engine's serial path, whose allocs/op must be zero
 # (fork-join allocates goroutines by design), on whatever host this is.
 bench-smoke:
-	$(GO) test -run=NONE -bench='BenchmarkConvKernels$$|BenchmarkConvBackwardFilter|BenchmarkConvImplicit|BenchmarkConvInception3x3|BenchmarkSgemm|BenchmarkLRN' \
+	$(GO) test -run=NONE -bench='BenchmarkConvKernels$$|BenchmarkConvBackwardFilter|BenchmarkConvImplicit|BenchmarkConvInception3x3|BenchmarkSgemm|BenchmarkLRN|BenchmarkPool' \
 		-benchtime=3x -benchmem -cpu 1 ./internal/conv/ ./internal/blas/ ./internal/dnn/
 	$(GO) test -run=NONE -bench='BenchmarkILP' -benchtime=20x -benchmem -cpu 1 .
 
@@ -62,7 +62,7 @@ bench-smoke:
 # a third of the sample and allocs/op rounds unevenly.
 bench-json:
 	@tmp=$$(mktemp); \
-	$(GO) test -run=NONE -bench='BenchmarkConvKernels$$|BenchmarkConvKernelsBatch|BenchmarkConvBackwardFilter|BenchmarkConvImplicit|BenchmarkConvInception3x3|BenchmarkConvMicroBatch|BenchmarkSgemm|BenchmarkLRN' \
+	$(GO) test -run=NONE -bench='BenchmarkConvKernels$$|BenchmarkConvKernelsBatch|BenchmarkConvBackwardFilter|BenchmarkConvImplicit|BenchmarkConvInception3x3|BenchmarkConvMicroBatch|BenchmarkSgemm|BenchmarkLRN|BenchmarkPool' \
 		-benchtime=3x -count 3 -benchmem -cpu 1 ./internal/conv/ ./internal/blas/ ./internal/dnn/ > $$tmp || { cat $$tmp; rm -f $$tmp; exit 1; }; \
 	$(GO) test -run=NONE -bench='BenchmarkILP' -benchtime=200x -count 3 -benchmem -cpu 1 . >> $$tmp || { cat $$tmp; rm -f $$tmp; exit 1; }; \
 	$(GO) run ./cmd/ucudnn-benchdiff -emit < $$tmp > BENCH_report.json; rm -f $$tmp

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"ucudnn/internal/blas"
 	"ucudnn/internal/causal"
 	"ucudnn/internal/conv"
 	"ucudnn/internal/cudnn"
@@ -166,9 +167,10 @@ type Layer interface {
 	Setup(ctx *Context, bottoms []tensor.Shape) (tensor.Shape, error)
 	// Forward computes top from bottoms.
 	Forward(ctx *Context, bottoms []*tensor.Tensor, top *tensor.Tensor) error
-	// Backward computes bottom gradients (into dBottoms, overwriting) and
-	// accumulates parameter gradients, given the forward activations and
-	// the top gradient.
+	// Backward computes bottom gradients (into dBottoms, overwriting every
+	// element: the net hands a blob's gradient itself to its first
+	// consumer, see routeGrads) and accumulates parameter gradients,
+	// given the forward activations and the top gradient.
 	Backward(ctx *Context, bottoms []*tensor.Tensor, top, dTop *tensor.Tensor, dBottoms []*tensor.Tensor) error
 	// Params returns the learnable parameters (may be empty).
 	Params() []*Param
@@ -191,13 +193,31 @@ type layerInst struct {
 
 // layerBound is what the per-iteration walk of one layer reads, resolved
 // from the blob names once by Setup so the walk allocates nothing: the
-// bottoms' data and gradient tensors, the headers of the scratch
-// gradients Backward writes into (backed by Net.bwdScratch), the top
-// blob and the backward label.
+// bottoms' data tensors, the gradient tensors Backward writes (see
+// routeGrads), the sums that follow it, the top blob and the backward
+// label.
 type layerBound struct {
-	bot, dbot, scratch []*tensor.Tensor
-	topBlob            *Blob
-	bwdLabel           string
+	bot, dbot []*tensor.Tensor
+	sums      []gradSum
+	topBlob   *Blob
+	bwdLabel  string
+}
+
+// gradSum adds a bottom gradient that a later consumer in backward order
+// wrote into scratch (a header over gradRoutes.scratch) into the blob
+// gradient grad, which an earlier consumer wrote.
+type gradSum struct{ scratch, grad *tensor.Tensor }
+
+// gradRoutes is the net's half of blob-gradient routing (each layer's
+// sums are in its layerBound). scratch[k] backs the k-th sum of a layer:
+// layers run one at a time, so every layer reuses it. unwritten are the
+// gradients no Backward writes (the loss top, an input only a
+// SkipInputGrad convolution reads), which zeroBlobGrads clears. sum adds
+// a gradSum at vector width over the workers.
+type gradRoutes struct {
+	scratch   [][]float32
+	unwritten []*tensor.Tensor
+	sum       *forkJoin
 }
 
 // Net is a feed-forward network over named blobs, executed in insertion
@@ -209,9 +229,8 @@ type Net struct {
 	blobs  map[string]*Blob
 	order  []string // blob creation order, for deterministic iteration
 	ready  bool
-	// bwdScratch[j] backs the j-th bottom gradient a layer's Backward
-	// writes; layers run one at a time, so every layer reuses it.
-	bwdScratch [][]float32
+	// grads is what routeGrads built; a timing-only context has none.
+	grads *gradRoutes
 
 	inputName  string
 	inputShape tensor.Shape
@@ -285,6 +304,9 @@ func (n *Net) Setup() error {
 		}
 		n.bound[i] = n.bind(li)
 	}
+	if !n.ctx.SkipCompute {
+		n.routeGrads()
+	}
 	n.ready = true
 	if ooc := n.ctx.OOC; ooc != nil {
 		if err := ooc.bind(n); err != nil {
@@ -311,20 +333,69 @@ func (n *Net) bind(li layerInst) layerBound {
 	for j, b := range li.bottoms {
 		lb.bot[j], lb.dbot[j] = n.blobs[b].Data, n.blobs[b].Grad
 	}
-	if n.ctx.SkipCompute {
-		// Timing-only runs hand dbot straight to Backward: no scratch.
-		return lb
-	}
-	headers := make([]tensor.Tensor, nb)
-	lb.scratch = make([]*tensor.Tensor, nb)
-	for j, b := range li.bottoms {
-		headers[j].Shape = n.blobs[b].Shape
-		lb.scratch[j] = &headers[j]
-	}
-	for len(n.bwdScratch) < nb {
-		n.bwdScratch = append(n.bwdScratch, nil)
-	}
 	return lb
+}
+
+// routeGrads decides who writes each blob gradient in a backward pass.
+// The first consumer in backward order (the blob's last reader in
+// forward order; of one layer's bottoms, the first) writes Blob.Grad
+// itself: every Backward overwrites its dBottoms. Every later consumer
+// writes a scratch buffer, which the sum then adds in, in backward
+// order: the gradient is g1 + g2 + ... with one rounding per add, as
+// when every consumer added into a cleared gradient, except that a -0
+// from the first writer stays -0 (0 + -0 is +0). Gradients no Backward
+// writes are left to zeroBlobGrads. A timing-only context has no
+// gradients, so only a computing one routes.
+func (n *Net) routeGrads() {
+	n.grads = &gradRoutes{}
+	written := make(map[*tensor.Tensor]bool, len(n.blobs))
+	var slots []int // the largest gradient each scratch slot holds
+	for i := len(n.layers) - 1; i >= 0; i-- {
+		if c, ok := n.layers[i].layer.(*Conv); ok && c.skipInputGrad {
+			continue // writes no bottom gradient
+		}
+		lb := &n.bound[i]
+		for j, g := range lb.dbot {
+			if !written[g] {
+				written[g] = true
+				continue
+			}
+			k := len(lb.sums)
+			if k == len(slots) {
+				slots = append(slots, 0)
+			}
+			slots[k] = imax(slots[k], g.Shape.Elems())
+			lb.dbot[j] = &tensor.Tensor{Shape: g.Shape}
+			lb.sums = append(lb.sums, gradSum{scratch: lb.dbot[j], grad: g})
+		}
+	}
+	units := 1
+	for _, elems := range slots {
+		n.grads.scratch = append(n.grads.scratch, make([]float32, elems))
+		units = imax(units, ceilDiv(elems, forkGrain))
+	}
+	for i := range n.bound {
+		for k, sm := range n.bound[i].sums {
+			sm.scratch.Data = n.grads.scratch[k][:sm.grad.Shape.Elems()]
+		}
+	}
+	if len(slots) > 0 {
+		n.grads.sum = newForkJoin(units, n.sumWork)
+	}
+	for _, name := range n.order {
+		if g := n.blobs[name].Grad; !written[g] {
+			n.grads.unwritten = append(n.grads.unwritten, g)
+		}
+	}
+}
+
+// sumWork is worker w's share of a gradient sum: a contiguous range of
+// elements, y += 1*x. The product 1*x is exact, so every element gets
+// the bits of y + x.
+func (n *Net) sumWork(w, workers int) {
+	pass := &n.grads.sum.pass
+	lo, hi := blas.Chunk(len(pass.x), workers, w)
+	blas.Saxpy(1, pass.x[lo:hi], pass.y[lo:hi])
 }
 
 // inPlacer marks layers whose top may alias their bottom on the device.
@@ -470,8 +541,9 @@ func (n *Net) RunIteration() error {
 }
 
 // Backward runs the full backward pass; loss layers seed their own bottom
-// gradients, so no top gradient needs to be provided. Bottom gradients
-// accumulate across consumers, so blob gradients are zeroed first.
+// gradients, so no top gradient needs to be provided. Each blob gradient
+// is written by its first consumer and summed into by the rest (see
+// routeGrads); zeroBlobGrads clears those nobody writes.
 func (n *Net) Backward() error {
 	if !n.ready {
 		return fmt.Errorf("dnn: Backward before Forward")
@@ -485,15 +557,15 @@ func (n *Net) Backward() error {
 	return nil
 }
 
-// zeroBlobGrads clears every blob gradient ahead of a backward pass:
-// bottom gradients accumulate across consumers. A timing-only context
-// has no gradient buffers to clear.
+// zeroBlobGrads clears, ahead of a backward pass, the blob gradients no
+// layer's Backward writes. A timing-only context has no gradient buffers
+// to clear.
 func (n *Net) zeroBlobGrads() {
-	if n.ctx.SkipCompute {
+	if n.grads == nil {
 		return
 	}
-	for _, b := range n.blobs {
-		b.Grad.Zero()
+	for _, g := range n.grads.unwritten {
+		g.Zero()
 	}
 }
 
@@ -511,33 +583,11 @@ func (n *Net) backwardLayer(i int) error {
 		}
 	}
 	top := lb.topBlob
-	if n.ctx.SkipCompute {
-		if err := li.layer.Backward(n.ctx, lb.bot, top.Data, top.Grad, lb.dbot); err != nil {
-			return fmt.Errorf("dnn: backward %s: %w", li.layer.Name(), err)
-		}
-		return nil
-	}
-	// Layers overwrite dBottoms; since a blob may feed several layers,
-	// accumulate via a scratch buffer. Single-consumer blobs dominate, so
-	// the extra add is cheap relative to the layer work. The buffers are
-	// the net's, zeroed per use: a fresh tensor per layer per iteration was
-	// garbage piling up at the iteration rate until the next GC cycle.
-	for j, g := range lb.scratch {
-		elems := g.Shape.Elems()
-		if cap(n.bwdScratch[j]) < elems {
-			n.bwdScratch[j] = make([]float32, elems)
-		}
-		g.Data = n.bwdScratch[j][:elems]
-		clear(g.Data)
-	}
-	if err := li.layer.Backward(n.ctx, lb.bot, top.Data, top.Grad, lb.scratch); err != nil {
+	if err := li.layer.Backward(n.ctx, lb.bot, top.Data, top.Grad, lb.dbot); err != nil {
 		return fmt.Errorf("dnn: backward %s: %w", li.layer.Name(), err)
 	}
-	for j, g := range lb.scratch {
-		dst := lb.dbot[j].Data
-		for k, v := range g.Data {
-			dst[k] += v
-		}
+	for _, sm := range lb.sums {
+		n.grads.sum.forward(ceilDiv(len(sm.scratch.Data), forkGrain), sm.scratch.Data, sm.grad.Data)
 	}
 	return nil
 }

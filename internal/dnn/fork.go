@@ -17,9 +17,10 @@ const forkGrain = 1 << 14
 // would allocate its closure on every pass. The layer describes the pass
 // in flight in the pass fields, which the bodies read; results must not
 // depend on the worker count, so every worker takes a blas.Chunk range
-// of independent samples, planes or elements. A layer holds its fork by
-// pointer and builds it only when the context computes, so a planning
-// context pays one nil word for it.
+// of independent samples, planes or elements. A layer (and the net, for
+// the sums of shared bottom gradients) holds its fork by pointer and
+// builds it only when the context computes, so a planning context pays
+// one nil word for it.
 type forkJoin struct {
 	body    func(w, workers int) // worker w's share of the pass in flight
 	run     []func()             // the goroutine body of every worker but the calling one

@@ -92,16 +92,31 @@ const (
 
 // Pool is a spatial pooling layer. A channel plane's windows read and
 // write that plane alone, so both passes spread the N*C planes over the
-// engine's workers; within a plane the walk is the definition's, window
-// by window in h-then-w order.
+// engine's workers. Average pooling walks the definition, window by
+// window in h-then-w order; max pooling takes the same first maximum in
+// two passes of one vector merge body (maxPlane).
 type Pool struct {
 	name           string
 	kind           PoolKind
 	kernel, stride int
 	pad            int
 	in, out        tensor.Shape
-	argmax         []int32
 	fork           *forkJoin
+	max            *maxPoolState // max pooling in a computing context
+}
+
+// maxPoolState is what max pooling keeps beside the layer: argmax, and
+// the scratch of the two merge passes (maxPlane). Per worker: the
+// horizontal window maxima, one per (input row, output column), with
+// their indices, and the indices of the plane in flight, which the merge
+// body reads beside x. Shared: the empty start every pass copies in,
+// -Inf with index -1.
+type maxPoolState struct {
+	argmax        []int32
+	rowMax        []float32
+	rowArg, index []int32
+	noMax         []float32
+	noArg         []int32
 }
 
 // NewPool builds a pooling layer.
@@ -139,10 +154,22 @@ func (l *Pool) Setup(ctx *Context, bottoms []tensor.Shape) (tensor.Shape, error)
 	l.in = in
 	l.out = tensor.Shape{N: in.N, C: in.C, H: oh, W: ow}
 	if !ctx.SkipCompute {
-		if l.kind == MaxPool {
-			l.argmax = make([]int32, l.out.Elems())
-		}
 		l.fork = newForkJoin(l.units(), l.work)
+		if l.kind == MaxPool {
+			per, workers := in.H*l.out.W, l.fork.maxWorkers()
+			m := &maxPoolState{
+				argmax: make([]int32, l.out.Elems()),
+				rowMax: make([]float32, workers*per),
+				rowArg: make([]int32, workers*per),
+				index:  make([]int32, workers*(in.H*in.W+1)), // +1: poolMerge's stride-2 reads
+				noMax:  make([]float32, imax(per, l.out.H*l.out.W)),
+			}
+			m.noArg = make([]int32, len(m.noMax))
+			for i := range m.noMax {
+				m.noMax[i], m.noArg[i] = float32(math.Inf(-1)), -1
+			}
+			l.max = m
+		}
 	}
 	return l.out, nil
 }
@@ -160,7 +187,7 @@ func (l *Pool) work(w, workers int) {
 		if l.fork.pass.backward {
 			l.backwardPlane(p)
 		} else {
-			l.forwardPlane(p)
+			l.forwardPlane(w, p)
 		}
 	}
 }
@@ -181,55 +208,106 @@ func (l *Pool) Forward(ctx *Context, bottoms []*tensor.Tensor, top *tensor.Tenso
 	return nil
 }
 
-// forwardPlane pools plane p = n*C+c.
-func (l *Pool) forwardPlane(p int) {
+// forwardPlane pools plane p = n*C+c on worker w.
+func (l *Pool) forwardPlane(w, p int) {
 	inHW, outHW := l.in.H*l.in.W, l.out.H*l.out.W
-	x, y := l.fork.pass.x[p*inHW:(p+1)*inHW], l.fork.pass.y[p*outHW:(p+1)*outHW]
+	y := l.fork.pass.y[p*outHW : (p+1)*outHW]
 	if l.kind == MaxPool {
-		l.maxPlane(x, y, l.argmax[p*outHW:(p+1)*outHW], int32(p*inHW))
+		// The merge body's last stride-2 group of a row reads one element
+		// past it, so x runs on past the plane (to the tensor's end).
+		l.maxPlane(w, l.fork.pass.x[p*inHW:], y, l.max.argmax[p*outHW:(p+1)*outHW], int32(p*inHW))
 	} else {
-		l.avgPlane(x, y)
+		l.avgPlane(l.fork.pass.x[p*inHW:(p+1)*inHW], y)
 	}
 }
 
-// maxPlane max-pools one plane, recording each maximum in arg as base
-// plus its index in the plane, or -1 where nothing exceeds -Inf.
-func (l *Pool) maxPlane(x, y []float32, arg []int32, base int32) {
-	outW := l.out.W
-	for oh := 0; oh < l.out.H; oh++ {
-		h0, h1 := l.window(oh, l.in.H)
-		maxPoolRow(x, l.in.W, h0, h1, y[oh*outW:(oh+1)*outW], arg[oh*outW:(oh+1)*outW], base, l.kernel, l.stride, l.pad)
-	}
-}
-
-// maxPoolRow max-pools rows [h0, h1) of plane x into one output row over
-// row slices, keeping the first maximum in h-then-w order (strict >). The
-// running maximum is carried as bits beside its index so that the update
-// is two integer selects: taken-or-not is a coin toss on real
-// activations, and a branch there costs more than the compares of a
-// window. Its own function, and not inlined, so that the window loops
-// have the registers to themselves.
+// maxPlane max-pools the plane x starts with on worker w, recording each
+// maximum in arg as base plus its index in the plane, or -1 where nothing
+// exceeds -Inf. A window's first maximum in h-then-w order (strict >) is
+// the first, over its rows, of each row's first maximum, so the plane
+// goes through two passes of poolMerge, each from -Inf and index -1:
+//   - horizontal: the window maxima of every input row, one per output
+//     column, into the worker's scratch;
+//   - vertical: every output row merges its window's scratch rows, which
+//     are contiguous at every stride.
 //
-//go:noinline
-func maxPoolRow(x []float32, inW, h0, h1 int, y []float32, arg []int32, base int32, kernel, stride, pad int) {
-	for ow := range y {
-		w0 := ow*stride - pad
-		w1 := imin(w0+kernel, inW)
-		w0 = imax(w0, 0)
-		best := float32(math.Inf(-1))
-		bestBits, bestIdx := math.Float32bits(best), -1-int(base)
-		for h := h0; h < h1; h++ {
-			at := h*inW + w0
-			for j, v := range x[at : at+w1-w0] {
-				vb, vi := math.Float32bits(v), at+j
-				if v > best {
-					bestBits, bestIdx = vb, vi
-				}
-				best = math.Float32frombits(bestBits)
+// Each pass merges one tap (window column or row) at a time into every
+// window that holds it, which is all of them but those padding clips:
+// the order within a window, and so the first maximum, is unchanged.
+func (l *Pool) maxPlane(w int, x, y []float32, arg []int32, base int32) {
+	inW, outW, s, pad := l.in.W, l.out.W, l.stride, l.pad
+	_, rows := l.window(l.out.H-1, l.in.H) // every window lies in rows [0, rows)
+	per := l.in.H * outW
+	m := l.max
+	hm, ha := m.rowMax[w*per:w*per+rows*outW], m.rowArg[w*per:w*per+rows*outW]
+	copy(hm, m.noMax)
+	copy(ha, m.noArg)
+	idx := m.index[w*(l.in.H*inW+1) : (w+1)*(l.in.H*inW+1)]
+	for i := range idx { // one pass here, instead of adding base to arg after
+		idx[i] = base + int32(i)
+	}
+	for t := 0; t < l.kernel; t++ {
+		if lo, hi := l.taps(t, outW, inW); lo < hi {
+			at := lo*s - pad + t
+			poolMerge(hm[lo:], ha[lo:], outW, x[at:], idx[at:], inW, rows, hi-lo, s)
+		}
+	}
+	copy(y, m.noMax)
+	copy(arg, m.noArg)
+	for r := 0; r < l.kernel; r++ {
+		if lo, hi := l.taps(r, l.out.H, rows); lo < hi {
+			at := (lo*s - pad + r) * outW
+			poolMerge(y[lo*outW:], arg[lo*outW:], outW, hm[at:], ha[at:], s*outW, hi-lo, outW, 1)
+		}
+	}
+}
+
+// taps is the range [lo, hi) of output positions, of out along an axis
+// of extent n, whose window holds tap t: input position o*stride-pad+t.
+func (l *Pool) taps(t, out, n int) (lo, hi int) {
+	lo = ceilDiv(imax(l.pad-t, 0), l.stride)
+	if last := n - 1 + l.pad - t; last >= 0 {
+		hi = imin(last/l.stride+1, out)
+	}
+	return lo, hi
+}
+
+// poolMerge is max pooling's one vector body. For rows rows of n lanes,
+// where s[r*sRow+i*stride] > d[r*dRow+i], it sets that d to that s and
+// di[r*dRow+i] = si[r*sRow+i*stride]. With AVX, rows of at least eight
+// lanes at stride 1 or 2 run eight lanes at a time (pool_amd64.s); the
+// rest, and a last row whose stride-2 groups would read past the end of
+// s, go through poolMergeGeneric.
+func poolMerge(d []float32, di []int32, dRow int, s []float32, si []int32, sRow, rows, n, stride int) {
+	if !poolAVX || n < 8 || stride > 2 {
+		poolMergeGeneric(d, di, dRow, s, si, sRow, rows, n, stride)
+		return
+	}
+	if end := (rows-1)*sRow + stride*n; end > len(s) || end > len(si) {
+		// Only the last row can be short, by the one element a stride-2
+		// group reads past its last lane.
+		if rows > 1 {
+			poolMerge(d, di, dRow, s, si, sRow, rows-1, n, stride)
+		}
+		o, so := (rows-1)*dRow, (rows-1)*sRow
+		poolMergeGeneric(d[o:], di[o:], dRow, s[so:], si[so:], sRow, 1, n, stride)
+		return
+	}
+	_, _ = d[(rows-1)*dRow+n-1], di[(rows-1)*dRow+n-1]
+	_, _ = s[(rows-1)*sRow+stride*n-1], si[(rows-1)*sRow+stride*n-1]
+	poolMergeAVX(&d[0], &di[0], dRow, &s[0], &si[0], sRow, rows, n, stride)
+}
+
+// poolMergeGeneric is poolMerge in Go: the AVX body's twin, and the whole
+// merge off amd64.
+func poolMergeGeneric(d []float32, di []int32, dRow int, s []float32, si []int32, sRow, rows, n, stride int) {
+	for r := 0; r < rows; r++ {
+		dr, ir := d[r*dRow:r*dRow+n], di[r*dRow:r*dRow+n]
+		for i, dv := range dr {
+			if v := s[r*sRow+i*stride]; v > dv {
+				dr[i], ir[i] = v, si[r*sRow+i*stride]
 			}
 		}
-		y[ow] = best
-		arg[ow] = base + int32(bestIdx)
 	}
 }
 
@@ -270,7 +348,7 @@ func (l *Pool) backwardPlane(p int) {
 	dy := l.fork.pass.dy[p*l.out.H*outW : (p+1)*l.out.H*outW]
 	clear(dx)
 	if l.kind == MaxPool {
-		for oi, src := range l.argmax[p*len(dy) : (p+1)*len(dy)] {
+		for oi, src := range l.max.argmax[p*len(dy) : (p+1)*len(dy)] {
 			if src >= 0 {
 				l.fork.pass.dx[src] += dy[oi]
 			}

@@ -624,6 +624,100 @@ func BenchmarkLRN(b *testing.B) {
 	})
 }
 
+// BenchmarkPool times one max-pooling pass at two real shapes: the
+// layer's rows in the kernel ledger. Inception is GoogLeNet's pool
+// branch at batch 16 (3x3, stride 1, pad 1; 192 channels of 28x28),
+// AlexNetPool1 AlexNet's pool1 at batch 4 (3x3, stride 2; 96 channels of
+// 55x55).
+func BenchmarkPool(b *testing.B) {
+	for _, bc := range []struct {
+		name                string
+		kernel, stride, pad int
+		in                  tensor.Shape
+	}{
+		{"Inception", 3, 1, 1, tensor.Shape{N: 16, C: 192, H: 28, W: 28}},
+		{"AlexNetPool1", 3, 2, 0, tensor.Shape{N: 4, C: 96, H: 55, W: 55}},
+	} {
+		l := NewPool("pool", MaxPool, bc.kernel, bc.stride, bc.pad)
+		ctx := testCtx()
+		out, err := l.Setup(ctx, []tensor.Shape{bc.in})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		x, y, dy, dx := tensor.NewShaped(bc.in), tensor.NewShaped(out), tensor.NewShaped(out), tensor.NewShaped(bc.in)
+		x.Randomize(rng, 1)
+		dy.Randomize(rng, 1)
+		bot, dbot := []*tensor.Tensor{x}, []*tensor.Tensor{dx}
+		if err := l.Forward(ctx, bot, y); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(bc.name+"/Forward", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := l.Forward(ctx, bot, y); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(bc.name+"/Backward", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := l.Backward(ctx, bot, y, dy, dbot); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestPoolMergeMatchesTwinBitwise: poolMerge (the AVX body where the host
+// has it, plus the twin for what the body leaves) against
+// poolMergeGeneric alone, at every length 0-40 (each tail mod 8, and the
+// overlapped last group), strides 1-3 and one to three rows, on data
+// heavy with ties, NaN, ±Inf and ±0. The source is cut to the shortest
+// the lanes need (every other trial) or runs one stride longer; rows sit
+// a few elements apart, so a lane that strays into the gap shows.
+func TestPoolMergeMatchesTwinBitwise(t *testing.T) {
+	special := []float32{
+		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		0, float32(math.Copysign(0, -1)), 1, -1, 2,
+	}
+	rng := rand.New(rand.NewSource(7))
+	val := func() float32 {
+		if rng.Intn(2) == 0 {
+			return special[rng.Intn(len(special))]
+		}
+		return float32(rng.NormFloat64())
+	}
+	for stride := 1; stride <= 3; stride++ {
+		for n := 0; n <= 40; n++ {
+			for trial := 0; trial < 24; trial++ {
+				rows := 1 + trial%3
+				dRow, sRow := n+3, stride*n+5
+				src := make([]float32, imax(0, (rows-1)*sRow+stride*(n-1)+1+trial%2*stride))
+				sidx := make([]int32, len(src))
+				for i := range src {
+					src[i], sidx[i] = val(), int32(1000+i)
+				}
+				d, di := make([]float32, rows*dRow), make([]int32, rows*dRow)
+				for i := range d {
+					d[i], di[i] = val(), int32(-1-i)
+				}
+				wantD, wantI := append([]float32{}, d...), append([]int32{}, di...)
+				poolMergeGeneric(wantD, wantI, dRow, src, sidx, sRow, rows, n, stride)
+				poolMerge(d, di, dRow, src, sidx, sRow, rows, n, stride)
+				if i := sameBits(d, wantD); i >= 0 {
+					t.Fatalf("stride %d n %d rows %d trial %d: d[%d] = %v, twin %v", stride, n, rows, trial, i, d[i], wantD[i])
+				}
+				for i := range di {
+					if di[i] != wantI[i] {
+						t.Fatalf("stride %d n %d rows %d trial %d: di[%d] = %d, twin %d", stride, n, rows, trial, i, di[i], wantI[i])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestFCMatchesPackedReferenceBitwise: the FC layer's three products at
 // batch 1..5 (both sides of the one-row-panel boundary, where blas
 // streams W in place instead of packing it) on a width that is no
@@ -761,7 +855,8 @@ func poolBackwardRef(l *Pool, dTop, dx *tensor.Tensor, argmax []int32) {
 }
 
 // TestPoolAndReLUMatchReferenceBitwise: both pooling kinds (overlapping,
-// padded, ceil-mode windows, ties, an all -Inf window) and ReLU carry
+// padded, ceil-mode windows, ties, an all -Inf window, stride-2 rows of
+// a width off a multiple of eight, NaN inputs) and ReLU carry
 // their former serial loops' bits — outputs, argmax and gradients — at
 // every worker count, including more workers than Setup sized for and
 // tensors large enough to fork.
@@ -771,13 +866,17 @@ func TestPoolAndReLUMatchReferenceBitwise(t *testing.T) {
 		kind                PoolKind
 		kernel, stride, pad int
 		in                  tensor.Shape
+		nan                 bool
 	}
 	cases := []poolCase{
-		{MaxPool, 3, 2, 0, tensor.Shape{N: 2, C: 3, H: 7, W: 7}},
-		{MaxPool, 3, 1, 1, tensor.Shape{N: 4, C: 48, H: 28, W: 28}}, // Inception's pool branch: forks
-		{MaxPool, 3, 2, 0, tensor.Shape{N: 3, C: 5, H: 8, W: 6}},    // ceil mode: clipped last windows
-		{AvgPool, 2, 2, 0, tensor.Shape{N: 2, C: 2, H: 6, W: 6}},
-		{AvgPool, 3, 2, 1, tensor.Shape{N: 5, C: 40, H: 13, W: 13}},
+		{MaxPool, 3, 2, 0, tensor.Shape{N: 2, C: 3, H: 7, W: 7}, false},
+		{MaxPool, 3, 1, 1, tensor.Shape{N: 4, C: 48, H: 28, W: 28}, false}, // Inception's pool branch: forks
+		{MaxPool, 3, 2, 0, tensor.Shape{N: 3, C: 5, H: 8, W: 6}, false},    // ceil mode: clipped last windows
+		{MaxPool, 3, 2, 0, tensor.Shape{N: 2, C: 4, H: 23, W: 41}, false},  // 20 outputs a row
+		{MaxPool, 3, 2, 1, tensor.Shape{N: 3, C: 4, H: 19, W: 37}, true},   // 19 outputs a row, padded
+		{MaxPool, 3, 1, 1, tensor.Shape{N: 2, C: 3, H: 12, W: 30}, true},
+		{AvgPool, 2, 2, 0, tensor.Shape{N: 2, C: 2, H: 6, W: 6}, false},
+		{AvgPool, 3, 2, 1, tensor.Shape{N: 5, C: 40, H: 13, W: 13}, false},
 	}
 	for ci, pc := range cases {
 		rng := rand.New(rand.NewSource(int64(ci + 1)))
@@ -785,6 +884,11 @@ func TestPoolAndReLUMatchReferenceBitwise(t *testing.T) {
 		x.Randomize(rng, 2)
 		for i := 0; i < len(x.Data); i += 3 {
 			x.Data[i] = float32(rng.Intn(3)) // ties: the first maximum must win
+		}
+		if pc.nan {
+			for i := 1; i < len(x.Data); i += 4 {
+				x.Data[i] = float32(math.NaN()) // never a maximum
+			}
 		}
 		if pc.kind == MaxPool {
 			for i := 0; i < pc.in.H*pc.in.W; i++ {
@@ -821,9 +925,12 @@ func TestPoolAndReLUMatchReferenceBitwise(t *testing.T) {
 				if i := sameBits(dx.Data, wantDX.Data); i >= 0 {
 					t.Fatalf("pool case %d setup@%d run@%d: dx[%d] = %v, reference %v", ci, setupWorkers, workers, i, dx.Data[i], wantDX.Data[i])
 				}
-				for i := range l.argmax {
-					if l.argmax[i] != wantArg[i] {
-						t.Fatalf("pool case %d setup@%d run@%d: argmax[%d] = %d, reference %d", ci, setupWorkers, workers, i, l.argmax[i], wantArg[i])
+				if pc.kind != MaxPool {
+					continue
+				}
+				for i, a := range l.max.argmax {
+					if a != wantArg[i] {
+						t.Fatalf("pool case %d setup@%d run@%d: argmax[%d] = %d, reference %d", ci, setupWorkers, workers, i, a, wantArg[i])
 					}
 				}
 			}
