@@ -91,13 +91,43 @@ func BenchmarkConvBackwardFilter(b *testing.B) {
 	}
 }
 
-// BenchmarkConvImplicit measures the two lazily packed kernels the other
-// benchmarks leave out: the gather-form BackwardData and the table-driven
-// IMPLICIT_PRECOMP_GEMM Forward.
+// BenchmarkConvImplicit measures the lazily packed kernels the other
+// benchmarks leave out: the gather-form BackwardData and IMPLICIT_PRECOMP_GEMM
+// Forward at the shared shape, and BackwardFilter at AlexNet conv1's
+// (3 -> 64 channels, 11x11 stride 4 on 224x224, pad 2, N = 4), whose
+// strided lowering is packed transposed.
 func BenchmarkConvImplicit(b *testing.B) {
 	cs := benchShape(8)
+	conv1 := tensor.ConvShape{
+		In:     tensor.Shape{N: 4, C: 3, H: 224, W: 224},
+		Filt:   tensor.Filter{K: 64, C: 3, R: 11, S: 11},
+		Params: tensor.ConvParams{PadH: 2, PadW: 2, StrideH: 4, StrideW: 4},
+	}
 	b.Run("BackwardData/IMPLICIT_GEMM", func(b *testing.B) { benchRun(b, conv.BackwardData, conv.AlgoImplicitGemm, cs) })
 	b.Run("Forward/IMPLICIT_PRECOMP_GEMM", func(b *testing.B) { benchRun(b, conv.Forward, conv.AlgoImplicitPrecompGemm, cs) })
+	b.Run("BackwardFilter/IMPLICIT_GEMM", func(b *testing.B) { benchRun(b, conv.BackwardFilter, conv.AlgoImplicitGemm, conv1) })
+}
+
+// BenchmarkConvPointwise measures a 1x1 Inception reduction (192 -> 32
+// channels on 28x28, stride 1, no padding, N = 4), where the lowering is
+// the input tensor itself: Forward and BackwardFilter on the GEMM family.
+func BenchmarkConvPointwise(b *testing.B) {
+	cs := tensor.ConvShape{
+		In:     tensor.Shape{N: 4, C: 192, H: 28, W: 28},
+		Filt:   tensor.Filter{K: 32, C: 192, R: 1, S: 1},
+		Params: tensor.ConvParams{StrideH: 1, StrideW: 1},
+	}
+	for _, r := range []struct {
+		op   conv.Op
+		algo conv.Algo
+	}{
+		{conv.Forward, conv.AlgoImplicitPrecompGemm},
+		{conv.Forward, conv.AlgoGemm},
+		{conv.BackwardFilter, conv.AlgoImplicitGemm},
+		{conv.BackwardFilter, conv.AlgoGemm},
+	} {
+		b.Run(r.op.String()+"/"+r.algo.String(), func(b *testing.B) { benchRun(b, r.op, r.algo, cs) })
+	}
 }
 
 // BenchmarkConvKernelsBatch sweeps the GEMM forward kernel over batch

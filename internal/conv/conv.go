@@ -59,8 +59,10 @@ const (
 	// AlgoImplicitGemm lowers the convolution onto matrix multiply
 	// implicitly, with zero workspace.
 	AlgoImplicitGemm Algo = iota
-	// AlgoImplicitPrecompGemm is the implicit lowering with a precomputed
-	// gather-index table in workspace.
+	// AlgoImplicitPrecompGemm is cuDNN's implicit lowering with a
+	// precomputed gather-index table in workspace. Here it runs
+	// AlgoImplicitGemm's kernel and keeps the table's workspace size,
+	// which plans reserve.
 	AlgoImplicitPrecompGemm
 	// AlgoGemm materializes the im2col lowering in workspace and runs SGEMM.
 	AlgoGemm
@@ -132,8 +134,8 @@ func AlgosFor(op Op) []Algo {
 }
 
 // maxSampleElems bounds the per-sample tensor size IMPLICIT_PRECOMP_GEMM
-// accepts. Its int32 table entries (see implicit.go) could index more; the
-// value is fixed because it is part of the plan-visible support matrix.
+// accepts: cuDNN's int32 table entries could index more; the value is
+// fixed because it is part of the plan-visible support matrix.
 const maxSampleElems = 1 << 24
 
 // tiledExtent returns the plane the tiled algorithms (FFT, Winograd) cut
@@ -272,10 +274,8 @@ func Run(op Op, algo Algo, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.Filt
 	switch algo {
 	case AlgoDirect:
 		runDirect(op, cs, x, w, y, alpha, beta)
-	case AlgoImplicitGemm:
-		runImplicit(op, cs, x, w, y, alpha, beta, nil)
-	case AlgoImplicitPrecompGemm:
-		runImplicit(op, cs, x, w, y, alpha, beta, ws)
+	case AlgoImplicitGemm, AlgoImplicitPrecompGemm:
+		runImplicit(op, cs, x, w, y, alpha, beta)
 	case AlgoGemm:
 		runGemm(op, cs, x, w, y, alpha, beta, ws)
 	case AlgoFFT, AlgoFFTTiling:

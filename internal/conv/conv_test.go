@@ -9,9 +9,9 @@ import (
 )
 
 // testShapes covers strided, padded, dilated, odd-sized and kernel-variant
-// convolutions. FFT/Winograd algorithms skip the shapes they don't support
-// via Supported, which is itself under test.
-var testShapes = []tensor.ConvShape{
+// convolutions, and ends with loweringShapes. FFT/Winograd algorithms skip
+// the shapes they don't support via Supported, which is itself under test.
+var testShapes = append([]tensor.ConvShape{
 	{In: tensor.Shape{N: 2, C: 3, H: 8, W: 8}, Filt: tensor.Filter{K: 4, C: 3, R: 3, S: 3}, Params: tensor.ConvParams{PadH: 1, PadW: 1, StrideH: 1, StrideW: 1}},
 	{In: tensor.Shape{N: 1, C: 2, H: 9, W: 7}, Filt: tensor.Filter{K: 3, C: 2, R: 3, S: 3}, Params: tensor.ConvParams{StrideH: 1, StrideW: 1}},
 	{In: tensor.Shape{N: 2, C: 2, H: 11, W: 11}, Filt: tensor.Filter{K: 2, C: 2, R: 5, S: 5}, Params: tensor.ConvParams{PadH: 2, PadW: 2, StrideH: 1, StrideW: 1}},
@@ -31,6 +31,30 @@ var testShapes = []tensor.ConvShape{
 	{In: tensor.Shape{N: 3, C: 5, H: 17, W: 11}, Filt: tensor.Filter{K: 7, C: 5, R: 3, S: 3}, Params: tensor.ConvParams{StrideH: 1, StrideW: 1}},
 	{In: tensor.Shape{N: 2, C: 6, H: 16, W: 16}, Filt: tensor.Filter{K: 9, C: 6, R: 5, S: 5}, Params: tensor.ConvParams{PadH: 2, PadW: 2, StrideH: 1, StrideW: 1}},
 	{In: tensor.Shape{N: 2, C: 9, H: 9, W: 35}, Filt: tensor.Filter{K: 6, C: 9, R: 3, S: 3}, Params: tensor.ConvParams{PadH: 1, PadW: 1, StrideH: 1, StrideW: 1}},
+}, loweringShapes...)
+
+// loweringShapes are the identity rule's shapes (identLowering: the
+// lowering is X[n] itself) and its near misses, with C, H·W and K off
+// every multiple of blas.MR, blas.NR and blas.KC. (The identity shape
+// with two KC channel blocks is in implicitShapes: FFT_TILING on it
+// costs more than every other shape here together.)
+var loweringShapes = []tensor.ConvShape{
+	// H·W = 255: two KC pixel blocks in BackwardFilter.
+	{In: tensor.Shape{N: 3, C: 7, H: 15, W: 17}, Filt: tensor.Filter{K: 13, C: 7, R: 1, S: 1}, Params: tensor.ConvParams{StrideH: 1, StrideW: 1}},
+	// Dilation moves no tap of a 1x1 filter: still the identity.
+	{In: tensor.Shape{N: 2, C: 23, H: 10, W: 13}, Filt: tensor.Filter{K: 19, C: 23, R: 1, S: 1}, Params: tensor.ConvParams{StrideH: 1, StrideW: 1, DilationH: 2, DilationW: 2}},
+	// Near misses: 1x1 with pad 1, 1x1 with stride 2.
+	{In: tensor.Shape{N: 2, C: 5, H: 9, W: 11}, Filt: tensor.Filter{K: 7, C: 5, R: 1, S: 1}, Params: tensor.ConvParams{PadH: 1, PadW: 1, StrideH: 1, StrideW: 1}},
+	{In: tensor.Shape{N: 2, C: 6, H: 13, W: 11}, Filt: tensor.Filter{K: 9, C: 6, R: 1, S: 1}, Params: tensor.ConvParams{StrideH: 2, StrideW: 2}},
+}
+
+// The identity rule holds on exactly the first two loweringShapes.
+func TestIdentLoweringRule(t *testing.T) {
+	for si, cs := range loweringShapes {
+		if got, want := identLowering(cs), si < 2; got != want {
+			t.Errorf("loweringShapes[%d] %v: identLowering = %v, want %v", si, cs, got, want)
+		}
+	}
 }
 
 func randomProblem(cs tensor.ConvShape, seed int64) (*tensor.Tensor, *tensor.FilterTensor, *tensor.Tensor) {

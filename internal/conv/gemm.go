@@ -66,6 +66,16 @@ func tapRange(off, stride, size, outSize int) (lo, hi int) {
 	return imin(lo, hi), hi
 }
 
+// identLowering reports whether cs's im2col lowering is the input sample
+// itself: a 1x1 filter at unit stride with no padding, where row c of the
+// lowering is plane c of X[n] (dilation moves no tap of a 1x1 filter).
+// Forward and BackwardFilter then read B straight from X[n], with leading
+// dimension H·W. The rule reads the shape alone.
+func identLowering(cs tensor.ConvShape) bool {
+	p := cs.Params.Normalized()
+	return cs.Filt.R == 1 && cs.Filt.S == 1 && p.StrideH == 1 && p.StrideW == 1 && p.PadH == 0 && p.PadW == 0
+}
+
 // im2col lowers rows [rowLo, rowHi) and output pixel columns [pLo, pHi)
 // of sample xn's (C*R*S) x (OH*OW) lowering into col, a row-major block
 // with leading dimension ld whose (0, 0) is element (rowLo, pLo),
@@ -170,6 +180,7 @@ type gemmCtx struct {
 	inPlane     int
 	outPlane    int
 	k           int
+	ident       bool // identLowering(cs): Forward and BackwardFilter read X[n] as the lowering
 }
 
 // colFor returns worker wk's im2col buffer.
@@ -186,17 +197,24 @@ func (g gemmCtx) partFor(wk int) []float32 {
 
 // forward computes Y[n] = alpha * Wmat * im2col(X[n]) + beta*Y[n] for
 // samples [n0, n1), output pixel columns [pLo, pHi) only, lowering
-// exactly those columns into worker wk's strip and reusing the per-Run
-// weight pack (alpha fused). The SGEMM runs on the calling worker and
-// records its own pack/kernel phases.
+// exactly those columns into worker wk's strip (or, for the identity
+// lowering, reading them from X[n]) and reusing the per-Run weight pack
+// (alpha fused). The SGEMM runs on the calling worker and records its
+// own pack/kernel phases.
 func (g gemmCtx) forward(wk, n0, n1, pLo, pHi int) {
 	col := g.colFor(wk)
 	for n := n0; n < n1; n++ {
-		t := prof.Enter()
-		im2col(g.cs, g.x.Data[n*g.inPlane:(n+1)*g.inPlane], col[pLo:], g.pixels, 0, g.crs, pLo, pHi)
-		prof.Exit(phGemmIm2col, t)
+		xn := g.x.Data[n*g.inPlane : (n+1)*g.inPlane]
+		b := col[pLo:]
+		if g.ident {
+			b = xn[pLo:]
+		} else {
+			t := prof.Enter()
+			im2col(g.cs, xn, b, g.pixels, 0, g.crs, pLo, pHi)
+			prof.Exit(phGemmIm2col, t)
+		}
 		blas.SgemmPackedARows(0, g.k, g.packW, false, g.k, pHi-pLo, g.crs,
-			col[pLo:], g.pixels, g.beta,
+			b, g.pixels, g.beta,
 			g.y.Data[n*g.outPlane+pLo:(n+1)*g.outPlane], g.pixels)
 	}
 }
@@ -235,7 +253,8 @@ func (g gemmCtx) backwardData(wk, n0, n1, cLo, cHi int) {
 // compact block whose product is accumulated while the block is still
 // in cache. The blocks are the SGEMM's own kc blocks (beta = 0 on the
 // first, 1 after), so every element sees the same block sums in the
-// same order as one SGEMM call over the whole lowering.
+// same order as one SGEMM call over the whole lowering. The identity
+// lowering's rows are rows of X[n], read in place.
 func (g gemmCtx) filterPartial(wk, n, jLo, jHi int) {
 	col := g.colFor(wk)
 	xn := g.x.Data[n*g.inPlane : (n+1)*g.inPlane]
@@ -245,15 +264,20 @@ func (g gemmCtx) filterPartial(wk, n, jLo, jHi int) {
 	block := col[jLo*ld : jHi*ld]
 	for p0 := 0; p0 < g.pixels; p0 += ld {
 		p1 := imin(p0+ld, g.pixels)
-		t := prof.Enter()
-		im2col(g.cs, xn, block, ld, jLo, jHi, p0, p1)
-		prof.Exit(phGemmIm2col, t)
+		b, ldb := block, ld
+		if g.ident {
+			b, ldb = xn[jLo*g.pixels+p0:], g.pixels
+		} else {
+			t := prof.Enter()
+			im2col(g.cs, xn, block, ld, jLo, jHi, p0, p1)
+			prof.Exit(phGemmIm2col, t)
+		}
 		beta := float32(1)
 		if p0 == 0 {
 			beta = 0
 		}
 		blas.SgemmWorkers(1, false, true, g.k, jHi-jLo, p1-p0,
-			1, dy[p0:], g.pixels, block, ld, beta, part, g.crs)
+			1, dy[p0:], g.pixels, b, ldb, beta, part, g.crs)
 	}
 }
 
@@ -357,7 +381,7 @@ func runGemm(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTenso
 		crs:     f.C * f.R * f.S,
 		pixels:  out.H * out.W,
 		inPlane: in.C * in.H * in.W, outPlane: out.C * out.H * out.W,
-		k: f.K,
+		k: f.K, ident: identLowering(cs),
 	}
 	// Pack the weights once per Run: Forward multiplies Wmat (alpha
 	// fused into the pack), BackwardData multiplies Wmatᵀ (alpha stays

@@ -1,8 +1,6 @@
 package conv
 
 import (
-	"math"
-
 	"ucudnn/internal/blas"
 	"ucudnn/internal/prof"
 	"ucudnn/internal/tensor"
@@ -11,23 +9,26 @@ import (
 // IMPLICIT_GEMM and IMPLICIT_PRECOMP_GEMM run the convolution as SGEMM
 // without ever materializing the lowered matrix (the cuDNN paper's
 // formulation): the GotoBLAS loop nest of blas's sgemmRows, with the
-// B-panel packer replaced by a gather straight from the tensor. Per
-// sample n the three ops are
+// B-panel packer fed straight from the tensor. Per sample n the three ops
+// are
 //
 //	Forward:        Y[n]  (K x OH·OW)  = alpha·W (K x CRS) · im2col(X[n]) (CRS x OH·OW)
 //	BackwardData:   dX[n] (C x H·W)    = alpha·Wᵀ (C x KRS) · gather(dY[n]) (KRS x H·W)
 //	BackwardFilter: dW    (K x CRS)   += alpha·dY[n] (K x OH·OW) · im2col(X[n])ᵀ (OH·OW x CRS)
 //
-// where gather(dY[n])[(k,r,s)][(ih,iw)] is dY[n][k][oh][ow] at the output
-// pixel whose tap (r,s) reads input pixel (ih,iw), and zero when there is
-// none (off-stride or out of range) — so dX is stored straight from the
-// micro-kernel with no col2im scatter. Strided BackwardData therefore
-// multiplies 1 - 1/(strideH·strideW) zero lanes.
+// where im2col is GEMM's own lowering (gemm.go: the segment runs of
+// tapRange), written NR rows at a time, or X[n] itself where
+// identLowering holds; and gather(dY[n])[(k,r,s)][(ih,iw)] is
+// dY[n][k][oh][ow] at the output pixel whose tap (r,s) reads input pixel
+// (ih,iw), and zero when there is none (off-stride or out of range) — so
+// dX is stored straight from the micro-kernel with no col2im scatter.
+// Strided BackwardData therefore multiplies 1 - 1/(strideH·strideW) zero
+// lanes.
 //
-// The only scratch is the two pack blocks of the loop nest, which live on
-// the worker's stack exactly as in sgemmRows, so IMPLICIT_GEMM keeps its
-// zero workspace; PRECOMP's workspace is the gather-index table its
-// packer reads instead of recomputing bounds.
+// The only scratch is the pack blocks of the loop nest, which live on the
+// worker's stack exactly as in sgemmRows, so IMPLICIT_GEMM keeps its zero
+// workspace. PRECOMP is the same kernel: its workspace is the size of
+// cuDNN's index table, which plans reserve and nothing here reads.
 //
 // Forward uses the same k order, kc split and alpha-fused weight pack as
 // AlgoGemm, so the two are bit-identical. BackwardFilter adds each
@@ -39,19 +40,20 @@ import (
 
 // implicitSmallPack is the pack-block size (in float32s, each) up to
 // which runUnits uses small stack blocks, so that a toy problem does not
-// pay for clearing 168 KiB.
+// pay for clearing 180 KiB.
 const implicitSmallPack = 2048
 
 // implicitCtx carries the kernel state. Methods use a value receiver so
 // the serial path runs as plain calls with no closures (see gemmCtx).
 type implicitCtx struct {
 	op          Op
+	cs          tensor.ConvShape
 	p           tensor.ConvParams // normalized
 	in, out     tensor.Shape
 	f           tensor.Filter
 	x, w, y     []float32
 	alpha, beta float32
-	table       []float32 // PRECOMP gather index (int32 bits), else nil
+	ident       bool // identLowering(cs): B is read from X[n] itself
 
 	m, n, k int       // one sample's product: C (m x n) += A (m x k) · B (k x n)
 	c       []float32 // the tensor C lives in
@@ -60,12 +62,13 @@ type implicitCtx struct {
 	jblocks int       // column blocks per sample
 }
 
-// runImplicit executes IMPLICIT_GEMM (table == nil) or the Forward-only
-// IMPLICIT_PRECOMP_GEMM (table = the workspace's index table).
-func runImplicit(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTensor, y *tensor.Tensor, alpha, beta float32, table []float32) {
+// runImplicit executes IMPLICIT_GEMM, and IMPLICIT_PRECOMP_GEMM's
+// Forward, which is the same kernel.
+func runImplicit(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTensor, y *tensor.Tensor, alpha, beta float32) {
 	g := implicitCtx{
-		op: op, p: cs.Params.Normalized(), in: cs.In, out: cs.OutShape(), f: cs.Filt,
+		op: op, cs: cs, p: cs.Params.Normalized(), in: cs.In, out: cs.OutShape(), f: cs.Filt,
 		x: x.Data, w: w.Data, y: y.Data, alpha: alpha, beta: beta,
+		ident: identLowering(cs),
 	}
 	crs := g.f.C * g.f.R * g.f.S
 	pixels := g.out.H * g.out.W
@@ -93,114 +96,71 @@ func runImplicit(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterT
 	g.jw = ceilDiv(ceilDiv(g.n, blocks), blas.NR) * blas.NR
 	g.jblocks = ceilDiv(g.n, g.jw)
 	units := groups * g.jblocks
-	if table != nil {
-		g.table = table[:crs*pixels]
-		g.run(workers, true, crs)
-	}
-	g.run(workers, false, units)
-}
-
-// run splits [0, n) into one contiguous chunk per worker; the serial
-// case is a plain call so steady-state execution allocates nothing.
-func (g implicitCtx) run(workers int, table bool, n int) {
-	if imin(workers, n) <= 1 {
-		g.chunk(table, 0, n)
+	// The serial case is a plain call, so steady-state execution
+	// allocates nothing.
+	if imin(workers, units) <= 1 {
+		g.runUnits(0, 0, units)
 		return
 	}
-	// Copy g so only the copy is captured (and heap-allocated) by the
-	// escaping closure.
-	gc := g
-	blas.Fork(workers, n, func(_, lo, hi int) { gc.chunk(table, lo, hi) })
+	// The method value is the launch's one copy of g.
+	blas.Fork(workers, units, g.runUnits)
 }
 
-func (g implicitCtx) chunk(table bool, lo, hi int) {
-	if table {
-		g.buildTable(lo, hi)
-	} else {
-		g.runUnits(lo, hi)
-	}
-}
-
-// precompWorkspace returns the bytes of the precomputed gather-index
-// table: one sample-local offset (or -1 for a padded position) per im2col
-// matrix entry.
+// precompWorkspace returns the bytes IMPLICIT_PRECOMP_GEMM reserves: the
+// size of cuDNN's precomputed gather-index table, one 4-byte offset per
+// im2col matrix entry. The device model plans cuDNN's PRECOMP, which
+// needs it, so plans keep this size; the kernel here runs IMPLICIT_GEMM's
+// lowering and reads none of it.
 func precompWorkspace(cs tensor.ConvShape) int64 {
 	out := cs.OutShape()
 	return int64(cs.Filt.C) * int64(cs.Filt.R) * int64(cs.Filt.S) *
 		int64(out.H) * int64(out.W) * 4
 }
 
-// buildTable fills rows [lo, hi) of the index table, one row per (c, r, s)
-// filter tap: the offsets are shared by every sample, so they are computed
-// once per Run. Entries are int32 bit patterns stored in the float32
-// workspace.
-func (g implicitCtx) buildTable(lo, hi int) {
-	t := prof.Enter()
-	pixels := g.out.H * g.out.W
-	for j := lo; j < hi; j++ {
-		c := j / (g.f.R * g.f.S)
-		r := (j / g.f.S) % g.f.R
-		s := j % g.f.S
-		trow := g.table[j*pixels : (j+1)*pixels]
-		ti := 0
-		for oh := 0; oh < g.out.H; oh++ {
-			ih := oh*g.p.StrideH - g.p.PadH + r*g.p.DilationH
-			for ow := 0; ow < g.out.W; ow++ {
-				iw := ow*g.p.StrideW - g.p.PadW + s*g.p.DilationW
-				off := int32(-1)
-				if uint(ih) < uint(g.in.H) && uint(iw) < uint(g.in.W) {
-					off = int32((c*g.in.H+ih)*g.in.W + iw)
-				}
-				trow[ti] = math.Float32frombits(uint32(off))
-				ti++
-			}
-		}
-	}
-	prof.Exit(phImplicitPrecomp, t)
-}
-
 // runUnits computes units [lo, hi) with pack blocks on this stack: they
 // are declared once per worker chunk, and no slice of them may reach an
-// interface or a go closure.
-func (g implicitCtx) runUnits(lo, hi int) {
+// interface or a go closure. low holds NR lowered rows on their way into
+// packB. As a fork body its first argument, the worker index, is unused.
+func (g implicitCtx) runUnits(_, lo, hi int) {
 	// One continuous Enter/Next chain, as in sgemmRows; it opens before
 	// the pack blocks so that clearing them counts as packing.
 	t := prof.Enter()
 	rows := ceilDiv(imin(blas.MC, g.m), blas.MR) * blas.MR // of the largest A block
 	if imin(blas.KC, g.k)*imax(rows, g.jw) <= implicitSmallPack {
-		var packA, packB [implicitSmallPack]float32
-		g.units(packA[:], packB[:], lo, hi, t)
+		var packA, packB, low [implicitSmallPack]float32
+		g.units(packA[:], packB[:], low[:], lo, hi, t)
 		return
 	}
 	var packA [blas.MC * blas.KC]float32
 	var packB [blas.KC * blas.NC]float32
-	g.units(packA[:], packB[:], lo, hi, t)
+	var low [blas.NR * blas.KC]float32
+	g.units(packA[:], packB[:], low[:], lo, hi, t)
 }
 
 // units walks units [lo, hi). Forward and BackwardData units are (sample,
 // column block) pairs; a BackwardFilter unit is one column block of dW
 // reduced over the batch in ascending n.
-func (g implicitCtx) units(packA, packB []float32, lo, hi int, t int64) {
+func (g implicitCtx) units(packA, packB, low []float32, lo, hi int, t int64) {
 	for u := lo; u < hi; u++ {
 		if g.op == BackwardFilter {
 			for n := 0; n < g.in.N; n++ {
-				t = g.block(packA, packB, n, u*g.jw, n == 0, t)
+				t = g.block(packA, packB, low, n, u*g.jw, n == 0, t)
 			}
 			continue
 		}
-		t = g.block(packA, packB, u/g.jblocks, (u%g.jblocks)*g.jw, true, t)
+		t = g.block(packA, packB, low, u/g.jblocks, (u%g.jblocks)*g.jw, true, t)
 	}
 }
 
 // block runs sample n's product for the C columns [j0, j0+jw): the kc/mc
-// loops of sgemmRows with gathering packers. fresh says C has not been
+// loops of sgemmRows with lowering packers. fresh says C has not been
 // written yet, so the first k-block's store fuses beta.
-func (g implicitCtx) block(packA, packB []float32, n, j0 int, fresh bool, t int64) int64 {
+func (g implicitCtx) block(packA, packB, low []float32, n, j0 int, fresh bool, t int64) int64 {
 	jb := imin(g.jw, g.n-j0)
 	c := g.c[n*g.cStride:]
 	for k0 := 0; k0 < g.k; k0 += blas.KC {
 		kb := imin(blas.KC, g.k-k0)
-		g.packB(packB, n, k0, kb, j0, jb)
+		g.packB(packB, low, n, k0, kb, j0, jb)
 		t = prof.Next(phImplicitPack, t)
 		first := fresh && k0 == 0
 		for i0 := 0; i0 < g.m; i0 += blas.MC {
@@ -254,42 +214,42 @@ func (g implicitCtx) packWT(pack []float32, i0, ib, k0, kb int) {
 	}
 }
 
-// packB gathers B[k0:k0+kb, j0:j0+jb] of sample n into NR-column panels
-// stored [kb][NR], zero-padded past jb. Each gathered line goes through
-// one L1-resident row so the three gathers share the panel stores.
-func (g implicitCtx) packB(pack []float32, n, k0, kb, j0, jb int) {
-	var line [max(blas.KC, blas.NC)]float32
-	switch g.op {
-	case Forward:
-		xn := g.x[n*g.in.C*g.in.H*g.in.W : (n+1)*g.in.C*g.in.H*g.in.W]
-		for p := 0; p < kb; p++ {
-			if g.table != nil {
-				gatherTable(line[:jb], xn, g.table[(k0+p)*g.n+j0:])
-			} else {
-				g.im2colLine(line[:jb], xn, k0+p, j0)
-			}
-			storeRow(pack, line[:], p, kb, jb)
-		}
-	case BackwardData:
+// packB packs B[k0:k0+kb, j0:j0+jb] of sample n into NR-column panels
+// stored [kb][NR], zero-padded past jb. Where the lowering is the
+// identity, B is X[n] (Forward) or X[n]ᵀ (BackwardFilter) and its panels
+// are packed from the tensor itself. Otherwise im2col lowers NR tap rows
+// at a time into low, whose rows Forward stores as panel rows and
+// BackwardFilter packs transposed; BackwardData gathers each gradient row
+// into one L1-resident line stored as a panel row.
+func (g implicitCtx) packB(pack, low []float32, n, k0, kb, j0, jb int) {
+	xn := g.x[n*g.in.C*g.in.H*g.in.W : (n+1)*g.in.C*g.in.H*g.in.W]
+	switch {
+	case g.op == BackwardData:
+		var line [blas.NC]float32
 		dyn := g.y[n*g.out.C*g.out.H*g.out.W : (n+1)*g.out.C*g.out.H*g.out.W]
 		for p := 0; p < kb; p++ {
 			g.gradLine(line[:jb], dyn, k0+p, j0)
 			storeRow(pack, line[:], p, kb, jb)
 		}
-	case BackwardFilter:
-		// B = im2col(X[n])ᵀ: column j of the block is im2col row j0+j over
-		// the pixels [k0, k0+kb).
-		xn := g.x[n*g.in.C*g.in.H*g.in.W : (n+1)*g.in.C*g.in.H*g.in.W]
-		for j := 0; j < jb || j%blas.NR != 0; j++ {
-			if j < jb {
-				g.im2colLine(line[:kb], xn, j0+j, k0)
-			} else {
-				clear(line[:kb])
+	case g.ident:
+		blas.PackBPanels(pack, g.op == BackwardFilter, xn, g.in.H*g.in.W, k0, kb, j0, jb)
+	case g.op == Forward:
+		// Rows of whole panels: room for storeRow's zero tail.
+		ld := ceilDiv(jb, blas.NR) * blas.NR
+		for p0 := 0; p0 < kb; p0 += blas.NR {
+			rows := imin(blas.NR, kb-p0)
+			im2col(g.cs, xn, low, ld, k0+p0, k0+p0+rows, j0, j0+jb)
+			for i := 0; i < rows; i++ {
+				storeRow(pack, low[i*ld:(i+1)*ld], p0+i, kb, jb)
 			}
-			dst := pack[(j/blas.NR)*(kb*blas.NR)+j%blas.NR:]
-			for p, v := range line[:kb] {
-				dst[p*blas.NR] = v
-			}
+		}
+	default:
+		// BackwardFilter: panel column j is im2col row j0+j over the
+		// pixels [k0, k0+kb).
+		for jt := 0; jt < jb; jt += blas.NR {
+			jw := imin(blas.NR, jb-jt)
+			im2col(g.cs, xn, low, kb, j0+jt, j0+jt+jw, k0, k0+kb)
+			blas.PackBPanels(pack[(jt/blas.NR)*(kb*blas.NR):], true, low, kb, 0, kb, 0, jw)
 		}
 	}
 }
@@ -303,45 +263,12 @@ func storeRow(pack, line []float32, p, kb, jb int) {
 	}
 }
 
-// gatherTable reads one table row's worth of sample xn: idx holds int32
-// offsets (as float32 bits), negative for padded positions.
-func gatherTable(line, xn, idx []float32) {
-	for j := range line {
-		var v float32
-		if off := int32(math.Float32bits(idx[j])); off >= 0 {
-			v = xn[off]
-		}
-		line[j] = v
-	}
-}
-
-// im2colLine writes im2col(xn)[row][q0 : q0+len(line)]: tap row = (c, r, s)
-// of sample xn over consecutive output pixels, zero at padded positions.
-func (g implicitCtx) im2colLine(line, xn []float32, row, q0 int) {
-	rs := g.f.R * g.f.S
-	c, r, s := row/rs, (row/g.f.S)%g.f.R, row%g.f.S
-	plane := xn[c*g.in.H*g.in.W : (c+1)*g.in.H*g.in.W]
-	oh, ow := q0/g.out.W, q0%g.out.W
-	for i := 0; i < len(line); oh, ow = oh+1, 0 {
-		seg := line[i:imin(len(line), i+g.out.W-ow)]
-		i += len(seg)
-		ih := oh*g.p.StrideH - g.p.PadH + r*g.p.DilationH
-		if uint(ih) >= uint(g.in.H) {
-			clear(seg)
-			continue
-		}
-		iw := ow*g.p.StrideW - g.p.PadW + s*g.p.DilationW
-		gatherSeg(seg, plane[ih*g.in.W:(ih+1)*g.in.W], iw, 0, g.p.StrideW, 1)
-	}
-}
-
-// gatherSeg writes one row segment of a line gather: element j reads
+// gatherSeg writes one row segment of a gradient line: element j reads
 // src[pos] when rem == 0 and pos is in range, else zero; then rem counts
-// up to period, where it wraps and pos advances by step. im2col lines walk
-// src in steps of the stride (period 1); gradient lines visit each src
-// element once per stride (step 1). Unit stride is a clipped copy.
-func gatherSeg(seg, src []float32, pos, rem, step, period int) {
-	if step == 1 && period == 1 {
+// up to period, where it wraps and pos advances by one, so each src
+// element is visited once per stride. Unit stride is a clipped copy.
+func gatherSeg(seg, src []float32, pos, rem, period int) {
+	if period == 1 {
 		lo := imin(imax(-pos, 0), len(seg))
 		hi := imin(imax(len(src)-pos, lo), len(seg))
 		clear(seg[:lo])
@@ -359,7 +286,7 @@ func gatherSeg(seg, src []float32, pos, rem, step, period int) {
 		seg[j] = v
 		if rem++; rem == period {
 			rem = 0
-			pos += step
+			pos++
 		}
 	}
 }
@@ -381,7 +308,7 @@ func (g implicitCtx) gradLine(line, dyn []float32, row, q0 int) {
 			continue
 		}
 		ow, rem := floorDivMod(iw+g.p.PadW-s*g.p.DilationW, g.p.StrideW)
-		gatherSeg(seg, plane[oh*g.out.W:(oh+1)*g.out.W], ow, rem, 1, g.p.StrideW)
+		gatherSeg(seg, plane[oh*g.out.W:(oh+1)*g.out.W], ow, rem, g.p.StrideW)
 	}
 }
 

@@ -8,6 +8,7 @@ package conv
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"ucudnn/internal/blas"
@@ -15,9 +16,9 @@ import (
 	"ucudnn/internal/tensor"
 )
 
-// implicitShapes stress the gathering packers: strides 2 and 4, dilation,
+// implicitShapes stress the lowering packers: strides 2 and 4, dilation,
 // asymmetric padding, 1x1, extents that are no multiple of the register
-// tile (4x8) or the kc=192 / nc=160 blocks, several k-blocks, and N=1.
+// tile (4x16) or the kc=192 / nc=160 blocks, several k-blocks, and N=1.
 // All but the two smallest exceed blas's small-product rule (blas.AutoWorkers),
 // so they fork at P > 1.
 var implicitShapes = []tensor.ConvShape{
@@ -35,6 +36,8 @@ var implicitShapes = []tensor.ConvShape{
 	{In: tensor.Shape{N: 1, C: 9, H: 13, W: 13}, Filt: tensor.Filter{K: 200, C: 9, R: 1, S: 1}, Params: tensor.ConvParams{StrideH: 1, StrideW: 1}},
 	// Stride larger than the filter: input pixels no output reads.
 	{In: tensor.Shape{N: 1, C: 2, H: 10, W: 10}, Filt: tensor.Filter{K: 3, C: 2, R: 2, S: 2}, Params: tensor.ConvParams{StrideH: 3, StrideW: 3}},
+	// The identity lowering over two KC channel blocks: C = 201.
+	{In: tensor.Shape{N: 2, C: 201, H: 5, W: 7}, Filt: tensor.Filter{K: 6, C: 201, R: 1, S: 1}, Params: tensor.ConvParams{StrideH: 1, StrideW: 1}},
 }
 
 func sameBits(a, b []float32) int {
@@ -48,34 +51,39 @@ func sameBits(a, b []float32) int {
 
 // IMPLICIT_GEMM, IMPLICIT_PRECOMP_GEMM and GEMM Forward are the same
 // SGEMM (same k order, kc split and alpha-fused weight pack) fed three
-// ways, so they agree bit for bit.
+// ways, so they agree bit for bit, at every worker count.
 func TestImplicitForwardBitwiseEqualsGemm(t *testing.T) {
-	shapes := append(append([]tensor.ConvShape{}, testShapes...), implicitShapes...)
-	for si, cs := range shapes {
-		for _, ab := range [][2]float32{{1, 0}, {0.75, 0.5}, {-1.5, 1}} {
-			var ref []float32
-			for _, algo := range []Algo{AlgoGemm, AlgoImplicitGemm, AlgoImplicitPrecompGemm} {
-				x, w, y := randomProblem(cs, int64(si+200))
-				if err := Run(Forward, algo, cs, x, w, y, ab[0], ab[1], wsFor(t, Forward, algo, cs)); err != nil {
-					t.Fatalf("%v shape %d: %v", algo, si, err)
-				}
-				if ref == nil {
-					ref = y.Data
-				} else if i := sameBits(y.Data, ref); i >= 0 {
-					t.Fatalf("%v shape %d alpha=%v beta=%v: y[%d] = %x, GEMM gave %x", algo, si, ab[0], ab[1], i,
-						math.Float32bits(y.Data[i]), math.Float32bits(ref[i]))
+	for _, p := range []int{1, 2, 4} {
+		withWorkers(p, func() {
+			for si, cs := range slices.Concat(testShapes, implicitShapes) {
+				for _, ab := range [][2]float32{{1, 0}, {0.75, 0.5}, {-1.5, 1}} {
+					var ref []float32
+					for _, algo := range []Algo{AlgoGemm, AlgoImplicitGemm, AlgoImplicitPrecompGemm} {
+						x, w, y := randomProblem(cs, int64(si+200))
+						if err := Run(Forward, algo, cs, x, w, y, ab[0], ab[1], wsFor(t, Forward, algo, cs)); err != nil {
+							t.Fatalf("P=%d %v shape %d: %v", p, algo, si, err)
+						}
+						if ref == nil {
+							ref = y.Data
+						} else if i := sameBits(y.Data, ref); i >= 0 {
+							t.Fatalf("P=%d %v shape %d alpha=%v beta=%v: y[%d] = %x, GEMM gave %x", p, algo, si, ab[0], ab[1], i,
+								math.Float32bits(y.Data[i]), math.Float32bits(ref[i]))
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
-// All three ops against the DIRECT reference with alpha != 1 and every
-// beta branch of the fused store, and bit-identical at every worker count.
+// All three ops of the GEMM family against the DIRECT reference with
+// alpha != 1 and every beta branch of the fused store, and bit-identical
+// at every worker count, on the packer-edge shapes and the identity
+// rule's shapes.
 func TestImplicitMatchesDirectAndWorkerInvariant(t *testing.T) {
-	for si, cs := range implicitShapes {
+	for si, cs := range slices.Concat(implicitShapes, loweringShapes) {
 		for _, op := range Ops {
-			for _, algo := range []Algo{AlgoImplicitGemm, AlgoImplicitPrecompGemm} {
+			for _, algo := range []Algo{AlgoGemm, AlgoImplicitGemm, AlgoImplicitPrecompGemm} {
 				if !Supported(op, algo, cs) {
 					continue
 				}
@@ -147,15 +155,18 @@ func TestImplicitBackwardFilterMicroBatchBitExact(t *testing.T) {
 }
 
 // attributionPhases is the exact phase set a profiled Run of op on algo
-// reports: one entry per algorithm family's hook chain.
-func attributionPhases(op Op, algo Algo) []prof.Phase {
+// reports on cs: one entry per algorithm family's hook chain. GEMM lowers
+// nothing where the lowering is X[n] itself, except in BackwardData,
+// whose col2im scatter is the lowering's gradient.
+func attributionPhases(op Op, algo Algo, cs tensor.ConvShape) []prof.Phase {
 	switch algo {
-	case AlgoImplicitGemm:
+	case AlgoImplicitGemm, AlgoImplicitPrecompGemm:
 		return []prof.Phase{PhImplicitPack, blas.PhSgemmKernel}
-	case AlgoImplicitPrecompGemm:
-		return []prof.Phase{PhImplicitPack, blas.PhSgemmKernel, PhImplicitPrecomp}
 	case AlgoGemm:
-		phases := []prof.Phase{blas.PhSgemmKernel, blas.PhSgemmPack, PhGemmIm2col}
+		phases := []prof.Phase{blas.PhSgemmKernel, blas.PhSgemmPack}
+		if op == BackwardData || !identLowering(cs) {
+			phases = append(phases, PhGemmIm2col)
+		}
 		if op == BackwardFilter {
 			phases = append(phases, PhGemmReduce)
 		}
@@ -199,7 +210,7 @@ func profileOnce(t *testing.T, label string, op Op, algo Algo, cs tensor.ConvSha
 	for _, ph := range r.Phases {
 		got[prof.Phase(ph.Phase)] = true
 	}
-	want := attributionPhases(op, algo)
+	want := attributionPhases(op, algo, cs)
 	for _, ph := range want {
 		if !got[ph] {
 			t.Errorf("%s: phases %v lack %s", label, r.Phases, ph)
@@ -216,12 +227,18 @@ func profileOnce(t *testing.T, label string, op Op, algo Algo, cs tensor.ConvSha
 // never exceeds measured time and covers at least 95% of it, serial and
 // striped, and the row reports exactly its family's phases. A window
 // leaked on a continue or early return inside a t = prof.Next(...) chain
-// shows up here as lost coverage and a missing phase.
+// shows up here as lost coverage and a missing phase. The 1x1 shape (an
+// Inception reduction) pins the GEMM family's identity-lowering phases.
 func TestImplicitProfileAttribution(t *testing.T) {
-	cs := tensor.ConvShape{
+	cs3 := tensor.ConvShape{
 		In:     tensor.Shape{N: 4, C: 32, H: 28, W: 28},
 		Filt:   tensor.Filter{K: 64, C: 32, R: 3, S: 3},
 		Params: tensor.ConvParams{PadH: 1, PadW: 1, StrideH: 1, StrideW: 1},
+	}
+	cs1 := tensor.ConvShape{
+		In:     tensor.Shape{N: 4, C: 192, H: 28, W: 28},
+		Filt:   tensor.Filter{K: 32, C: 192, R: 1, S: 1},
+		Params: tensor.ConvParams{StrideH: 1, StrideW: 1},
 	}
 	prof.Enable()
 	t.Cleanup(func() {
@@ -232,28 +249,68 @@ func TestImplicitProfileAttribution(t *testing.T) {
 		withWorkers(p, func() {
 			for _, op := range Ops {
 				for _, algo := range AlgosFor(op) {
-					if !Supported(op, algo, cs) {
-						t.Fatalf("%v/%v unsupported on the test shape; pick a shape every algorithm accepts", op, algo)
+					if !Supported(op, algo, cs3) {
+						t.Fatalf("%v/%v unsupported on the 3x3 shape; pick a shape every algorithm accepts", op, algo)
 					}
-					x, w, y := randomProblem(cs, 83)
-					ws := wsFor(t, op, algo, cs)
-					label := fmt.Sprintf("P=%d %v/%v", p, op, algo)
-					// A worker preempted between two windows is busy but
-					// unattributed, so a loaded host can push one run
-					// under the bar; a leaked window is missing from
-					// every run. Only the coverage bar gets the retries.
-					for attempt := 1; ; attempt++ {
-						r := profileOnce(t, label, op, algo, cs, x, w, y, ws)
-						if r.Coverage >= 0.95 || prof.RaceEnabled {
-							break
-						}
-						if attempt == 3 {
-							t.Errorf("%s: attributed %d, measured %d, coverage %.3f", label, r.AttributedNS, r.MeasuredNS, r.Coverage)
-							break
-						}
+					profileRow(t, fmt.Sprintf("P=%d 3x3 %v/%v", p, op, algo), op, algo, cs3)
+				}
+				for _, algo := range []Algo{AlgoGemm, AlgoImplicitGemm, AlgoImplicitPrecompGemm} {
+					if Supported(op, algo, cs1) {
+						profileRow(t, fmt.Sprintf("P=%d 1x1 %v/%v", p, op, algo), op, algo, cs1)
 					}
 				}
 			}
 		})
+	}
+}
+
+// profileRow holds one (op, algo, shape) row to the attribution contract.
+// A worker preempted between two windows is busy but unattributed, so a
+// loaded host can push one run under the bar; a leaked window is missing
+// from every run. Only the coverage bar gets the retries.
+func profileRow(t *testing.T, label string, op Op, algo Algo, cs tensor.ConvShape) {
+	t.Helper()
+	x, w, y := randomProblem(cs, 83)
+	ws := wsFor(t, op, algo, cs)
+	for attempt := 1; ; attempt++ {
+		r := profileOnce(t, label, op, algo, cs, x, w, y, ws)
+		if r.Coverage >= 0.95 || prof.RaceEnabled {
+			return
+		}
+		if attempt == 3 {
+			t.Errorf("%s: attributed %d, measured %d, coverage %.3f", label, r.AttributedNS, r.MeasuredNS, r.Coverage)
+			return
+		}
+	}
+}
+
+// The serial path of the lowering packers allocates nothing: IMPLICIT
+// BackwardFilter (NR lowered rows packed transposed) and PRECOMP Forward,
+// at a 1x1 identity shape and at AlexNet conv1's 11x11 stride-4 geometry.
+func TestImplicitLoweringZeroAllocs(t *testing.T) {
+	prev := SetMaxWorkers(1)
+	defer SetMaxWorkers(prev)
+	conv1 := tensor.ConvShape{
+		In:     tensor.Shape{N: 1, C: 3, H: 224, W: 224},
+		Filt:   tensor.Filter{K: 64, C: 3, R: 11, S: 11},
+		Params: tensor.ConvParams{PadH: 2, PadW: 2, StrideH: 4, StrideW: 4},
+	}
+	for si, cs := range []tensor.ConvShape{loweringShapes[0], conv1} {
+		for _, c := range []struct {
+			op   Op
+			algo Algo
+		}{{BackwardFilter, AlgoImplicitGemm}, {Forward, AlgoImplicitPrecompGemm}} {
+			x, w, y := randomProblem(cs, 89)
+			ws := wsFor(t, c.op, c.algo, cs)
+			run := func() {
+				if err := Run(c.op, c.algo, cs, x, w, y, 1, 0, ws); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run()
+			if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+				t.Errorf("shape %d %v/%v: %.1f allocs/op on the serial path, want 0", si, c.op, c.algo, allocs)
+			}
+		}
 	}
 }

@@ -32,12 +32,10 @@ const (
 	// Direct algorithm: one main loop.
 	PhDirectMain prof.Phase = "ucudnn_ph_direct_main"
 
-	// Implicit-GEMM algorithms: the gathering A/B panel packers (the
+	// Implicit-GEMM algorithms: the lowering A/B panel packers (the
 	// micro-kernel walk between them reports ucudnn_ph_sgemm_kernel from
-	// internal/blas), plus the implicit-precomp variant's index-table
-	// build.
-	PhImplicitPack    prof.Phase = "ucudnn_ph_implicit_pack"
-	PhImplicitPrecomp prof.Phase = "ucudnn_ph_implicit_precomp"
+	// internal/blas).
+	PhImplicitPack prof.Phase = "ucudnn_ph_implicit_pack"
 )
 
 var (
@@ -52,7 +50,6 @@ var (
 	phRFFTPointwise = prof.Register(PhRFFTPointwise)
 	phRFFTInverse   = prof.Register(PhRFFTInverse)
 
-	phDirectMain      = prof.Register(PhDirectMain)
-	phImplicitPack    = prof.Register(PhImplicitPack)
-	phImplicitPrecomp = prof.Register(PhImplicitPrecomp)
+	phDirectMain   = prof.Register(PhDirectMain)
+	phImplicitPack = prof.Register(PhImplicitPack)
 )

@@ -32,9 +32,11 @@ func zooConvLayers(t *testing.T, name string) []*dnn.Conv {
 
 // The implicit algorithms' workspace sizes decide which plans fit a
 // budget, so they are pinned on every zoo conv shape: IMPLICIT_GEMM is
-// zero for every op, IMPLICIT_PRECOMP_GEMM is the C·R·S·OH·OW index table
-// (4 bytes per entry) at both the full and the minimal size. The numbers
-// are those of the scalar kernels these replaced (commit 578b600).
+// zero for every op, IMPLICIT_PRECOMP_GEMM reserves cuDNN's C·R·S·OH·OW
+// index table (4 bytes per entry) at both the full and the minimal size,
+// though its kernel is IMPLICIT_GEMM's and reads none of it: the device
+// model plans cuDNN's PRECOMP, which needs it. The numbers are those of
+// the scalar kernels these replaced (commit 578b600).
 func TestImplicitWorkspacePinnedOnZoo(t *testing.T) {
 	type pin struct {
 		convs    int
