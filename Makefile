@@ -45,7 +45,8 @@ bench:
 # allocating, for a quick check by hand (make check runs bench-json, a
 # superset of these benchmarks, instead). Like bench-json it runs at -cpu 1: the
 # ledger records the engine's serial path, whose allocs/op must be zero
-# (fork-join allocates goroutines by design), on whatever host this is.
+# on whatever host this is (a forked call allocates the closure each of
+# its launches runs).
 bench-smoke:
 	$(GO) test -run=NONE -bench='BenchmarkConvKernels$$|BenchmarkConvBackwardFilter|BenchmarkConvImplicit|BenchmarkConvPointwise|BenchmarkConvInception3x3|BenchmarkSgemm|BenchmarkLRN|BenchmarkPool' \
 		-benchtime=3x -benchmem -cpu 1 ./internal/conv/ ./internal/blas/ ./internal/dnn/

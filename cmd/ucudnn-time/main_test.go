@@ -220,6 +220,18 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// -workers takes 0 (the default) up to the profiler's 256 worker slots;
+// anything else is an error, not a silently ignored or wrapped cap.
+func TestRunRejectsWorkersOutOfRange(t *testing.T) {
+	for _, workers := range []int{-1, 257} {
+		o := opts("inception", 8, "p100", "wr", "powerOfTwo", 8, 0, 1, "")
+		o.Workers = workers
+		if err := run(o, io.Discard); err == nil || !strings.Contains(err.Error(), "-workers") {
+			t.Errorf("-workers %d: err = %v, want a -workers error", workers, err)
+		}
+	}
+}
+
 func TestAllNetworksBuild(t *testing.T) {
 	for _, n := range []string{"alexnet", "caffe-alexnet", "resnet18", "densenet40"} {
 		if err := run(opts(n, 4, "p100", "cudnn", "powerOfTwo", 8, 0, 1, ""), io.Discard); err != nil {

@@ -89,7 +89,7 @@ func Sgemm(transA, transB bool, m, n, k int, alpha float32, a []float32, lda int
 	SgemmWorkers(0, transA, transB, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }
 
-// SgemmWorkers is Sgemm with an explicit cap on the goroutines used:
+// SgemmWorkers is Sgemm with an explicit cap on the workers used:
 // workers <= 0 selects automatically (AutoWorkers: the kernel worker
 // cap, dropping to one thread for small products), workers == 1 forces
 // the serial path: an SGEMM inside a kernel's own launch runs on the

@@ -519,13 +519,16 @@ func TestForkedSgemmLaunchAccounting(t *testing.T) {
 	}
 }
 
-// A forked SGEMM goes through Fork and allocates no more than its own
-// launch loop did: the product's closure, the WaitGroup and one
-// argument-free goroutine closure per extra worker — 3 at P = 2, for a
-// fully-connected product (one row panel, split by columns) and a square
-// one (split by rows).
+// A launch on parked workers allocates nothing: a Fork of a body built
+// once makes no object at P = 2, and a forked SGEMM only its product's
+// closure, for a fully-connected product (one row panel, split by
+// columns) and a square one (split by rows).
 func TestForkedSgemmAllocs(t *testing.T) {
 	defer SetMaxWorkers(SetMaxWorkers(2))
+	body := func(_, _, _ int) {}
+	if n := testing.AllocsPerRun(20, func() { Fork(2, 64, body) }); n != 0 {
+		t.Errorf("Fork of a prebuilt body at P=2 makes %v allocs/op, want 0", n)
+	}
 	rng := rand.New(rand.NewSource(13))
 	for _, tc := range []struct {
 		name    string
@@ -544,8 +547,8 @@ func TestForkedSgemmAllocs(t *testing.T) {
 			t.Fatalf("%s: product below the small-product rule; it would not fork", tc.name)
 		}
 		run := func() { Sgemm(false, tc.transB, tc.m, tc.n, tc.k, 1, a, tc.k, b, ldb, 0, c, tc.n) }
-		if n := testing.AllocsPerRun(20, run); n > 3 {
-			t.Errorf("%s: forked Sgemm at P=2 makes %v allocs/op, want <= 3", tc.name, n)
+		if n := testing.AllocsPerRun(20, run); n > 1 {
+			t.Errorf("%s: forked Sgemm at P=2 makes %v allocs/op, want <= 1", tc.name, n)
 		}
 	}
 }

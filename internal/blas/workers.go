@@ -10,25 +10,28 @@ import (
 
 // The one parallelism policy of the kernels: every fork in blas, conv
 // and dnn takes its width from MaxWorkers, and a product too small to
-// repay a goroutine runs on the calling one (AutoWorkers). Fork is the
-// one launcher of blas and conv.
+// repay a launch runs on the calling goroutine (AutoWorkers). Fork is
+// the one launcher of the module.
 
 // maxWorkers is the configured cap on kernel workers; 0 means "track
 // runtime.GOMAXPROCS".
 var maxWorkers atomic.Int32
 
 // parallelThreshold is the minimum number of multiply-adds below which
-// the automatic width is one worker: spawning goroutines for tiny
-// products costs more than the arithmetic.
+// the automatic width is one worker: waking workers for tiny products
+// costs more than the arithmetic.
 const parallelThreshold = 1 << 16
 
 // MaxWorkers returns the kernel worker cap: the value set by
-// SetMaxWorkers, or GOMAXPROCS when unset.
+// SetMaxWorkers, or GOMAXPROCS when unset, and never more than the
+// profiler's worker slots (prof.WorkerSlots), which is also the most
+// workers one launch keeps parked.
 func MaxWorkers() int {
-	if n := int(maxWorkers.Load()); n > 0 {
-		return n
+	n := int(maxWorkers.Load())
+	if n <= 0 {
+		n = runtime.GOMAXPROCS(0)
 	}
-	return runtime.GOMAXPROCS(0)
+	return min(n, prof.WorkerSlots)
 }
 
 // SetMaxWorkers caps kernel parallelism and returns the previous cap
@@ -39,7 +42,7 @@ func SetMaxWorkers(n int) int {
 	if n < 0 {
 		n = 0
 	}
-	return int(maxWorkers.Swap(int32(n)))
+	return int(maxWorkers.Swap(int32(min(n, prof.WorkerSlots))))
 }
 
 // AutoWorkers is the automatic width of a product of macs multiply-adds:
@@ -51,18 +54,62 @@ func AutoWorkers(macs int64) int {
 	return MaxWorkers()
 }
 
-// Chunk splits n items into chunks of ceil(n/workers) and returns the
-// [lo, hi) range owned by worker w.
-func Chunk(n, workers, w int) (lo, hi int) {
-	chunk := (n + workers - 1) / workers
-	return min(w*chunk, n), min((w+1)*chunk, n)
+// A worker parks on its own channel between the ranges a launcher sets
+// and wakes it for. It drops the body before it reports done, so a
+// parked worker keeps nothing of a layer or a kernel reachable. Both
+// channels hold one signal: a worker done before its launcher waits
+// parks at once, rather than blocking until the launcher takes it.
+type worker struct {
+	wake, done chan struct{}
+	f          func(w, lo, hi int)
+	w, lo, hi  int
+	next       *worker // in the idle stack, or in the crew of a launch
 }
 
-// Fork is the kernels' one launcher: it splits [0, n) into contiguous
+func (k *worker) park() {
+	for range k.wake {
+		bs := prof.WorkerStart()
+		k.f(k.w, k.lo, k.hi)
+		prof.WorkerEnd(k.w, bs)
+		k.f = nil
+		k.done <- struct{}{}
+	}
+}
+
+// idle is the stack of parked workers. A launch pops its crew and pushes
+// it back when done, so concurrent launches hold disjoint workers, and
+// the stack never holds more workers than launches have used at once.
+// Workers live as long as the process; nothing stops them.
+var idle struct {
+	sync.Mutex
+	top *worker
+}
+
+// hire pops m parked workers, starting new ones when the stack runs out.
+func hire(m int) (crew *worker) {
+	idle.Lock()
+	for ; m > 0 && idle.top != nil; m-- {
+		k := idle.top
+		idle.top, k.next = k.next, crew
+		crew = k
+	}
+	idle.Unlock()
+	for ; m > 0; m-- {
+		k := &worker{wake: make(chan struct{}, 1), done: make(chan struct{}, 1), next: crew}
+		go k.park()
+		crew = k
+	}
+	return crew
+}
+
+// Fork is the module's one launcher: it splits [0, n) into contiguous
 // ranges of ceil(n/workers) items and runs f(w, lo, hi) for each, worker
-// 0 inline on the calling goroutine. Only workers that get work start,
-// so no range is empty when n > 0 and no launch counts an idle worker.
-// Workers share nothing mutable beyond the disjoint regions f writes.
+// 0 inline on the calling goroutine and the others on parked workers.
+// Only workers that get work wake, so no range is empty when n > 0 and
+// no launch counts an idle worker. Workers share nothing mutable beyond
+// the disjoint regions f writes. A launch allocates nothing itself, but
+// f escapes: a caller that must not allocate builds f once, or keeps its
+// own serial branch and calls Fork only with more than one worker.
 //
 // Every launch is accounted by the profiler: per-worker busy windows
 // plus the launch's wall time, from which load imbalance is derived. A
@@ -70,9 +117,6 @@ func Chunk(n, workers, w int) (lo, hi int) {
 // window is wall time, inside a launch that worker's occupancy. A launch
 // never nests: an SGEMM called inside f runs on that worker
 // (SgemmWorkers(1, ...)) and records its own phase windows.
-//
-// The closure f escapes, so call sites that must not allocate keep their
-// own serial branch and call Fork only with more than one worker.
 func Fork(workers, n int, f func(w, lo, hi int)) {
 	if workers > n {
 		workers = n
@@ -81,27 +125,26 @@ func Fork(workers, n int, f func(w, lo, hi int)) {
 		f(0, 0, n)
 		return
 	}
-	// Bound once: the goroutine closures capture chunk and launched by
-	// value only while they are never reassigned (otherwise they move to
-	// the heap, one more allocation per launch).
 	chunk := (n + workers - 1) / workers
 	launched := (n + chunk - 1) / chunk
 	ls := prof.LaunchStart()
-	var wg sync.WaitGroup
-	wg.Add(launched - 1)
-	for w := 1; w < launched; w++ {
-		// A closure with no arguments: go with arguments wraps the call in
-		// a second closure, one more allocation per goroutine.
-		go func() {
-			defer wg.Done()
-			bs := prof.WorkerStart()
-			f(w, w*chunk, min((w+1)*chunk, n))
-			prof.WorkerEnd(w, bs)
-		}()
+	crew := hire(launched - 1)
+	w := 1
+	for k := crew; k != nil; k = k.next {
+		k.f, k.w, k.lo, k.hi = f, w, w*chunk, min((w+1)*chunk, n)
+		k.wake <- struct{}{}
+		w++
 	}
 	bs := prof.WorkerStart()
 	f(0, 0, chunk)
 	prof.WorkerEnd(0, bs)
-	wg.Wait()
+	last := crew
+	for k := crew; k != nil; k = k.next {
+		<-k.done
+		last = k
+	}
+	idle.Lock()
+	last.next, idle.top = idle.top, crew
+	idle.Unlock()
 	prof.LaunchEnd(launched, ls)
 }

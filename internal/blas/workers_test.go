@@ -1,22 +1,33 @@
 package blas
 
 import (
+	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
+
+	"ucudnn/internal/prof"
 )
 
-// Fork hands every index of [0, n) to exactly one worker, and starts only
-// workers that get work: no worker sees an empty range when n > 0 (an
-// empty one would count as an idle worker in the launch's accounting).
+// Fork hands every index of [0, n) to exactly one worker, worker w the
+// range [w*chunk, (w+1)*chunk) of chunk = ceil(n/workers) clipped to n
+// (the partition the layers' and kernels' bits are pinned to), and wakes
+// only workers that get work: no worker sees an empty range when n > 0
+// (an empty one would count as an idle worker in the launch's
+// accounting).
 func TestForkCoversAll(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 5, 6, 100} {
 		for workers := 1; workers <= 5; workers++ {
 			hits := make([]int32, n)
-			var empty atomic.Int32
+			var empty, misplaced atomic.Int32
 			var seen [5]atomic.Int32
+			chunk := (n + workers - 1) / workers
 			Fork(workers, n, func(w, lo, hi int) {
 				if n > 0 && lo == hi {
 					empty.Add(1)
+				}
+				if n > 0 && (lo != w*chunk || hi != min((w+1)*chunk, n)) {
+					misplaced.Add(1)
 				}
 				seen[w].Add(1)
 				for i := lo; i < hi; i++ {
@@ -31,11 +42,99 @@ func TestForkCoversAll(t *testing.T) {
 			if e := empty.Load(); e != 0 {
 				t.Errorf("n=%d workers=%d: %d workers got an empty range", n, workers, e)
 			}
+			if m := misplaced.Load(); m != 0 {
+				t.Errorf("n=%d workers=%d: %d workers got a range off the ceil(n/workers) partition", n, workers, m)
+			}
 			for w := range seen {
 				if s := seen[w].Load(); s > 1 {
 					t.Errorf("n=%d workers=%d: worker %d ran %d times", n, workers, w, s)
 				}
 			}
 		}
+	}
+}
+
+// parked counts the idle workers, and those of them that still hold a
+// body.
+func parked() (n, holding int) {
+	idle.Lock()
+	defer idle.Unlock()
+	for k := idle.top; k != nil; k = k.next {
+		n++
+		if k.f != nil {
+			holding++
+		}
+	}
+	return n, holding
+}
+
+// Two goroutines fork at once, each over its own buffer: every index is
+// hit exactly once per call, the launches draw disjoint workers (the
+// race detector would see two ranges sharing a worker's fields), the
+// idle stack grows no further than the demand of both callers at once,
+// and no parked worker keeps a body.
+func TestForkConcurrentCallers(t *testing.T) {
+	before, _ := parked()
+	widths := []int{2, 3}
+	var wg sync.WaitGroup
+	errs := make([]string, len(widths))
+	for i, width := range widths {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			hits := make([]int32, 100)
+			for call := 0; call < 200; call++ {
+				n := width + call%len(hits[width:])
+				Fork(width, n, func(_, lo, hi int) {
+					for j := lo; j < hi; j++ {
+						hits[j]++
+					}
+				})
+				for j, h := range hits[:n] {
+					if h != 1 {
+						errs[i] = fmt.Sprintf("width %d, call %d (n=%d): index %d hit %d times", width, call, n, j, h)
+						return
+					}
+					hits[j] = 0
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, e := range errs {
+		if e != "" {
+			t.Error(e)
+		}
+	}
+	demand := 0
+	for _, width := range widths {
+		demand += width - 1 // the calling goroutine runs worker 0
+	}
+	n, holding := parked()
+	if n > max(before, demand) {
+		t.Errorf("%d workers parked after two callers needing %d at once (%d before)", n, demand, before)
+	}
+	if holding != 0 {
+		t.Errorf("%d parked workers still hold a body", holding)
+	}
+}
+
+// The cap never exceeds the profiler's worker slots, whatever is asked
+// for, so no two workers of a launch share a slot.
+func TestMaxWorkersBoundedBySlots(t *testing.T) {
+	defer SetMaxWorkers(SetMaxWorkers(1000))
+	if got := MaxWorkers(); got != prof.WorkerSlots {
+		t.Fatalf("SetMaxWorkers(1000): MaxWorkers() = %d, want %d", got, prof.WorkerSlots)
+	}
+}
+
+// BenchmarkForkEmpty times one launch on two workers of a body built
+// once and doing nothing: the launcher's own cost (wake one parked
+// worker, run inline, wait). Run it at -cpu 2.
+func BenchmarkForkEmpty(b *testing.B) {
+	body := func(_, _, _ int) {}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		Fork(2, 2, body)
 	}
 }

@@ -212,12 +212,12 @@ type gradSum struct{ scratch, grad *tensor.Tensor }
 // sums are in its layerBound). scratch[k] backs the k-th sum of a layer:
 // layers run one at a time, so every layer reuses it. unwritten are the
 // gradients no Backward writes (the loss top, an input only a
-// SkipInputGrad convolution reads), which zeroBlobGrads clears. sum adds
-// a gradSum at vector width over the workers.
+// SkipInputGrad convolution reads), which zeroBlobGrads clears. sum
+// adds a gradSum at vector width over the workers.
 type gradRoutes struct {
 	scratch   [][]float32
 	unwritten []*tensor.Tensor
-	sum       *forkJoin
+	sum       *layerPass
 }
 
 // Net is a feed-forward network over named blobs, executed in insertion
@@ -379,9 +379,7 @@ func (n *Net) routeGrads() {
 			sm.scratch.Data = n.grads.scratch[k][:sm.grad.Shape.Elems()]
 		}
 	}
-	if len(slots) > 0 {
-		n.grads.sum = newForkJoin(units, n.sumWork)
-	}
+	n.grads.sum = newLayerPass(units, n.sumWork)
 	for _, name := range n.order {
 		if g := n.blobs[name].Grad; !written[g] {
 			n.grads.unwritten = append(n.grads.unwritten, g)
@@ -389,12 +387,11 @@ func (n *Net) routeGrads() {
 	}
 }
 
-// sumWork is worker w's share of a gradient sum: a contiguous range of
-// elements, y += 1*x. The product 1*x is exact, so every element gets
+// sumWork is one worker's share of a gradient sum: the elements
+// [lo, hi), y += 1*x. The product 1*x is exact, so every element gets
 // the bits of y + x.
-func (n *Net) sumWork(w, workers int) {
-	pass := &n.grads.sum.pass
-	lo, hi := blas.Chunk(len(pass.x), workers, w)
+func (n *Net) sumWork(_, lo, hi int) {
+	pass := n.grads.sum
 	blas.Saxpy(1, pass.x[lo:hi], pass.y[lo:hi])
 }
 
@@ -587,7 +584,10 @@ func (n *Net) backwardLayer(i int) error {
 		return fmt.Errorf("dnn: backward %s: %w", li.layer.Name(), err)
 	}
 	for _, sm := range lb.sums {
-		n.grads.sum.forward(ceilDiv(len(sm.scratch.Data), forkGrain), sm.scratch.Data, sm.grad.Data)
+		// At most one worker per forkGrain elements of this sum.
+		s, elems := n.grads.sum, len(sm.scratch.Data)
+		s.x, s.y = sm.scratch.Data, sm.grad.Data
+		blas.Fork(min(blas.MaxWorkers(), s.width, ceilDiv(elems, forkGrain)), elems, s.body)
 	}
 	return nil
 }

@@ -197,8 +197,10 @@ func TestSharedBottomGradientOrder(t *testing.T) {
 }
 
 // A steady-state backward pass over a net with a shared bottom allocates
-// nothing: the routing, the scratch and the sum's fork are built by
-// Setup. The net has no convolution, whose forked SGEMMs allocate.
+// nothing: the routing, the scratch and the sum's fork body are built by
+// Setup. The net has no convolution, whose forked SGEMMs allocate. Each
+// gradient sum is one launch at a cap of 2, as are the ReLU and pooling
+// passes, and none is at a cap of 1.
 func TestSharedBottomBackwardAllocs(t *testing.T) {
 	defer conv.SetMaxWorkers(conv.SetMaxWorkers(2))
 	in := tensor.Shape{N: 4, C: 8, H: 32, W: 32}
@@ -226,5 +228,23 @@ func TestSharedBottomBackwardAllocs(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("Net.Backward with a shared bottom allocates %v/op at 2 workers, want 0", avg)
+	}
+	sums := 0
+	for _, lb := range net.bound {
+		sums += len(lb.sums)
+	}
+	if sums == 0 {
+		t.Fatal("the net routes no gradient sum")
+	}
+	backward := func() {
+		if err := net.Backward(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const forkedLayers = 2 // r and p
+	for _, c := range []struct{ workers, want int }{{2, sums + forkedLayers}, {1, 0}} {
+		if got := passLaunches(t, c.workers, backward); got != int64(c.want) {
+			t.Errorf("Net.Backward at a cap of %d: %d launches, want %d (%d sums, %d forked layers)", c.workers, got, c.want, sums, forkedLayers)
+		}
 	}
 }

@@ -8,12 +8,44 @@ import (
 	"ucudnn/internal/tensor"
 )
 
+// forkGrain is the number of tensor elements below which a second worker
+// costs more than it saves: the element-wise layers offer one unit of
+// work per forkGrain elements.
+const forkGrain = 1 << 14
+
+// layerPass is what a forked layer keeps once its context computes (a
+// planning layer keeps a nil pointer): the body every worker runs, a
+// method value built in Setup so that a pass allocates nothing; the
+// widest fork, which sizes any per-worker scratch (the units of work,
+// capped by the worker cap at Setup, as conv sizes its strips); and the
+// pass in flight, which the body reads. Forward reads x and writes y,
+// backward reads dy (and what of x, y the layer's gradient needs) and
+// writes dx. Every worker takes a range of independent samples, planes
+// or elements, so results do not depend on the worker count.
+type layerPass struct {
+	body         func(w, lo, hi int)
+	width        int
+	back         bool
+	x, y, dy, dx []float32
+}
+
+func newLayerPass(units int, body func(w, lo, hi int)) *layerPass {
+	return &layerPass{body: body, width: imax(1, imin(blas.MaxWorkers(), units))}
+}
+
+// fork stores the pass in flight and forks it over n items, on as many
+// of its workers as the worker cap now allows.
+func (p *layerPass) fork(n int, back bool, x, y, dy, dx []float32) {
+	p.back, p.x, p.y, p.dy, p.dx = back, x, y, dy, dx
+	blas.Fork(min(blas.MaxWorkers(), p.width), n, p.body)
+}
+
 // ReLU is the rectified linear activation. Both passes are element-wise,
 // so they spread contiguous element ranges over the engine's workers.
 type ReLU struct {
 	name  string
 	shape tensor.Shape
-	fork  *forkJoin
+	pass  *layerPass
 }
 
 // NewReLU builds a ReLU layer.
@@ -32,21 +64,20 @@ func (l *ReLU) Setup(ctx *Context, bottoms []tensor.Shape) (tensor.Shape, error)
 	}
 	l.shape = bottoms[0]
 	if !ctx.SkipCompute {
-		l.fork = newForkJoin(ceilDiv(l.shape.Elems(), forkGrain), l.work)
+		l.pass = newLayerPass(ceilDiv(l.shape.Elems(), forkGrain), l.work)
 	}
 	return bottoms[0], nil
 }
 
-// work is worker w's share of the pass: a contiguous range of elements.
+// work is one worker's share of the pass: the elements [lo, hi).
 // The sign of an activation is a coin toss, so the pass is written as a
 // select on the bits, not a branch: x > 0 exactly when its bits lie in
 // [1, +Inf's] (that leaves out both zeros, the negatives and every NaN).
-func (l *ReLU) work(w, workers int) {
-	pass := &l.fork.pass
-	lo, hi := blas.Chunk(len(pass.x), workers, w)
+func (l *ReLU) work(_, lo, hi int) {
+	pass := l.pass
 	// Forward passes x itself where it is positive, backward dy.
 	x, from, out := pass.x[lo:hi], pass.x[lo:hi], pass.y[lo:hi]
-	if pass.backward {
+	if pass.back {
 		from, out = pass.dy[lo:hi], pass.dx[lo:hi]
 	}
 	const inf = 0x7f800000
@@ -65,7 +96,7 @@ func (l *ReLU) Forward(ctx *Context, bottoms []*tensor.Tensor, top *tensor.Tenso
 	if ctx.SkipCompute {
 		return nil
 	}
-	l.fork.forward(ceilDiv(l.shape.Elems(), forkGrain), bottoms[0].Data, top.Data)
+	l.pass.fork(l.shape.Elems(), false, bottoms[0].Data, top.Data, nil, nil)
 	return nil
 }
 
@@ -75,7 +106,7 @@ func (l *ReLU) Backward(ctx *Context, bottoms []*tensor.Tensor, top, dTop *tenso
 	if ctx.SkipCompute {
 		return nil
 	}
-	l.fork.backward(ceilDiv(l.shape.Elems(), forkGrain), bottoms[0].Data, top.Data, dTop.Data, dBottoms[0].Data)
+	l.pass.fork(l.shape.Elems(), true, bottoms[0].Data, top.Data, dTop.Data, dBottoms[0].Data)
 	return nil
 }
 
@@ -101,7 +132,7 @@ type Pool struct {
 	kernel, stride int
 	pad            int
 	in, out        tensor.Shape
-	fork           *forkJoin
+	pass           *layerPass
 	max            *maxPoolState // max pooling in a computing context
 }
 
@@ -154,9 +185,10 @@ func (l *Pool) Setup(ctx *Context, bottoms []tensor.Shape) (tensor.Shape, error)
 	l.in = in
 	l.out = tensor.Shape{N: in.N, C: in.C, H: oh, W: ow}
 	if !ctx.SkipCompute {
-		l.fork = newForkJoin(l.units(), l.work)
+		// A worker per plane, or fewer when planes are too small for one.
+		l.pass = newLayerPass(imin(in.N*in.C, ceilDiv(in.Elems(), forkGrain)), l.work)
 		if l.kind == MaxPool {
-			per, workers := in.H*l.out.W, l.fork.maxWorkers()
+			per, workers := in.H*l.out.W, l.pass.width
 			m := &maxPoolState{
 				argmax: make([]int32, l.out.Elems()),
 				rowMax: make([]float32, workers*per),
@@ -174,17 +206,10 @@ func (l *Pool) Setup(ctx *Context, bottoms []tensor.Shape) (tensor.Shape, error)
 	return l.out, nil
 }
 
-// units is the work a pass offers the fork: the planes, or fewer when
-// they are too small to be worth a worker each.
-func (l *Pool) units() int {
-	return imin(l.in.N*l.in.C, ceilDiv(l.in.Elems(), forkGrain))
-}
-
-// work is worker w's share of the pass: a contiguous range of planes.
-func (l *Pool) work(w, workers int) {
-	lo, hi := blas.Chunk(l.in.N*l.in.C, workers, w)
+// work is worker w's share of the pass: the planes [lo, hi).
+func (l *Pool) work(w, lo, hi int) {
 	for p := lo; p < hi; p++ {
-		if l.fork.pass.backward {
+		if l.pass.back {
 			l.backwardPlane(p)
 		} else {
 			l.forwardPlane(w, p)
@@ -204,20 +229,20 @@ func (l *Pool) Forward(ctx *Context, bottoms []*tensor.Tensor, top *tensor.Tenso
 	if ctx.SkipCompute {
 		return nil
 	}
-	l.fork.forward(l.units(), bottoms[0].Data, top.Data)
+	l.pass.fork(l.in.N*l.in.C, false, bottoms[0].Data, top.Data, nil, nil)
 	return nil
 }
 
 // forwardPlane pools plane p = n*C+c on worker w.
 func (l *Pool) forwardPlane(w, p int) {
 	inHW, outHW := l.in.H*l.in.W, l.out.H*l.out.W
-	y := l.fork.pass.y[p*outHW : (p+1)*outHW]
+	y := l.pass.y[p*outHW : (p+1)*outHW]
 	if l.kind == MaxPool {
 		// The merge body's last stride-2 group of a row reads one element
 		// past it, so x runs on past the plane (to the tensor's end).
-		l.maxPlane(w, l.fork.pass.x[p*inHW:], y, l.max.argmax[p*outHW:(p+1)*outHW], int32(p*inHW))
+		l.maxPlane(w, l.pass.x[p*inHW:], y, l.max.argmax[p*outHW:(p+1)*outHW], int32(p*inHW))
 	} else {
-		l.avgPlane(l.fork.pass.x[p*inHW:(p+1)*inHW], y)
+		l.avgPlane(l.pass.x[p*inHW:(p+1)*inHW], y)
 	}
 }
 
@@ -336,7 +361,7 @@ func (l *Pool) Backward(ctx *Context, bottoms []*tensor.Tensor, top, dTop *tenso
 	if ctx.SkipCompute {
 		return nil
 	}
-	l.fork.backward(l.units(), bottoms[0].Data, top.Data, dTop.Data, dBottoms[0].Data)
+	l.pass.fork(l.in.N*l.in.C, true, bottoms[0].Data, top.Data, dTop.Data, dBottoms[0].Data)
 	return nil
 }
 
@@ -344,13 +369,13 @@ func (l *Pool) Backward(ctx *Context, bottoms []*tensor.Tensor, top, dTop *tenso
 // maximum, or spread evenly over the window, in output order.
 func (l *Pool) backwardPlane(p int) {
 	inW, outW := l.in.W, l.out.W
-	dx := l.fork.pass.dx[p*l.in.H*inW : (p+1)*l.in.H*inW]
-	dy := l.fork.pass.dy[p*l.out.H*outW : (p+1)*l.out.H*outW]
+	dx := l.pass.dx[p*l.in.H*inW : (p+1)*l.in.H*inW]
+	dy := l.pass.dy[p*l.out.H*outW : (p+1)*l.out.H*outW]
 	clear(dx)
 	if l.kind == MaxPool {
 		for oi, src := range l.max.argmax[p*len(dy) : (p+1)*len(dy)] {
 			if src >= 0 {
-				l.fork.pass.dx[src] += dy[oi]
+				l.pass.dx[src] += dy[oi]
 			}
 		}
 		return

@@ -9,6 +9,7 @@ import (
 	"ucudnn/internal/conv"
 	"ucudnn/internal/cudnn"
 	"ucudnn/internal/device"
+	"ucudnn/internal/prof"
 	"ucudnn/internal/tensor"
 )
 
@@ -530,8 +531,46 @@ func TestLRNMatchesReferenceBitwise(t *testing.T) {
 	}
 }
 
-// A forked LRN pass reuses the goroutine bodies and scratch Setup built:
-// nothing is allocated per call at any worker count.
+// passLaunches runs pass under the profiler at worker cap workers and
+// returns the launches it recorded, all of which must land on the
+// unattributed row (no kernel is current during a layer pass). A forked
+// layer pass is one launch of the one launcher, blas.Fork.
+func passLaunches(t *testing.T, workers int, pass func()) int64 {
+	t.Helper()
+	defer conv.SetMaxWorkers(conv.SetMaxWorkers(workers))
+	prof.Reset()
+	prof.Enable()
+	defer prof.Reset()
+	defer prof.Disable()
+	pass()
+	var launches int64
+	for _, r := range prof.Snapshot() {
+		if r.Kernel != "(unattributed)" && r.Workers.Launches != 0 {
+			t.Errorf("%d launches on row %s/%s, want them unattributed", r.Workers.Launches, r.Layer, r.Kernel)
+		}
+		launches += r.Workers.Launches
+	}
+	return launches
+}
+
+// forkedPassLaunches checks that each of a forked layer's two passes is
+// one launch at a cap of 2 and none at a cap of 1.
+func forkedPassLaunches(t *testing.T, name string, forward, backward func()) {
+	t.Helper()
+	for _, p := range []struct {
+		name string
+		run  func()
+	}{{"forward", forward}, {"backward", backward}} {
+		for _, c := range []struct{ workers, want int64 }{{2, 1}, {1, 0}} {
+			if got := passLaunches(t, int(c.workers), p.run); got != c.want {
+				t.Errorf("%s %s at a cap of %d: %d launches, want %d", name, p.name, c.workers, got, c.want)
+			}
+		}
+	}
+}
+
+// A forked LRN pass reuses the body and scratch Setup built: nothing is
+// allocated per call at any worker count, and each pass is one launch.
 func TestLRNPassesDoNotAllocate(t *testing.T) {
 	defer conv.SetMaxWorkers(conv.SetMaxWorkers(2))
 	s := tensor.Shape{N: 4, C: 8, H: 6, W: 6}
@@ -543,16 +582,20 @@ func TestLRNPassesDoNotAllocate(t *testing.T) {
 	x, y, dy, dx := tensor.NewShaped(s), tensor.NewShaped(s), tensor.NewShaped(s), tensor.NewShaped(s)
 	x.Randomize(rand.New(rand.NewSource(1)), 1)
 	bot, dbot := []*tensor.Tensor{x}, []*tensor.Tensor{dx}
-	if avg := testing.AllocsPerRun(20, func() {
+	forward := func() {
 		if err := l.Forward(ctx, bot, y); err != nil {
 			t.Fatal(err)
 		}
+	}
+	backward := func() {
 		if err := l.Backward(ctx, bot, y, dy, dbot); err != nil {
 			t.Fatal(err)
 		}
-	}); avg != 0 {
+	}
+	if avg := testing.AllocsPerRun(20, func() { forward(); backward() }); avg != 0 {
 		t.Fatalf("LRN forward+backward allocates %v/op at 2 workers, want 0", avg)
 	}
+	forkedPassLaunches(t, "LRN", forward, backward)
 }
 
 // TestLRNFactorIsPowBitwise: wherever lrnFactor vouches for its result,
@@ -979,7 +1022,8 @@ func TestPoolAndReLUMatchReferenceBitwise(t *testing.T) {
 }
 
 // Pool, global-average-pool and ReLU passes allocate nothing per call;
-// the forked ones run on the goroutine bodies Setup built, as LRN's do.
+// the forked ones (all but global average pooling) run the bodies Setup
+// built, as LRN's do, one launch per pass.
 func TestPoolAndReLUPassesDoNotAllocate(t *testing.T) {
 	defer conv.SetMaxWorkers(conv.SetMaxWorkers(2))
 	s := tensor.Shape{N: 4, C: 32, H: 28, W: 28} // above forkGrain per worker
@@ -992,15 +1036,21 @@ func TestPoolAndReLUPassesDoNotAllocate(t *testing.T) {
 		x, dx, y, dy := tensor.NewShaped(s), tensor.NewShaped(s), tensor.NewShaped(out), tensor.NewShaped(out)
 		x.Randomize(rand.New(rand.NewSource(1)), 1)
 		bot, dbot := []*tensor.Tensor{x}, []*tensor.Tensor{dx}
-		if avg := testing.AllocsPerRun(20, func() {
+		forward := func() {
 			if err := l.Forward(ctx, bot, y); err != nil {
 				t.Fatal(err)
 			}
+		}
+		backward := func() {
 			if err := l.Backward(ctx, bot, y, dy, dbot); err != nil {
 				t.Fatal(err)
 			}
-		}); avg != 0 {
+		}
+		if avg := testing.AllocsPerRun(20, func() { forward(); backward() }); avg != 0 {
 			t.Fatalf("%s forward+backward allocates %v/op at 2 workers, want 0", l.Name(), avg)
+		}
+		if _, gap := l.(*GlobalAvgPool); !gap {
+			forkedPassLaunches(t, l.Name(), forward, backward)
 		}
 	}
 }

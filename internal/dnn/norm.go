@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"ucudnn/internal/blas"
 	"ucudnn/internal/tensor"
 )
 
@@ -28,9 +27,9 @@ type LRN struct {
 	denom  []float32 // cached d[c] from forward
 	factor []float32 // cached d[c]^-beta from forward
 
-	// Built once in Setup so a pass allocates nothing: the fork, and one
+	// Built once in Setup so a pass allocates nothing: the pass, and one
 	// sample-sized scratch per worker for backward's dy*y/d.
-	fork  *forkJoin
+	pass  *layerPass
 	ratio []float32
 }
 
@@ -78,17 +77,16 @@ func (l *LRN) Setup(ctx *Context, bottoms []tensor.Shape) (tensor.Shape, error) 
 	if !ctx.SkipCompute {
 		l.denom = make([]float32, l.shape.Elems())
 		l.factor = make([]float32, l.shape.Elems())
-		l.fork = newForkJoin(l.shape.N, l.work)
-		l.ratio = make([]float32, l.fork.maxWorkers()*l.shape.C*l.shape.H*l.shape.W)
+		l.pass = newLayerPass(l.shape.N, l.work)
+		l.ratio = make([]float32, l.pass.width*l.shape.C*l.shape.H*l.shape.W)
 	}
 	return bottoms[0], nil
 }
 
-// work is worker w's share of the pass: a contiguous range of samples.
-func (l *LRN) work(w, workers int) {
-	lo, hi := blas.Chunk(l.shape.N, workers, w)
+// work is worker w's share of the pass: the samples [lo, hi).
+func (l *LRN) work(w, lo, hi int) {
 	for n := lo; n < hi; n++ {
-		if l.fork.pass.backward {
+		if l.pass.back {
 			l.backwardSample(w, n)
 		} else {
 			l.forwardSample(n)
@@ -102,7 +100,7 @@ func (l *LRN) Forward(ctx *Context, bottoms []*tensor.Tensor, top *tensor.Tensor
 	if ctx.SkipCompute {
 		return nil
 	}
-	l.fork.forward(l.shape.N, bottoms[0].Data, top.Data)
+	l.pass.fork(l.shape.N, false, bottoms[0].Data, top.Data, nil, nil)
 	return nil
 }
 
@@ -112,7 +110,7 @@ func (l *LRN) forwardSample(n int) {
 	half := l.n / 2
 	scale := l.alpha / float32(l.n)
 	lo, hi := n*s.C*hw, (n+1)*s.C*hw
-	x, y := l.fork.pass.x[lo:hi], l.fork.pass.y[lo:hi]
+	x, y := l.pass.x[lo:hi], l.pass.y[lo:hi]
 	denom, factor := l.denom[lo:hi], l.factor[lo:hi]
 	for c := 0; c < s.C; c++ {
 		d := denom[c*hw : (c+1)*hw]
@@ -142,7 +140,7 @@ func (l *LRN) Backward(ctx *Context, bottoms []*tensor.Tensor, top, dTop *tensor
 	if ctx.SkipCompute {
 		return nil
 	}
-	l.fork.backward(l.shape.N, bottoms[0].Data, top.Data, dTop.Data, dBottoms[0].Data)
+	l.pass.fork(l.shape.N, true, bottoms[0].Data, top.Data, dTop.Data, dBottoms[0].Data)
 	return nil
 }
 
@@ -157,7 +155,7 @@ func (l *LRN) backwardSample(w, n int) {
 	scale := l.alpha / float32(l.n)
 	coef := 2 * scale * lrnBeta
 	lo, hi := n*s.C*hw, (n+1)*s.C*hw
-	pass := &l.fork.pass
+	pass := l.pass
 	x, y, dy, dx := pass.x[lo:hi], pass.y[lo:hi], pass.dy[lo:hi], pass.dx[lo:hi]
 	denom, factor := l.denom[lo:hi], l.factor[lo:hi]
 	ratio := l.ratio[w*s.C*hw : (w+1)*s.C*hw]

@@ -27,10 +27,12 @@
 // time, a phase timed on the serial path contributes wall time. The
 // matching denominator — "measured" kernel time — is therefore the
 // per-worker busy time of the kernel's parallel launches plus the serial
-// remainder of the kernel wall. Launches never nest: every kernel
-// goroutine starts in one launcher (blas.Fork), an SGEMM inside a launch
-// runs on the worker that calls it, and every SGEMM records its own
-// phase windows, so no phase window ever encloses a launch.
+// remainder of the kernel wall. Launches never nest: every parallel
+// range in the module runs through one launcher (blas.Fork, on its
+// parked workers), an SGEMM inside a launch runs on the worker that
+// calls it, and every SGEMM records its own phase windows, so no phase
+// window ever encloses a launch. Launches outside a kernel (FC SGEMMs,
+// ReLU, pooling, LRN and gradient-sum passes) land on the unattributed row.
 package prof
 
 import (
@@ -56,10 +58,10 @@ type Kind uint8
 // the conv algorithms define.
 const maxKinds = 64
 
-// maxWorkerSlots bounds the per-worker busy-time slot array; worker
-// indices wrap beyond it (every kernel fork is bounded by the one worker
-// cap, blas.MaxWorkers, far below).
-const maxWorkerSlots = 256
+// WorkerSlots bounds the per-worker busy-time slot array, and with it
+// the one worker cap (blas.MaxWorkers never exceeds it), so no two
+// workers of a launch share a slot.
+const WorkerSlots = 256
 
 // phaseRe is the naming scheme Register enforces.
 var phaseRe = regexp.MustCompile(`^ucudnn_ph(_[a-z0-9]+)+$`)
@@ -166,7 +168,7 @@ var (
 // workerBusy holds per-worker busy nanoseconds between LaunchStart and
 // LaunchEnd; launches never overlap in time (kernel executions are
 // serialized and launches never nest), so one slot array serves all.
-var workerBusy [maxWorkerSlots]atomic.Int64
+var workerBusy [WorkerSlots]atomic.Int64
 
 // SetLayer names the framework layer whose kernels execute next; Begin
 // joins it into the attribution key. The framework layer walk calls it
@@ -286,7 +288,7 @@ func WorkerEnd(w int, start int64) {
 	if start == 0 {
 		return
 	}
-	workerBusy[w&(maxWorkerSlots-1)].Add(nanotime() - start)
+	workerBusy[w&(WorkerSlots-1)].Add(nanotime() - start)
 }
 
 // LaunchEnd closes a parallel launch of the given worker count: drains
@@ -299,8 +301,8 @@ func LaunchEnd(workers int, start int64) {
 	}
 	wall := nanotime() - start
 	n := workers
-	if n > maxWorkerSlots {
-		n = maxWorkerSlots
+	if n > WorkerSlots {
+		n = WorkerSlots
 	}
 	var sum, max int64
 	for w := 0; w < n; w++ {
