@@ -24,13 +24,13 @@ import (
 	"os"
 	"strings"
 
+	"ucudnn/internal/blas"
 	"ucudnn/internal/causal"
 	"ucudnn/internal/conv"
 	"ucudnn/internal/core"
 	"ucudnn/internal/cudnn"
 	"ucudnn/internal/device"
 	"ucudnn/internal/obs"
-	"ucudnn/internal/prof"
 	"ucudnn/internal/session"
 	"ucudnn/internal/zoo"
 )
@@ -69,7 +69,7 @@ func main() {
 	flag.Int64Var(&o.BlobMiB, "blob-budget", 0,
 		"out-of-core blob budget (MiB): stream activations in micro-batch windows under this working-set bound (0 = off)")
 	flag.StringVar(&o.DB, "db", "", "benchmark database file (optional)")
-	flag.IntVar(&o.Workers, "workers", 0, fmt.Sprintf("kernel worker cap, at most %d: bounds every convolution, SGEMM and layer fork (0 = leave default); the exported timeline is byte-identical across worker counts", prof.WorkerSlots))
+	flag.IntVar(&o.Workers, "workers", 0, fmt.Sprintf("kernel worker cap, at most %d: bounds every convolution, SGEMM and layer fork (0 = leave default); the exported timeline is byte-identical across worker counts", blas.WorkerCap))
 	flag.StringVar(&o.Timeline, "timeline", "", "write the canonical causal timeline JSON here")
 	flag.StringVar(&o.Trace, "trace", "", "write the causal timeline as Chrome trace-event JSON (named tracks) here")
 	flag.StringVar(&o.Check, "check", "", "validate a causal-timeline or profile-report JSON file (dispatching on its schema field) and exit")
@@ -142,8 +142,8 @@ func checkTimeline(path string, data []byte, w io.Writer) error {
 }
 
 func run(o runOpts, w io.Writer) error {
-	if o.Workers < 0 || o.Workers > prof.WorkerSlots {
-		return fmt.Errorf("-workers %d: want 0 (leave the default) to %d", o.Workers, prof.WorkerSlots)
+	if o.Workers < 0 || o.Workers > blas.WorkerCap {
+		return fmt.Errorf("-workers %d: want 0 (leave the default) to %d", o.Workers, blas.WorkerCap)
 	}
 	return o.ObsFlags.Run(func(reg *obs.Registry) ([]core.HandleReport, error) { return runNet(o, reg, w) })
 }

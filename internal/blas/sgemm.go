@@ -580,17 +580,3 @@ func Saxpy(alpha float32, x, y []float32) {
 		y[i] += float32(alpha * x[i])
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

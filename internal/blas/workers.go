@@ -17,21 +17,25 @@ import (
 // runtime.GOMAXPROCS".
 var maxWorkers atomic.Int32
 
+// WorkerCap bounds the worker cap: MaxWorkers never exceeds it, so a
+// launch at the cap wakes at most WorkerCap-1 parked workers, and each
+// concurrent launch adds at most that many to the parked stack.
+const WorkerCap = 256
+
 // parallelThreshold is the minimum number of multiply-adds below which
 // the automatic width is one worker: waking workers for tiny products
 // costs more than the arithmetic.
 const parallelThreshold = 1 << 16
 
 // MaxWorkers returns the kernel worker cap: the value set by
-// SetMaxWorkers, or GOMAXPROCS when unset, and never more than the
-// profiler's worker slots (prof.WorkerSlots), which is also the most
-// workers one launch keeps parked.
+// SetMaxWorkers, or GOMAXPROCS when unset, and never more than
+// WorkerCap.
 func MaxWorkers() int {
 	n := int(maxWorkers.Load())
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	return min(n, prof.WorkerSlots)
+	return min(n, WorkerCap)
 }
 
 // SetMaxWorkers caps kernel parallelism and returns the previous cap
@@ -42,7 +46,7 @@ func SetMaxWorkers(n int) int {
 	if n < 0 {
 		n = 0
 	}
-	return int(maxWorkers.Swap(int32(min(n, prof.WorkerSlots))))
+	return int(maxWorkers.Swap(int32(min(n, WorkerCap))))
 }
 
 // AutoWorkers is the automatic width of a product of macs multiply-adds:
@@ -55,22 +59,25 @@ func AutoWorkers(macs int64) int {
 }
 
 // A worker parks on its own channel between the ranges a launcher sets
-// and wakes it for. It drops the body before it reports done, so a
-// parked worker keeps nothing of a layer or a kernel reachable. Both
-// channels hold one signal: a worker done before its launcher waits
-// parks at once, rather than blocking until the launcher takes it.
+// and wakes it for. It records how long its range took (its busy time,
+// 0 with profiling off) for the launcher to read after done, and drops
+// the body before it reports done, so a parked worker keeps nothing of a
+// layer or a kernel reachable. Both channels hold one signal: a worker
+// done before its launcher waits parks at once, rather than blocking
+// until the launcher takes it.
 type worker struct {
 	wake, done chan struct{}
 	f          func(w, lo, hi int)
 	w, lo, hi  int
+	busy       int64   // ns, written before done
 	next       *worker // in the idle stack, or in the crew of a launch
 }
 
 func (k *worker) park() {
 	for range k.wake {
-		bs := prof.WorkerStart()
+		bs := prof.Enter()
 		k.f(k.w, k.lo, k.hi)
-		prof.WorkerEnd(k.w, bs)
+		k.busy = prof.Since(bs)
 		k.f = nil
 		k.done <- struct{}{}
 	}
@@ -111,8 +118,11 @@ func hire(m int) (crew *worker) {
 // f escapes: a caller that must not allocate builds f once, or keeps its
 // own serial branch and calls Fork only with more than one worker.
 //
-// Every launch is accounted by the profiler: per-worker busy windows
-// plus the launch's wall time, from which load imbalance is derived. A
+// Every launch accounts its own crew to the profiler: the launcher times
+// worker 0 inline, sums the busy windows its workers report with done,
+// and closes with the launch's wall time, busy sum and largest busy
+// window, from which load imbalance is derived. Launches on concurrent
+// callers therefore overlap without reading each other's workers. A
 // phase f times is one window per worker chunk: on the serial path that
 // window is wall time, inside a launch that worker's occupancy. A launch
 // never nests: an SGEMM called inside f runs on that worker
@@ -127,7 +137,7 @@ func Fork(workers, n int, f func(w, lo, hi int)) {
 	}
 	chunk := (n + workers - 1) / workers
 	launched := (n + chunk - 1) / chunk
-	ls := prof.LaunchStart()
+	ls := prof.Enter()
 	crew := hire(launched - 1)
 	w := 1
 	for k := crew; k != nil; k = k.next {
@@ -135,16 +145,19 @@ func Fork(workers, n int, f func(w, lo, hi int)) {
 		k.wake <- struct{}{}
 		w++
 	}
-	bs := prof.WorkerStart()
+	bs := prof.Enter()
 	f(0, 0, chunk)
-	prof.WorkerEnd(0, bs)
+	busy := prof.Since(bs)
+	maxBusy := busy
 	last := crew
 	for k := crew; k != nil; k = k.next {
 		<-k.done
+		busy += k.busy
+		maxBusy = max(maxBusy, k.busy)
 		last = k
 	}
 	idle.Lock()
 	last.next, idle.top = idle.top, crew
 	idle.Unlock()
-	prof.LaunchEnd(launched, ls)
+	prof.LaunchEnd(launched, ls, busy, maxBusy)
 }

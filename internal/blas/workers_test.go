@@ -2,6 +2,7 @@ package blas
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -119,12 +120,61 @@ func TestForkConcurrentCallers(t *testing.T) {
 	}
 }
 
-// The cap never exceeds the profiler's worker slots, whatever is asked
-// for, so no two workers of a launch share a slot.
+// Two launches on two goroutines each account only their own crew. The
+// schedule is forced with handshakes: launch A's worker 1 finishes while
+// A's inline worker 0 waits, launch B runs start to end in that gap, and
+// then A is released. Had B taken A's worker 1 into its own figures, A
+// would read as one worker doing all the work: imbalance exactly 2.
+func TestOverlappingLaunchesAccountOwnCrews(t *testing.T) {
+	Fork(2, 2, func(_, _, _ int) {}) // leaves a parked worker for A to hire
+	idle.Lock()
+	a1 := idle.top
+	idle.Unlock()
+	prof.Reset()
+	prof.Enable()
+	defer func() {
+		prof.Disable()
+		prof.Reset()
+	}()
+
+	a0In, release, aDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(aDone)
+		Fork(2, 2, func(w, _, _ int) {
+			if w == 0 {
+				close(a0In)
+				<-release
+			} else {
+				<-a0In // both of A's workers are in flight
+			}
+		})
+	}()
+	// a1 reports done only after it has closed its busy window.
+	for len(a1.done) == 0 {
+		runtime.Gosched()
+	}
+	Fork(2, 2, func(_, _, _ int) {})
+	close(release)
+	<-aDone
+
+	rows := prof.Snapshot()
+	if len(rows) != 1 || rows[0].Workers.Launches != 2 {
+		t.Fatalf("rows = %+v, want one row with the two launches", rows)
+	}
+	w := rows[0].Workers
+	if w.MaxImbalance >= 2 {
+		t.Errorf("max imbalance %v: a launch lost its worker 1's busy time to the other (%+v)", w.MaxImbalance, w)
+	}
+	if w.IdleNS < 0 {
+		t.Errorf("idle %d ns: a launch counted more busy time than its workers had wall time (%+v)", w.IdleNS, w)
+	}
+}
+
+// The cap never exceeds WorkerCap, whatever is asked for.
 func TestMaxWorkersBoundedBySlots(t *testing.T) {
 	defer SetMaxWorkers(SetMaxWorkers(1000))
-	if got := MaxWorkers(); got != prof.WorkerSlots {
-		t.Fatalf("SetMaxWorkers(1000): MaxWorkers() = %d, want %d", got, prof.WorkerSlots)
+	if got := MaxWorkers(); got != WorkerCap {
+		t.Fatalf("SetMaxWorkers(1000): MaxWorkers() = %d, want %d", got, WorkerCap)
 	}
 }
 

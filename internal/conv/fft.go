@@ -57,7 +57,7 @@ func fftGeometry(op Op, algo Algo, cs tensor.ConvShape) fftGeom {
 			tilesH: ceilDiv(h, toH), tilesW: ceilDiv(w, toW), bank: bank, chunk: bank}
 	}
 	return fftGeom{p: fftpkg.NextPow2(h + r - 1), q: fftpkg.NextPow2(w + s - 1), toH: h, toW: w,
-		tilesH: 1, tilesW: 1, bank: bank, chunk: imin(bank, fftFilterChunk)}
+		tilesH: 1, tilesW: 1, bank: bank, chunk: min(bank, fftFilterChunk)}
 }
 
 // FFTGeometry returns the p x q plane and the per-sample tile count with
@@ -250,7 +250,7 @@ func newFFTCtx(op Op, algo Algo, cs tensor.ConvShape, x *tensor.Tensor, w *tenso
 	g.plan = fftpkg.NewPlan2D(geo.p, geo.q, ws[off:off+tf])
 	off += tf
 	g.sf = fftpkg.ScratchFloats(geo.p, geo.q)
-	g.workers = imin(MaxWorkers(), (len(ws)-off)/g.sf)
+	g.workers = min(MaxWorkers(), (len(ws)-off)/g.sf)
 	if g.workers < 1 {
 		g.workers = 1
 	}
@@ -324,7 +324,7 @@ func (g *fftCtx) stageTask(st fftStage, wk, i int) {
 		}
 		t = prof.Next(phRFFTPointwise, t)
 		g.invBlend(wk, acc, r.Data, r.Index(nn, ch, g.baseH, g.baseW), r.Shape.W,
-			imin(g.geo.toH, r.Shape.H-g.baseH), imin(g.geo.toW, r.Shape.W-g.baseW))
+			min(g.geo.toH, r.Shape.H-g.baseH), min(g.geo.toW, r.Shape.W-g.baseW))
 		prof.Exit(phRFFTInverse, t)
 	case stWgrad:
 		x, dy := g.a.t.Shape, g.b.t.Shape
@@ -355,7 +355,7 @@ func (g *fftCtx) stageTask(st fftStage, wk, i int) {
 // no allocation; the parallel path captures a copy of the context in
 // one escaping closure per launch.
 func (g *fftCtx) forEach(ph prof.Kind, n int, st fftStage) {
-	if imin(g.workers, n) <= 1 {
+	if min(g.workers, n) <= 1 {
 		g.stageTasks(ph, st, 0, 0, n)
 		return
 	}
@@ -385,7 +385,7 @@ func runFFT(op Op, algo Algo, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.F
 	g := newFFTCtx(op, algo, cs, x, w, y, alpha, beta, ws)
 	tiles := g.geo.tilesH * g.geo.tilesW
 	for fb := 0; fb < g.geo.bank; fb += g.geo.chunk {
-		g.fb, g.fc = fb, imin(g.geo.chunk, g.geo.bank-fb)
+		g.fb, g.fc = fb, min(g.geo.chunk, g.geo.bank-fb)
 		if op != BackwardFilter {
 			g.forEach(phRFFTForward, g.fc*g.a.t.Shape.C, stBank)
 		}

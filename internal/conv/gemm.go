@@ -61,9 +61,9 @@ func tapRange(off, stride, size, outSize int) (lo, hi int) {
 		lo = (-off + stride - 1) / stride
 	}
 	if last := size - 1 - off; last >= 0 {
-		hi = imin(last/stride+1, outSize)
+		hi = min(last/stride+1, outSize)
 	}
-	return imin(lo, hi), hi
+	return min(lo, hi), hi
 }
 
 // identLowering reports whether cs's im2col lowering is the input sample
@@ -95,15 +95,15 @@ func im2col(cs tensor.ConvShape, xn, col []float32, ld, rowLo, rowHi, pLo, pHi i
 		owLo, owHi := tapRange(off, p.StrideW, in.W, out.W)
 		for oh := pLo / out.W; oh*out.W < pHi; oh++ {
 			base := oh * out.W
-			a, b := imax(pLo, base)-base, imin(pHi, base+out.W)-base
+			a, b := max(pLo, base)-base, min(pHi, base+out.W)-base
 			seg := dst[base+a-pLo : base+b-pLo]
 			ih := oh*p.StrideH - p.PadH + r*p.DilationH
 			if ih < 0 || ih >= in.H {
 				clear(seg)
 				continue
 			}
-			lo := imin(imax(owLo, a), b)
-			hi := imax(imin(owHi, b), lo)
+			lo := min(max(owLo, a), b)
+			hi := max(min(owHi, b), lo)
 			clear(seg[:lo-a])
 			clear(seg[hi-a:])
 			src := plane[ih*in.W : (ih+1)*in.W]
@@ -260,10 +260,10 @@ func (g gemmCtx) filterPartial(wk, n, jLo, jHi int) {
 	xn := g.x.Data[n*g.inPlane : (n+1)*g.inPlane]
 	dy := g.y.Data[n*g.outPlane : (n+1)*g.outPlane]
 	part := g.partFor(wk)[jLo:]
-	ld := imin(blas.KC, g.pixels)
+	ld := min(blas.KC, g.pixels)
 	block := col[jLo*ld : jHi*ld]
 	for p0 := 0; p0 < g.pixels; p0 += ld {
-		p1 := imin(p0+ld, g.pixels)
+		p1 := min(p0+ld, g.pixels)
 		b, ldb := block, ld
 		if g.ident {
 			b, ldb = xn[jLo*g.pixels+p0:], g.pixels
@@ -332,7 +332,7 @@ func gemmSampleWorkers(cs tensor.ConvShape) int {
 // The rule reads only the shape, the worker cap and the workspace.
 func gemmLayout(op Op, cs tensor.ConvShape, wsFloats int) (batch, split int) {
 	batch = fitStripes(batchStripes(cs.In.N), wsFloats-gemmPackFloats(op, cs), gemmStripFloats(op, cs))
-	split = imin(gemmSampleWorkers(cs), gemmSplitUnits(op, cs))
+	split = min(gemmSampleWorkers(cs), gemmSplitUnits(op, cs))
 	if batch > 1 && (cs.In.N >= MaxWorkers() || split <= batch) {
 		return batch, 0
 	}
@@ -351,12 +351,12 @@ func (g gemmCtx) span(_, lo, hi int) {
 	n := g.cs.In.N
 	switch g.op {
 	case Forward:
-		g.forward(0, 0, n, lo*blas.NR, imin(hi*blas.NR, g.pixels))
+		g.forward(0, 0, n, lo*blas.NR, min(hi*blas.NR, g.pixels))
 	case BackwardData:
 		grp := gemmChannelGroup(g.cs.Filt)
-		g.backwardData(0, 0, n, lo*grp, imin(hi*grp, g.cs.Filt.C))
+		g.backwardData(0, 0, n, lo*grp, min(hi*grp, g.cs.Filt.C))
 	case BackwardFilter:
-		jLo, jHi := lo*blas.NR, imin(hi*blas.NR, g.crs)
+		jLo, jHi := lo*blas.NR, min(hi*blas.NR, g.crs)
 		for i := 0; i < n; i++ {
 			g.filterPartial(0, i, jLo, jHi)
 			g.reduce(0, jLo, jHi)
@@ -435,7 +435,7 @@ func (g gemmCtx) runBatch(workers int) {
 		// equal bit for bit to a micro-batched beta=1 accumulation over
 		// the same samples (§II).
 		for n0 := 0; n0 < n; n0 += workers {
-			cnt := imin(workers, n-n0)
+			cnt := min(workers, n-n0)
 			blas.Fork(cnt, cnt, func(wk, lo, hi int) {
 				for i := lo; i < hi; i++ {
 					g.filterPartial(wk, n0+i, 0, g.crs)

@@ -98,7 +98,7 @@ func runImplicit(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterT
 	units := groups * g.jblocks
 	// The serial case is a plain call, so steady-state execution
 	// allocates nothing.
-	if imin(workers, units) <= 1 {
+	if min(workers, units) <= 1 {
 		g.runUnits(0, 0, units)
 		return
 	}
@@ -125,8 +125,8 @@ func (g implicitCtx) runUnits(_, lo, hi int) {
 	// One continuous Enter/Next chain, as in sgemmRows; it opens before
 	// the pack blocks so that clearing them counts as packing.
 	t := prof.Enter()
-	rows := ceilDiv(imin(blas.MC, g.m), blas.MR) * blas.MR // of the largest A block
-	if imin(blas.KC, g.k)*imax(rows, g.jw) <= implicitSmallPack {
+	rows := ceilDiv(min(blas.MC, g.m), blas.MR) * blas.MR // of the largest A block
+	if min(blas.KC, g.k)*max(rows, g.jw) <= implicitSmallPack {
 		var packA, packB, low [implicitSmallPack]float32
 		g.units(packA[:], packB[:], low[:], lo, hi, t)
 		return
@@ -156,15 +156,15 @@ func (g implicitCtx) units(packA, packB, low []float32, lo, hi int, t int64) {
 // loops of sgemmRows with lowering packers. fresh says C has not been
 // written yet, so the first k-block's store fuses beta.
 func (g implicitCtx) block(packA, packB, low []float32, n, j0 int, fresh bool, t int64) int64 {
-	jb := imin(g.jw, g.n-j0)
+	jb := min(g.jw, g.n-j0)
 	c := g.c[n*g.cStride:]
 	for k0 := 0; k0 < g.k; k0 += blas.KC {
-		kb := imin(blas.KC, g.k-k0)
+		kb := min(blas.KC, g.k-k0)
 		g.packB(packB, low, n, k0, kb, j0, jb)
 		t = prof.Next(phImplicitPack, t)
 		first := fresh && k0 == 0
 		for i0 := 0; i0 < g.m; i0 += blas.MC {
-			ib := imin(blas.MC, g.m-i0)
+			ib := min(blas.MC, g.m-i0)
 			g.packA(packA, n, i0, ib, k0, kb)
 			t = prof.Next(phImplicitPack, t)
 			blas.KernelBlock(packA, packB, ib, jb, kb, first, g.beta, c, i0*g.n+j0, g.n)
@@ -193,7 +193,7 @@ func (g implicitCtx) packWT(pack []float32, i0, ib, k0, kb int) {
 	crs := g.f.C * rs
 	for it := 0; it < ib; it += blas.MR {
 		dst := pack[(it/blas.MR)*(kb*blas.MR):]
-		iw := imin(blas.MR, ib-it)
+		iw := min(blas.MR, ib-it)
 		for i := 0; i < blas.MR; i++ {
 			if i >= iw {
 				for p := 0; p < kb; p++ {
@@ -237,7 +237,7 @@ func (g implicitCtx) packB(pack, low []float32, n, k0, kb, j0, jb int) {
 		// Rows of whole panels: room for storeRow's zero tail.
 		ld := ceilDiv(jb, blas.NR) * blas.NR
 		for p0 := 0; p0 < kb; p0 += blas.NR {
-			rows := imin(blas.NR, kb-p0)
+			rows := min(blas.NR, kb-p0)
 			im2col(g.cs, xn, low, ld, k0+p0, k0+p0+rows, j0, j0+jb)
 			for i := 0; i < rows; i++ {
 				storeRow(pack, low[i*ld:(i+1)*ld], p0+i, kb, jb)
@@ -247,7 +247,7 @@ func (g implicitCtx) packB(pack, low []float32, n, k0, kb, j0, jb int) {
 		// BackwardFilter: panel column j is im2col row j0+j over the
 		// pixels [k0, k0+kb).
 		for jt := 0; jt < jb; jt += blas.NR {
-			jw := imin(blas.NR, jb-jt)
+			jw := min(blas.NR, jb-jt)
 			im2col(g.cs, xn, low, kb, j0+jt, j0+jt+jw, k0, k0+kb)
 			blas.PackBPanels(pack[(jt/blas.NR)*(kb*blas.NR):], true, low, kb, 0, kb, 0, jw)
 		}
@@ -269,8 +269,8 @@ func storeRow(pack, line []float32, p, kb, jb int) {
 // element is visited once per stride. Unit stride is a clipped copy.
 func gatherSeg(seg, src []float32, pos, rem, period int) {
 	if period == 1 {
-		lo := imin(imax(-pos, 0), len(seg))
-		hi := imin(imax(len(src)-pos, lo), len(seg))
+		lo := min(max(-pos, 0), len(seg))
+		hi := min(max(len(src)-pos, lo), len(seg))
 		clear(seg[:lo])
 		if lo < hi {
 			copy(seg[lo:hi], src[pos+lo:])
@@ -300,7 +300,7 @@ func (g implicitCtx) gradLine(line, dyn []float32, row, q0 int) {
 	plane := dyn[k*g.out.H*g.out.W : (k+1)*g.out.H*g.out.W]
 	ih, iw := q0/g.in.W, q0%g.in.W
 	for i := 0; i < len(line); ih, iw = ih+1, 0 {
-		seg := line[i:imin(len(line), i+g.in.W-iw)]
+		seg := line[i:min(len(line), i+g.in.W-iw)]
 		i += len(seg)
 		oh, rem := floorDivMod(ih+g.p.PadH-r*g.p.DilationH, g.p.StrideH)
 		if rem != 0 || uint(oh) >= uint(g.out.H) {

@@ -9,20 +9,6 @@ func blend(out *float32, v, alpha, beta float32) {
 	}
 }
 
-func imin(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func imax(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func ceilDiv(a, b int) int { return (a + b - 1) / b }
 
 func gcd(a, b int) int {

@@ -146,7 +146,7 @@ func winogradWorkers(tr *winograd.Transform, base int, ws []float32) int {
 	if fit < 1 {
 		fit = 1
 	}
-	return imin(MaxWorkers(), fit)
+	return min(MaxWorkers(), fit)
 }
 
 func runWinograd(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTensor, y *tensor.Tensor, alpha, beta float32, ws []float32, fused bool) error {
@@ -230,7 +230,7 @@ const (
 
 // run executes units [0, n) of stage st on up to workers workers.
 func (g *wgCtx) run(workers int, st wgStage, n int) {
-	if imin(workers, n) <= 1 {
+	if min(workers, n) <= 1 {
 		g.units(st, 0, n)
 		return
 	}
@@ -260,7 +260,7 @@ func (g *wgCtx) units(st wgStage, lo, hi int) {
 		prof.Exit(phWinogradTransformIn, t)
 	case wgTiles:
 		for i := lo; i < hi; i++ {
-			t = g.correlateTiles(i*g.chunk, imin((i+1)*g.chunk, g.total), i*g.bw, t)
+			t = g.correlateTiles(i*g.chunk, min((i+1)*g.chunk, g.total), i*g.bw, t)
 		}
 	case wgInput:
 		g.inputBlocks(lo, hi)
@@ -288,7 +288,7 @@ func (g *wgCtx) gatherTiles(blk *winograd.LaneBlock, data []float32, s tensor.Sh
 	for t0 := 0; t0 < cnt; {
 		pp := p0 + t0
 		nn, th, tw0 := pp/g.tilesPer, (pp%g.tilesPer)/g.tilesW, pp%g.tilesW
-		run := imin(g.tilesW-tw0, cnt-t0)
+		run := min(g.tilesW-tw0, cnt-t0)
 		plane := data[(nn*s.C+ch)*s.H*s.W : (nn*s.C+ch+1)*s.H*s.W]
 		// Tile t of the run reads column iw0+t*m for element column b:
 		// inside the plane for t in [lo[b], hi[b]).
@@ -366,14 +366,14 @@ func (g *wgCtx) scatterTiles(blk *winograd.LaneBlock, ch, p0, cnt int) {
 	for t0 := 0; t0 < cnt; {
 		pp := p0 + t0
 		nn, th, tw0 := pp/g.tilesPer, (pp%g.tilesPer)/g.tilesW, pp%g.tilesW
-		run := imin(g.tilesW-tw0, cnt-t0)
+		run := min(g.tilesW-tw0, cnt-t0)
 		plane := g.y[(nn*s.C+ch)*s.H*s.W : (nn*s.C+ch+1)*s.H*s.W]
 		for a := 0; a < m && th*m+a < s.H; a++ {
 			row := plane[(th*m+a)*s.W : (th*m+a+1)*s.W]
 			for b := 0; b < m; b++ {
 				// Tile t of the run writes column ow0 + t*m.
 				ow0 := tw0*m + b
-				n := imin(imax(ceilDiv(s.W-ow0, m), 0), run)
+				n := min(max(ceilDiv(s.W-ow0, m), 0), run)
 				if n > 0 {
 					blendStrided(row[ow0:], blk[(a*m+b)*ls+t0:(a*m+b)*ls+t0+n], m, g.alpha, g.beta)
 				}
@@ -399,7 +399,7 @@ func (g *wgCtx) uPair(q int) (kk, cc int) {
 	}
 	k0 := q / (pf * blas.KC) * blas.KC
 	q -= pf * k0
-	kb := imin(blas.KC, g.c-k0)
+	kb := min(blas.KC, g.c-k0)
 	return q/(kb*blas.MR)*blas.MR + q%blas.MR, k0 + q%(kb*blas.MR)/blas.MR
 }
 
@@ -411,7 +411,7 @@ func (g *wgCtx) filterBlocks(lo, hi int) {
 	rr, kc := g.tr.R*g.tr.R, g.k*g.c
 	for blk := lo; blk < hi; blk++ {
 		q0 := blk * winograd.Lanes
-		cnt := imin(winograd.Lanes, kc-q0)
+		cnt := min(winograd.Lanes, kc-q0)
 		ls := winograd.LaneStride(cnt)
 		for t := 0; t < cnt; t++ {
 			kk, cc := g.uPair(q0 + t)
@@ -443,10 +443,10 @@ func (g *wgCtx) correlateTiles(lo, hi, col0 int, t int64) int64 {
 	var packB [blas.KC * blas.NC]float32
 	tr, bp := g.tr, g.bp
 	for p0 := lo; p0 < hi; p0 += g.bw {
-		cnt := imin(g.bw, hi-p0)
+		cnt := min(g.bw, hi-p0)
 		for cc := 0; cc < g.c; cc++ { // input tiles: V[e][cc*bp + col]
 			for t0 := 0; t0 < cnt; t0 += winograd.Lanes {
-				w := imin(winograd.Lanes, cnt-t0)
+				w := min(winograd.Lanes, cnt-t0)
 				g.gatherTiles(&blk, g.x, g.in, cc, tr.Alpha, g.p.PadH, g.p.PadW, p0+t0, w)
 				tr.InputLanes(g.v[cc*bp+col0+t0:], g.c*bp, &blk, w, &tmp)
 			}
@@ -458,7 +458,7 @@ func (g *wgCtx) correlateTiles(lo, hi, col0 int, t int64) int64 {
 		t = prof.Next(phWinogradElementwise, t)
 		for kk := 0; kk < g.k; kk++ { // inverse transforms and scatter
 			for t0 := 0; t0 < cnt; t0 += winograd.Lanes {
-				w := imin(winograd.Lanes, cnt-t0)
+				w := min(winograd.Lanes, cnt-t0)
 				tr.OutputLanes(&blk, g.mm[kk*bp+col0+t0:], g.k*bp, w, &tmp)
 				g.scatterTiles(&blk, kk, p0+t0, w)
 			}
@@ -481,12 +481,12 @@ func (g *wgCtx) spectralGemm(packB []float32, e, col0, cnt int) {
 	me := g.mm[e*k*bp : (e+1)*k*bp]
 	var tail [blas.KC * blas.MR]float32
 	for j0 := 0; j0 < cnt; j0 += blas.NC {
-		jb := imin(blas.NC, cnt-j0)
+		jb := min(blas.NC, cnt-j0)
 		for k0 := 0; k0 < c; k0 += blas.KC {
-			kb := imin(blas.KC, c-k0)
+			kb := min(blas.KC, c-k0)
 			blas.PackBPanels(packB, false, ve, bp, k0, kb, col0+j0, jb)
 			for i0 := 0; i0 < pf; i0 += blas.MC {
-				blas.KernelBlock(ue[pf*k0+i0/blas.MR*(kb*blas.MR):], packB, imin(blas.MC, pf-i0), jb, kb, k0 == 0, 0, me, i0*bp+col0+j0, bp)
+				blas.KernelBlock(ue[pf*k0+i0/blas.MR*(kb*blas.MR):], packB, min(blas.MC, pf-i0), jb, kb, k0 == 0, 0, me, i0*bp+col0+j0, bp)
 			}
 			if pf < k {
 				blas.PackAPanels(tail[:], false, ue[pf*c:], c, 0, k-pf, k0, kb, 1)
@@ -528,8 +528,8 @@ func winogradCorrelate(tr *winograd.Transform, cs tensor.ConvShape, x *tensor.Te
 	// group each.
 	g.bw = bp
 	if fused && workers > 1 {
-		g.bw = imax(bp/workers&^7, imin(bp, 8))
-		workers = imin(workers, bp/g.bw)
+		g.bw = max(bp/workers&^7, min(bp, 8))
+		workers = min(workers, bp/g.bw)
 	}
 	g.chunk = ceilDiv(ceilDiv(total, workers), 8) * 8
 	if !fused {
@@ -546,7 +546,7 @@ func (g *wgCtx) inputBlocks(lo, hi int) {
 	total, nb := g.total, laneBlocks(g.total)
 	for u := lo; u < hi; u++ {
 		cc, t0 := u/nb, u%nb*winograd.Lanes
-		w := imin(winograd.Lanes, total-t0)
+		w := min(winograd.Lanes, total-t0)
 		g.gatherTiles(&blk, g.x, g.in, cc, g.tr.Alpha, g.p.PadH, g.p.PadW, t0, w)
 		g.tr.InputLanes(g.v[cc*total+t0:], g.c*total, &blk, w, &tmp)
 	}
@@ -560,7 +560,7 @@ func (g *wgCtx) gradBlocks(lo, hi int) {
 	total, nb := g.total, laneBlocks(g.total)
 	for u := lo; u < hi; u++ {
 		kk, t0 := u/nb, u%nb*winograd.Lanes
-		w := imin(winograd.Lanes, total-t0)
+		w := min(winograd.Lanes, total-t0)
 		g.gatherTiles(&blk, g.y, g.out, kk, g.tr.M, 0, 0, t0, w)
 		g.tr.OutputAdjointLanes(g.mm[kk*total+t0:], g.k*total, &blk, w, &tmp)
 	}
@@ -573,7 +573,7 @@ func (g *wgCtx) filterGradBlocks(lo, hi int) {
 	rr, kc := g.tr.R*g.tr.R, g.k*g.c
 	for blk := lo; blk < hi; blk++ {
 		i0 := blk * winograd.Lanes
-		cnt := imin(winograd.Lanes, kc-i0)
+		cnt := min(winograd.Lanes, kc-i0)
 		ls := winograd.LaneStride(cnt)
 		g.tr.FilterAdjointLanes(&gb, g.u[i0:], kc, cnt, &tmp)
 		for t := 0; t < cnt; t++ {

@@ -191,11 +191,11 @@ func TestFileDBSharedAcrossHandles(t *testing.T) {
 	h2.Cache().Close()
 }
 
-// The attach path (SetTraceRecorder) may run while kernels execute: the
-// degradation ladder's fault span and every TraceRecorder reader must
-// read the recorder through the handle lock. Run under -race: a fault
-// schedule drives every other call into the ladder while another
-// goroutine toggles and reads the recorder.
+// The attach path (the inner handle's SetTrace) may run while kernels
+// execute: the degradation ladder's fault span and every Trace reader
+// must read the recorder through the inner handle's lock. Run under
+// -race: a fault schedule drives every other call into the ladder while
+// another goroutine toggles and reads the recorder.
 func TestSetTraceRecorderDuringDegradeRace(t *testing.T) {
 	xd, wd, cd, yd, cs := smallConv(8)
 	h := newTestHandle(t, cudnn.ModelOnlyBackend, WithWorkspaceLimit(1<<20))
@@ -214,11 +214,11 @@ func TestSetTraceRecorderDuringDegradeRace(t *testing.T) {
 			default:
 			}
 			rec := trace.New()
-			h.SetTraceRecorder(rec)
-			if got := h.TraceRecorder(); got != rec {
-				t.Error("TraceRecorder does not return the attached recorder")
+			h.Inner().SetTrace(rec)
+			if got := h.Inner().Trace(); got != rec {
+				t.Error("Trace does not return the attached recorder")
 			}
-			h.SetTraceRecorder(nil)
+			h.Inner().SetTrace(nil)
 		}
 	}()
 	x := tensor.NewShaped(cs.In)

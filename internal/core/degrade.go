@@ -210,7 +210,7 @@ func (h *Handle) adopt(k Kernel, plan Plan, stage string, clockStart time.Durati
 	h.mu.Unlock()
 	h.m.fallback(stage)
 	h.m.degradedPlans.Set(float64(deg))
-	if rec := h.TraceRecorder(); rec != nil {
+	if rec := h.inner.Trace(); rec != nil {
 		rec.Add(trace.Event{
 			Name:   "degrade " + k.String() + " -> " + stage,
 			Cat:    "fault",

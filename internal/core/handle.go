@@ -15,7 +15,6 @@ import (
 	"ucudnn/internal/obs"
 	"ucudnn/internal/prof"
 	"ucudnn/internal/tensor"
-	"ucudnn/internal/trace"
 )
 
 // VirtualAlgo is the algorithm identifier µ-cuDNN hands back from the
@@ -177,7 +176,6 @@ type Handle struct {
 	cache   *Cache
 	bencher *Bencher
 	m       *metricSet
-	tracer  *trace.Recorder
 
 	// execMu serializes kernel execution on the handle (one stream, as in
 	// cuDNN): every plan's workspace is carved from the shared wsArena, so
@@ -273,26 +271,6 @@ func (h *Handle) Cache() *Cache { return h.cache }
 // Metrics returns the handle's metrics registry (nil when observability
 // is disabled).
 func (h *Handle) Metrics() *obs.Registry { return h.opts.Metrics }
-
-// TraceRecorder returns the timeline recorder attached by
-// SetTraceRecorder (nil when none is). The degradation ladder reads it
-// to record its fault spans.
-func (h *Handle) TraceRecorder() *trace.Recorder {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.tracer
-}
-
-// SetTraceRecorder attaches (or, with nil, detaches) a timeline
-// recorder at runtime: the inner handle records every kernel charge to
-// it and the degradation ladder its fault spans. session.Trace uses
-// this to scope recording to the traced iterations.
-func (h *Handle) SetTraceRecorder(r *trace.Recorder) {
-	h.mu.Lock()
-	h.tracer = r
-	h.mu.Unlock()
-	h.inner.SetTrace(r)
-}
 
 // OptimizationTime returns the cumulative time spent benchmarking kernels
 // and solving the DP/ILP (the paper's §IV-B optimization-cost metric).

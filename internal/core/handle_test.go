@@ -344,7 +344,7 @@ func TestExecuteKernelSpans(t *testing.T) {
 	y := tensor.NewShaped(cs.OutShape())
 	algo, _ := h.GetConvolutionForwardAlgorithm(xd, wd, cd, yd, cudnn.SpecifyWorkspaceLimit, 128<<10)
 	rec := trace.New()
-	h.SetTraceRecorder(rec)
+	h.Inner().SetTrace(rec)
 	simStart := h.Inner().Elapsed()
 	if err := h.ConvolutionForward(1, xd, x, wd, w, cd, algo, nil, 0, yd, y); err != nil {
 		t.Fatal(err)

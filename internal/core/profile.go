@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"regexp"
 	"sort"
 	"text/tabwriter"
 
@@ -163,11 +162,6 @@ func WriteProfileFile(path string, handles []HandleReport) error {
 	return nil
 }
 
-// profilePhaseRe matches the profiler's phase-name scheme (the
-// validator re-checks it so a hand-edited report cannot smuggle in
-// out-of-scheme names).
-var profilePhaseRe = regexp.MustCompile(`^ucudnn_ph(_[a-z0-9]+)+$`)
-
 // ValidateProfile checks that data is a structurally valid
 // ucudnn-profile-report/v1 document.
 func ValidateProfile(data []byte) error {
@@ -196,7 +190,9 @@ func ValidateProfile(data []byte) error {
 		}
 		var sum int64
 		for _, p := range k.Phases {
-			if !profilePhaseRe.MatchString(p.Phase) {
+			// Re-checked so a hand-edited report cannot smuggle in
+			// out-of-scheme names.
+			if !prof.ValidPhase(p.Phase) {
 				return fmt.Errorf("profile: kernels[%d] %s: phase %q violates the ucudnn_ph_* scheme", i, k.Kernel, p.Phase)
 			}
 			if p.NS < 0 || p.Count < 0 {

@@ -104,11 +104,19 @@ func (h *Handle) KernelCalls() int64 {
 }
 
 // SetTrace attaches a timeline recorder; every subsequent kernel charge
-// appends a span (see internal/trace). Pass nil to detach.
+// appends a span (see internal/trace), and a µ-cuDNN handle wrapping
+// this one records its degradation spans there too. Pass nil to detach.
 func (h *Handle) SetTrace(r *trace.Recorder) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.tracer = r
+}
+
+// Trace returns the attached timeline recorder (nil when none is).
+func (h *Handle) Trace() *trace.Recorder {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.tracer
 }
 
 // SetAlgoFilter restricts the algorithm universe the handle's selection

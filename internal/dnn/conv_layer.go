@@ -214,6 +214,29 @@ func copyChannels(dst *tensor.Tensor, dst0 int, src *tensor.Tensor, src0, count 
 	}
 }
 
+// staged returns what each group's kernel call reads or writes in place
+// of the window win = [lo, lo+n) of a blob: win itself with one group,
+// else the window of the staging temporary tmp that the group's channels
+// pass through.
+func (l *Conv) staged(win, tmp *tensor.Tensor, lo, n int) *tensor.Tensor {
+	if l.groups == 1 {
+		return win
+	}
+	return window(tmp, lo, n)
+}
+
+// stage charges one group's channel gather/scatter on window w, a device
+// copy as in Caffe's per-group cuDNN calls with strided descriptors, and
+// reports whether the host copies run. With one group the kernel call
+// reads and writes the window itself: nothing is staged.
+func (l *Conv) stage(ctx *Context, w convWindow) bool {
+	if l.groups == 1 {
+		return false
+	}
+	ctx.ChargeMem(2 * (w.xd.Shape().Bytes() + w.yd.Shape().Bytes()))
+	return !ctx.SkipCompute
+}
+
 // WorkspaceBytes reports the layer's three per-kernel workspace sizes
 // (Forward, BackwardData, BackwardFilter).
 func (l *Conv) WorkspaceBytes() (fwd, bwdData, bwdFilter int64) {
@@ -290,25 +313,17 @@ func (l *Conv) Forward(ctx *Context, bottoms []*tensor.Tensor, top *tensor.Tenso
 			return err
 		}
 		x, y := window(bottoms[0], lo, c), window(top, lo, c)
-		if l.groups == 1 {
-			if err := ctx.Conv.ConvolutionForward(1, w.xd, x, l.wd, l.filter, l.cd, w.fwd, ctx.Workspace(w.wsF), 0, w.yd, y); err != nil {
+		xg, yg := l.staged(x, l.xg, lo, c), l.staged(y, l.yg, lo, c)
+		for g := 0; g < l.groups; g++ {
+			copies := l.stage(ctx, w)
+			if copies {
+				copyChannels(xg, 0, x, g*cg, cg)
+			}
+			if err := ctx.Conv.ConvolutionForward(1, w.xd, xg, l.wd, l.groupFilter(g, false), l.cd, w.fwd, ctx.Workspace(w.wsF), 0, w.yd, yg); err != nil {
 				return err
 			}
-		} else {
-			xg, yg := window(l.xg, lo, c), window(l.yg, lo, c)
-			for g := 0; g < l.groups; g++ {
-				// Channel gather/scatter is a device copy, as in Caffe's
-				// per-group cuDNN calls with strided descriptors.
-				ctx.ChargeMem(2 * (w.xd.Shape().Bytes() + w.yd.Shape().Bytes()))
-				if !ctx.SkipCompute {
-					copyChannels(xg, 0, x, g*cg, cg)
-				}
-				if err := ctx.Conv.ConvolutionForward(1, w.xd, xg, l.wd, l.groupFilter(g, false), l.cd, w.fwd, ctx.Workspace(w.wsF), 0, w.yd, yg); err != nil {
-					return err
-				}
-				if !ctx.SkipCompute {
-					copyChannels(y, g*kg, yg, 0, kg)
-				}
+			if copies {
+				copyChannels(y, g*kg, yg, 0, kg)
 			}
 		}
 		lo += c
@@ -345,21 +360,14 @@ func (l *Conv) Backward(ctx *Context, bottoms []*tensor.Tensor, top, dTop *tenso
 			return err
 		}
 		x, dy := window(bottoms[0], lo, c), window(dTop, lo, c)
-		if l.groups == 1 {
-			if err := ctx.Conv.ConvolutionBackwardFilter(1, w.xd, x, w.yd, dy, l.cd, w.bwdF, ctx.Workspace(w.wsBF), 1, l.wd, l.dFilter); err != nil {
-				return err
+		xg, dg := l.staged(x, l.xg, lo, c), l.staged(dy, l.dg, lo, c)
+		for g := 0; g < l.groups; g++ {
+			if l.stage(ctx, w) {
+				copyChannels(xg, 0, x, g*cg, cg)
+				copyChannels(dg, 0, dy, g*kg, kg)
 			}
-		} else {
-			xg, dg := window(l.xg, lo, c), window(l.dg, lo, c)
-			for g := 0; g < l.groups; g++ {
-				ctx.ChargeMem(2 * (w.xd.Shape().Bytes() + w.yd.Shape().Bytes()))
-				if !ctx.SkipCompute {
-					copyChannels(xg, 0, x, g*cg, cg)
-					copyChannels(dg, 0, dy, g*kg, kg)
-				}
-				if err := ctx.Conv.ConvolutionBackwardFilter(1, w.xd, xg, w.yd, dg, l.cd, w.bwdF, ctx.Workspace(w.wsBF), 1, l.wd, l.groupFilter(g, true)); err != nil {
-					return err
-				}
+			if err := ctx.Conv.ConvolutionBackwardFilter(1, w.xd, xg, w.yd, dg, l.cd, w.bwdF, ctx.Workspace(w.wsBF), 1, l.wd, l.groupFilter(g, true)); err != nil {
+				return err
 			}
 		}
 		lo += c
@@ -390,23 +398,17 @@ func (l *Conv) Backward(ctx *Context, bottoms []*tensor.Tensor, top, dTop *tenso
 			return err
 		}
 		dy, dx := window(dTop, lo, c), window(dBottoms[0], lo, c)
-		if l.groups == 1 {
-			if err := ctx.Conv.ConvolutionBackwardData(1, l.wd, l.filter, w.yd, dy, l.cd, w.bwdD, ctx.Workspace(w.wsBD), 0, w.xd, dx); err != nil {
+		dg, xg := l.staged(dy, l.dg, lo, c), l.staged(dx, l.xg, lo, c)
+		for g := 0; g < l.groups; g++ {
+			copies := l.stage(ctx, w)
+			if copies {
+				copyChannels(dg, 0, dy, g*kg, kg)
+			}
+			if err := ctx.Conv.ConvolutionBackwardData(1, l.wd, l.groupFilter(g, false), w.yd, dg, l.cd, w.bwdD, ctx.Workspace(w.wsBD), 0, w.xd, xg); err != nil {
 				return err
 			}
-		} else {
-			xg, dg := window(l.xg, lo, c), window(l.dg, lo, c)
-			for g := 0; g < l.groups; g++ {
-				ctx.ChargeMem(2 * (w.xd.Shape().Bytes() + w.yd.Shape().Bytes()))
-				if !ctx.SkipCompute {
-					copyChannels(dg, 0, dy, g*kg, kg)
-				}
-				if err := ctx.Conv.ConvolutionBackwardData(1, l.wd, l.groupFilter(g, false), w.yd, dg, l.cd, w.bwdD, ctx.Workspace(w.wsBD), 0, w.xd, xg); err != nil {
-					return err
-				}
-				if !ctx.SkipCompute {
-					copyChannels(dx, g*cg, xg, 0, cg)
-				}
+			if copies {
+				copyChannels(dx, g*cg, xg, 0, cg)
 			}
 		}
 		lo += c

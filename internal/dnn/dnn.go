@@ -364,7 +364,7 @@ func (n *Net) routeGrads() {
 			if k == len(slots) {
 				slots = append(slots, 0)
 			}
-			slots[k] = imax(slots[k], g.Shape.Elems())
+			slots[k] = max(slots[k], g.Shape.Elems())
 			lb.dbot[j] = &tensor.Tensor{Shape: g.Shape}
 			lb.sums = append(lb.sums, gradSum{scratch: lb.dbot[j], grad: g})
 		}
@@ -372,7 +372,7 @@ func (n *Net) routeGrads() {
 	units := 1
 	for _, elems := range slots {
 		n.grads.scratch = append(n.grads.scratch, make([]float32, elems))
-		units = imax(units, ceilDiv(elems, forkGrain))
+		units = max(units, ceilDiv(elems, forkGrain))
 	}
 	for i := range n.bound {
 		for k, sm := range n.bound[i].sums {

@@ -30,7 +30,7 @@ type layerPass struct {
 }
 
 func newLayerPass(units int, body func(w, lo, hi int)) *layerPass {
-	return &layerPass{body: body, width: imax(1, imin(blas.MaxWorkers(), units))}
+	return &layerPass{body: body, width: max(1, min(blas.MaxWorkers(), units))}
 }
 
 // fork stores the pass in flight and forks it over n items, on as many
@@ -186,7 +186,7 @@ func (l *Pool) Setup(ctx *Context, bottoms []tensor.Shape) (tensor.Shape, error)
 	l.out = tensor.Shape{N: in.N, C: in.C, H: oh, W: ow}
 	if !ctx.SkipCompute {
 		// A worker per plane, or fewer when planes are too small for one.
-		l.pass = newLayerPass(imin(in.N*in.C, ceilDiv(in.Elems(), forkGrain)), l.work)
+		l.pass = newLayerPass(min(in.N*in.C, ceilDiv(in.Elems(), forkGrain)), l.work)
 		if l.kind == MaxPool {
 			per, workers := in.H*l.out.W, l.pass.width
 			m := &maxPoolState{
@@ -194,7 +194,7 @@ func (l *Pool) Setup(ctx *Context, bottoms []tensor.Shape) (tensor.Shape, error)
 				rowMax: make([]float32, workers*per),
 				rowArg: make([]int32, workers*per),
 				index:  make([]int32, workers*(in.H*in.W+1)), // +1: poolMerge's stride-2 reads
-				noMax:  make([]float32, imax(per, l.out.H*l.out.W)),
+				noMax:  make([]float32, max(per, l.out.H*l.out.W)),
 			}
 			m.noArg = make([]int32, len(m.noMax))
 			for i := range m.noMax {
@@ -220,7 +220,7 @@ func (l *Pool) work(w, lo, hi int) {
 // window clips output position o's window along one axis of extent n.
 func (l *Pool) window(o, n int) (lo, hi int) {
 	lo = o*l.stride - l.pad
-	return imax(lo, 0), imin(lo+l.kernel, n)
+	return max(lo, 0), min(lo+l.kernel, n)
 }
 
 // Forward implements Layer.
@@ -290,9 +290,9 @@ func (l *Pool) maxPlane(w int, x, y []float32, arg []int32, base int32) {
 // taps is the range [lo, hi) of output positions, of out along an axis
 // of extent n, whose window holds tap t: input position o*stride-pad+t.
 func (l *Pool) taps(t, out, n int) (lo, hi int) {
-	lo = ceilDiv(imax(l.pad-t, 0), l.stride)
+	lo = ceilDiv(max(l.pad-t, 0), l.stride)
 	if last := n - 1 + l.pad - t; last >= 0 {
-		hi = imin(last/l.stride+1, out)
+		hi = min(last/l.stride+1, out)
 	}
 	return lo, hi
 }
@@ -662,20 +662,6 @@ func (l *Dropout) Backward(ctx *Context, bottoms []*tensor.Tensor, top, dTop *te
 		}
 	}
 	return nil
-}
-
-func imin(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func imax(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -397,8 +397,8 @@ func lrnForwardRef(l *LRN, x, top *tensor.Tensor, denom []float32) {
 		for h := 0; h < s.H; h++ {
 			for w := 0; w < s.W; w++ {
 				for c := 0; c < s.C; c++ {
-					lo := imax(0, c-half)
-					hi := imin(s.C-1, c+half)
+					lo := max(0, c-half)
+					hi := min(s.C-1, c+half)
 					var acc float32
 					for cc := lo; cc <= hi; cc++ {
 						v := x.At(n, cc, h, w)
@@ -425,8 +425,8 @@ func lrnBackwardRef(l *LRN, x, top, dTop, dx *tensor.Tensor, denom []float32) {
 					idx := x.Index(n, c, h, w)
 					d := denom[idx]
 					acc := dTop.Data[idx] * float32(math.Pow(float64(d), -lrnBeta))
-					lo := imax(0, c-half)
-					hi := imin(s.C-1, c+half)
+					lo := max(0, c-half)
+					hi := min(s.C-1, c+half)
 					var ratio float32
 					for cc := lo; cc <= hi; cc++ {
 						j := x.Index(n, cc, h, w)
@@ -736,7 +736,7 @@ func TestPoolMergeMatchesTwinBitwise(t *testing.T) {
 			for trial := 0; trial < 24; trial++ {
 				rows := 1 + trial%3
 				dRow, sRow := n+3, stride*n+5
-				src := make([]float32, imax(0, (rows-1)*sRow+stride*(n-1)+1+trial%2*stride))
+				src := make([]float32, max(0, (rows-1)*sRow+stride*(n-1)+1+trial%2*stride))
 				sidx := make([]int32, len(src))
 				for i := range src {
 					src[i], sidx[i] = val(), int32(1000+i)
@@ -829,10 +829,10 @@ func poolForwardRef(l *Pool, x, top *tensor.Tensor, argmax []int32) {
 				for ow := 0; ow < l.out.W; ow++ {
 					h0 := oh*l.stride - l.pad
 					w0 := ow*l.stride - l.pad
-					h1 := imin(h0+l.kernel, l.in.H)
-					w1 := imin(w0+l.kernel, l.in.W)
-					h0 = imax(h0, 0)
-					w0 = imax(w0, 0)
+					h1 := min(h0+l.kernel, l.in.H)
+					w1 := min(w0+l.kernel, l.in.W)
+					h0 = max(h0, 0)
+					w0 = max(w0, 0)
 					oi := top.Index(n, c, oh, ow)
 					if l.kind == MaxPool {
 						best := float32(math.Inf(-1))
@@ -881,10 +881,10 @@ func poolBackwardRef(l *Pool, dTop, dx *tensor.Tensor, argmax []int32) {
 				for ow := 0; ow < l.out.W; ow++ {
 					h0 := oh*l.stride - l.pad
 					w0 := ow*l.stride - l.pad
-					h1 := imin(h0+l.kernel, l.in.H)
-					w1 := imin(w0+l.kernel, l.in.W)
-					h0 = imax(h0, 0)
-					w0 = imax(w0, 0)
+					h1 := min(h0+l.kernel, l.in.H)
+					w1 := min(w0+l.kernel, l.in.W)
+					h0 = max(h0, 0)
+					w0 = max(w0, 0)
 					g := dTop.At(n, c, oh, ow) / float32((h1-h0)*(w1-w0))
 					for h := h0; h < h1; h++ {
 						for w := w0; w < w1; w++ {

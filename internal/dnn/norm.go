@@ -115,7 +115,7 @@ func (l *LRN) forwardSample(n int) {
 	for c := 0; c < s.C; c++ {
 		d := denom[c*hw : (c+1)*hw]
 		clear(d)
-		for cc := imax(0, c-half); cc <= imin(s.C-1, c+half); cc++ {
+		for cc := max(0, c-half); cc <= min(s.C-1, c+half); cc++ {
 			for p, v := range x[cc*hw : (cc+1)*hw] {
 				d[p] += float32(v * v)
 			}
@@ -165,7 +165,7 @@ func (l *LRN) backwardSample(w, n int) {
 	for c := 0; c < s.C; c++ {
 		sum := dx[c*hw : (c+1)*hw]
 		clear(sum)
-		for cc := imax(0, c-half); cc <= imin(s.C-1, c+half); cc++ {
+		for cc := max(0, c-half); cc <= min(s.C-1, c+half); cc++ {
 			for p, r := range ratio[cc*hw : (cc+1)*hw] {
 				sum[p] += r
 			}

@@ -47,13 +47,13 @@ func (n *Net) ScheduleForward(rep *TimingReport, streams int) (*Schedule, error)
 			if !ok {
 				return nil, fmt.Errorf("dnn: blob %q scheduled before production", b)
 			}
-			ready = maxDur(ready, t)
+			ready = max(ready, t)
 		}
 		// Earliest-start stream: max(ready, streamFree) minimized.
 		best := 0
-		bestStart := maxDur(ready, streamFree[0])
+		bestStart := max(ready, streamFree[0])
 		for s := 1; s < streams; s++ {
-			if st := maxDur(ready, streamFree[s]); st < bestStart {
+			if st := max(ready, streamFree[s]); st < bestStart {
 				best, bestStart = s, st
 			}
 		}
@@ -101,11 +101,4 @@ func (s *Schedule) Validate() error {
 		}
 	}
 	return nil
-}
-
-func maxDur(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -7,8 +7,8 @@
 // high-watermarks per kernel plan.
 //
 // When profiling is disabled every hook is an atomic load plus a
-// branch, and when enabled the hot-path hooks (Enter/Exit/Next, the
-// launch and worker hooks) touch only fixed atomic slots — no
+// branch, and when enabled the hot-path hooks (Enter/Exit/Next/Since and
+// LaunchEnd) touch only the current row's atomic counters — no
 // allocation and no locks (TestHotPathAllocs). The warm-path hooks
 // (Begin/End around a whole kernel execution, SetLayer from the
 // framework layer walk) may take a mutex and allocate; they run once
@@ -31,8 +31,12 @@
 // range in the module runs through one launcher (blas.Fork, on its
 // parked workers), an SGEMM inside a launch runs on the worker that
 // calls it, and every SGEMM records its own phase windows, so no phase
-// window ever encloses a launch. Launches outside a kernel (FC SGEMMs,
-// ReLU, pooling, LRN and gradient-sum passes) land on the unattributed row.
+// window ever encloses a launch. Launches may overlap in time, though:
+// the launcher times each worker's range (Enter/Since), sums its own
+// crew and closes with LaunchEnd, so the profiler keeps no per-worker
+// state and one launch never reads another's workers. Launches outside
+// a kernel (FC SGEMMs, ReLU, pooling, LRN and gradient-sum passes) land
+// on the unattributed row.
 package prof
 
 import (
@@ -58,11 +62,6 @@ type Kind uint8
 // the conv algorithms define.
 const maxKinds = 64
 
-// WorkerSlots bounds the per-worker busy-time slot array, and with it
-// the one worker cap (blas.MaxWorkers never exceeds it), so no two
-// workers of a launch share a slot.
-const WorkerSlots = 256
-
 // phaseRe is the naming scheme Register enforces.
 var phaseRe = regexp.MustCompile(`^ucudnn_ph(_[a-z0-9]+)+$`)
 
@@ -71,13 +70,17 @@ var (
 	names []Phase // index Kind-1
 )
 
+// ValidPhase reports whether name follows the ucudnn_ph_* snake_case
+// scheme Register enforces.
+func ValidPhase(name string) bool { return phaseRe.MatchString(name) }
+
 // Register assigns a Kind to name. It is meant to be called from
 // package init functions; it panics on a duplicate or malformed name,
 // so a bad registration fails at program start, not at report time.
 func Register(name Phase) Kind {
 	regMu.Lock()
 	defer regMu.Unlock()
-	if !phaseRe.MatchString(string(name)) {
+	if !ValidPhase(string(name)) {
 		panic(fmt.Sprintf("prof: phase name %q does not match the ucudnn_ph_* snake_case scheme", name))
 	}
 	for _, n := range names {
@@ -164,11 +167,6 @@ var (
 	layerMu  sync.Mutex
 	curLayer string
 )
-
-// workerBusy holds per-worker busy nanoseconds between LaunchStart and
-// LaunchEnd; launches never overlap in time (kernel executions are
-// serialized and launches never nest), so one slot array serves all.
-var workerBusy [WorkerSlots]atomic.Int64
 
 // SetLayer names the framework layer whose kernels execute next; Begin
 // joins it into the attribution key. The framework layer walk calls it
@@ -267,67 +265,38 @@ func record(k Kind, d int64) {
 	r.phaseN[k-1].Add(1)
 }
 
-// LaunchStart opens a parallel-launch window (0 when disabled).
-func LaunchStart() int64 {
-	if !on.Load() {
-		return 0
-	}
-	return nanotime()
-}
-
-// WorkerStart opens one worker's busy window inside a launch.
-func WorkerStart() int64 {
-	if !on.Load() {
-		return 0
-	}
-	return nanotime()
-}
-
-// WorkerEnd accumulates worker w's busy time into its launch slot.
-func WorkerEnd(w int, start int64) {
+// Since returns the nanoseconds elapsed since a start token from Enter
+// (0 for the zero token): the busy window of one worker's range, which
+// the launcher sums over its crew for LaunchEnd.
+func Since(start int64) int64 {
 	if start == 0 {
-		return
+		return 0
 	}
-	workerBusy[w&(WorkerSlots-1)].Add(nanotime() - start)
+	return nanotime() - start
 }
 
-// LaunchEnd closes a parallel launch of the given worker count: drains
-// the worker busy slots into the current kernel's busy/idle accounting
-// and records the launch's load imbalance (max/mean per-worker busy
-// ratio).
-func LaunchEnd(workers int, start int64) {
+// LaunchEnd closes a parallel launch of the given worker count, opened
+// by Enter: it adds the crew's summed busy time to the current kernel's
+// busy/idle accounting and records the launch's load imbalance, the
+// largest worker's busy time over the mean. Every busy window nests in
+// its launch's window, so busy <= workers*wall.
+func LaunchEnd(workers int, start, busy, maxBusy int64) {
 	if start == 0 {
 		return
 	}
 	wall := nanotime() - start
-	n := workers
-	if n > WorkerSlots {
-		n = WorkerSlots
-	}
-	var sum, max int64
-	for w := 0; w < n; w++ {
-		b := workerBusy[w].Swap(0)
-		sum += b
-		if b > max {
-			max = b
-		}
-	}
 	r := current.Load()
 	if r == nil {
 		r = orphan
 	}
 	imb := 1.0
-	if sum > 0 {
-		imb = float64(max) * float64(workers) / float64(sum)
+	if busy > 0 {
+		imb = float64(maxBusy) * float64(workers) / float64(busy)
 	}
 	imbMicro := int64(imb * 1e6)
 	r.launches.Add(1)
-	r.busyNS.Add(sum)
-	idle := int64(workers)*wall - sum
-	if idle < 0 {
-		idle = 0
-	}
-	r.idleNS.Add(idle)
+	r.busyNS.Add(busy)
+	r.idleNS.Add(int64(workers)*wall - busy)
 	r.launchWall.Add(wall)
 	casMax(&r.imbMaxMicro, imbMicro)
 	r.imbSumMicro.Add(imbMicro)
@@ -352,9 +321,6 @@ func Reset() {
 	rowMu.Unlock()
 	current.Store(nil)
 	zeroRow(orphan)
-	for i := range workerBusy {
-		workerBusy[i].Store(0)
-	}
 }
 
 func zeroRow(r *row) {

@@ -52,12 +52,11 @@ func TestDisabledHooksAreInert(t *testing.T) {
 	if got := Enter(); got != 0 {
 		t.Fatalf("Enter while disabled = %d, want 0", got)
 	}
-	if got := LaunchStart(); got != 0 {
-		t.Fatalf("LaunchStart while disabled = %d, want 0", got)
+	if got := Since(0); got != 0 {
+		t.Fatalf("Since(0) = %d, want 0", got)
 	}
 	Exit(phA, 0)
-	WorkerEnd(0, 0)
-	LaunchEnd(4, 0)
+	LaunchEnd(4, 0, 400, 100)
 	End(0)
 	GrantWS(123)
 	if rows := Snapshot(); len(rows) != 0 {
@@ -138,17 +137,13 @@ func TestImbalanceAccounting(t *testing.T) {
 	Enable()
 	start := Begin("Kern")
 
-	// Synthetic skewed launch: deposit busy time directly into the worker
-	// slots (what WorkerEnd does), then close the launch. The values are
-	// small against the launch's real wall (the spin), so idle stays
-	// positive after the workers*wall - busy subtraction.
-	ls := LaunchStart()
-	workerBusy[0].Store(400)
-	workerBusy[1].Store(100)
-	workerBusy[2].Store(100)
-	workerBusy[3].Store(100)
+	// Synthetic skewed launch: four workers busy 400, 100, 100 and 100 ns,
+	// handed to LaunchEnd as their sum and maximum (what blas.Fork does).
+	// The values are small against the launch's real wall (the spin), so
+	// idle stays positive after the workers*wall - busy subtraction.
+	ls := Enter()
 	spin()
-	LaunchEnd(4, ls)
+	LaunchEnd(4, ls, 700, 400)
 	End(start)
 
 	r := Snapshot()[0]
@@ -178,11 +173,8 @@ func TestBalancedLaunchImbalanceIsOne(t *testing.T) {
 	resetAll(t)
 	Enable()
 	start := Begin("Kern")
-	ls := LaunchStart()
-	for w := 0; w < 4; w++ {
-		workerBusy[w].Store(2500)
-	}
-	LaunchEnd(4, ls)
+	ls := Enter()
+	LaunchEnd(4, ls, 4*2500, 2500)
 	End(start)
 	r := Snapshot()[0]
 	if math.Abs(r.Workers.MaxImbalance-1.0) > 1e-4 {
@@ -207,10 +199,9 @@ func TestHotPathAllocs(t *testing.T) {
 				Exit(phB, t)
 			},
 			"launch": func() {
-				ls := LaunchStart()
-				bs := WorkerStart()
-				WorkerEnd(0, bs)
-				LaunchEnd(2, ls)
+				ls := Enter()
+				b := Since(Enter())
+				LaunchEnd(2, ls, b, b)
 			},
 			"grant": func() { GrantWS(4096) },
 		}
@@ -229,9 +220,7 @@ func TestSetMetricsBridge(t *testing.T) {
 	Enable()
 	Begin("Kern")
 	Exit(phA, Enter())
-	ls := LaunchStart()
-	workerBusy[0].Store(10)
-	LaunchEnd(1, ls)
+	LaunchEnd(1, Enter(), 10, 10)
 
 	rows := Snapshot()
 	if len(rows) != 1 {

@@ -162,15 +162,11 @@ func (s *Session) Trace(iters int) (*causal.Timeline, error) {
 	causal.Reset()
 	causal.Enable()
 	defer causal.Disable()
-	// The handle's kernel spans and the net's layer spans go to one
-	// recorder, through the µ-cuDNN handle when there is one so the
-	// degradation ladder's fault spans reach it too.
+	// The handle's kernel spans, the degradation ladder's fault spans
+	// (the µ-cuDNN handle reads the inner handle's recorder) and the
+	// net's layer spans go to one recorder.
 	attach := func(rec *trace.Recorder) {
-		if s.UC != nil {
-			s.UC.SetTraceRecorder(rec)
-		} else {
-			s.Inner.SetTrace(rec)
-		}
+		s.Inner.SetTrace(rec)
 		s.Ctx.Trace = rec
 	}
 	rec := trace.New()

@@ -125,7 +125,7 @@ func TestTraceDetaches(t *testing.T) {
 	if iterations != 2 {
 		t.Fatalf("timeline has %d root scopes, want the 2 traced iterations", iterations)
 	}
-	if s.Ctx.Trace != nil || s.UC.TraceRecorder() != nil {
+	if s.Ctx.Trace != nil || s.Inner.Trace() != nil {
 		t.Fatal("Trace left a recorder attached")
 	}
 }
