@@ -76,7 +76,9 @@ BENCH_report.json:
 	@$(MAKE) --no-print-directory bench-json
 
 # smoke exercises both report pipelines end to end through the one
-# runner command: a real-compute zoo run under -profile and a
+# runner command: a real-compute zoo run under -profile (single-column
+# AlexNet kept as the PROF_report.json artifact, then Caffe's two-column
+# AlexNet, whose grouped convolutions run on channel views) and a
 # blob-budgeted traced run exporting the canonical causal timeline, each
 # followed by -check (schema + invariants; for the timeline, that
 # includes the device stream tiling every iteration with no gap).
@@ -88,6 +90,9 @@ EXAMPLES = quickstart training inception_wd pareto
 smoke:
 	$(GO) run ./cmd/ucudnn-time -net alexnet -batch 8 -iters 1 -mode wr -ws 64 -profile PROF_report.json
 	$(GO) run ./cmd/ucudnn-time -check PROF_report.json
+	@tmp=$$(mktemp); \
+	$(GO) run ./cmd/ucudnn-time -net caffe-alexnet -batch 4 -iters 1 -mode wr -ws 64 -profile $$tmp && \
+		$(GO) run ./cmd/ucudnn-time -check $$tmp; st=$$?; rm -f $$tmp; exit $$st
 	$(GO) run ./cmd/ucudnn-time -net alexnet -batch 16 -iters 1 -mode wd -total 256 -blob-budget 48 \
 		-ws 64 -timeline TRACE_timeline.json
 	$(GO) run ./cmd/ucudnn-time -check TRACE_timeline.json

@@ -29,7 +29,6 @@ func main() {
 		log.Fatal(err)
 	}
 	ctx := dnn.NewContext(wdHandle, inner, core.DefaultWorkspaceLimit)
-	ctx.SkipCompute = true
 	net := zoo.InceptionModule(ctx, batch)
 	wdRep, err := net.Time(3)
 	if err != nil {
@@ -61,7 +60,6 @@ func main() {
 		log.Fatal(err)
 	}
 	ctx2 := dnn.NewContext(wrHandle, inner2, perKernel)
-	ctx2.SkipCompute = true
 	net2 := zoo.InceptionModule(ctx2, batch)
 	wrRep, err := net2.Time(3)
 	if err != nil {

@@ -155,10 +155,9 @@ func trainOutOfCore() {
 	// Probe the undivided footprint (shapes only, no compute): parameters,
 	// activations and the per-layer workspaces, whose striped sizes grow
 	// with the kernel worker cap.
-	probe := cudnn.NewHandle(device.P100, cudnn.ModelBackend)
+	probe := cudnn.NewHandle(device.P100, cudnn.ModelOnlyBackend)
 	probe.SetAlgoFilter(gemmOnly)
 	probeCtx := dnn.NewContext(probe, probe, 1<<20)
-	probeCtx.SkipCompute = true
 	probeNet, _ := buildNet(probeCtx)
 	if err := probeNet.Setup(); err != nil {
 		log.Fatal(err)

@@ -98,7 +98,6 @@ func DenseNetPlan(dev device.Spec) (*core.Handle, error) {
 		return nil, err
 	}
 	ctx := dnn.NewContext(uc, inner, 8*MiB)
-	ctx.SkipCompute = true
 	net, _ := zoo.DenseNet40(ctx, 8, 12, 10)
 	if err := net.Setup(); err != nil {
 		return nil, err

@@ -238,12 +238,22 @@ func workspaceSize(op Op, algo Algo, cs tensor.ConvShape, minimal bool) (int64, 
 	return 0, false
 }
 
+// covers reports whether t's data covers its shape: samples at least
+// C·H·W elements apart, (N-1)·stride + C·H·W elements in all.
+func covers(t *tensor.Tensor) bool {
+	per := t.Shape.C * t.Shape.H * t.Shape.W
+	return t.Stride >= per && len(t.Data) >= (t.Shape.N-1)*t.Stride+per
+}
+
 // Run executes op with algo on the given buffers. The buffer roles follow
 // cuDNN:
 //
 //	Forward:        y = alpha*conv(x, w) + beta*y
 //	BackwardData:   x = alpha*corr*(y, w) + beta*x   (x holds dX, y holds dY)
 //	BackwardFilter: w = alpha*grad(x, y) + beta*w    (w holds dW, y holds dY)
+//
+// x and y may be sample-strided views (tensor.Tensor.Channels): Run
+// touches only each sample's C·H·W elements.
 //
 // ws must hold at least MinWorkspace(op, algo, cs) bytes (len(ws) is in
 // float32 elements, i.e. bytes/4). Run uses as many workspace strips as
@@ -261,6 +271,10 @@ func Run(op Op, algo Algo, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.Filt
 	}
 	if out := cs.OutShape(); y.Shape != out {
 		return fmt.Errorf("conv: y shape %v != %v", y.Shape, out)
+	}
+	if !covers(x) || !covers(y) || len(w.Data) != w.Filter.Elems() {
+		return fmt.Errorf("conv: operands do not cover their shapes: x %d elements at stride %d, y %d at stride %d, filter %d",
+			len(x.Data), x.Stride, len(y.Data), y.Stride, len(w.Data))
 	}
 	if need, _ := MinWorkspace(op, algo, cs); int64(len(ws))*4 < need {
 		return fmt.Errorf("conv: workspace too small: have %d bytes, need %d", int64(len(ws))*4, need)

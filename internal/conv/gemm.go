@@ -177,8 +177,8 @@ type gemmCtx struct {
 	packW       []float32 // weights in SGEMM panel layout, shared read-only
 	strip       int       // floats per worker strip
 	crs, pixels int
-	inPlane     int
-	outPlane    int
+	inPlane     int // C·H·W of one input sample, x.Stride apart
+	outPlane    int // K·OH·OW of one output sample, y.Stride apart
 	k           int
 	ident       bool // identLowering(cs): Forward and BackwardFilter read X[n] as the lowering
 }
@@ -204,7 +204,7 @@ func (g gemmCtx) partFor(wk int) []float32 {
 func (g gemmCtx) forward(wk, n0, n1, pLo, pHi int) {
 	col := g.colFor(wk)
 	for n := n0; n < n1; n++ {
-		xn := g.x.Data[n*g.inPlane : (n+1)*g.inPlane]
+		xn := g.x.Data[n*g.x.Stride : n*g.x.Stride+g.inPlane]
 		b := col[pLo:]
 		if g.ident {
 			b = xn[pLo:]
@@ -215,7 +215,7 @@ func (g gemmCtx) forward(wk, n0, n1, pLo, pHi int) {
 		}
 		blas.SgemmPackedARows(0, g.k, g.packW, false, g.k, pHi-pLo, g.crs,
 			b, g.pixels, g.beta,
-			g.y.Data[n*g.outPlane+pLo:(n+1)*g.outPlane], g.pixels)
+			g.y.Data[n*g.y.Stride+pLo:n*g.y.Stride+g.outPlane], g.pixels)
 	}
 }
 
@@ -228,11 +228,11 @@ func (g gemmCtx) backwardData(wk, n0, n1, cLo, cHi int) {
 	rs := g.crs / g.cs.Filt.C
 	plane := g.cs.In.H * g.cs.In.W
 	for n := n0; n < n1; n++ {
-		dy := g.y.Data[n*g.outPlane : (n+1)*g.outPlane]
+		dy := g.y.Data[n*g.y.Stride : n*g.y.Stride+g.outPlane]
 		blas.SgemmPackedARows(cLo*rs, cHi*rs, g.packW, false, g.crs, g.pixels, g.k,
 			dy, g.pixels, 0, col, g.pixels)
 		t := prof.Enter()
-		dx := g.x.Data[n*g.inPlane+cLo*plane : n*g.inPlane+cHi*plane]
+		dx := g.x.Data[n*g.x.Stride+cLo*plane : n*g.x.Stride+cHi*plane]
 		if g.beta == 0 {
 			clear(dx)
 		} else if g.beta != 1 {
@@ -240,7 +240,7 @@ func (g gemmCtx) backwardData(wk, n0, n1, cLo, cHi int) {
 				dx[i] *= g.beta
 			}
 		}
-		col2im(g.cs, col, g.x.Data[n*g.inPlane:(n+1)*g.inPlane], g.alpha, cLo, cHi)
+		col2im(g.cs, col, g.x.Data[n*g.x.Stride:n*g.x.Stride+g.inPlane], g.alpha, cLo, cHi)
 		prof.Exit(phGemmIm2col, t)
 	}
 }
@@ -257,8 +257,8 @@ func (g gemmCtx) backwardData(wk, n0, n1, cLo, cHi int) {
 // lowering's rows are rows of X[n], read in place.
 func (g gemmCtx) filterPartial(wk, n, jLo, jHi int) {
 	col := g.colFor(wk)
-	xn := g.x.Data[n*g.inPlane : (n+1)*g.inPlane]
-	dy := g.y.Data[n*g.outPlane : (n+1)*g.outPlane]
+	xn := g.x.Data[n*g.x.Stride : n*g.x.Stride+g.inPlane]
+	dy := g.y.Data[n*g.y.Stride : n*g.y.Stride+g.outPlane]
 	part := g.partFor(wk)[jLo:]
 	ld := min(blas.KC, g.pixels)
 	block := col[jLo*ld : jHi*ld]

@@ -52,6 +52,7 @@ type implicitCtx struct {
 	in, out     tensor.Shape
 	f           tensor.Filter
 	x, w, y     []float32
+	xs, ys      int // the strides from one sample to the next of x and y
 	alpha, beta float32
 	ident       bool // identLowering(cs): B is read from X[n] itself
 
@@ -67,8 +68,8 @@ type implicitCtx struct {
 func runImplicit(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTensor, y *tensor.Tensor, alpha, beta float32) {
 	g := implicitCtx{
 		op: op, cs: cs, p: cs.Params.Normalized(), in: cs.In, out: cs.OutShape(), f: cs.Filt,
-		x: x.Data, w: w.Data, y: y.Data, alpha: alpha, beta: beta,
-		ident: identLowering(cs),
+		x: x.Data, w: w.Data, y: y.Data, xs: x.Stride, ys: y.Stride,
+		alpha: alpha, beta: beta, ident: identLowering(cs),
 	}
 	crs := g.f.C * g.f.R * g.f.S
 	pixels := g.out.H * g.out.W
@@ -76,10 +77,10 @@ func runImplicit(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterT
 	switch op {
 	case Forward:
 		g.m, g.n, g.k, g.c = g.f.K, pixels, crs, g.y
-		g.cStride = g.m * g.n
+		g.cStride = g.ys
 	case BackwardData:
 		g.m, g.n, g.k, g.c = g.f.C, g.in.H*g.in.W, g.f.K*g.f.R*g.f.S, g.x
-		g.cStride = g.m * g.n
+		g.cStride = g.xs
 	case BackwardFilter:
 		// Every unit reduces over the whole batch in order, into one dW.
 		g.m, g.n, g.k, g.c = g.f.K, crs, pixels, g.w
@@ -180,7 +181,7 @@ func (g implicitCtx) packA(pack []float32, n, i0, ib, k0, kb int) {
 	case Forward:
 		blas.PackAPanels(pack, false, g.w, g.k, i0, ib, k0, kb, g.alpha)
 	case BackwardFilter:
-		blas.PackAPanels(pack, false, g.y[n*g.m*g.k:(n+1)*g.m*g.k], g.k, i0, ib, k0, kb, g.alpha)
+		blas.PackAPanels(pack, false, g.y[n*g.ys:n*g.ys+g.m*g.k], g.k, i0, ib, k0, kb, g.alpha)
 	case BackwardData:
 		g.packWT(pack, i0, ib, k0, kb)
 	}
@@ -222,11 +223,11 @@ func (g implicitCtx) packWT(pack []float32, i0, ib, k0, kb int) {
 // BackwardFilter packs transposed; BackwardData gathers each gradient row
 // into one L1-resident line stored as a panel row.
 func (g implicitCtx) packB(pack, low []float32, n, k0, kb, j0, jb int) {
-	xn := g.x[n*g.in.C*g.in.H*g.in.W : (n+1)*g.in.C*g.in.H*g.in.W]
+	xn := g.x[n*g.xs : n*g.xs+g.in.C*g.in.H*g.in.W]
 	switch {
 	case g.op == BackwardData:
 		var line [blas.NC]float32
-		dyn := g.y[n*g.out.C*g.out.H*g.out.W : (n+1)*g.out.C*g.out.H*g.out.W]
+		dyn := g.y[n*g.ys : n*g.ys+g.out.C*g.out.H*g.out.W]
 		for p := 0; p < kb; p++ {
 			g.gradLine(line[:jb], dyn, k0+p, j0)
 			storeRow(pack, line[:], p, kb, jb)

@@ -194,8 +194,8 @@ func runWinograd(op Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterT
 type wgCtx struct {
 	tr          *winograd.Transform
 	p           tensor.ConvParams
-	in, out     tensor.Shape
-	x, w, y     []float32
+	x, y        *tensor.Tensor
+	w           []float32
 	alpha, beta float32
 	c, k        int
 	tilesW      int
@@ -278,18 +278,18 @@ func (g *wgCtx) units(st wgStage, lo, hi int) {
 func laneBlocks(n int) int { return ceilDiv(n, winograd.Lanes) }
 
 // gatherTiles fills blk with rows x rows tiles [p0, p0+cnt) of channel ch
-// of data (shape s): tile (th, tw) of a sample starts at
+// of t: tile (th, tw) of a sample starts at
 // (th*m-padH, tw*m-padW), and what lies outside the plane reads as zero.
 // The walk is by runs of tiles that share a tile row: per tile element
 // (a, b) a run is one strided row copy, and which of its tiles hang over
 // the left and right borders is worked out once per run and column b.
-func (g *wgCtx) gatherTiles(blk *winograd.LaneBlock, data []float32, s tensor.Shape, ch, rows, padH, padW, p0, cnt int) {
-	ls, m := winograd.LaneStride(cnt), g.tr.M
+func (g *wgCtx) gatherTiles(blk *winograd.LaneBlock, t *tensor.Tensor, ch, rows, padH, padW, p0, cnt int) {
+	ls, m, s := winograd.LaneStride(cnt), g.tr.M, t.Shape
 	for t0 := 0; t0 < cnt; {
 		pp := p0 + t0
 		nn, th, tw0 := pp/g.tilesPer, (pp%g.tilesPer)/g.tilesW, pp%g.tilesW
 		run := min(g.tilesW-tw0, cnt-t0)
-		plane := data[(nn*s.C+ch)*s.H*s.W : (nn*s.C+ch+1)*s.H*s.W]
+		plane := t.Data[t.Index(nn, ch, 0, 0):][:s.H*s.W]
 		// Tile t of the run reads column iw0+t*m for element column b:
 		// inside the plane for t in [lo[b], hi[b]).
 		var lo, hi [winograd.MaxAlpha]int
@@ -362,12 +362,12 @@ func blendStrided(dst, src []float32, step int, alpha, beta float32) {
 // scatterTiles blends the m x m output tiles [p0, p0+cnt) of channel ch in
 // blk into y, clipping the tiles that overhang the plane.
 func (g *wgCtx) scatterTiles(blk *winograd.LaneBlock, ch, p0, cnt int) {
-	ls, m, s := winograd.LaneStride(cnt), g.tr.M, g.out
+	ls, m, s := winograd.LaneStride(cnt), g.tr.M, g.y.Shape
 	for t0 := 0; t0 < cnt; {
 		pp := p0 + t0
 		nn, th, tw0 := pp/g.tilesPer, (pp%g.tilesPer)/g.tilesW, pp%g.tilesW
 		run := min(g.tilesW-tw0, cnt-t0)
-		plane := g.y[(nn*s.C+ch)*s.H*s.W : (nn*s.C+ch+1)*s.H*s.W]
+		plane := g.y.Data[g.y.Index(nn, ch, 0, 0):][:s.H*s.W]
 		for a := 0; a < m && th*m+a < s.H; a++ {
 			row := plane[(th*m+a)*s.W : (th*m+a+1)*s.W]
 			for b := 0; b < m; b++ {
@@ -447,7 +447,7 @@ func (g *wgCtx) correlateTiles(lo, hi, col0 int, t int64) int64 {
 		for cc := 0; cc < g.c; cc++ { // input tiles: V[e][cc*bp + col]
 			for t0 := 0; t0 < cnt; t0 += winograd.Lanes {
 				w := min(winograd.Lanes, cnt-t0)
-				g.gatherTiles(&blk, g.x, g.in, cc, tr.Alpha, g.p.PadH, g.p.PadW, p0+t0, w)
+				g.gatherTiles(&blk, g.x, cc, tr.Alpha, g.p.PadH, g.p.PadW, p0+t0, w)
 				tr.InputLanes(g.v[cc*bp+col0+t0:], g.c*bp, &blk, w, &tmp)
 			}
 		}
@@ -512,8 +512,8 @@ func winogradCorrelate(tr *winograd.Transform, cs tensor.ConvShape, x *tensor.Te
 	}
 
 	g := wgCtx{
-		tr: tr, p: cs.Params.Normalized(), in: cs.In, out: out,
-		x: x.Data, w: w.Data, y: y.Data, alpha: alpha, beta: beta, c: c, k: k,
+		tr: tr, p: cs.Params.Normalized(),
+		x: x, w: w.Data, y: y, alpha: alpha, beta: beta, c: c, k: k,
 		tilesW: tilesW, tilesPer: tilesH * tilesW, total: total, rotSwap: rotSwap,
 		bp: bp,
 	}
@@ -547,7 +547,7 @@ func (g *wgCtx) inputBlocks(lo, hi int) {
 	for u := lo; u < hi; u++ {
 		cc, t0 := u/nb, u%nb*winograd.Lanes
 		w := min(winograd.Lanes, total-t0)
-		g.gatherTiles(&blk, g.x, g.in, cc, g.tr.Alpha, g.p.PadH, g.p.PadW, t0, w)
+		g.gatherTiles(&blk, g.x, cc, g.tr.Alpha, g.p.PadH, g.p.PadW, t0, w)
 		g.tr.InputLanes(g.v[cc*total+t0:], g.c*total, &blk, w, &tmp)
 	}
 }
@@ -561,7 +561,7 @@ func (g *wgCtx) gradBlocks(lo, hi int) {
 	for u := lo; u < hi; u++ {
 		kk, t0 := u/nb, u%nb*winograd.Lanes
 		w := min(winograd.Lanes, total-t0)
-		g.gatherTiles(&blk, g.y, g.out, kk, g.tr.M, 0, 0, t0, w)
+		g.gatherTiles(&blk, g.y, kk, g.tr.M, 0, 0, t0, w)
 		g.tr.OutputAdjointLanes(g.mm[kk*total+t0:], g.k*total, &blk, w, &tmp)
 	}
 }
@@ -594,8 +594,8 @@ func winogradBackwardFilter(tr *winograd.Transform, cs tensor.ConvShape, x *tens
 	tilesH, tilesW, total := winogradTiles(m, out.H, out.W, cs.In.N)
 
 	g := wgCtx{
-		tr: tr, p: cs.Params.Normalized(), in: cs.In, out: out,
-		x: x.Data, w: w.Data, y: y.Data, alpha: alpha, beta: beta, c: c, k: k,
+		tr: tr, p: cs.Params.Normalized(),
+		x: x, w: w.Data, y: y, alpha: alpha, beta: beta, c: c, k: k,
 		tilesW: tilesW, tilesPer: tilesH * tilesW, total: total,
 	}
 	// Input tiles, output-gradient tiles (mm), and the spectral

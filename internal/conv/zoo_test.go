@@ -19,7 +19,6 @@ func zooConvLayers(t *testing.T, name string) []*dnn.Conv {
 	t.Helper()
 	h := cudnn.NewHandle(device.P100, cudnn.ModelOnlyBackend)
 	ctx := dnn.NewContext(h, h, 64<<20)
-	ctx.SkipCompute = true
 	net, _, err := zoo.Build(ctx, name, 4)
 	if err != nil {
 		t.Fatal(err)

@@ -104,7 +104,7 @@ func (h *Handle) degrade(k Kernel, cause error, restore func(), x *tensor.Tensor
 			grant = minBytes
 		}
 		h.mu.Lock()
-		h.growArena(grant)
+		h.growArena(arenaGrant(grant))
 		h.mu.Unlock()
 		restore()
 		if err := h.runConfig(cfg, grant, op, cs, x, w, y, alpha, beta); err == nil {
@@ -119,7 +119,7 @@ func (h *Handle) degrade(k Kernel, cause error, restore func(), x *tensor.Tensor
 	if algo, minBytes, ok := h.floorAlgo(op, cs); ok {
 		cfg := Config{{BatchSize: n, Algo: algo}}
 		h.mu.Lock()
-		h.growArena(minBytes)
+		h.growArena(arenaGrant(minBytes))
 		h.mu.Unlock()
 		restore()
 		if err := h.runConfig(cfg, minBytes, op, cs, x, w, y, alpha, beta); err == nil {
@@ -203,7 +203,7 @@ func (h *Handle) minWSAlgo(op conv.Op, cs tensor.ConvShape, measure func(conv.Op
 // process replans), then emits the recovery telemetry.
 func (h *Handle) adopt(k Kernel, plan Plan, stage string, clockStart time.Duration) {
 	h.mu.Lock()
-	h.growArena(plan.Workspace)
+	h.growArena(arenaGrant(plan.Workspace))
 	h.plans[k.String()] = plan
 	h.degraded++
 	deg := h.degraded

@@ -205,13 +205,16 @@ type Handle struct {
 	snapBuf []float32
 }
 
-// growArena ensures the arena covers bytes; callers hold h.mu. An armed
-// arena-growth fault shrinks or denies the request — the arena then stays
-// smaller than a plan's workspace, and execute's kernels degrade to fewer
-// strips or fail into the degradation ladder.
-func (h *Handle) growArena(bytes int64) {
-	granted := faults.Grant(faults.PointArenaGrow, bytes)
-	n := int((granted + 3) / 4)
+// arenaGrant returns the arena floats a request for bytes is granted. An
+// armed arena-growth fault shrinks or denies the request — the arena then
+// stays smaller than a plan's workspace, and execute's kernels degrade to
+// fewer strips or fail into the degradation ladder.
+func arenaGrant(bytes int64) int {
+	return int((faults.Grant(faults.PointArenaGrow, bytes) + 3) / 4)
+}
+
+// growArena ensures the arena covers n floats; callers hold h.mu.
+func (h *Handle) growArena(n int) {
 	if len(h.wsArena) < n {
 		h.wsArena = make([]float32, n)
 	}
@@ -358,7 +361,11 @@ func (h *Handle) finalizeLocked() error {
 	h.m.wsRequested.Add(h.opts.TotalWorkspaceLimit)
 	h.m.wsGranted.Add(res.TotalWorkspace)
 	// Identical kernels share one workspace segment; each unique segment
-	// is accounted against device memory.
+	// is accounted against device memory and granted arena space in plan
+	// order. The arena only grows, so sizing it once for the largest
+	// grant leaves it as growing it per segment would, with one
+	// allocation instead of one per larger segment.
+	arena := 0
 	for _, p := range res.Plans {
 		key := p.Kernel.String()
 		if _, ok := h.plans[key]; ok {
@@ -366,11 +373,13 @@ func (h *Handle) finalizeLocked() error {
 		}
 		h.m.microbatchCount.Observe(float64(len(p.Config)))
 		if err := h.inner.Mem().Alloc(p.Workspace); err != nil {
+			h.growArena(arena)
 			return fmt.Errorf("core: allocating WD segment for %v: %w", p.Kernel, err)
 		}
-		h.growArena(p.Workspace)
+		arena = max(arena, arenaGrant(p.Workspace))
 		h.plans[key] = p
 	}
+	h.growArena(arena)
 	return nil
 }
 
@@ -406,7 +415,7 @@ func (h *Handle) ensurePlan(k Kernel) (Plan, error) {
 	if err := h.inner.Mem().Alloc(plan.Workspace); err != nil {
 		return Plan{}, fmt.Errorf("core: allocating workspace for %v: %w", k, err)
 	}
-	h.growArena(plan.Workspace)
+	h.growArena(arenaGrant(plan.Workspace))
 	h.plans[key] = plan
 	return plan, nil
 }

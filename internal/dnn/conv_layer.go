@@ -21,8 +21,6 @@ type Conv struct {
 	strideH, strideW               int
 	padH, padW                     int
 	withBias                       bool
-	filter                         *tensor.FilterTensor
-	dFilter                        *tensor.FilterTensor
 	filterParam, biasParam         *Param
 	xd, yd                         cudnn.TensorDesc
 	wd                             cudnn.FilterDesc
@@ -31,11 +29,14 @@ type Conv struct {
 	skipInputGrad                  bool
 
 	// Grouped-convolution state: the descriptors above describe one
-	// group's kernel; per-group channel slices are staged through the
-	// temporaries below (nil when groups == 1 or in timing-only mode).
-	groups     int
-	in, out    tensor.Shape
-	xg, yg, dg *tensor.Tensor
+	// group's kernel, called on channel views of the blobs as Caffe calls
+	// cuDNN per group. filt and dFilt are the groups' filter views; xv and
+	// yv, the x-side (x or dX) and y-side (y or dY) operands, are
+	// re-pointed in place, so a grouped pass allocates nothing more.
+	groups      int
+	in, out     tensor.Shape
+	filt, dFilt []tensor.FilterTensor
+	xv, yv      tensor.Tensor
 
 	// Window state. Every pass runs over a partition of the batch into
 	// ascending contiguous sample windows — the whole batch as one window
@@ -68,9 +69,9 @@ func NewConv(name string, k, kernel, stride, pad int, bias bool) *Conv {
 
 // NewConvGrouped builds a grouped convolution (Caffe's group parameter):
 // input and output channels are split into `groups` independent
-// convolutions, executed as separate kernels exactly as Caffe issues them
-// to cuDNN — so each group's kernel is individually optimizable by
-// µ-cuDNN.
+// convolutions, executed as separate kernels on each group's channels in
+// place, exactly as Caffe issues them to cuDNN — so each group's kernel
+// is individually optimizable by µ-cuDNN.
 func NewConvGrouped(name string, k, kernel, stride, pad, groups int, bias bool) *Conv {
 	c := NewConv(name, k, kernel, stride, pad, bias)
 	c.groups = groups
@@ -126,29 +127,31 @@ func (l *Conv) Setup(ctx *Context, bottoms []tensor.Shape) (tensor.Shape, error)
 	l.in = in
 	l.out = tensor.Shape{N: in.N, C: l.k, H: l.yd.H, W: l.yd.W}
 
-	// Parameters: He initialization. Grouped filters are K x C/G x R x S,
-	// as in Caffe.
-	l.filter = tensor.NewFilter(l.k, cg, l.r, l.s)
-	l.dFilter = tensor.NewFilter(l.k, cg, l.r, l.s)
-	if !ctx.SkipCompute {
-		scale := float32(math.Sqrt(2.0 / float64(cg*l.r*l.s)))
-		l.filter.Randomize(ctx.RNG, scale)
+	// Parameters: He initialization (drawing nothing in a timing-only
+	// context, whose parameters have no host storage). Grouped filters
+	// are K x C/G x R x S, as in Caffe; the KCRS layout makes each group's
+	// K/G filter rows contiguous.
+	filt := tensor.Filter{K: l.k, C: cg, R: l.r, S: l.s}
+	l.filterParam = newParam(ctx, l.name+".weight", filt.Elems())
+	w := tensor.FilterTensor{Filter: filt, Data: l.filterParam.Data}
+	w.Randomize(ctx.RNG, float32(math.Sqrt(2.0/float64(cg*l.r*l.s))))
+	if l.withBias {
+		l.biasParam = newParam(ctx, l.name+".bias", l.k)
 	}
-	if l.groups > 1 && !ctx.SkipCompute {
-		l.xg = tensor.New(in.N, cg, in.H, in.W)
-		l.yg = tensor.New(in.N, kg, l.yd.H, l.yd.W)
-		l.dg = tensor.New(in.N, kg, l.yd.H, l.yd.W)
+	l.filt, l.dFilt = make([]tensor.FilterTensor, l.groups), make([]tensor.FilterTensor, l.groups)
+	f := tensor.Filter{K: kg, C: cg, R: l.r, S: l.s}
+	for g := range l.groups {
+		l.filt[g], l.dFilt[g] = tensor.FilterTensor{Filter: f}, tensor.FilterTensor{Filter: f}
+		if l.filterParam.Data != nil {
+			per := f.Elems()
+			l.filt[g].Data = l.filterParam.Data[g*per : (g+1)*per]
+			l.dFilt[g].Data = l.filterParam.Grad[g*per : (g+1)*per]
+		}
 	}
-	if err := ctx.Cudnn.Mem().Alloc(2 * l.filter.Filter.Bytes()); err != nil {
+	if err := ctx.Cudnn.Mem().Alloc(2 * filt.Bytes()); err != nil {
 		return tensor.Shape{}, err
 	}
-	l.filterParam = &Param{Name: l.name + ".weight", Data: l.filter.Data, Grad: l.dFilter.Data}
 	if l.withBias {
-		l.biasParam = &Param{
-			Name: l.name + ".bias",
-			Data: make([]float32, l.k),
-			Grad: make([]float32, l.k),
-		}
 		if err := ctx.Cudnn.Mem().Alloc(2 * int64(l.k) * 4); err != nil {
 			return tensor.Shape{}, err
 		}
@@ -185,58 +188,6 @@ func (l *Conv) Setup(ctx *Context, bottoms []tensor.Shape) (tensor.Shape, error)
 	return l.out, nil
 }
 
-// groupFilter returns a view of group g's filters (dFilter when grad is
-// set); the KCRS layout makes each group's K/G filter rows contiguous.
-func (l *Conv) groupFilter(g int, grad bool) *tensor.FilterTensor {
-	src := l.filter
-	if grad {
-		src = l.dFilter
-	}
-	if l.groups == 1 {
-		return src
-	}
-	kg := l.k / l.groups
-	per := kg * src.Filter.C * l.r * l.s
-	return &tensor.FilterTensor{
-		Filter: tensor.Filter{K: kg, C: src.Filter.C, R: l.r, S: l.s},
-		Data:   src.Data[g*per : (g+1)*per],
-	}
-}
-
-// copyChannels copies count channels starting at channel src0 of src into
-// channel dst0 of dst, for every sample.
-func copyChannels(dst *tensor.Tensor, dst0 int, src *tensor.Tensor, src0, count int) {
-	plane := src.Shape.H * src.Shape.W
-	for n := 0; n < src.Shape.N; n++ {
-		s := src.Data[src.Index(n, src0, 0, 0) : src.Index(n, src0, 0, 0)+count*plane]
-		d := dst.Data[dst.Index(n, dst0, 0, 0) : dst.Index(n, dst0, 0, 0)+count*plane]
-		copy(d, s)
-	}
-}
-
-// staged returns what each group's kernel call reads or writes in place
-// of the window win = [lo, lo+n) of a blob: win itself with one group,
-// else the window of the staging temporary tmp that the group's channels
-// pass through.
-func (l *Conv) staged(win, tmp *tensor.Tensor, lo, n int) *tensor.Tensor {
-	if l.groups == 1 {
-		return win
-	}
-	return window(tmp, lo, n)
-}
-
-// stage charges one group's channel gather/scatter on window w, a device
-// copy as in Caffe's per-group cuDNN calls with strided descriptors, and
-// reports whether the host copies run. With one group the kernel call
-// reads and writes the window itself: nothing is staged.
-func (l *Conv) stage(ctx *Context, w convWindow) bool {
-	if l.groups == 1 {
-		return false
-	}
-	ctx.ChargeMem(2 * (w.xd.Shape().Bytes() + w.yd.Shape().Bytes()))
-	return !ctx.SkipCompute
-}
-
 // WorkspaceBytes reports the layer's three per-kernel workspace sizes
 // (Forward, BackwardData, BackwardFilter).
 func (l *Conv) WorkspaceBytes() (fwd, bwdData, bwdFilter int64) {
@@ -260,6 +211,16 @@ func window(t *tensor.Tensor, lo, n int) *tensor.Tensor {
 		return t
 	}
 	return t.Sample(lo, n)
+}
+
+// channels re-points v at channels [c0, c0+n) of t and returns it. A
+// timing-only blob (nil) passes through: the library gets no operand.
+func channels(v, t *tensor.Tensor, c0, n int) *tensor.Tensor {
+	if t == nil {
+		return nil
+	}
+	*v = t.Channels(c0, n)
+	return v
 }
 
 // winFor returns (querying the library on first use) the kernel state
@@ -313,17 +274,9 @@ func (l *Conv) Forward(ctx *Context, bottoms []*tensor.Tensor, top *tensor.Tenso
 			return err
 		}
 		x, y := window(bottoms[0], lo, c), window(top, lo, c)
-		xg, yg := l.staged(x, l.xg, lo, c), l.staged(y, l.yg, lo, c)
 		for g := 0; g < l.groups; g++ {
-			copies := l.stage(ctx, w)
-			if copies {
-				copyChannels(xg, 0, x, g*cg, cg)
-			}
-			if err := ctx.Conv.ConvolutionForward(1, w.xd, xg, l.wd, l.groupFilter(g, false), l.cd, w.fwd, ctx.Workspace(w.wsF), 0, w.yd, yg); err != nil {
+			if err := ctx.Conv.ConvolutionForward(1, w.xd, channels(&l.xv, x, g*cg, cg), l.wd, &l.filt[g], l.cd, w.fwd, ctx.Workspace(w.wsF), 0, w.yd, channels(&l.yv, y, g*kg, kg)); err != nil {
 				return err
-			}
-			if copies {
-				copyChannels(y, g*kg, yg, 0, kg)
 			}
 		}
 		lo += c
@@ -360,13 +313,8 @@ func (l *Conv) Backward(ctx *Context, bottoms []*tensor.Tensor, top, dTop *tenso
 			return err
 		}
 		x, dy := window(bottoms[0], lo, c), window(dTop, lo, c)
-		xg, dg := l.staged(x, l.xg, lo, c), l.staged(dy, l.dg, lo, c)
 		for g := 0; g < l.groups; g++ {
-			if l.stage(ctx, w) {
-				copyChannels(xg, 0, x, g*cg, cg)
-				copyChannels(dg, 0, dy, g*kg, kg)
-			}
-			if err := ctx.Conv.ConvolutionBackwardFilter(1, w.xd, xg, w.yd, dg, l.cd, w.bwdF, ctx.Workspace(w.wsBF), 1, l.wd, l.groupFilter(g, true)); err != nil {
+			if err := ctx.Conv.ConvolutionBackwardFilter(1, w.xd, channels(&l.xv, x, g*cg, cg), w.yd, channels(&l.yv, dy, g*kg, kg), l.cd, w.bwdF, ctx.Workspace(w.wsBF), 1, l.wd, &l.dFilt[g]); err != nil {
 				return err
 			}
 		}
@@ -398,17 +346,9 @@ func (l *Conv) Backward(ctx *Context, bottoms []*tensor.Tensor, top, dTop *tenso
 			return err
 		}
 		dy, dx := window(dTop, lo, c), window(dBottoms[0], lo, c)
-		dg, xg := l.staged(dy, l.dg, lo, c), l.staged(dx, l.xg, lo, c)
 		for g := 0; g < l.groups; g++ {
-			copies := l.stage(ctx, w)
-			if copies {
-				copyChannels(dg, 0, dy, g*kg, kg)
-			}
-			if err := ctx.Conv.ConvolutionBackwardData(1, l.wd, l.groupFilter(g, false), w.yd, dg, l.cd, w.bwdD, ctx.Workspace(w.wsBD), 0, w.xd, xg); err != nil {
+			if err := ctx.Conv.ConvolutionBackwardData(1, l.wd, &l.filt[g], w.yd, channels(&l.yv, dy, g*kg, kg), l.cd, w.bwdD, ctx.Workspace(w.wsBD), 0, w.xd, channels(&l.xv, dx, g*cg, cg)); err != nil {
 				return err
-			}
-			if copies {
-				copyChannels(dx, g*cg, xg, 0, cg)
 			}
 		}
 		lo += c

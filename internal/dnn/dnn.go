@@ -62,8 +62,11 @@ type Context struct {
 	Training bool
 	// RNG drives parameter init and dropout, seeded for reproducibility.
 	RNG *rand.Rand
-	// SkipCompute runs the network for timing/planning only (model-only
-	// backends), skipping CPU arithmetic in non-convolution layers.
+	// SkipCompute runs the network for timing/planning only, skipping
+	// CPU arithmetic in non-convolution layers and host storage for blobs
+	// and parameters. NewContext sets it exactly when the inner handle is
+	// model-only (cudnn.ModelOnlyBackend), which computes nothing either;
+	// callers that assign it (benchmarks/e2e does) assign that value.
 	SkipCompute bool
 	// Trace, when non-nil, receives one span per layer per direction on
 	// track 1 of the device timeline (kernel-level spans land on track 0
@@ -106,7 +109,8 @@ func (c *Context) Workspace(bytes int64) []float32 {
 }
 
 // NewContext builds a Caffe-style context over the given handles (the
-// per-layer workspace limit is forwarded through Get*Algorithm).
+// per-layer workspace limit is forwarded through Get*Algorithm). A
+// model-only inner handle makes it a timing-only context (SkipCompute).
 func NewContext(convHandle ConvHandle, inner *cudnn.Handle, wsLimit int64) *Context {
 	return &Context{
 		Conv:           convHandle,
@@ -115,6 +119,7 @@ func NewContext(convHandle ConvHandle, inner *cudnn.Handle, wsLimit int64) *Cont
 		Pref:           cudnn.SpecifyWorkspaceLimit,
 		Training:       true,
 		RNG:            rand.New(rand.NewSource(1)),
+		SkipCompute:    inner.Backend() == cudnn.ModelOnlyBackend,
 	}
 }
 
@@ -151,11 +156,24 @@ func (c *Context) ChargeGemm(m, n, k int64) {
 	c.Cudnn.ChargeNamed(c.Label(), "gemm", c.Device().GemmTime(m, n, k))
 }
 
-// Param is one learnable parameter tensor (flat storage).
+// Param is one learnable parameter tensor (flat storage) of Elems
+// elements. Data and Grad hold them when the context computes; a
+// timing-only context reads no parameter, so there they are nil.
 type Param struct {
-	Name string
-	Data []float32
-	Grad []float32
+	Name  string
+	Elems int
+	Data  []float32
+	Grad  []float32
+}
+
+// newParam returns the parameter name of elems elements, backed by host
+// memory only when ctx computes. Device memory is the layer's to account.
+func newParam(ctx *Context, name string, elems int) *Param {
+	p := &Param{Name: name, Elems: elems}
+	if !ctx.SkipCompute {
+		p.Data, p.Grad = make([]float32, elems), make([]float32, elems)
+	}
+	return p
 }
 
 // Layer is one network operation. Layers are single-output except where
@@ -365,7 +383,7 @@ func (n *Net) routeGrads() {
 				slots = append(slots, 0)
 			}
 			slots[k] = max(slots[k], g.Shape.Elems())
-			lb.dbot[j] = &tensor.Tensor{Shape: g.Shape}
+			lb.dbot[j] = &tensor.Tensor{Shape: g.Shape, Stride: g.Stride}
 			lb.sums = append(lb.sums, gradSum{scratch: lb.dbot[j], grad: g})
 		}
 	}

@@ -35,21 +35,11 @@ func (l *FC) Setup(ctx *Context, bottoms []tensor.Shape) (tensor.Shape, error) {
 	}
 	l.inShape = bottoms[0]
 	l.in = bottoms[0].C * bottoms[0].H * bottoms[0].W
-	l.weight = &Param{
-		Name: l.name + ".weight",
-		Data: make([]float32, l.out*l.in),
-		Grad: make([]float32, l.out*l.in),
-	}
-	l.bias = &Param{
-		Name: l.name + ".bias",
-		Data: make([]float32, l.out),
-		Grad: make([]float32, l.out),
-	}
-	if !ctx.SkipCompute {
-		scale := float32(math.Sqrt(2.0 / float64(l.in)))
-		for i := range l.weight.Data {
-			l.weight.Data[i] = (ctx.RNG.Float32()*2 - 1) * scale
-		}
+	l.weight = newParam(ctx, l.name+".weight", l.out*l.in)
+	l.bias = newParam(ctx, l.name+".bias", l.out)
+	scale := float32(math.Sqrt(2.0 / float64(l.in)))
+	for i := range l.weight.Data {
+		l.weight.Data[i] = (ctx.RNG.Float32()*2 - 1) * scale
 	}
 	if err := ctx.Cudnn.Mem().Alloc(2 * int64(l.out) * int64(l.in+1) * 4); err != nil {
 		return tensor.Shape{}, err

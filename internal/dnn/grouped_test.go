@@ -69,9 +69,10 @@ func TestGroupedConvForwardMatchesReference(t *testing.T) {
 	if out != (tensor.Shape{N: 3, C: 6, H: 7, W: 7}) {
 		t.Fatalf("out = %v", out)
 	}
-	// Filter must be K x C/G x R x S.
-	if l.filter.Filter != (tensor.Filter{K: 6, C: 2, R: 3, S: 3}) {
-		t.Fatalf("filter = %v", l.filter.Filter)
+	// Filter must be K x C/G x R x S, each group's view K/G x C/G x R x S.
+	w := &tensor.FilterTensor{Filter: tensor.Filter{K: 6, C: 2, R: 3, S: 3}, Data: l.filterParam.Data}
+	if len(w.Data) != w.Filter.Elems() || l.filt[1].Filter != (tensor.Filter{K: 3, C: 2, R: 3, S: 3}) {
+		t.Fatalf("filter holds %d elements, group view %v", len(w.Data), l.filt[1].Filter)
 	}
 	rng := rand.New(rand.NewSource(22))
 	x := tensor.NewShaped(in)
@@ -83,7 +84,7 @@ func TestGroupedConvForwardMatchesReference(t *testing.T) {
 	if err := l.Forward(ctx, []*tensor.Tensor{x}, y); err != nil {
 		t.Fatal(err)
 	}
-	want := refGroupedForward(x, l.filter, 2, 1, 1, l.biasParam.Data)
+	want := refGroupedForward(x, w, 2, 1, 1, l.biasParam.Data)
 	if !tensor.AllClose(y.Data, want.Data, 1e-4, 1e-4) {
 		t.Fatalf("grouped forward wrong: maxdiff %g", tensor.MaxAbsDiff(y.Data, want.Data))
 	}
@@ -398,16 +399,15 @@ func (nopConv) ConvolutionBackwardFilter(float32, cudnn.TensorDesc, *tensor.Tens
 }
 
 // The unbudgeted pass takes no window headers: a window covering the
-// batch is handed the layer's own tensors and descriptors, so Forward +
-// Backward allocate what the whole-batch bodies they replaced did —
-// nothing for groups == 1, one filter view per group per kernel call
-// otherwise.
+// batch is handed the layer's own tensors and descriptors, and the
+// groups' channel and filter views are re-pointed in place, so Forward +
+// Backward allocate nothing, grouped or not.
 func TestConvWholeBatchAllocs(t *testing.T) {
 	in := tensor.Shape{N: 4, C: 4, H: 6, W: 6}
 	for _, tc := range []struct {
 		groups int
 		want   float64
-	}{{1, 0}, {2, 6}} {
+	}{{1, 0}, {2, 0}} {
 		inner := cudnn.NewHandle(device.P100, cudnn.ModelBackend)
 		ctx := NewContext(inner, inner, 1<<20)
 		l := NewConvGrouped("conv", 6, 3, 1, 1, tc.groups, true)

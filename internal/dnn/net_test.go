@@ -221,7 +221,6 @@ func TestHandleSwapTransparency(t *testing.T) {
 func TestNetTimeSkipCompute(t *testing.T) {
 	inner := cudnn.NewHandle(device.P100, cudnn.ModelOnlyBackend)
 	ctx := NewContext(inner, inner, 8<<20)
-	ctx.SkipCompute = true
 	net, _ := buildTinyNet(ctx, 64)
 	rep, err := net.Time(3)
 	if err != nil {
@@ -262,7 +261,6 @@ func TestNetTimeSkipCompute(t *testing.T) {
 func TestMicroBatchingSpeedsUpNetwork(t *testing.T) {
 	timeNet := func(h ConvHandle, inner *cudnn.Handle) float64 {
 		ctx := NewContext(h, inner, 4<<20)
-		ctx.SkipCompute = true
 		net := NewNet(ctx)
 		net.Input("data", tensor.Shape{N: 128, C: 64, H: 27, W: 27})
 		net.Add(NewConv("conv2", 192, 5, 1, 2, false), "conv2", "data")
@@ -300,7 +298,6 @@ func TestTFStyleContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := NewContextTF(uc, inner)
-	ctx.SkipCompute = true
 	net := NewNet(ctx)
 	net.Input("data", tensor.Shape{N: 64, C: 32, H: 27, W: 27})
 	net.Add(NewConv("conv", 48, 5, 1, 2, false), "conv", "data")

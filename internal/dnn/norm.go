@@ -216,8 +216,8 @@ func (l *BatchNorm) Setup(ctx *Context, bottoms []tensor.Shape) (tensor.Shape, e
 	}
 	l.shape = bottoms[0]
 	c := l.shape.C
-	l.gamma = &Param{Name: l.name + ".gamma", Data: make([]float32, c), Grad: make([]float32, c)}
-	l.beta = &Param{Name: l.name + ".beta", Data: make([]float32, c), Grad: make([]float32, c)}
+	l.gamma = newParam(ctx, l.name+".gamma", c)
+	l.beta = newParam(ctx, l.name+".beta", c)
 	for i := range l.gamma.Data {
 		l.gamma.Data[i] = 1
 	}

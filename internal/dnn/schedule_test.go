@@ -23,7 +23,6 @@ func buildBranchyNet(ctx *Context) *Net {
 func schedCtx() *Context {
 	h := cudnn.NewHandle(device.P100, cudnn.ModelOnlyBackend)
 	ctx := NewContext(h, h, 8<<20)
-	ctx.SkipCompute = true
 	return ctx
 }
 

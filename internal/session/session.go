@@ -69,7 +69,6 @@ func New(cfg Config) (*Session, error) {
 	if cfg.BlobBudget > 0 {
 		probe := newHandle(cfg.Device, cudnn.ModelOnlyBackend)
 		probeCtx := dnn.NewContext(probe, probe, cfg.WS)
-		probeCtx.SkipCompute = true
 		probeNet, _, err := zoo.Build(probeCtx, cfg.Net, cfg.Batch)
 		if err != nil {
 			return nil, err
@@ -112,7 +111,6 @@ func New(cfg Config) (*Session, error) {
 	}
 
 	s.Ctx = dnn.NewContext(convH, s.Inner, cfg.WS)
-	s.Ctx.SkipCompute = cfg.Backend == cudnn.ModelOnlyBackend
 	if oocModel != nil {
 		s.Ctx.OOC = dnn.NewOOCState(oocModel, *s.OOCPlan)
 		s.Ctx.OOC.SetMetrics(cfg.Metrics)

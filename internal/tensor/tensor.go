@@ -36,10 +36,15 @@ func (s Shape) String() string {
 	return fmt.Sprintf("%dx%dx%dx%d", s.N, s.C, s.H, s.W)
 }
 
-// Tensor is a dense float32 tensor in NCHW layout.
+// Tensor is a float32 tensor in NCHW layout whose samples are Stride
+// elements apart: C·H·W when dense, more for a channel view (Channels).
+// The whole-Data helpers (Zero, Fill, Scale, Clone, CopyFrom, Randomize)
+// are for dense tensors: on a view they also touch the channels between
+// its samples.
 type Tensor struct {
-	Shape Shape
-	Data  []float32
+	Shape  Shape
+	Stride int
+	Data   []float32
 }
 
 // New allocates a zero-filled tensor of the given shape.
@@ -48,7 +53,7 @@ func New(n, c, h, w int) *Tensor {
 	if !s.Valid() {
 		panic(fmt.Sprintf("tensor: invalid shape %v", s))
 	}
-	return &Tensor{Shape: s, Data: make([]float32, s.Elems())}
+	return &Tensor{Shape: s, Stride: c * h * w, Data: make([]float32, s.Elems())}
 }
 
 // NewShaped allocates a zero-filled tensor with shape s.
@@ -72,22 +77,41 @@ func (t *Tensor) Add(n, c, h, w int, v float32) {
 // Index returns the linear offset of (n, c, h, w).
 func (t *Tensor) Index(n, c, h, w int) int {
 	s := t.Shape
-	return ((n*s.C+c)*s.H+h)*s.W + w
+	return n*t.Stride + (c*s.H+h)*s.W + w
+}
+
+// view returns the tensor of shape s at Data offset off with t's stride;
+// a tensor without host storage (nil Data) gives a view without any.
+func (t *Tensor) view(s Shape, off int) Tensor {
+	v := Tensor{Shape: s, Stride: t.Stride}
+	if t.Data != nil {
+		v.Data = t.Data[off : off+(s.N-1)*t.Stride+s.C*s.H*s.W]
+	}
+	return v
 }
 
 // Sample returns a view of the i-th batch sample onward covering count
-// samples, sharing the underlying storage. It is the mechanism by which
-// micro-batches alias sub-ranges of a mini-batch without copying.
+// samples, sharing the underlying storage and keeping the stride. It is
+// the mechanism by which micro-batches alias sub-ranges of a mini-batch
+// without copying.
 func (t *Tensor) Sample(i, count int) *Tensor {
 	s := t.Shape
 	if i < 0 || count <= 0 || i+count > s.N {
 		panic(fmt.Sprintf("tensor: sample [%d,%d) out of batch %d", i, i+count, s.N))
 	}
-	per := s.C * s.H * s.W
-	return &Tensor{
-		Shape: Shape{count, s.C, s.H, s.W},
-		Data:  t.Data[i*per : (i+count)*per],
+	v := t.view(Shape{count, s.C, s.H, s.W}, i*t.Stride)
+	return &v
+}
+
+// Channels returns channels [c0, c0+count) of every sample as a view:
+// the same storage and stride, so no element is copied. The view is a
+// value, so a caller that keeps one re-points it without allocating.
+func (t *Tensor) Channels(c0, count int) Tensor {
+	s := t.Shape
+	if c0 < 0 || count <= 0 || c0+count > s.C {
+		panic(fmt.Sprintf("tensor: channels [%d,%d) out of %d", c0, c0+count, s.C))
 	}
+	return t.view(Shape{s.N, count, s.H, s.W}, c0*s.H*s.W)
 }
 
 // Zero sets all elements to zero.

@@ -64,6 +64,37 @@ func TestSampleAliases(t *testing.T) {
 	}
 }
 
+// A channel view aliases channels [c0, c0+n) of every sample, keeps the
+// parent's stride through Sample, ends at its last sample's last element,
+// and stays without storage when its parent has none.
+func TestChannelsView(t *testing.T) {
+	x := New(3, 5, 2, 2)
+	x.Randomize(rand.New(rand.NewSource(2)), 1)
+	v := x.Channels(1, 3)
+	if v.Shape != (Shape{3, 3, 2, 2}) || v.Stride != 20 || len(v.Data) != 2*20+3*4 {
+		t.Fatalf("view %v stride %d len %d", v.Shape, v.Stride, len(v.Data))
+	}
+	s := v.Sample(1, 2)
+	for n := 0; n < 2; n++ {
+		for c := 0; c < 3; c++ {
+			if s.At(n, c, 1, 1) != x.At(n+1, c+1, 1, 1) {
+				t.Fatalf("sample %d channel %d reads the wrong element", n, c)
+			}
+		}
+	}
+	s.Set(1, 2, 0, 1, 42)
+	if x.At(2, 3, 0, 1) != 42 {
+		t.Fatal("view write not visible in parent")
+	}
+	bare := Tensor{Shape: x.Shape, Stride: x.Stride}
+	if c := bare.Channels(1, 3); c.Data != nil || c.Stride != 20 {
+		t.Fatalf("view of a tensor without storage: %d elements, stride %d", len(c.Data), c.Stride)
+	}
+	if bare.Sample(1, 2).Data != nil {
+		t.Fatal("sample of a tensor without storage has storage")
+	}
+}
+
 func TestSamplePanicsOutOfRange(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -220,10 +220,11 @@ type Probe struct {
 	FloorTotal int64
 }
 
-// sumWorkspaces sets the network up against a plain GEMM-pinned cuDNN
-// handle (no arithmetic runs) and sums its per-kernel workspaces.
+// sumWorkspaces sets the network up against a plain GEMM-pinned
+// model-only cuDNN handle (a timing-only context: no host storage, no
+// arithmetic) and sums its per-kernel workspaces.
 func sumWorkspaces(network string, batch int) (max, total int64, err error) {
-	inner := cudnn.NewHandle(device.P100, cudnn.ModelBackend)
+	inner := cudnn.NewHandle(device.P100, cudnn.ModelOnlyBackend)
 	inner.SetAlgoFilter(GemmOnly)
 	ctx := dnn.NewContext(inner, inner, 1<<30)
 	net, _, err := build(ctx, network, batch)
@@ -246,10 +247,11 @@ func sumWorkspaces(network string, batch int) (max, total int64, err error) {
 }
 
 // ProbeFootprint extracts the named network's activation footprint model
-// by setting it up against a plain GEMM-pinned handle (no arithmetic
-// runs): the input for out-of-core planning and budget derivation.
+// by setting it up against a plain GEMM-pinned model-only handle (a
+// timing-only context: no host storage, no arithmetic): the input for
+// out-of-core planning and budget derivation.
 func ProbeFootprint(network string, batch int) (*dnn.OOCModel, error) {
-	inner := cudnn.NewHandle(device.P100, cudnn.ModelBackend)
+	inner := cudnn.NewHandle(device.P100, cudnn.ModelOnlyBackend)
 	inner.SetAlgoFilter(GemmOnly)
 	ctx := dnn.NewContext(inner, inner, 1<<30)
 	net, _, err := build(ctx, network, batch)

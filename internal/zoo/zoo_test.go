@@ -11,14 +11,13 @@ import (
 func timingCtx() *dnn.Context {
 	h := cudnn.NewHandle(device.P100, cudnn.ModelOnlyBackend)
 	ctx := dnn.NewContext(h, h, 64<<20)
-	ctx.SkipCompute = true
 	return ctx
 }
 
 func paramCount(net *dnn.Net) int64 {
 	var n int64
 	for _, p := range net.Params() {
-		n += int64(len(p.Data))
+		n += int64(p.Elems)
 	}
 	return n
 }
@@ -238,5 +237,31 @@ func TestCaffeAlexNetTimes(t *testing.T) {
 	}
 	if rep.Total() <= 0 || rep.SumMatching(IsConvLayer) <= 0 {
 		t.Fatal("timing failed")
+	}
+}
+
+// A timing-only DenseNet-40 backs no parameter with host memory, and the
+// device accounts exactly what a computing setup of the same net does.
+func TestTimingOnlySetupHoldsNoParams(t *testing.T) {
+	setup := func(backend cudnn.Backend) (*dnn.Net, int64) {
+		h := cudnn.NewHandle(device.P100, backend)
+		net, _ := DenseNet40(dnn.NewContext(h, h, 64<<20), 1, 12, 10)
+		if err := net.Setup(); err != nil {
+			t.Fatal(err)
+		}
+		return net, h.Mem().Used()
+	}
+	timing, timingBytes := setup(cudnn.ModelOnlyBackend)
+	compute, computeBytes := setup(cudnn.ModelBackend)
+	for _, p := range timing.Params() {
+		if p.Data != nil || p.Grad != nil {
+			t.Fatalf("%s: timing-only setup holds %d+%d elements", p.Name, len(p.Data), len(p.Grad))
+		}
+	}
+	if got, want := paramCount(timing), paramCount(compute); got != want || got == 0 {
+		t.Fatalf("timing-only params = %d elements, computing %d", got, want)
+	}
+	if timingBytes != computeBytes {
+		t.Fatalf("device accounts %d bytes timing-only, %d computing", timingBytes, computeBytes)
 	}
 }
