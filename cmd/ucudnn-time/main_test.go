@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"ucudnn/internal/causal"
 	"ucudnn/internal/core"
@@ -338,7 +339,7 @@ func TestRunFaultedTimelineTiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	rungs := map[string]int{}
-	var iters []causal.TEvent
+	var iters []trace.Event
 	for _, e := range tl.Events {
 		switch e.Cat {
 		case "fault":
@@ -357,14 +358,14 @@ func TestRunFaultedTimelineTiles(t *testing.T) {
 		t.Fatalf("%d iteration brackets, want %d", len(iters), o.Iters)
 	}
 	for _, it := range iters {
-		var busy int64
+		var busy time.Duration
 		for _, e := range tl.Events {
-			if e.Leaf() && e.Track == trace.TrackKernel && e.StartNS >= it.StartNS && e.End() <= it.End() {
-				busy += e.DurNS
+			if e.Leaf() && e.Track == trace.TrackKernel && e.Start >= it.Start && e.End() <= it.End() {
+				busy += e.Dur
 			}
 		}
-		if busy != it.DurNS {
-			t.Fatalf("iteration %d: stream leaves sum to %d ns of %d", it.Span, busy, it.DurNS)
+		if busy != it.Dur {
+			t.Fatalf("iteration %d: stream leaves sum to %d ns of %d", it.Span, busy, it.Dur)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"ucudnn/internal/trace"
@@ -14,96 +13,38 @@ import (
 // refuses anything else.
 const Schema = "ucudnn-causal-timeline/v1"
 
-// TEvent is one leaf span of the exported timeline: a unit of work that
-// occupied a track for [StartNS, StartNS+DurNS).
-type TEvent struct {
-	// Span is the event's canonical identifier (scopes are numbered
-	// first, then events in timeline order).
-	Span uint64 `json:"span"`
-	// Parent is the enclosing scope's ID; 0 at the root.
-	Parent  uint64 `json:"parent,omitempty"`
-	Name    string `json:"name"`
-	Cat     string `json:"cat"`
-	Track   int    `json:"track"`
-	StartNS int64  `json:"start_ns"`
-	DurNS   int64  `json:"dur_ns"`
-}
-
-// End is the event's completion time in nanoseconds.
-func (e TEvent) End() int64 { return e.StartNS + e.DurNS }
-
 // Timeline is the unified causal timeline: the scope tree (iterations,
 // layers, conv calls) plus every recorded span, canonically numbered so
 // the exported bytes are identical across worker counts and profiling
 // on/off.
 type Timeline struct {
-	Schema string   `json:"schema"`
-	Scopes []Scope  `json:"scopes"`
-	Events []TEvent `json:"events"`
+	Schema string        `json:"schema"`
+	Scopes []Scope       `json:"scopes"`
+	Events []trace.Event `json:"events"`
 }
 
-// bracketCats are the categories of non-leaf annotation spans: brackets
-// mirror scopes on the timeline (their duration double-covers their
-// children) and fault spans double-cover the retried kernels they
-// explain. Everything else is a leaf that exclusively occupied its
-// track.
-var bracketCats = map[string]bool{
-	"forward":   true,
-	"backward":  true,
-	"iteration": true,
-	"fault":     true,
-}
-
-// Leaf reports whether the event is a leaf work span (exclusively
-// occupies its track) rather than a bracket/annotation.
-func (e TEvent) Leaf() bool { return !bracketCats[e.Cat] }
-
-// Build assembles the canonical timeline from recorded trace events and
-// the scope log. Raw span IDs are allocation-ordered and vary with
-// recording interleaving; Build renumbers them positionally — scopes
-// 1..S in recording order, events S+1.. in canonical (trace.Less)
-// order — which is what makes the export deterministic.
+// Build assembles the canonical timeline from recorded trace events, in
+// canonical (trace.Less) order as Recorder.Events returns them, and the
+// scope log. Raw span IDs are allocation-ordered and vary with recording
+// interleaving; Build renumbers them positionally — scopes 1..S in
+// recording order, events S+1.. in their given order — which is what
+// makes the export deterministic. The events are renumbered in place.
 func Build(events []trace.Event, scopes []Scope) *Timeline {
-	t := &Timeline{Schema: Schema, Scopes: []Scope{}, Events: []TEvent{}}
+	t := &Timeline{Schema: Schema, Scopes: []Scope{}, Events: events}
+	if t.Events == nil {
+		t.Events = []trace.Event{}
+	}
 	scopeMap := make(map[ID]ID, len(scopes))
 	for i, s := range scopes {
 		id := ID(i + 1)
 		scopeMap[s.ID] = id
 		t.Scopes = append(t.Scopes, Scope{ID: id, Parent: scopeMap[s.Parent], Kind: s.Kind, Name: s.Name})
 	}
-	evs := append([]trace.Event{}, events...)
-	sort.SliceStable(evs, func(i, j int) bool { return trace.Less(evs[i], evs[j]) })
-	for i, e := range evs {
-		t.Events = append(t.Events, TEvent{
-			Span:    uint64(len(scopes) + i + 1),
-			Parent:  uint64(scopeMap[ID(e.Parent)]),
-			Name:    e.Name,
-			Cat:     e.Cat,
-			Track:   e.Track,
-			StartNS: e.Start.Nanoseconds(),
-			DurNS:   e.Dur.Nanoseconds(),
-		})
+	for i := range events {
+		e := &events[i]
+		e.Span, e.Parent = uint64(len(scopes)+i+1), uint64(scopeMap[ID(e.Parent)])
 	}
 	return t
-}
-
-// traceEvent converts e back to a trace event.
-func (e TEvent) traceEvent() trace.Event {
-	return trace.Event{
-		Name: e.Name, Cat: e.Cat, Track: e.Track,
-		Start: time.Duration(e.StartNS), Dur: time.Duration(e.DurNS),
-		Span: e.Span, Parent: e.Parent,
-	}
-}
-
-// TraceEvents converts the timeline back to trace events (for the
-// Chrome renderer).
-func (t *Timeline) TraceEvents() []trace.Event {
-	out := make([]trace.Event, len(t.Events))
-	for i, e := range t.Events {
-		out[i] = e.traceEvent()
-	}
-	return out
 }
 
 // WriteJSON emits the canonical timeline JSON (the -check / determinism
@@ -117,7 +58,7 @@ func (t *Timeline) WriteJSON(w io.Writer) error {
 // WriteChrome renders the timeline as Chrome trace-event JSON with
 // span/parent args and named tracks.
 func (t *Timeline) WriteChrome(w io.Writer) error {
-	return trace.WriteChromeEvents(w, t.TraceEvents())
+	return trace.WriteChromeEvents(w, t.Events)
 }
 
 // ReadTimeline parses a timeline exported by WriteJSON.
@@ -151,48 +92,45 @@ func (t *Timeline) Validate() error {
 		}
 	}
 	nScopes := uint64(len(t.Scopes))
-	lastLeaf := map[int]TEvent{}
+	lastLeaf := map[int]trace.Event{}
 	// Canonical order delivers the device stream's leaves by start time,
 	// and an iteration bracket after the leaves that start with it, so
 	// one pass tracks where the stream's current busy run ends (runEnd)
 	// and the latest iteration end it still owes (due).
-	var runEnd, due int64
-	gap := func(at, end int64) error {
+	var runEnd, due time.Duration
+	gap := func(at, end time.Duration) error {
 		return fmt.Errorf("causal: device stream has a gap at %d ns inside an iteration ending at %d ns", at, end)
 	}
-	var prev trace.Event
 	for i, e := range t.Events {
 		if e.Span != nScopes+uint64(i)+1 {
 			return fmt.Errorf("causal: event %d has span %d, want dense numbering after %d scopes", i, e.Span, nScopes)
 		}
-		if e.DurNS < 0 || e.StartNS < 0 {
+		if e.Dur < 0 || e.Start < 0 {
 			return fmt.Errorf("causal: event %d (%s) has negative time", e.Span, e.Name)
 		}
 		if e.Parent != 0 && e.Parent > nScopes {
 			return fmt.Errorf("causal: event %d parent %d is not a scope", e.Span, e.Parent)
 		}
-		cur := e.traceEvent()
-		if i > 0 && trace.Less(cur, prev) {
+		if i > 0 && trace.Less(e, t.Events[i-1]) {
 			return fmt.Errorf("causal: events not in canonical order at %d (%s)", e.Span, e.Name)
 		}
-		prev = cur
 		switch {
 		case e.Leaf():
-			if last, ok := lastLeaf[e.Track]; ok && e.StartNS < last.End() {
+			if last, ok := lastLeaf[e.Track]; ok && e.Start < last.End() {
 				return fmt.Errorf("causal: track %d leaf spans overlap: %q and %q", e.Track, last.Name, e.Name)
 			}
 			lastLeaf[e.Track] = e
 			if e.Track == trace.TrackKernel {
-				if e.StartNS > runEnd && due > runEnd {
+				if e.Start > runEnd && due > runEnd {
 					return gap(runEnd, due)
 				}
 				runEnd = e.End()
 			}
-		case e.Cat == "iteration" && e.DurNS > 0:
+		case e.Cat == "iteration" && e.Dur > 0:
 			// Every stream leaf starting at or before the bracket has been
 			// seen, so its start must lie inside the current run.
-			if e.StartNS >= runEnd {
-				return gap(e.StartNS, e.End())
+			if e.Start >= runEnd {
+				return gap(e.Start, e.End())
 			}
 			due = max(due, e.End())
 		}

@@ -15,6 +15,16 @@ func tev(name, cat string, track int, start, dur time.Duration, span, parent uin
 		Span: span, Parent: parent}
 }
 
+// build records evs into a trace recorder in the given order and builds
+// the timeline from its canonical snapshot, as session.Trace does.
+func build(evs []trace.Event, scopes []Scope) *Timeline {
+	rec := trace.New()
+	for _, e := range evs {
+		rec.Add(e)
+	}
+	return Build(rec.Events(), scopes)
+}
+
 // Build must renumber raw allocation-ordered IDs canonically: the same
 // logical recording with different raw IDs and insertion orders exports
 // byte-identical JSON.
@@ -36,7 +46,7 @@ func TestBuildCanonicalRenumbering(t *testing.T) {
 		tev("k2", "fwd", trace.TrackKernel, 10, 5, 3, 150),
 		tev("k1", "fwd", trace.TrackKernel, 0, 10, 2, 150),
 	}
-	ta, tb := Build(evsA, scopesA), Build(evsB, scopesB)
+	ta, tb := build(evsA, scopesA), build(evsB, scopesB)
 	var ba, bb bytes.Buffer
 	if err := ta.WriteJSON(&ba); err != nil {
 		t.Fatal(err)
@@ -64,7 +74,7 @@ func TestBuildCanonicalRenumbering(t *testing.T) {
 
 // Round trip: WriteJSON → ReadTimeline preserves the timeline.
 func TestTimelineRoundTrip(t *testing.T) {
-	tl := Build([]trace.Event{
+	tl := build([]trace.Event{
 		tev("k1", "fwd", trace.TrackKernel, 0, 10, 1, 0),
 	}, nil)
 	var b bytes.Buffer
@@ -78,7 +88,7 @@ func TestTimelineRoundTrip(t *testing.T) {
 	if err := got.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Events) != 1 || got.Events[0].Name != "k1" || got.Events[0].DurNS != 10 {
+	if len(got.Events) != 1 || got.Events[0].Name != "k1" || got.Events[0].Dur != 10 {
 		t.Fatalf("round trip mangled events: %+v", got.Events)
 	}
 }
@@ -87,7 +97,7 @@ func TestValidateRejects(t *testing.T) {
 	// Canonical order: k1, the iteration bracket (same start, later
 	// track), k2.
 	base := func() *Timeline {
-		return Build([]trace.Event{
+		return build([]trace.Event{
 			tev("k1", "fwd", trace.TrackKernel, 0, 10, 11, 5),
 			tev("k2", "fwd", trace.TrackKernel, 10, 5, 12, 5),
 			tev("iteration", "iteration", trace.TrackIteration, 0, 15, 4, 0),
@@ -102,15 +112,15 @@ func TestValidateRejects(t *testing.T) {
 		{"scope numbering", func(t *Timeline) { t.Scopes[0].ID = 3 }, "dense numbering"},
 		{"scope parent", func(t *Timeline) { t.Scopes[0].Parent = 9 }, "precede"},
 		{"event numbering", func(t *Timeline) { t.Events[0].Span = 99 }, "dense numbering"},
-		{"negative dur", func(t *Timeline) { t.Events[0].DurNS = -1 }, "negative"},
+		{"negative dur", func(t *Timeline) { t.Events[0].Dur = -1 }, "negative"},
 		{"parent not scope", func(t *Timeline) { t.Events[0].Parent = 42 }, "not a scope"},
 		{"order", func(t *Timeline) {
 			t.Events[1], t.Events[2] = t.Events[2], t.Events[1]
 			t.Events[1].Span, t.Events[2].Span = 3, 4
 		}, "canonical order"},
-		{"overlap", func(t *Timeline) { t.Events[2].StartNS = 5 }, "overlap"},
-		{"gap", func(t *Timeline) { t.Events[2].StartNS = 11; t.Events[2].DurNS = 4 }, "gap at 10 ns"},
-		{"tail gap", func(t *Timeline) { t.Events[2].DurNS = 3 }, "gap at 13 ns"},
+		{"overlap", func(t *Timeline) { t.Events[2].Start = 5 }, "overlap"},
+		{"gap", func(t *Timeline) { t.Events[2].Start = 11; t.Events[2].Dur = 4 }, "gap at 10 ns"},
+		{"tail gap", func(t *Timeline) { t.Events[2].Dur = 3 }, "gap at 13 ns"},
 	}
 	for _, tc := range cases {
 		tl := base()
@@ -128,7 +138,7 @@ func TestValidateRejects(t *testing.T) {
 // Brackets (layer forward/backward, iteration, fault annotations) cover
 // their children by design and must be exempt from overlap checking.
 func TestValidateBracketExempt(t *testing.T) {
-	tl := Build([]trace.Event{
+	tl := build([]trace.Event{
 		tev("conv1", "forward", trace.TrackLayer, 0, 15, 0, 0),
 		tev("k1", "fwd", trace.TrackLayer, 0, 10, 1, 0),
 		tev("k2", "fwd", trace.TrackLayer, 10, 5, 2, 0),

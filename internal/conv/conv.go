@@ -32,7 +32,8 @@ const (
 	BackwardData
 	// BackwardFilter computes filter gradients from input and output gradients.
 	BackwardFilter
-	numOps
+	// NumOps is the number of operations.
+	NumOps
 )
 
 func (op Op) String() string {

@@ -25,44 +25,22 @@ type Cache struct {
 	file *os.File
 	// w buffers Put's file appends so a benchmarking sweep is not one
 	// write(2) per record; Close (and Flush) drain it. Nil iff file is.
-	w     *bufio.Writer
-	stats CacheStats
-	m     *metricSet
+	w *bufio.Writer
+	// loads and corrupt count the records loaded and the lines skipped
+	// when NewCache read the file, before any registry was attached.
+	loads, corrupt int64
+	m              *metricSet
 }
 
-// CacheStats is a snapshot of the cache's accounting: lookup outcomes,
-// file-database traffic, and current size.
-type CacheStats struct {
-	// Hits and Misses count Get outcomes.
-	Hits, Misses int64
-	// FileLoads counts records loaded from the file database at open;
-	// FileStores counts records appended to it by Put.
-	FileLoads, FileStores int64
-	// CorruptLines counts file-database lines skipped at open because
-	// they failed to parse (torn writes, truncation, corruption).
-	CorruptLines int64
-	// Entries is the current number of in-memory entries.
-	Entries int
-}
-
-// Stats returns a snapshot of the cache's accounting.
-func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.stats
-	s.Entries = len(c.mem)
-	return s
-}
-
-// instrument mirrors the cache's accounting into ms (live counters for
-// the observability layer). Loads that happened before instrumentation
-// (the eager file read in NewCache) are replayed as one Add.
+// instrument counts the cache's activity into ms (live counters for
+// the observability layer). The loads made before instrumentation (the
+// eager file read in NewCache) are replayed as one Add.
 func (c *Cache) instrument(ms *metricSet) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.m = ms
-	ms.cacheFileLoads.Add(c.stats.FileLoads)
-	ms.cacheCorruptLines.Add(c.stats.CorruptLines)
+	ms.cacheFileLoads.Add(c.loads)
+	ms.cacheCorruptLines.Add(c.corrupt)
 	ms.cacheEntries.Set(float64(len(c.mem)))
 }
 
@@ -89,13 +67,13 @@ func NewCache(path string) (*Cache, error) {
 		if err := json.Unmarshal(line, &rec); err != nil || rec.Key == "" {
 			// A benchmark database is advisory: a torn, truncated or
 			// corrupted line costs a re-benchmark, not the run. Skip it,
-			// count it (CacheStats.CorruptLines, replayed into obs by
-			// instrument), and keep loading the rest of the file.
-			c.stats.CorruptLines++
+			// count it (replayed into the registry by instrument), and
+			// keep loading the rest of the file.
+			c.corrupt++
 			continue
 		}
 		c.mem[rec.Key] = rec.toPerfs()
-		c.stats.FileLoads++
+		c.loads++
 	}
 	if err := sc.Err(); err != nil {
 		f.Close()
@@ -183,10 +161,8 @@ func (c *Cache) Get(key string) ([]cudnn.AlgoPerf, bool) {
 	defer c.mu.Unlock()
 	p, ok := c.mem[key]
 	if ok {
-		c.stats.Hits++
 		c.m.cacheHits.Inc()
 	} else {
-		c.stats.Misses++
 		c.m.cacheMisses.Inc()
 	}
 	return p, ok
@@ -213,7 +189,6 @@ func (c *Cache) Put(key string, perfs []cudnn.AlgoPerf) error {
 	if _, err := c.w.Write(data); err != nil {
 		return fmt.Errorf("core: writing benchmark db: %w", err)
 	}
-	c.stats.FileStores++
 	c.m.cacheFileStores.Inc()
 	return nil
 }

@@ -29,6 +29,8 @@ not json at all
 		t.Fatal(err)
 	}
 	defer c.Close()
+	reg := obs.NewRegistry()
+	c.instrument(newMetricSet(reg))
 	if got := c.Len(); got != 2 {
 		t.Fatalf("loaded %d entries, want 2 (k1 and k3)", got)
 	}
@@ -38,14 +40,13 @@ not json at all
 	if _, ok := c.Get("k3"); !ok {
 		t.Fatal("intact record after the corrupt region lost")
 	}
-	st := c.Stats()
 	// Torn k2, the junk line, and the keyless record; the blank line is
 	// not corruption.
-	if st.CorruptLines != 3 {
-		t.Fatalf("CorruptLines = %d, want 3", st.CorruptLines)
+	if got := reg.Counter(MetricCacheCorrupt).Value(); got != 3 {
+		t.Fatalf("%s = %d, want 3", MetricCacheCorrupt, got)
 	}
-	if st.FileLoads != 2 {
-		t.Fatalf("FileLoads = %d, want 2", st.FileLoads)
+	if got := reg.Counter(MetricCacheFileLoads).Value(); got != 2 {
+		t.Fatalf("%s = %d, want 2", MetricCacheFileLoads, got)
 	}
 }
 
@@ -87,7 +88,9 @@ func TestCacheLoadFaultManglesLine(t *testing.T) {
 	if _, ok := c.Get("k2"); !ok {
 		t.Fatal("unmangled record k2 lost")
 	}
-	if st := c.Stats(); st.CorruptLines != 1 {
-		t.Fatalf("CorruptLines = %d, want 1", st.CorruptLines)
+	reg := obs.NewRegistry()
+	c.instrument(newMetricSet(reg))
+	if got := reg.Counter(MetricCacheCorrupt).Value(); got != 1 {
+		t.Fatalf("%s = %d, want 1", MetricCacheCorrupt, got)
 	}
 }

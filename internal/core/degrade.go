@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"ucudnn/internal/causal"
@@ -40,16 +41,16 @@ import (
 // track 2 covering the simulated-clock interval the recovery spent.
 
 // degrade walks the ladder for kernel k after cause. Callers hold
-// execMu; restore rewinds the output buffer before each retry.
-func (h *Handle) degrade(k Kernel, cause error, restore func(), x *tensor.Tensor, w *tensor.FilterTensor, y *tensor.Tensor, alpha, beta float32) error {
+// execMu; out is the blended output snapshotOutput saved (nil when
+// none), rewound before each retry.
+func (h *Handle) degrade(k Kernel, cause error, out []float32, x *tensor.Tensor, w *tensor.FilterTensor, y *tensor.Tensor, alpha, beta float32) error {
 	op, cs := k.Op, k.Shape
 	clockStart := h.inner.Elapsed()
 
 	h.mu.Lock()
-	key := k.String()
-	prior, hasPrior := h.plans[key]
+	prior, hasPrior := h.plans[k]
 	limit := h.opts.WorkspaceLimit
-	if l, ok := h.limits[key]; ok {
+	if l, ok := h.limits[k]; ok {
 		limit = l
 	}
 	h.mu.Unlock()
@@ -58,19 +59,15 @@ func (h *Handle) degrade(k Kernel, cause error, restore func(), x *tensor.Tensor
 	// failed plan's workspace — that segment is already accounted, and a
 	// failure under workspace pressure is not fixed by asking for more.
 	wsBound := limit
-	var priorCfg string
-	if hasPrior {
-		priorCfg = prior.Config.String()
-		if prior.Workspace < wsBound {
-			wsBound = prior.Workspace
-		}
+	if hasPrior && prior.Workspace < wsBound {
+		wsBound = prior.Workspace
 	}
 	if front, ferr := DesirableSet(h.bencher, k, limit, h.opts.Policy); ferr == nil {
 		for _, sc := range front {
-			if sc.Workspace > wsBound || sc.Config.String() == priorCfg {
+			if sc.Workspace > wsBound || hasPrior && slices.Equal(sc.Config, prior.Config) {
 				continue
 			}
-			restore()
+			h.restore(out)
 			if err := h.runConfig(sc.Config, sc.Workspace, op, cs, x, w, y, alpha, beta); err == nil {
 				h.adopt(k, Plan{Kernel: k, Config: sc.Config, Time: sc.Time, Workspace: sc.Workspace}, "pareto", clockStart)
 				return nil
@@ -106,7 +103,7 @@ func (h *Handle) degrade(k Kernel, cause error, restore func(), x *tensor.Tensor
 		h.mu.Lock()
 		h.growArena(arenaGrant(grant))
 		h.mu.Unlock()
-		restore()
+		h.restore(out)
 		if err := h.runConfig(cfg, grant, op, cs, x, w, y, alpha, beta); err == nil {
 			h.adopt(k, Plan{Kernel: k, Config: cfg, Workspace: grant}, "finer", clockStart)
 			return nil
@@ -121,7 +118,7 @@ func (h *Handle) degrade(k Kernel, cause error, restore func(), x *tensor.Tensor
 		h.mu.Lock()
 		h.growArena(arenaGrant(minBytes))
 		h.mu.Unlock()
-		restore()
+		h.restore(out)
 		if err := h.runConfig(cfg, minBytes, op, cs, x, w, y, alpha, beta); err == nil {
 			h.adopt(k, Plan{Kernel: k, Config: cfg, Workspace: minBytes}, "floor", clockStart)
 			return nil
@@ -204,7 +201,7 @@ func (h *Handle) minWSAlgo(op conv.Op, cs tensor.ConvShape, measure func(conv.Op
 func (h *Handle) adopt(k Kernel, plan Plan, stage string, clockStart time.Duration) {
 	h.mu.Lock()
 	h.growArena(arenaGrant(plan.Workspace))
-	h.plans[k.String()] = plan
+	h.plans[k] = plan
 	h.degraded++
 	deg := h.degraded
 	h.mu.Unlock()

@@ -184,10 +184,10 @@ type Handle struct {
 	execMu sync.Mutex
 
 	mu         sync.Mutex
-	plans      map[string]Plan
-	limits     map[string]int64
+	plans      map[Kernel]Plan
+	limits     map[Kernel]int64
 	registered []Kernel
-	regSet     map[string]bool
+	regSet     map[Kernel]bool
 	regClosed  bool
 	wdResult   *WDResult
 	optTime    time.Duration
@@ -203,6 +203,9 @@ type Handle struct {
 	// (guarded by execMu), so fallback retries can restore the blended
 	// output without allocating per call.
 	snapBuf []float32
+	// xView and yView are runConfig's micro-batch views of the call's
+	// tensors (guarded by execMu), kept here so a view allocates nothing.
+	xView, yView tensor.Tensor
 }
 
 // arenaGrant returns the arena floats a request for bytes is granted. An
@@ -252,9 +255,9 @@ func New(inner *cudnn.Handle, opts ...Option) (*Handle, error) {
 		cache:   cache,
 		bencher: bencher,
 		m:       bencher.m,
-		plans:   map[string]Plan{},
-		limits:  map[string]int64{},
-		regSet:  map[string]bool{},
+		plans:   map[Kernel]Plan{},
+		limits:  map[Kernel]int64{},
+		regSet:  map[Kernel]bool{},
 	}
 	if o.AlgoFilter != nil {
 		inner.SetAlgoFilter(o.AlgoFilter)
@@ -284,27 +287,30 @@ func (h *Handle) OptimizationTime() time.Duration {
 }
 
 // Plans returns a snapshot of the execution plans decided so far,
-// sorted by kernel.
+// sorted by kernel name.
 func (h *Handle) Plans() []Plan {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	keys := h.planKeysLocked()
-	out := make([]Plan, len(keys))
-	for i, key := range keys {
-		out[i] = h.plans[key]
-	}
-	return out
+	return h.plansLocked()
 }
 
-// planKeysLocked returns the plan table's kernel keys in sorted order.
-// The caller holds h.mu.
-func (h *Handle) planKeysLocked() []string {
-	keys := make([]string, 0, len(h.plans))
-	for key := range h.plans {
-		keys = append(keys, key)
+// plansLocked returns the plan table sorted by kernel name. The caller
+// holds h.mu.
+func (h *Handle) plansLocked() []Plan {
+	type named struct {
+		name string
+		plan Plan
 	}
-	sort.Strings(keys)
-	return keys
+	ns := make([]named, 0, len(h.plans))
+	for k, p := range h.plans {
+		ns = append(ns, named{k.String(), p})
+	}
+	sort.Slice(ns, func(i, j int) bool { return ns[i].name < ns[j].name })
+	out := make([]Plan, len(ns))
+	for i, n := range ns {
+		out[i] = n.plan
+	}
+	return out
 }
 
 // WDStats returns the WD optimization result, if WD has run.
@@ -324,12 +330,11 @@ func (h *Handle) register(k Kernel, wsLimit int64) {
 	if h.regClosed {
 		return
 	}
-	key := k.String()
 	if wsLimit > 0 {
-		h.limits[key] = wsLimit
+		h.limits[k] = wsLimit
 	}
-	if h.opts.Mode == WD && !h.regSet[key] {
-		h.regSet[key] = true
+	if h.opts.Mode == WD && !h.regSet[k] {
+		h.regSet[k] = true
 		h.registered = append(h.registered, k)
 	}
 }
@@ -367,8 +372,7 @@ func (h *Handle) finalizeLocked() error {
 	// allocation instead of one per larger segment.
 	arena := 0
 	for _, p := range res.Plans {
-		key := p.Kernel.String()
-		if _, ok := h.plans[key]; ok {
+		if _, ok := h.plans[p.Kernel]; ok {
 			continue
 		}
 		h.m.microbatchCount.Observe(float64(len(p.Config)))
@@ -377,7 +381,7 @@ func (h *Handle) finalizeLocked() error {
 			return fmt.Errorf("core: allocating WD segment for %v: %w", p.Kernel, err)
 		}
 		arena = max(arena, arenaGrant(p.Workspace))
-		h.plans[key] = p
+		h.plans[p.Kernel] = p
 	}
 	h.growArena(arena)
 	return nil
@@ -387,20 +391,19 @@ func (h *Handle) finalizeLocked() error {
 func (h *Handle) ensurePlan(k Kernel) (Plan, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	key := k.String()
-	if p, ok := h.plans[key]; ok {
+	if p, ok := h.plans[k]; ok {
 		return p, nil
 	}
 	// First execution closes WD registration and optimizes the network.
 	if err := h.finalizeLocked(); err != nil {
 		return Plan{}, err
 	}
-	if p, ok := h.plans[key]; ok {
+	if p, ok := h.plans[k]; ok {
 		return p, nil
 	}
 	// WR path (or WD fallback for unregistered kernels).
 	limit := h.opts.WorkspaceLimit
-	if l, ok := h.limits[key]; ok {
+	if l, ok := h.limits[k]; ok {
 		limit = l
 	}
 	start := time.Now()
@@ -416,7 +419,7 @@ func (h *Handle) ensurePlan(k Kernel) (Plan, error) {
 		return Plan{}, fmt.Errorf("core: allocating workspace for %v: %w", k, err)
 	}
 	h.growArena(arenaGrant(plan.Workspace))
-	h.plans[key] = plan
+	h.plans[k] = plan
 	return plan, nil
 }
 
@@ -431,30 +434,48 @@ func (h *Handle) execute(op conv.Op, cs tensor.ConvShape, x *tensor.Tensor, w *t
 	plan, err := h.ensurePlan(k)
 	h.execMu.Lock()
 	defer h.execMu.Unlock()
-	sc := causal.Begin(causal.KindConv, k.String())
-	defer causal.End(sc)
-	pstart := int64(0)
-	if prof.Enabled() {
-		pstart = prof.Begin(k.String())
-	}
-	defer prof.End(pstart)
-	restore := h.snapshotOutput(op, x, w, y, beta)
+	defer openCall(k).close()
+	out := h.snapshotOutput(op, x, w, y, beta)
 	if err == nil {
 		err = h.runConfig(plan.Config, plan.Workspace, op, cs, x, w, y, alpha, beta)
 		if err == nil {
 			return nil
 		}
 	}
-	return h.degrade(k, err, restore, x, w, y, alpha, beta)
+	return h.degrade(k, err, out, x, w, y, alpha, beta)
 }
 
-// snapshotOutput copies the output buffer a beta != 0 call blends into,
-// returning the restore closure fallback retries run before re-executing
-// (a half-written blended output cannot be re-run in place). beta == 0
-// retries are idempotent — every configuration overwrites the full
-// output — so no copy is taken. Callers hold execMu (snapBuf is reused
-// across calls).
-func (h *Handle) snapshotOutput(op conv.Op, x *tensor.Tensor, w *tensor.FilterTensor, y *tensor.Tensor, beta float32) func() {
+// callScope is a conv call's causal scope and profiler row, which
+// openCall opens together and close ends.
+type callScope struct {
+	sc     causal.Token
+	pstart int64
+}
+
+// openCall opens the causal scope and the profiler row of a call of k.
+// Both are named by the kernel, which is formatted only when one of
+// them records.
+func openCall(k Kernel) callScope {
+	if !causal.Enabled() && !prof.Enabled() {
+		return callScope{}
+	}
+	name := k.String()
+	return callScope{sc: causal.Begin(causal.KindConv, name), pstart: prof.Begin(name)}
+}
+
+// close ends what openCall opened.
+func (c callScope) close() {
+	prof.End(c.pstart)
+	causal.End(c.sc)
+}
+
+// snapshotOutput copies the output buffer a beta != 0 call blends into
+// to snapBuf and returns it, for restore to rewind before each fallback
+// retry (a half-written blended output cannot be re-run in place). beta
+// == 0 retries are idempotent — every configuration overwrites the full
+// output — so no copy is taken and nil is returned. Callers hold execMu
+// (snapBuf is reused across calls).
+func (h *Handle) snapshotOutput(op conv.Op, x *tensor.Tensor, w *tensor.FilterTensor, y *tensor.Tensor, beta float32) []float32 {
 	var out []float32
 	if beta != 0 {
 		switch op {
@@ -473,15 +494,18 @@ func (h *Handle) snapshotOutput(op conv.Op, x *tensor.Tensor, w *tensor.FilterTe
 		}
 	}
 	if out == nil {
-		return func() {}
+		return nil
 	}
 	if cap(h.snapBuf) < len(out) {
 		h.snapBuf = make([]float32, len(out))
 	}
-	snap := h.snapBuf[:len(out)]
-	copy(snap, out)
-	return func() { copy(out, snap) }
+	copy(h.snapBuf, out)
+	return out
 }
+
+// restore rewinds out, the buffer snapshotOutput returned, to its
+// snapshot. Callers hold execMu.
+func (h *Handle) restore(out []float32) { copy(out, h.snapBuf) }
 
 // runConfig executes one configuration over the full mini-batch. Callers
 // hold execMu. The workspace slice is the arena prefix of the
@@ -503,10 +527,12 @@ func (h *Handle) runConfig(cfg Config, wsBytes int64, op conv.Op, cs tensor.Conv
 		mcs := cs.WithN(mc.BatchSize)
 		mx, my := x, y
 		if x != nil {
-			mx = x.Sample(off, mc.BatchSize)
+			h.xView = x.SampleView(off, mc.BatchSize)
+			mx = &h.xView
 		}
 		if y != nil {
-			my = y.Sample(off, mc.BatchSize)
+			h.yView = y.SampleView(off, mc.BatchSize)
+			my = &h.yView
 		}
 		mbeta := beta
 		if op == conv.BackwardFilter {

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"ucudnn/internal/conv"
 	"ucudnn/internal/obs"
 )
@@ -71,6 +73,11 @@ type metricSet struct {
 	simplexIters     *obs.Counter
 	wdWorkspace      *obs.Gauge
 	wdPredicted      *obs.Gauge
+
+	// algoSeries holds the labeled ucudnn_algo_selected_total series
+	// of each (op, algo), resolved on its first selection, so a series
+	// appears only once counted.
+	algoSeries [conv.NumOps][conv.NumAlgos]atomic.Pointer[obs.Counter]
 }
 
 // newMetricSet resolves the core's metric handles in r. A nil r yields a
@@ -107,13 +114,18 @@ func newMetricSet(r *obs.Registry) *metricSet {
 }
 
 // algoSelected counts one micro-batch kernel execution of algo for op.
-// The series is labeled, so it is resolved per call; the nil-registry
-// path returns before building labels.
+// Only the first selection of a pair builds its labels.
 func (ms *metricSet) algoSelected(op conv.Op, algo conv.Algo) {
 	if ms.reg == nil {
 		return
 	}
-	ms.reg.Counter(MetricAlgoSelected, obs.L("op", op.String()), obs.L("algo", algo.String())).Inc()
+	slot := &ms.algoSeries[op][algo]
+	c := slot.Load()
+	if c == nil {
+		c = ms.reg.Counter(MetricAlgoSelected, obs.L("op", op.String()), obs.L("algo", algo.String()))
+		slot.Store(c)
+	}
+	c.Inc()
 }
 
 // fallback counts one successful degradation, labeled with the ladder

@@ -91,15 +91,17 @@ func TestWRPopulatesMetrics(t *testing.T) {
 	}
 }
 
-// TestCacheStats covers the Stats snapshot: hits, misses, file traffic,
-// entry count — including replay of loads that happened before
-// instrumentation.
+// TestCacheStats covers the cache's counts in the registry: hits,
+// misses, file traffic, entry count — including replay of loads that
+// happened before instrumentation.
 func TestCacheStats(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.jsonl")
 	c, err := NewCache(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
+	c.instrument(newMetricSet(reg))
 	h := cudnn.NewHandle(device.P100, cudnn.ModelOnlyBackend)
 	key := CacheKey(h.Device().Name, h.Backend(), conv.Forward, conv2Shape(8))
 	if _, ok := c.Get(key); ok {
@@ -111,9 +113,10 @@ func TestCacheStats(t *testing.T) {
 	if _, ok := c.Get(key); !ok {
 		t.Fatal("stored entry must hit")
 	}
-	s := c.Stats()
-	if s.Hits != 1 || s.Misses != 1 || s.FileStores != 1 || s.Entries != 1 {
-		t.Fatalf("stats = %+v", s)
+	hits, misses := reg.Counter(MetricCacheHits).Value(), reg.Counter(MetricCacheMisses).Value()
+	stores, entries := reg.Counter(MetricCacheFileStores).Value(), reg.Gauge(MetricCacheEntries).Value()
+	if hits != 1 || misses != 1 || stores != 1 || entries != 1 {
+		t.Fatalf("hits %d, misses %d, file stores %d, entries %v; want 1 each", hits, misses, stores, entries)
 	}
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
@@ -126,10 +129,7 @@ func TestCacheStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c2.Close()
-	if c2.Stats().FileLoads != 1 {
-		t.Fatalf("reopened stats = %+v", c2.Stats())
-	}
-	reg := obs.NewRegistry()
+	reg = obs.NewRegistry()
 	b := NewBencher(cudnn.NewHandle(device.P100, cudnn.ModelOnlyBackend), c2)
 	b.SetMetrics(reg)
 	if reg.Counter(MetricCacheFileLoads).Value() != 1 {

@@ -62,13 +62,12 @@ func (h *Handle) Report() HandleReport {
 		ArenaBytes:          int64(len(h.wsArena)) * 4,
 		Plans:               make([]PlanReport, 0, len(h.plans)),
 	}
-	for _, key := range h.planKeysLocked() {
-		p := h.plans[key]
+	for _, p := range h.plansLocked() {
 		limit := h.opts.WorkspaceLimit
 		if h.opts.Mode == WD {
 			limit = h.opts.TotalWorkspaceLimit
 		}
-		if l, ok := h.limits[key]; ok {
+		if l, ok := h.limits[p.Kernel]; ok {
 			limit = l
 		}
 		share := 0.0

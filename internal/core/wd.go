@@ -75,14 +75,13 @@ func OptimizeWDReserved(b *Bencher, kernels []Kernel, totalLimit, reserve int64,
 		chosen ScoredConfig
 	}
 	var groups []*group
-	byKey := map[string]*group{}
+	byKey := map[Kernel]*group{}
 	groupOf := make([]*group, len(kernels))
 	for i, k := range kernels {
-		key := k.String()
-		g, ok := byKey[key]
+		g, ok := byKey[k]
 		if !ok {
 			g = &group{kernel: k}
-			byKey[key] = g
+			byKey[k] = g
 			groups = append(groups, g)
 		}
 		g.count++

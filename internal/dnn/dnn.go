@@ -16,6 +16,7 @@ package dnn
 import (
 	"fmt"
 	"math/rand"
+	"time"
 
 	"ucudnn/internal/blas"
 	"ucudnn/internal/causal"
@@ -213,12 +214,15 @@ type layerInst struct {
 // from the blob names once by Setup so the walk allocates nothing: the
 // bottoms' data tensors, the gradient tensors Backward writes (see
 // routeGrads), the sums that follow it, the top blob and the backward
-// label.
+// label; and the simulated clock its forward and backward passes have
+// spanned (see pass.close).
 type layerBound struct {
 	bot, dbot []*tensor.Tensor
 	sums      []gradSum
 	topBlob   *Blob
 	bwdLabel  string
+
+	fwdTime, bwdTime time.Duration
 }
 
 // gradSum adds a bottom gradient that a later consumer in backward order
@@ -494,12 +498,7 @@ func (n *Net) Forward() error {
 
 func (n *Net) forwardLayer(i int) error {
 	li, lb := n.layers[i], &n.bound[i]
-	n.ctx.label = li.layer.Name()
-	prof.SetLayer(li.layer.Name())
-	sc := causal.Begin(causal.KindLayer, li.layer.Name())
-	defer causal.End(sc)
-	defer func() { n.ctx.label = ""; prof.SetLayer("") }()
-	defer n.layerSpan(li.layer.Name(), "forward", sc)()
+	defer n.open(i, false).close()
 	if n.ctx.OOC != nil {
 		if err := n.ctx.OOC.beginLayer(n.ctx, i, false); err != nil {
 			return err
@@ -511,32 +510,61 @@ func (n *Net) forwardLayer(i int) error {
 	return nil
 }
 
-// layerSpan opens a per-layer span on the context's trace recorder and
-// returns the closure that records it; the span covers the simulated-
-// clock interval the layer's kernels charged and carries the layer's
-// causal scope ID. A no-op when tracing is off.
-func (n *Net) layerSpan(name, dir string, sc causal.Token) func() {
-	return n.spanOn(trace.TrackLayer, name, dir, sc)
+// pass is one unit of the walk in progress: a layer's forward or
+// backward pass, or a whole iteration (layer -1). Net.open starts it and
+// close ends it, once; it is a value, so the walk allocates nothing.
+type pass struct {
+	n     *Net
+	layer int
+	bwd   bool
+	sc    causal.Token
+	start time.Duration
 }
 
-// spanOn records a bracket span on an arbitrary track covering the
-// simulated-clock interval between the call and the returned closure.
-func (n *Net) spanOn(track int, name, cat string, sc causal.Token) func() {
-	if n.ctx.Trace == nil {
-		return func() {}
+// open starts a pass: a layer pass names its layer for the clock
+// charges (Context.Label) and the profiler rows, and every pass opens
+// its causal scope and notes the simulated clock.
+func (n *Net) open(layer int, bwd bool) pass {
+	p := pass{n: n, layer: layer, bwd: bwd, start: n.ctx.Cudnn.Elapsed()}
+	if layer < 0 {
+		p.sc = causal.Begin(causal.KindIteration, "iteration")
+		return p
 	}
-	start := n.ctx.Cudnn.Elapsed()
-	return func() {
-		n.ctx.Trace.Add(trace.Event{
-			Name:   name,
-			Cat:    cat,
-			Start:  start,
-			Dur:    n.ctx.Cudnn.Elapsed() - start,
-			Track:  track,
-			Span:   uint64(sc.ID),
-			Parent: uint64(sc.Parent),
-		})
+	name := n.layers[layer].layer.Name()
+	n.ctx.label = name
+	if bwd {
+		n.ctx.label = n.bound[layer].bwdLabel
 	}
+	prof.SetLayer(n.ctx.label)
+	p.sc = causal.Begin(causal.KindLayer, name)
+	return p
+}
+
+// close ends the pass: a layer pass adds the simulated-clock interval
+// it spanned to its layer's forward or backward total (what Time
+// reports) and clears the layer name; a bracket span with the pass's
+// causal scope ID goes to the context's trace recorder, if any.
+func (p pass) close() {
+	n := p.n
+	dur := n.ctx.Cudnn.Elapsed() - p.start
+	name, cat, track := "iteration", "iteration", trace.TrackIteration
+	if p.layer >= 0 {
+		lb := &n.bound[p.layer]
+		name, cat, track = n.layers[p.layer].layer.Name(), "forward", trace.TrackLayer
+		if p.bwd {
+			cat = "backward"
+			lb.bwdTime += dur
+		} else {
+			lb.fwdTime += dur
+		}
+		n.ctx.label = ""
+		prof.SetLayer("")
+	}
+	if n.ctx.Trace != nil {
+		n.ctx.Trace.Add(trace.Event{Span: uint64(p.sc.ID), Parent: uint64(p.sc.Parent),
+			Name: name, Cat: cat, Track: track, Start: p.start, Dur: dur})
+	}
+	causal.End(p.sc)
 }
 
 // RunIteration runs one training iteration (forward + backward) inside
@@ -546,9 +574,7 @@ func (n *Net) RunIteration() error {
 	if err := n.Setup(); err != nil {
 		return err
 	}
-	sc := causal.Begin(causal.KindIteration, "iteration")
-	defer causal.End(sc)
-	defer n.spanOn(trace.TrackIteration, "iteration", "iteration", sc)()
+	defer n.open(-1, false).close()
 	if err := n.Forward(); err != nil {
 		return err
 	}
@@ -586,12 +612,7 @@ func (n *Net) zeroBlobGrads() {
 
 func (n *Net) backwardLayer(i int) error {
 	li, lb := n.layers[i], &n.bound[i]
-	n.ctx.label = lb.bwdLabel
-	prof.SetLayer(n.ctx.label)
-	sc := causal.Begin(causal.KindLayer, li.layer.Name())
-	defer causal.End(sc)
-	defer func() { n.ctx.label = ""; prof.SetLayer("") }()
-	defer n.layerSpan(li.layer.Name(), "backward", sc)()
+	defer n.open(i, true).close()
 	if n.ctx.OOC != nil {
 		if err := n.ctx.OOC.beginLayer(n.ctx, i, true); err != nil {
 			return err

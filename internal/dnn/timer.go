@@ -86,44 +86,25 @@ func (r *TimingReport) Print(w io.Writer) {
 // as the paper excludes µ-cuDNN's one-time optimization from kernel
 // timings.
 func (n *Net) Time(iters int) (*TimingReport, error) {
-	if err := n.Setup(); err != nil {
-		return nil, err
-	}
-	if iters < 1 {
-		iters = 1
-	}
 	// Warm-up iteration triggers plan optimization outside the timed loop.
-	if err := n.Forward(); err != nil {
+	if err := n.RunIteration(); err != nil {
 		return nil, err
 	}
-	if err := n.Backward(); err != nil {
-		return nil, err
+	iters = max(iters, 1)
+	for i := range n.bound {
+		n.bound[i].fwdTime, n.bound[i].bwdTime = 0, 0
 	}
-	fwd := make([]time.Duration, len(n.layers))
-	bwd := make([]time.Duration, len(n.layers))
 	for it := 0; it < iters; it++ {
-		for i := range n.layers {
-			start := n.ctx.Cudnn.Elapsed()
-			if err := n.forwardLayer(i); err != nil {
-				return nil, err
-			}
-			fwd[i] += n.ctx.Cudnn.Elapsed() - start
-		}
-		n.zeroBlobGrads()
-		for i := len(n.layers) - 1; i >= 0; i-- {
-			start := n.ctx.Cudnn.Elapsed()
-			if err := n.backwardLayer(i); err != nil {
-				return nil, err
-			}
-			bwd[i] += n.ctx.Cudnn.Elapsed() - start
+		if err := n.RunIteration(); err != nil {
+			return nil, err
 		}
 	}
 	rep := &TimingReport{Iterations: iters}
 	for i, li := range n.layers {
 		rep.Layers = append(rep.Layers, LayerTiming{
 			Name:     li.layer.Name(),
-			Forward:  fwd[i] / time.Duration(iters),
-			Backward: bwd[i] / time.Duration(iters),
+			Forward:  n.bound[i].fwdTime / time.Duration(iters),
+			Backward: n.bound[i].bwdTime / time.Duration(iters),
 		})
 	}
 	return rep, nil

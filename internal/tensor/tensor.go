@@ -95,12 +95,18 @@ func (t *Tensor) view(s Shape, off int) Tensor {
 // the mechanism by which micro-batches alias sub-ranges of a mini-batch
 // without copying.
 func (t *Tensor) Sample(i, count int) *Tensor {
+	v := t.SampleView(i, count)
+	return &v
+}
+
+// SampleView is Sample as a value, so a caller that keeps one re-points
+// it without allocating.
+func (t *Tensor) SampleView(i, count int) Tensor {
 	s := t.Shape
 	if i < 0 || count <= 0 || i+count > s.N {
 		panic(fmt.Sprintf("tensor: sample [%d,%d) out of batch %d", i, i+count, s.N))
 	}
-	v := t.view(Shape{count, s.C, s.H, s.W}, i*t.Stride)
-	return &v
+	return t.view(Shape{count, s.C, s.H, s.W}, i*t.Stride)
 }
 
 // Channels returns channels [c0, c0+count) of every sample as a view:

@@ -48,24 +48,46 @@ func TrackName(t int) string {
 	return fmt.Sprintf("track %d", t)
 }
 
-// Event is one completed span on the simulated device timeline.
+// Event is one completed span on the simulated device timeline. The
+// JSON tags are the event layout of the exported causal timeline
+// (causal.Timeline), so the field order is part of that export.
 type Event struct {
-	// Name labels the span (e.g. "Forward FFT@32 64x27x27").
-	Name string
-	// Cat groups spans ("conv", "layer", ...).
-	Cat string
-	// Start is the simulated-clock start time.
-	Start time.Duration
-	// Dur is the span length.
-	Dur time.Duration
-	// Track is the lane the span renders in (0 = device stream).
-	Track int
 	// Span is the event's causal identifier; 0 when correlation is off.
-	Span uint64
+	// An exported timeline renumbers it canonically (causal.Build).
+	Span uint64 `json:"span"`
 	// Parent is the Span of the enclosing causal scope (a conv call, a
 	// layer, an iteration); 0 at the root.
-	Parent uint64
+	Parent uint64 `json:"parent,omitempty"`
+	// Name labels the span (e.g. "Forward FFT@32 64x27x27").
+	Name string `json:"name"`
+	// Cat groups spans ("conv", "layer", ...).
+	Cat string `json:"cat"`
+	// Track is the lane the span renders in (0 = device stream).
+	Track int `json:"track"`
+	// Start is the simulated-clock start time.
+	Start time.Duration `json:"start_ns"`
+	// Dur is the span length.
+	Dur time.Duration `json:"dur_ns"`
 }
+
+// End is the event's completion time.
+func (e Event) End() time.Duration { return e.Start + e.Dur }
+
+// bracketCats are the categories of non-leaf annotation spans: brackets
+// mirror causal scopes on the timeline (their duration double-covers
+// their children) and fault spans double-cover the retried kernels they
+// explain. Everything else is a leaf that exclusively occupied its
+// track.
+var bracketCats = map[string]bool{
+	"forward":   true,
+	"backward":  true,
+	"iteration": true,
+	"fault":     true,
+}
+
+// Leaf reports whether the event is a leaf work span (exclusively
+// occupies its track) rather than a bracket/annotation.
+func (e Event) Leaf() bool { return !bracketCats[e.Cat] }
 
 // Recorder accumulates events; it is safe for concurrent use.
 type Recorder struct {
