@@ -58,14 +58,17 @@ bench-smoke:
 # not masked by the emitter's exit status. Each benchmark runs three
 # times and the emitter keeps the fastest: single 3x runs of the
 # sub-millisecond kernels jump 40-60% on a busy host, past any slack.
-# The WD ILP solves (the optimizer's entry in the ledger; root package)
-# take 0.1-1 ms, so they run 200x: at 3x the first, cache-cold solve is
-# a third of the sample and allocs/op rounds unevenly.
+# The optimizer's rows (root package) run 200x: the WD ILP solves alone,
+# the desirable-set DP alone, and the WR and WD optimizers with their
+# benchmarking. They take 0.01-11 ms, and at 3x the first, cache-cold
+# run is a third of the sample and allocs/op rounds unevenly; at 200x
+# allocs/op is exact, so the strict benchdiff fails on any new planner
+# allocation.
 bench-json:
 	@tmp=$$(mktemp); \
 	$(GO) test -run=NONE -bench='BenchmarkConvKernels$$|BenchmarkConvKernelsBatch|BenchmarkConvBackwardFilter|BenchmarkConvImplicit|BenchmarkConvPointwise|BenchmarkConvInception3x3|BenchmarkConvMicroBatch|BenchmarkSgemm|BenchmarkLRN|BenchmarkPool' \
 		-benchtime=3x -count 3 -benchmem -cpu 1 ./internal/conv/ ./internal/blas/ ./internal/dnn/ > $$tmp || { cat $$tmp; rm -f $$tmp; exit 1; }; \
-	$(GO) test -run=NONE -bench='BenchmarkILP' -benchtime=200x -count 3 -benchmem -cpu 1 . >> $$tmp || { cat $$tmp; rm -f $$tmp; exit 1; }; \
+	$(GO) test -run=NONE -bench='BenchmarkILP|BenchmarkDesirableSet|BenchmarkOptimizerW[RD]' -benchtime=200x -count 3 -benchmem -cpu 1 . >> $$tmp || { cat $$tmp; rm -f $$tmp; exit 1; }; \
 	$(GO) run ./cmd/ucudnn-benchdiff -emit < $$tmp > BENCH_report.json; rm -f $$tmp
 	@echo "wrote BENCH_report.json"
 

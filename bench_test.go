@@ -194,13 +194,14 @@ func BenchmarkILPDenseNetPlan(b *testing.B) {
 	}
 }
 
-// BenchmarkDesirableSet measures the Pareto-front DP alone.
+// BenchmarkDesirableSet measures the Pareto-front DP alone, on conv2's
+// forward kernel at N=64 under 120 MiB.
 func BenchmarkDesirableSet(b *testing.B) {
 	for _, pol := range []core.Policy{core.PolicyPowerOfTwo, core.PolicyAll} {
 		b.Run(pol.String(), func(b *testing.B) {
 			bc := core.NewBencher(cudnn.NewHandle(device.P100, cudnn.ModelOnlyBackend), nil)
-			k := core.Kernel{Op: conv.Forward, Shape: bench.Conv2(256)}
-			bc.PerfsForSizes(k, pol.CandidateSizes(256)) // pre-warm the cache
+			k := core.Kernel{Op: conv.Forward, Shape: bench.Conv2(64)}
+			bc.PerfsForSizes(k, pol.CandidateSizes(64)) // pre-warm the cache
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := core.DesirableSet(bc, k, 120<<20, pol); err != nil {

@@ -29,7 +29,7 @@ func TestRunRejectsSmallWorkspace(t *testing.T) {
 			return conv.Run(op, algo, cs, x, w, y, 1, 0, ws)
 		},
 		"cudnn.Handle.Convolve": func(op conv.Op, algo conv.Algo, ws []float32) error {
-			return h.Convolve(op, algo, cs, x, w, y, 1, 0, ws)
+			return h.Convolve(op, algo, cs, x, w, y, 1, 0, ws, int64(len(ws))*4)
 		},
 	}
 	for _, op := range conv.Ops {

@@ -100,3 +100,40 @@ func steadyCalls(t *testing.T, h *Handle, limit int64, compute bool) []steadyCal
 		{"BackwardFilter beta=1", func() error { return h.ConvolutionBackwardFilter(1, xd, x, yd, y, cd, ba, nil, 1, wd, w) }},
 	}
 }
+
+// A model-only handle holds no workspace memory: it keeps the granted
+// arena size as a number, which its calls check the kernels' floors
+// against and Report shows. A computing handle planned the same way
+// backs exactly that size. The fault point's grants are taken in the
+// same order on both, so the sizes agree.
+func TestModelOnlyHandleHoldsNoArena(t *testing.T) {
+	const limit = 2 << 20
+	defer conv.SetMaxWorkers(conv.SetMaxWorkers(2))
+	for _, m := range []struct {
+		name string
+		opt  Option
+	}{{"WR", WithWorkspaceLimit(limit)}, {"WD", WithWD(3 * limit)}} {
+		arena := map[cudnn.Backend]int64{}
+		for _, backend := range []cudnn.Backend{cudnn.ModelOnlyBackend, cudnn.ModelBackend} {
+			h := newTestHandle(t, backend, m.opt)
+			for _, c := range steadyCalls(t, h, limit, backend != cudnn.ModelOnlyBackend) {
+				if err := c.run(); err != nil {
+					t.Fatalf("%v %s %s: %v", backend, m.name, c.name, err)
+				}
+			}
+			got := h.Report().ArenaBytes
+			switch {
+			case got == 0:
+				t.Fatalf("%v %s: no plan needs workspace, so the arena goes unchecked", backend, m.name)
+			case backend == cudnn.ModelOnlyBackend && h.wsArena != nil:
+				t.Errorf("%v %s: holds a %d-float arena no kernel reads", backend, m.name, len(h.wsArena))
+			case backend != cudnn.ModelOnlyBackend && int64(len(h.wsArena))*4 != got:
+				t.Errorf("%v %s: arena of %d bytes, report says %d", backend, m.name, len(h.wsArena)*4, got)
+			}
+			arena[backend] = got
+		}
+		if arena[cudnn.ModelOnlyBackend] != arena[cudnn.ModelBackend] {
+			t.Errorf("%s: model-only handle reports %d arena bytes, computing one %d", m.name, arena[cudnn.ModelOnlyBackend], arena[cudnn.ModelBackend])
+		}
+	}
+}

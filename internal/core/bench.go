@@ -35,13 +35,13 @@ func (b *Bencher) SetMetrics(r *obs.Registry) {
 // Perfs returns the per-algorithm results for kernel k, fastest first,
 // consulting the cache.
 func (b *Bencher) Perfs(k Kernel) []cudnn.AlgoPerf {
-	key := CacheKey(b.h.Device().Name, b.h.Backend(), k.Op, k.Shape)
-	if p, ok := b.cache.Get(key); ok {
+	key := newCacheKey(b.h.Device().Name, b.h.Backend(), k.Op, k.Shape)
+	if p, ok := b.cache.lookup(key); ok {
 		return p
 	}
 	p := b.h.AlgoPerfs(k.Op, k.Shape)
 	b.m.benchKernels.Inc()
-	_ = b.cache.Put(key, p)
+	_ = b.cache.store(key, p)
 	return p
 }
 

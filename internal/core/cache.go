@@ -18,11 +18,20 @@ import (
 // append-only JSON-lines file database (paper §III-D): the file enables
 // offline benchmarking and sharing results across a homogeneous cluster
 // via a network filesystem.
+//
+// An entry has a key in one of two forms. The file form is CacheKey's
+// string, which the database lines carry. The memory form is cacheKey,
+// the same fields compared as a struct: a memory-only cache holds the
+// bencher's entries under it, so a lookup formats nothing. Entries
+// loaded from the file, stored in a file cache, or Put by name are held
+// under the file form, and a bencher lookup that misses the memory form
+// tries it.
 type Cache struct {
-	mu   sync.Mutex
-	mem  map[string][]cudnn.AlgoPerf
-	path string
-	file *os.File
+	mu    sync.Mutex
+	mem   map[cacheKey][]cudnn.AlgoPerf
+	named map[string][]cudnn.AlgoPerf
+	path  string
+	file  *os.File
 	// w buffers Put's file appends so a benchmarking sweep is not one
 	// write(2) per record; Close (and Flush) drain it. Nil iff file is.
 	w *bufio.Writer
@@ -41,13 +50,13 @@ func (c *Cache) instrument(ms *metricSet) {
 	c.m = ms
 	ms.cacheFileLoads.Add(c.loads)
 	ms.cacheCorruptLines.Add(c.corrupt)
-	ms.cacheEntries.Set(float64(len(c.mem)))
+	ms.cacheEntries.Set(float64(c.lenLocked()))
 }
 
 // NewCache creates a cache; path may be empty for memory-only operation.
 // An existing database file is loaded eagerly.
 func NewCache(path string) (*Cache, error) {
-	c := &Cache{mem: map[string][]cudnn.AlgoPerf{}, path: path, m: newMetricSet(nil)}
+	c := &Cache{mem: map[cacheKey][]cudnn.AlgoPerf{}, named: map[string][]cudnn.AlgoPerf{}, path: path, m: newMetricSet(nil)}
 	if path == "" {
 		return c, nil
 	}
@@ -72,7 +81,7 @@ func NewCache(path string) (*Cache, error) {
 			c.corrupt++
 			continue
 		}
-		c.mem[rec.Key] = rec.toPerfs()
+		c.named[rec.Key] = rec.toPerfs()
 		c.loads++
 	}
 	if err := sc.Err(); err != nil {
@@ -121,8 +130,10 @@ func (c *Cache) Close() error {
 func (c *Cache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.mem)
+	return c.lenLocked()
 }
+
+func (c *Cache) lenLocked() int { return len(c.mem) + len(c.named) }
 
 type dbPerf struct {
 	Algo int   `json:"algo"`
@@ -143,37 +154,89 @@ func (r dbRecord) toPerfs() []cudnn.AlgoPerf {
 	return out
 }
 
-// CacheKey builds the lookup key of one benchmarked kernel instance. The
-// device and timing backend are part of the key so one database can serve
-// a heterogeneous set of runs.
-func CacheKey(dev string, backend cudnn.Backend, op conv.Op, cs tensor.ConvShape) string {
-	p := cs.Params.Normalized()
+// cacheKey is the memory form of a cache key (see Cache): the fields
+// CacheKey formats, with the convolution parameters normalized.
+type cacheKey struct {
+	dev     string
+	backend cudnn.Backend
+	op      conv.Op
+	shape   tensor.ConvShape
+}
+
+func newCacheKey(dev string, backend cudnn.Backend, op conv.Op, cs tensor.ConvShape) cacheKey {
+	cs.Params = cs.Params.Normalized()
+	return cacheKey{dev: dev, backend: backend, op: op, shape: cs}
+}
+
+// String returns the key's file form.
+func (k cacheKey) String() string {
+	cs, p := k.shape, k.shape.Params
 	return fmt.Sprintf("%s|%s|%s|%dx%dx%dx%d|%dx%dx%dx%d|p%dx%d|s%dx%d|d%dx%d",
-		dev, backend, op,
+		k.dev, k.backend, k.op,
 		cs.In.N, cs.In.C, cs.In.H, cs.In.W,
 		cs.Filt.K, cs.Filt.C, cs.Filt.R, cs.Filt.S,
 		p.PadH, p.PadW, p.StrideH, p.StrideW, p.DilationH, p.DilationW)
 }
 
-// Get returns the cached perfs for key.
+// CacheKey builds the lookup key of one benchmarked kernel instance in
+// its file form. The device and timing backend are part of the key so
+// one database can serve a heterogeneous set of runs.
+func CacheKey(dev string, backend cudnn.Backend, op conv.Op, cs tensor.ConvShape) string {
+	return newCacheKey(dev, backend, op, cs).String()
+}
+
+// Get returns the cached perfs for key, a file-form key. The entries a
+// bencher stored in a memory-only cache are held under the memory form,
+// which Get does not consult.
 func (c *Cache) Get(key string) ([]cudnn.AlgoPerf, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p, ok := c.mem[key]
-	if ok {
+	p, ok := c.named[key]
+	c.countLookup(ok)
+	return p, ok
+}
+
+// lookup returns the cached perfs for k, formatting its file form only
+// when entries are held under it.
+func (c *Cache) lookup(k cacheKey) ([]cudnn.AlgoPerf, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p, ok := c.mem[k]
+	if !ok && len(c.named) > 0 {
+		p, ok = c.named[k.String()]
+	}
+	c.countLookup(ok)
+	return p, ok
+}
+
+func (c *Cache) countLookup(hit bool) {
+	if hit {
 		c.m.cacheHits.Inc()
 	} else {
 		c.m.cacheMisses.Inc()
 	}
-	return p, ok
 }
 
-// Put stores perfs for key, appending to the file database when present.
+// store stores perfs for k: under its memory form in a memory-only
+// cache, through Put otherwise.
+func (c *Cache) store(k cacheKey, perfs []cudnn.AlgoPerf) error {
+	if c.path != "" {
+		return c.Put(k.String(), perfs)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.mem[k] = perfs
+	c.m.cacheEntries.Set(float64(c.lenLocked()))
+	return nil
+}
+
+// Put stores perfs for key, a file-form key, appending to the file
+// database when present.
 func (c *Cache) Put(key string, perfs []cudnn.AlgoPerf) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.mem[key] = perfs
-	c.m.cacheEntries.Set(float64(len(c.mem)))
+	c.named[key] = perfs
+	c.m.cacheEntries.Set(float64(c.lenLocked()))
 	if c.file == nil {
 		return nil
 	}

@@ -48,11 +48,8 @@ func (h *Handle) degrade(k Kernel, cause error, out []float32, x *tensor.Tensor,
 	clockStart := h.inner.Elapsed()
 
 	h.mu.Lock()
-	prior, hasPrior := h.plans[k]
-	limit := h.opts.WorkspaceLimit
-	if l, ok := h.limits[k]; ok {
-		limit = l
-	}
+	prior, hasPrior := h.planLocked(k)
+	limit := h.limitLocked(k, h.opts.WorkspaceLimit)
 	h.mu.Unlock()
 
 	// Stage 1: the remaining desirable set. Candidates are bounded by the
@@ -201,7 +198,7 @@ func (h *Handle) minWSAlgo(op conv.Op, cs tensor.ConvShape, measure func(conv.Op
 func (h *Handle) adopt(k Kernel, plan Plan, stage string, clockStart time.Duration) {
 	h.mu.Lock()
 	h.growArena(arenaGrant(plan.Workspace))
-	h.plans[k] = plan
+	h.setPlanLocked(plan)
 	h.degraded++
 	deg := h.degraded
 	h.mu.Unlock()

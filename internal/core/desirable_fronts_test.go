@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -30,16 +31,7 @@ func TestDesirableSetFrontsPinned(t *testing.T) {
 	var got strings.Builder
 	for _, name := range zoo.Names() {
 		for _, n := range []int{8, 32} {
-			h := cudnn.NewHandle(device.P100, cudnn.ModelOnlyBackend)
-			h.Mem().Cap = 0
-			ctx := dnn.NewContext(h, h, 64<<20)
-			net, _, err := zoo.Build(ctx, name, n)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := net.Setup(); err != nil {
-				t.Fatal(err)
-			}
+			h, net := zooNet(t, name, n)
 			for _, pol := range []core.Policy{core.PolicyPowerOfTwo, core.PolicyAll} {
 				b := core.NewBencher(h, nil)
 				sum := fnv.New64a()
@@ -80,5 +72,57 @@ func TestDesirableSetFrontsPinned(t *testing.T) {
 	}
 	if got.String() != string(data) {
 		t.Errorf("desirable-set fronts drifted:\n got:\n%swant:\n%s", got.String(), data)
+	}
+}
+
+// zooNet sets zoo network name up at batch n on a model-only handle, for
+// its convolution shapes.
+func zooNet(t *testing.T, name string, n int) (*cudnn.Handle, *dnn.Net) {
+	t.Helper()
+	h := cudnn.NewHandle(device.P100, cudnn.ModelOnlyBackend)
+	h.Mem().Cap = 0
+	net, _, err := zoo.Build(dnn.NewContext(h, h, 64<<20), name, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := net.Setup(); err != nil {
+		t.Fatal(err)
+	}
+	return h, net
+}
+
+// The linked enumeration returns the eager oracle's fronts exactly,
+// configurations included, on every zoo convolution kernel under both
+// dividing policies, at a budget every kernel fits (64 MiB) and at one
+// that cuts most fronts (1 MiB).
+func TestDesirableSetMatchesEagerOnZoo(t *testing.T) {
+	defer conv.SetMaxWorkers(conv.SetMaxWorkers(2))
+	for _, name := range zoo.Names() {
+		for _, n := range []int{8, 32} {
+			h, net := zooNet(t, name, n)
+			b := core.NewBencher(h, nil)
+			seen := map[core.Kernel]bool{}
+			for _, cl := range net.ConvLayers() {
+				for _, op := range conv.Ops {
+					k := core.Kernel{Op: op, Shape: cl.Shape()}
+					if seen[k] {
+						continue
+					}
+					seen[k] = true
+					for _, pol := range []core.Policy{core.PolicyPowerOfTwo, core.PolicyAll} {
+						for _, limit := range []int64{64 << 20, 1 << 20} {
+							want, werr := core.EagerDesirableSet(b, k, limit, pol)
+							got, gerr := core.DesirableSet(b, k, limit, pol)
+							if (werr == nil) != (gerr == nil) {
+								t.Fatalf("%s N=%d %v %v limit %d: eager error %v, linked error %v", name, n, k, pol, limit, werr, gerr)
+							}
+							if !reflect.DeepEqual(got, want) {
+								t.Fatalf("%s N=%d %v %v limit %d:\n linked %v\n  eager %v", name, n, k, pol, limit, got, want)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -183,18 +183,23 @@ type Handle struct {
 	// same time.
 	execMu sync.Mutex
 
-	mu         sync.Mutex
-	plans      map[Kernel]Plan
-	limits     map[Kernel]int64
+	mu sync.Mutex
+	// kernels is the handle's one table per kernel: the workspace limit a
+	// framework passed for it, whether WD registered it, and its plan once
+	// decided. registered lists the WD kernels in registration order.
+	kernels    map[Kernel]kernelState
 	registered []Kernel
-	regSet     map[Kernel]bool
 	regClosed  bool
 	wdResult   *WDResult
 	optTime    time.Duration
-	// wsArena backs every plan's workspace. Guarded by mu (growArena may
-	// reallocate it); execute snapshots the slice under mu and uses the
-	// snapshot under execMu, so device-memory accounting stays per kernel
-	// segment while the host buffer is shared.
+	// arena is the workspace granted so far, in floats: every plan's
+	// workspace is a prefix of it. wsArena backs it on a computing inner
+	// handle and stays nil on a model-only one, whose kernels touch no
+	// buffer (the size alone reaches cudnn.Handle.Convolve). Both are
+	// guarded by mu (growArena may reallocate wsArena); execute snapshots
+	// them under mu and uses the snapshot under execMu, so device-memory
+	// accounting stays per kernel segment while the host buffer is shared.
+	arena   int
 	wsArena []float32
 	// degraded counts plans adopted by the degradation ladder (guarded by
 	// mu; mirrored into the ucudnn_fault_degraded_plans gauge).
@@ -208,6 +213,46 @@ type Handle struct {
 	xView, yView tensor.Tensor
 }
 
+// kernelState is a handle's record of one kernel. A limit of 0 means the
+// framework passed none; planned says whether config, time and workspace
+// hold the kernel's plan.
+type kernelState struct {
+	limit      int64
+	registered bool
+	planned    bool
+	config     Config
+	time       time.Duration
+	workspace  int64
+}
+
+// plan returns the plan s holds for kernel k.
+func (s kernelState) plan(k Kernel) Plan {
+	return Plan{Kernel: k, Config: s.config, Time: s.time, Workspace: s.workspace}
+}
+
+// planLocked returns kernel k's plan, if one is decided; callers hold
+// h.mu.
+func (h *Handle) planLocked(k Kernel) (Plan, bool) {
+	s := h.kernels[k]
+	return s.plan(k), s.planned
+}
+
+// setPlanLocked installs p as its kernel's plan; callers hold h.mu.
+func (h *Handle) setPlanLocked(p Plan) {
+	s := h.kernels[p.Kernel]
+	s.planned, s.config, s.time, s.workspace = true, p.Config, p.Time, p.Workspace
+	h.kernels[p.Kernel] = s
+}
+
+// limitLocked returns the workspace limit the framework passed for k, or
+// def when it passed none; callers hold h.mu.
+func (h *Handle) limitLocked(k Kernel, def int64) int64 {
+	if l := h.kernels[k].limit; l > 0 {
+		return l
+	}
+	return def
+}
+
 // arenaGrant returns the arena floats a request for bytes is granted. An
 // armed arena-growth fault shrinks or denies the request — the arena then
 // stays smaller than a plan's workspace, and execute's kernels degrade to
@@ -216,9 +261,14 @@ func arenaGrant(bytes int64) int {
 	return int((faults.Grant(faults.PointArenaGrow, bytes) + 3) / 4)
 }
 
-// growArena ensures the arena covers n floats; callers hold h.mu.
+// growArena ensures the arena covers n floats, backing it with memory
+// unless the inner handle is model-only; callers hold h.mu.
 func (h *Handle) growArena(n int) {
-	if len(h.wsArena) < n {
+	if h.arena >= n {
+		return
+	}
+	h.arena = n
+	if h.inner.Backend() != cudnn.ModelOnlyBackend {
 		h.wsArena = make([]float32, n)
 	}
 }
@@ -255,9 +305,7 @@ func New(inner *cudnn.Handle, opts ...Option) (*Handle, error) {
 		cache:   cache,
 		bencher: bencher,
 		m:       bencher.m,
-		plans:   map[Kernel]Plan{},
-		limits:  map[Kernel]int64{},
-		regSet:  map[Kernel]bool{},
+		kernels: map[Kernel]kernelState{},
 	}
 	if o.AlgoFilter != nil {
 		inner.SetAlgoFilter(o.AlgoFilter)
@@ -301,9 +349,11 @@ func (h *Handle) plansLocked() []Plan {
 		name string
 		plan Plan
 	}
-	ns := make([]named, 0, len(h.plans))
-	for k, p := range h.plans {
-		ns = append(ns, named{k.String(), p})
+	ns := make([]named, 0, len(h.kernels))
+	for k, s := range h.kernels {
+		if s.planned {
+			ns = append(ns, named{k.String(), s.plan(k)})
+		}
 	}
 	sort.Slice(ns, func(i, j int) bool { return ns[i].name < ns[j].name })
 	out := make([]Plan, len(ns))
@@ -327,16 +377,19 @@ func (h *Handle) WDStats() *WDResult {
 func (h *Handle) register(k Kernel, wsLimit int64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.regClosed {
+	wd := h.opts.Mode == WD
+	if h.regClosed || wsLimit <= 0 && !wd {
 		return
 	}
+	s := h.kernels[k]
 	if wsLimit > 0 {
-		h.limits[k] = wsLimit
+		s.limit = wsLimit
 	}
-	if h.opts.Mode == WD && !h.regSet[k] {
-		h.regSet[k] = true
+	if wd && !s.registered {
+		s.registered = true
 		h.registered = append(h.registered, k)
 	}
+	h.kernels[k] = s
 }
 
 // FinalizeRegistration closes kernel registration and, in WD mode, runs
@@ -372,7 +425,7 @@ func (h *Handle) finalizeLocked() error {
 	// allocation instead of one per larger segment.
 	arena := 0
 	for _, p := range res.Plans {
-		if _, ok := h.plans[p.Kernel]; ok {
+		if _, ok := h.planLocked(p.Kernel); ok {
 			continue
 		}
 		h.m.microbatchCount.Observe(float64(len(p.Config)))
@@ -381,7 +434,7 @@ func (h *Handle) finalizeLocked() error {
 			return fmt.Errorf("core: allocating WD segment for %v: %w", p.Kernel, err)
 		}
 		arena = max(arena, arenaGrant(p.Workspace))
-		h.plans[p.Kernel] = p
+		h.setPlanLocked(p)
 	}
 	h.growArena(arena)
 	return nil
@@ -391,21 +444,18 @@ func (h *Handle) finalizeLocked() error {
 func (h *Handle) ensurePlan(k Kernel) (Plan, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if p, ok := h.plans[k]; ok {
+	if p, ok := h.planLocked(k); ok {
 		return p, nil
 	}
 	// First execution closes WD registration and optimizes the network.
 	if err := h.finalizeLocked(); err != nil {
 		return Plan{}, err
 	}
-	if p, ok := h.plans[k]; ok {
+	if p, ok := h.planLocked(k); ok {
 		return p, nil
 	}
 	// WR path (or WD fallback for unregistered kernels).
-	limit := h.opts.WorkspaceLimit
-	if l, ok := h.limits[k]; ok {
-		limit = l
-	}
+	limit := h.limitLocked(k, h.opts.WorkspaceLimit)
 	start := time.Now()
 	plan, err := OptimizeWR(h.bencher, k, limit, h.opts.Policy)
 	h.optTime += time.Since(start)
@@ -419,7 +469,7 @@ func (h *Handle) ensurePlan(k Kernel) (Plan, error) {
 		return Plan{}, fmt.Errorf("core: allocating workspace for %v: %w", k, err)
 	}
 	h.growArena(arenaGrant(plan.Workspace))
-	h.plans[k] = plan
+	h.setPlanLocked(plan)
 	return plan, nil
 }
 
@@ -508,19 +558,18 @@ func (h *Handle) snapshotOutput(op conv.Op, x *tensor.Tensor, w *tensor.FilterTe
 func (h *Handle) restore(out []float32) { copy(out, h.snapBuf) }
 
 // runConfig executes one configuration over the full mini-batch. Callers
-// hold execMu. The workspace slice is the arena prefix of the
-// configuration's requirement, clamped to the arena's actual size (a
-// fault-shrunk grant may have left it short — the kernels' MinWorkspace
-// floor checks decide whether that is still runnable).
+// hold execMu. The workspace is the arena prefix of the configuration's
+// requirement, clamped to the arena's granted size (a fault-shrunk grant
+// may have left it short — the kernels' MinWorkspace floor checks decide
+// whether that is still runnable); on a model-only handle it is a size
+// with no buffer.
 func (h *Handle) runConfig(cfg Config, wsBytes int64, op conv.Op, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTensor, y *tensor.Tensor, alpha, beta float32) error {
 	h.mu.Lock()
-	n := int((wsBytes + 3) / 4)
-	if n > len(h.wsArena) {
-		n = len(h.wsArena)
-	}
-	ws := h.wsArena[:n]
+	n := min(int((wsBytes+3)/4), h.arena)
+	ws := h.wsArena[:min(n, len(h.wsArena))]
 	h.mu.Unlock()
-	prof.GrantWS(int64(len(ws)) * 4)
+	granted := int64(n) * 4
+	prof.GrantWS(granted)
 	off := 0
 	for i, mc := range cfg {
 		h.m.algoSelected(op, mc.Algo)
@@ -542,7 +591,7 @@ func (h *Handle) runConfig(cfg Config, wsBytes int64, op conv.Op, cs tensor.Conv
 			// dW is shared across micro-batches: pass the full tensors for
 			// x and dy slices, the filter stays whole.
 		}
-		if err := h.inner.Convolve(op, mc.Algo, mcs, mx, w, my, alpha, mbeta, ws); err != nil {
+		if err := h.inner.Convolve(op, mc.Algo, mcs, mx, w, my, alpha, mbeta, ws, granted); err != nil {
 			return fmt.Errorf("core: micro-batch %d of %v: %w", i, cfg, err)
 		}
 		off += mc.BatchSize

@@ -452,9 +452,9 @@ func TestEntryPointsRejectMismatchedDescriptors(t *testing.T) {
 				if err := call(h); err == nil {
 					t.Errorf("%v %s %s: accepted an output descriptor cuDNN rejects", backend, mode.name, name)
 				}
-				if len(h.limits) != 0 || len(h.registered) != 0 || len(h.Plans()) != 0 {
-					t.Errorf("%v %s %s: rejected call left %d limits, %d registered kernels, %d plans",
-						backend, mode.name, name, len(h.limits), len(h.registered), len(h.Plans()))
+				if len(h.kernels) != 0 || len(h.registered) != 0 || len(h.Plans()) != 0 {
+					t.Errorf("%v %s %s: rejected call left %d kernel records, %d registered kernels, %d plans",
+						backend, mode.name, name, len(h.kernels), len(h.registered), len(h.Plans()))
 				}
 			}
 		}

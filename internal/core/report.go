@@ -59,17 +59,16 @@ func (h *Handle) Report() HandleReport {
 		TotalWorkspaceLimit: h.opts.TotalWorkspaceLimit,
 		OptTimeNS:           h.optTime.Nanoseconds(),
 		DegradedPlans:       h.degraded,
-		ArenaBytes:          int64(len(h.wsArena)) * 4,
-		Plans:               make([]PlanReport, 0, len(h.plans)),
+		ArenaBytes:          int64(h.arena) * 4,
 	}
-	for _, p := range h.plansLocked() {
-		limit := h.opts.WorkspaceLimit
-		if h.opts.Mode == WD {
-			limit = h.opts.TotalWorkspaceLimit
-		}
-		if l, ok := h.limits[p.Kernel]; ok {
-			limit = l
-		}
+	plans := h.plansLocked()
+	r.Plans = make([]PlanReport, 0, len(plans))
+	def := h.opts.WorkspaceLimit
+	if h.opts.Mode == WD {
+		def = h.opts.TotalWorkspaceLimit
+	}
+	for _, p := range plans {
+		limit := h.limitLocked(p.Kernel, def)
 		share := 0.0
 		if limit > 0 {
 			share = float64(p.Workspace) / float64(limit)

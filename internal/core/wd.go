@@ -74,26 +74,27 @@ func OptimizeWDReserved(b *Bencher, kernels []Kernel, totalLimit, reserve int64,
 		front  []ScoredConfig
 		chosen ScoredConfig
 	}
-	var groups []*group
-	byKey := map[Kernel]*group{}
-	groupOf := make([]*group, len(kernels))
+	groups := make([]group, 0, len(kernels))
+	byKey := make(map[Kernel]int, len(kernels))
+	groupOf := make([]int, len(kernels))
 	for i, k := range kernels {
-		g, ok := byKey[k]
+		gi, ok := byKey[k]
 		if !ok {
-			g = &group{kernel: k}
-			byKey[k] = g
-			groups = append(groups, g)
+			gi = len(groups)
+			byKey[k] = gi
+			groups = append(groups, group{kernel: k})
 		}
-		g.count++
-		groupOf[i] = g
+		groups[gi].count++
+		groupOf[i] = gi
 	}
 	effective := totalLimit - reserve
-	for _, g := range groups {
-		front, err := DesirableSet(b, g.kernel, effective, policy)
+	var scratch desirableScratch
+	for gi := range groups {
+		front, err := scratch.desirableSet(b, groups[gi].kernel, effective, policy)
 		if err != nil {
 			return nil, err
 		}
-		g.front = front
+		groups[gi].front = front
 	}
 
 	// Assemble the ILP (Eq. 1-4) in exact integers: one class per group,
@@ -129,15 +130,17 @@ func OptimizeWDReserved(b *Bencher, kernels []Kernel, totalLimit, reserve int64,
 		ILPVars: n, ILPNodes: res.Nodes, SimplexIters: res.SimplexIters, SolveTime: solveTime,
 		BlobReserve: reserve, EffectiveBudget: effective,
 	}
-	for gi, g := range groups {
+	for gi := range groups {
+		g := &groups[gi]
 		g.chosen = g.front[res.Choice[gi]]
 		out.TotalTime += time.Duration(g.count) * g.chosen.Time
 		out.TotalWorkspace += g.chosen.Workspace
 	}
 	b.m.wdWorkspace.Set(float64(out.TotalWorkspace))
 	b.m.wdPredicted.Set(out.TotalTime.Seconds())
+	out.Plans = make([]Plan, 0, len(kernels))
 	for i := range kernels {
-		sc := groupOf[i].chosen
+		sc := groups[groupOf[i]].chosen
 		out.Plans = append(out.Plans, Plan{
 			Kernel:    kernels[i],
 			Config:    sc.Config,

@@ -142,7 +142,7 @@ func (h *Handle) ConvolutionForward(alpha float32, xd TensorDesc, x *tensor.Tens
 	if err != nil {
 		return err
 	}
-	return h.Convolve(conv.Forward, algo, cs, x, w, y, alpha, beta, ws)
+	return h.Convolve(conv.Forward, algo, cs, x, w, y, alpha, beta, ws, int64(len(ws))*4)
 }
 
 // ConvolutionBackwardData mirrors cudnnConvolutionBackwardData:
@@ -152,7 +152,7 @@ func (h *Handle) ConvolutionBackwardData(alpha float32, wd FilterDesc, w *tensor
 	if err != nil {
 		return err
 	}
-	return h.Convolve(conv.BackwardData, algo, cs, dx, w, dy, alpha, beta, ws)
+	return h.Convolve(conv.BackwardData, algo, cs, dx, w, dy, alpha, beta, ws, int64(len(ws))*4)
 }
 
 // ConvolutionBackwardFilter mirrors cudnnConvolutionBackwardFilter:
@@ -163,5 +163,5 @@ func (h *Handle) ConvolutionBackwardFilter(alpha float32, xd TensorDesc, x *tens
 	if err != nil {
 		return err
 	}
-	return h.Convolve(conv.BackwardFilter, algo, cs, x, dw, dy, alpha, beta, ws)
+	return h.Convolve(conv.BackwardFilter, algo, cs, x, dw, dy, alpha, beta, ws, int64(len(ws))*4)
 }

@@ -19,8 +19,9 @@
 package cudnn
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -273,8 +274,9 @@ const benchReps = 1
 // first. This is the generic core of Find*Algorithm.
 func (h *Handle) AlgoPerfs(op conv.Op, cs tensor.ConvShape) []AlgoPerf {
 	filter := h.AlgoFilter()
-	var out []AlgoPerf
-	for _, algo := range conv.AlgosFor(op) {
+	algos := conv.AlgosFor(op)
+	out := make([]AlgoPerf, 0, len(algos))
+	for _, algo := range algos {
 		if filter != nil && !filter(op, algo) {
 			continue
 		}
@@ -304,11 +306,9 @@ func (h *Handle) AlgoPerfs(op conv.Op, cs tensor.ConvShape) []AlgoPerf {
 		}
 		out = append(out, AlgoPerf{Algo: algo, Time: t, Memory: mem})
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Time != out[j].Time {
-			return out[i].Time < out[j].Time
-		}
-		return out[i].Memory < out[j].Memory
+	// Stable, so equal (time, memory) entries keep enumeration order.
+	slices.SortStableFunc(out, func(a, b AlgoPerf) int {
+		return cmp.Or(cmp.Compare(a.Time, b.Time), cmp.Compare(a.Memory, b.Memory))
 	})
 	return out
 }
@@ -366,8 +366,13 @@ func (h *Handle) PickAlgo(op conv.Op, cs tensor.ConvShape, pref Pref, wsLimit in
 
 // Convolve executes op with algo, charging the handle's clock according to
 // the backend. It is the generic core of Convolution{Forward,BackwardData,
-// BackwardFilter}.
-func (h *Handle) Convolve(op conv.Op, algo conv.Algo, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTensor, y *tensor.Tensor, alpha, beta float32, ws []float32) error {
+// BackwardFilter}. Like cuDNN's workSpace / workSpaceSizeInBytes pair,
+// the workspace comes as a buffer and its size: the computing backends
+// run on ws (wsBytes is len(ws)*4 there), while a model-only handle,
+// which touches no buffer, checks the workspace floor against wsBytes
+// alone, so its caller need not back the size with memory (ws may be
+// nil).
+func (h *Handle) Convolve(op conv.Op, algo conv.Algo, cs tensor.ConvShape, x *tensor.Tensor, w *tensor.FilterTensor, y *tensor.Tensor, alpha, beta float32, ws []float32, wsBytes int64) error {
 	// Injected execution failure at the cuDNN API boundary (the
 	// CUDNN_STATUS_EXECUTION_FAILED analogue), before any buffer is
 	// touched.
@@ -390,10 +395,10 @@ func (h *Handle) Convolve(op conv.Op, algo conv.Algo, cs tensor.ConvShape, x *te
 			if err := conv.Run(op, algo, cs, x, w, y, alpha, beta, ws); err != nil {
 				return err
 			}
-		} else if need, _ := conv.MinWorkspace(op, algo, cs); int64(len(ws))*4 < need {
+		} else if need, _ := conv.MinWorkspace(op, algo, cs); wsBytes < need {
 			// Even without arithmetic, respect the workspace floor the
 			// executing kernels would enforce.
-			return fmt.Errorf("cudnn: workspace too small: have %d bytes, need %d", int64(len(ws))*4, need)
+			return fmt.Errorf("cudnn: workspace too small: have %d bytes, need %d", wsBytes, need)
 		}
 		h.chargeConv(op, algo, cs, mt)
 	}

@@ -239,15 +239,23 @@ func TestModelOnlySkipsArithmeticButChecksWorkspace(t *testing.T) {
 	x, w, cd, y := conv2Descs(t, 32)
 	cs := Shape(x, w, cd)
 	// No buffers touched: nil tensors are fine in model-only mode.
-	if err := h.Convolve(conv.Forward, conv.AlgoImplicitGemm, cs, nil, nil, nil, 1, 0, nil); err != nil {
+	if err := h.Convolve(conv.Forward, conv.AlgoImplicitGemm, cs, nil, nil, nil, 1, 0, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if h.Elapsed() <= 0 {
 		t.Fatal("model-only must charge time")
 	}
 	// Workspace contracts still enforced.
-	if err := h.Convolve(conv.Forward, conv.AlgoGemm, cs, nil, nil, nil, 1, 0, nil); err == nil {
+	if err := h.Convolve(conv.Forward, conv.AlgoGemm, cs, nil, nil, nil, 1, 0, nil, 0); err == nil {
 		t.Fatal("model-only must reject missing workspace")
+	}
+	// The size alone satisfies the floor: model-only reads no buffer.
+	need, _ := conv.MinWorkspace(conv.Forward, conv.AlgoGemm, cs)
+	if err := h.Convolve(conv.Forward, conv.AlgoGemm, cs, nil, nil, nil, 1, 0, nil, need); err != nil {
+		t.Fatalf("model-only with a %d-byte grant and no buffer: %v", need, err)
+	}
+	if err := h.Convolve(conv.Forward, conv.AlgoGemm, cs, nil, nil, nil, 1, 0, nil, need-1); err == nil {
+		t.Fatal("model-only must reject a grant one byte under the floor")
 	}
 	_ = y
 }
@@ -264,7 +272,7 @@ func TestConvolveUntracedAllocs(t *testing.T) {
 		}
 		var err error
 		allocs := testing.AllocsPerRun(100, func() {
-			err = h.Convolve(conv.Forward, conv.AlgoImplicitGemm, cs, nil, nil, nil, 1, 0, nil)
+			err = h.Convolve(conv.Forward, conv.AlgoImplicitGemm, cs, nil, nil, nil, 1, 0, nil, 0)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -285,7 +293,7 @@ func TestRealBackendChargesWallTime(t *testing.T) {
 	x := tensor.NewShaped(cs.In)
 	w := tensor.NewFilter(4, 4, 3, 3)
 	y := tensor.NewShaped(cs.OutShape())
-	if err := h.Convolve(conv.Forward, conv.AlgoDirect, cs, x, w, y, 1, 0, nil); err != nil {
+	if err := h.Convolve(conv.Forward, conv.AlgoDirect, cs, x, w, y, 1, 0, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if h.Elapsed() <= 0 {
@@ -388,13 +396,13 @@ func TestTraceIntegration(t *testing.T) {
 	}
 	// Two micro-batches, as µ-cuDNN would issue them.
 	for i := 0; i < 2; i++ {
-		if err := h.Convolve(conv.Forward, conv.AlgoImplicitGemm, cs.WithN(4), nil, nil, nil, 1, 0, nil); err != nil {
+		if err := h.Convolve(conv.Forward, conv.AlgoImplicitGemm, cs.WithN(4), nil, nil, nil, 1, 0, nil, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
 	h.Charge(time.Millisecond)
 	h.SetTrace(nil)
-	if err := h.Convolve(conv.Forward, conv.AlgoImplicitGemm, cs.WithN(4), nil, nil, nil, 1, 0, nil); err != nil {
+	if err := h.Convolve(conv.Forward, conv.AlgoImplicitGemm, cs.WithN(4), nil, nil, nil, 1, 0, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	evs := rec.Events()

@@ -37,6 +37,9 @@ type Conv struct {
 	in, out     tensor.Shape
 	filt, dFilt []tensor.FilterTensor
 	xv, yv      tensor.Tensor
+	// xw and yw are the x-side and y-side sample windows of a divided
+	// pass, re-pointed in place like xv and yv.
+	xw, yw tensor.Tensor
 
 	// Window state. Every pass runs over a partition of the batch into
 	// ascending contiguous sample windows — the whole batch as one window
@@ -203,14 +206,15 @@ func (l *Conv) partition(ctx *Context) []int {
 	return l.whole[:]
 }
 
-// window returns the [lo, lo+n) sample window of t. A window covering
-// the batch is t itself, and nil passes through for timing-only runs
-// whose blobs have no host backing.
-func window(t *tensor.Tensor, lo, n int) *tensor.Tensor {
+// window re-points v at the [lo, lo+n) sample window of t and returns
+// it. A window covering the batch is t itself, and nil passes through
+// for timing-only runs whose blobs have no host backing.
+func window(v, t *tensor.Tensor, lo, n int) *tensor.Tensor {
 	if t == nil || n == t.Shape.N {
 		return t
 	}
-	return t.Sample(lo, n)
+	*v = t.SampleView(lo, n)
+	return v
 }
 
 // channels re-points v at channels [c0, c0+n) of t and returns it. A
@@ -273,7 +277,7 @@ func (l *Conv) Forward(ctx *Context, bottoms []*tensor.Tensor, top *tensor.Tenso
 		if err != nil {
 			return err
 		}
-		x, y := window(bottoms[0], lo, c), window(top, lo, c)
+		x, y := window(&l.xw, bottoms[0], lo, c), window(&l.yw, top, lo, c)
 		for g := 0; g < l.groups; g++ {
 			if err := ctx.Conv.ConvolutionForward(1, w.xd, channels(&l.xv, x, g*cg, cg), l.wd, &l.filt[g], l.cd, w.fwd, ctx.Workspace(w.wsF), 0, w.yd, channels(&l.yv, y, g*kg, kg)); err != nil {
 				return err
@@ -312,7 +316,7 @@ func (l *Conv) Backward(ctx *Context, bottoms []*tensor.Tensor, top, dTop *tenso
 		if err != nil {
 			return err
 		}
-		x, dy := window(bottoms[0], lo, c), window(dTop, lo, c)
+		x, dy := window(&l.xw, bottoms[0], lo, c), window(&l.yw, dTop, lo, c)
 		for g := 0; g < l.groups; g++ {
 			if err := ctx.Conv.ConvolutionBackwardFilter(1, w.xd, channels(&l.xv, x, g*cg, cg), w.yd, channels(&l.yv, dy, g*kg, kg), l.cd, w.bwdF, ctx.Workspace(w.wsBF), 1, l.wd, &l.dFilt[g]); err != nil {
 				return err
@@ -345,7 +349,7 @@ func (l *Conv) Backward(ctx *Context, bottoms []*tensor.Tensor, top, dTop *tenso
 		if err != nil {
 			return err
 		}
-		dy, dx := window(dTop, lo, c), window(dBottoms[0], lo, c)
+		dy, dx := window(&l.yw, dTop, lo, c), window(&l.xw, dBottoms[0], lo, c)
 		for g := 0; g < l.groups; g++ {
 			if err := ctx.Conv.ConvolutionBackwardData(1, l.wd, &l.filt[g], w.yd, channels(&l.yv, dy, g*kg, kg), l.cd, w.bwdD, ctx.Workspace(w.wsBD), 0, w.xd, channels(&l.xv, dx, g*cg, cg)); err != nil {
 				return err

@@ -250,6 +250,7 @@ type Net struct {
 	bound  []layerBound // parallel to layers, built by Setup
 	blobs  map[string]*Blob
 	order  []string // blob creation order, for deterministic iteration
+	params []*Param // learnable parameters in layer order, built by Setup
 	ready  bool
 	// grads is what routeGrads built; a timing-only context has none.
 	grads *gradRoutes
@@ -291,6 +292,7 @@ func (n *Net) Setup() error {
 		return err
 	}
 	n.bound = make([]layerBound, len(n.layers))
+	n.params = n.params[:0]
 	for i, li := range n.layers {
 		var bs []tensor.Shape
 		for _, b := range li.bottoms {
@@ -325,6 +327,7 @@ func (n *Net) Setup() error {
 			return err
 		}
 		n.bound[i] = n.bind(li)
+		n.params = append(n.params, li.layer.Params()...)
 	}
 	if !n.ctx.SkipCompute {
 		n.routeGrads()
@@ -454,14 +457,10 @@ func (n *Net) OutputBlob() *Blob {
 	return n.blobs[n.layers[len(n.layers)-1].top]
 }
 
-// Params returns all learnable parameters in layer order.
-func (n *Net) Params() []*Param {
-	var out []*Param
-	for _, li := range n.layers {
-		out = append(out, li.layer.Params()...)
-	}
-	return out
-}
+// Params returns all learnable parameters in layer order; Setup builds
+// the list, so the network is set up first. The slice is the network's
+// own: callers read it.
+func (n *Net) Params() []*Param { return n.params }
 
 // ConvLayers returns the network's convolution layers in execution order.
 func (n *Net) ConvLayers() []*Conv {
@@ -633,7 +632,7 @@ func (n *Net) backwardLayer(i int) error {
 
 // ZeroGrads clears all parameter gradients.
 func (n *Net) ZeroGrads() {
-	for _, p := range n.Params() {
+	for _, p := range n.params {
 		for i := range p.Grad {
 			p.Grad[i] = 0
 		}

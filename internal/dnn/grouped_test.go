@@ -401,15 +401,21 @@ func (nopConv) ConvolutionBackwardFilter(float32, cudnn.TensorDesc, *tensor.Tens
 // The unbudgeted pass takes no window headers: a window covering the
 // batch is handed the layer's own tensors and descriptors, and the
 // groups' channel and filter views are re-pointed in place, so Forward +
-// Backward allocate nothing, grouped or not.
+// Backward allocate nothing, grouped or not. A pass divided into sample
+// windows (the out-of-core executor's partition) re-points the layer's
+// window views in place too, and allocates nothing either.
 func TestConvWholeBatchAllocs(t *testing.T) {
 	in := tensor.Shape{N: 4, C: 4, H: 6, W: 6}
 	for _, tc := range []struct {
 		groups int
+		part   []int // sample windows; nil for the whole batch
 		want   float64
-	}{{1, 0}, {2, 0}} {
+	}{{1, nil, 0}, {2, nil, 0}, {1, []int{3, 1}, 0}, {2, []int{2, 2}, 0}} {
 		inner := cudnn.NewHandle(device.P100, cudnn.ModelBackend)
 		ctx := NewContext(inner, inner, 1<<20)
+		if tc.part != nil {
+			ctx.OOC = &OOCState{model: &OOCModel{Batch: in.N}, chunk: tc.part[0], part: tc.part}
+		}
 		l := NewConvGrouped("conv", 6, 3, 1, 1, tc.groups, true)
 		out, err := l.Setup(ctx, []tensor.Shape{in})
 		if err != nil {
@@ -427,7 +433,7 @@ func TestConvWholeBatchAllocs(t *testing.T) {
 			}
 		})
 		if got > tc.want {
-			t.Fatalf("groups=%d: %v allocs per Forward+Backward, want <= %v", tc.groups, got, tc.want)
+			t.Fatalf("groups=%d windows %v: %v allocs per Forward+Backward, want <= %v", tc.groups, tc.part, got, tc.want)
 		}
 	}
 }

@@ -28,6 +28,34 @@ func buildTinyNet(ctx *Context, batch int) (*Net, *SoftmaxLoss) {
 	return net, loss
 }
 
+// ZeroGrads runs every iteration of a training loop, so it walks the
+// parameter list Setup built instead of building one: it allocates
+// nothing, and still clears every gradient.
+func TestZeroGradsAllocs(t *testing.T) {
+	net, _ := buildTinyNet(testCtx(), 4)
+	if err := net.Setup(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(net.Params()); got != 6 {
+		t.Fatalf("%d parameters, want 6 (two convs and an FC, each with a bias)", got)
+	}
+	for _, p := range net.Params() {
+		for i := range p.Grad {
+			p.Grad[i] = 1
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, net.ZeroGrads); allocs != 0 {
+		t.Fatalf("%v allocs per ZeroGrads, want 0", allocs)
+	}
+	for _, p := range net.Params() {
+		for _, g := range p.Grad {
+			if g != 0 {
+				t.Fatalf("%s: gradient left at %v", p.Name, g)
+			}
+		}
+	}
+}
+
 func TestNetForwardBackward(t *testing.T) {
 	ctx := testCtx()
 	net, loss := buildTinyNet(ctx, 4)
