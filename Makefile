@@ -130,10 +130,11 @@ cover-gate:
 	done
 
 # race runs the concurrency-sensitive packages (metrics registry, core
-# handle, trace recorder, causal scope state and the session that drives
-# it, fault registry, profiler, plus the striped kernel engine and its
-# BLAS and worker-pool layers) under the race detector; the e2e harness
-# runs in -short mode (two networks) to keep the pass affordable.
+# handle, trace recorder with its per-run scope state, the causal
+# timeline, the session that drives them and its two-traced-runs test,
+# fault registry, profiler, plus the striped kernel engine and its BLAS
+# and worker-pool layers) under the race detector; the e2e harness runs
+# in -short mode (two networks) to keep the pass affordable.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/trace/... \
 		./internal/causal/... ./internal/session/... \

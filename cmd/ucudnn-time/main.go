@@ -65,7 +65,7 @@ func main() {
 	flag.StringVar(&o.Policy, "policy", "powerOfTwo", "batch-size policy: undivided, powerOfTwo, all")
 	flag.Int64Var(&o.WSMiB, "ws", 64, "per-kernel workspace limit (MiB)")
 	flag.Int64Var(&o.TotalMiB, "total", 0, "WD total workspace (MiB; required for -mode wd)")
-	flag.IntVar(&o.Iters, "iters", 3, "timed (and, with the timeline flags, traced) iterations")
+	flag.IntVar(&o.Iters, "iters", 3, "timed (and, with the timeline flags, traced) iterations, at least 1")
 	flag.Int64Var(&o.BlobMiB, "blob-budget", 0,
 		"out-of-core blob budget (MiB): stream activations in micro-batch windows under this working-set bound (0 = off)")
 	flag.StringVar(&o.DB, "db", "", "benchmark database file (optional)")
@@ -144,6 +144,9 @@ func checkTimeline(path string, data []byte, w io.Writer) error {
 func run(o runOpts, w io.Writer) error {
 	if o.Workers < 0 || o.Workers > blas.WorkerCap {
 		return fmt.Errorf("-workers %d: want 0 (leave the default) to %d", o.Workers, blas.WorkerCap)
+	}
+	if o.Iters < 1 {
+		return fmt.Errorf("-iters %d: want at least 1", o.Iters)
 	}
 	return o.ObsFlags.Run(func(reg *obs.Registry) ([]core.HandleReport, error) { return runNet(o, reg, w) })
 }

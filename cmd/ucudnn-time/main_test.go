@@ -219,6 +219,18 @@ func TestRunErrors(t *testing.T) {
 	if err := run(o, io.Discard); err == nil {
 		t.Fatal("malformed fault schedule must error")
 	}
+	// Fewer than one iteration has nothing to time or trace: an empty
+	// timeline would pass -check.
+	for _, iters := range []int{0, -3} {
+		o := opts("inception", 8, "p100", "wr", "powerOfTwo", 8, 0, iters, "")
+		o.Timeline = filepath.Join(t.TempDir(), "t.json")
+		if err := run(o, io.Discard); err == nil || !strings.Contains(err.Error(), "-iters") {
+			t.Errorf("-iters %d: err = %v, want an -iters error", iters, err)
+		}
+		if _, err := os.Stat(o.Timeline); err == nil {
+			t.Errorf("-iters %d wrote a timeline", iters)
+		}
+	}
 }
 
 // -workers takes 0 (the default) up to the profiler's 256 worker slots;

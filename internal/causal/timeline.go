@@ -19,30 +19,31 @@ const Schema = "ucudnn-causal-timeline/v1"
 // on/off.
 type Timeline struct {
 	Schema string        `json:"schema"`
-	Scopes []Scope       `json:"scopes"`
+	Scopes []trace.Scope `json:"scopes"`
 	Events []trace.Event `json:"events"`
 }
 
-// Build assembles the canonical timeline from recorded trace events, in
-// canonical (trace.Less) order as Recorder.Events returns them, and the
-// scope log. Raw span IDs are allocation-ordered and vary with recording
-// interleaving; Build renumbers them positionally — scopes 1..S in
-// recording order, events S+1.. in their given order — which is what
-// makes the export deterministic. The events are renumbered in place.
-func Build(events []trace.Event, scopes []Scope) *Timeline {
-	t := &Timeline{Schema: Schema, Scopes: []Scope{}, Events: events}
+// Build assembles the canonical timeline from a recorder's events, in
+// canonical (trace.Less) order as Recorder.Events returns them, and its
+// scope log (Recorder.Scopes). Raw span IDs are allocation-ordered and
+// vary with recording interleaving; Build renumbers them positionally —
+// scopes 1..S in recording order, events S+1.. in their given order —
+// which is what makes the export deterministic. The events are
+// renumbered in place.
+func Build(events []trace.Event, scopes []trace.Scope) *Timeline {
+	t := &Timeline{Schema: Schema, Scopes: []trace.Scope{}, Events: events}
 	if t.Events == nil {
 		t.Events = []trace.Event{}
 	}
-	scopeMap := make(map[ID]ID, len(scopes))
+	scopeMap := make(map[uint64]uint64, len(scopes))
 	for i, s := range scopes {
-		id := ID(i + 1)
+		id := uint64(i + 1)
 		scopeMap[s.ID] = id
-		t.Scopes = append(t.Scopes, Scope{ID: id, Parent: scopeMap[s.Parent], Kind: s.Kind, Name: s.Name})
+		t.Scopes = append(t.Scopes, trace.Scope{ID: id, Parent: scopeMap[s.Parent], Kind: s.Kind, Name: s.Name})
 	}
 	for i := range events {
 		e := &events[i]
-		e.Span, e.Parent = uint64(len(scopes)+i+1), uint64(scopeMap[ID(e.Parent)])
+		e.Span, e.Parent = uint64(len(scopes)+i+1), scopeMap[e.Parent]
 	}
 	return t
 }
@@ -84,7 +85,7 @@ func (t *Timeline) Validate() error {
 		return fmt.Errorf("causal: schema %q, want %q", t.Schema, Schema)
 	}
 	for i, s := range t.Scopes {
-		if s.ID != ID(i+1) {
+		if s.ID != uint64(i+1) {
 			return fmt.Errorf("causal: scope %d has ID %d, want dense numbering", i, s.ID)
 		}
 		if s.Parent >= s.ID {

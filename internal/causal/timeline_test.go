@@ -16,8 +16,8 @@ func tev(name, cat string, track int, start, dur time.Duration, span, parent uin
 }
 
 // build records evs into a trace recorder in the given order and builds
-// the timeline from its canonical snapshot, as session.Trace does.
-func build(evs []trace.Event, scopes []Scope) *Timeline {
+// the timeline from its canonical snapshot and the given scope log.
+func build(evs []trace.Event, scopes []trace.Scope) *Timeline {
 	rec := trace.New()
 	for _, e := range evs {
 		rec.Add(e)
@@ -29,18 +29,18 @@ func build(evs []trace.Event, scopes []Scope) *Timeline {
 // logical recording with different raw IDs and insertion orders exports
 // byte-identical JSON.
 func TestBuildCanonicalRenumbering(t *testing.T) {
-	scopesA := []Scope{
-		{ID: 7, Parent: 0, Kind: KindIteration, Name: "iteration"},
-		{ID: 9, Parent: 7, Kind: KindLayer, Name: "conv1"},
+	scopesA := []trace.Scope{
+		{ID: 7, Parent: 0, Kind: trace.KindIteration, Name: "iteration"},
+		{ID: 9, Parent: 7, Kind: trace.KindLayer, Name: "conv1"},
 	}
 	evsA := []trace.Event{
 		tev("k1", "fwd", trace.TrackKernel, 0, 10, 21, 9),
 		tev("k2", "fwd", trace.TrackKernel, 10, 5, 23, 9),
 	}
 	// Same recording, different raw IDs, events inserted reversed.
-	scopesB := []Scope{
-		{ID: 101, Parent: 0, Kind: KindIteration, Name: "iteration"},
-		{ID: 150, Parent: 101, Kind: KindLayer, Name: "conv1"},
+	scopesB := []trace.Scope{
+		{ID: 101, Parent: 0, Kind: trace.KindIteration, Name: "iteration"},
+		{ID: 150, Parent: 101, Kind: trace.KindLayer, Name: "conv1"},
 	}
 	evsB := []trace.Event{
 		tev("k2", "fwd", trace.TrackKernel, 10, 5, 3, 150),
@@ -101,7 +101,7 @@ func TestValidateRejects(t *testing.T) {
 			tev("k1", "fwd", trace.TrackKernel, 0, 10, 11, 5),
 			tev("k2", "fwd", trace.TrackKernel, 10, 5, 12, 5),
 			tev("iteration", "iteration", trace.TrackIteration, 0, 15, 4, 0),
-		}, []Scope{{ID: 5, Kind: KindLayer, Name: "conv1"}})
+		}, []trace.Scope{{ID: 5, Kind: trace.KindLayer, Name: "conv1"}})
 	}
 	cases := []struct {
 		name   string

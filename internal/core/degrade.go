@@ -5,7 +5,6 @@ import (
 	"slices"
 	"time"
 
-	"ucudnn/internal/causal"
 	"ucudnn/internal/conv"
 	"ucudnn/internal/tensor"
 	"ucudnn/internal/trace"
@@ -205,14 +204,12 @@ func (h *Handle) adopt(k Kernel, plan Plan, stage string, clockStart time.Durati
 	h.m.fallback(stage)
 	h.m.degradedPlans.Set(float64(deg))
 	if rec := h.inner.Trace(); rec != nil {
-		rec.Add(trace.Event{
-			Name:   "degrade " + k.String() + " -> " + stage,
-			Cat:    "fault",
-			Start:  clockStart,
-			Dur:    h.inner.Elapsed() - clockStart,
-			Track:  trace.TrackFault,
-			Span:   uint64(causal.NewLeaf()),
-			Parent: uint64(causal.Current()),
+		rec.AddLeaf(trace.Event{
+			Name:  "degrade " + k.String() + " -> " + stage,
+			Cat:   "fault",
+			Start: clockStart,
+			Dur:   h.inner.Elapsed() - clockStart,
+			Track: trace.TrackFault,
 		})
 	}
 }

@@ -8,13 +8,13 @@ import (
 	"sync"
 	"time"
 
-	"ucudnn/internal/causal"
 	"ucudnn/internal/conv"
 	"ucudnn/internal/cudnn"
 	"ucudnn/internal/faults"
 	"ucudnn/internal/obs"
 	"ucudnn/internal/prof"
 	"ucudnn/internal/tensor"
+	"ucudnn/internal/trace"
 )
 
 // VirtualAlgo is the algorithm identifier µ-cuDNN hands back from the
@@ -484,7 +484,7 @@ func (h *Handle) execute(op conv.Op, cs tensor.ConvShape, x *tensor.Tensor, w *t
 	plan, err := h.ensurePlan(k)
 	h.execMu.Lock()
 	defer h.execMu.Unlock()
-	defer openCall(k).close()
+	defer openCall(h.inner.Trace(), k).close()
 	out := h.snapshotOutput(op, x, w, y, beta)
 	if err == nil {
 		err = h.runConfig(plan.Config, plan.Workspace, op, cs, x, w, y, alpha, beta)
@@ -495,28 +495,29 @@ func (h *Handle) execute(op conv.Op, cs tensor.ConvShape, x *tensor.Tensor, w *t
 	return h.degrade(k, err, out, x, w, y, alpha, beta)
 }
 
-// callScope is a conv call's causal scope and profiler row, which
-// openCall opens together and close ends.
+// callScope is a conv call's causal scope on the handle's recorder and
+// its profiler row, which openCall opens together and close ends.
 type callScope struct {
-	sc     causal.Token
+	rec    *trace.Recorder
+	sc     trace.Scope
 	pstart int64
 }
 
-// openCall opens the causal scope and the profiler row of a call of k.
-// Both are named by the kernel, which is formatted only when one of
-// them records.
-func openCall(k Kernel) callScope {
-	if !causal.Enabled() && !prof.Enabled() {
+// openCall opens the causal scope of a call of k on rec (nil when the
+// handle records no timeline) and its profiler row. Both are named by
+// the kernel, which is formatted only when one of them records.
+func openCall(rec *trace.Recorder, k Kernel) callScope {
+	if rec == nil && !prof.Enabled() {
 		return callScope{}
 	}
 	name := k.String()
-	return callScope{sc: causal.Begin(causal.KindConv, name), pstart: prof.Begin(name)}
+	return callScope{rec: rec, sc: rec.Open(trace.KindConv, name), pstart: prof.Begin(name)}
 }
 
 // close ends what openCall opened.
 func (c callScope) close() {
 	prof.End(c.pstart)
-	causal.End(c.sc)
+	c.rec.Close(c.sc)
 }
 
 // snapshotOutput copies the output buffer a beta != 0 call blends into

@@ -25,7 +25,6 @@ import (
 	"sync"
 	"time"
 
-	"ucudnn/internal/causal"
 	"ucudnn/internal/conv"
 	"ucudnn/internal/device"
 	"ucudnn/internal/faults"
@@ -147,10 +146,8 @@ func (h *Handle) Charge(d time.Duration) {
 }
 
 // ChargeNamed adds d to the simulated clock and, when a tracer is
-// attached, records a named span on the device compute stream. When
-// causal correlation is enabled the recorded span carries a fresh leaf
-// ID under the current scope, which is what links every clock
-// advancement back to its conv call, layer and iteration.
+// attached, records a named leaf span on the device compute stream
+// under the tracer's innermost open scope.
 func (h *Handle) ChargeNamed(name, cat string, d time.Duration) {
 	if start, tr := h.charge(d); tr != nil {
 		record(tr, name, cat, start, d)
@@ -169,12 +166,9 @@ func (h *Handle) charge(d time.Duration) (time.Duration, *trace.Recorder) {
 	return start, tr
 }
 
-// record appends one device-stream span to tr.
+// record appends one device-stream leaf span to tr.
 func record(tr *trace.Recorder, name, cat string, start, d time.Duration) {
-	tr.Add(trace.Event{
-		Name: name, Cat: cat, Start: start, Dur: d, Track: trace.TrackKernel,
-		Span: uint64(causal.NewLeaf()), Parent: uint64(causal.Current()),
-	})
+	tr.AddLeaf(trace.Event{Name: name, Cat: cat, Start: start, Dur: d, Track: trace.TrackKernel})
 }
 
 // AlgoPerf reports the benchmark outcome of one algorithm, mirroring

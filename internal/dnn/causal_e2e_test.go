@@ -54,12 +54,6 @@ func causalTimelineBytes(t *testing.T, workers int, profile bool) []byte {
 		t.Fatal(err)
 	}
 
-	causal.Reset()
-	causal.Enable()
-	defer func() {
-		causal.Disable()
-		causal.Reset()
-	}()
 	rec := trace.New()
 	ctx.Cudnn.SetTrace(rec)
 	defer ctx.Cudnn.SetTrace(nil)
@@ -69,10 +63,9 @@ func causalTimelineBytes(t *testing.T, workers int, profile bool) []byte {
 			t.Fatal(err)
 		}
 	}
-	causal.Disable()
 
 	// Validate also checks that the device stream tiles both iterations.
-	tl := causal.Build(rec.Events(), causal.Scopes())
+	tl := causal.Build(rec.Events(), rec.Scopes())
 	if err := tl.Validate(); err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"ucudnn/internal/blas"
-	"ucudnn/internal/causal"
 	"ucudnn/internal/conv"
 	"ucudnn/internal/cudnn"
 	"ucudnn/internal/device"
@@ -516,17 +515,18 @@ type pass struct {
 	n     *Net
 	layer int
 	bwd   bool
-	sc    causal.Token
+	sc    trace.Scope
 	start time.Duration
 }
 
 // open starts a pass: a layer pass names its layer for the clock
 // charges (Context.Label) and the profiler rows, and every pass opens
-// its causal scope and notes the simulated clock.
+// its causal scope on the context's trace recorder (if any) and notes
+// the simulated clock.
 func (n *Net) open(layer int, bwd bool) pass {
 	p := pass{n: n, layer: layer, bwd: bwd, start: n.ctx.Cudnn.Elapsed()}
 	if layer < 0 {
-		p.sc = causal.Begin(causal.KindIteration, "iteration")
+		p.sc = n.ctx.Trace.Open(trace.KindIteration, "iteration")
 		return p
 	}
 	name := n.layers[layer].layer.Name()
@@ -535,7 +535,7 @@ func (n *Net) open(layer int, bwd bool) pass {
 		n.ctx.label = n.bound[layer].bwdLabel
 	}
 	prof.SetLayer(n.ctx.label)
-	p.sc = causal.Begin(causal.KindLayer, name)
+	p.sc = n.ctx.Trace.Open(trace.KindLayer, name)
 	return p
 }
 
@@ -559,11 +559,11 @@ func (p pass) close() {
 		n.ctx.label = ""
 		prof.SetLayer("")
 	}
-	if n.ctx.Trace != nil {
-		n.ctx.Trace.Add(trace.Event{Span: uint64(p.sc.ID), Parent: uint64(p.sc.Parent),
+	if rec := n.ctx.Trace; rec != nil {
+		rec.Add(trace.Event{Span: p.sc.ID, Parent: p.sc.Parent,
 			Name: name, Cat: cat, Track: track, Start: p.start, Dur: dur})
+		rec.Close(p.sc)
 	}
-	causal.End(p.sc)
 }
 
 // RunIteration runs one training iteration (forward + backward) inside

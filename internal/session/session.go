@@ -150,19 +150,20 @@ func (s *Session) HandleReports() []core.HandleReport {
 }
 
 // Trace runs one warm-up iteration (plans get decided and arenas
-// settle, so the traced iterations see steady state), then iters
-// iterations under causal recording, and returns the validated
-// canonical timeline.
+// settle, so the traced iterations see steady state), then iters >= 1
+// iterations with a fresh trace recorder attached, and returns the
+// validated canonical timeline.
 func (s *Session) Trace(iters int) (*causal.Timeline, error) {
+	if iters < 1 {
+		return nil, fmt.Errorf("tracing %d iterations: want at least 1", iters)
+	}
 	if err := s.Net.RunIteration(); err != nil {
 		return nil, err
 	}
-	causal.Reset()
-	causal.Enable()
-	defer causal.Disable()
 	// The handle's kernel spans, the degradation ladder's fault spans
-	// (the µ-cuDNN handle reads the inner handle's recorder) and the
-	// net's layer spans go to one recorder.
+	// (the µ-cuDNN handle reads the inner handle's recorder), the conv
+	// call scopes and the net's layer and iteration scopes all go to one
+	// recorder, which numbers them and keeps the scope log.
 	attach := func(rec *trace.Recorder) {
 		s.Inner.SetTrace(rec)
 		s.Ctx.Trace = rec
@@ -175,7 +176,7 @@ func (s *Session) Trace(iters int) (*causal.Timeline, error) {
 			return nil, err
 		}
 	}
-	t := causal.Build(rec.Events(), causal.Scopes())
+	t := causal.Build(rec.Events(), rec.Scopes())
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("internal: exported timeline fails validation: %w", err)
 	}

@@ -104,8 +104,8 @@ func TestNewRejects(t *testing.T) {
 	}
 }
 
-// Trace leaves the run detached and the causal layer disabled, so a
-// timed pass that follows records nothing.
+// Trace leaves the run detached, so a timed pass that follows records
+// nothing, and refuses to trace fewer than one iteration.
 func TestTraceDetaches(t *testing.T) {
 	s, err := New(Config{Net: "inception", Batch: 8, Device: device.P100, Mode: "wr",
 		Policy: core.PolicyPowerOfTwo, WS: 8 * mib, Backend: cudnn.ModelOnlyBackend})
@@ -127,6 +127,11 @@ func TestTraceDetaches(t *testing.T) {
 	}
 	if s.Ctx.Trace != nil || s.Inner.Trace() != nil {
 		t.Fatal("Trace left a recorder attached")
+	}
+	for _, iters := range []int{0, -3} {
+		if _, err := s.Trace(iters); err == nil {
+			t.Errorf("Trace(%d) returned a timeline", iters)
+		}
 	}
 }
 

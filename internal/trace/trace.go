@@ -3,6 +3,14 @@
 // trace of a µ-cuDNN run visualizes the paper's Fig. 3: one convolution
 // call expanded into a sequence of per-micro-batch kernels, each labeled
 // with its algorithm and micro-batch size.
+//
+// A Recorder is also its run's correlation state, the way a cuDNN
+// handle owns its stream: it keeps the run's span ID counter, the stack
+// of open scopes (iteration → layer → convolution call) and the scope
+// log, so every span it records names its enclosing scope and two
+// traced runs in one process never share numbering or parents. Scopes
+// are recorded exactly when a recorder is attached; on a nil recorder
+// Open and Close do nothing.
 package trace
 
 import (
@@ -52,8 +60,9 @@ func TrackName(t int) string {
 // JSON tags are the event layout of the exported causal timeline
 // (causal.Timeline), so the field order is part of that export.
 type Event struct {
-	// Span is the event's causal identifier; 0 when correlation is off.
-	// An exported timeline renumbers it canonically (causal.Build).
+	// Span is the event's causal identifier, stamped by AddLeaf (or the
+	// scope's ID, for a bracket); 0 when nothing assigned one. An exported
+	// timeline renumbers it canonically (causal.Build).
 	Span uint64 `json:"span"`
 	// Parent is the Span of the enclosing causal scope (a conv call, a
 	// layer, an iteration); 0 at the root.
@@ -89,20 +98,92 @@ var bracketCats = map[string]bool{
 // occupies its track) rather than a bracket/annotation.
 func (e Event) Leaf() bool { return !bracketCats[e.Cat] }
 
-// Recorder accumulates events; it is safe for concurrent use.
+// Scope kinds, outermost first. Kinds are plain strings so the timeline
+// schema stays self-describing.
+const (
+	// KindIteration brackets one forward+backward pass.
+	KindIteration = "iteration"
+	// KindLayer brackets one layer's forward or backward execution.
+	KindLayer = "layer"
+	// KindConv brackets one convolution call (core.Handle.execute); its
+	// children are the micro-batch kernel spans of the plan.
+	KindConv = "conv"
+)
+
+// Scope is one recorded non-leaf span: a correlation node that may not
+// itself appear on the device timeline (a convolution call has no
+// charge of its own — its micro-batch kernels do). The JSON tags are
+// the scope layout of the exported causal timeline.
+type Scope struct {
+	ID     uint64 `json:"id"`
+	Parent uint64 `json:"parent,omitempty"`
+	Kind   string `json:"kind"`
+	Name   string `json:"name"`
+}
+
+// Recorder accumulates events and the scope tree they belong to; it is
+// safe for concurrent use.
 type Recorder struct {
 	mu     sync.Mutex
 	events []Event
+	scopes []Scope
+	last   uint64 // the last span ID handed out (scopes and leaves share them)
+	cur    uint64 // the innermost open scope; 0 at the root
 }
 
 // New creates an empty recorder.
 func New() *Recorder { return &Recorder{} }
 
-// Add appends one event.
+// Add appends one event as given.
 func (r *Recorder) Add(ev Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.events = append(r.events, ev)
+}
+
+// AddLeaf appends ev as a leaf of the innermost open scope: it gets a
+// fresh span ID and that scope as its parent, which is what links every
+// clock charge back to its conv call, layer and iteration.
+func (r *Recorder) AddLeaf(ev Event) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.last++
+	ev.Span, ev.Parent = r.last, r.cur
+	r.events = append(r.events, ev)
+}
+
+// Open opens a scope under the innermost open one, makes it innermost
+// and returns it. On a nil recorder it returns the zero Scope.
+func (r *Recorder) Open(kind, name string) Scope {
+	if r == nil {
+		return Scope{}
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.last++
+	s := Scope{ID: r.last, Parent: r.cur, Kind: kind, Name: name}
+	r.scopes = append(r.scopes, s)
+	r.cur = s.ID
+	return s
+}
+
+// Close closes s, making its parent the innermost open scope again.
+// Closing on a nil recorder, or the zero Scope, does nothing.
+func (r *Recorder) Close(s Scope) {
+	if r == nil || s.ID == 0 {
+		return
+	}
+	r.mu.Lock()
+	r.cur = s.Parent
+	r.mu.Unlock()
+}
+
+// Scopes returns a snapshot of the scope log in recording (execution)
+// order.
+func (r *Recorder) Scopes() []Scope {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]Scope(nil), r.scopes...)
 }
 
 // Less is the canonical timeline order, (Start, Track, Name, Span). The
