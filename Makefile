@@ -40,17 +40,18 @@ bench:
 	$(GO) test -bench=. -benchmem -run=NONE
 
 # bench-smoke is a short pass over the convolution kernel, LRN and pooling
-# layer and WD ILP micro-benchmarks (the BENCH_kernels.json baseline):
-# enough iterations to catch a kernel that stopped running or started
-# allocating, for a quick check by hand (make check runs bench-json, a
-# superset of these benchmarks, instead). Like bench-json it runs at -cpu 1: the
-# ledger records the engine's serial path, whose allocs/op must be zero
-# on whatever host this is (a forked call allocates the closure each of
-# its launches runs).
+# layer, WD ILP and parameter-fill micro-benchmarks (the BENCH_kernels.json
+# baseline): enough iterations to catch a kernel that stopped running or
+# started allocating, for a quick check by hand (make check runs bench-json,
+# a superset of these benchmarks, instead). Like bench-json it runs at
+# -cpu 1: the ledger records the engine's serial path, whose allocs/op must
+# be zero on whatever host this is (a forked call allocates the closure
+# each of its launches runs); a parameter fill allocates the one block
+# generator it adopts the stream into.
 bench-smoke:
 	$(GO) test -run=NONE -bench='BenchmarkConvKernels$$|BenchmarkConvBackwardFilter|BenchmarkConvImplicit|BenchmarkConvPointwise|BenchmarkConvInception3x3|BenchmarkSgemm|BenchmarkLRN|BenchmarkPool' \
 		-benchtime=3x -benchmem -cpu 1 ./internal/conv/ ./internal/blas/ ./internal/dnn/
-	$(GO) test -run=NONE -bench='BenchmarkILP' -benchtime=20x -benchmem -cpu 1 .
+	$(GO) test -run=NONE -bench='BenchmarkILP|BenchmarkFillUniform' -benchtime=20x -benchmem -cpu 1 .
 
 # bench-json runs the kernel micro-benchmarks that back
 # BENCH_kernels.json and emits a schema'd report for benchdiff. The raw
@@ -63,12 +64,13 @@ bench-smoke:
 # benchmarking. They take 0.01-11 ms, and at 3x the first, cache-cold
 # run is a third of the sample and allocs/op rounds unevenly; at 200x
 # allocs/op is exact, so the strict benchdiff fails on any new planner
-# allocation.
+# allocation. The parameter-fill row (tensor.FillUniform, 1 Mi floats,
+# ~3 ms) runs beside them for the same reason.
 bench-json:
 	@tmp=$$(mktemp); \
 	$(GO) test -run=NONE -bench='BenchmarkConvKernels$$|BenchmarkConvKernelsBatch|BenchmarkConvBackwardFilter|BenchmarkConvImplicit|BenchmarkConvPointwise|BenchmarkConvInception3x3|BenchmarkConvMicroBatch|BenchmarkSgemm|BenchmarkLRN|BenchmarkPool' \
 		-benchtime=3x -count 3 -benchmem -cpu 1 ./internal/conv/ ./internal/blas/ ./internal/dnn/ > $$tmp || { cat $$tmp; rm -f $$tmp; exit 1; }; \
-	$(GO) test -run=NONE -bench='BenchmarkILP|BenchmarkDesirableSet|BenchmarkOptimizerW[RD]' -benchtime=200x -count 3 -benchmem -cpu 1 . >> $$tmp || { cat $$tmp; rm -f $$tmp; exit 1; }; \
+	$(GO) test -run=NONE -bench='BenchmarkILP|BenchmarkDesirableSet|BenchmarkOptimizerW[RD]|BenchmarkFillUniform' -benchtime=200x -count 3 -benchmem -cpu 1 . >> $$tmp || { cat $$tmp; rm -f $$tmp; exit 1; }; \
 	$(GO) run ./cmd/ucudnn-benchdiff -emit < $$tmp > BENCH_report.json; rm -f $$tmp
 	@echo "wrote BENCH_report.json"
 
@@ -148,10 +150,11 @@ race:
 # backend does) wherever the source does not forbid it. The dnn layers
 # multiply, round, then add, as their amd64 code does; blas's one fused
 # operation is the correctly rounded float32 FMA its Go twins spell out
-# in float64 (fma32), which must match VFMADD231PS bit for bit. Both
+# in float64 (fma32), which must match VFMADD231PS bit for bit; tensor's
+# parameter fill must store what math/rand's Float32 loop stores. These
 # packages therefore round every product explicitly, and this keeps any
 # implicit fusion out.
-FMA_PKGS = blas dnn
+FMA_PKGS = blas dnn tensor
 
 fma-arm64:
 	@tmp=$$(mktemp); total=0; \

@@ -10,6 +10,7 @@ package ucudnn_test
 
 import (
 	"io"
+	"math/rand"
 	"testing"
 
 	"ucudnn/internal/bench"
@@ -209,6 +210,21 @@ func BenchmarkDesirableSet(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkFillUniform measures parameter initialisation alone: one
+// tensor.FillUniform of 1 Mi floats into touched memory from a generator
+// that earlier fills have already drawn from, as every layer after the
+// first finds it. Each op adopts the generator's stream afresh, which is
+// its one allocation.
+func BenchmarkFillUniform(b *testing.B) {
+	dst := make([]float32, 1<<20)
+	rng := rand.New(rand.NewSource(1))
+	tensor.FillUniform(dst, rng, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tensor.FillUniform(dst, rng, 0.01)
 	}
 }
 

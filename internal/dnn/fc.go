@@ -38,9 +38,7 @@ func (l *FC) Setup(ctx *Context, bottoms []tensor.Shape) (tensor.Shape, error) {
 	l.weight = newParam(ctx, l.name+".weight", l.out*l.in)
 	l.bias = newParam(ctx, l.name+".bias", l.out)
 	scale := float32(math.Sqrt(2.0 / float64(l.in)))
-	for i := range l.weight.Data {
-		l.weight.Data[i] = (ctx.RNG.Float32()*2 - 1) * scale
-	}
+	tensor.FillUniform(l.weight.Data, ctx.RNG, scale)
 	if err := ctx.Cudnn.Mem().Alloc(2 * int64(l.out) * int64(l.in+1) * 4); err != nil {
 		return tensor.Shape{}, err
 	}

@@ -157,12 +157,8 @@ func (t *Tensor) CopyFrom(src *Tensor) {
 }
 
 // Randomize fills the tensor with deterministic uniform values in
-// [-scale, scale] drawn from rng.
-func (t *Tensor) Randomize(rng *rand.Rand, scale float32) {
-	for i := range t.Data {
-		t.Data[i] = (rng.Float32()*2 - 1) * scale
-	}
-}
+// [-scale, scale] drawn from rng (FillUniform).
+func (t *Tensor) Randomize(rng *rand.Rand, scale float32) { FillUniform(t.Data, rng, scale) }
 
 // Filter describes the dimensions of a KCRS filter tensor.
 type Filter struct {
@@ -233,12 +229,8 @@ func (w *FilterTensor) Clone() *FilterTensor {
 }
 
 // Randomize fills the filter with deterministic uniform values in
-// [-scale, scale] drawn from rng.
-func (w *FilterTensor) Randomize(rng *rand.Rand, scale float32) {
-	for i := range w.Data {
-		w.Data[i] = (rng.Float32()*2 - 1) * scale
-	}
-}
+// [-scale, scale] drawn from rng (FillUniform).
+func (w *FilterTensor) Randomize(rng *rand.Rand, scale float32) { FillUniform(w.Data, rng, scale) }
 
 // MaxAbsDiff returns the maximum absolute elementwise difference between
 // a and b, which must have equal length.
@@ -277,7 +269,7 @@ func AllClose(a, b []float32, atol, rtol float64) bool {
 	for i := range a {
 		x, y := float64(a[i]), float64(b[i])
 		d := math.Abs(x - y)
-		if d > atol+rtol*math.Max(math.Abs(x), math.Abs(y)) {
+		if d > atol+float64(rtol*math.Max(math.Abs(x), math.Abs(y))) {
 			return false
 		}
 	}

@@ -28,6 +28,7 @@ import (
 	"ucudnn/internal/device"
 	"ucudnn/internal/dnn"
 	"ucudnn/internal/faults"
+	"ucudnn/internal/tensor"
 	"ucudnn/internal/zoo"
 )
 
@@ -399,10 +400,7 @@ func Run(mode Mode, spec RunSpec) (*Result, error) {
 	}
 
 	in := net.InputBlob().Data
-	fillRNG := rand.New(rand.NewSource(seed + 1))
-	for i := range in.Data {
-		in.Data[i] = fillRNG.Float32()*2 - 1
-	}
+	tensor.FillUniform(in.Data, rand.New(rand.NewSource(seed+1)), 1)
 	loss.Labels = make([]int, spec.Batch)
 	for i := range loss.Labels {
 		loss.Labels[i] = i % Classes
