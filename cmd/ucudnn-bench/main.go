@@ -22,6 +22,7 @@ import (
 	"ucudnn/internal/bench"
 	"ucudnn/internal/core"
 	"ucudnn/internal/device"
+	"ucudnn/internal/faults"
 	"ucudnn/internal/obs"
 	"ucudnn/internal/session"
 )
@@ -46,9 +47,9 @@ func main() {
 	of.Register(flag.CommandLine)
 	flag.Parse()
 
-	err := of.Run(func(reg *obs.Registry) ([]core.HandleReport, error) {
+	err := of.Run(func(reg *obs.Registry, fr *faults.Registry) ([]core.HandleReport, error) {
 		var handles []core.HandleReport
-		err := run(o, reg, &handles)
+		err := run(o, reg, fr, &handles)
 		return handles, err
 	})
 	if err != nil {
@@ -59,7 +60,7 @@ func main() {
 
 // run executes the selected experiments; handles collects the plan
 // table of every µ-cuDNN handle they build.
-func run(o opts, reg *obs.Registry, handles *[]core.HandleReport) error {
+func run(o opts, reg *obs.Registry, fr *faults.Registry, handles *[]core.HandleReport) error {
 	d, err := device.ByName(o.dev)
 	if err != nil {
 		return err
@@ -75,7 +76,7 @@ func run(o opts, reg *obs.Registry, handles *[]core.HandleReport) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	cfg := bench.Config{Device: d, Batch: o.batch, Iters: o.iters, Out: os.Stdout, Metrics: reg, Handles: handles}
+	cfg := bench.Config{Device: d, Batch: o.batch, Iters: o.iters, Out: os.Stdout, Metrics: reg, Faults: fr, Handles: handles}
 	if o.csvPath != "" {
 		f, err := os.Create(o.csvPath)
 		if err != nil {

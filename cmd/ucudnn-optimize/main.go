@@ -25,6 +25,7 @@ import (
 	"ucudnn/internal/core"
 	"ucudnn/internal/cudnn"
 	"ucudnn/internal/device"
+	"ucudnn/internal/faults"
 	"ucudnn/internal/obs"
 	"ucudnn/internal/session"
 	"ucudnn/internal/tensor"
@@ -94,17 +95,17 @@ func parseDims(s string, n int) ([]int, error) {
 }
 
 func run(o runOpts) error {
-	return o.ObsFlags.Run(func(reg *obs.Registry) ([]core.HandleReport, error) {
+	return o.ObsFlags.Run(func(reg *obs.Registry, fr *faults.Registry) ([]core.HandleReport, error) {
 		if o.Net != "" {
-			return runNet(o, reg)
+			return runNet(o, reg, fr)
 		}
-		return nil, runKernel(o, reg)
+		return nil, runKernel(o, reg, fr)
 	})
 }
 
 // runKernel is the original single-kernel mode: benchmark, WR sweep,
 // Pareto front.
-func runKernel(o runOpts, reg *obs.Registry) error {
+func runKernel(o runOpts, reg *obs.Registry, fr *faults.Registry) error {
 	in, err := parseDims(o.Shape, 4)
 	if err != nil {
 		return err
@@ -141,7 +142,8 @@ func runKernel(o runOpts, reg *obs.Registry) error {
 		return fmt.Errorf("invalid convolution %v", cs)
 	}
 	h := cudnn.NewHandle(d, cudnn.ModelOnlyBackend)
-	cache, err := core.NewCache(o.DB)
+	h.SetFaults(fr)
+	cache, err := core.NewCache(o.DB, fr)
 	if err != nil {
 		return err
 	}
@@ -185,7 +187,7 @@ func runKernel(o runOpts, reg *obs.Registry) error {
 
 // runNet optimizes all convolution kernels of a zoo network jointly under
 // the WD total-workspace budget, printing the paper's §IV-B cost metrics.
-func runNet(o runOpts, reg *obs.Registry) ([]core.HandleReport, error) {
+func runNet(o runOpts, reg *obs.Registry, fr *faults.Registry) ([]core.HandleReport, error) {
 	d, err := device.ByName(o.Device)
 	if err != nil {
 		return nil, err
@@ -199,7 +201,7 @@ func runNet(o runOpts, reg *obs.Registry) ([]core.HandleReport, error) {
 	s, err := session.New(session.Config{
 		Net: o.Net, Batch: o.Batch, Device: d, Mode: "wd", Policy: pol,
 		WS: core.DefaultWorkspaceLimit, Total: o.TotalMiB << 20, BlobBudget: o.BlobMiB << 20,
-		Backend: cudnn.ModelOnlyBackend, CachePath: o.DB, Metrics: reg,
+		Backend: cudnn.ModelOnlyBackend, CachePath: o.DB, Metrics: reg, Faults: fr,
 	})
 	if err != nil {
 		return nil, err

@@ -30,6 +30,7 @@ import (
 	"ucudnn/internal/core"
 	"ucudnn/internal/cudnn"
 	"ucudnn/internal/device"
+	"ucudnn/internal/faults"
 	"ucudnn/internal/obs"
 	"ucudnn/internal/session"
 	"ucudnn/internal/zoo"
@@ -148,10 +149,12 @@ func run(o runOpts, w io.Writer) error {
 	if o.Iters < 1 {
 		return fmt.Errorf("-iters %d: want at least 1", o.Iters)
 	}
-	return o.ObsFlags.Run(func(reg *obs.Registry) ([]core.HandleReport, error) { return runNet(o, reg, w) })
+	return o.ObsFlags.Run(func(reg *obs.Registry, fr *faults.Registry) ([]core.HandleReport, error) {
+		return runNet(o, reg, fr, w)
+	})
 }
 
-func runNet(o runOpts, reg *obs.Registry, w io.Writer) ([]core.HandleReport, error) {
+func runNet(o runOpts, reg *obs.Registry, fr *faults.Registry, w io.Writer) ([]core.HandleReport, error) {
 	d, err := device.ByName(o.Device)
 	if err != nil {
 		return nil, err
@@ -174,7 +177,7 @@ func runNet(o runOpts, reg *obs.Registry, w io.Writer) ([]core.HandleReport, err
 	s, err := session.New(session.Config{
 		Net: o.Net, Batch: o.Batch, Device: d, Mode: o.Mode, Policy: pol,
 		WS: o.WSMiB << 20, Total: o.TotalMiB << 20, BlobBudget: o.BlobMiB << 20,
-		Backend: backend, CachePath: o.DB, Metrics: reg,
+		Backend: backend, CachePath: o.DB, Metrics: reg, Faults: fr,
 	})
 	if err != nil {
 		return nil, err

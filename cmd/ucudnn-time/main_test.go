@@ -138,8 +138,7 @@ func TestRunProfileMetrics(t *testing.T) {
 
 // A blob-budgeted run's ucudnn_ooc_* series land in the run's one
 // -metrics registry, with the values the out-of-core executor reports —
-// including a ladder step taken while the executor was built, before
-// the registry was attached.
+// including the ladder step an armed plan fault takes at set-up.
 func TestRunOOCMetrics(t *testing.T) {
 	const schedule = "ucudnn_fp_ooc_plan=nth:1"
 	o := traceOpts("wd", 48)
@@ -165,11 +164,9 @@ func TestRunOOCMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults.Install(freg)
-	defer faults.Install(nil)
 	s, err := session.New(session.Config{Net: o.Net, Batch: o.Batch, Device: device.P100, Mode: o.Mode,
 		Policy: core.PolicyPowerOfTwo, WS: o.WSMiB << 20, Total: o.TotalMiB << 20, BlobBudget: o.BlobMiB << 20,
-		Backend: cudnn.ModelOnlyBackend})
+		Backend: cudnn.ModelOnlyBackend, Faults: freg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,6 +191,21 @@ func TestRunOOCMetrics(t *testing.T) {
 	for _, name := range []string{dnn.MetricOOCMicroBatches, dnn.MetricOOCPeakBytes} {
 		if got[name] == "" {
 			t.Errorf("-metrics file lacks %s", name)
+		}
+	}
+}
+
+// The out-of-core probe is sized outside the fault schedule: a schedule
+// that drops every Find* candidate degrades the run's kernels but leaves
+// the shapes-only probe alone, so a blob-budgeted run still completes
+// (it runs without -blob-budget too).
+func TestFaultsSkipOOCProbe(t *testing.T) {
+	o := opts("alexnet", 16, "p100", "wd", "powerOfTwo", 64, 256, 1, "")
+	o.Faults = "ucudnn_fp_find=every:1"
+	for _, blob := range []int64{0, 48} {
+		o.BlobMiB = blob
+		if err := run(o, io.Discard); err != nil {
+			t.Errorf("-blob-budget %d: %v", blob, err)
 		}
 	}
 }

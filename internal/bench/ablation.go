@@ -65,7 +65,7 @@ func Ablation(cfg Config) error {
 	// Benchmark-cache effect: planning AlexNet twice with a shared cache.
 	t3 := newTable(cfg, "Ablation: benchmark cache reuse (AlexNet forward kernels)",
 		"pass", "optimization_time")
-	cache, _ := core.NewCache("")
+	cache, _ := core.NewCache("", nil)
 	for pass := 1; pass <= 2; pass++ {
 		bc := core.NewBencher(newModelHandle(cfg), cache)
 		start := time.Now()

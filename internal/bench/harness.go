@@ -19,6 +19,7 @@ import (
 	"ucudnn/internal/cudnn"
 	"ucudnn/internal/device"
 	"ucudnn/internal/dnn"
+	"ucudnn/internal/faults"
 	"ucudnn/internal/obs"
 	"ucudnn/internal/session"
 	"ucudnn/internal/tensor"
@@ -40,6 +41,9 @@ type Config struct {
 	// Metrics, when non-nil, accumulates µ-cuDNN observability metrics
 	// across every handle the experiments create.
 	Metrics *obs.Registry
+	// Faults, when non-nil, is the fault schedule attached to every cuDNN
+	// handle the experiments create; its call counts run on across them.
+	Faults *faults.Registry
 	// Handles, when non-nil, receives the plan table of every µ-cuDNN
 	// handle the experiments build, in creation order (the -profile
 	// report joins its kernel rows against them).
@@ -105,9 +109,12 @@ func alexNetFwdShapes(n int) []struct {
 	}
 }
 
-// newModelHandle builds a model-only cuDNN handle for cfg's device.
+// newModelHandle builds a model-only cuDNN handle for cfg's device under
+// cfg's fault schedule.
 func newModelHandle(cfg Config) *cudnn.Handle {
-	return cudnn.NewHandle(cfg.Device, cudnn.ModelOnlyBackend)
+	h := cudnn.NewHandle(cfg.Device, cudnn.ModelOnlyBackend)
+	h.SetFaults(cfg.Faults)
+	return h
 }
 
 // netRun builds network `name` through the shared session constructor
@@ -119,7 +126,7 @@ func newModelHandle(cfg Config) *cudnn.Handle {
 // total; layers then ask for Caffe2's default per-kernel limit).
 func netRun(cfg Config, name string, mode string, policy core.Policy, limit int64, batch int) (*dnn.TimingReport, *session.Session, error) {
 	sc := session.Config{Net: name, Batch: batch, Device: cfg.Device, Mode: mode, Policy: policy,
-		WS: limit, Backend: cudnn.ModelOnlyBackend, Metrics: cfg.Metrics}
+		WS: limit, Backend: cudnn.ModelOnlyBackend, Metrics: cfg.Metrics, Faults: cfg.Faults}
 	if mode == "wd" {
 		sc.WS, sc.Total = core.DefaultWorkspaceLimit, limit
 	}

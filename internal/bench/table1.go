@@ -64,7 +64,7 @@ func OptTime(cfg Config) error {
 	if err != nil {
 		return err
 	}
-	dense, err := DenseNetPlan(cfg.Device)
+	dense, err := planDenseNet(newModelHandle(cfg))
 	if err != nil {
 		return err
 	}
@@ -91,7 +91,11 @@ func OptTime(cfg Config) error {
 // budget binds, so unlike ResNet-50's the ILP needs a real search. It
 // returns the finalized handle (plans and WDStats are ready).
 func DenseNetPlan(dev device.Spec) (*core.Handle, error) {
-	inner := cudnn.NewHandle(dev, cudnn.ModelOnlyBackend)
+	return planDenseNet(cudnn.NewHandle(dev, cudnn.ModelOnlyBackend))
+}
+
+// planDenseNet is DenseNetPlan on a given model-only handle.
+func planDenseNet(inner *cudnn.Handle) (*core.Handle, error) {
 	inner.Mem().Cap = 0
 	uc, err := core.New(inner, core.WithPolicy(core.PolicyPowerOfTwo), core.WithWD(32*MiB))
 	if err != nil {

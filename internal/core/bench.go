@@ -19,7 +19,7 @@ type Bencher struct {
 // NewBencher builds a bencher over the given cuDNN handle.
 func NewBencher(h *cudnn.Handle, cache *Cache) *Bencher {
 	if cache == nil {
-		cache, _ = NewCache("")
+		cache, _ = NewCache("", nil)
 	}
 	return &Bencher{h: h, cache: cache, m: newMetricSet(nil)}
 }

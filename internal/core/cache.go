@@ -54,8 +54,10 @@ func (c *Cache) instrument(ms *metricSet) {
 }
 
 // NewCache creates a cache; path may be empty for memory-only operation.
-// An existing database file is loaded eagerly.
-func NewCache(path string) (*Cache, error) {
+// An existing database file is loaded eagerly, each line through the
+// run's fault schedule fr (nil for none), whose cache-load point
+// corrupts lines as the loader reads them.
+func NewCache(path string, fr *faults.Registry) (*Cache, error) {
 	c := &Cache{mem: map[cacheKey][]cudnn.AlgoPerf{}, named: map[string][]cudnn.AlgoPerf{}, path: path, m: newMetricSet(nil)}
 	if path == "" {
 		return c, nil
@@ -68,7 +70,7 @@ func NewCache(path string) (*Cache, error) {
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
-		line := faults.Mangle(faults.PointCacheLoad, sc.Bytes())
+		line := fr.Mangle(faults.PointCacheLoad, sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}

@@ -24,7 +24,7 @@ not json at all
 	if err := os.WriteFile(path, []byte(db), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewCache(path)
+	c, err := NewCache(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,17 +67,15 @@ func TestCacheCorruptLinesMetricReplay(t *testing.T) {
 }
 
 // An armed cache-load fault mangles lines as the scanner hands them over,
-// exercising the same skip path as on-disk corruption.
+// exercising the same skip path as on-disk corruption. A µ-cuDNN handle
+// loads its database under its inner handle's schedule.
 func TestCacheLoadFaultManglesLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.db")
 	db := "{\"key\":\"k1\",\"perfs\":[]}\n{\"key\":\"k2\",\"perfs\":[]}\n"
 	if err := os.WriteFile(path, []byte(db), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	faults.Install(faults.New(faults.Rule{Point: faults.PointCacheLoad, Trigger: faults.Nth(1)}))
-	defer faults.Install(nil)
-	c, err := NewCache(path)
-	faults.Install(nil)
+	c, err := NewCache(path, faults.New(faults.Rule{Point: faults.PointCacheLoad, Trigger: faults.Nth(1)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,5 +90,12 @@ func TestCacheLoadFaultManglesLine(t *testing.T) {
 	c.instrument(newMetricSet(reg))
 	if got := reg.Counter(MetricCacheCorrupt).Value(); got != 1 {
 		t.Fatalf("%s = %d, want 1", MetricCacheCorrupt, got)
+	}
+
+	fr := faults.New(faults.Rule{Point: faults.PointCacheLoad, Trigger: faults.Nth(2)})
+	h := newFaultedHandle(t, fr, cudnn.ModelOnlyBackend, WithCachePath(path))
+	defer h.Cache().Close()
+	if _, ok := h.Cache().Get("k2"); ok || h.Cache().Len() != 1 || fr.ShotLog() != "ucudnn_fp_cache_load@2(corrupt)" {
+		t.Fatalf("handle loaded %d entries (k2 kept: %v) under shots %q, want k1 only", h.Cache().Len(), ok, fr.ShotLog())
 	}
 }

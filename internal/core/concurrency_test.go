@@ -94,7 +94,7 @@ func TestHandleConcurrentExecuteRace(t *testing.T) {
 // entries.
 func TestCacheConcurrent(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.jsonl")
-	c, err := NewCache(path)
+	c, err := NewCache(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestCacheConcurrent(t *testing.T) {
 		t.Fatalf("cache has %d entries, want 16", c.Len())
 	}
 	c.Close()
-	c2, err := NewCache(path)
+	c2, err := NewCache(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,9 +198,8 @@ func TestFileDBSharedAcrossHandles(t *testing.T) {
 // another goroutine toggles and reads the recorder.
 func TestSetTraceRecorderDuringDegradeRace(t *testing.T) {
 	xd, wd, cd, yd, cs := smallConv(8)
-	h := newTestHandle(t, cudnn.ModelOnlyBackend, WithWorkspaceLimit(1<<20))
-	faults.Install(faults.New(faults.Rule{Point: faults.PointConvolve, Trigger: faults.EveryK(2)}))
-	defer faults.Install(nil)
+	h := newFaultedHandle(t, faults.New(faults.Rule{Point: faults.PointConvolve, Trigger: faults.EveryK(2)}),
+		cudnn.ModelOnlyBackend, WithWorkspaceLimit(1<<20))
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup

@@ -97,7 +97,7 @@ func (h *Handle) degrade(k Kernel, cause error, out []float32, x *tensor.Tensor,
 			grant = minBytes
 		}
 		h.mu.Lock()
-		h.growArena(arenaGrant(grant))
+		h.growArena(h.arenaGrant(grant))
 		h.mu.Unlock()
 		h.restore(out)
 		if err := h.runConfig(cfg, grant, op, cs, x, w, y, alpha, beta); err == nil {
@@ -112,7 +112,7 @@ func (h *Handle) degrade(k Kernel, cause error, out []float32, x *tensor.Tensor,
 	if algo, minBytes, ok := h.floorAlgo(op, cs); ok {
 		cfg := Config{{BatchSize: n, Algo: algo}}
 		h.mu.Lock()
-		h.growArena(arenaGrant(minBytes))
+		h.growArena(h.arenaGrant(minBytes))
 		h.mu.Unlock()
 		h.restore(out)
 		if err := h.runConfig(cfg, minBytes, op, cs, x, w, y, alpha, beta); err == nil {
@@ -196,7 +196,7 @@ func (h *Handle) minWSAlgo(op conv.Op, cs tensor.ConvShape, measure func(conv.Op
 // process replans), then emits the recovery telemetry.
 func (h *Handle) adopt(k Kernel, plan Plan, stage string, clockStart time.Duration) {
 	h.mu.Lock()
-	h.growArena(arenaGrant(plan.Workspace))
+	h.growArena(h.arenaGrant(plan.Workspace))
 	h.setPlanLocked(plan)
 	h.degraded++
 	deg := h.degraded

@@ -49,8 +49,8 @@ func TestDegradeConvolveFaultBitwiseIdentical(t *testing.T) {
 	w := tensor.NewFilter(cs.Filt.K, cs.Filt.C, cs.Filt.R, cs.Filt.S)
 	w.Randomize(rng, 0.5)
 
-	run := func(reg *obs.Registry) []float32 {
-		h := newTestHandle(t, cudnn.ModelBackend,
+	run := func(reg *obs.Registry, fr *faults.Registry) []float32 {
+		h := newFaultedHandle(t, fr, cudnn.ModelBackend,
 			WithWorkspaceLimit(1<<20), WithAlgoFilter(gemmOnly), WithMetrics(reg))
 		y := tensor.NewShaped(cs.OutShape())
 		if err := h.ConvolutionForward(1, xd, x, wd, w, cd, VirtualAlgo, nil, 0, yd, y); err != nil {
@@ -59,14 +59,11 @@ func TestDegradeConvolveFaultBitwiseIdentical(t *testing.T) {
 		return y.Data
 	}
 
-	ref := run(obs.NewRegistry())
+	ref := run(obs.NewRegistry(), nil)
 
 	reg := obs.NewRegistry()
 	fr := faults.New(faults.Rule{Point: faults.PointConvolve, Trigger: faults.Nth(1)})
-	faults.Install(fr)
-	defer faults.Install(nil)
-	got := run(reg)
-	faults.Install(nil)
+	got := run(reg, fr)
 
 	if len(fr.Shots()) == 0 {
 		t.Fatal("fault never fired")
@@ -100,10 +97,10 @@ func TestDegradeBackwardFilterRestoresBlendedOutput(t *testing.T) {
 	dw0 := tensor.NewFilter(cs.Filt.K, cs.Filt.C, cs.Filt.R, cs.Filt.S)
 	dw0.Randomize(rng, 1)
 
-	run := func() []float32 {
+	run := func(fr *faults.Registry) []float32 {
 		// A limit one byte under the undivided requirement forces a plan
 		// with at least two micro-batches, so Nth(2) hits mid-config.
-		h := newTestHandle(t, cudnn.ModelBackend,
+		h := newFaultedHandle(t, fr, cudnn.ModelBackend,
 			WithWorkspaceLimit(full-1), WithAlgoFilter(gemmOnly))
 		dw := dw0.Clone()
 		if err := h.ConvolutionBackwardFilter(0.5, xd, x, yd, dy, cd, VirtualAlgo, nil, 0.25, wd, dw); err != nil {
@@ -115,13 +112,10 @@ func TestDegradeBackwardFilterRestoresBlendedOutput(t *testing.T) {
 		return dw.Data
 	}
 
-	ref := run()
+	ref := run(nil)
 
 	fr := faults.New(faults.Rule{Point: faults.PointConvolve, Trigger: faults.Nth(2)})
-	faults.Install(fr)
-	defer faults.Install(nil)
-	got := run()
-	faults.Install(nil)
+	got := run(fr)
 
 	if len(fr.Shots()) == 0 {
 		t.Fatal("fault never fired")
@@ -143,8 +137,8 @@ func TestDegradeArenaShrinkRecovers(t *testing.T) {
 	w := tensor.NewFilter(cs.Filt.K, cs.Filt.C, cs.Filt.R, cs.Filt.S)
 	w.Randomize(rng, 0.5)
 
-	run := func(reg *obs.Registry) []float32 {
-		h := newTestHandle(t, cudnn.ModelBackend,
+	run := func(reg *obs.Registry, fr *faults.Registry) []float32 {
+		h := newFaultedHandle(t, fr, cudnn.ModelBackend,
 			WithWorkspaceLimit(1<<20), WithAlgoFilter(gemmOnly), WithMetrics(reg))
 		y := tensor.NewShaped(cs.OutShape())
 		if err := h.ConvolutionForward(1, xd, x, wd, w, cd, VirtualAlgo, nil, 0, yd, y); err != nil {
@@ -153,17 +147,14 @@ func TestDegradeArenaShrinkRecovers(t *testing.T) {
 		return y.Data
 	}
 
-	ref := run(obs.NewRegistry())
+	ref := run(obs.NewRegistry(), nil)
 
 	// Shrink only the first grant — the WR plan's own arena allocation —
 	// eight-fold, below the plan's single-strip floor; later grants (the
 	// ladder re-growing the arena for degraded configurations) succeed.
 	reg := obs.NewRegistry()
 	fr := faults.New(faults.Rule{Point: faults.PointArenaGrow, Trigger: faults.Nth(1), Shrink: 8})
-	faults.Install(fr)
-	defer faults.Install(nil)
-	got := run(reg)
-	faults.Install(nil)
+	got := run(reg, fr)
 
 	if len(fr.Shots()) == 0 {
 		t.Fatal("fault never fired")
@@ -190,11 +181,9 @@ func TestDegradeFindStarvedRecovers(t *testing.T) {
 		{"floor", PolicyUndivided, "floor"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			faults.Install(faults.New(faults.Rule{Point: faults.PointFind, Trigger: faults.EveryK(1)}))
-			defer faults.Install(nil)
-
+			fr := faults.New(faults.Rule{Point: faults.PointFind, Trigger: faults.EveryK(1)})
 			reg := obs.NewRegistry()
-			h := newTestHandle(t, cudnn.ModelBackend,
+			h := newFaultedHandle(t, fr, cudnn.ModelBackend,
 				WithWorkspaceLimit(1<<20), WithPolicy(tc.policy),
 				WithAlgoFilter(gemmOnly), WithMetrics(reg))
 			xd, wd, cd, yd, cs := smallConv(8)
@@ -207,7 +196,7 @@ func TestDegradeFindStarvedRecovers(t *testing.T) {
 			if err := h.ConvolutionForward(1, xd, x, wd, w, cd, VirtualAlgo, nil, 0, yd, y); err != nil {
 				t.Fatal(err)
 			}
-			faults.Install(nil)
+			h.Inner().SetFaults(nil)
 
 			if got := reg.Counter(MetricFallback, obs.L("stage", tc.stage)).Value(); got != 1 {
 				t.Fatalf("%s{stage=%s} = %d, want 1", MetricFallback, tc.stage, got)
@@ -235,19 +224,14 @@ func TestDegradeFindStarvedRecovers(t *testing.T) {
 // When every stage is exhausted the original cause surfaces, wrapped so the
 // injected fault stays identifiable for the replayer.
 func TestDegradeExhaustedSurfacesCause(t *testing.T) {
-	faults.Install(faults.New(
-		faults.Rule{Point: faults.PointConvolve, Trigger: faults.EveryK(1)},
-	))
-	defer faults.Install(nil)
-
-	h := newTestHandle(t, cudnn.ModelBackend,
+	fr := faults.New(faults.Rule{Point: faults.PointConvolve, Trigger: faults.EveryK(1)})
+	h := newFaultedHandle(t, fr, cudnn.ModelBackend,
 		WithWorkspaceLimit(1<<20), WithAlgoFilter(gemmOnly))
 	xd, wd, cd, yd, cs := smallConv(4)
 	x := tensor.NewShaped(cs.In)
 	w := tensor.NewFilter(cs.Filt.K, cs.Filt.C, cs.Filt.R, cs.Filt.S)
 	y := tensor.NewShaped(cs.OutShape())
 	err := h.ConvolutionForward(1, xd, x, wd, w, cd, VirtualAlgo, nil, 0, yd, y)
-	faults.Install(nil)
 	if err == nil {
 		t.Fatal("every Convolve faulted; execution cannot have succeeded")
 	}

@@ -254,11 +254,12 @@ func (h *Handle) limitLocked(k Kernel, def int64) int64 {
 }
 
 // arenaGrant returns the arena floats a request for bytes is granted. An
-// armed arena-growth fault shrinks or denies the request — the arena then
-// stays smaller than a plan's workspace, and execute's kernels degrade to
-// fewer strips or fail into the degradation ladder.
-func arenaGrant(bytes int64) int {
-	return int((faults.Grant(faults.PointArenaGrow, bytes) + 3) / 4)
+// arena-growth fault armed on the run's schedule (the inner handle's)
+// shrinks or denies the request — the arena then stays smaller than a
+// plan's workspace, and execute's kernels degrade to fewer strips or
+// fail into the degradation ladder.
+func (h *Handle) arenaGrant(bytes int64) int {
+	return int((h.inner.Faults().Grant(faults.PointArenaGrow, bytes) + 3) / 4)
 }
 
 // growArena ensures the arena covers n floats, backing it with memory
@@ -292,7 +293,7 @@ func New(inner *cudnn.Handle, opts ...Option) (*Handle, error) {
 	if o.Mode == WD && o.BlobReserve >= o.TotalWorkspaceLimit {
 		return nil, fmt.Errorf("core: blob reserve %d consumes the whole joint pool of %d bytes", o.BlobReserve, o.TotalWorkspaceLimit)
 	}
-	cache, err := NewCache(o.CachePath)
+	cache, err := NewCache(o.CachePath, inner.Faults())
 	if err != nil {
 		return nil, err
 	}
@@ -433,7 +434,7 @@ func (h *Handle) finalizeLocked() error {
 			h.growArena(arena)
 			return fmt.Errorf("core: allocating WD segment for %v: %w", p.Kernel, err)
 		}
-		arena = max(arena, arenaGrant(p.Workspace))
+		arena = max(arena, h.arenaGrant(p.Workspace))
 		h.setPlanLocked(p)
 	}
 	h.growArena(arena)
@@ -468,7 +469,7 @@ func (h *Handle) ensurePlan(k Kernel) (Plan, error) {
 	if err := h.inner.Mem().Alloc(plan.Workspace); err != nil {
 		return Plan{}, fmt.Errorf("core: allocating workspace for %v: %w", k, err)
 	}
-	h.growArena(arenaGrant(plan.Workspace))
+	h.growArena(h.arenaGrant(plan.Workspace))
 	h.setPlanLocked(plan)
 	return plan, nil
 }

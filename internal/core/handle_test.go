@@ -9,6 +9,7 @@ import (
 	"ucudnn/internal/conv"
 	"ucudnn/internal/cudnn"
 	"ucudnn/internal/device"
+	"ucudnn/internal/faults"
 	"ucudnn/internal/tensor"
 	"ucudnn/internal/trace"
 )
@@ -25,7 +26,16 @@ func smallConv(n int) (cudnn.TensorDesc, cudnn.FilterDesc, cudnn.ConvDesc, cudnn
 
 func newTestHandle(t *testing.T, backend cudnn.Backend, opts ...Option) *Handle {
 	t.Helper()
-	h, err := New(cudnn.NewHandle(device.P100, backend), opts...)
+	return newFaultedHandle(t, nil, backend, opts...)
+}
+
+// newFaultedHandle is newTestHandle over an inner handle that carries
+// the fault schedule fr (nil for none).
+func newFaultedHandle(t *testing.T, fr *faults.Registry, backend cudnn.Backend, opts ...Option) *Handle {
+	t.Helper()
+	inner := cudnn.NewHandle(device.P100, backend)
+	inner.SetFaults(fr)
+	h, err := New(inner, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}

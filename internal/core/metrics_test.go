@@ -96,7 +96,7 @@ func TestWRPopulatesMetrics(t *testing.T) {
 // happened before instrumentation.
 func TestCacheStats(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.jsonl")
-	c, err := NewCache(path)
+	c, err := NewCache(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestCacheStats(t *testing.T) {
 
 	// Reopen: the file load happens before metrics attach; instrument must
 	// replay it into the registry.
-	c2, err := NewCache(path)
+	c2, err := NewCache(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -696,7 +696,7 @@ func TestOptimizeWDExactAtBreakpoints(t *testing.T) {
 func TestCacheRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bench.db")
-	c, err := NewCache(path)
+	c, err := NewCache(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -715,7 +715,7 @@ func TestCacheRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Reload from disk.
-	c2, err := NewCache(path)
+	c2, err := NewCache(path, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -743,7 +743,7 @@ func TestCacheKeyDistinguishes(t *testing.T) {
 
 func TestBencherUsesCache(t *testing.T) {
 	h := cudnn.NewHandle(device.P100, cudnn.ModelOnlyBackend)
-	cache, _ := NewCache("")
+	cache, _ := NewCache("", nil)
 	b := NewBencher(h, cache)
 	k := Kernel{Op: conv.Forward, Shape: conv2Shape(16)}
 	sizes := []int{1, 2, 4, 8, 16}

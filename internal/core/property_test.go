@@ -156,8 +156,8 @@ func TestDegradedDivisionsSatisfyBudget(t *testing.T) {
 		w := tensor.NewFilter(cs.Filt.K, cs.Filt.C, cs.Filt.R, cs.Filt.S)
 		w.Randomize(trng, 0.5)
 
-		run := func(reg *obs.Registry) ([]float32, []Plan) {
-			h := newTestHandle(t, cudnn.ModelBackend,
+		run := func(reg *obs.Registry, fr *faults.Registry) ([]float32, []Plan) {
+			h := newFaultedHandle(t, fr, cudnn.ModelBackend,
 				WithWorkspaceLimit(limit), WithAlgoFilter(gemmOnly), WithMetrics(reg))
 			y := tensor.NewShaped(cs.OutShape())
 			if err := h.ConvolutionForward(1, xd, x, wd, w, cd, VirtualAlgo, nil, 0, yd, y); err != nil {
@@ -166,13 +166,11 @@ func TestDegradedDivisionsSatisfyBudget(t *testing.T) {
 			return y.Data, h.Plans()
 		}
 
-		ref, _ := run(obs.NewRegistry())
+		ref, _ := run(obs.NewRegistry(), nil)
 
 		reg := obs.NewRegistry()
 		fr := faults.New(rule)
-		faults.Install(fr)
-		got, plans := run(reg)
-		faults.Install(nil)
+		got, plans := run(reg, fr)
 
 		if !bitsEqual(got, ref) {
 			t.Fatalf("trial %d (n=%d rule %v): degraded output not bit-identical", trial, n, rule)

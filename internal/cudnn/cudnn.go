@@ -70,6 +70,9 @@ type Handle struct {
 	elapsed time.Duration
 	kernels int64
 	tracer  *trace.Recorder
+	// faults is the run's fault schedule (nil: injection off). It is
+	// read without the lock; see SetFaults.
+	faults *faults.Registry
 	// algoFilter, when non-nil, restricts the algorithm universe AlgoPerfs
 	// (and so Find*/Get*/PickAlgo) reports. See SetAlgoFilter.
 	algoFilter func(conv.Op, conv.Algo) bool
@@ -118,6 +121,16 @@ func (h *Handle) Trace() *trace.Recorder {
 	defer h.mu.Unlock()
 	return h.tracer
 }
+
+// SetFaults attaches the run's fault schedule: the injection points of
+// this handle, of a µ-cuDNN handle wrapping it and of a dnn context over
+// it all consult r. Pass nil to detach. Attach before the run starts and
+// detach after it ends: the sites read the schedule without locking, so
+// they pay one nil check when none is attached.
+func (h *Handle) SetFaults(r *faults.Registry) { h.faults = r }
+
+// Faults returns the attached fault schedule (nil when none is).
+func (h *Handle) Faults() *faults.Registry { return h.faults }
 
 // SetAlgoFilter restricts the algorithm universe the handle's selection
 // surface (AlgoPerfs, PickAlgo, Find*/Get*) reports: algorithms for which
@@ -279,7 +292,7 @@ func (h *Handle) AlgoPerfs(op conv.Op, cs tensor.ConvShape) []AlgoPerf {
 		}
 		// Injected Find* failure: drop this candidate, as cuDNN does when
 		// one algorithm's benchmark run returns a bad status.
-		if faults.Hit(faults.PointFind) {
+		if h.faults.Hit(faults.PointFind) {
 			continue
 		}
 		mem, _ := conv.Workspace(op, algo, cs)
@@ -370,7 +383,7 @@ func (h *Handle) Convolve(op conv.Op, algo conv.Algo, cs tensor.ConvShape, x *te
 	// Injected execution failure at the cuDNN API boundary (the
 	// CUDNN_STATUS_EXECUTION_FAILED analogue), before any buffer is
 	// touched.
-	if err := faults.Err(faults.PointConvolve); err != nil {
+	if err := h.faults.Err(faults.PointConvolve); err != nil {
 		return err
 	}
 	switch h.backend {

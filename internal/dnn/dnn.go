@@ -91,13 +91,13 @@ type Context struct {
 }
 
 // Workspace returns a scratch slice of at least the given byte size from
-// the shared arena. Valid until the next call. An armed workspace fault
-// shrinks (or denies) the grant, simulating framework-side memory
+// the shared arena. Valid until the next call. A workspace fault armed
+// on the run's schedule (the inner handle's) shrinks (or denies) the grant, simulating framework-side memory
 // pressure: convolution layers hand the short buffer on, and the library
 // below degrades (µ-cuDNN) or reports the workspace as too small (plain
 // cuDNN).
 func (c *Context) Workspace(bytes int64) []float32 {
-	bytes = faults.Grant(faults.PointDnnWorkspace, bytes)
+	bytes = c.Cudnn.Faults().Grant(faults.PointDnnWorkspace, bytes)
 	if bytes <= 0 {
 		return nil
 	}
@@ -285,6 +285,12 @@ func (n *Net) Setup() error {
 	}
 	if n.inputName == "" || !n.inputShape.Valid() {
 		return fmt.Errorf("dnn: network input not declared")
+	}
+	if ooc := n.ctx.OOC; ooc != nil && n.ctx.Cudnn.Faults().Hit(faults.PointOOCPlan) {
+		// Conservative planning under an unreliable allocator: the armed
+		// plan fault steps the executor one rung finer than its plan
+		// before any layer is sized for the windows.
+		ooc.stepLadder("plan")
 	}
 	shapes := map[string]tensor.Shape{n.inputName: n.inputShape}
 	if err := n.addBlobCharged(n.inputName, n.inputShape, n.ctx.OOC == nil); err != nil {

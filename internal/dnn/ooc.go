@@ -369,10 +369,7 @@ type OOCState struct {
 	peakG      *obs.Gauge
 }
 
-// NewOOCState builds the executor for a planned model. An armed
-// ucudnn_fp_ooc_plan fault forces the schedule one ladder rung finer
-// than the memory model requires (conservative planning under an
-// unreliable allocator).
+// NewOOCState builds the executor for a planned model.
 func NewOOCState(m *OOCModel, plan OOCPlan) *OOCState {
 	o := &OOCState{
 		Plan:     plan,
@@ -386,9 +383,6 @@ func NewOOCState(m *OOCModel, plan OOCPlan) *OOCState {
 		o.resident[s] = true
 	}
 	o.resolveMetrics()
-	if faults.Hit(faults.PointOOCPlan) {
-		o.stepLadder("plan")
-	}
 	o.microG.Set(float64(o.windows()))
 	o.peakG.Set(float64(o.model.Peak(o.chunk, o.resident)))
 	return o
@@ -398,8 +392,8 @@ func NewOOCState(m *OOCModel, plan OOCPlan) *OOCState {
 var oocStages = []string{"plan", "fetch", "spill"}
 
 // SetMetrics moves the state's ucudnn_ooc_* series into reg, the run's
-// registry, carrying over what was counted before (a plan-time ladder
-// step). Until then they live on a private registry, so Report works
+// registry, carrying over what was counted before (a ladder step
+// taken by Net.Setup). Until then they live on a private registry, so Report works
 // without one; a nil reg keeps it.
 func (o *OOCState) SetMetrics(reg *obs.Registry) {
 	if reg == nil || reg == o.reg {
@@ -547,14 +541,14 @@ func (o *OOCState) beginLayer(ctx *Context, i int, backward bool) error {
 			c = o.model.Batch - lo
 		}
 		fetch := fetchPer * int64(c)
-		if granted := faults.Grant(faults.PointOOCFetch, fetch); granted < fetch {
+		if granted := ctx.Cudnn.Faults().Grant(faults.PointOOCFetch, fetch); granted < fetch {
 			// Transfer pressure: the window still streams (in more,
 			// smaller pieces), and subsequent windows go finer.
 			o.stepLadder("fetch")
 		}
 		o.charge(ctx, o.fetchC, "ooc_fetch", fetch)
 		if spill := spillPer * int64(c); spill > 0 {
-			if err := faults.Err(faults.PointOOCSpill); err != nil {
+			if err := ctx.Cudnn.Faults().Err(faults.PointOOCSpill); err != nil {
 				// Spill failed: drop the buffer, recompute it when next
 				// needed, and degrade.
 				o.charge(ctx, o.recomputeC, "ooc_recompute", spill)

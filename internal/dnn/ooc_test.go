@@ -308,24 +308,43 @@ func TestOOCLadder(t *testing.T) {
 	}
 }
 
-// An armed plan fault forces the fresh state one rung finer.
+// An armed plan fault on the run's schedule steps the executor one rung
+// finer when the network is set up, before any layer is sized: the
+// convolution kernels are registered for the stepped window only.
 func TestOOCPlanFaultDegradesAtConstruction(t *testing.T) {
-	m := &OOCModel{Batch: 4}
-	m.Slabs = []OOCSlab{{PerSample: 16, Full: 128}}
-	m.Layers = []OOCLayerFoot{{Slabs: []int{0}, Out: 0}}
-	plan, err := PlanOOC(m, 1024)
+	probeNet, _ := oocTestNet(oocTestCtx(), 4)
+	if err := probeNet.Setup(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := FootprintModel(probeNet)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := faults.Parse("ucudnn_fp_ooc_plan=nth:1")
+	fr, err := faults.Parse("ucudnn_fp_ooc_plan=nth:1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	faults.Install(r)
-	defer faults.Install(nil)
-	o := NewOOCState(m, plan)
-	if o.Report().Degraded != 1 {
-		t.Fatalf("plan fault did not step the ladder: %+v", o.Report())
+	ctx := oocTestCtx()
+	ctx.Cudnn.SetFaults(fr)
+	o := NewOOCState(m, OOCPlan{Batch: 4, Chunk: 4, Windows: 1})
+	ctx.OOC = o
+	if o.Report().Degraded != 0 || fr.ShotLog() != "" {
+		t.Fatalf("the state stepped before set-up: %+v, shots %q", o.Report(), fr.ShotLog())
+	}
+	net, _ := oocTestNet(ctx, 4)
+	if err := net.Setup(); err != nil {
+		t.Fatal(err)
+	}
+	if rep := o.Report(); rep.Degraded != 1 || rep.Chunk != 2 || fr.ShotLog() != "ucudnn_fp_ooc_plan@1(skip)" {
+		t.Fatalf("plan fault did not step the ladder once at set-up: %+v, shots %q", rep, fr.ShotLog())
+	}
+	if len(net.ConvLayers()) == 0 {
+		t.Fatal("test net has no convolution layer")
+	}
+	for _, l := range net.ConvLayers() {
+		if len(l.win) != 1 || l.win[0].n != 2 {
+			t.Fatalf("%s sized for windows %+v, want the stepped chunk of 2 only", l.Name(), l.win)
+		}
 	}
 	// The step happened before the run's registry was attached: it, and
 	// the gauges, move into the registry with the series.

@@ -2,10 +2,11 @@
 // for exercising µ-cuDNN's degradation paths without real hardware
 // failures. Code under test declares named injection points (the
 // Point constants below); a test or CLI arms a Registry with one
-// rule per point and installs it globally. Instrumented code consults
-// the global registry through the package-level helpers (Err, Hit,
-// Grant, Mangle), which are a single atomic load when no registry is
-// installed — the production hot path pays one pointer compare.
+// rule per point and attaches it to the run's cuDNN handle
+// (cudnn.Handle.SetFaults). Each injection site consults the registry
+// of the run it serves through its methods (Err, Hit, Grant, Mangle),
+// which are safe on a nil *Registry: a run with none attached pays one
+// nil check per site.
 //
 // Every trigger is deterministic given its rule (probability triggers
 // carry their own seed), and a Registry's canonical String() form
@@ -20,7 +21,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"ucudnn/internal/obs"
 )
@@ -33,12 +33,9 @@ type Point uint8
 
 // The injection points wired through the µ-cuDNN stack.
 const (
-	// PointKernelRun fails conv.Run after validation, simulating a kernel
-	// launch failure.
-	PointKernelRun Point = iota
 	// PointConvolve fails cudnn.Handle.Convolve at entry, simulating a
 	// CUDNN_STATUS_EXECUTION_FAILED return.
-	PointConvolve
+	PointConvolve Point = iota
 	// PointFind drops one algorithm candidate from cudnn.Handle.AlgoPerfs,
 	// simulating a failed Find* benchmark entry.
 	PointFind
@@ -58,15 +55,14 @@ const (
 	// PointOOCSpill fails an out-of-core activation spill; the executor
 	// drops the buffer, marks it for recompute and degrades.
 	PointOOCSpill
-	// PointOOCPlan forces the out-of-core planner to adopt a schedule one
-	// rung finer than the memory model requires (conservative planning
-	// under an unreliable allocator).
+	// PointOOCPlan steps the out-of-core executor one rung finer than the
+	// memory model requires when the network is set up (conservative
+	// planning under an unreliable allocator).
 	PointOOCPlan
 )
 
 // pointNames are the spec names Parse reads and String renders.
 var pointNames = [...]string{
-	PointKernelRun:    "ucudnn_fp_kernel_run",
 	PointConvolve:     "ucudnn_fp_convolve",
 	PointFind:         "ucudnn_fp_find",
 	PointArenaGrow:    "ucudnn_fp_arena_grow",
@@ -180,7 +176,8 @@ func (a *armed) eval() bool {
 
 // Registry holds armed rules (at most one per point; arming a point
 // again replaces its rule) and the log of fired shots. It is safe for
-// concurrent use.
+// concurrent use. A nil *Registry is a schedule with nothing armed:
+// every method but Arm accepts it, and no point fires.
 type Registry struct {
 	mu    sync.Mutex
 	rules map[Point]*armed
@@ -216,6 +213,9 @@ func (r *Registry) Arm(rule Rule) {
 // SetMetrics mirrors fired injections into reg as
 // ucudnn_fault_injected_total{point=...}. Nil disables.
 func (r *Registry) SetMetrics(reg *obs.Registry) {
+	if r == nil {
+		return
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.reg = reg
@@ -224,6 +224,9 @@ func (r *Registry) SetMetrics(reg *obs.Registry) {
 // String returns the canonical spec of the armed rules; Parse of the
 // result reconstructs an equivalent registry (call counts reset).
 func (r *Registry) String() string {
+	if r == nil {
+		return ""
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	parts := make([]string, 0, len(r.order))
@@ -235,6 +238,9 @@ func (r *Registry) String() string {
 
 // Shots returns a copy of the fired-shot log in firing order.
 func (r *Registry) Shots() []Shot {
+	if r == nil {
+		return nil
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]Shot(nil), r.shots...)
@@ -250,28 +256,38 @@ func (r *Registry) ShotLog() string {
 	return strings.Join(parts, ";")
 }
 
-// fire evaluates point p's rule, logging a shot with the given effect
-// when it fires. It returns the 1-based call count and whether it fired.
-func (r *Registry) fire(p Point, effect string) (int64, bool) {
+// fire evaluates point p's rule; when it fires, it logs a shot with the
+// given effect ("error", "skip", "deny" or "corrupt"; a "deny" whose
+// rule shrinks logs "shrink:d" instead) and counts it into the metrics
+// registry. It returns the 1-based call count, the rule's Shrink divisor
+// and whether it fired. A nil registry, or one with no rule for p, never
+// fires.
+func (r *Registry) fire(p Point, effect string) (call, shrink int64, fired bool) {
+	if r == nil {
+		return 0, 0, false
+	}
 	r.mu.Lock()
 	a := r.rules[p]
 	if a == nil {
 		r.mu.Unlock()
-		return 0, false
+		return 0, 0, false
 	}
 	a.calls++
-	call := a.calls
-	fired := a.eval()
-	var reg *obs.Registry
-	if fired {
-		r.shots = append(r.shots, Shot{Point: p, Call: call, Effect: effect})
-		reg = r.reg
+	call, shrink = a.calls, a.rule.Shrink
+	if !a.eval() {
+		r.mu.Unlock()
+		return call, shrink, false
 	}
+	if effect == "deny" && shrink > 1 {
+		effect = "shrink:" + strconv.FormatInt(shrink, 10)
+	}
+	r.shots = append(r.shots, Shot{Point: p, Call: call, Effect: effect})
+	reg := r.reg
 	r.mu.Unlock()
 	if reg != nil {
 		reg.Counter(MetricFaultInjected, obs.L("point", p.String())).Inc()
 	}
-	return call, fired
+	return call, shrink, true
 }
 
 // InjectedError is the error returned by fired error-shaped points.
@@ -295,7 +311,7 @@ func IsInjected(err error) bool {
 
 // Err returns an injected error when p's rule fires, nil otherwise.
 func (r *Registry) Err(p Point) error {
-	if call, fired := r.fire(p, "error"); fired {
+	if call, _, fired := r.fire(p, "error"); fired {
 		return &InjectedError{Point: p, Call: call}
 	}
 	return nil
@@ -303,7 +319,7 @@ func (r *Registry) Err(p Point) error {
 
 // Hit reports whether p's rule fired on this evaluation.
 func (r *Registry) Hit(p Point) bool {
-	_, fired := r.fire(p, "skip")
+	_, _, fired := r.fire(p, "skip")
 	return fired
 }
 
@@ -311,92 +327,25 @@ func (r *Registry) Hit(p Point) bool {
 // with Shrink > 1 the request is divided by Shrink, otherwise the grant
 // is denied (0 bytes).
 func (r *Registry) Grant(p Point, bytes int64) int64 {
-	r.mu.Lock()
-	a := r.rules[p]
-	if a == nil {
-		r.mu.Unlock()
+	_, shrink, fired := r.fire(p, "deny")
+	switch {
+	case !fired:
 		return bytes
+	case shrink > 1:
+		return bytes / shrink
 	}
-	a.calls++
-	call := a.calls
-	if !a.eval() {
-		r.mu.Unlock()
-		return bytes
-	}
-	granted := int64(0)
-	effect := "deny"
-	if a.rule.Shrink > 1 {
-		granted = bytes / a.rule.Shrink
-		effect = "shrink:" + strconv.FormatInt(a.rule.Shrink, 10)
-	}
-	r.shots = append(r.shots, Shot{Point: p, Call: call, Effect: effect})
-	reg := r.reg
-	r.mu.Unlock()
-	if reg != nil {
-		reg.Counter(MetricFaultInjected, obs.L("point", p.String())).Inc()
-	}
-	return granted
+	return 0
 }
 
 // Mangle corrupts data when p's rule fires (returning a mangled copy;
 // the input is never modified), and returns data unchanged otherwise.
 func (r *Registry) Mangle(p Point, data []byte) []byte {
-	if _, fired := r.fire(p, "corrupt"); !fired {
+	if _, _, fired := r.fire(p, "corrupt"); !fired {
 		return data
 	}
 	out := make([]byte, 0, len(data)+9)
 	out = append(out, "\x00corrupt "...)
 	return append(out, data...)
-}
-
-// global is the installed registry; nil means injection is disabled and
-// every helper below is a single atomic load.
-var global atomic.Pointer[Registry]
-
-// Install makes r the global registry consulted by the package-level
-// helpers; Install(nil) disables injection. Tests that install a
-// registry must uninstall it (defer faults.Install(nil)).
-func Install(r *Registry) { global.Store(r) }
-
-// Active returns the installed registry (nil when disabled).
-func Active() *Registry { return global.Load() }
-
-// Err consults the global registry's rule for p; nil when disabled.
-func Err(p Point) error {
-	r := global.Load()
-	if r == nil {
-		return nil
-	}
-	return r.Err(p)
-}
-
-// Hit consults the global registry's rule for p; false when disabled.
-func Hit(p Point) bool {
-	r := global.Load()
-	if r == nil {
-		return false
-	}
-	return r.Hit(p)
-}
-
-// Grant filters a byte-count request through the global registry;
-// identity when disabled.
-func Grant(p Point, bytes int64) int64 {
-	r := global.Load()
-	if r == nil {
-		return bytes
-	}
-	return r.Grant(p, bytes)
-}
-
-// Mangle filters a data buffer through the global registry; identity
-// when disabled.
-func Mangle(p Point, data []byte) []byte {
-	r := global.Load()
-	if r == nil {
-		return data
-	}
-	return r.Mangle(p, data)
 }
 
 // Parse reconstructs a registry from its canonical String() spec:

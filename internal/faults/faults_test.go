@@ -45,9 +45,9 @@ func TestEveryKTrigger(t *testing.T) {
 
 func TestProbTriggerDeterministic(t *testing.T) {
 	run := func() []int64 {
-		r := New(Rule{Point: PointKernelRun, Trigger: Prob(0.3, 42)})
+		r := New(Rule{Point: PointConvolve, Trigger: Prob(0.3, 42)})
 		for i := 0; i < 100; i++ {
-			r.Err(PointKernelRun)
+			r.Err(PointConvolve)
 		}
 		var calls []int64
 		for _, s := range r.Shots() {
@@ -83,9 +83,25 @@ func TestGrantShrinkAndDeny(t *testing.T) {
 	if got := r.Grant(PointDnnWorkspace, 1024); got != 0 {
 		t.Fatalf("denied grant = %d, want 0", got)
 	}
-	log := r.ShotLog()
-	if !strings.Contains(log, "shrink:4") || !strings.Contains(log, "deny") {
-		t.Fatalf("shot log %q missing shrink/deny effects", log)
+	if log, want := r.ShotLog(), "ucudnn_fp_arena_grow@2(shrink:4);ucudnn_fp_dnn_workspace@1(deny)"; log != want {
+		t.Fatalf("shot log %q, want %q", log, want)
+	}
+}
+
+// Every effect logs its shot under its own name: the shot log is the
+// replay record, so these strings are part of the contract.
+func TestShotEffectNames(t *testing.T) {
+	r := New(
+		Rule{Point: PointConvolve, Trigger: Nth(1)},
+		Rule{Point: PointFind, Trigger: Nth(1)},
+		Rule{Point: PointCacheLoad, Trigger: Nth(1)},
+	)
+	r.Err(PointConvolve)
+	r.Hit(PointFind)
+	r.Mangle(PointCacheLoad, nil)
+	want := "ucudnn_fp_convolve@1(error);ucudnn_fp_find@1(skip);ucudnn_fp_cache_load@1(corrupt)"
+	if log := r.ShotLog(); log != want {
+		t.Fatalf("shot log %q, want %q", log, want)
 	}
 }
 
@@ -108,7 +124,7 @@ func TestSpecRoundTrip(t *testing.T) {
 	specs := []string{
 		"ucudnn_fp_convolve=nth:3",
 		"ucudnn_fp_find=every:2;ucudnn_fp_arena_grow=nth:1,shrink=4",
-		"ucudnn_fp_kernel_run=prob:0.25:7",
+		"ucudnn_fp_ooc_spill=prob:0.25:7",
 	}
 	for _, spec := range specs {
 		r, err := Parse(spec)
@@ -174,22 +190,25 @@ func TestReplayFromSpecReproducesShots(t *testing.T) {
 	}
 }
 
-func TestGlobalInstall(t *testing.T) {
-	if err := Err(PointConvolve); err != nil {
-		t.Fatalf("disabled global injected: %v", err)
+// A nil registry is a run with no schedule: no point fires, grants and
+// data pass through, and the reporting methods read empty.
+func TestNilRegistryFiresNothing(t *testing.T) {
+	var r *Registry
+	if err := r.Err(PointConvolve); err != nil {
+		t.Fatalf("nil registry injected: %v", err)
 	}
-	if got := Grant(PointArenaGrow, 64); got != 64 {
-		t.Fatalf("disabled global grant = %d, want 64", got)
+	if r.Hit(PointFind) {
+		t.Fatal("nil registry hit")
 	}
-	r := New(Rule{Point: PointConvolve, Trigger: Nth(1)})
-	Install(r)
-	defer Install(nil)
-	if err := Err(PointConvolve); err == nil {
-		t.Fatal("installed global did not inject")
+	if got := r.Grant(PointArenaGrow, 64); got != 64 {
+		t.Fatalf("nil registry grant = %d, want 64", got)
 	}
-	Install(nil)
-	if err := Err(PointConvolve); err != nil {
-		t.Fatalf("uninstalled global injected: %v", err)
+	if got := r.Mangle(PointCacheLoad, []byte("x")); string(got) != "x" {
+		t.Fatalf("nil registry mangled data: %q", got)
+	}
+	r.SetMetrics(obs.NewRegistry())
+	if r.String() != "" || r.ShotLog() != "" || r.Shots() != nil {
+		t.Fatal("nil registry reports rules or shots")
 	}
 }
 

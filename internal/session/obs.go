@@ -26,27 +26,37 @@ func (f *ObsFlags) Register(fs *flag.FlagSet) {
 	fs.StringVar(&f.Profile, "profile", "", "write a per-phase cost-attribution report at exit (\"-\" for a table on stdout, else JSON)")
 }
 
-// Run brackets body with everything the flags ask for: the armed fault
-// schedule, the metrics registry (created when -metrics is given; nil
-// otherwise) and the phase profiler. body returns the plan table
+// Run brackets body with everything the flags ask for: the metrics
+// registry (created when -metrics is given; nil otherwise), the fault
+// schedule parsed from -faults (nil otherwise; its fired injections
+// count into the metrics registry) and the phase profiler. body attaches
+// the schedule to the runs it builds and returns the plan table
 // (core.Handle.Report) of every µ-cuDNN handle it built, in creation
 // order; after a successful body Run writes the profile joined against
-// those tables, then the metrics file.
-func (f ObsFlags) Run(body func(reg *obs.Registry) ([]core.HandleReport, error)) error {
-	report, err := armFaults(f.Faults)
-	if err != nil {
-		return err
-	}
-	defer report()
+// those tables, then the metrics file. The fired shots go to stderr
+// whatever body returns, so any failure under injection is reproducible
+// from the output alone.
+func (f ObsFlags) Run(body func(reg *obs.Registry, fr *faults.Registry) ([]core.HandleReport, error)) error {
 	var reg *obs.Registry
 	if f.Metrics != "" {
 		reg = obs.NewRegistry()
+	}
+	var fr *faults.Registry
+	if f.Faults != "" {
+		var err error
+		if fr, err = faults.Parse(f.Faults); err != nil {
+			return err
+		}
+		fr.SetMetrics(reg)
+		defer func() {
+			fmt.Fprintf(os.Stderr, "faults: schedule %q fired [%s]\n", fr.String(), fr.ShotLog())
+		}()
 	}
 	if f.Profile != "" {
 		prof.Enable()
 		defer prof.Disable()
 	}
-	handles, err := body(reg)
+	handles, err := body(reg, fr)
 	if err != nil {
 		return err
 	}
@@ -54,22 +64,4 @@ func (f ObsFlags) Run(body func(reg *obs.Registry) ([]core.HandleReport, error))
 		return err
 	}
 	return reg.WriteFile(f.Metrics)
-}
-
-// armFaults installs the fault schedule (if any) and returns a closure
-// that disarms it and prints the fired shots, so any failure under
-// injection is reproducible from the output alone.
-func armFaults(spec string) (func(), error) {
-	if spec == "" {
-		return func() {}, nil
-	}
-	freg, err := faults.Parse(spec)
-	if err != nil {
-		return nil, err
-	}
-	faults.Install(freg)
-	return func() {
-		faults.Install(nil)
-		fmt.Fprintf(os.Stderr, "faults: schedule %q fired [%s]\n", freg.String(), freg.ShotLog())
-	}, nil
 }

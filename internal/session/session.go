@@ -14,6 +14,7 @@ import (
 	"ucudnn/internal/cudnn"
 	"ucudnn/internal/device"
 	"ucudnn/internal/dnn"
+	"ucudnn/internal/faults"
 	"ucudnn/internal/obs"
 	"ucudnn/internal/trace"
 	"ucudnn/internal/zoo"
@@ -45,6 +46,10 @@ type Config struct {
 	// executor.
 	CachePath string
 	Metrics   *obs.Registry
+	// Faults is the run's fault schedule (nil: none). New attaches it to
+	// the run's cuDNN handle only: the out-of-core probe runs outside it,
+	// so the schedule's call counts start at the run's first evaluation.
+	Faults *faults.Registry
 }
 
 // Session is a built network run.
@@ -88,6 +93,7 @@ func New(cfg Config) (*Session, error) {
 	}
 
 	s.Inner = newHandle(cfg.Device, cfg.Backend)
+	s.Inner.SetFaults(cfg.Faults)
 	var convH dnn.ConvHandle = s.Inner
 	if cfg.Mode != "cudnn" {
 		opts := []core.Option{core.WithPolicy(cfg.Policy), core.WithCachePath(cfg.CachePath),

@@ -17,7 +17,7 @@ import (
 )
 
 // tracedRun is one traced configuration: the run, the fault schedule
-// armed around it ("" for none) and the traced iteration count.
+// attached to it ("" for none) and the traced iteration count.
 type tracedRun struct {
 	cfg    Config
 	faults string
@@ -33,28 +33,31 @@ func modelOnly(net string, batch int, mode string, ws, total, blob int64) Config
 }
 
 // traceJSON runs r's traced iterations and returns the exported
-// canonical timeline bytes.
-func traceJSON(r tracedRun) ([]byte, error) {
+// canonical timeline bytes and the schedule's shot log.
+func traceJSON(r tracedRun) ([]byte, string, error) {
+	cfg := r.cfg
 	if r.faults != "" {
-		freg, err := faults.Parse(r.faults)
-		if err != nil {
-			return nil, err
+		var err error
+		if cfg.Faults, err = faults.Parse(r.faults); err != nil {
+			return nil, "", err
 		}
-		faults.Install(freg)
-		defer faults.Install(nil)
 	}
-	s, err := New(r.cfg)
+	s, err := New(cfg)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	tl, err := s.Trace(r.iters)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
 	var b bytes.Buffer
 	err = tl.WriteJSON(&b)
-	return b.Bytes(), err
+	return b.Bytes(), cfg.Faults.ShotLog(), err
 }
+
+// faultedSchedule puts fault spans on the timeline of the `make smoke`
+// run: the pareto and finer rungs of the degradation ladder.
+const faultedSchedule = "ucudnn_fp_convolve=every:4;ucudnn_fp_arena_grow=every:2,shrink=64"
 
 // The exported timeline bytes of three runs are pinned by their SHA-256
 // (testdata/timeline_fingerprints.json, recorded at engine worker cap 2):
@@ -74,16 +77,15 @@ func TestTimelineFingerprints(t *testing.T) {
 	}
 	smoke := modelOnly("alexnet", 16, "wd", 64*mib, 256*mib, 48*mib)
 	runs := map[string]tracedRun{
-		"alexnet_b16_wd_smoke": {cfg: smoke, iters: 1},
-		"alexnet_b16_wd_faulted": {cfg: smoke, iters: 2,
-			faults: "ucudnn_fp_convolve=every:4;ucudnn_fp_arena_grow=every:2,shrink=64"},
+		"alexnet_b16_wd_smoke":    {cfg: smoke, iters: 1},
+		"alexnet_b16_wd_faulted":  {cfg: smoke, iters: 2, faults: faultedSchedule},
 		"densenet40_b8_wd_blob16": {cfg: modelOnly("densenet40", 8, "wd", 64*mib, 256*mib, 16*mib), iters: 1},
 	}
 	if len(want) != len(runs) {
 		t.Fatalf("%d pinned fingerprints, want one per run (%d)", len(want), len(runs))
 	}
 	for name, r := range runs {
-		data, err := traceJSON(r)
+		data, _, err := traceJSON(r)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -94,41 +96,49 @@ func TestTimelineFingerprints(t *testing.T) {
 	}
 }
 
-// Each traced run numbers and parents its spans on its own recorder:
-// two runs traced at once in one process export the same bytes as
-// each traced alone. (Profiling stays off: its rows are process-wide.)
+// Each traced run numbers and parents its spans on its own recorder and
+// counts its faults on its own schedule: runs traced at once in one
+// process, one of them faulted, export the same bytes and fire the same
+// shots as each run alone. (Profiling stays off: its rows are
+// process-wide.)
 func TestConcurrentTracesMatchSolo(t *testing.T) {
 	defer conv.SetMaxWorkers(conv.SetMaxWorkers(2))
 	runs := []tracedRun{
 		{cfg: modelOnly("alexnet", 8, "wr", 8*mib, 0, 0), iters: 2},
 		{cfg: modelOnly("inception", 8, "wd", 8*mib, 64*mib, 16*mib), iters: 2},
+		{cfg: modelOnly("alexnet", 16, "wd", 64*mib, 256*mib, 48*mib), iters: 2, faults: faultedSchedule},
 	}
 	solo := make([][]byte, len(runs))
+	soloShots := make([]string, len(runs))
 	for i, r := range runs {
 		var err error
-		if solo[i], err = traceJSON(r); err != nil {
+		if solo[i], soloShots[i], err = traceJSON(r); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if soloShots[2] == "" {
+		t.Fatal("the faulted run fired nothing")
+	}
 	for round := 0; round < 3; round++ {
 		got := make([][]byte, len(runs))
+		shots := make([]string, len(runs))
 		errs := make([]error, len(runs))
 		var wg sync.WaitGroup
 		for i, r := range runs {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got[i], errs[i] = traceJSON(r)
+				got[i], shots[i], errs[i] = traceJSON(r)
 			}()
 		}
 		wg.Wait()
-		for i := range runs {
+		for i, r := range runs {
 			if errs[i] != nil {
 				t.Fatal(errs[i])
 			}
-			if !bytes.Equal(got[i], solo[i]) {
-				t.Fatalf("round %d: %s %s traced alongside another run differs from its solo timeline",
-					round, runs[i].cfg.Net, runs[i].cfg.Mode)
+			if !bytes.Equal(got[i], solo[i]) || shots[i] != soloShots[i] {
+				t.Fatalf("round %d: %s %s (schedule %q) traced alongside other runs differs from its solo run",
+					round, r.cfg.Net, r.cfg.Mode, r.faults)
 			}
 		}
 	}

@@ -368,8 +368,7 @@ func Run(mode Mode, spec RunSpec) (*Result, error) {
 			return nil, err
 		}
 		res.Schedule = sched
-		faults.Install(freg)
-		defer faults.Install(nil)
+		inner.SetFaults(freg)
 	}
 	fail := func(step string, err error) (*Result, error) {
 		if freg != nil {
@@ -382,8 +381,9 @@ func Run(mode Mode, spec RunSpec) (*Result, error) {
 	ctx := dnn.NewContext(ch, inner, ctxLimit)
 	ctx.RNG = rand.New(rand.NewSource(seed))
 	if oocModel != nil {
-		// After faults.Install, so an armed ucudnn_fp_ooc_plan point can
-		// force the state one ladder rung finer at construction.
+		// The footprint probe above ran on its own handle, outside the
+		// schedule; an armed ucudnn_fp_ooc_plan point steps this state one
+		// ladder rung finer when net.Setup starts.
 		ctx.OOC = dnn.NewOOCState(oocModel, oocPlan)
 	}
 	net, loss, err := build(ctx, spec.Network, spec.Batch)
